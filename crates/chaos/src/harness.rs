@@ -1231,6 +1231,47 @@ mod tests {
     }
 
     #[test]
+    fn cache_integrity_holds_over_tiers_shared_between_workers() {
+        // The farm's worker caches hand out one admitted tier per blob.
+        // The integrity audit — hash agreement plus tier-2 re-admission —
+        // must read the same on a shared tier as on a private one.
+        let oracle = FaultOracle::new(3);
+        let mut fw = build_farm_world(3, &oracle, false, false);
+        for i in 0..N_JOBS {
+            let spec = farm_job(i, &fw.module_key);
+            fw.farm.submit(&mut fw.world, spec);
+        }
+        let mut rt = PlanRuntime::new(&FaultPlan::empty(), Scenario::Farm);
+        let mut violations = Vec::new();
+        drive_farm(
+            &mut fw.world,
+            &mut fw.farm,
+            &mut rt,
+            &oracle,
+            &mut fw.ctx,
+            &mut violations,
+        );
+        let tiers: Vec<_> = (0..fw.farm.n_workers() as u32)
+            .filter_map(|w| {
+                fw.farm
+                    .worker_cache(WorkerId(w))
+                    .prepared_of(&fw.module_key)
+            })
+            .collect();
+        assert!(
+            tiers.len() >= 2,
+            "the module reached {} caches",
+            tiers.len()
+        );
+        assert!(
+            tiers.iter().all(|t| std::sync::Arc::ptr_eq(t, tiers[0])),
+            "every cache of one farm holds the same admitted tier"
+        );
+        check_cache_integrity(&fw.farm, &fw.world, &mut violations);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
+    #[test]
     fn same_config_replays_byte_identically() {
         for seed in [0, 1, 2, 17, 42] {
             let cfg = ChaosConfig::from_seed(seed);

@@ -22,8 +22,9 @@ use resources::account::{BillingLedger, UsageRecord, VirtualAccount};
 use trust::{Candidate, GridTrustConfig, PolicyHandle, ProfileRegistry};
 
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
+use crate::grid::slots::SlotTable;
 use crate::grid::{ChunkSource, GridEvent, GridWorld, JobId, WorkerId, WorkerSetup};
-use crate::modules::{ModuleCache, ModuleKey, ModuleLibrary};
+use crate::modules::{ModuleCache, ModuleKey, ModuleLibrary, TierMemo};
 
 /// One distributable unit of work.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,15 +149,15 @@ struct Worker {
     peer: PeerId,
     host: HostId,
     spec: HostSpec,
-    up: bool,
     /// Bumped on every availability transition; stale in-flight events
     /// carry an older epoch and are ignored.
     epoch: u64,
-    /// Concurrent job slots (1 = a plain PC; >1 models a cluster or SMP
-    /// node behind a local resource manager, §3.1).
-    capacity: u32,
-    /// Jobs currently assigned (any in-flight state), bounded by capacity.
-    active: u32,
+    /// Jobs whose primary copy holds a slot here (module fetch, input
+    /// transfer or compute in flight) — what migrates if the worker
+    /// vanishes.
+    held: Vec<JobId>,
+    /// Jobs whose speculative duplicate lives here, in any state.
+    spec_jobs: Vec<JobId>,
     /// Jobs currently computing on this worker.
     running: Vec<RunningJob>,
     /// Fraction of the advertised clock actually delivered (1.0 = honest
@@ -217,7 +218,12 @@ pub struct FarmScheduler {
     tick_armed: bool,
     cfg: FarmConfig,
     workers: Vec<Worker>,
+    /// Availability and slot occupancy per worker, and the open set
+    /// dispatch draws candidates from.
+    slots: SlotTable,
     jobs: Vec<Job>,
+    /// Jobs in `JobState::Done`.
+    done: usize,
     pending: VecDeque<JobId>,
     /// Module blobs owned by the controller ("the client … pipes modules,
     /// programs and data to the other required Triana service daemons").
@@ -234,6 +240,9 @@ pub struct FarmScheduler {
     profiles: ProfileRegistry,
     /// Worker-selection policy resolved from `cfg.trust` at construction.
     policy: PolicyHandle,
+    /// Module admissions already performed in this world, shared by every
+    /// worker cache so one blob is verified and translated once.
+    tier_memo: TierMemo,
     spec_dispatches: u64,
     spec_wins: u64,
     obs: Obs,
@@ -256,7 +265,9 @@ impl FarmScheduler {
             tick_armed: false,
             cfg,
             workers: Vec::new(),
+            slots: SlotTable::default(),
             jobs: Vec::new(),
+            done: 0,
             pending: VecDeque::new(),
             library: ModuleLibrary::new(),
             chunk_spec: None,
@@ -265,6 +276,7 @@ impl FarmScheduler {
             peer_workers: HashMap::new(),
             profiles: ProfileRegistry::new(tcfg.profile),
             policy: tcfg.policy,
+            tier_memo: TierMemo::default(),
             spec_dispatches: 0,
             spec_wins: 0,
             obs: Obs::disabled(),
@@ -376,24 +388,23 @@ impl FarmScheduler {
         capacity: u32,
     ) -> WorkerId {
         assert!(capacity >= 1);
-        let id = WorkerId(self.workers.len() as u32);
         let host = world.p2p.host_of(setup.peer);
         let up = setup.trace.is_up(SimTime::ZERO);
+        let id = self.slots.push(up, capacity);
         world.net.set_online(host, up);
         schedule_transitions(&mut world.sim, id, &setup.trace);
         let chunk_bytes = self.cfg.swarm.as_ref().map_or(16 * 1024, |s| s.chunk_bytes);
         self.peer_workers.insert(setup.peer, id);
         self.profiles.register(id.0, setup.spec.cpu_ghz, up);
-        let mut cache = ModuleCache::new(setup.cache_bytes);
+        let mut cache = ModuleCache::with_memo(setup.cache_bytes, self.tier_memo.clone());
         cache.set_obs(self.obs.clone());
         self.workers.push(Worker {
             peer: setup.peer,
             host,
             spec: setup.spec,
-            up,
             epoch: 0,
-            capacity,
-            active: 0,
+            held: Vec::new(),
+            spec_jobs: Vec::new(),
             running: Vec::new(),
             efficiency: 1.0,
             cache,
@@ -448,6 +459,7 @@ impl FarmScheduler {
         self.arm_tick(world);
         self.pending.push_back(id);
         self.dispatch(world);
+        debug_assert!(self.indexes_consistent());
         id
     }
 
@@ -482,24 +494,63 @@ impl FarmScheduler {
         }
     }
 
-    /// Idle workers a job may run on, in worker-id order (so every policy
-    /// sees a deterministic candidate list). `exclude` drops one worker —
-    /// the straggling primary when picking a speculative backup.
-    fn candidates_for(&self, job_id: JobId, exclude: Option<WorkerId>) -> Vec<Candidate> {
-        let blacklist = self.cfg.trust.as_ref().and_then(|t| t.blacklist.as_ref());
-        self.workers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| {
-                let wid = WorkerId(i as u32);
-                let open = w.up && w.active < w.capacity && Some(wid) != exclude;
-                let trusted = blacklist.is_none_or(|bl| !self.profiles.blacklisted(wid.0, bl));
-                (open && trusted && self.eligible(job_id, wid)).then_some(Candidate {
-                    worker: wid.0,
-                    cpu_ghz: w.spec.cpu_ghz,
-                })
+    /// The open, trusted workers in worker-id order (so every policy sees
+    /// a deterministic candidate list): the candidates of any job without
+    /// a conflict set, and a superset of every other job's.
+    fn open_candidates(&self) -> Vec<Candidate> {
+        self.slots
+            .open()
+            .filter(|&wid| !self.worker_blacklisted(wid))
+            .map(|wid| Candidate {
+                worker: wid.0,
+                cpu_ghz: self.workers[wid.0 as usize].spec.cpu_ghz,
             })
             .collect()
+    }
+
+    /// Remaining work of a job on the reference scale.
+    fn remaining_gigacycles(&self, job_id: JobId) -> f64 {
+        let j = &self.jobs[job_id.0 as usize];
+        j.spec.work_gigacycles * (1.0 - j.fraction)
+    }
+
+    /// The next (queue index, worker) pairing: FIFO over pending jobs,
+    /// skipping `bounced` ones and jobs whose conflict set rules out every
+    /// open worker; the configured policy picks among the eligible open
+    /// workers (the legacy default takes the fastest advertised clock,
+    /// §3.7).
+    fn next_pick(&self, bounced: &[JobId]) -> Option<(usize, WorkerId)> {
+        if self.pending.is_empty() || !self.slots.any_open() {
+            return None;
+        }
+        let open = self.open_candidates();
+        if open.is_empty() {
+            return None;
+        }
+        let mut narrowed = Vec::new();
+        for (qi, &job_id) in self.pending.iter().enumerate() {
+            if bounced.contains(&job_id) {
+                continue;
+            }
+            let cands: &[Candidate] = if self.jobs[job_id.0 as usize].conflicts.is_empty() {
+                &open
+            } else {
+                narrowed.clear();
+                narrowed.extend(
+                    open.iter()
+                        .filter(|c| self.eligible(job_id, WorkerId(c.worker))),
+                );
+                &narrowed
+            };
+            if cands.is_empty() {
+                continue;
+            }
+            let work = self.remaining_gigacycles(job_id);
+            if let Some(ci) = self.policy.choose(work, cands, &self.profiles) {
+                return Some((qi, WorkerId(cands[ci].worker)));
+            }
+        }
+        None
     }
 
     fn dispatch(&mut self, world: &mut GridWorld) {
@@ -509,25 +560,9 @@ impl FarmScheduler {
         // the deterministic policy would pick the same pairing forever.
         let mut bounced: Vec<JobId> = Vec::new();
         loop {
-            // FIFO over pending jobs, skipping jobs whose conflict set
-            // rules out every idle worker; the configured policy picks
-            // among the eligible idle workers (the legacy default takes
-            // the fastest advertised clock, §3.7).
-            let mut pick: Option<(usize, WorkerId)> = None;
-            for (qi, &job_id) in self.pending.iter().enumerate() {
-                if bounced.contains(&job_id) {
-                    continue;
-                }
-                let cands = self.candidates_for(job_id, None);
-                let work = {
-                    let j = &self.jobs[job_id.0 as usize];
-                    j.spec.work_gigacycles * (1.0 - j.fraction)
-                };
-                if let Some(ci) = self.policy.choose(work, &cands, &self.profiles) {
-                    pick = Some((qi, WorkerId(cands[ci].worker)));
-                    break;
-                }
-            }
+            let pick = self.next_pick(&bounced);
+            #[cfg(test)]
+            assert_eq!(pick, self.naive_pick(&bounced), "dispatch index diverged");
             let Some((qi, wid)) = pick else {
                 return;
             };
@@ -539,6 +574,47 @@ impl FarmScheduler {
         }
     }
 
+    /// Reference for [`Self::open_candidates`] plus conflict narrowing:
+    /// the candidates of one job found by checking every enrolled worker.
+    /// `exclude` drops one worker — the straggling primary when picking a
+    /// speculative backup.
+    #[cfg(test)]
+    fn naive_candidates(&self, job_id: JobId, exclude: Option<WorkerId>) -> Vec<Candidate> {
+        (0..self.workers.len() as u32)
+            .map(WorkerId)
+            .filter(|&wid| {
+                let open = self.slots.is_up(wid)
+                    && self.slots.active(wid) < self.slots.capacity(wid)
+                    && Some(wid) != exclude;
+                open && !self.worker_blacklisted(wid) && self.eligible(job_id, wid)
+            })
+            .map(|wid| Candidate {
+                worker: wid.0,
+                cpu_ghz: self.workers[wid.0 as usize].spec.cpu_ghz,
+            })
+            .collect()
+    }
+
+    /// Reference for [`Self::next_pick`]: the `pending × workers` scan the
+    /// scheduler ran before it kept the open set as state.
+    #[cfg(test)]
+    fn naive_pick(&self, bounced: &[JobId]) -> Option<(usize, WorkerId)> {
+        for (qi, &job_id) in self.pending.iter().enumerate() {
+            if bounced.contains(&job_id) {
+                continue;
+            }
+            let cands = self.naive_candidates(job_id, None);
+            if cands.is_empty() {
+                continue;
+            }
+            let work = self.remaining_gigacycles(job_id);
+            if let Some(ci) = self.policy.choose(work, &cands, &self.profiles) {
+                return Some((qi, WorkerId(cands[ci].worker)));
+            }
+        }
+        None
+    }
+
     /// Re-run the dispatch scan. Queue drains are normally triggered by
     /// grid events (worker churn, completions), but external connectivity
     /// repairs — e.g. a severed controller↔worker route healing — are not
@@ -546,11 +622,13 @@ impl FarmScheduler {
     /// queue.
     pub fn kick(&mut self, world: &mut GridWorld) {
         self.dispatch(world);
+        debug_assert!(self.indexes_consistent());
     }
 
     fn assign(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId) {
         let epoch = self.workers[wid.0 as usize].epoch;
-        self.workers[wid.0 as usize].active += 1;
+        self.slots.take(wid);
+        self.workers[wid.0 as usize].held.push(job_id);
         let module_key = self.jobs[job_id.0 as usize].spec.module.clone();
         // `get` (not `contains`) so cache hit/miss statistics are metered.
         let needs_module = match &module_key {
@@ -814,13 +892,25 @@ impl FarmScheduler {
         }
     }
 
+    /// Is the worker up and still in the availability epoch an in-flight
+    /// event or attempt was minted in?
+    fn alive(&self, wid: WorkerId, epoch: u64) -> bool {
+        self.slots.is_up(wid) && self.workers[wid.0 as usize].epoch == epoch
+    }
+
     /// Is this in-flight event still the job's live assignment?
     fn live(&self, job_id: JobId, wid: WorkerId, epoch: u64, state: JobState) -> bool {
         let job = &self.jobs[job_id.0 as usize];
-        job.assigned == Some((wid, epoch))
-            && job.state == state
-            && self.workers[wid.0 as usize].up
-            && self.workers[wid.0 as usize].epoch == epoch
+        job.assigned == Some((wid, epoch)) && job.state == state && self.alive(wid, epoch)
+    }
+
+    /// The primary copy of `job_id` leaves `wid`: free its slot and drop
+    /// its run, if it had started one.
+    fn release_primary(&mut self, job_id: JobId, wid: WorkerId) {
+        self.slots.free(wid);
+        let w = &mut self.workers[wid.0 as usize];
+        w.held.retain(|&j| j != job_id);
+        w.running.retain(|r| r.job != job_id);
     }
 
     /// Unassign a job and put it back in the queue; frees the worker slot.
@@ -832,9 +922,7 @@ impl FarmScheduler {
         job.state = JobState::Pending;
         job.assigned = None;
         self.pending.push_back(job_id);
-        let w = &mut self.workers[wid.0 as usize];
-        w.active = w.active.saturating_sub(1);
-        w.running.retain(|r| r.job != job_id);
+        self.release_primary(job_id, wid);
         self.obs.incr("farm.requeues");
         self.record_delta(world, Delta::Requeue { job: job_id.0 });
     }
@@ -842,20 +930,25 @@ impl FarmScheduler {
     /// Main event handler. `GridEvent::P2p` must be routed to the overlay
     /// by the caller; everything else belongs here.
     pub fn handle(&mut self, world: &mut GridWorld, ev: GridEvent) {
+        self.on_event(world, ev);
+        debug_assert!(self.indexes_consistent());
+    }
+
+    fn on_event(&mut self, world: &mut GridWorld, ev: GridEvent) {
         match ev {
             GridEvent::WorkerUp(wid) => {
-                let w = &mut self.workers[wid.0 as usize];
-                if w.up {
+                if self.slots.is_up(wid) {
                     // Duplicate up-event for a live worker: bumping the epoch
                     // here would orphan its in-flight jobs (their completion
                     // events fail the `live` check and nothing requeues
                     // them), so it must be a no-op.
                     return;
                 }
-                w.up = true;
+                self.slots.set_up(wid, true);
+                let w = &mut self.workers[wid.0 as usize];
                 w.epoch += 1;
-                w.active = 0;
                 w.running.clear();
+                debug_assert!(w.held.is_empty() && w.spec_jobs.is_empty());
                 world.net.set_online(w.host, true);
                 self.profiles.mark_up(wid.0, world.sim.now());
                 self.obs.incr("farm.worker_up");
@@ -866,7 +959,7 @@ impl FarmScheduler {
                 self.dispatch(world);
             }
             GridEvent::WorkerDown(wid) => {
-                if !self.workers[wid.0 as usize].up {
+                if !self.slots.is_up(wid) {
                     // Duplicate down-event: already handled; a second pass
                     // would bump the epoch again and double-meter abandons.
                     return;
@@ -965,10 +1058,9 @@ impl FarmScheduler {
                         instructions: 0,
                     },
                 );
-                w.running.retain(|r| r.job != job);
-                w.active = w.active.saturating_sub(1);
                 w.jobs_completed += 1;
                 let src = w.host;
+                self.release_primary(job, worker);
                 if gigacycles > 0.0 {
                     self.profiles.record_completion(worker.0, gigacycles, cpu);
                 }
@@ -1000,6 +1092,7 @@ impl FarmScheduler {
                 }
                 if j.state == JobState::Returning {
                     j.state = JobState::Done;
+                    self.done += 1;
                     j.completed = Some(world.sim.now());
                     j.assigned = None;
                     let latency = world.sim.now().since(j.created);
@@ -1091,12 +1184,17 @@ impl FarmScheduler {
             return;
         }
         self.obs.incr("trust.straggler_checks");
-        let gigacycles = {
-            let j = &self.jobs[job.0 as usize];
-            j.spec.work_gigacycles * (1.0 - j.fraction)
+        let gigacycles = self.remaining_gigacycles(job);
+        let mut cands = self.open_candidates();
+        cands.retain(|c| c.worker != worker.0 && self.eligible(job, WorkerId(c.worker)));
+        #[cfg(test)]
+        assert_eq!(cands, self.naive_candidates(job, Some(worker)));
+        let choice = if cands.is_empty() {
+            None
+        } else {
+            self.policy.choose(gigacycles, &cands, &self.profiles)
         };
-        let cands = self.candidates_for(job, Some(worker));
-        let Some(ci) = self.policy.choose(gigacycles, &cands, &self.profiles) else {
+        let Some(ci) = choice else {
             // Nobody idle to duplicate onto: try again later, while the
             // straggler is still running.
             let retry = self
@@ -1113,7 +1211,8 @@ impl FarmScheduler {
         };
         let backup = WorkerId(cands[ci].worker);
         let spec_epoch = self.workers[backup.0 as usize].epoch;
-        self.workers[backup.0 as usize].active += 1;
+        self.slots.take(backup);
+        self.workers[backup.0 as usize].spec_jobs.push(job);
         self.spec_dispatches += 1;
         self.obs.incr("trust.speculative_dispatches");
         self.obs
@@ -1158,12 +1257,10 @@ impl FarmScheduler {
 
     /// Is this in-flight event still the job's live speculative attempt?
     fn spec_live(&self, job: JobId, wid: WorkerId, epoch: u64, state: JobState) -> bool {
-        let w = &self.workers[wid.0 as usize];
         matches!(
             &self.jobs[job.0 as usize].spec_attempt,
             Some(s) if s.worker == wid && s.epoch == epoch && s.state == state
-        ) && w.up
-            && w.epoch == epoch
+        ) && self.alive(wid, epoch)
     }
 
     fn spec_input_arrived(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
@@ -1234,9 +1331,9 @@ impl FarmScheduler {
             },
         );
         w.running.retain(|r| r.job != job);
-        w.active = w.active.saturating_sub(1);
         w.jobs_completed += 1;
         let src = w.host;
+        self.slots.free(wid);
         self.profiles.record_completion(wid.0, gigacycles, exec);
         self.jobs[job.0 as usize]
             .spec_attempt
@@ -1273,16 +1370,12 @@ impl FarmScheduler {
             self.obs.incr("orch.stale_outputs_dropped");
             return;
         }
-        self.jobs[job.0 as usize].spec_attempt = None;
+        self.take_spec(job);
         let now = world.sim.now();
         // The duplicate beat the primary: cancel the straggling run and
         // meter the compute it sank as waste.
         if let Some((pw, pe)) = self.jobs[job.0 as usize].assigned {
-            let alive = {
-                let w = &self.workers[pw.0 as usize];
-                w.up && w.epoch == pe
-            };
-            if alive {
+            if self.alive(pw, pe) {
                 let sunk = self.workers[pw.0 as usize]
                     .running
                     .iter()
@@ -1293,13 +1386,12 @@ impl FarmScheduler {
                     self.obs
                         .add("trust.speculative_wasted_us", sunk.as_micros());
                 }
-                let w = &mut self.workers[pw.0 as usize];
-                w.running.retain(|r| r.job != job);
-                w.active = w.active.saturating_sub(1);
+                self.release_primary(job, pw);
             }
         }
         let j = &mut self.jobs[job.0 as usize];
         j.state = JobState::Done;
+        self.done += 1;
         j.fraction = 1.0;
         j.completed = Some(now);
         j.completed_by = Some(wid);
@@ -1322,19 +1414,26 @@ impl FarmScheduler {
         self.dispatch(world);
     }
 
+    /// Detach a job's speculative attempt from the job and from its
+    /// worker's list. Slot and run accounting stay with the caller: whether
+    /// the duplicate still holds a slot depends on how far it got.
+    fn take_spec(&mut self, job: JobId) -> Option<SpecAttempt> {
+        let s = self.jobs[job.0 as usize].spec_attempt.take()?;
+        self.workers[s.worker.0 as usize]
+            .spec_jobs
+            .retain(|&j| j != job);
+        Some(s)
+    }
+
     /// Drop a job's speculative attempt (primary won, job requeued, or the
     /// backup vanished), freeing the backup's slot and metering any
     /// compute it already sank.
     fn cancel_spec(&mut self, now: SimTime, job: JobId) {
-        let Some(s) = self.jobs[job.0 as usize].spec_attempt.take() else {
+        let Some(s) = self.take_spec(job) else {
             return;
         };
         self.obs.incr("trust.speculative_cancelled");
-        let alive = {
-            let w = &self.workers[s.worker.0 as usize];
-            w.up && w.epoch == s.epoch
-        };
-        if !alive {
+        if !self.alive(s.worker, s.epoch) {
             return;
         }
         if let Some(started) = s.started {
@@ -1343,9 +1442,10 @@ impl FarmScheduler {
             self.obs
                 .add("trust.speculative_wasted_us", sunk.as_micros());
         }
-        let w = &mut self.workers[s.worker.0 as usize];
-        w.running.retain(|r| r.job != job);
-        w.active = w.active.saturating_sub(1);
+        self.slots.free(s.worker);
+        self.workers[s.worker.0 as usize]
+            .running
+            .retain(|r| r.job != job);
     }
 
     /// The discovery window of a swarm fetch closed: pick providers and
@@ -1381,7 +1481,7 @@ impl FarmScheduler {
                 && self
                     .peer_workers
                     .get(p)
-                    .is_some_and(|w| self.workers[w.0 as usize].up)
+                    .is_some_and(|&w| self.slots.is_up(w))
         });
         providers.truncate(sw.max_providers);
         if providers.is_empty() {
@@ -1486,21 +1586,19 @@ impl FarmScheduler {
     fn worker_down(&mut self, world: &mut GridWorld, wid: WorkerId) {
         let now = world.sim.now();
         self.profiles.mark_down(wid.0, now);
+        self.slots.set_up(wid, false);
         let w = &mut self.workers[wid.0 as usize];
-        w.up = false;
         w.epoch += 1;
         world.net.set_online(w.host, false);
         let interrupted = std::mem::take(&mut w.running);
-        w.active = 0;
+        // Both lists are walked in job-id order: the migrations below
+        // requeue and replicate in that order.
+        let mut spec_jobs = std::mem::take(&mut w.spec_jobs);
+        spec_jobs.sort_unstable();
+        let mut held = std::mem::take(&mut w.held);
+        held.sort_unstable();
         // Speculative duplicates that were running (or receiving input) on
         // the vanished worker die with it; the primaries keep going.
-        let spec_jobs: Vec<JobId> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| matches!(&j.spec_attempt, Some(s) if s.worker == wid))
-            .map(|(i, _)| JobId(i as u64))
-            .collect();
         for job_id in spec_jobs {
             // The slot accounting was already zeroed above; just meter the
             // sunk compute and drop the attempt.
@@ -1516,15 +1614,7 @@ impl FarmScheduler {
         }
         // Any job still assigned to this worker in any transit state is
         // migrated immediately (the controller notices the peer vanish).
-        let assigned_jobs: Vec<JobId> = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| matches!(j.assigned, Some((w2, _)) if w2 == wid))
-            .filter(|(_, j)| j.state != JobState::Done && j.state != JobState::Returning)
-            .map(|(i, _)| JobId(i as u64))
-            .collect();
-        for job_id in assigned_jobs {
+        for job_id in held {
             if let Some(run) = interrupted.iter().find(|r| r.job == job_id) {
                 let ran_for = now.since(run.started);
                 let cp = Checkpoint::after(self.cfg.checkpoint.as_ref(), ran_for, run.exec);
@@ -1584,7 +1674,7 @@ impl FarmScheduler {
     }
 
     pub fn all_done(&self) -> bool {
-        self.jobs.iter().all(|j| j.state == JobState::Done)
+        self.done == self.jobs.len()
     }
 
     pub fn job_latency(&self, job: JobId) -> Option<Duration> {
@@ -1720,7 +1810,7 @@ impl FarmScheduler {
     /// the work is genuinely lost and the job goes back to the queue.
     fn resume_returning(&mut self, world: &mut GridWorld, job_id: JobId) {
         let producer = self.jobs[job_id.0 as usize].completed_by;
-        let worker_alive = producer.is_some_and(|w| self.workers[w.0 as usize].up);
+        let worker_alive = producer.is_some_and(|w| self.slots.is_up(w));
         if let (Some(wid), true) = (producer, worker_alive) {
             let src = self.workers[wid.0 as usize].host;
             let dst = self.owner_host(job_id);
@@ -1752,6 +1842,38 @@ impl FarmScheduler {
         self.record_delta(world, Delta::Requeue { job: job_id.0 });
     }
 
+    /// Does every index equal a recount from the job and slot tables? Debug
+    /// builds assert this after each entry point returns.
+    pub(super) fn indexes_consistent(&self) -> bool {
+        let mut held = vec![Vec::new(); self.workers.len()];
+        let mut spec_jobs = vec![Vec::new(); self.workers.len()];
+        let mut done = 0;
+        for (i, j) in self.jobs.iter().enumerate() {
+            let id = JobId(i as u64);
+            match (j.state, j.assigned) {
+                (JobState::Done, _) => done += 1,
+                (JobState::Pending | JobState::Returning, _) => {}
+                (_, Some((w, _))) => held[w.0 as usize].push(id),
+                (_, None) => return false,
+            }
+            if let Some(s) = &j.spec_attempt {
+                spec_jobs[s.worker.0 as usize].push(id);
+            }
+        }
+        let same = |index: &[JobId], recount: &[JobId]| {
+            let mut index = index.to_vec();
+            index.sort_unstable();
+            index == recount
+        };
+        done == self.done
+            && self.slots.open().eq(self.slots.recount_open())
+            && self
+                .workers
+                .iter()
+                .zip(held.iter().zip(&spec_jobs))
+                .all(|(w, (h, s))| same(&w.held, h) && same(&w.spec_jobs, s))
+    }
+
     // --- invariant-checking introspection (used by the chaos harness) ---
 
     pub fn n_jobs(&self) -> usize {
@@ -1772,16 +1894,16 @@ impl FarmScheduler {
     }
 
     pub fn worker_is_up(&self, wid: WorkerId) -> bool {
-        self.workers[wid.0 as usize].up
+        self.slots.is_up(wid)
     }
 
     /// Jobs currently occupying slots on the worker.
     pub fn worker_active(&self, wid: WorkerId) -> u32 {
-        self.workers[wid.0 as usize].active
+        self.slots.active(wid)
     }
 
     pub fn worker_capacity(&self, wid: WorkerId) -> u32 {
-        self.workers[wid.0 as usize].capacity
+        self.slots.capacity(wid)
     }
 
     /// The worker's module cache (chaos integrity checks walk its entries).

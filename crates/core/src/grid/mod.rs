@@ -14,11 +14,14 @@
 //! * [`service`] — Triana Service / Controller actors and discovery-driven
 //!   worker enrolment.
 
+#[cfg(test)]
+mod dispatch_props;
 pub mod exec;
 pub mod farm;
 pub mod pipeline;
 pub mod redundancy;
 pub mod service;
+mod slots;
 
 use netsim::avail::AvailabilityTrace;
 use netsim::{HostId, HostSpec, Network, Sim, SimTime};

@@ -14,8 +14,8 @@
 
 use obs::Obs;
 use std::collections::HashMap;
-use std::sync::Arc;
-use tvm::{ExecTier, ModuleBlob, TierPolicy};
+use std::sync::{Arc, Mutex};
+use tvm::{ExecTier, ModuleBlob, PrepareError, TierPolicy};
 
 /// Identity of a module: name plus version. Content hash disambiguates
 /// further (stale copies of the same version are detected by hash).
@@ -92,6 +92,58 @@ pub struct CacheStats {
     pub prepared_misses: u64,
 }
 
+/// Admissions already performed for the caches of one scheduler.
+///
+/// Every simulated worker of a farm admits the same few blobs, and
+/// admission (integrity check, verification, translation) is a pure
+/// function of the blob bytes and the [`TierPolicy`]; an [`ExecTier`] is
+/// immutable and `Send + Sync`. So the caches of one scheduler share the
+/// result: the first admission of a blob does the work, later ones get the
+/// same `Arc`. Entries are found by content hash and policy and confirmed
+/// by comparing every byte, so a colliding or forged `hash` field can
+/// never hand out another blob's tier. Failed admissions are not kept.
+///
+/// The memo belongs to the scheduler that created it — one per world, so
+/// a fresh world pays its own admissions — and never evicts: it holds one
+/// entry per distinct blob the world's library ever served.
+#[derive(Clone, Default)]
+pub(crate) struct TierMemo(Arc<Mutex<Vec<Admitted>>>);
+
+/// One successful admission: what was asked for and what came back.
+struct Admitted {
+    blob: ModuleBlob,
+    policy: TierPolicy,
+    tier: Arc<dyn ExecTier>,
+}
+
+impl TierMemo {
+    fn admit(
+        &self,
+        blob: &ModuleBlob,
+        policy: TierPolicy,
+    ) -> Result<Arc<dyn ExecTier>, PrepareError> {
+        let mut memo = self
+            .0
+            .lock()
+            .expect("a cache panicked while admitting; the memo may be half-written");
+        // A handful of entries, one per distinct blob of the world; the
+        // hash comes first so bytes are only compared on the match.
+        let known = memo
+            .iter()
+            .find(|a| a.blob.hash == blob.hash && a.policy == policy && a.blob.bytes == blob.bytes);
+        if let Some(a) = known {
+            return Ok(Arc::clone(&a.tier));
+        }
+        let tier = tvm::tier::admit(blob, policy)?;
+        memo.push(Admitted {
+            blob: blob.clone(),
+            policy,
+            tier: Arc::clone(&tier),
+        });
+        Ok(tier)
+    }
+}
+
 /// A byte-bounded LRU cache of module blobs on a hosting peer.
 ///
 /// Admission is also the verify-once point and the execution-tier
@@ -112,6 +164,9 @@ pub struct ModuleCache {
     /// integrity audits).
     prepared: HashMap<ModuleKey, Arc<dyn ExecTier>>,
     tier_policy: TierPolicy,
+    /// Shared admissions of the owning scheduler; `None` for a standalone
+    /// cache, which admits every blob itself.
+    memo: Option<TierMemo>,
     stats: CacheStats,
     obs: Obs,
 }
@@ -139,8 +194,20 @@ impl ModuleCache {
             blobs: HashMap::new(),
             prepared: HashMap::new(),
             tier_policy: TierPolicy::default(),
+            memo: None,
             stats: CacheStats::default(),
             obs: Obs::disabled(),
+        }
+    }
+
+    /// A cache that shares admissions with the other caches holding
+    /// `memo`. Behaves like [`ModuleCache::new`] in every observable way —
+    /// statistics and metrics included — except that equal blobs come back
+    /// as the same `Arc`.
+    pub(crate) fn with_memo(capacity: u64, memo: TierMemo) -> Self {
+        ModuleCache {
+            memo: Some(memo),
+            ..ModuleCache::new(capacity)
         }
     }
 
@@ -256,7 +323,11 @@ impl ModuleCache {
             self.resident -= evicted.len() as u64;
             self.stats.evictions += 1;
         }
-        match tvm::tier::admit(&blob, self.tier_policy) {
+        let admitted = match &self.memo {
+            Some(memo) => memo.admit(&blob, self.tier_policy),
+            None => tvm::tier::admit(&blob, self.tier_policy),
+        };
+        match admitted {
             Ok(tier) => {
                 self.stats.prepares += 1;
                 self.obs.incr("tvm.prepares");
@@ -450,7 +521,19 @@ mod tests {
         let straight = cache.prepared_of(&ModuleKey::new("A", 1)).unwrap();
         assert_eq!(straight.tier_name(), "prepared");
         assert_eq!(straight.regions_translated(), 0);
-        let src = "\
+        let blob = assemble(LOOP_SRC).unwrap().to_blob();
+        cache.insert(ModuleKey::new("Loop", 1), blob);
+        let tier = cache.prepared_of(&ModuleKey::new("Loop", 1)).unwrap();
+        assert_eq!(tier.tier_name(), "tier2");
+        assert_eq!(tier.regions_translated(), 1);
+        // An explicit policy overrides Auto for subsequent admissions.
+        cache.set_tier_policy(TierPolicy::Legacy);
+        cache.insert(ModuleKey::new("B", 1), blob_of_size("B", 100));
+        let legacy = cache.prepared_of(&ModuleKey::new("B", 1)).unwrap();
+        assert_eq!(legacy.tier_name(), "legacy");
+    }
+
+    const LOOP_SRC: &str = "\
 .module Loop 1 0 1
 .func main 1
  push 4
@@ -466,16 +549,114 @@ loop:
  jnz loop
  halt
 ";
-        let blob = assemble(src).unwrap().to_blob();
-        cache.insert(ModuleKey::new("Loop", 1), blob);
-        let tier = cache.prepared_of(&ModuleKey::new("Loop", 1)).unwrap();
-        assert_eq!(tier.tier_name(), "tier2");
-        assert_eq!(tier.regions_translated(), 1);
-        // An explicit policy overrides Auto for subsequent admissions.
-        cache.set_tier_policy(TierPolicy::Legacy);
-        cache.insert(ModuleKey::new("B", 1), blob_of_size("B", 100));
-        let legacy = cache.prepared_of(&ModuleKey::new("B", 1)).unwrap();
-        assert_eq!(legacy.tier_name(), "legacy");
+
+    /// Insert `blob` into a fresh cache built by `make`, observed by its
+    /// own registry; returns the cache and the registry's snapshot.
+    fn admit_observed(
+        make: impl FnOnce() -> ModuleCache,
+        blob: &ModuleBlob,
+    ) -> (ModuleCache, String) {
+        let obs = Obs::enabled();
+        let mut cache = make();
+        cache.set_obs(obs.clone());
+        assert!(cache.insert(ModuleKey::new("M", 1), blob.clone()));
+        let snapshot = obs.registry().expect("enabled").snapshot_json();
+        (cache, snapshot)
+    }
+
+    #[test]
+    fn shared_admission_is_invisible_except_for_the_arc() {
+        let blob = assemble(LOOP_SRC).unwrap().to_blob();
+        let memo = TierMemo::default();
+        let (alone, alone_obs) = admit_observed(|| ModuleCache::new(100_000), &blob);
+        let (first, first_obs) =
+            admit_observed(|| ModuleCache::with_memo(100_000, memo.clone()), &blob);
+        let (second, second_obs) =
+            admit_observed(|| ModuleCache::with_memo(100_000, memo.clone()), &blob);
+        // Each cache counts its own admission, memo hit or not, and meters
+        // the same prepares / prepare_us / tier2_regions.
+        assert_eq!(alone.stats().prepares, 1);
+        assert_eq!(first.stats(), alone.stats());
+        assert_eq!(second.stats(), alone.stats());
+        assert_eq!(first_obs, alone_obs);
+        assert_eq!(second_obs, alone_obs);
+        let k = ModuleKey::new("M", 1);
+        let (a, f, s) = (
+            alone.prepared_of(&k).unwrap(),
+            first.prepared_of(&k).unwrap(),
+            second.prepared_of(&k).unwrap(),
+        );
+        assert!(Arc::ptr_eq(f, s), "caches of one memo share the tier");
+        assert!(!Arc::ptr_eq(a, f), "a standalone cache admits for itself");
+        assert_eq!((f.tier_name(), f.regions_translated()), ("tier2", 1));
+        // Another scheduler's memo starts cold.
+        let (other, _) = admit_observed(
+            || ModuleCache::with_memo(100_000, TierMemo::default()),
+            &blob,
+        );
+        assert!(!Arc::ptr_eq(other.prepared_of(&k).unwrap(), f));
+    }
+
+    #[test]
+    fn memo_confirms_bytes_and_never_keeps_a_failure() {
+        let memo = TierMemo::default();
+        let good = blob_of_size("A", 200);
+        // Same claimed hash, other bytes: must not be handed A's tier.
+        let mut forged = blob_of_size("B", 300);
+        forged.hash = good.hash;
+        // A's bytes damaged in transit, hash field intact.
+        let mut torn = good.clone();
+        let last = torn.bytes.len() - 1;
+        torn.bytes[last] ^= 0xff;
+
+        // Failures first: nothing they leave behind may satisfy `good`.
+        assert!(memo.admit(&torn, TierPolicy::Auto).is_err());
+        assert!(memo.admit(&forged, TierPolicy::Auto).is_err());
+        let tier = memo.admit(&good, TierPolicy::Auto).expect("valid blob");
+        assert_eq!(tier.source_hash(), good.hash);
+        // And with `good` memoised, its hash still opens no door.
+        assert!(memo.admit(&torn, TierPolicy::Auto).is_err());
+        assert!(memo.admit(&forged, TierPolicy::Auto).is_err());
+        assert!(Arc::ptr_eq(
+            &memo.admit(&good, TierPolicy::Auto).unwrap(),
+            &tier
+        ));
+
+        // Through a cache: the forged blob stays resident without a tier.
+        let mut cache = ModuleCache::with_memo(100_000, memo.clone());
+        cache.insert(ModuleKey::new("A", 1), good);
+        cache.insert(ModuleKey::new("B", 1), forged);
+        assert!(cache.prepared_of(&ModuleKey::new("A", 1)).is_some());
+        assert!(cache.prepared_of(&ModuleKey::new("B", 1)).is_none());
+        assert_eq!(cache.stats().prepares, 1);
+    }
+
+    #[test]
+    fn memo_keeps_tier_policies_apart() {
+        let memo = TierMemo::default();
+        let blob = assemble(LOOP_SRC).unwrap().to_blob();
+        let names: Vec<&str> = [
+            TierPolicy::Legacy,
+            TierPolicy::Prepared,
+            TierPolicy::Tier2,
+            TierPolicy::Auto,
+        ]
+        .into_iter()
+        .map(|policy| {
+            let mut cache = ModuleCache::with_memo(100_000, memo.clone());
+            cache.set_tier_policy(policy);
+            cache.insert(ModuleKey::new("Loop", 1), blob.clone());
+            cache
+                .prepared_of(&ModuleKey::new("Loop", 1))
+                .unwrap()
+                .tier_name()
+        })
+        .collect();
+        assert_eq!(names, ["legacy", "prepared", "tier2", "tier2"]);
+        // Tier2 and Auto agree on this blob but were asked for separately.
+        let t2 = memo.admit(&blob, TierPolicy::Tier2).unwrap();
+        let auto = memo.admit(&blob, TierPolicy::Auto).unwrap();
+        assert!(!Arc::ptr_eq(&t2, &auto));
     }
 
     #[test]

@@ -545,8 +545,10 @@ impl P2p {
         }
         match self.mode {
             DiscoveryMode::Flooding => {
-                let neighbors = self.peers[origin.0 as usize].neighbors.clone();
-                for nb in neighbors {
+                // By index: `send` needs `&mut self` and leaves the
+                // neighbour list alone.
+                for i in 0..self.peers[origin.0 as usize].neighbors.len() {
+                    let nb = self.peers[origin.0 as usize].neighbors[i];
                     let msg = Message::Query {
                         id,
                         origin,
@@ -758,13 +760,11 @@ impl P2p {
                             self.send(sim, net, to, origin, Message::QueryHit { id, advert });
                         }
                         if ttl > 0 {
-                            let fwd: Vec<PeerId> = self.peers[to.0 as usize]
-                                .neighbors
-                                .iter()
-                                .copied()
-                                .filter(|&nb| nb != prev_hop && nb != origin)
-                                .collect();
-                            for nb in fwd {
+                            for i in 0..self.peers[to.0 as usize].neighbors.len() {
+                                let nb = self.peers[to.0 as usize].neighbors[i];
+                                if nb == prev_hop || nb == origin {
+                                    continue;
+                                }
                                 let msg = Message::Query {
                                     id,
                                     origin,

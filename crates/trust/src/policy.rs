@@ -38,7 +38,8 @@ pub trait SchedulingPolicy: Send + Sync {
 
     /// Pick the index *into `candidates`* of the worker to assign a job of
     /// `work_gigacycles` to, or `None` to leave the job queued.
-    /// `candidates` is non-empty and sorted by worker id.
+    /// `candidates` is non-empty and sorted by worker id; the scheduler
+    /// does not call a policy when nobody is eligible.
     fn choose(
         &self,
         work_gigacycles: f64,
@@ -172,6 +173,10 @@ impl PolicyHandle {
         candidates: &[Candidate],
         profiles: &ProfileRegistry,
     ) -> Option<usize> {
+        debug_assert!(
+            !candidates.is_empty(),
+            "SchedulingPolicy::choose takes a non-empty candidate list"
+        );
         self.0.choose(work_gigacycles, candidates, profiles)
     }
 }
