@@ -1060,17 +1060,21 @@ impl FarmScheduler {
                 );
                 w.jobs_completed += 1;
                 let src = w.host;
-                self.release_primary(job, worker);
                 if gigacycles > 0.0 {
                     self.profiles.record_completion(worker.0, gigacycles, cpu);
                 }
                 let dst = self.owner_host(job);
                 let stamp = self.orch.output_stamp(job.0);
                 self.jobs[job.0 as usize].out_stamp = stamp;
+                // Either way the slot is released exactly once: here, or by
+                // `requeue`.
                 match world.net.transfer(world.sim.now(), src, dst, out_bytes) {
-                    Ok(delay) => world
-                        .sim
-                        .schedule(delay, GridEvent::OutputArrived { job, orch: stamp }),
+                    Ok(delay) => {
+                        self.release_primary(job, worker);
+                        world
+                            .sim
+                            .schedule(delay, GridEvent::OutputArrived { job, orch: stamp });
+                    }
                     // The owner is (normally) always on; a failure means
                     // the worker or owner vanished in this very instant —
                     // treat as interrupt.
@@ -1373,9 +1377,12 @@ impl FarmScheduler {
         self.take_spec(job);
         let now = world.sim.now();
         // The duplicate beat the primary: cancel the straggling run and
-        // meter the compute it sank as waste.
-        if let Some((pw, pe)) = self.jobs[job.0 as usize].assigned {
-            if self.alive(pw, pe) {
+        // meter the compute it sank as waste. A primary that is already
+        // `Returning` gave its slot back at `ComputeDone`, and its worker
+        // may hold another job by now, so there is nothing to release.
+        let j = &self.jobs[job.0 as usize];
+        if let Some((pw, pe)) = j.assigned {
+            if j.state != JobState::Returning && self.alive(pw, pe) {
                 let sunk = self.workers[pw.0 as usize]
                     .running
                     .iter()
@@ -1426,8 +1433,8 @@ impl FarmScheduler {
     }
 
     /// Drop a job's speculative attempt (primary won, job requeued, or the
-    /// backup vanished), freeing the backup's slot and metering any
-    /// compute it already sank.
+    /// backup vanished), freeing the backup's slot if it still holds one
+    /// and metering any compute it already sank.
     fn cancel_spec(&mut self, now: SimTime, job: JobId) {
         let Some(s) = self.take_spec(job) else {
             return;
@@ -1442,10 +1449,14 @@ impl FarmScheduler {
             self.obs
                 .add("trust.speculative_wasted_us", sunk.as_micros());
         }
-        self.slots.free(s.worker);
-        self.workers[s.worker.0 as usize]
-            .running
-            .retain(|r| r.job != job);
+        // A duplicate that is already `Returning` gave its slot back at
+        // `SpecComputeDone`.
+        if s.state != JobState::Returning {
+            self.slots.free(s.worker);
+            self.workers[s.worker.0 as usize]
+                .running
+                .retain(|r| r.job != job);
+        }
     }
 
     /// The discovery window of a swarm fetch closed: pick providers and
@@ -2701,6 +2712,84 @@ mod tests {
         // The duplicate's slot was freed: the slow worker can still work.
         let _ = slow;
         assert!(s.wasted > Duration::ZERO);
+    }
+
+    #[test]
+    fn speculative_win_over_returning_primary_keeps_the_redispatched_slot() {
+        let horizon = SimTime::from_secs(1_000_000);
+        let mut world = GridWorld::new(29, DiscoveryMode::Flooding);
+        let (ctrl, _) = world.add_peer(lan_pc());
+        let mut farm = FarmScheduler::new(
+            &world,
+            ctrl,
+            FarmConfig {
+                trust: Some(GridTrustConfig {
+                    // Fire early so the duplicate has time to overtake.
+                    straggler: Some(StragglerConfig {
+                        factor: 0.1,
+                        min_runtime: Duration::from_secs(1),
+                    }),
+                    ..GridTrustConfig::default()
+                }),
+                ..FarmConfig::default()
+            },
+        );
+        let add = |spec: HostSpec, world: &mut GridWorld, farm: &mut FarmScheduler| {
+            let (peer, _) = world.add_peer(spec.clone());
+            farm.add_worker(
+                world,
+                WorkerSetup {
+                    peer,
+                    spec,
+                    trace: AvailabilityTrace::always(horizon),
+                    cache_bytes: 1 << 20,
+                },
+            )
+        };
+        // The primary's worker advertises 3 GHz and delivers 1.2: 60 Gc
+        // take 50 s. The backup is an honest 2 GHz PC behind a 10 s link,
+        // so its copy computes over ~12–42 s and its output lands at ~52 s.
+        let mut braggart = lan_pc();
+        braggart.cpu_ghz = 3.0;
+        let primary = add(braggart, &mut world, &mut farm);
+        farm.set_worker_efficiency(primary, 0.4);
+        let mut far = lan_pc();
+        far.link.latency = Duration::from_secs(10);
+        let backup = add(far, &mut world, &mut farm);
+
+        let first = farm.submit(&mut world, job(60.0));
+        world.sim.set_horizon(SimTime::from_secs(45));
+        run_farm(&mut world, &mut farm);
+        assert_eq!(farm.job_assignment(first), Some(primary));
+        assert_eq!(
+            farm.worker_active(backup),
+            0,
+            "duplicate finished computing"
+        );
+        // Two more jobs: one takes the backup's free slot, the other waits
+        // for the primary's worker, which frees at ~50 s while the
+        // primary's own output is still behind the duplicate's in flight.
+        farm.submit(&mut world, job(60.0));
+        let waiting = farm.submit(&mut world, job(60.0));
+        world.sim.set_horizon(SimTime::from_secs(60));
+        run_farm(&mut world, &mut farm);
+        assert_eq!(farm.job_completed_by(first), Some(backup));
+        assert_eq!(farm.stats().spec_wins, 1);
+        assert_eq!(farm.job_assignment(waiting), Some(primary));
+        for wid in [primary, backup] {
+            let w = &farm.workers[wid.0 as usize];
+            assert_eq!(
+                farm.worker_active(wid) as usize,
+                w.held.len() + w.spec_jobs.len(),
+                "worker {} must be filed with the jobs it holds",
+                wid.0
+            );
+        }
+        assert_eq!(farm.worker_active(primary), 1);
+
+        world.sim.set_horizon(horizon);
+        run_farm(&mut world, &mut farm);
+        assert!(farm.all_done());
     }
 
     #[test]

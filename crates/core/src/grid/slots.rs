@@ -48,10 +48,15 @@ impl SlotTable {
         self.refile(wid);
     }
 
-    /// Release one slot. Saturating: a release can trail the availability
-    /// flip that already emptied the worker.
+    /// Release one slot. Saturating only for a *down* worker, where a
+    /// release can trail the availability flip that already emptied it; an
+    /// up worker releasing a slot it does not hold is a scheduler bug.
     pub(super) fn free(&mut self, wid: WorkerId) {
         let s = &mut self.slots[wid.0 as usize];
+        debug_assert!(
+            !s.up || s.active > 0,
+            "up worker {wid:?} released a slot it does not hold"
+        );
         s.active = s.active.saturating_sub(1);
         self.refile(wid);
     }
