@@ -25,7 +25,7 @@ use triana_core::grid::farm::{run_farm, FarmConfig, FarmScheduler, JobSpec};
 use triana_core::grid::redundancy::executed_digest;
 use triana_core::grid::{GridWorld, WorkerSetup};
 use tvm::asm::assemble;
-use tvm::{execute, ExecContext, ExecTier, PreparedModule, SandboxPolicy, Tier2Module};
+use tvm::{execute, ExecContext, PreparedModule, SandboxPolicy, Tier2Module};
 
 /// Allowed relative drift of a deterministic counter before the gate fails.
 pub const GATE_TOLERANCE: f64 = 0.25;
@@ -48,9 +48,6 @@ const E04_MATCHED_FILTER: &str = ".module MatchedFilter 1 2 1\n.func main 3\n in
                                   inget 1\n mul\n load 2\n add\n store 2\n load 1\n push 1\n \
                                   add\n store 1\n jmp loop\nend:\n load 2\n outpush 0\n halt\n";
 
-/// Inputs per batched dispatch when timing the tier-2 batch path.
-const BATCH_K: usize = 16;
-
 /// Counted + timed results for one interp kernel.
 pub struct KernelPerf {
     pub name: &'static str,
@@ -58,7 +55,6 @@ pub struct KernelPerf {
     pub input_len: usize,
     pub instructions_per_run: u64,
     pub source_instructions: usize,
-    pub prepared_instructions: usize,
     pub modeled_prepare_us: u64,
     pub tier2_regions: usize,
     pub output_digest: u64,
@@ -67,7 +63,6 @@ pub struct KernelPerf {
     pub legacy_ns_per_run: f64,
     pub prepared_ns_per_run: f64,
     pub tier2_ns_per_run: f64,
-    pub tier2_batch_ns_per_run: f64,
     pub prepare_wall_ns: f64,
 }
 
@@ -184,17 +179,12 @@ fn kernel_perf(name: &'static str, src: &str, inputs: &[&[f64]], reps: u64) -> K
     let legacy_ns_per_run = time_ns(reps, || execute(&module, inputs, &policy).unwrap());
     let prepared_ns_per_run = time_ns(reps, || prepared.run(inputs, &policy, &mut ctx).unwrap());
     let tier2_ns_per_run = time_ns(reps, || tier2.run(inputs, &policy, &mut ctx).unwrap());
-    let jobs: Vec<&[&[f64]]> = vec![inputs; BATCH_K];
-    let tier2_batch_ns_per_run = time_ns(reps / BATCH_K as u64 + 1, || {
-        ExecTier::execute_batch(&tier2, &jobs, &policy, &mut ctx)
-    }) / BATCH_K as f64;
     let prepare_wall_ns = time_ns(reps.min(200), || Tier2Module::prepare(&module).unwrap());
     KernelPerf {
         name,
         input_len: inputs[0].len(),
         instructions_per_run: legacy_stats.instructions,
         source_instructions: prepared.source_instructions(),
-        prepared_instructions: prepared.prepared_instructions(),
         modeled_prepare_us: prepared.modeled_prepare_us(),
         tier2_regions: tier2.regions_translated(),
         output_digest: executed_digest(&legacy_out),
@@ -202,7 +192,6 @@ fn kernel_perf(name: &'static str, src: &str, inputs: &[&[f64]], reps: u64) -> K
         legacy_ns_per_run,
         prepared_ns_per_run,
         tier2_ns_per_run,
-        tier2_batch_ns_per_run,
         prepare_wall_ns,
     }
 }
@@ -505,14 +494,13 @@ impl PerfReport {
             }
             s.push_str(&format!(
                 "\"{}\":{{\"input_len\":{},\"instructions_per_run\":{},\
-                 \"source_instructions\":{},\"prepared_instructions\":{},\
+                 \"source_instructions\":{},\
                  \"modeled_prepare_us\":{},\"tier2_regions\":{},\
                  \"output_digest\":\"{:#018x}\"}}",
                 k.name,
                 k.input_len,
                 k.instructions_per_run,
                 k.source_instructions,
-                k.prepared_instructions,
                 k.modeled_prepare_us,
                 k.tier2_regions,
                 k.output_digest,
@@ -554,8 +542,7 @@ impl PerfReport {
                  \"prepared_ns_per_run\":{:.1},\"speedup\":{:.2},\
                  \"legacy_minstr_per_s\":{:.1},\"prepared_minstr_per_s\":{:.1},\
                  \"tier2\":{{\"tier2_ns_per_run\":{:.1},\"tier2_speedup\":{:.2},\
-                 \"prepared_minstr_per_s\":{:.1},\"batch_k\":{},\
-                 \"batch_ns_per_run\":{:.1}}},\
+                 \"prepared_minstr_per_s\":{:.1}}},\
                  \"prepare_wall_ns\":{:.1}}}",
                 k.name,
                 k.timing_runs,
@@ -567,8 +554,6 @@ impl PerfReport {
                 k.tier2_ns_per_run,
                 k.tier2_speedup(),
                 k.minstr_per_s(k.tier2_ns_per_run),
-                BATCH_K,
-                k.tier2_batch_ns_per_run,
                 k.prepare_wall_ns,
             ));
         }
@@ -802,7 +787,6 @@ mod tests {
                 k.instructions_per_run,
                 k.input_len
             );
-            assert!(k.prepared_instructions <= k.source_instructions);
         }
         assert!(r.discovery_events > 0);
         assert!(r.farm.cache_prepares >= 3, "all three modules admitted");

@@ -230,8 +230,8 @@ fn tvm_stage(observer: &Obs) {
     assert_eq!(err, tvm::TvmError::BudgetExceeded);
 
     // Tier-2 segment: a countdown loop admits as tier 2 under the cache's
-    // Auto policy (`tvm.tier2_regions` moves at admission), a batched
-    // dispatch drives the batch counters, and a budget two short of the
+    // Auto policy (`tvm.tier2_regions` moves at admission), runs four
+    // times through one context, and a budget two short of the
     // exact run cost forces one register-loop fallback — the precondition
     // fails inside the final iteration, so `tvm.tier2_fallback_exits`
     // lands in the snapshot with a deterministic nonzero value.
@@ -249,13 +249,10 @@ fn tvm_stage(observer: &Obs) {
         .execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
         .expect("loop runs");
     assert_eq!(out[0], vec![5.0, 4.0, 3.0, 2.0, 1.0]);
-    let batch = tier.execute_batch_obs(
-        &[&[], &[], &[]],
-        &SandboxPolicy::standard(),
-        &mut ctx,
-        observer,
-    );
-    assert!(batch.iter().all(|r| r.is_ok()));
+    for _ in 0..3 {
+        tier.execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
+            .expect("loop runs again in the same context");
+    }
     let short = SandboxPolicy {
         max_instructions: stats.instructions - 2,
         ..SandboxPolicy::standard()
@@ -425,8 +422,6 @@ pub fn report_with(observer: &Obs) -> String {
         "tvm.prepared_cache_hits",
         "tvm.prepared_cache_misses",
         "tvm.tier2_regions",
-        "tvm.tier2_batch_runs",
-        "tvm.tier2_batch_inputs",
         "tvm.tier2_fallback_exits",
         "tvm.violations.budget",
         "transport.frames_sent",
@@ -476,8 +471,6 @@ mod tests {
             "tvm.prepared_cache_hits",
             "tvm.prepared_cache_misses",
             "tvm.tier2_regions",
-            "tvm.tier2_batch_runs",
-            "tvm.tier2_batch_inputs",
             "tvm.tier2_fallback_exits",
             "tvm.violations.budget",
             "transport.frames_sent",

@@ -1721,23 +1721,6 @@ impl FarmScheduler {
         Some(prepared.execute_obs(inputs, policy, &mut w.ctx, &self.obs))
     }
 
-    /// Batched twin of [`Self::execute_resident`]: drive one resident
-    /// module across `jobs` input sets in a single dispatch call, reusing
-    /// the worker's context across the whole batch. Observationally
-    /// identical to calling [`Self::execute_resident`] once per job — the
-    /// tier-2 path just amortises dispatch and setup over the batch.
-    pub fn execute_resident_batch(
-        &mut self,
-        wid: WorkerId,
-        key: &ModuleKey,
-        jobs: &[&[&[f64]]],
-        policy: &tvm::SandboxPolicy,
-    ) -> Option<Vec<ResidentExec>> {
-        let w = &mut self.workers[wid.0 as usize];
-        let prepared = w.cache.get_prepared(key)?;
-        Some(prepared.execute_batch_obs(jobs, policy, &mut w.ctx, &self.obs))
-    }
-
     /// The worker's resident chunk store (swarm distribution state).
     pub fn worker_store(&self, wid: WorkerId) -> &ChunkStore {
         &self.workers[wid.0 as usize].store

@@ -640,13 +640,13 @@ mod tests {
         let module =
             tvm::asm::assemble(".module M 1 1 1\n.func main 0\n push 1\n outpush 0\n halt\n")
                 .unwrap();
-        let prepared = tvm::PreparedModule::prepare(&module).unwrap();
+        let prepared = tvm::tier::admit(&module.to_blob(), tvm::TierPolicy::Auto).unwrap();
         let mut world = GridWorld::new(5, DiscoveryMode::Flooding);
         let (peer, _) = world.add_peer(HostSpec::lan_workstation());
         let small =
-            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &prepared, 1_000);
+            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &*prepared, 1_000);
         let big =
-            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &prepared, 100_000);
+            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &*prepared, 100_000);
         assert!(small.work_gigacycles > 0.0);
         assert!((big.work_gigacycles / small.work_gigacycles - 100.0).abs() < 1e-9);
     }

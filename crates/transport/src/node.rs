@@ -20,7 +20,7 @@ use std::path::Path;
 use store::durable::DurableStore;
 use store::{BlobId, ChunkStore, StoreError};
 use triana_core::{ModuleCache, ModuleKey};
-use tvm::{ExecContext, ModuleBlob, SandboxPolicy};
+use tvm::{ExecContext, ExecTier, ModuleBlob, SandboxPolicy};
 
 /// One farm job: which module to run and its input vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -529,8 +529,12 @@ impl<T: Transport> WorkerNode<T> {
                 let _ = self
                     .t
                     .send(self.orch, GridMsg::HaveBlob { blob: module.hash }.encode());
+                // One cache lookup serves the whole backlog.
                 let waiting = self.waiting.remove(&module.hash).unwrap_or_default();
-                self.run_jobs(&key, &waiting);
+                let tier = self.cache.get_prepared(&key);
+                for (job, _, input) in &waiting {
+                    self.execute_and_reply(*job, tier.as_deref(), input);
+                }
             }
             Err(StoreError::HashMismatch { .. }) => {
                 // Poisoned transfer: drop everything and re-fetch.
@@ -565,57 +569,27 @@ impl<T: Transport> WorkerNode<T> {
     }
 
     fn run_job(&mut self, job: u64, key: &ModuleKey, input: &[f64]) {
-        let outputs = match self.cache.get_prepared(key) {
-            Some(prepared) => {
-                let inputs: Vec<&[f64]> = if input.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![input]
-                };
-                match prepared.execute_obs(&inputs, &self.policy, &mut self.ctx, &self.obs) {
-                    Ok((outputs, _stats)) => outputs,
-                    Err(_) => Vec::new(),
-                }
-            }
-            None => Vec::new(),
-        };
-        let msg = GridMsg::JobResult { job, outputs };
-        let _ = self.t.send(self.orch, msg.encode());
+        let tier = self.cache.get_prepared(key);
+        self.execute_and_reply(job, tier.as_deref(), input);
     }
 
-    /// Batched job flush: every job that queued up behind one blob fetch
-    /// is driven through a single `execute_batch_obs` dispatch, so the
-    /// tier amortises setup across the backlog. Result messages go out in
-    /// the original queue order, one `JobResult` per job, exactly as the
-    /// sequential path would send them.
-    fn run_jobs(&mut self, key: &ModuleKey, jobs: &[(u64, ModuleInfo, Vec<f64>)]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let results = match self.cache.get_prepared(key) {
-            Some(prepared) => {
-                let port_sets: Vec<Vec<&[f64]>> = jobs
-                    .iter()
-                    .map(|(_, _, input)| {
-                        if input.is_empty() {
-                            Vec::new()
-                        } else {
-                            vec![input.as_slice()]
-                        }
-                    })
-                    .collect();
-                let batch: Vec<&[&[f64]]> = port_sets.iter().map(|p| p.as_slice()).collect();
-                prepared.execute_batch_obs(&batch, &self.policy, &mut self.ctx, &self.obs)
-            }
-            None => jobs
-                .iter()
-                .map(|_| Ok((Vec::new(), Default::default())))
-                .collect(),
+    /// The one job path: execute on the admitted tier (a module that failed
+    /// admission, or a run the sandbox killed, yields no outputs) and send
+    /// the `JobResult`.
+    fn execute_and_reply(&mut self, job: u64, tier: Option<&dyn ExecTier>, input: &[f64]) {
+        let inputs: Vec<&[f64]> = if input.is_empty() {
+            Vec::new()
+        } else {
+            vec![input]
         };
-        for ((job, _, _), result) in jobs.iter().zip(results) {
-            let outputs = result.map(|(o, _stats)| o).unwrap_or_default();
-            let msg = GridMsg::JobResult { job: *job, outputs };
-            let _ = self.t.send(self.orch, msg.encode());
-        }
+        let outputs = tier
+            .and_then(|t| {
+                t.execute_obs(&inputs, &self.policy, &mut self.ctx, &self.obs)
+                    .ok()
+            })
+            .map(|(outputs, _stats)| outputs)
+            .unwrap_or_default();
+        let msg = GridMsg::JobResult { job, outputs };
+        let _ = self.t.send(self.orch, msg.encode());
     }
 }

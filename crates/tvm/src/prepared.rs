@@ -8,26 +8,29 @@
 //! prepare/cache executable modules once per client, this module splits the
 //! lifecycle:
 //!
-//! * [`PreparedModule::prepare`] — the one-time pass: verify, decode every
-//!   function into a single flat instruction array with resolved absolute
-//!   jump and call targets, and peephole-optimise (constant folding,
-//!   push/binop fusion, compare/branch fusion). Each fused instruction
-//!   remembers how many source instructions it retires, so metering is
-//!   unchanged.
+//! * [`PreparedModule::prepare`] — the one-time pass: verify, then decode
+//!   every function into a single flat instruction array, one prepared
+//!   instruction per source instruction, with jump and call targets
+//!   resolved to absolute indices.
 //! * [`ExecContext`] — the reusable per-worker execution state: operand
 //!   stack, frame stack, and a locals arena. After warm-up, repeated
 //!   [`PreparedModule::run`] calls perform **zero heap allocations**,
 //!   including on `Call` (callee locals live in the arena).
 //!
+//! Nothing is fused here. Instruction fusion lives in one place, the
+//! register regions of [`crate::tier2`], which translate hot loops from the
+//! *source* ops; the stack form is what runs everything else, and what a
+//! region falls back to.
+//!
 //! # Determinism contract
 //!
 //! The prepared path is an exact semantic twin of [`crate::execute`]: same
 //! outputs, same [`ExecStats`] (instruction count and high-water stack), and
-//! the same error for every failing program. Fused instructions replicate
-//! the legacy interpreter's check *order* (budget → overflow → budget →
-//! underflow …) step by step, so hostile programs trip the identical
-//! sandbox violation at the identical point. The differential property
-//! tests in `tests/properties.rs` pin this equivalence.
+//! the same error for every failing program. Each dispatched op retires
+//! exactly one source instruction — budget check first, then the op's own
+//! checks in the legacy interpreter's order — so hostile programs trip the
+//! identical sandbox violation at the identical point. The differential
+//! property tests in `tests/properties.rs` pin this equivalence.
 
 use crate::interp::{ExecStats, TvmError};
 use crate::isa::Op;
@@ -44,8 +47,8 @@ pub(crate) const PREPARE_OPS_PER_US: u64 = 100;
 
 /// A binary operation: pop `b`, pop `a`, push `a ∘ b`.
 ///
-/// Comparisons are folded in (they push 1.0/0.0), which lets the fuser
-/// treat `cmp; jz` like any other binop/branch pair.
+/// Comparisons are folded in (they push 1.0/0.0), which lets the region
+/// translator treat `cmp; jz` like any other binop/branch pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum BinOp {
     Add,
@@ -149,9 +152,9 @@ impl UnOp {
     }
 }
 
-/// One prepared instruction. Jump and call targets are absolute indices
-/// into the flat [`PreparedModule::code`] array. Fused variants retire more
-/// than one source instruction; the retired count is their metering cost.
+/// One prepared instruction: exactly one source instruction, with jump and
+/// call targets resolved to absolute indices into the flat
+/// [`PreparedModule::code`] array.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PInst {
     Push(f64),
@@ -166,10 +169,7 @@ pub(crate) enum PInst {
     Jmp(u32),
     Jz(u32),
     Jnz(u32),
-    Call {
-        entry: u32,
-        n_locals: u16,
-    },
+    Call { entry: u32, n_locals: u16 },
     Ret,
     Halt,
     InLen(u8),
@@ -178,93 +178,6 @@ pub(crate) enum PInst {
     OutSet(u8),
     OutLen(u8),
     HostIo,
-    // --- fused superinstructions (cost = source instructions retired) ---
-    /// `push k; bin` — cost 2.
-    PushBin {
-        op: BinOp,
-        k: f64,
-    },
-    /// `load i; bin` — cost 2.
-    LoadBin {
-        op: BinOp,
-        i: u16,
-    },
-    /// `load i; load j` — cost 2.
-    LoadLoad {
-        i: u16,
-        j: u16,
-    },
-    /// `load i; inget p` — cost 2.
-    LoadInGet {
-        i: u16,
-        port: u8,
-    },
-    /// `bin; jz/jnz t` — cost 2. Branches when the binop result is
-    /// non-zero (`jump_if = true`, from `jnz`) or zero (`false`, `jz`).
-    BinBr {
-        op: BinOp,
-        target: u32,
-        jump_if: bool,
-    },
-    /// `push a; push b; bin`, constant-folded at prepare time — cost 3.
-    PushPushBin(f64),
-    /// `load i; load j; bin; jz/jnz t` — cost 4. The loop-head shape.
-    LoadLoadBinBr {
-        i: u16,
-        j: u16,
-        op: BinOp,
-        target: u32,
-        jump_if: bool,
-    },
-    /// `load i; push k; bin; store i` — cost 4. The loop-counter shape.
-    LocalBinK {
-        op: BinOp,
-        i: u16,
-        k: f64,
-    },
-    /// `load i; push k; bin; store i; jmp t` — cost 5. A counter bump
-    /// followed by the loop back-edge.
-    LocalBinKJmp {
-        op: BinOp,
-        i: u16,
-        k: f64,
-        target: u32,
-    },
-    /// `dup; bin` — cost 2. Replaces the top with `top ∘ top` (squaring).
-    DupBin(BinOp),
-    /// `dup; dup; bin1; bin2` — cost 4. `top ∘₂ (top ∘₁ top)` (cubing).
-    DupDupBinBin {
-        op1: BinOp,
-        op2: BinOp,
-    },
-    /// `push k; swap; bin` — cost 3. Replaces the top with `k ∘ top`
-    /// (reversed-operand constant binop).
-    PushSwapBin {
-        op: BinOp,
-        k: f64,
-    },
-    /// `load i; inget p; bin` — cost 3. Indexed input read feeding a binop.
-    LoadInGetBin {
-        op: BinOp,
-        i: u16,
-        port: u8,
-    },
-    /// `load i; inget p; load j; inget q; bin` — cost 5. The dot-product
-    /// step: combine one element from each of two input ports.
-    LoadInGet2Bin {
-        op: BinOp,
-        i: u16,
-        j: u16,
-        p: u8,
-        q: u8,
-    },
-    /// `load i; bin; store d` — cost 3. The accumulator shape
-    /// (`locals[d] = top ∘ locals[i]`, consuming the top).
-    LoadBinStore {
-        op: BinOp,
-        i: u16,
-        dst: u16,
-    },
 }
 
 /// Why a blob could not be prepared.
@@ -290,8 +203,8 @@ impl fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-/// A verified, flattened, peephole-optimised module, ready for repeated
-/// execution without further checks or per-call allocation.
+/// A verified, flattened module, ready for repeated execution without
+/// further checks or per-call allocation.
 #[derive(Clone, Debug)]
 pub struct PreparedModule {
     name: String,
@@ -305,110 +218,49 @@ pub struct PreparedModule {
     /// content id, so integrity audits can tie a prepared module back to
     /// the library's ground truth.
     source_hash: u64,
-    /// Source instruction count across all functions.
-    source_len: usize,
 }
 
-/// A prepared module plus the flattening byproducts tier 2 needs: the
-/// per-function source-pc → flat-index maps and function base offsets.
-pub(crate) struct PrepareArtifacts {
-    pub(crate) module: PreparedModule,
-    /// Per function: source pc → local flat index (`u32::MAX` for interior
-    /// pcs of fused windows, which are never jump targets).
-    pub(crate) maps: Vec<Vec<u32>>,
-    /// Per function: base offset of its instructions in the flat array.
-    pub(crate) bases: Vec<u32>,
-}
-
-/// The one-time pass: verify `module`, then flatten and fuse, keeping the
-/// pc maps so callers (tier 2 region detection) can address flat code.
-pub(crate) fn prepare_full(module: &Module) -> Result<PrepareArtifacts, VerifyError> {
+/// The one-time pass: verify `module`, then flatten it. Also returns each
+/// function's base offset in the flat array — source pc `p` of function
+/// `f` sits at `bases[f] + p` — which is how tier 2 region detection
+/// addresses flat code.
+pub(crate) fn prepare_full(module: &Module) -> Result<(PreparedModule, Vec<u32>), VerifyError> {
     verify(module)?;
-    let source_len: usize = module.functions.iter().map(|f| f.code.len()).sum();
-
-    // Pass 1: per function, fuse and record source-pc → flat-index
-    // (jump targets are kept as source pcs for now).
-    let mut per_func: Vec<(Vec<PInst>, Vec<u32>)> = Vec::with_capacity(module.functions.len());
-    for f in &module.functions {
-        per_func.push(flatten_function(&f.code));
-    }
-
-    // Function base offsets in the flat array.
-    let mut bases = Vec::with_capacity(per_func.len());
+    let mut bases = Vec::with_capacity(module.functions.len());
     let mut total = 0u32;
-    for (insts, _) in &per_func {
+    for f in &module.functions {
         bases.push(total);
-        total += insts.len() as u32;
+        total += f.code.len() as u32;
     }
-
-    // Pass 2: resolve jump targets (within-function) and call targets.
     let mut code = Vec::with_capacity(total as usize);
-    for (fi, (insts, map)) in per_func.iter().enumerate() {
-        let base = bases[fi];
-        let resolve = |t: u32| base + map[t as usize];
-        for inst in insts {
-            code.push(match *inst {
-                PInst::Jmp(t) => PInst::Jmp(resolve(t)),
-                PInst::Jz(t) => PInst::Jz(resolve(t)),
-                PInst::Jnz(t) => PInst::Jnz(resolve(t)),
-                PInst::BinBr {
-                    op,
-                    target,
-                    jump_if,
-                } => PInst::BinBr {
-                    op,
-                    target: resolve(target),
-                    jump_if,
-                },
-                PInst::LoadLoadBinBr {
-                    i,
-                    j,
-                    op,
-                    target,
-                    jump_if,
-                } => PInst::LoadLoadBinBr {
-                    i,
-                    j,
-                    op,
-                    target: resolve(target),
-                    jump_if,
-                },
-                PInst::LocalBinKJmp { op, i, k, target } => PInst::LocalBinKJmp {
-                    op,
-                    i,
-                    k,
-                    target: resolve(target),
-                },
-                PInst::Call { entry, .. } => PInst::Call {
-                    entry: bases[entry as usize],
-                    n_locals: module.functions[entry as usize].n_locals,
-                },
-                other => other,
-            });
-        }
+    for (f, &base) in module.functions.iter().zip(&bases) {
+        code.extend(f.code.iter().map(|&op| match op {
+            Op::Jmp(t) => PInst::Jmp(base + t),
+            Op::Jz(t) => PInst::Jz(base + t),
+            Op::Jnz(t) => PInst::Jnz(base + t),
+            Op::Call(t) => PInst::Call {
+                entry: bases[t as usize],
+                n_locals: module.functions[t as usize].n_locals,
+            },
+            other => translate(other),
+        }));
     }
-
-    let maps = per_func.into_iter().map(|(_, map)| map).collect();
-    Ok(PrepareArtifacts {
-        module: PreparedModule {
-            name: module.name.clone(),
-            version: module.version,
-            n_inputs: module.n_inputs,
-            n_outputs: module.n_outputs,
-            entry_locals: module.functions[0].n_locals,
-            code,
-            source_hash: crate::fnv1a64(&module.to_blob().bytes),
-            source_len,
-        },
-        maps,
-        bases,
-    })
+    let prepared = PreparedModule {
+        name: module.name.clone(),
+        version: module.version,
+        n_inputs: module.n_inputs,
+        n_outputs: module.n_outputs,
+        entry_locals: module.functions[0].n_locals,
+        code,
+        source_hash: crate::fnv1a64(&module.to_blob().bytes),
+    };
+    Ok((prepared, bases))
 }
 
 impl PreparedModule {
-    /// The one-time pass: verify `module`, then flatten and fuse.
+    /// The one-time pass: verify `module`, then flatten.
     pub fn prepare(module: &Module) -> Result<Self, VerifyError> {
-        prepare_full(module).map(|a| a.module)
+        prepare_full(module).map(|(prepared, _)| prepared)
     }
 
     /// Admit a transferred blob: integrity check, parse, verify, prepare.
@@ -442,13 +294,8 @@ impl PreparedModule {
         self.source_hash
     }
 
-    /// Source instruction count (pre-fusion), the work-estimate signal.
+    /// Source instruction count, the work-estimate signal.
     pub fn source_instructions(&self) -> usize {
-        self.source_len
-    }
-
-    /// Prepared (post-fusion) instruction count.
-    pub fn prepared_instructions(&self) -> usize {
         self.code.len()
     }
 
@@ -457,7 +304,7 @@ impl PreparedModule {
     /// timings are host-dependent and belong in the volatile snapshot
     /// section; this modeled figure is what deterministic metering records.
     pub fn modeled_prepare_us(&self) -> u64 {
-        (self.source_len as u64) / PREPARE_OPS_PER_US + 1
+        (self.code.len() as u64) / PREPARE_OPS_PER_US + 1
     }
 
     /// Execute and return owned outputs, mirroring [`crate::execute`]'s
@@ -578,195 +425,8 @@ fn bool_f(b: bool) -> f64 {
     }
 }
 
-/// Fuse and flatten one function. Returns the prepared instructions (jump
-/// targets still as *source* pcs) and the source-pc → local-index map
-/// (interior pcs of fused windows map to `u32::MAX`; the verifier
-/// guarantees no jump lands there because fusion never covers a jump
-/// target with its tail).
-fn flatten_function(code: &[Op]) -> (Vec<PInst>, Vec<u32>) {
-    // Source pcs that are jump targets must stay addressable: a fused
-    // window may start at one but never contain one.
-    let mut is_target = vec![false; code.len()];
-    for op in code {
-        if let Op::Jmp(t) | Op::Jz(t) | Op::Jnz(t) = *op {
-            is_target[t as usize] = true;
-        }
-    }
-    let free = |from: usize, upto: usize| -> bool {
-        upto <= code.len() && (from + 1..upto).all(|p| !is_target[p])
-    };
-
-    let mut out = Vec::with_capacity(code.len());
-    let mut map = vec![u32::MAX; code.len()];
-    let mut i = 0;
-    while i < code.len() {
-        map[i] = out.len() as u32;
-        let window = &code[i..];
-        // Longest patterns first; every alternative checks that the fused
-        // window contains no interior jump target.
-        let (inst, len) = match *window {
-            // load i; push k; bin; store i; jmp — counter bump + back-edge.
-            [Op::Load(a), Op::Push(k), op3, Op::Store(b), Op::Jmp(t), ..]
-                if a == b && BinOp::of(op3).is_some() && free(i, i + 5) =>
-            {
-                (
-                    PInst::LocalBinKJmp {
-                        op: BinOp::of(op3).unwrap(),
-                        i: a,
-                        k,
-                        target: t,
-                    },
-                    5,
-                )
-            }
-            // load i; inget p; load j; inget q; bin — the dot-product step.
-            [Op::Load(a), Op::InGet(p), Op::Load(b), Op::InGet(q), op5, ..]
-                if BinOp::of(op5).is_some() && free(i, i + 5) =>
-            {
-                (
-                    PInst::LoadInGet2Bin {
-                        op: BinOp::of(op5).unwrap(),
-                        i: a,
-                        j: b,
-                        p,
-                        q,
-                    },
-                    5,
-                )
-            }
-            // load i; push k; bin; store i — in-place local update.
-            [Op::Load(a), Op::Push(k), op3, Op::Store(b), ..]
-                if a == b && BinOp::of(op3).is_some() && free(i, i + 4) =>
-            {
-                (
-                    PInst::LocalBinK {
-                        op: BinOp::of(op3).unwrap(),
-                        i: a,
-                        k,
-                    },
-                    4,
-                )
-            }
-            // load i; load j; bin; jz/jnz — the loop-head compare.
-            [Op::Load(a), Op::Load(b), op3, br, ..]
-                if BinOp::of(op3).is_some() && branch_of(br).is_some() && free(i, i + 4) =>
-            {
-                let (target, jump_if) = branch_of(br).unwrap();
-                (
-                    PInst::LoadLoadBinBr {
-                        i: a,
-                        j: b,
-                        op: BinOp::of(op3).unwrap(),
-                        target,
-                        jump_if,
-                    },
-                    4,
-                )
-            }
-            // dup; dup; bin; bin — a power tower (cube when both are mul).
-            [Op::Dup, Op::Dup, op3, op4, ..]
-                if BinOp::of(op3).is_some() && BinOp::of(op4).is_some() && free(i, i + 4) =>
-            {
-                (
-                    PInst::DupDupBinBin {
-                        op1: BinOp::of(op3).unwrap(),
-                        op2: BinOp::of(op4).unwrap(),
-                    },
-                    4,
-                )
-            }
-            // push a; push b; bin — folds to a constant at prepare time.
-            [Op::Push(a), Op::Push(b), op3, ..] if BinOp::of(op3).is_some() && free(i, i + 3) => {
-                (PInst::PushPushBin(BinOp::of(op3).unwrap().eval(a, b)), 3)
-            }
-            // push k; swap; bin — constant as the *left* operand.
-            [Op::Push(k), Op::Swap, op3, ..] if BinOp::of(op3).is_some() && free(i, i + 3) => (
-                PInst::PushSwapBin {
-                    op: BinOp::of(op3).unwrap(),
-                    k,
-                },
-                3,
-            ),
-            // load i; inget p; bin — indexed input read feeding a binop.
-            [Op::Load(li), Op::InGet(p), op3, ..] if BinOp::of(op3).is_some() && free(i, i + 3) => {
-                (
-                    PInst::LoadInGetBin {
-                        op: BinOp::of(op3).unwrap(),
-                        i: li,
-                        port: p,
-                    },
-                    3,
-                )
-            }
-            // load i; bin; store d — accumulate into a local.
-            [Op::Load(li), op2, Op::Store(d), ..] if BinOp::of(op2).is_some() && free(i, i + 3) => {
-                (
-                    PInst::LoadBinStore {
-                        op: BinOp::of(op2).unwrap(),
-                        i: li,
-                        dst: d,
-                    },
-                    3,
-                )
-            }
-            // bin; jz/jnz — branch on a fresh binop result.
-            [op1, br, ..]
-                if BinOp::of(op1).is_some() && branch_of(br).is_some() && free(i, i + 2) =>
-            {
-                let (target, jump_if) = branch_of(br).unwrap();
-                (
-                    PInst::BinBr {
-                        op: BinOp::of(op1).unwrap(),
-                        target,
-                        jump_if,
-                    },
-                    2,
-                )
-            }
-            // push k; bin.
-            [Op::Push(k), op2, ..] if BinOp::of(op2).is_some() && free(i, i + 2) => (
-                PInst::PushBin {
-                    op: BinOp::of(op2).unwrap(),
-                    k,
-                },
-                2,
-            ),
-            // load i; bin.
-            [Op::Load(li), op2, ..] if BinOp::of(op2).is_some() && free(i, i + 2) => (
-                PInst::LoadBin {
-                    op: BinOp::of(op2).unwrap(),
-                    i: li,
-                },
-                2,
-            ),
-            // dup; bin — squaring and friends.
-            [Op::Dup, op2, ..] if BinOp::of(op2).is_some() && free(i, i + 2) => {
-                (PInst::DupBin(BinOp::of(op2).unwrap()), 2)
-            }
-            // load i; inget p — indexed input read.
-            [Op::Load(li), Op::InGet(p), ..] if free(i, i + 2) => {
-                (PInst::LoadInGet { i: li, port: p }, 2)
-            }
-            // load i; load j.
-            [Op::Load(a), Op::Load(b), ..] if free(i, i + 2) => (PInst::LoadLoad { i: a, j: b }, 2),
-            _ => (translate(code[i]), 1),
-        };
-        out.push(inst);
-        i += len;
-    }
-    (out, map)
-}
-
-/// `jz`/`jnz` branch shape: (target, jump-if-nonzero).
-fn branch_of(op: Op) -> Option<(u32, bool)> {
-    match op {
-        Op::Jz(t) => Some((t, false)),
-        Op::Jnz(t) => Some((t, true)),
-        _ => None,
-    }
-}
-
-/// One-to-one translation of a single source instruction.
+/// One-to-one translation of a source instruction that names no code
+/// address (branches and calls are resolved by [`prepare_full`]).
 fn translate(op: Op) -> PInst {
     if let Some(b) = BinOp::of(op) {
         return PInst::Bin(b);
@@ -782,14 +442,6 @@ fn translate(op: Op) -> PInst {
         Op::Over => PInst::Over,
         Op::Load(i) => PInst::Load(i),
         Op::Store(i) => PInst::Store(i),
-        Op::Jmp(t) => PInst::Jmp(t),
-        Op::Jz(t) => PInst::Jz(t),
-        Op::Jnz(t) => PInst::Jnz(t),
-        // Call target entry/locals are resolved in pass 2.
-        Op::Call(t) => PInst::Call {
-            entry: t as u32,
-            n_locals: 0,
-        },
         Op::Ret => PInst::Ret,
         Op::Halt => PInst::Halt,
         Op::InLen(p) => PInst::InLen(p),
@@ -798,7 +450,7 @@ fn translate(op: Op) -> PInst {
         Op::OutSet(p) => PInst::OutSet(p),
         Op::OutLen(p) => PInst::OutLen(p),
         Op::HostIo(_) => PInst::HostIo,
-        _ => unreachable!("arithmetic handled above"),
+        _ => unreachable!("arithmetic, branches and calls handled by the callers"),
     }
 }
 
@@ -868,59 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn fusion_compresses_the_doubler_loop() {
-        let m = module1(
-            vec![
-                InLen(0),
-                Store(0),
-                Push(0.0),
-                Store(1),
-                Load(1),
-                Load(0),
-                Lt,
-                Jz(18),
-                Load(1),
-                InGet(0),
-                Push(2.0),
-                Mul,
-                OutPush(0),
-                Load(1),
-                Push(1.0),
-                Add,
-                Store(1),
-                Jmp(4),
-                Halt,
-            ],
-            2,
-            1,
-            1,
-        );
-        let p = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(p.source_instructions(), 19);
-        // InLen, Store, Push, Store, [LoadLoadBinBr], [LoadInGet],
-        // [PushBin mul], OutPush, [LocalBinKJmp +1], Halt = 10.
-        assert_eq!(p.prepared_instructions(), 10);
-    }
-
-    #[test]
-    fn constant_folding_preserves_stats() {
-        let m = module1(
-            vec![Push(3.0), Push(4.0), Add, Push(2.0), Mul, OutPush(0), Halt],
-            0,
-            0,
-            1,
-        );
-        let (legacy, fast) = both(&m, &[], &SandboxPolicy::standard());
-        assert_eq!(legacy, fast);
-        let (out, stats) = fast.unwrap();
-        assert_eq!(out, vec![vec![14.0]]);
-        // Folded to [PushPushBin 7.0][PushBin *2][OutPush][Halt] but the
-        // metered instruction count is unchanged.
-        assert_eq!(stats.instructions, 7);
-        assert_eq!(stats.max_stack, 2);
-    }
-
-    #[test]
     fn calls_use_the_arena_and_match_legacy() {
         let m = Module {
             name: "sq".into(),
@@ -943,60 +542,6 @@ mod tests {
         let (legacy, fast) = both(&m, &[], &SandboxPolicy::standard());
         assert_eq!(legacy, fast);
         assert_eq!(fast.unwrap().0[0], vec![81.0]);
-    }
-
-    #[test]
-    fn budget_trips_inside_a_fused_window() {
-        // push; push; mul (folds) then spin. With a budget that expires on
-        // the second source instruction, the fused op must trip exactly as
-        // the legacy interpreter does.
-        let m = module1(vec![Push(1.0), Push(2.0), Mul, Pop, Jmp(0)], 0, 0, 0);
-        for budget in 1..=6u64 {
-            let policy = SandboxPolicy {
-                max_instructions: budget,
-                ..SandboxPolicy::standard()
-            };
-            let (legacy, fast) = both(&m, &[], &policy);
-            assert_eq!(legacy, fast, "budget={budget}");
-        }
-    }
-
-    #[test]
-    fn overflow_order_matches_legacy_in_fused_window() {
-        // At max_stack = 1 the second push of the folded constant pair must
-        // overflow exactly like the legacy second push.
-        let m = module1(vec![Push(1.0), Push(2.0), Add, OutPush(0), Halt], 0, 0, 1);
-        let tight = SandboxPolicy {
-            max_stack: 1,
-            ..SandboxPolicy::standard()
-        };
-        let (legacy, fast) = both(&m, &[], &tight);
-        assert_eq!(legacy, fast);
-        assert_eq!(fast, Err(TvmError::StackOverflow));
-    }
-
-    #[test]
-    fn jump_target_into_fusible_window_blocks_fusion() {
-        // The `push 1.0; add` pair at 3..5 would fuse, but pc 4 is a jump
-        // target; the prepared module must keep it addressable.
-        let m = module1(
-            vec![
-                Push(10.0), // 0
-                Jmp(4),     // 1
-                Halt,       // 2 (dead)
-                Push(1.0),  // 3
-                Add,        // 4 <- target lands mid-pair... on the binop
-                OutPush(0), // 5
-                Halt,       // 6
-            ],
-            0,
-            0,
-            1,
-        );
-        let (legacy, fast) = both(&m, &[], &SandboxPolicy::standard());
-        assert_eq!(legacy, fast);
-        // Jumped straight to Add with only one operand on the stack.
-        assert_eq!(fast, Err(TvmError::StackUnderflow));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! * **Legacy** ([`LegacyModule`]): re-verifies on every call and
 //!   allocates per `Call`; the reference semantics.
-//! * **Prepared** ([`PreparedModule`]): verify once, flatten, fuse;
+//! * **Prepared** ([`PreparedModule`]): verify once, flatten 1:1;
 //!   allocation-free steady state.
 //! * **Tier2** ([`Tier2Module`]): Prepared plus register-translated hot
-//!   loops and batched dispatch.
+//!   loops, which is where all instruction fusion lives.
 //!
 //! [`admit`] is the cache-admission entry point: blob integrity → parse →
 //! tier construction per [`TierPolicy`]. `Auto` builds Tier2 and demotes
@@ -42,11 +42,7 @@ pub enum TierPolicy {
 /// A module admitted under some execution tier.
 ///
 /// Object-safe so caches can hold `Arc<dyn ExecTier>` and workers can
-/// dispatch without knowing the tier. The `execute_batch*` defaults *are*
-/// the batching spec: a batch over K jobs is observationally identical to
-/// K sequential `execute*` calls against the same context (outputs,
-/// per-job stats, and error positions); tiers may only override them with
-/// faster paths that preserve that equivalence.
+/// dispatch without knowing the tier.
 pub trait ExecTier: Send + Sync + std::fmt::Debug {
     /// Stable tier name: `"legacy"`, `"prepared"`, or `"tier2"`.
     fn tier_name(&self) -> &'static str;
@@ -56,10 +52,8 @@ pub trait ExecTier: Send + Sync + std::fmt::Debug {
     fn n_outputs(&self) -> u8;
     /// Content id of the source blob (FNV-1a 64 of its bytes).
     fn source_hash(&self) -> u64;
-    /// Source instruction count (pre-fusion), the work-estimate signal.
+    /// Source instruction count, the work-estimate signal.
     fn source_instructions(&self) -> usize;
-    /// Post-preparation instruction count (source count for Legacy).
-    fn prepared_instructions(&self) -> usize;
     /// Deterministic modeled preparation cost in virtual microseconds.
     fn modeled_prepare_us(&self) -> u64;
     /// Hot-loop regions translated to register form (tier 2 only).
@@ -90,32 +84,6 @@ pub trait ExecTier: Send + Sync + std::fmt::Debug {
             record_execution(observer, &slim);
         }
         result
-    }
-
-    /// Drive one module across many jobs in a single dispatch call. Each
-    /// job is a full input-port set; outcomes are positional.
-    fn execute_batch(
-        &self,
-        jobs: &[&[&[f64]]],
-        policy: &SandboxPolicy,
-        ctx: &mut ExecContext,
-    ) -> Vec<ExecOutcome> {
-        jobs.iter()
-            .map(|job| self.execute(job, policy, ctx))
-            .collect()
-    }
-
-    /// Instrumented variant of [`Self::execute_batch`].
-    fn execute_batch_obs(
-        &self,
-        jobs: &[&[&[f64]]],
-        policy: &SandboxPolicy,
-        ctx: &mut ExecContext,
-        observer: &obs::Obs,
-    ) -> Vec<ExecOutcome> {
-        jobs.iter()
-            .map(|job| self.execute_obs(job, policy, ctx, observer))
-            .collect()
     }
 }
 
@@ -167,9 +135,6 @@ impl ExecTier for LegacyModule {
     fn source_instructions(&self) -> usize {
         self.source_len
     }
-    fn prepared_instructions(&self) -> usize {
-        self.source_len
-    }
     fn modeled_prepare_us(&self) -> u64 {
         (self.source_len as u64) / PREPARE_OPS_PER_US + 1
     }
@@ -205,9 +170,6 @@ impl ExecTier for PreparedModule {
     }
     fn source_instructions(&self) -> usize {
         PreparedModule::source_instructions(self)
-    }
-    fn prepared_instructions(&self) -> usize {
-        PreparedModule::prepared_instructions(self)
     }
     fn modeled_prepare_us(&self) -> u64 {
         PreparedModule::modeled_prepare_us(self)
@@ -245,9 +207,6 @@ impl ExecTier for Tier2Module {
     fn source_instructions(&self) -> usize {
         self.base().source_instructions()
     }
-    fn prepared_instructions(&self) -> usize {
-        self.base().prepared_instructions()
-    }
     fn modeled_prepare_us(&self) -> u64 {
         self.base().modeled_prepare_us()
     }
@@ -280,22 +239,6 @@ impl ExecTier for Tier2Module {
             }
         }
         result
-    }
-
-    fn execute_batch_obs(
-        &self,
-        jobs: &[&[&[f64]]],
-        policy: &SandboxPolicy,
-        ctx: &mut ExecContext,
-        observer: &obs::Obs,
-    ) -> Vec<ExecOutcome> {
-        if observer.is_enabled() && !jobs.is_empty() {
-            observer.incr("tvm.tier2_batch_runs");
-            observer.add("tvm.tier2_batch_inputs", jobs.len() as u64);
-        }
-        jobs.iter()
-            .map(|job| ExecTier::execute_obs(self, job, policy, ctx, observer))
-            .collect()
     }
 }
 
@@ -398,21 +341,6 @@ mod tests {
             outcomes[0].as_ref().unwrap().0,
             vec![vec![4.0, 3.0, 2.0, 1.0]]
         );
-    }
-
-    #[test]
-    fn batch_default_equals_sequential() {
-        let tier = admit(&looper().to_blob(), TierPolicy::Tier2).unwrap();
-        let policy = SandboxPolicy::standard();
-        let mut ctx = ExecContext::new();
-        let jobs: Vec<&[&[f64]]> = vec![&[], &[], &[]];
-        let batch = tier.execute_batch(&jobs, &policy, &mut ctx);
-        let mut ctx2 = ExecContext::new();
-        let seq: Vec<_> = jobs
-            .iter()
-            .map(|job| tier.execute(job, &policy, &mut ctx2))
-            .collect();
-        assert_eq!(batch, seq);
     }
 
     #[test]

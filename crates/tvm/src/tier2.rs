@@ -4,18 +4,21 @@
 //! This module hosts two things:
 //!
 //! 1. **The interpreter core** ([`run_vm`]) shared by the Prepared and
-//!    Tier2 tiers. It is the dense-dispatch loop formerly in
-//!    `prepared.rs`, monomorphised over a `const TIER2: bool` so the
-//!    Prepared tier compiles to exactly the machine code it had before
-//!    tier 2 existed, while the Tier2 instantiation adds one table probe
-//!    per dispatch that can divert a hot loop into register form.
+//!    Tier2 tiers: a dense-dispatch loop over the 1:1 flattened code in
+//!    which every dispatched op retires exactly one source instruction.
+//!    It is monomorphised over a `const TIER2: bool`: the Tier2
+//!    instantiation adds one table probe per dispatch that can divert a
+//!    hot loop into register form, the Prepared one compiles it away.
 //! 2. **The tier-2 pipeline** ([`Tier2Module`]): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
-//!    and translate their stack traffic into a fixed virtual-register
-//!    frame ([`LoopRegion`]). At run time the region executes whole
-//!    iterations with no per-instruction budget/overflow/underflow
-//!    checks — those are hoisted into two head-of-iteration
-//!    preconditions — and with no operand-stack traffic at all.
+//!    and translate their stack traffic — from the *source* ops — into a
+//!    fixed virtual-register frame ([`LoopRegion`]). This is the only
+//!    place instructions are fused: the translator and the `peephole`
+//!    pass combine register ops into superinstructions. At run time the
+//!    region executes whole iterations with no per-instruction
+//!    budget/overflow/underflow checks — those are hoisted into two
+//!    head-of-iteration preconditions — and with no operand-stack
+//!    traffic at all.
 //!
 //! # Fallback and the metering contract
 //!
@@ -49,9 +52,6 @@ const SELF_OPERAND: u16 = u16::MAX;
 /// [`RegOp::InGetBin3`] operand sentinel: "the value the fused `InGet`
 /// fetched". Register ids stay far below both sentinels ([`MAX_REGION_REGS`]).
 const GET_OPERAND: u16 = u16::MAX - 1;
-/// [`RegOp::GetChainPush`] operand sentinel for stages 4–5: "the result of
-/// stage 3" (the dead register the unfused pair communicated through).
-const CHAIN3_OPERAND: u16 = u16::MAX - 2;
 /// [`RegOp::Back`] fall-through sentinel for unconditional back-edges.
 const NO_EXIT: u16 = u16::MAX;
 
@@ -190,32 +190,6 @@ enum RegOp {
         f: u16,
         dst: u16,
     },
-    /// Fused `InGetBin3 + Bin2Push`: the full five-stage chain ending in
-    /// an output push, writing no registers at all. Stages 1–3 resolve
-    /// operands as [`RegOp::InGetBin3`]; stages 4–5 may additionally name
-    /// the stage-3 result via [`CHAIN3_OPERAND`] (in stage 5,
-    /// [`SELF_OPERAND`] means the stage-4 result). Checks run in the
-    /// original order: input bounds first, output cap last.
-    GetChainPush {
-        port: u8,
-        idx: u16,
-        op1: BinOp,
-        a: u16,
-        b: u16,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        op3: BinOp,
-        e: u16,
-        f: u16,
-        op4: BinOp,
-        g: u16,
-        h: u16,
-        op5: BinOp,
-        i: u16,
-        j: u16,
-        out: u8,
-    },
     /// Fused `Bin + Back`: `dst = a ∘ b`, then the back-edge test (which
     /// may read `dst`, exactly as the unfused pair would).
     BinBack {
@@ -276,22 +250,21 @@ pub struct Tier2Module {
 }
 
 impl Tier2Module {
-    /// Verify, flatten, fuse, then detect and translate hot-loop regions.
+    /// Verify and flatten, then detect and translate hot-loop regions.
     pub fn prepare(module: &Module) -> Result<Self, VerifyError> {
-        let art = crate::prepared::prepare_full(module)?;
+        let (base, bases) = crate::prepared::prepare_full(module)?;
         let mut regions: Vec<LoopRegion> = Vec::new();
-        for (fi, f) in module.functions.iter().enumerate() {
-            let flat_of = |pc: usize| art.bases[fi] + art.maps[fi][pc];
-            regions.extend(detect_function_regions(&f.code, f.n_locals, &flat_of));
+        for (f, &fbase) in module.functions.iter().zip(&bases) {
+            regions.extend(detect_function_regions(&f.code, f.n_locals, fbase));
         }
         regions.truncate(NO_REGION as usize - 1);
         regions.sort_by_key(|r| r.head_flat);
-        let mut region_at = vec![NO_REGION; art.module.code.len()];
+        let mut region_at = vec![NO_REGION; base.code.len()];
         for (i, r) in regions.iter().enumerate() {
             region_at[r.head_flat as usize] = i as u16;
         }
         Ok(Tier2Module {
-            base: art.module,
+            base,
             regions,
             region_at,
         })
@@ -366,10 +339,11 @@ struct VmState {
     out_cells: usize,
 }
 
-/// The shared dispatch core. Exact legacy semantics: see the
-/// `prepared` module docs for the fused-instruction check-ordering
-/// contract. With `TIER2` set, every dispatch first probes the region
-/// table; a hit runs whole loop iterations in register form.
+/// The shared dispatch core. Exact legacy semantics: one source
+/// instruction per dispatched op, budget check first, then the op's own
+/// checks in the legacy interpreter's order. With `TIER2` set, every
+/// dispatch first probes the region table; a hit runs whole loop
+/// iterations in register form.
 pub(crate) fn run_vm<const TIER2: bool>(
     prepared: &PreparedModule,
     t2: Option<&Tier2Module>,
@@ -421,16 +395,6 @@ pub(crate) fn run_vm<const TIER2: bool>(
             }
         }};
     }
-    // One extra metered source instruction inside a fused window: the
-    // legacy interpreter checks the budget before every source op.
-    macro_rules! step {
-        () => {{
-            if instr >= max_instr {
-                return Err(TvmError::BudgetExceeded);
-            }
-            instr += 1;
-        }};
-    }
     macro_rules! underflow {
         ($n:expr) => {{
             if sp < $n {
@@ -438,19 +402,6 @@ pub(crate) fn run_vm<const TIER2: bool>(
             }
         }};
     }
-    // Overflow check + high-water update for a push at depth `sp` inside a
-    // fused window (the write itself happens at the end of the window).
-    macro_rules! probe_push {
-        ($at:expr) => {{
-            if $at >= max_stack {
-                return Err(TvmError::StackOverflow);
-            }
-            if $at + 1 > max_sp {
-                max_sp = $at + 1;
-            }
-        }};
-    }
-
     loop {
         if TIER2 {
             let ri = region_at[pc];
@@ -489,7 +440,12 @@ pub(crate) fn run_vm<const TIER2: bool>(
                 // everything after it) in precise stack form.
             }
         }
-        step!();
+        // Every dispatched op retires exactly one source instruction, and
+        // the legacy interpreter checks the budget before each.
+        if instr >= max_instr {
+            return Err(TvmError::BudgetExceeded);
+        }
+        instr += 1;
         // pc is always in range: the verifier guarantees every function
         // ends in a terminator and all jump targets are mapped.
         let op = code[pc];
@@ -630,185 +586,6 @@ pub(crate) fn run_vm<const TIER2: bool>(
                 }
                 underflow!(1);
                 stack[sp - 1] = 0.0; // simulated syscall result
-            }
-            // --- fused windows: legacy check order, see `prepared` docs ---
-            PInst::PushBin { op, k } => {
-                probe_push!(sp); // push k
-                step!(); // bin
-                underflow!(1);
-                stack[sp - 1] = op.eval(stack[sp - 1], k);
-            }
-            PInst::LoadBin { op, i } => {
-                probe_push!(sp); // push local
-                step!(); // bin
-                underflow!(1);
-                stack[sp - 1] = op.eval(stack[sp - 1], locals[lb + i as usize]);
-            }
-            PInst::LoadLoad { i, j } => {
-                probe_push!(sp);
-                step!();
-                probe_push!(sp + 1);
-                let a = locals[lb + i as usize];
-                let b = locals[lb + j as usize];
-                if sp + 2 <= stack.len() {
-                    stack[sp] = a;
-                    stack[sp + 1] = b;
-                } else {
-                    stack.truncate(sp);
-                    stack.push(a);
-                    stack.push(b);
-                }
-                sp += 2;
-            }
-            PInst::LoadInGet { i, port } => {
-                probe_push!(sp); // push local (the index)
-                step!(); // inget
-                let idx = locals[lb + i as usize];
-                let port_data = inputs[port as usize];
-                match to_index(idx, port_data.len()) {
-                    Some(k) => pushv_raw(stack, sp, port_data[k]),
-                    None => return Err(TvmError::IndexOutOfBounds { port, index: idx }),
-                }
-                sp += 1;
-            }
-            PInst::BinBr {
-                op,
-                target,
-                jump_if,
-            } => {
-                underflow!(2);
-                step!(); // jz/jnz
-                let b = stack[sp - 1];
-                let a = stack[sp - 2];
-                sp -= 2;
-                if (op.eval(a, b) != 0.0) == jump_if {
-                    pc = target as usize;
-                }
-            }
-            PInst::PushPushBin(v) => {
-                probe_push!(sp);
-                step!();
-                probe_push!(sp + 1);
-                step!(); // bin: pops both transients, pushes the folded value
-                pushv_raw(stack, sp, v);
-                sp += 1;
-            }
-            PInst::LoadLoadBinBr {
-                i,
-                j,
-                op,
-                target,
-                jump_if,
-            } => {
-                probe_push!(sp);
-                step!();
-                probe_push!(sp + 1);
-                step!(); // bin
-                step!(); // jz/jnz
-                let a = locals[lb + i as usize];
-                let b = locals[lb + j as usize];
-                if (op.eval(a, b) != 0.0) == jump_if {
-                    pc = target as usize;
-                }
-            }
-            PInst::LocalBinK { op, i, k } => {
-                probe_push!(sp); // load
-                step!(); // push k
-                probe_push!(sp + 1);
-                step!(); // bin
-                step!(); // store
-                let slot = &mut locals[lb + i as usize];
-                *slot = op.eval(*slot, k);
-            }
-            PInst::LocalBinKJmp { op, i, k, target } => {
-                probe_push!(sp); // load
-                step!(); // push k
-                probe_push!(sp + 1);
-                step!(); // bin
-                step!(); // store
-                let slot = &mut locals[lb + i as usize];
-                *slot = op.eval(*slot, k);
-                step!(); // jmp
-                pc = target as usize;
-            }
-            PInst::DupBin(op) => {
-                underflow!(1); // dup
-                probe_push!(sp);
-                step!(); // bin
-                let a = stack[sp - 1];
-                stack[sp - 1] = op.eval(a, a);
-            }
-            PInst::DupDupBinBin { op1, op2 } => {
-                underflow!(1); // first dup
-                probe_push!(sp);
-                step!(); // second dup
-                probe_push!(sp + 1);
-                step!(); // bin1
-                step!(); // bin2
-                let a = stack[sp - 1];
-                stack[sp - 1] = op2.eval(a, op1.eval(a, a));
-            }
-            PInst::PushSwapBin { op, k } => {
-                probe_push!(sp); // push k
-                step!(); // swap
-                underflow!(1); // swap needs two incl. the fused transient
-                step!(); // bin
-                let a = stack[sp - 1];
-                stack[sp - 1] = op.eval(k, a);
-            }
-            PInst::LoadInGetBin { op, i, port } => {
-                probe_push!(sp); // load pushes the index
-                step!(); // inget
-                let idx = locals[lb + i as usize];
-                let port_data = inputs[port as usize];
-                let v = match to_index(idx, port_data.len()) {
-                    Some(x) => port_data[x],
-                    None => return Err(TvmError::IndexOutOfBounds { port, index: idx }),
-                };
-                step!(); // bin
-                underflow!(1); // bin needs two incl. the fused transient
-                stack[sp - 1] = op.eval(stack[sp - 1], v);
-            }
-            PInst::LoadInGet2Bin { op, i, j, p, q } => {
-                probe_push!(sp); // load i pushes the first index
-                step!(); // inget p
-                let idx = locals[lb + i as usize];
-                let port_data = inputs[p as usize];
-                let a = match to_index(idx, port_data.len()) {
-                    Some(x) => port_data[x],
-                    None => {
-                        return Err(TvmError::IndexOutOfBounds {
-                            port: p,
-                            index: idx,
-                        })
-                    }
-                };
-                step!(); // load j
-                probe_push!(sp + 1);
-                step!(); // inget q
-                let idx = locals[lb + j as usize];
-                let port_data = inputs[q as usize];
-                let b = match to_index(idx, port_data.len()) {
-                    Some(x) => port_data[x],
-                    None => {
-                        return Err(TvmError::IndexOutOfBounds {
-                            port: q,
-                            index: idx,
-                        })
-                    }
-                };
-                step!(); // bin: both operands are fused transients
-                pushv_raw(stack, sp, op.eval(a, b));
-                sp += 1;
-            }
-            PInst::LoadBinStore { op, i, dst } => {
-                probe_push!(sp); // load
-                step!(); // bin
-                underflow!(1); // bin needs two incl. the fused transient
-                step!(); // store
-                let v = stack[sp - 1];
-                sp -= 1;
-                locals[lb + dst as usize] = op.eval(v, locals[lb + i as usize]);
             }
         }
     }
@@ -1192,54 +969,6 @@ impl LoopRegion {
                         let res = op3.eval(rd(e, u), rd(f, u));
                         regs[dst as usize] = res;
                     }
-                    RegOp::GetChainPush {
-                        port,
-                        idx,
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        op4,
-                        g,
-                        h,
-                        op5,
-                        i,
-                        j,
-                        out,
-                    } => {
-                        let x = regs[idx as usize];
-                        let data = inputs[port as usize];
-                        let v = match to_index(x, data.len()) {
-                            Some(k) => data[k],
-                            None => return Err(TvmError::IndexOutOfBounds { port, index: x }),
-                        };
-                        let rd = |r: u16, prev: f64| match r {
-                            SELF_OPERAND => prev,
-                            GET_OPERAND => v,
-                            _ => regs[r as usize],
-                        };
-                        let t = op1.eval(rd(a, 0.0), rd(b, 0.0));
-                        let u = op2.eval(rd(c, t), rd(d, t));
-                        let w = op3.eval(rd(e, u), rd(f, u));
-                        let rd2 = |r: u16, prev: f64| match r {
-                            SELF_OPERAND => prev,
-                            GET_OPERAND => v,
-                            CHAIN3_OPERAND => w,
-                            _ => regs[r as usize],
-                        };
-                        let p = op4.eval(rd2(g, 0.0), rd2(h, 0.0));
-                        let q = op5.eval(rd2(i, p), rd2(j, p));
-                        if st.out_cells >= policy.max_output_cells {
-                            return Err(TvmError::OutputLimitExceeded);
-                        }
-                        st.out_cells += 1;
-                        outputs[out as usize].push(q);
-                    }
                     RegOp::BinPush { op, a, b, port } => {
                         let v = op.eval(regs[a as usize], regs[b as usize]);
                         if st.out_cells >= policy.max_output_cells {
@@ -1358,11 +1087,7 @@ impl LoopRegion {
 /// in), and the body must be straight-line (no calls, returns, halts, or
 /// interior jumps) with its stack traffic never dipping below the depth
 /// at entry.
-fn detect_function_regions(
-    code: &[Op],
-    n_locals: u16,
-    flat_of: &dyn Fn(usize) -> u32,
-) -> Vec<LoopRegion> {
+fn detect_function_regions(code: &[Op], n_locals: u16, base: u32) -> Vec<LoopRegion> {
     let branch_target = |op: Op| -> Option<usize> {
         match op {
             Op::Jmp(t) | Op::Jz(t) | Op::Jnz(t) => Some(t as usize),
@@ -1399,7 +1124,7 @@ fn detect_function_regions(
                 }
             }
         }
-        if let Some(region) = translate_region(code, h, b, n_locals, flat_of) {
+        if let Some(region) = translate_region(code, h, b, n_locals, base) {
             accepted.push((h, b));
             out.push(region);
         }
@@ -1625,20 +1350,6 @@ fn reads(op: &RegOp, r: u16) -> bool {
             f,
             ..
         } => idx == r || a == r || b == r || c == r || d == r || e == r || f == r,
-        RegOp::GetChainPush {
-            idx,
-            a,
-            b,
-            c,
-            d,
-            e,
-            f,
-            g,
-            h,
-            i,
-            j,
-            ..
-        } => [idx, a, b, c, d, e, f, g, h, i, j].contains(&r),
         RegOp::Un { src, .. } => src == r,
         RegOp::InLen { .. } | RegOp::OutLen { .. } | RegOp::HostIo { .. } => false,
         RegOp::InGet { idx, .. } | RegOp::In2 { idx, .. } => idx == r,
@@ -1790,53 +1501,6 @@ fn peephole(
                     })
                 }
                 (
-                    Some(RegOp::InGetBin3 {
-                        port,
-                        idx,
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        dst,
-                    }),
-                    RegOp::Bin2Push {
-                        op1: op4,
-                        a: g,
-                        b: h,
-                        op2: op5,
-                        c: i,
-                        d: j,
-                        port: out,
-                    },
-                ) if dead(dst) => {
-                    let m = |r: u16| if r == dst { CHAIN3_OPERAND } else { r };
-                    Some(RegOp::GetChainPush {
-                        port,
-                        idx,
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        op4,
-                        g: m(g),
-                        h: m(h),
-                        op5,
-                        i: m(i),
-                        j: m(j),
-                        out,
-                    })
-                }
-                (
                     Some(RegOp::Bin2 {
                         op1,
                         a,
@@ -1890,13 +1554,15 @@ fn peephole(
 
 /// Translate source ops `[h, b]` (`code[b]` is the back-edge branch to
 /// `h`) into register form, or `None` when the body defeats translation.
+/// `base` is the function's offset in the flat code array.
 fn translate_region(
     code: &[Op],
     h: usize,
     b: usize,
     n_locals: u16,
-    flat_of: &dyn Fn(usize) -> u32,
+    base: u32,
 ) -> Option<LoopRegion> {
+    let flat_of = |pc: usize| base + pc as u32;
     let full_cost = (b - h + 1) as u64;
     let mut t = Translator::new(n_locals);
     for pc in h..=b {

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use tvm::asm::assemble;
 use tvm::{
-    execute, ExecContext, ExecTier, Function, Module, Op, PreparedModule, SandboxPolicy,
-    Tier2Module, TvmError,
+    execute, ExecContext, Function, Module, Op, PreparedModule, SandboxPolicy, Tier2Module,
+    TvmError,
 };
 
 /// Arbitrary (possibly invalid) instruction.
@@ -429,72 +429,6 @@ proptest! {
                     }
                     _ => prop_assert!(false, "a tier accepted a rejected module"),
                 }
-            }
-        }
-    }
-
-    /// Batched execution over K jobs is observationally identical to K
-    /// sequential single-job runs, for both Prepared and Tier2: same
-    /// outputs bit for bit, same per-job `ExecStats`, and failures land at
-    /// the same batch positions with the same typed errors (a mid-batch
-    /// error must not disturb its neighbours).
-    #[test]
-    fn batch_over_k_equals_k_sequential(
-        bodies in proptest::collection::vec(
-            proptest::collection::vec(arb_full_op(), 1..40), 1..3),
-        job_lens in proptest::collection::vec(0usize..10, 1..6),
-        max_instructions in 50u64..3_000,
-        seed in 0u64..1000,
-    ) {
-        let module = diff_module(bodies);
-        let buffers: Vec<Vec<Vec<f64>>> = job_lens
-            .iter()
-            .enumerate()
-            .map(|(j, &n)| {
-                (0..DIFF_PORTS as usize)
-                    .map(|p| {
-                        (0..n)
-                            .map(|i| {
-                                (seed as f64 + j as f64 * 11.0 + p as f64 * 3.0 + i as f64).sin()
-                                    * 40.0
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let ports: Vec<Vec<&[f64]>> = buffers
-            .iter()
-            .map(|job| job.iter().map(Vec::as_slice).collect())
-            .collect();
-        let jobs: Vec<&[&[f64]]> = ports.iter().map(Vec::as_slice).collect();
-        let policy = SandboxPolicy {
-            max_instructions,
-            max_stack: 16,
-            max_call_depth: 4,
-            max_output_cells: 64,
-            allow_host_io: false,
-        };
-        let prepared = PreparedModule::prepare(&module).unwrap();
-        let tier2 = Tier2Module::prepare(&module).unwrap();
-        let tiers: [&dyn ExecTier; 2] = [&prepared, &tier2];
-        for tier in tiers {
-            let mut batch_ctx = ExecContext::new();
-            let batch = tier.execute_batch(&jobs, &policy, &mut batch_ctx);
-            prop_assert_eq!(batch.len(), jobs.len());
-            let mut seq_ctx = ExecContext::new();
-            for (j, job) in jobs.iter().enumerate() {
-                let solo = tier.execute(job, &policy, &mut seq_ctx);
-                let same = match (&batch[j], &solo) {
-                    (Ok((bo, bs)), Ok((so, ss))) => bits(bo) == bits(so) && bs == ss,
-                    (Err(a), Err(b)) => errs_eq(a, b),
-                    _ => false,
-                };
-                prop_assert!(
-                    same,
-                    "tier {} job {j} diverged:\n  batch = {:?}\n  solo  = {:?}",
-                    tier.tier_name(), batch[j], solo
-                );
             }
         }
     }
