@@ -412,50 +412,104 @@ fn ms_to_time(ms: u64) -> SimTime {
     SimTime::ZERO + Duration::from_millis(ms)
 }
 
+/// Reachability bookkeeping for the orchestrator set, shared by the farm
+/// and pipeline drivers: a member is usable only while its host is online
+/// *and* unpartitioned.
+struct OrchFaults {
+    /// Hosts of the orchestrator set; empty when the world runs the
+    /// classic single controller (orch plan actions are then ignored).
+    hosts: Vec<HostId>,
+    offline: Vec<bool>,
+    cuts: Vec<u32>,
+}
+
+impl OrchFaults {
+    fn new(hosts: Vec<HostId>) -> Self {
+        OrchFaults {
+            offline: vec![false; hosts.len()],
+            cuts: vec![0; hosts.len()],
+            hosts,
+        }
+    }
+
+    /// Cut or heal every link between orchestrator `o` and the rest of
+    /// the grid (`peers` — workers or stages — and fellow orchestrators).
+    fn set_partitioned(&self, world: &mut GridWorld, peers: &[HostId], o: usize, cut: bool) {
+        for &ph in peers {
+            world.net.set_link_cut(self.hosts[o], ph, cut);
+        }
+        for (j, &oh) in self.hosts.iter().enumerate() {
+            if j != o {
+                world.net.set_link_cut(self.hosts[o], oh, cut);
+            }
+        }
+    }
+}
+
+/// Apply one orchestrator fault (`OrchDown`/`OrchUp`/`OrchCut`/`OrchUncut`)
+/// to the set behind `orch`. When it changes member `o`'s reachability the
+/// membership view is pushed to match and `changed` lets the scheduler
+/// react (election, ownership reassignment, resumed returns, kick).
+fn apply_orch_action(
+    world: &mut GridWorld,
+    faults: &mut OrchFaults,
+    peers: &[HostId],
+    orch: &OrchestratorHandle,
+    act: Action,
+    changed: impl FnOnce(&mut GridWorld),
+) {
+    let o = match act {
+        Action::OrchDown(o) | Action::OrchUp(o) | Action::OrchCut(o) | Action::OrchUncut(o) => {
+            o as usize
+        }
+        _ => unreachable!("not an orchestrator action: {act:?}"),
+    };
+    if o >= faults.hosts.len() {
+        return;
+    }
+    match act {
+        Action::OrchDown(_) if !faults.offline[o] => {
+            faults.offline[o] = true;
+            world.net.set_online(faults.hosts[o], false);
+        }
+        Action::OrchUp(_) if faults.offline[o] => {
+            faults.offline[o] = false;
+            world.net.set_online(faults.hosts[o], true);
+        }
+        Action::OrchCut(_) => {
+            faults.cuts[o] += 1;
+            if faults.cuts[o] == 1 {
+                faults.set_partitioned(world, peers, o, true);
+            }
+        }
+        Action::OrchUncut(_) if faults.cuts[o] > 0 => {
+            faults.cuts[o] -= 1;
+            if faults.cuts[o] == 0 {
+                faults.set_partitioned(world, peers, o, false);
+            }
+        }
+        // The member is already in the state the fault asks for.
+        _ => return,
+    }
+    if !faults.offline[o] && faults.cuts[o] == 0 {
+        orch.set_member_up(&mut world.sim, &mut world.net, &mut world.p2p, o);
+    } else {
+        orch.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, o);
+    }
+    changed(world);
+}
+
 /// Static facts the farm driver needs to apply plan actions, plus the
-/// mutable reachability bookkeeping for the orchestrator set (a member is
-/// usable only while its host is online *and* unpartitioned).
+/// orchestrator set's reachability bookkeeping.
 pub struct FarmCtx {
     ctrl_host: HostId,
     worker_hosts: Vec<HostId>,
     module_blob: BlobId,
     module_len: u64,
     module_chunks: u32,
-    /// Hosts of the orchestrator set; empty when the world runs the
-    /// classic single controller (orch plan actions are then ignored).
-    orch_hosts: Vec<HostId>,
-    orch_offline: Vec<bool>,
-    orch_cuts: Vec<u32>,
+    orch: OrchFaults,
     /// Seed-derived stream for routing-table poisonings (`rtbl` faults).
     poison_rng: Pcg32,
-}
-
-impl FarmCtx {
-    /// Cut or heal every link between orchestrator `o` and the rest of
-    /// the grid (workers and fellow orchestrators).
-    fn set_orch_partitioned(&self, world: &mut GridWorld, o: usize, cut: bool) {
-        for &wh in &self.worker_hosts {
-            world.net.set_link_cut(self.orch_hosts[o], wh, cut);
-        }
-        for (j, &oh) in self.orch_hosts.iter().enumerate() {
-            if j != o {
-                world.net.set_link_cut(self.orch_hosts[o], oh, cut);
-            }
-        }
-    }
-
-    /// Push the membership view to match reachability and let the farm
-    /// react (election, ownership reassignment, resumed returns, kick).
-    fn sync_orch_member(&self, world: &mut GridWorld, farm: &mut FarmScheduler, o: usize) {
-        let up = !self.orch_offline[o] && self.orch_cuts[o] == 0;
-        let orch = farm.orchestrators().clone();
-        if up {
-            orch.set_member_up(&mut world.sim, &mut world.net, &mut world.p2p, o);
-        } else {
-            orch.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, o);
-        }
-        farm.on_orch_change(world);
-    }
 }
 
 fn apply_farm_action(
@@ -518,41 +572,12 @@ fn apply_farm_action(
                 .p2p
                 .publish(&mut world.sim, &mut world.net, provider, ad);
         }
-        Action::OrchDown(o) => {
-            let o = o as usize;
-            if o < ctx.orch_hosts.len() && !ctx.orch_offline[o] {
-                ctx.orch_offline[o] = true;
-                world.net.set_online(ctx.orch_hosts[o], false);
-                ctx.sync_orch_member(world, farm, o);
-            }
-        }
-        Action::OrchUp(o) => {
-            let o = o as usize;
-            if o < ctx.orch_hosts.len() && ctx.orch_offline[o] {
-                ctx.orch_offline[o] = false;
-                world.net.set_online(ctx.orch_hosts[o], true);
-                ctx.sync_orch_member(world, farm, o);
-            }
-        }
-        Action::OrchCut(o) => {
-            let o = o as usize;
-            if o < ctx.orch_hosts.len() {
-                ctx.orch_cuts[o] += 1;
-                if ctx.orch_cuts[o] == 1 {
-                    ctx.set_orch_partitioned(world, o, true);
-                }
-                ctx.sync_orch_member(world, farm, o);
-            }
-        }
-        Action::OrchUncut(o) => {
-            let o = o as usize;
-            if o < ctx.orch_hosts.len() && ctx.orch_cuts[o] > 0 {
-                ctx.orch_cuts[o] -= 1;
-                if ctx.orch_cuts[o] == 0 {
-                    ctx.set_orch_partitioned(world, o, false);
-                }
-                ctx.sync_orch_member(world, farm, o);
-            }
+        Action::OrchDown(_) | Action::OrchUp(_) | Action::OrchCut(_) | Action::OrchUncut(_) => {
+            let orch = farm.orchestrators().clone();
+            let peers = &ctx.worker_hosts;
+            apply_orch_action(world, &mut ctx.orch, peers, &orch, act, |w| {
+                farm.on_orch_change(w);
+            });
         }
         Action::Poison(w) => {
             // No-op outside routed mode (a flooding peer has no routing
@@ -632,33 +657,7 @@ pub fn drive_farm(
 /// pipeline driver (the pipeline analogue of [`FarmCtx`]).
 pub struct PipeCtx {
     stage_hosts: Vec<HostId>,
-    orch_hosts: Vec<HostId>,
-    orch_offline: Vec<bool>,
-    orch_cuts: Vec<u32>,
-}
-
-impl PipeCtx {
-    fn set_orch_partitioned(&self, world: &mut GridWorld, o: usize, cut: bool) {
-        for &sh in &self.stage_hosts {
-            world.net.set_link_cut(self.orch_hosts[o], sh, cut);
-        }
-        for (j, &oh) in self.orch_hosts.iter().enumerate() {
-            if j != o {
-                world.net.set_link_cut(self.orch_hosts[o], oh, cut);
-            }
-        }
-    }
-
-    fn sync_orch_member(&self, world: &mut GridWorld, pl: &mut PipelineScheduler, o: usize) {
-        let up = !self.orch_offline[o] && self.orch_cuts[o] == 0;
-        let orch = pl.orchestrators().clone();
-        if up {
-            orch.set_member_up(&mut world.sim, &mut world.net, &mut world.p2p, o);
-        } else {
-            orch.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, o);
-        }
-        pl.on_orch_change(&mut world.sim, &mut world.net, &mut world.p2p);
-    }
+    orch: OrchFaults,
 }
 
 /// Step the pipeline world to drain (same action protocol as
@@ -702,41 +701,15 @@ pub fn drive_pipeline(
                     pct,
                     Duration::from_millis(u64::from(max_ms)),
                 ),
-                Action::OrchDown(o) => {
-                    let o = o as usize;
-                    if o < ctx.orch_hosts.len() && !ctx.orch_offline[o] {
-                        ctx.orch_offline[o] = true;
-                        world.net.set_online(ctx.orch_hosts[o], false);
-                        ctx.sync_orch_member(world, pl, o);
-                    }
-                }
-                Action::OrchUp(o) => {
-                    let o = o as usize;
-                    if o < ctx.orch_hosts.len() && ctx.orch_offline[o] {
-                        ctx.orch_offline[o] = false;
-                        world.net.set_online(ctx.orch_hosts[o], true);
-                        ctx.sync_orch_member(world, pl, o);
-                    }
-                }
-                Action::OrchCut(o) => {
-                    let o = o as usize;
-                    if o < ctx.orch_hosts.len() {
-                        ctx.orch_cuts[o] += 1;
-                        if ctx.orch_cuts[o] == 1 {
-                            ctx.set_orch_partitioned(world, o, true);
-                        }
-                        ctx.sync_orch_member(world, pl, o);
-                    }
-                }
-                Action::OrchUncut(o) => {
-                    let o = o as usize;
-                    if o < ctx.orch_hosts.len() && ctx.orch_cuts[o] > 0 {
-                        ctx.orch_cuts[o] -= 1;
-                        if ctx.orch_cuts[o] == 0 {
-                            ctx.set_orch_partitioned(world, o, false);
-                        }
-                        ctx.sync_orch_member(world, pl, o);
-                    }
+                Action::OrchDown(_)
+                | Action::OrchUp(_)
+                | Action::OrchCut(_)
+                | Action::OrchUncut(_) => {
+                    let orch = pl.orchestrators().clone();
+                    let peers = &ctx.stage_hosts;
+                    apply_orch_action(world, &mut ctx.orch, peers, &orch, act, |w| {
+                        pl.on_orch_change(&mut w.sim, &mut w.net, &mut w.p2p);
+                    });
                 }
                 // Filtered out by PlanRuntime::new for pipelines.
                 _ => unreachable!("farm-only action in a pipeline plan"),
@@ -898,9 +871,7 @@ fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: boo
             module_blob,
             module_len,
             module_chunks: layout.count(),
-            orch_offline: vec![false; orch_hosts.len()],
-            orch_cuts: vec![0; orch_hosts.len()],
-            orch_hosts,
+            orch: OrchFaults::new(orch_hosts),
             poison_rng: Pcg32::new(seed, 0x0007_B150),
         },
         obs,
@@ -1127,9 +1098,7 @@ fn run_pipeline_scenario(cfg: &ChaosConfig) -> RunOutcome {
     rt.schedule_churn(&mut world.sim);
     let mut ctx = PipeCtx {
         stage_hosts,
-        orch_offline: vec![false; orch_hosts.len()],
-        orch_cuts: vec![0; orch_hosts.len()],
-        orch_hosts,
+        orch: OrchFaults::new(orch_hosts),
     };
     drive_pipeline(&mut world, &mut pl, &mut rt, &oracle, &mut ctx);
     let reg = obs.registry().expect("obs enabled").clone();
@@ -1377,9 +1346,7 @@ mod tests {
             module_blob: BlobId::of(&[]),
             module_len: 0,
             module_chunks: 0,
-            orch_hosts: Vec::new(),
-            orch_offline: Vec::new(),
-            orch_cuts: Vec::new(),
+            orch: OrchFaults::new(Vec::new()),
             poison_rng: Pcg32::new(5, 0x0007_B150),
         };
         let mut violations = Vec::new();

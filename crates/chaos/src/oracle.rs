@@ -24,8 +24,9 @@
 use netsim::{Duration, EventTap, Intercept, Pcg32, SimTime};
 use p2p::{Message, P2pEvent, PeerId};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
-use triana_core::grid::GridEvent;
+use triana_core::grid::{GridEvent, JobId, WorkerId};
 
 fn is_discovery(msg: &Message) -> bool {
     // Flood-mode discovery plus the routed overlay's lookup/store traffic:
@@ -68,6 +69,10 @@ struct OracleState {
     delay_max: Duration,
     counters: ChaosCounters,
     mutate_drop_output: bool,
+    /// While the mutation is armed: per job, the one worker its input has
+    /// reached — `None` once a second worker (a retry or a speculative
+    /// duplicate) has received it too.
+    sole_copy: HashMap<JobId, Option<WorkerId>>,
 }
 
 /// Shared handle over the oracle state: the tap, the send filter, the
@@ -92,13 +97,17 @@ impl FaultOracle {
                 delay_max: Duration::ZERO,
                 counters: ChaosCounters::default(),
                 mutate_drop_output: false,
+                sole_copy: HashMap::new(),
             })),
         }
     }
 
     /// Arm the `drop-output` mutation: the tap swallows the first
-    /// `OutputArrived` it sees, losing a delivered result at the protocol
-    /// layer. Used to prove the invariant checker + shrinker catch it.
+    /// `OutputArrived` of a job only one worker ever received — a delivered
+    /// result no other copy will replace, lost at the protocol layer (a
+    /// speculative duplicate's result, or the primary's it races, is not
+    /// such a loss: the other copy completes the job). Used to prove the
+    /// invariant checker + shrinker catch it.
     pub fn set_mutate_drop_output(&self, on: bool) {
         self.state.borrow_mut().mutate_drop_output = on;
     }
@@ -150,9 +159,20 @@ impl FaultOracle {
             fn intercept(&mut self, now: SimTime, ev: GridEvent) -> Intercept<GridEvent> {
                 let mut s = self.0.borrow_mut();
                 if s.mutate_drop_output && s.counters.mutations == 0 {
-                    if let GridEvent::OutputArrived { .. } = ev {
-                        s.counters.mutations += 1;
-                        return Intercept::Drop;
+                    match ev {
+                        GridEvent::InputArrived { job, worker, .. } => {
+                            let sole = s.sole_copy.entry(job).or_insert(Some(worker));
+                            if *sole != Some(worker) {
+                                *sole = None;
+                            }
+                        }
+                        GridEvent::OutputArrived { job, worker, .. }
+                            if s.sole_copy.get(&job) == Some(&Some(worker)) =>
+                        {
+                            s.counters.mutations += 1;
+                            return Intercept::Drop;
+                        }
+                        _ => {}
                     }
                 }
                 if let GridEvent::P2p(P2pEvent::Delivered { msg, .. }) = &ev {

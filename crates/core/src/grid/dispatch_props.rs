@@ -30,6 +30,12 @@ const HORIZON_S: u64 = 2_000;
 #[derive(Default)]
 struct Coverage {
     speculated: bool,
+    /// A speculative duplicate's result came home first.
+    spec_won: bool,
+    /// The primary's did, and the duplicate was abandoned.
+    spec_lost: bool,
+    /// A duplicate's worker vanished under it.
+    spec_died: bool,
     /// An assignment failed on a severed route and went back to the queue.
     bounced: bool,
     /// A worker vanished with jobs on it.
@@ -156,7 +162,12 @@ fn random_farm(seed: u64, policy: u8, swarm: bool, checkpoint: bool) -> (FarmSta
                     }
                 }
             }
-            other => farm.handle(&mut world, other),
+            other => {
+                if let GridEvent::WorkerDown(wid) = other {
+                    cov.spec_died |= farm.worker_is_up(wid) && farm.hosts_a_backup(wid);
+                }
+                farm.handle(&mut world, other);
+            }
         }
         if next_cut == Some(events) {
             let host = hosts[rng.below(hosts.len() as u64) as usize];
@@ -188,6 +199,8 @@ fn random_farm(seed: u64, policy: u8, swarm: bool, checkpoint: bool) -> (FarmSta
     }
     let reg = obs.registry().expect("enabled above");
     cov.speculated = stats.spec_dispatches > 0;
+    cov.spec_won = stats.spec_wins > 0;
+    cov.spec_lost = reg.counter_value("trust.speculative_losses") > 0;
     cov.bounced = reg.counter_value("farm.requeues") > 0;
     cov.migrated = reg.counter_value("farm.migrations") > 0;
     (stats, cov)
@@ -216,11 +229,17 @@ fn generator_reaches_every_dispatch_path() {
     for seed in 0..48 {
         let (_, c) = random_farm(seed, (seed % 3) as u8, seed % 2 == 0, seed % 4 < 2);
         seen.speculated |= c.speculated;
+        seen.spec_won |= c.spec_won;
+        seen.spec_lost |= c.spec_lost;
+        seen.spec_died |= c.spec_died;
         seen.bounced |= c.bounced;
         seen.migrated |= c.migrated;
         seen.blacklisted |= c.blacklisted;
     }
     assert!(seen.speculated, "no case launched a speculative duplicate");
+    assert!(seen.spec_won, "no speculative duplicate won its race");
+    assert!(seen.spec_lost, "no speculative duplicate lost its race");
+    assert!(seen.spec_died, "no speculative duplicate lost its worker");
     assert!(
         seen.bounced,
         "no case bounced an assignment off a cut route"

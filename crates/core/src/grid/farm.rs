@@ -83,7 +83,7 @@ impl Default for SwarmConfig {
     }
 }
 
-/// One in-flight swarm module fetch (keyed by job in the scheduler).
+/// One in-flight swarm module fetch.
 struct SwarmFetch {
     key: ModuleKey,
     query: QueryId,
@@ -93,11 +93,58 @@ struct SwarmFetch {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum JobState {
     Pending,
-    FetchingModule,
-    SendingInput,
-    Running,
-    Returning,
+    /// A primary copy is in flight (and perhaps a backup).
+    Assigned,
     Done,
+}
+
+/// Which of a job's two possible copies an attempt is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Role {
+    /// The copy dispatch placed; it migrates when its worker vanishes.
+    Primary,
+    /// A speculative duplicate racing a straggling primary on a second
+    /// worker. First result home wins; the loser is abandoned and the
+    /// compute it sank metered as waste.
+    Backup,
+}
+
+/// How far one copy of a job has got: ship module and input, compute,
+/// return. The copy occupies a slot on its worker until it reaches
+/// `Returning`.
+enum Phase {
+    /// Module download in flight — `Some` once a swarm fetch has its provider
+    /// query out, `None` for the controller-direct blob.
+    Fetching(Option<SwarmFetch>),
+    SendingInput,
+    Running {
+        started: SimTime,
+        exec: Duration,
+    },
+    /// Result in flight. `stamp` names the owner it left the worker for;
+    /// an orchestrator change in between makes the arrival stale.
+    Returning {
+        stamp: u64,
+    },
+}
+
+impl Phase {
+    fn holds_slot(&self) -> bool {
+        !matches!(self, Phase::Returning { .. })
+    }
+}
+
+/// One copy of a job on one worker.
+struct Attempt {
+    worker: WorkerId,
+    /// The worker's epoch when the copy was seated. With `worker` it names
+    /// this copy alone; the events in flight for the copy carry the pair,
+    /// and find nothing once the copy is gone.
+    epoch: u64,
+    /// Work this copy covers: what the job's checkpoint did not when the
+    /// copy was dispatched.
+    gigacycles: f64,
+    phase: Phase,
 }
 
 struct Job {
@@ -110,56 +157,65 @@ struct Job {
     /// SETI-style: redundant copies on distinct volunteers).
     conflicts: Vec<JobId>,
     state: JobState,
-    /// Owner stamp minted when the result transfer left the worker; an
-    /// orchestrator change in between makes in-flight arrivals stale.
-    out_stamp: u64,
     /// Fraction of the work already checkpointed.
     fraction: f64,
-    /// (worker, worker-epoch) currently responsible, if any.
-    assigned: Option<(WorkerId, u64)>,
+    /// The copy responsible for the job; `Some` exactly while `Assigned`.
+    primary: Option<Attempt>,
+    /// Speculative duplicate on another worker (straggler mitigation);
+    /// only ever alongside a primary.
+    backup: Option<Attempt>,
     attempts: u32,
     /// Compute time lost to interruptions (beyond the checkpointed part).
     wasted: Duration,
-    /// In-flight speculative duplicate (straggler mitigation), if any.
-    spec_attempt: Option<SpecAttempt>,
 }
 
-/// A speculative duplicate of a straggling job, racing the primary copy on
-/// a second worker. First finisher wins; the loser is cancelled and its
-/// compute metered as waste.
-struct SpecAttempt {
-    worker: WorkerId,
-    epoch: u64,
-    state: JobState,
-    started: Option<SimTime>,
-    exec: Duration,
-    /// Work the duplicate recomputes (the primary's remaining fraction).
-    gigacycles: f64,
-}
+impl Job {
+    fn slot(&mut self, role: Role) -> &mut Option<Attempt> {
+        match role {
+            Role::Primary => &mut self.primary,
+            Role::Backup => &mut self.backup,
+        }
+    }
 
-struct RunningJob {
-    job: JobId,
-    started: SimTime,
-    exec: Duration,
-    /// Work this run covers, for runtime profiling on completion.
-    gigacycles: f64,
+    fn copies(&self) -> impl Iterator<Item = &Attempt> {
+        self.primary.iter().chain(&self.backup)
+    }
+
+    /// The copy an in-flight event minted for `(wid, epoch)` belongs to —
+    /// `None` once that copy is gone, as every copy seated on a worker is
+    /// the moment the worker goes down. Each handler checks for itself that
+    /// the copy is still in the phase its event was for.
+    fn live(&mut self, wid: WorkerId, epoch: u64) -> Option<(Role, &mut Attempt)> {
+        match (&mut self.primary, &mut self.backup) {
+            (Some(a), _) if a.worker == wid && a.epoch == epoch => Some((Role::Primary, a)),
+            (_, Some(a)) if a.worker == wid && a.epoch == epoch => Some((Role::Backup, a)),
+            _ => None,
+        }
+    }
+
+    /// The primary's worker and seat epoch and the swarm fetch it is in the
+    /// middle of, if any. Only a primary fetches: a backup's module rides
+    /// with its input.
+    fn swarm(&mut self) -> Option<(WorkerId, u64, &mut SwarmFetch)> {
+        let a = self.primary.as_mut()?;
+        match &mut a.phase {
+            Phase::Fetching(Some(fetch)) => Some((a.worker, a.epoch, fetch)),
+            _ => None,
+        }
+    }
 }
 
 struct Worker {
     peer: PeerId,
     host: HostId,
     spec: HostSpec,
-    /// Bumped on every availability transition; stale in-flight events
-    /// carry an older epoch and are ignored.
+    /// Bumped every time a copy is seated here, so no two copies share a
+    /// `(worker, epoch)`: events left in flight by an abandoned copy can
+    /// never be taken for those of a later one.
     epoch: u64,
-    /// Jobs whose primary copy holds a slot here (module fetch, input
-    /// transfer or compute in flight) — what migrates if the worker
-    /// vanishes.
-    held: Vec<JobId>,
-    /// Jobs whose speculative duplicate lives here, in any state.
-    spec_jobs: Vec<JobId>,
-    /// Jobs currently computing on this worker.
-    running: Vec<RunningJob>,
+    /// Jobs with a copy occupying a slot here (anything before
+    /// `Returning`) — what migrates or dies if the worker vanishes.
+    attempts: Vec<JobId>,
     /// Fraction of the advertised clock actually delivered (1.0 = honest
     /// advert). Models the paper's §3.7 gap between a peer's advertised
     /// "machine type, speed" and the computational bandwidth it reaches —
@@ -177,6 +233,19 @@ struct Worker {
     /// Usage metered against the controller's virtual account (§2:
     /// "billing information for resources used").
     ledger: BillingLedger,
+}
+
+impl Worker {
+    /// Simulated execution time of `gigacycles` here, including the
+    /// (hidden) efficiency factor.
+    fn exec_time(&self, gigacycles: f64) -> Duration {
+        let base = self.spec.exec_time(gigacycles);
+        if self.efficiency == 1.0 {
+            base
+        } else {
+            Duration::from_secs_f64(base.as_secs_f64() / self.efficiency)
+        }
+    }
 }
 
 /// Aggregate outcome of a farm run.
@@ -232,8 +301,6 @@ pub struct FarmScheduler {
     pub chunk_spec: Option<JobSpec>,
     /// The submitting user's virtual account, billed on every worker.
     pub account: VirtualAccount,
-    /// In-flight swarm module fetches, by job.
-    fetches: HashMap<JobId, SwarmFetch>,
     /// Reverse map for serving swarm chunks out of a provider's store.
     peer_workers: HashMap<PeerId, WorkerId>,
     /// Learned per-worker runtime, availability, and trust estimates.
@@ -272,7 +339,6 @@ impl FarmScheduler {
             library: ModuleLibrary::new(),
             chunk_spec: None,
             account: VirtualAccount("controller".to_string()),
-            fetches: HashMap::new(),
             peer_workers: HashMap::new(),
             profiles: ProfileRegistry::new(tcfg.profile),
             policy: tcfg.policy,
@@ -361,18 +427,6 @@ impl FarmScheduler {
             .record(&mut world.sim, &mut world.net, &mut world.p2p, d);
     }
 
-    /// Simulated execution time of `gigacycles` on a worker, including its
-    /// (hidden) efficiency factor.
-    fn effective_exec(&self, wid: WorkerId, gigacycles: f64) -> Duration {
-        let w = &self.workers[wid.0 as usize];
-        let base = w.spec.exec_time(gigacycles);
-        if w.efficiency == 1.0 {
-            base
-        } else {
-            Duration::from_secs_f64(base.as_secs_f64() / w.efficiency)
-        }
-    }
-
     /// Enrol a single-slot worker (an ordinary volunteer PC).
     pub fn add_worker(&mut self, world: &mut GridWorld, setup: WorkerSetup) -> WorkerId {
         self.add_worker_with_capacity(world, setup, 1)
@@ -403,9 +457,7 @@ impl FarmScheduler {
             host,
             spec: setup.spec,
             epoch: 0,
-            held: Vec::new(),
-            spec_jobs: Vec::new(),
-            running: Vec::new(),
+            attempts: Vec::new(),
             efficiency: 1.0,
             cache,
             store: ChunkStore::new(chunk_bytes),
@@ -445,12 +497,11 @@ impl FarmScheduler {
             completed_by: None,
             conflicts,
             state: JobState::Pending,
-            out_stamp: 0,
             fraction: 0.0,
-            assigned: None,
+            primary: None,
+            backup: None,
             attempts: 0,
             wasted: Duration::ZERO,
-            spec_attempt: None,
         });
         // Partition: the best-scoring reachable orchestrator owns this
         // unit's data plane (a no-op choice in single-controller mode).
@@ -479,9 +530,7 @@ impl FarmScheduler {
     fn eligible(&self, job_id: JobId, wid: WorkerId) -> bool {
         self.jobs[job_id.0 as usize].conflicts.iter().all(|&cj| {
             let c = &self.jobs[cj.0 as usize];
-            c.completed_by != Some(wid)
-                && !matches!(c.assigned, Some((w, _)) if w == wid)
-                && !matches!(&c.spec_attempt, Some(s) if s.worker == wid)
+            c.completed_by != Some(wid) && c.copies().all(|a| a.worker != wid)
         })
     }
 
@@ -625,10 +674,35 @@ impl FarmScheduler {
         debug_assert!(self.indexes_consistent());
     }
 
-    fn assign(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId) {
-        let epoch = self.workers[wid.0 as usize].epoch;
+    /// Seat a new copy of `job` on `wid`: take a slot there and file the
+    /// copy with the job and the worker. The caller's next step — a module
+    /// fetch or `send_input` — says what phase the copy is in.
+    fn start_attempt(&mut self, job: JobId, role: Role, wid: WorkerId) {
+        let gigacycles = self.remaining_gigacycles(job);
         self.slots.take(wid);
-        self.workers[wid.0 as usize].held.push(job_id);
+        let w = &mut self.workers[wid.0 as usize];
+        w.epoch += 1;
+        w.attempts.push(job);
+        let j = &mut self.jobs[job.0 as usize];
+        j.attempts += 1;
+        *j.slot(role) = Some(Attempt {
+            worker: wid,
+            epoch: w.epoch,
+            gigacycles,
+            phase: Phase::SendingInput,
+        });
+    }
+
+    /// Move `role`'s copy of `job` to `phase` and name its worker and seat
+    /// epoch for the event that will end the phase; `None` if an earlier
+    /// step of the same handler already lost the copy.
+    fn enter(&mut self, job: JobId, role: Role, phase: Phase) -> Option<(WorkerId, u64)> {
+        let a = self.jobs[job.0 as usize].slot(role).as_mut()?;
+        a.phase = phase;
+        Some((a.worker, a.epoch))
+    }
+
+    fn assign(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId) {
         let module_key = self.jobs[job_id.0 as usize].spec.module.clone();
         // `get` (not `contains`) so cache hit/miss statistics are metered.
         let needs_module = match &module_key {
@@ -654,36 +728,31 @@ impl FarmScheduler {
                 worker: wid.0,
             },
         );
-        let job = &mut self.jobs[job_id.0 as usize];
-        job.assigned = Some((wid, epoch));
-        job.attempts += 1;
-        if job.attempts > 1 {
+        self.jobs[job_id.0 as usize].state = JobState::Assigned;
+        self.start_attempt(job_id, Role::Primary, wid);
+        if self.jobs[job_id.0 as usize].attempts > 1 {
             self.obs.incr("farm.retries");
         }
         if needs_module {
             let key = module_key.expect("checked above");
-            self.jobs[job_id.0 as usize].state = JobState::FetchingModule;
             if self.cfg.swarm.is_some() {
-                self.swarm_fetch(world, job_id, wid, epoch, key);
+                self.swarm_fetch(world, job_id, key);
             } else {
-                self.direct_fetch(world, job_id, wid, epoch, key);
+                self.direct_fetch(world, job_id, key);
             }
         } else {
-            self.send_input(world, job_id, wid, epoch);
+            self.send_input(world, job_id, Role::Primary);
         }
     }
 
     /// Classic §3.3 module download: the controller ships the whole blob.
     /// Also the swarm's fallback when discovery finds no provider or
-    /// verification rejects the assembled bytes.
-    fn direct_fetch(
-        &mut self,
-        world: &mut GridWorld,
-        job_id: JobId,
-        wid: WorkerId,
-        epoch: u64,
-        key: ModuleKey,
-    ) {
+    /// verification rejects the assembled bytes (whatever swarm state the
+    /// primary had is dropped here).
+    fn direct_fetch(&mut self, world: &mut GridWorld, job_id: JobId, key: ModuleKey) {
+        let Some((wid, epoch)) = self.enter(job_id, Role::Primary, Phase::Fetching(None)) else {
+            return;
+        };
         let bytes = self
             .library
             .fetch(&key)
@@ -702,26 +771,22 @@ impl FarmScheduler {
                     epoch,
                 },
             ),
-            Err(_) => self.requeue(world, job_id, wid),
+            Err(_) => self.attempt_failed(world, job_id, Role::Primary),
         }
     }
 
     /// Start a peer-assisted fetch: discover providers of the module's
     /// content hash over the overlay, then pull chunks in parallel once
     /// the discovery window closes.
-    fn swarm_fetch(
-        &mut self,
-        world: &mut GridWorld,
-        job_id: JobId,
-        wid: WorkerId,
-        epoch: u64,
-        key: ModuleKey,
-    ) {
+    fn swarm_fetch(&mut self, world: &mut GridWorld, job_id: JobId, key: ModuleKey) {
+        let Some((wid, epoch)) = self.enter(job_id, Role::Primary, Phase::Fetching(None)) else {
+            return;
+        };
         let sw = self.cfg.swarm.clone().expect("swarm fetch implies config");
         let (id, blob_len) = match self.library.fetch(&key) {
             Some(b) => (BlobId::of_blob(b), b.len() as u64),
             // Unknown module: keep the classic path's zero-byte transfer.
-            None => return self.direct_fetch(world, job_id, wid, epoch, key),
+            None => return self.direct_fetch(world, job_id, key),
         };
         // The worker may already hold every chunk (seeded by an earlier
         // job, then evicted from the LRU cache): rebuild locally for free.
@@ -730,7 +795,7 @@ impl FarmScheduler {
             if let Ok(rebuilt) = w.store.assemble(id) {
                 w.cache.insert(key, rebuilt);
                 self.obs.incr("store.local_rebuilds");
-                return self.send_input(world, job_id, wid, epoch);
+                return self.send_input(world, job_id, Role::Primary);
             }
             // Resident chunks are corrupt: drop them and fetch afresh.
             w.store.release(id);
@@ -753,28 +818,26 @@ impl FarmScheduler {
                 epoch,
             },
         );
-        self.fetches.insert(
-            job_id,
-            SwarmFetch {
-                key,
-                query,
-                tracker: FetchTracker::new(id, layout),
-            },
-        );
+        let fetch = SwarmFetch {
+            key,
+            query,
+            tracker: FetchTracker::new(id, layout),
+        };
+        self.enter(job_id, Role::Primary, Phase::Fetching(Some(fetch)));
     }
 
     /// Request one chunk over the simulated network. Provider failures
-    /// reroute the chunk to the controller (which is always online).
+    /// reroute the chunk to the controller (which is always online). Does
+    /// nothing once the fetch is gone: an earlier chunk of the same round
+    /// may have failed and sent the job back to the queue.
     fn request_chunk(
         &mut self,
         world: &mut GridWorld,
         job: JobId,
-        wid: WorkerId,
-        epoch: u64,
         chunk: u32,
         source: ChunkSource,
     ) {
-        let Some(fetch) = self.fetches.get_mut(&job) else {
+        let Some((wid, epoch, fetch)) = self.jobs[job.0 as usize].swarm() else {
             return;
         };
         let bytes = fetch.tracker.layout().size(chunk);
@@ -801,14 +864,11 @@ impl FarmScheduler {
                 // Provider went offline between discovery and pull.
                 ChunkSource::Peer(_) => {
                     self.obs.incr("store.chunk_reroutes");
-                    self.request_chunk(world, job, wid, epoch, chunk, ChunkSource::Controller);
+                    self.request_chunk(world, job, chunk, ChunkSource::Controller);
                 }
                 // Controller transfers only fail if the worker itself
                 // vanished in this instant — treat as interrupt.
-                ChunkSource::Controller => {
-                    self.fetches.remove(&job);
-                    self.requeue(world, job, wid);
-                }
+                ChunkSource::Controller => self.attempt_failed(world, job, Role::Primary),
             },
         }
     }
@@ -816,19 +876,22 @@ impl FarmScheduler {
     /// All chunks arrived: reassemble, verify the content hash, and only
     /// then admit the blob to the worker's module cache. A verification
     /// failure discards the chunks and falls back to the controller.
-    fn swarm_assembled(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
-        let Some(fetch) = self.fetches.remove(&job) else {
-            return;
-        };
-        let blob_id = fetch.tracker.blob();
+    fn swarm_assembled(
+        &mut self,
+        world: &mut GridWorld,
+        job: JobId,
+        wid: WorkerId,
+        blob_id: BlobId,
+        key: ModuleKey,
+    ) {
         let now = world.sim.now();
         let w = &mut self.workers[wid.0 as usize];
         match w.store.assemble(blob_id) {
             Ok(blob) => {
-                w.cache.insert(fetch.key, blob);
+                w.cache.insert(key, blob);
                 self.obs.incr("store.blobs_verified");
                 self.advertise_provider(world, wid, blob_id);
-                self.send_input(world, job, wid, epoch);
+                self.send_input(world, job, Role::Primary);
             }
             Err(_) => {
                 // Corrupt or poisoned transfer: the blob never reaches the
@@ -839,7 +902,7 @@ impl FarmScheduler {
                 self.obs.event(now.as_micros(), "store.verify_failure", || {
                     format!("job={} worker={} blob={}", job.0, wid.0, blob_id)
                 });
-                self.direct_fetch(world, job, wid, epoch, fetch.key);
+                self.direct_fetch(world, job, key);
             }
         }
     }
@@ -867,14 +930,31 @@ impl FarmScheduler {
         self.obs.incr("store.seed_adverts");
     }
 
-    fn send_input(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId, epoch: u64) {
-        let job = &mut self.jobs[job_id.0 as usize];
-        job.state = JobState::SendingInput;
-        // A resumed job also ships its checkpoint image.
+    fn send_input(&mut self, world: &mut GridWorld, job_id: JobId, role: Role) {
+        let Some((wid, epoch)) = self.enter(job_id, role, Phase::SendingInput) else {
+            return;
+        };
+        let job = &self.jobs[job_id.0 as usize];
         let mut bytes = job.spec.input_bytes;
-        if job.fraction > 0.0 {
-            if let Some(cp) = &self.cfg.checkpoint {
-                bytes += cp.image_bytes;
+        match role {
+            // A resumed job also ships its checkpoint image.
+            Role::Primary => {
+                if job.fraction > 0.0 {
+                    if let Some(cp) = &self.cfg.checkpoint {
+                        bytes += cp.image_bytes;
+                    }
+                }
+            }
+            // Speculation is latency-critical: a module the backup lacks
+            // rides along controller-direct, no fetch phase, no swarm.
+            Role::Backup => {
+                if let Some(key) = &job.spec.module {
+                    if self.workers[wid.0 as usize].cache.get(key).is_none() {
+                        let blob_len = self.library.fetch(key).map_or(0, |b| b.len() as u64);
+                        self.obs.add("farm.module_bytes_sent", blob_len);
+                        bytes += blob_len;
+                    }
+                }
             }
         }
         let dst = self.workers[wid.0 as usize].host;
@@ -888,43 +968,70 @@ impl FarmScheduler {
                     epoch,
                 },
             ),
-            Err(_) => self.requeue(world, job_id, wid),
+            Err(_) => self.attempt_failed(world, job_id, role),
         }
     }
 
-    /// Is the worker up and still in the availability epoch an in-flight
-    /// event or attempt was minted in?
-    fn alive(&self, wid: WorkerId, epoch: u64) -> bool {
-        self.slots.is_up(wid) && self.workers[wid.0 as usize].epoch == epoch
-    }
-
-    /// Is this in-flight event still the job's live assignment?
-    fn live(&self, job_id: JobId, wid: WorkerId, epoch: u64, state: JobState) -> bool {
-        let job = &self.jobs[job_id.0 as usize];
-        job.assigned == Some((wid, epoch)) && job.state == state && self.alive(wid, epoch)
-    }
-
-    /// The primary copy of `job_id` leaves `wid`: free its slot and drop
-    /// its run, if it had started one.
-    fn release_primary(&mut self, job_id: JobId, wid: WorkerId) {
+    /// `job`'s copy on `wid` stops occupying a slot there: it finished
+    /// computing or was abandoned.
+    fn release_slot(&mut self, job: JobId, wid: WorkerId) {
         self.slots.free(wid);
-        let w = &mut self.workers[wid.0 as usize];
-        w.held.retain(|&j| j != job_id);
-        w.running.retain(|r| r.job != job_id);
+        self.workers[wid.0 as usize].attempts.retain(|&j| j != job);
     }
 
-    /// Unassign a job and put it back in the queue; frees the worker slot.
-    /// Any in-flight speculative duplicate is cancelled with it.
-    fn requeue(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId) {
-        self.fetches.remove(&job_id);
-        self.cancel_spec(world.sim.now(), job_id);
-        let job = &mut self.jobs[job_id.0 as usize];
-        job.state = JobState::Pending;
-        job.assigned = None;
+    /// Compute sunk into a copy whose result nobody will use.
+    fn meter_sunk(&mut self, job: JobId, sunk: Duration) {
+        self.jobs[job.0 as usize].wasted += sunk;
+        self.obs
+            .add("trust.speculative_wasted_us", sunk.as_micros());
+    }
+
+    /// Give up `role`'s copy of `job`, if there is one: the job was
+    /// requeued, the other copy won the race, or the copy's worker
+    /// vanished. Frees the slot the copy still holds and meters the compute
+    /// it sank; a worker that went down had its slots reset already, and
+    /// what ran there is accounted by `worker_down`.
+    fn abandon(&mut self, now: SimTime, job: JobId, role: Role) -> bool {
+        let Some(a) = self.jobs[job.0 as usize].slot(role).take() else {
+            return false;
+        };
+        if role == Role::Backup {
+            self.obs.incr("trust.speculative_cancelled");
+        }
+        if self.slots.is_up(a.worker) && a.phase.holds_slot() {
+            if let Phase::Running { started, .. } = a.phase {
+                self.meter_sunk(job, now.since(started));
+            }
+            self.release_slot(job, a.worker);
+        }
+        true
+    }
+
+    /// Put a job back in the queue, abandoning every copy of it in flight.
+    /// The only way a job returns to `Pending`, so nothing can still
+    /// complete a job that is waiting to be dispatched. `counter` says
+    /// why: `farm.requeues` or `farm.migrations`.
+    fn requeue(&mut self, world: &mut GridWorld, job_id: JobId, counter: &'static str) {
+        let now = world.sim.now();
+        self.abandon(now, job_id, Role::Backup);
+        self.abandon(now, job_id, Role::Primary);
+        self.jobs[job_id.0 as usize].state = JobState::Pending;
         self.pending.push_back(job_id);
-        self.release_primary(job_id, wid);
-        self.obs.incr("farm.requeues");
+        self.obs.incr(counter);
         self.record_delta(world, Delta::Requeue { job: job_id.0 });
+    }
+
+    /// A transfer to or from a copy's worker failed on the spot: the
+    /// worker, the owner or the route between them vanished in this very
+    /// instant. A primary is interrupted like any other; a backup is just
+    /// dropped — its primary is still running.
+    fn attempt_failed(&mut self, world: &mut GridWorld, job: JobId, role: Role) {
+        match role {
+            Role::Primary => self.requeue(world, job, "farm.requeues"),
+            Role::Backup => {
+                self.abandon(world.sim.now(), job, role);
+            }
+        }
     }
 
     /// Main event handler. `GridEvent::P2p` must be routed to the overlay
@@ -938,17 +1045,14 @@ impl FarmScheduler {
         match ev {
             GridEvent::WorkerUp(wid) => {
                 if self.slots.is_up(wid) {
-                    // Duplicate up-event for a live worker: bumping the epoch
-                    // here would orphan its in-flight jobs (their completion
-                    // events fail the `live` check and nothing requeues
-                    // them), so it must be a no-op.
+                    // Duplicate up-event for a live worker: `set_up` would
+                    // empty the slots its in-flight copies hold, so it must
+                    // be a no-op.
                     return;
                 }
                 self.slots.set_up(wid, true);
-                let w = &mut self.workers[wid.0 as usize];
-                w.epoch += 1;
-                w.running.clear();
-                debug_assert!(w.held.is_empty() && w.spec_jobs.is_empty());
+                let w = &self.workers[wid.0 as usize];
+                debug_assert!(w.attempts.is_empty());
                 world.net.set_online(w.host, true);
                 self.profiles.mark_up(wid.0, world.sim.now());
                 self.obs.incr("farm.worker_up");
@@ -960,8 +1064,7 @@ impl FarmScheduler {
             }
             GridEvent::WorkerDown(wid) => {
                 if !self.slots.is_up(wid) {
-                    // Duplicate down-event: already handled; a second pass
-                    // would bump the epoch again and double-meter abandons.
+                    // Duplicate down-event: already handled.
                     return;
                 }
                 self.obs.incr("farm.worker_down");
@@ -978,7 +1081,8 @@ impl FarmScheduler {
                 key,
                 epoch,
             } => {
-                if !self.live(job, worker, epoch, JobState::FetchingModule) {
+                let live = self.jobs[job.0 as usize].live(worker, epoch);
+                if !live.is_some_and(|(_, a)| matches!(a.phase, Phase::Fetching(_))) {
                     return;
                 }
                 if let Some(blob) = self.library.fetch(&key) {
@@ -992,13 +1096,12 @@ impl FarmScheduler {
                         self.advertise_provider(world, worker, id);
                     }
                 }
-                self.send_input(world, job, worker, epoch);
+                self.send_input(world, job, Role::Primary);
             }
             GridEvent::SwarmProvidersDue { job, worker, epoch } => {
-                if !self.live(job, worker, epoch, JobState::FetchingModule) {
-                    return;
+                if self.jobs[job.0 as usize].live(worker, epoch).is_some() {
+                    self.swarm_providers_due(world, job);
                 }
-                self.swarm_providers_due(world, job, worker, epoch);
             }
             GridEvent::SwarmChunkArrived {
                 job,
@@ -1007,115 +1110,22 @@ impl FarmScheduler {
                 chunk,
                 source,
             } => {
-                if !self.live(job, worker, epoch, JobState::FetchingModule) {
-                    return;
+                if self.jobs[job.0 as usize].live(worker, epoch).is_some() {
+                    self.swarm_chunk_arrived(world, job, chunk, source);
                 }
-                self.swarm_chunk_arrived(world, job, worker, epoch, chunk, source);
             }
             GridEvent::InputArrived { job, worker, epoch } => {
-                if !self.live(job, worker, epoch, JobState::SendingInput) {
-                    return;
-                }
-                let j = &mut self.jobs[job.0 as usize];
-                j.state = JobState::Running;
-                let remaining = j.spec.work_gigacycles * (1.0 - j.fraction);
-                let exec = self.effective_exec(worker, remaining);
-                self.workers[worker.0 as usize].running.push(RunningJob {
-                    job,
-                    started: world.sim.now(),
-                    exec,
-                    gigacycles: remaining,
-                });
-                world
-                    .sim
-                    .schedule(exec, GridEvent::ComputeDone { job, worker, epoch });
-                self.arm_straggler_check(world, job, worker, epoch, remaining);
+                self.input_arrived(world, job, worker, epoch);
             }
             GridEvent::ComputeDone { job, worker, epoch } => {
-                if !self.live(job, worker, epoch, JobState::Running) {
-                    return;
-                }
-                let j = &mut self.jobs[job.0 as usize];
-                j.state = JobState::Returning;
-                j.fraction = 1.0;
-                j.completed_by = Some(worker);
-                let out_bytes = j.spec.output_bytes;
-                let in_bytes = j.spec.input_bytes;
-                let w = &mut self.workers[worker.0 as usize];
-                let (cpu, gigacycles) = w
-                    .running
-                    .iter()
-                    .find(|r| r.job == job)
-                    .map(|r| (r.exec, r.gigacycles))
-                    .unwrap_or((Duration::ZERO, 0.0));
-                w.ledger.charge(
-                    &self.account,
-                    UsageRecord {
-                        at: world.sim.now(),
-                        cpu,
-                        bytes_in: in_bytes,
-                        bytes_out: out_bytes,
-                        instructions: 0,
-                    },
-                );
-                w.jobs_completed += 1;
-                let src = w.host;
-                if gigacycles > 0.0 {
-                    self.profiles.record_completion(worker.0, gigacycles, cpu);
-                }
-                let dst = self.owner_host(job);
-                let stamp = self.orch.output_stamp(job.0);
-                self.jobs[job.0 as usize].out_stamp = stamp;
-                // Either way the slot is released exactly once: here, or by
-                // `requeue`.
-                match world.net.transfer(world.sim.now(), src, dst, out_bytes) {
-                    Ok(delay) => {
-                        self.release_primary(job, worker);
-                        world
-                            .sim
-                            .schedule(delay, GridEvent::OutputArrived { job, orch: stamp });
-                    }
-                    // The owner is (normally) always on; a failure means
-                    // the worker or owner vanished in this very instant —
-                    // treat as interrupt.
-                    Err(_) => self.requeue(world, job, worker),
-                }
-                self.dispatch(world);
+                self.compute_done(world, job, worker, epoch);
             }
-            GridEvent::OutputArrived { job, orch } => {
-                let j = &mut self.jobs[job.0 as usize];
-                if j.state == JobState::Returning
-                    && (orch != j.out_stamp || !self.orch.stamp_valid(job.0, orch))
-                {
-                    // The owning orchestrator changed while the result was
-                    // in flight: the arrival lands on a dead (or deposed)
-                    // owner. Drop it — `on_orch_change` re-drives the
-                    // result toward the new owner.
-                    self.obs.incr("orch.stale_outputs_dropped");
-                    return;
-                }
-                if j.state == JobState::Returning {
-                    j.state = JobState::Done;
-                    self.done += 1;
-                    j.completed = Some(world.sim.now());
-                    j.assigned = None;
-                    let latency = world.sim.now().since(j.created);
-                    self.obs.incr("farm.completions");
-                    self.obs.observe("farm.job_latency_us", latency.as_micros());
-                    self.obs
-                        .event(world.sim.now().as_micros(), "farm.complete", || {
-                            format!("job={} latency_us={}", job.0, latency.as_micros())
-                        });
-                    self.record_delta(world, Delta::Complete { job: job.0 });
-                    // The primary beat its speculative duplicate: cancel
-                    // the duplicate and meter its compute as waste.
-                    if self.jobs[job.0 as usize].spec_attempt.is_some() {
-                        self.obs.incr("trust.speculative_losses");
-                        self.cancel_spec(world.sim.now(), job);
-                        self.dispatch(world);
-                    }
-                }
-            }
+            GridEvent::OutputArrived {
+                job,
+                worker,
+                epoch,
+                orch,
+            } => self.output_arrived(world, job, worker, epoch, orch),
             GridEvent::ChunkArrives { .. } => {
                 if let Some(spec) = self.chunk_spec.clone() {
                     self.submit(world, spec);
@@ -1139,21 +1149,162 @@ impl FarmScheduler {
             GridEvent::StragglerCheck { job, worker, epoch } => {
                 self.straggler_check(world, job, worker, epoch);
             }
-            GridEvent::SpecInputArrived { job, worker, epoch } => {
-                self.spec_input_arrived(world, job, worker, epoch);
-            }
-            GridEvent::SpecComputeDone { job, worker, epoch } => {
-                self.spec_compute_done(world, job, worker, epoch);
-            }
-            GridEvent::SpecOutputArrived { job, worker, orch } => {
-                self.spec_output_arrived(world, job, worker, orch);
-            }
             GridEvent::P2p(_)
             | GridEvent::StageComputeDone { .. }
             | GridEvent::EmitToken { .. } => {
                 // Not ours.
             }
         }
+    }
+
+    /// A copy's input (and, for a backup, its module) reached the worker:
+    /// start computing.
+    fn input_arrived(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
+        let j = &mut self.jobs[job.0 as usize];
+        let Some((role, a)) = j.live(wid, epoch) else {
+            return;
+        };
+        if !matches!(a.phase, Phase::SendingInput) {
+            return;
+        }
+        let w = &mut self.workers[wid.0 as usize];
+        let gigacycles = a.gigacycles;
+        let exec = w.exec_time(gigacycles);
+        let started = world.sim.now();
+        a.phase = Phase::Running { started, exec };
+        if let (Role::Backup, Some(key)) = (role, &j.spec.module) {
+            if w.cache.get(key).is_none() {
+                if let Some(blob) = self.library.fetch(key) {
+                    w.cache.insert(key.clone(), blob.clone());
+                }
+            }
+        }
+        world.sim.schedule(
+            exec,
+            GridEvent::ComputeDone {
+                job,
+                worker: wid,
+                epoch,
+            },
+        );
+        // Only a primary is watched for straggling: one duplicate per job.
+        if role == Role::Primary {
+            self.arm_straggler_check(world, job, wid, epoch, gigacycles);
+        }
+    }
+
+    /// A copy finished computing: bill it, give its slot back and ship the
+    /// result to the job's owner.
+    fn compute_done(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
+        let stamp = self.orch.output_stamp(job.0);
+        let j = &mut self.jobs[job.0 as usize];
+        let Some((role, a)) = j.live(wid, epoch) else {
+            return;
+        };
+        let Phase::Running { exec, .. } = a.phase else {
+            return;
+        };
+        a.phase = Phase::Returning { stamp };
+        let gigacycles = a.gigacycles;
+        if role == Role::Primary {
+            // From here the job has nothing left to compute, even if the
+            // result has to be sent again; a backup's result only counts
+            // once it is home.
+            j.fraction = 1.0;
+            j.completed_by = Some(wid);
+        }
+        let out_bytes = j.spec.output_bytes;
+        let w = &mut self.workers[wid.0 as usize];
+        w.ledger.charge(
+            &self.account,
+            UsageRecord {
+                at: world.sim.now(),
+                cpu: exec,
+                bytes_in: j.spec.input_bytes,
+                bytes_out: out_bytes,
+                instructions: 0,
+            },
+        );
+        w.jobs_completed += 1;
+        let src = w.host;
+        self.release_slot(job, wid);
+        if gigacycles > 0.0 {
+            self.profiles.record_completion(wid.0, gigacycles, exec);
+        }
+        let dst = self.owner_host(job);
+        match world.net.transfer(world.sim.now(), src, dst, out_bytes) {
+            Ok(delay) => world.sim.schedule(
+                delay,
+                GridEvent::OutputArrived {
+                    job,
+                    worker: wid,
+                    epoch,
+                    orch: stamp,
+                },
+            ),
+            // The owner is (normally) always on; a failure means the worker
+            // or owner vanished in this very instant.
+            Err(_) => self.attempt_failed(world, job, role),
+        }
+        self.dispatch(world);
+    }
+
+    /// A result reached the job's owner. The first one home completes the
+    /// job, whichever copy produced it; the other copy is abandoned.
+    fn output_arrived(
+        &mut self,
+        world: &mut GridWorld,
+        job: JobId,
+        worker: WorkerId,
+        epoch: u64,
+        orch: u64,
+    ) {
+        let j = &mut self.jobs[job.0 as usize];
+        let Some((role, a)) = j.live(worker, epoch) else {
+            return;
+        };
+        let Phase::Returning { stamp } = a.phase else {
+            return;
+        };
+        if orch != stamp || !self.orch.stamp_valid(job.0, orch) {
+            // The owning orchestrator changed while the result was in
+            // flight: the arrival lands on a dead (or deposed) owner. Drop
+            // it — `on_orch_change` re-drives a primary's result toward the
+            // new owner; a backup's is left to lose the race.
+            self.obs.incr("orch.stale_outputs_dropped");
+            return;
+        }
+        let now = world.sim.now();
+        *j.slot(role) = None;
+        j.state = JobState::Done;
+        self.done += 1;
+        j.fraction = 1.0;
+        j.completed = Some(now);
+        j.completed_by = Some(worker);
+        let latency = now.since(j.created);
+        self.obs.incr("farm.completions");
+        self.obs.observe("farm.job_latency_us", latency.as_micros());
+        let (kind, by) = match role {
+            Role::Primary => ("farm.complete", None),
+            Role::Backup => ("trust.speculative_win", Some(worker.0)),
+        };
+        self.obs.event(now.as_micros(), kind, || {
+            let by = by.map_or(String::new(), |w| format!(" worker={w}"));
+            format!("job={}{by} latency_us={}", job.0, latency.as_micros())
+        });
+        self.record_delta(world, Delta::Complete { job: job.0 });
+        // The winner's seat is empty by now: this abandons the other copy.
+        let raced = self.abandon(now, job, Role::Primary) | self.abandon(now, job, Role::Backup);
+        match role {
+            Role::Primary if raced => self.obs.incr("trust.speculative_losses"),
+            Role::Primary => return,
+            Role::Backup => {
+                self.spec_wins += 1;
+                self.obs.incr("trust.speculative_wins");
+            }
+        }
+        // The loser's slot came free.
+        self.dispatch(world);
     }
 
     /// Schedule the straggler watchdog for a freshly started run: the
@@ -1179,12 +1330,15 @@ impl FarmScheduler {
             .schedule(delay, GridEvent::StragglerCheck { job, worker, epoch });
     }
 
-    /// The watchdog fired: if the run is still going and has no duplicate
-    /// yet, launch a speculative copy on the best other idle worker.
+    /// The watchdog fired: if the primary is still computing and has no
+    /// duplicate yet, start a backup copy on the best other idle worker.
     fn straggler_check(&mut self, world: &mut GridWorld, job: JobId, worker: WorkerId, epoch: u64) {
-        if !self.live(job, worker, epoch, JobState::Running)
-            || self.jobs[job.0 as usize].spec_attempt.is_some()
-        {
+        let j = &self.jobs[job.0 as usize];
+        let still_running = matches!(
+            &j.primary,
+            Some(a) if a.worker == worker && a.epoch == epoch && matches!(a.phase, Phase::Running { .. })
+        );
+        if !still_running || j.backup.is_some() {
             return;
         }
         self.obs.incr("trust.straggler_checks");
@@ -1214,264 +1368,26 @@ impl FarmScheduler {
             return;
         };
         let backup = WorkerId(cands[ci].worker);
-        let spec_epoch = self.workers[backup.0 as usize].epoch;
-        self.slots.take(backup);
-        self.workers[backup.0 as usize].spec_jobs.push(job);
         self.spec_dispatches += 1;
         self.obs.incr("trust.speculative_dispatches");
         self.obs
             .event(world.sim.now().as_micros(), "trust.speculate", || {
                 format!("job={} straggler={} backup={}", job.0, worker.0, backup.0)
             });
-        // Ship input (and the module, if the backup lacks it) controller-
-        // direct; speculation is latency-critical, so no swarm detour.
-        let mut bytes = self.jobs[job.0 as usize].spec.input_bytes;
-        if let Some(key) = self.jobs[job.0 as usize].spec.module.clone() {
-            if self.workers[backup.0 as usize].cache.get(&key).is_none() {
-                let blob_len = self.library.fetch(&key).map_or(0, |b| b.len() as u64);
-                self.obs.add("farm.module_bytes_sent", blob_len);
-                bytes += blob_len;
-            }
-        }
-        let j = &mut self.jobs[job.0 as usize];
-        j.attempts += 1;
-        j.spec_attempt = Some(SpecAttempt {
-            worker: backup,
-            epoch: spec_epoch,
-            state: JobState::SendingInput,
-            started: None,
-            exec: Duration::ZERO,
-            gigacycles,
-        });
-        let dst = self.workers[backup.0 as usize].host;
-        let src = self.owner_host(job);
-        match world.net.transfer(world.sim.now(), src, dst, bytes) {
-            Ok(delay) => world.sim.schedule(
-                delay,
-                GridEvent::SpecInputArrived {
-                    job,
-                    worker: backup,
-                    epoch: spec_epoch,
-                },
-            ),
-            // The backup vanished in this instant: abort the duplicate.
-            Err(_) => self.cancel_spec(world.sim.now(), job),
-        }
-    }
-
-    /// Is this in-flight event still the job's live speculative attempt?
-    fn spec_live(&self, job: JobId, wid: WorkerId, epoch: u64, state: JobState) -> bool {
-        matches!(
-            &self.jobs[job.0 as usize].spec_attempt,
-            Some(s) if s.worker == wid && s.epoch == epoch && s.state == state
-        ) && self.alive(wid, epoch)
-    }
-
-    fn spec_input_arrived(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
-        if !self.spec_live(job, wid, epoch, JobState::SendingInput) {
-            return;
-        }
-        if let Some(key) = self.jobs[job.0 as usize].spec.module.clone() {
-            if self.workers[wid.0 as usize].cache.get(&key).is_none() {
-                if let Some(blob) = self.library.fetch(&key) {
-                    let blob = blob.clone();
-                    self.workers[wid.0 as usize].cache.insert(key, blob);
-                }
-            }
-        }
-        let gigacycles = self.jobs[job.0 as usize]
-            .spec_attempt
-            .as_ref()
-            .expect("spec_live checked")
-            .gigacycles;
-        let exec = self.effective_exec(wid, gigacycles);
-        self.workers[wid.0 as usize].running.push(RunningJob {
-            job,
-            started: world.sim.now(),
-            exec,
-            gigacycles,
-        });
-        let s = self.jobs[job.0 as usize]
-            .spec_attempt
-            .as_mut()
-            .expect("checked");
-        s.state = JobState::Running;
-        s.started = Some(world.sim.now());
-        s.exec = exec;
-        world.sim.schedule(
-            exec,
-            GridEvent::SpecComputeDone {
-                job,
-                worker: wid,
-                epoch,
-            },
-        );
-    }
-
-    fn spec_compute_done(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, epoch: u64) {
-        if !self.spec_live(job, wid, epoch, JobState::Running) {
-            return;
-        }
-        let (in_bytes, out_bytes) = {
-            let j = &self.jobs[job.0 as usize];
-            (j.spec.input_bytes, j.spec.output_bytes)
-        };
-        let (exec, gigacycles) = {
-            let s = self.jobs[job.0 as usize]
-                .spec_attempt
-                .as_ref()
-                .expect("checked");
-            (s.exec, s.gigacycles)
-        };
-        let w = &mut self.workers[wid.0 as usize];
-        w.ledger.charge(
-            &self.account,
-            UsageRecord {
-                at: world.sim.now(),
-                cpu: exec,
-                bytes_in: in_bytes,
-                bytes_out: out_bytes,
-                instructions: 0,
-            },
-        );
-        w.running.retain(|r| r.job != job);
-        w.jobs_completed += 1;
-        let src = w.host;
-        self.slots.free(wid);
-        self.profiles.record_completion(wid.0, gigacycles, exec);
-        self.jobs[job.0 as usize]
-            .spec_attempt
-            .as_mut()
-            .expect("checked")
-            .state = JobState::Returning;
-        let dst = self.owner_host(job);
-        let stamp = self.orch.output_stamp(job.0);
-        match world.net.transfer(world.sim.now(), src, dst, out_bytes) {
-            Ok(delay) => world.sim.schedule(
-                delay,
-                GridEvent::SpecOutputArrived {
-                    job,
-                    worker: wid,
-                    orch: stamp,
-                },
-            ),
-            Err(_) => self.cancel_spec(world.sim.now(), job),
-        }
-        self.dispatch(world);
-    }
-
-    fn spec_output_arrived(&mut self, world: &mut GridWorld, job: JobId, wid: WorkerId, orch: u64) {
-        let returning = matches!(
-            &self.jobs[job.0 as usize].spec_attempt,
-            Some(s) if s.worker == wid && s.state == JobState::Returning
-        );
-        if !returning {
-            return;
-        }
-        if !self.orch.stamp_valid(job.0, orch) {
-            // The owner this copy was racing toward is gone; drop the
-            // arrival and let the primary (or a later resume) win.
-            self.obs.incr("orch.stale_outputs_dropped");
-            return;
-        }
-        self.take_spec(job);
-        let now = world.sim.now();
-        // The duplicate beat the primary: cancel the straggling run and
-        // meter the compute it sank as waste. A primary that is already
-        // `Returning` gave its slot back at `ComputeDone`, and its worker
-        // may hold another job by now, so there is nothing to release.
-        let j = &self.jobs[job.0 as usize];
-        if let Some((pw, pe)) = j.assigned {
-            if j.state != JobState::Returning && self.alive(pw, pe) {
-                let sunk = self.workers[pw.0 as usize]
-                    .running
-                    .iter()
-                    .find(|r| r.job == job)
-                    .map(|r| now.since(r.started));
-                if let Some(sunk) = sunk {
-                    self.jobs[job.0 as usize].wasted += sunk;
-                    self.obs
-                        .add("trust.speculative_wasted_us", sunk.as_micros());
-                }
-                self.release_primary(job, pw);
-            }
-        }
-        let j = &mut self.jobs[job.0 as usize];
-        j.state = JobState::Done;
-        self.done += 1;
-        j.fraction = 1.0;
-        j.completed = Some(now);
-        j.completed_by = Some(wid);
-        j.assigned = None;
-        let latency = now.since(j.created);
-        self.spec_wins += 1;
-        self.record_delta(world, Delta::Complete { job: job.0 });
-        self.obs.incr("trust.speculative_wins");
-        self.obs.incr("farm.completions");
-        self.obs.observe("farm.job_latency_us", latency.as_micros());
-        self.obs
-            .event(now.as_micros(), "trust.speculative_win", || {
-                format!(
-                    "job={} worker={} latency_us={}",
-                    job.0,
-                    wid.0,
-                    latency.as_micros()
-                )
-            });
-        self.dispatch(world);
-    }
-
-    /// Detach a job's speculative attempt from the job and from its
-    /// worker's list. Slot and run accounting stay with the caller: whether
-    /// the duplicate still holds a slot depends on how far it got.
-    fn take_spec(&mut self, job: JobId) -> Option<SpecAttempt> {
-        let s = self.jobs[job.0 as usize].spec_attempt.take()?;
-        self.workers[s.worker.0 as usize]
-            .spec_jobs
-            .retain(|&j| j != job);
-        Some(s)
-    }
-
-    /// Drop a job's speculative attempt (primary won, job requeued, or the
-    /// backup vanished), freeing the backup's slot if it still holds one
-    /// and metering any compute it already sank.
-    fn cancel_spec(&mut self, now: SimTime, job: JobId) {
-        let Some(s) = self.take_spec(job) else {
-            return;
-        };
-        self.obs.incr("trust.speculative_cancelled");
-        if !self.alive(s.worker, s.epoch) {
-            return;
-        }
-        if let Some(started) = s.started {
-            let sunk = now.since(started);
-            self.jobs[job.0 as usize].wasted += sunk;
-            self.obs
-                .add("trust.speculative_wasted_us", sunk.as_micros());
-        }
-        // A duplicate that is already `Returning` gave its slot back at
-        // `SpecComputeDone`.
-        if s.state != JobState::Returning {
-            self.slots.free(s.worker);
-            self.workers[s.worker.0 as usize]
-                .running
-                .retain(|r| r.job != job);
-        }
+        // Unlike a primary's dispatch this replicates no `Delta::Dispatch`:
+        // a takeover orchestrator re-drives the primary only.
+        self.start_attempt(job, Role::Backup, backup);
+        self.send_input(world, job, Role::Backup);
     }
 
     /// The discovery window of a swarm fetch closed: pick providers and
     /// pull missing chunks round-robin, or fall back to the controller.
-    fn swarm_providers_due(
-        &mut self,
-        world: &mut GridWorld,
-        job: JobId,
-        wid: WorkerId,
-        epoch: u64,
-    ) {
-        let (query, blob, layout, key) = match self.fetches.get(&job) {
-            Some(f) => (f.query, f.tracker.blob(), f.tracker.layout(), f.key.clone()),
-            None => return,
+    fn swarm_providers_due(&mut self, world: &mut GridWorld, job: JobId) {
+        let Some((wid, _, f)) = self.jobs[job.0 as usize].swarm() else {
+            return;
         };
+        let (query, blob, layout, key) =
+            (f.query, f.tracker.blob(), f.tracker.layout(), f.key.clone());
         let origin = self.workers[wid.0 as usize].peer;
         let sw = self.cfg.swarm.clone().expect("swarm fetch implies config");
         // Adverts whose TTL lapsed between query emission and this window
@@ -1498,8 +1414,7 @@ impl FarmScheduler {
         if providers.is_empty() {
             // Nobody (reachable) holds the blob yet: controller-direct.
             self.obs.incr("store.fallback_no_provider");
-            self.fetches.remove(&job);
-            return self.direct_fetch(world, job, wid, epoch, key);
+            return self.direct_fetch(world, job, key);
         }
         self.obs.add("store.providers_used", providers.len() as u64);
         let missing = self.workers[wid.0 as usize]
@@ -1507,17 +1422,10 @@ impl FarmScheduler {
             .missing(blob, layout.blob_len);
         if missing.is_empty() {
             // A previous attempt already left every chunk resident.
-            return self.swarm_assembled(world, job, wid, epoch);
+            return self.swarm_assembled(world, job, wid, blob, key);
         }
         for (chunk, si) in assign_round_robin(&missing, providers.len()) {
-            self.request_chunk(
-                world,
-                job,
-                wid,
-                epoch,
-                chunk,
-                ChunkSource::Peer(providers[si]),
-            );
+            self.request_chunk(world, job, chunk, ChunkSource::Peer(providers[si]));
         }
     }
 
@@ -1528,13 +1436,11 @@ impl FarmScheduler {
         &mut self,
         world: &mut GridWorld,
         job: JobId,
-        wid: WorkerId,
-        epoch: u64,
         chunk: u32,
         source: ChunkSource,
     ) {
         let now = world.sim.now();
-        let Some(fetch) = self.fetches.get_mut(&job) else {
+        let Some((wid, _, fetch)) = self.jobs[job.0 as usize].swarm() else {
             return;
         };
         let Some(latency) = fetch.tracker.complete(chunk, now) else {
@@ -1573,7 +1479,7 @@ impl FarmScheduler {
                     .store
                     .insert_chunk(blob, layout.blob_len, chunk, data);
                 if self.workers[wid.0 as usize].store.is_complete(blob) {
-                    self.swarm_assembled(world, job, wid, epoch);
+                    self.swarm_assembled(world, job, wid, blob, key);
                 }
             }
             // The source no longer holds the bytes (provider released
@@ -1581,14 +1487,13 @@ impl FarmScheduler {
             None => match source {
                 ChunkSource::Peer(_) => {
                     self.obs.incr("store.chunk_reroutes");
-                    self.request_chunk(world, job, wid, epoch, chunk, ChunkSource::Controller);
+                    self.request_chunk(world, job, chunk, ChunkSource::Controller);
                 }
                 ChunkSource::Controller => {
                     // The module changed under us: abandon the swarm fetch
                     // and ship the current blob whole.
                     self.workers[wid.0 as usize].store.release(blob);
-                    self.fetches.remove(&job);
-                    self.direct_fetch(world, job, wid, epoch, key);
+                    self.direct_fetch(world, job, key);
                 }
             },
         }
@@ -1599,65 +1504,59 @@ impl FarmScheduler {
         self.profiles.mark_down(wid.0, now);
         self.slots.set_up(wid, false);
         let w = &mut self.workers[wid.0 as usize];
-        w.epoch += 1;
         world.net.set_online(w.host, false);
-        let interrupted = std::mem::take(&mut w.running);
-        // Both lists are walked in job-id order: the migrations below
-        // requeue and replicate in that order.
-        let mut spec_jobs = std::mem::take(&mut w.spec_jobs);
-        spec_jobs.sort_unstable();
-        let mut held = std::mem::take(&mut w.held);
-        held.sort_unstable();
-        // Speculative duplicates that were running (or receiving input) on
-        // the vanished worker die with it; the primaries keep going.
-        for job_id in spec_jobs {
-            // The slot accounting was already zeroed above; just meter the
-            // sunk compute and drop the attempt.
-            if let Some(s) = self.jobs[job_id.0 as usize].spec_attempt.take() {
-                self.obs.incr("trust.speculative_cancelled");
-                if let Some(started) = s.started {
-                    let sunk = now.since(started);
-                    self.jobs[job_id.0 as usize].wasted += sunk;
-                    self.obs
-                        .add("trust.speculative_wasted_us", sunk.as_micros());
+        // Job-id order: the migrations below requeue and replicate in it.
+        let mut seated = std::mem::take(&mut w.attempts);
+        seated.sort_unstable();
+        for job_id in seated {
+            let j = &mut self.jobs[job_id.0 as usize];
+            // A backup never shares its primary's worker: one copy is here.
+            let role = match &j.backup {
+                Some(a) if a.worker == wid => Role::Backup,
+                _ => Role::Primary,
+            };
+            let run = match j.slot(role).as_ref().map(|a| &a.phase) {
+                Some(&Phase::Running { started, exec }) => Some((now.since(started), exec)),
+                _ => None,
+            };
+            match role {
+                // A duplicate dies with its worker, leaving nothing behind
+                // but the compute it sank; the primary keeps going.
+                Role::Backup => {
+                    if let Some((ran_for, _)) = run {
+                        self.meter_sunk(job_id, ran_for);
+                    }
+                    self.abandon(now, job_id, role);
+                }
+                // A primary in any transit state migrates at once (the
+                // controller notices the peer vanish), from its last
+                // checkpoint if it was computing.
+                Role::Primary => {
+                    if let Some((ran_for, exec)) = run {
+                        let cp = Checkpoint::after(self.cfg.checkpoint.as_ref(), ran_for, exec);
+                        // cp.fraction is of the *remaining* work this attempt ran.
+                        let saved = (1.0 - j.fraction) * cp.fraction;
+                        let saved_time = Duration::from_secs_f64(exec.as_secs_f64() * cp.fraction);
+                        j.wasted += ran_for.saturating_sub(saved_time);
+                        j.fraction += saved;
+                        let permille = (j.fraction * 1000.0).round().min(1000.0) as u32;
+                        // The peer walked away mid-run (§3.6.2 "user intervenes"):
+                        // abandonment evidence against its trust score.
+                        self.profiles.record_abandon(wid.0);
+                        self.obs.incr("trust.abandons");
+                        // Replicate the checkpoint head, so a takeover orchestrator
+                        // resumes the job from here instead of from scratch.
+                        self.record_delta(
+                            world,
+                            Delta::Head {
+                                job: job_id.0,
+                                permille,
+                            },
+                        );
+                    }
+                    self.requeue(world, job_id, "farm.migrations");
                 }
             }
-        }
-        // Any job still assigned to this worker in any transit state is
-        // migrated immediately (the controller notices the peer vanish).
-        for job_id in held {
-            if let Some(run) = interrupted.iter().find(|r| r.job == job_id) {
-                let ran_for = now.since(run.started);
-                let cp = Checkpoint::after(self.cfg.checkpoint.as_ref(), ran_for, run.exec);
-                let j = &mut self.jobs[job_id.0 as usize];
-                // cp.fraction is of the *remaining* work this attempt ran.
-                let saved = (1.0 - j.fraction) * cp.fraction;
-                let saved_time = Duration::from_secs_f64(run.exec.as_secs_f64() * cp.fraction);
-                j.wasted += ran_for.saturating_sub(saved_time);
-                j.fraction += saved;
-                let permille = (j.fraction * 1000.0).round().min(1000.0) as u32;
-                // The peer walked away mid-run (§3.6.2 "user intervenes"):
-                // abandonment evidence against its trust score.
-                self.profiles.record_abandon(wid.0);
-                self.obs.incr("trust.abandons");
-                // Replicate the checkpoint head, so a takeover orchestrator
-                // resumes the job from here instead of from scratch.
-                self.record_delta(
-                    world,
-                    Delta::Head {
-                        job: job_id.0,
-                        permille,
-                    },
-                );
-            }
-            self.fetches.remove(&job_id);
-            self.cancel_spec(now, job_id);
-            let j = &mut self.jobs[job_id.0 as usize];
-            j.state = JobState::Pending;
-            j.assigned = None;
-            self.pending.push_back(job_id);
-            self.obs.incr("farm.migrations");
-            self.record_delta(world, Delta::Requeue { job: job_id.0 });
         }
         self.refresh_blacklist_gauge();
     }
@@ -1787,8 +1686,11 @@ impl FarmScheduler {
         let stale: Vec<JobId> = (0..self.jobs.len() as u64)
             .map(JobId)
             .filter(|&id| {
-                let j = &self.jobs[id.0 as usize];
-                j.state == JobState::Returning && !self.orch.stamp_valid(id.0, j.out_stamp)
+                matches!(
+                    self.jobs[id.0 as usize].primary,
+                    Some(Attempt { phase: Phase::Returning { stamp }, .. })
+                        if !self.orch.stamp_valid(id.0, stamp)
+                )
             })
             .collect();
         for job_id in stale {
@@ -1798,74 +1700,78 @@ impl FarmScheduler {
         self.kick(world);
     }
 
-    /// A completed result was in flight toward an owner that no longer
+    /// A primary's result was in flight toward an owner that no longer
     /// exists: re-drive it. If the producing worker is still reachable the
     /// result is retransferred from its host to the new owner; otherwise
-    /// the work is genuinely lost and the job goes back to the queue.
+    /// the work is genuinely lost and the job goes back to the queue. (A
+    /// backup's stranded result is not re-driven: its primary is.)
     fn resume_returning(&mut self, world: &mut GridWorld, job_id: JobId) {
-        let producer = self.jobs[job_id.0 as usize].completed_by;
-        let worker_alive = producer.is_some_and(|w| self.slots.is_up(w));
-        if let (Some(wid), true) = (producer, worker_alive) {
+        let stamp = self.orch.output_stamp(job_id.0);
+        let Some((wid, epoch)) = self.enter(job_id, Role::Primary, Phase::Returning { stamp })
+        else {
+            return;
+        };
+        if self.slots.is_up(wid) {
             let src = self.workers[wid.0 as usize].host;
             let dst = self.owner_host(job_id);
-            let stamp = self.orch.output_stamp(job_id.0);
             let out_bytes = self.jobs[job_id.0 as usize].spec.output_bytes;
             if let Ok(delay) = world.net.transfer(world.sim.now(), src, dst, out_bytes) {
-                self.jobs[job_id.0 as usize].out_stamp = stamp;
                 self.obs.incr("orch.output_retransfers");
                 world.sim.schedule(
                     delay,
                     GridEvent::OutputArrived {
                         job: job_id,
+                        worker: wid,
+                        epoch,
                         orch: stamp,
                     },
                 );
                 return;
             }
         }
-        // Producer gone too: recompute. The slot was already freed at
-        // ComputeDone, so only the job's own state is rewound.
+        // Producer gone too: recompute, from scratch — the checkpoint the
+        // finished run superseded is not kept.
         let j = &mut self.jobs[job_id.0 as usize];
-        j.state = JobState::Pending;
-        j.assigned = None;
         j.completed_by = None;
         j.fraction = 0.0;
-        self.pending.push_back(job_id);
-        self.obs.incr("farm.requeues");
         self.obs.incr("orch.returning_requeued");
-        self.record_delta(world, Delta::Requeue { job: job_id.0 });
+        self.requeue(world, job_id, "farm.requeues");
     }
 
-    /// Does every index equal a recount from the job and slot tables? Debug
-    /// builds assert this after each entry point returns.
+    /// Does every index equal a recount from the job and slot tables, and
+    /// does every worker have exactly as many slots taken as copies seated
+    /// on it? Debug builds assert this after each entry point returns.
     pub(super) fn indexes_consistent(&self) -> bool {
-        let mut held = vec![Vec::new(); self.workers.len()];
-        let mut spec_jobs = vec![Vec::new(); self.workers.len()];
+        let mut seated = vec![Vec::new(); self.workers.len()];
         let mut done = 0;
         for (i, j) in self.jobs.iter().enumerate() {
-            let id = JobId(i as u64);
-            match (j.state, j.assigned) {
-                (JobState::Done, _) => done += 1,
-                (JobState::Pending | JobState::Returning, _) => {}
-                (_, Some((w, _))) => held[w.0 as usize].push(id),
-                (_, None) => return false,
+            let copies_match_state = match j.state {
+                JobState::Assigned => j.primary.is_some(),
+                JobState::Pending | JobState::Done => j.copies().next().is_none(),
+            };
+            if !copies_match_state {
+                return false;
             }
-            if let Some(s) = &j.spec_attempt {
-                spec_jobs[s.worker.0 as usize].push(id);
+            done += usize::from(j.state == JobState::Done);
+            for a in j.copies() {
+                if a.phase.holds_slot() {
+                    seated[a.worker.0 as usize].push(JobId(i as u64));
+                }
             }
         }
-        let same = |index: &[JobId], recount: &[JobId]| {
-            let mut index = index.to_vec();
-            index.sort_unstable();
-            index == recount
-        };
         done == self.done
             && self.slots.open().eq(self.slots.recount_open())
             && self
                 .workers
                 .iter()
-                .zip(held.iter().zip(&spec_jobs))
-                .all(|(w, (h, s))| same(&w.held, h) && same(&w.spec_jobs, s))
+                .zip(&seated)
+                .enumerate()
+                .all(|(w, (worker, seated))| {
+                    let mut filed = worker.attempts.clone();
+                    filed.sort_unstable();
+                    filed == *seated
+                        && self.slots.active(WorkerId(w as u32)) as usize == seated.len()
+                })
     }
 
     // --- invariant-checking introspection (used by the chaos harness) ---
@@ -1876,7 +1782,7 @@ impl FarmScheduler {
 
     /// The worker currently responsible for the job, if any.
     pub fn job_assignment(&self, job: JobId) -> Option<WorkerId> {
-        self.jobs[job.0 as usize].assigned.map(|(w, _)| w)
+        self.jobs[job.0 as usize].primary.as_ref().map(|a| a.worker)
     }
 
     pub fn job_is_done(&self, job: JobId) -> bool {
@@ -1946,6 +1852,16 @@ mod tests {
     use netsim::Pcg32;
     use p2p::DiscoveryMode;
     use trust::StragglerConfig;
+
+    impl FarmScheduler {
+        /// Is a speculative duplicate seated on `wid`? (`dispatch_props`
+        /// uses it to see a duplicate lose its worker.)
+        pub(in crate::grid) fn hosts_a_backup(&self, wid: WorkerId) -> bool {
+            self.jobs
+                .iter()
+                .any(|j| matches!(&j.backup, Some(a) if a.worker == wid && a.phase.holds_slot()))
+        }
+    }
 
     fn lan_pc() -> HostSpec {
         HostSpec::lan_workstation()
@@ -2456,6 +2372,52 @@ mod tests {
     }
 
     #[test]
+    fn routes_cut_mid_discovery_requeue_the_fetching_job_once() {
+        // The chunks of a round are requested in one loop. When the first
+        // fails at its provider and then at the controller too, the job
+        // goes back to the queue, and the rest of the loop must find nothing
+        // left to fetch for.
+        let (mut world, mut farm) = swarm_world(2);
+        let obs = Obs::enabled();
+        farm.set_obs(obs.clone());
+        let key = ModuleKey::new("Render", 1);
+        farm.library
+            .publish(key.clone(), sized_blob("Render", 2_000));
+        let spec = JobSpec {
+            module: Some(key),
+            ..job(2.0)
+        };
+        let a = farm.submit(&mut world, spec.clone());
+        run_farm(&mut world, &mut farm);
+        let b = farm.submit_with_conflicts(&mut world, spec, vec![a]);
+        let host = |w: WorkerId| world.p2p.host_of(farm.worker_peer(w));
+        let seeded = host(farm.job_completed_by(a).unwrap());
+        let fetching = host(farm.job_assignment(b).unwrap());
+        let ctrl = world.p2p.host_of(farm.controller());
+        // Sever both of the fetching worker's sources just before its 2 s
+        // discovery window closes with the seeded peer as provider.
+        let window_end = world.sim.now() + Duration::from_secs(2);
+        world
+            .sim
+            .set_horizon(window_end - Duration::from_millis(100));
+        run_farm(&mut world, &mut farm);
+        world.net.set_link_cut(fetching, seeded, true);
+        world.net.set_link_cut(fetching, ctrl, true);
+        world.sim.set_horizon(SimTime::from_secs(100_000));
+        run_farm(&mut world, &mut farm);
+        let reg = obs.registry().unwrap();
+        assert!(farm.job_is_pending(b));
+        assert_eq!(reg.counter_value("store.chunk_reroutes"), 1);
+        assert_eq!(reg.counter_value("farm.requeues"), 1);
+        // Routes heal: the job is placed again and completes.
+        world.net.set_link_cut(fetching, seeded, false);
+        world.net.set_link_cut(fetching, ctrl, false);
+        farm.kick(&mut world);
+        run_farm(&mut world, &mut farm);
+        assert!(farm.all_done());
+    }
+
+    #[test]
     fn advert_expiring_mid_discovery_window_is_treated_as_churn() {
         // Regression: a provider advert whose TTL lapses between the query
         // hit and the window closing used to be pulled from anyway; it must
@@ -2578,6 +2540,34 @@ mod tests {
         (world, farm)
     }
 
+    /// A watchdog that fires absurdly early, so even a healthy run gets
+    /// duplicated and the duplicate has time to overtake.
+    fn speculate_early() -> FarmConfig {
+        FarmConfig {
+            trust: Some(GridTrustConfig {
+                straggler: Some(StragglerConfig {
+                    factor: 0.1,
+                    min_runtime: Duration::from_secs(1),
+                }),
+                ..GridTrustConfig::default()
+            }),
+            ..FarmConfig::default()
+        }
+    }
+
+    fn add_always_up(spec: HostSpec, world: &mut GridWorld, farm: &mut FarmScheduler) -> WorkerId {
+        let (peer, _) = world.add_peer(spec.clone());
+        farm.add_worker(
+            world,
+            WorkerSetup {
+                peer,
+                spec,
+                trace: AvailabilityTrace::always(SimTime::from_secs(1_000_000)),
+                cache_bytes: 1 << 20,
+            },
+        )
+    }
+
     #[test]
     fn profiled_policy_routes_around_overclaiming_worker() {
         // Jobs arrive far apart, so both workers are idle at every arrival
@@ -2649,21 +2639,7 @@ mod tests {
         let horizon = SimTime::from_secs(1_000_000);
         let mut world = GridWorld::new(23, DiscoveryMode::Flooding);
         let (ctrl, _) = world.add_peer(lan_pc());
-        let mut farm = FarmScheduler::new(
-            &world,
-            ctrl,
-            FarmConfig {
-                trust: Some(GridTrustConfig {
-                    // Fire absurdly early so a healthy run gets duplicated.
-                    straggler: Some(StragglerConfig {
-                        factor: 0.1,
-                        min_runtime: Duration::from_secs(1),
-                    }),
-                    ..GridTrustConfig::default()
-                }),
-                ..FarmConfig::default()
-            },
-        );
+        let mut farm = FarmScheduler::new(&world, ctrl, speculate_early());
         let obs = Obs::enabled();
         farm.set_obs(obs.clone());
         let add = |ghz: f64, world: &mut GridWorld, farm: &mut FarmScheduler| {
@@ -2702,43 +2678,17 @@ mod tests {
         let horizon = SimTime::from_secs(1_000_000);
         let mut world = GridWorld::new(29, DiscoveryMode::Flooding);
         let (ctrl, _) = world.add_peer(lan_pc());
-        let mut farm = FarmScheduler::new(
-            &world,
-            ctrl,
-            FarmConfig {
-                trust: Some(GridTrustConfig {
-                    // Fire early so the duplicate has time to overtake.
-                    straggler: Some(StragglerConfig {
-                        factor: 0.1,
-                        min_runtime: Duration::from_secs(1),
-                    }),
-                    ..GridTrustConfig::default()
-                }),
-                ..FarmConfig::default()
-            },
-        );
-        let add = |spec: HostSpec, world: &mut GridWorld, farm: &mut FarmScheduler| {
-            let (peer, _) = world.add_peer(spec.clone());
-            farm.add_worker(
-                world,
-                WorkerSetup {
-                    peer,
-                    spec,
-                    trace: AvailabilityTrace::always(horizon),
-                    cache_bytes: 1 << 20,
-                },
-            )
-        };
+        let mut farm = FarmScheduler::new(&world, ctrl, speculate_early());
         // The primary's worker advertises 3 GHz and delivers 1.2: 60 Gc
         // take 50 s. The backup is an honest 2 GHz PC behind a 10 s link,
         // so its copy computes over ~12–42 s and its output lands at ~52 s.
         let mut braggart = lan_pc();
         braggart.cpu_ghz = 3.0;
-        let primary = add(braggart, &mut world, &mut farm);
+        let primary = add_always_up(braggart, &mut world, &mut farm);
         farm.set_worker_efficiency(primary, 0.4);
         let mut far = lan_pc();
         far.link.latency = Duration::from_secs(10);
-        let backup = add(far, &mut world, &mut farm);
+        let backup = add_always_up(far, &mut world, &mut farm);
 
         let first = farm.submit(&mut world, job(60.0));
         world.sim.set_horizon(SimTime::from_secs(45));
@@ -2759,20 +2709,119 @@ mod tests {
         assert_eq!(farm.job_completed_by(first), Some(backup));
         assert_eq!(farm.stats().spec_wins, 1);
         assert_eq!(farm.job_assignment(waiting), Some(primary));
-        for wid in [primary, backup] {
-            let w = &farm.workers[wid.0 as usize];
-            assert_eq!(
-                farm.worker_active(wid) as usize,
-                w.held.len() + w.spec_jobs.len(),
-                "worker {} must be filed with the jobs it holds",
-                wid.0
-            );
-        }
+        assert!(
+            farm.indexes_consistent(),
+            "every worker must be filed with exactly the copies it holds"
+        );
         assert_eq!(farm.worker_active(primary), 1);
 
         world.sim.set_horizon(horizon);
         run_farm(&mut world, &mut farm);
         assert!(farm.all_done());
+    }
+
+    #[test]
+    fn requeue_of_a_returning_primary_takes_its_duplicate_along() {
+        // Regression: a job whose finished result was stranded by an owner
+        // change went back to the queue with its speculative duplicate
+        // still computing; the duplicate then completed the queued job,
+        // which was dispatched, computed and counted a second time.
+        let horizon = SimTime::from_secs(1_000_000);
+        let mut world = GridWorld::new(31, DiscoveryMode::Flooding);
+        let specs: Vec<orch::OrchestratorSpec> = (0..2)
+            .map(|_| {
+                let (peer, host) = world.add_peer(lan_pc());
+                orch::OrchestratorSpec {
+                    peer,
+                    host,
+                    eligibility: trust::orchestrator_eligibility(2.0, 1.0, 1.0),
+                }
+            })
+            .collect();
+        let set = orch::Orchestrators::new(&specs, 31, orch::OrchConfig::default());
+        let mut farm =
+            FarmScheduler::with_orchestrators(OrchestratorHandle::new(set), speculate_early());
+        let obs = Obs::enabled();
+        farm.set_obs(obs.clone());
+        // The primary's worker advertises 3 GHz and delivers 1.2 behind a
+        // 10 s link: 60 Gc compute over ~10–60 s and the result is in
+        // flight until ~70 s. The duplicate starts at ~12 s on an honest
+        // 1 GHz LAN PC and computes until ~72 s.
+        let mut far_braggart = lan_pc();
+        far_braggart.cpu_ghz = 3.0;
+        far_braggart.link.latency = Duration::from_secs(10);
+        let primary = add_always_up(far_braggart, &mut world, &mut farm);
+        farm.set_worker_efficiency(primary, 0.4);
+        let mut slow = lan_pc();
+        slow.cpu_ghz = 1.0;
+        let backup = add_always_up(slow, &mut world, &mut farm);
+
+        let first = farm.submit(&mut world, job(60.0));
+        world.sim.set_horizon(SimTime::from_secs(20));
+        run_farm(&mut world, &mut farm);
+        assert_eq!(farm.stats().spec_dispatches, 1);
+        let second = farm.submit(&mut world, job(60.0));
+        assert!(farm.job_is_pending(second), "both slots are taken");
+        world.sim.set_horizon(SimTime::from_secs(65));
+        run_farm(&mut world, &mut farm);
+        // The first job's result is on its way (its slot already went to
+        // the second job); the duplicate is still computing.
+        assert_eq!(farm.job_assignment(first), Some(primary));
+        assert_eq!(farm.job_assignment(second), Some(primary));
+        assert_eq!(farm.worker_active(primary), 1);
+        assert_eq!(farm.worker_active(backup), 1);
+
+        // The producer and the owner its result was addressed to both
+        // vanish: the result is lost and the job must be recomputed.
+        farm.handle(&mut world, GridEvent::WorkerDown(primary));
+        let owner = farm.orchestrators().owner_index(first.0);
+        let owner_host = farm.orchestrators().member_host(owner);
+        world.net.set_online(owner_host, false);
+        let set = farm.orchestrators().clone();
+        set.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, owner);
+        farm.on_orch_change(&mut world);
+        world.sim.set_horizon(horizon);
+        run_farm(&mut world, &mut farm);
+
+        assert!(farm.all_done());
+        assert_eq!(farm.worker_jobs_completed(backup), 2);
+        let stats = farm.stats();
+        assert_eq!((stats.jobs_done, stats.jobs_total), (2, 2));
+        let reg = obs.registry().unwrap();
+        assert_eq!(reg.counter_value("farm.completions"), 2);
+        assert_eq!(reg.counter_value("orch.returning_requeued"), 1);
+    }
+
+    #[test]
+    fn events_of_an_abandoned_duplicate_cannot_finish_the_next_copy() {
+        // The straggler (60 Gc: 20 s promised, 400 s real) is duplicated at
+        // 40 s onto the honest worker, which would finish at ~70 s. At 50 s
+        // the straggler's worker vanishes: the job migrates, its duplicate
+        // is abandoned, and the new primary lands on the honest worker —
+        // the seat the duplicate's `ComputeDone` is still in flight for.
+        let (mut world, mut farm) = braggart_world(
+            FarmConfig {
+                trust: Some(GridTrustConfig {
+                    straggler: Some(StragglerConfig::default()),
+                    ..GridTrustConfig::default()
+                }),
+                ..FarmConfig::default()
+            },
+            0.05,
+        );
+        let id = farm.submit(&mut world, job(60.0));
+        world.sim.set_horizon(SimTime::from_secs(50));
+        run_farm(&mut world, &mut farm);
+        assert_eq!(farm.stats().spec_dispatches, 1);
+        farm.handle(&mut world, GridEvent::WorkerDown(WorkerId(0)));
+        assert_eq!(farm.job_assignment(id), Some(WorkerId(1)));
+        world.sim.set_horizon(SimTime::from_secs(1_000_000));
+        run_farm(&mut world, &mut farm);
+        assert!(farm.all_done());
+        // The full 30 s from 50 s on, not cut short at 70 s.
+        let lat = farm.job_latency(id).unwrap().as_secs_f64();
+        assert!((80.0..81.0).contains(&lat), "latency {lat}");
+        assert_eq!(farm.worker_jobs_completed(WorkerId(1)), 1);
     }
 
     #[test]

@@ -38,6 +38,11 @@ pub struct JobId(pub u64);
 pub struct WorkerId(pub u32);
 
 /// Every event the Consumer Grid runtime reacts to.
+///
+/// The farm's per-copy events carry `(job, worker, epoch)`: `epoch` is the
+/// worker's seat counter when that copy of the job was placed on it, so the
+/// triple names one copy — the primary or a speculative duplicate — and an
+/// event outliving its copy matches nothing.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GridEvent {
     /// Overlay traffic (discovery, publishes, pipe data).
@@ -46,7 +51,8 @@ pub enum GridEvent {
     WorkerUp(WorkerId),
     /// …or down.
     WorkerDown(WorkerId),
-    /// A job's input data finished arriving at its worker.
+    /// A job copy's input data (plus the module, for a speculative
+    /// duplicate that lacked it) finished arriving at its worker.
     InputArrived {
         job: JobId,
         worker: WorkerId,
@@ -59,17 +65,23 @@ pub enum GridEvent {
         key: ModuleKey,
         epoch: u64,
     },
-    /// A job's computation finished on its worker.
+    /// A job copy's computation finished on its worker.
     ComputeDone {
         job: JobId,
         worker: WorkerId,
         epoch: u64,
     },
-    /// A job's results arrived back at its owning orchestrator. `orch` is
-    /// the owner stamp minted when the transfer left the worker; an
+    /// The results `worker` computed for a job arrived back at the job's
+    /// owning orchestrator; the first copy home completes the job. `orch`
+    /// is the owner stamp minted when the transfer left the worker; an
     /// orchestrator change in flight makes the stamp stale and the arrival
     /// is dropped (the failover path re-drives the result).
-    OutputArrived { job: JobId, orch: u64 },
+    OutputArrived {
+        job: JobId,
+        worker: WorkerId,
+        epoch: u64,
+        orch: u64,
+    },
     /// A streaming work chunk arrives at the controller (Case 2).
     ChunkArrives { seq: u64 },
     /// The provider-discovery window of a swarm module fetch closed; time
@@ -98,27 +110,6 @@ pub enum GridEvent {
         job: JobId,
         worker: WorkerId,
         epoch: u64,
-    },
-    /// Input (plus module, if needed) of a *speculative* job copy finished
-    /// arriving at its second worker.
-    SpecInputArrived {
-        job: JobId,
-        worker: WorkerId,
-        epoch: u64,
-    },
-    /// A speculative job copy finished computing.
-    SpecComputeDone {
-        job: JobId,
-        worker: WorkerId,
-        epoch: u64,
-    },
-    /// A speculative copy's results arrived back at the owning
-    /// orchestrator; if the primary has not completed yet, the speculative
-    /// copy wins. `orch` stamps the owner like [`GridEvent::OutputArrived`].
-    SpecOutputArrived {
-        job: JobId,
-        worker: WorkerId,
-        orch: u64,
     },
     /// Periodic orchestrator anti-entropy tick (multi-orchestrator sets
     /// only): runs one gossip repair round and re-arms until the scheduler
