@@ -100,6 +100,16 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
+    /// `xs` back to back with no length prefix — the bytes of one
+    /// [`Writer::f64`] per element, written with one reservation.
+    pub fn f64s(&mut self, xs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + xs.len() * 8, 0);
+        for (slot, x) in self.buf[start..].chunks_exact_mut(8).zip(xs) {
+            slot.copy_from_slice(&x.to_bits().to_le_bytes());
+        }
+    }
+
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
@@ -163,6 +173,17 @@ impl<'a> Reader<'a> {
 
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// `n` values written by [`Writer::f64s`]. The `n * 8` bytes are
+    /// bounds-checked once, before the vector is allocated, so a hostile
+    /// count is `Truncated` and costs nothing.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
+        let raw = self.take(n.saturating_mul(8))?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+            .collect())
     }
 
     /// A `u32` length prefix, validated against [`MAX_LEN`] *and* the

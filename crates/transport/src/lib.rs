@@ -15,8 +15,9 @@
 //!   async runtime exists in this offline workspace) with the same frame
 //!   codec;
 //! * [`reliab::PeerChannel`] — the shared reliability layer (per-peer
-//!   sequence numbers, in-order delivery, ack/retransmit with exponential
-//!   backoff, liveness probing) used identically by both backends;
+//!   sequence numbers, in-order delivery, a fixed send window,
+//!   ack/retransmit with exponential backoff, liveness probing) used
+//!   identically by both backends;
 //! * [`node`] / [`proto`] — a worker/orchestrator node runtime speaking a
 //!   small grid protocol over the trait, reusing the p2p wire codec, the
 //!   chunked swarm store, and the TVM prepared-execution cache;
@@ -95,8 +96,10 @@ pub trait Transport {
     /// meaningful across backends.
     fn now(&self) -> SimTime;
 
-    /// Queue a payload for reliable, in-order delivery to `dst`. The
-    /// frame is sequenced and retransmitted until acked.
+    /// Queue a payload for reliable, in-order delivery to `dst`. It goes
+    /// on the wire as soon as the per-peer send window has room, and is
+    /// retransmitted from then until acked. A payload for a peer already
+    /// declared dead is dropped (`transport.sends_to_dead`).
     fn send(&mut self, dst: Endpoint, payload: Vec<u8>) -> Result<(), TransportError>;
 
     /// Arm a one-shot timer `delay` from now; the `token` comes back in
@@ -112,8 +115,9 @@ pub trait Transport {
     /// order for a given history. Never blocks.
     fn poll(&mut self, events: &mut Vec<TransportEvent>);
 
-    /// Frames sent but not yet acknowledged, across all peers. Zero
-    /// means every send has landed — the clean-exit condition.
+    /// Payloads accepted but not yet acknowledged — on the wire or still
+    /// waiting for the window — across all peers. Zero means every send
+    /// has landed or its peer was declared dead: the clean-exit condition.
     fn pending(&self) -> usize;
 }
 

@@ -214,8 +214,7 @@ impl<T: Transport> OrchestratorNode<T> {
         // Every worker learns the provider set of every module: the
         // orchestrator (origin) plus any worker that already holds the
         // blob (recovered from a previous run).
-        let infos: Vec<ModuleInfo> = self.modules.values().cloned().collect();
-        for info in &infos {
+        for info in self.modules.values() {
             let mut providers = vec![self.t.local()];
             if let Some(holders) = self.holders.get(&info.hash) {
                 providers.extend(holders.iter().copied());
@@ -232,16 +231,11 @@ impl<T: Transport> OrchestratorNode<T> {
                 let _ = self.t.send(w, msg.encode());
             }
         }
-        let jobs = self.jobs.clone();
-        for (i, job) in jobs.iter().enumerate() {
+        for (i, job) in self.jobs.iter().enumerate() {
             let w = workers[i % workers.len()];
             self.assignment.insert(i as u64, w);
-            let msg = GridMsg::Dispatch {
-                job: i as u64,
-                module: job.module.clone(),
-                input: job.input.clone(),
-            };
-            let _ = self.t.send(w, msg.encode());
+            let payload = GridMsg::encode_dispatch(i as u64, &job.module, &job.input);
+            let _ = self.t.send(w, payload);
             self.obs.incr("transport.jobs_dispatched");
         }
     }

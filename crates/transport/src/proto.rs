@@ -90,23 +90,54 @@ fn decode_module(r: &mut Reader<'_>) -> Result<ModuleInfo, WireError> {
 
 fn encode_f64s(w: &mut Writer, xs: &[f64]) {
     w.u32(xs.len() as u32);
-    for &x in xs {
-        w.f64(x);
-    }
+    w.f64s(xs);
 }
 
 fn decode_f64s(r: &mut Reader<'_>) -> Result<Vec<f64>, WireError> {
     let n = r.length("f64 vector")?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(r.f64()?);
-    }
-    Ok(out)
+    r.f64s(n)
+}
+
+fn encode_dispatch(w: &mut Writer, job: u64, module: &ModuleInfo, input: &[f64]) {
+    w.u8(TAG_DISPATCH);
+    w.u64(job);
+    encode_module(w, module);
+    encode_f64s(w, input);
+}
+
+/// Allowance for a message's fixed-width fields when sizing its buffer.
+const FIXED_HINT: usize = 64;
+
+fn dispatch_hint(module: &ModuleInfo, input: &[f64]) -> usize {
+    FIXED_HINT + module.name.len() + 8 * input.len()
 }
 
 impl GridMsg {
+    /// Roughly the bytes [`GridMsg::encode`] produces — exact in the bulk
+    /// fields, a flat allowance for the rest — so a message that carries
+    /// kilobytes allocates its buffer once instead of regrowing it.
+    fn size_hint(&self) -> usize {
+        match self {
+            GridMsg::Dispatch { module, input, .. } => dispatch_hint(module, input),
+            GridMsg::ChunkData { bytes, .. } => FIXED_HINT + bytes.len(),
+            GridMsg::JobResult { outputs, .. } => {
+                FIXED_HINT + outputs.iter().map(|o| 4 + 8 * o.len()).sum::<usize>()
+            }
+            _ => FIXED_HINT,
+        }
+    }
+
+    /// The bytes of `GridMsg::Dispatch { job, module, input }.encode()`
+    /// from borrowed parts: a sender that keeps its job list need not
+    /// copy an input vector just to encode it.
+    pub fn encode_dispatch(job: u64, module: &ModuleInfo, input: &[f64]) -> Vec<u8> {
+        let mut w = Writer::over(Vec::with_capacity(dispatch_hint(module, input)));
+        encode_dispatch(&mut w, job, module, input);
+        w.into_bytes()
+    }
+
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::over(Vec::with_capacity(self.size_hint()));
         match self {
             GridMsg::Hello { have } => {
                 w.u8(TAG_HELLO);
@@ -128,10 +159,7 @@ impl GridMsg {
                 }
             }
             GridMsg::Dispatch { job, module, input } => {
-                w.u8(TAG_DISPATCH);
-                w.u64(*job);
-                encode_module(&mut w, module);
-                encode_f64s(&mut w, input);
+                encode_dispatch(&mut w, *job, module, input);
             }
             GridMsg::ChunkRequest {
                 blob,

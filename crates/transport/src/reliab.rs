@@ -1,15 +1,39 @@
-//! Per-peer reliability: sequence numbers, in-order delivery, ack /
-//! retransmit with exponential backoff, and liveness probing.
+//! Per-peer reliability: sequence numbers, in-order delivery, a send
+//! window, ack / retransmit with exponential backoff, and liveness
+//! probing.
 //!
 //! One [`PeerChannel`] instance manages one direction-pair between two
 //! endpoints. The state machine is pure — it consumes `(now, frame)` and
 //! emits [`ChanOut`] actions — so the **same code** runs over the
 //! deterministic sim backend and the UDP socket backend; only the clock
 //! and the wire underneath differ.
+//!
+//! Flow control: a payload handed to [`PeerChannel::offer`] goes on the
+//! wire only while the frames from the oldest unacked one to the newest
+//! sent one span at most [`SEND_WINDOW`] wire bytes; the rest wait in
+//! send order inside the channel and each ack lets the next ones out. A
+//! frame's retransmit clock therefore starts when it is transmitted, so
+//! it fires because the frame was lost, not because it sat in a queue
+//! behind its own burst. The span (rather than a sum over unacked
+//! frames) is what bounds the receiver: everything it may have to hold
+//! out of order lies inside it, which is why [`REORDER_CAP`] can refuse
+//! anything beyond.
 
-use crate::frame::{Endpoint, Frame, FrameKind};
+use crate::frame::{Endpoint, Frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
 use netsim::{Duration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+
+/// Wire bytes ([`Frame::wire_len`]) a channel keeps between its oldest
+/// unacked frame and its newest sent one. A lone larger frame may always
+/// go. Fixed, not configured: 2 loopback workers × 64 KiB stay under the
+/// 208 KiB default socket buffer, and 8 DSL peers × 64 KiB are ≈ 16 s of
+/// uplink queue, under the simulator's 30 s RTO (DESIGN.md, "Flow
+/// control").
+pub const SEND_WINDOW: usize = 64 * 1024;
+
+/// Wire bytes a receiver buffers out of order before it refuses more: an
+/// honest sender's window plus one maximum frame of slack.
+pub const REORDER_CAP: usize = SEND_WINDOW + HEADER_LEN + MAX_PAYLOAD;
 
 /// Tunables for one channel.
 #[derive(Clone, Copy, Debug)]
@@ -56,6 +80,9 @@ impl ChannelConfig {
 
 struct Pending {
     frame: Frame,
+    /// Wire bytes this channel had sent before this frame: the frame's
+    /// offset in the send stream, which the window is measured from.
+    start: u64,
     attempts: u32,
     next_retry: SimTime,
 }
@@ -72,19 +99,28 @@ pub enum ChanOut {
     Deliver(Vec<u8>),
     /// The peer stopped acking/answering; emitted once.
     Dead,
+    /// The channel dropped something; bump this `transport.*` counter.
+    Count(&'static str),
 }
 
-/// Reliable, ordered, deduplicated channel state towards one peer.
+/// Reliable, ordered, deduplicated, flow-controlled channel state towards
+/// one peer.
 pub struct PeerChannel {
     local: Endpoint,
     peer: Endpoint,
     cfg: ChannelConfig,
     next_seq: u64,
     unacked: BTreeMap<u64, Pending>,
+    /// Wire bytes of every data frame sequenced so far.
+    sent_bytes: u64,
+    /// Offered payloads the window has not let out yet, in send order.
+    backlog: VecDeque<Vec<u8>>,
     /// Next incoming sequence number to deliver.
     recv_next: u64,
     /// Out-of-order arrivals waiting for the gap to fill.
     reorder: BTreeMap<u64, Vec<u8>>,
+    /// Wire bytes held in `reorder`; never above [`REORDER_CAP`].
+    reorder_bytes: usize,
     last_heard: SimTime,
     ping_nonce: u64,
     ping_sent_at: Option<SimTime>,
@@ -102,8 +138,11 @@ impl PeerChannel {
             cfg,
             next_seq: 0,
             unacked: BTreeMap::new(),
+            sent_bytes: 0,
+            backlog: VecDeque::new(),
             recv_next: 0,
             reorder: BTreeMap::new(),
+            reorder_bytes: 0,
             last_heard: now,
             ping_nonce: 0,
             ping_sent_at: None,
@@ -121,12 +160,50 @@ impl PeerChannel {
         self.dead
     }
 
+    /// Payloads accepted but not yet acknowledged: on the wire or still
+    /// waiting for the window.
     pub fn in_flight(&self) -> usize {
-        self.unacked.len()
+        self.unacked.len() + self.backlog.len()
     }
 
-    /// Sequence, register for retransmission, and return the data frame
-    /// to transmit now.
+    /// Wire bytes from the oldest unacked frame to the newest sent one —
+    /// what the window limits, and an upper bound on what the peer may be
+    /// holding out of order.
+    pub fn window_used(&self) -> usize {
+        self.unacked
+            .values()
+            .next()
+            .map_or(0, |oldest| (self.sent_bytes - oldest.start) as usize)
+    }
+
+    /// Accept a payload for reliable delivery: it is transmitted now if
+    /// the window has room and otherwise waits, in send order, for acks
+    /// to make room. A dead channel accepts nothing.
+    pub fn offer(&mut self, now: SimTime, payload: Vec<u8>, out: &mut Vec<ChanOut>) {
+        if self.dead {
+            out.push(ChanOut::Count("transport.sends_to_dead"));
+            return;
+        }
+        self.backlog.push_back(payload);
+        self.fill_window(now, out);
+    }
+
+    /// Transmit from the front of the backlog while the window allows.
+    fn fill_window(&mut self, now: SimTime, out: &mut Vec<ChanOut>) {
+        while let Some(next) = self.backlog.front() {
+            let fits = self.unacked.is_empty()
+                || self.window_used() + HEADER_LEN + next.len() <= SEND_WINDOW;
+            if !fits {
+                break;
+            }
+            let payload = self.backlog.pop_front().expect("front exists");
+            out.push(ChanOut::Transmit(self.send_data(now, payload)));
+        }
+    }
+
+    /// Sequence, register for retransmission from `now`, and return the
+    /// data frame to transmit now. [`PeerChannel::offer`] is this behind
+    /// the window.
     pub fn send_data(&mut self, now: SimTime, payload: Vec<u8>) -> Frame {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -135,10 +212,12 @@ impl PeerChannel {
             seq,
             Pending {
                 frame: frame.clone(),
+                start: self.sent_bytes,
                 attempts: 0,
                 next_retry: now + self.cfg.rto,
             },
         );
+        self.sent_bytes += frame.wire_len() as u64;
         frame
     }
 
@@ -148,6 +227,14 @@ impl PeerChannel {
         self.ping_sent_at = None;
         match frame.kind {
             FrameKind::Data => {
+                let wire_len = frame.wire_len();
+                let buffers = frame.seq > self.recv_next && !self.reorder.contains_key(&frame.seq);
+                if buffers && self.reorder_bytes + wire_len > REORDER_CAP {
+                    // Beyond any honest sender's window. Unacked, it comes
+                    // back later like any lost frame.
+                    out.push(ChanOut::Count("transport.reorder_refused"));
+                    return;
+                }
                 // Always ack — duplicates mean the previous ack was lost.
                 self.acks_sent += 1;
                 out.push(ChanOut::Transmit(Frame::control(
@@ -156,17 +243,24 @@ impl PeerChannel {
                     self.peer,
                     frame.seq,
                 )));
-                if frame.seq >= self.recv_next {
-                    self.reorder.entry(frame.seq).or_insert(frame.payload);
-                    // Drain the contiguous run.
+                if buffers {
+                    self.reorder_bytes += wire_len;
+                    self.reorder.insert(frame.seq, frame.payload);
+                } else if frame.seq == self.recv_next {
+                    self.recv_next += 1;
+                    out.push(ChanOut::Deliver(frame.payload));
+                    // Drain the contiguous run behind it.
                     while let Some(payload) = self.reorder.remove(&self.recv_next) {
                         self.recv_next += 1;
+                        self.reorder_bytes -= HEADER_LEN + payload.len();
                         out.push(ChanOut::Deliver(payload));
                     }
                 }
             }
             FrameKind::Ack => {
-                self.unacked.remove(&frame.seq);
+                if self.unacked.remove(&frame.seq).is_some() {
+                    self.fill_window(now, out);
+                }
             }
             FrameKind::Ping => {
                 out.push(ChanOut::Transmit(Frame::control(
@@ -217,7 +311,11 @@ impl PeerChannel {
             }
         }
         if died {
+            // A dead channel holds nothing: what it still owed is dropped
+            // with the peer, so `in_flight` reads 0 and nodes can exit.
             self.dead = true;
+            self.unacked.clear();
+            self.backlog.clear();
             out.push(ChanOut::Dead);
         }
     }
@@ -366,6 +464,206 @@ mod tests {
         assert!(a.is_dead());
         assert_eq!(a.retransmits, 2);
         assert_eq!(a.next_deadline(), None);
+    }
+
+    fn unacked_wire_bytes(c: &PeerChannel) -> usize {
+        c.unacked.values().map(|p| p.frame.wire_len()).sum()
+    }
+
+    fn transmits(outs: &[ChanOut]) -> Vec<Frame> {
+        outs.iter()
+            .filter_map(|o| match o {
+                ChanOut::Transmit(f) => Some(f.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn ack(of: &Frame) -> Frame {
+        Frame::control(FrameKind::Ack, of.dst, of.src, of.seq)
+    }
+
+    #[test]
+    fn window_holds_a_burst_back_and_acks_release_it_in_send_order() {
+        let (mut a, _) = pair(ChannelConfig::sim_default());
+        let mut out = Vec::new();
+        // Twelve 20 KiB payloads: three fit in 64 KiB, nine wait.
+        for i in 0..12u8 {
+            a.offer(SimTime(0), vec![i; 20 * 1024], &mut out);
+            assert!(unacked_wire_bytes(&a) <= SEND_WINDOW);
+        }
+        let first = transmits(&out);
+        assert_eq!(first.iter().map(|f| f.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(a.in_flight(), 12, "backlog counts as in flight");
+        // Each ack lets exactly the next payload out, in the order offered.
+        let mut sent = first;
+        let mut next = 0;
+        while next < sent.len() {
+            let mut out = Vec::new();
+            a.on_frame(SimTime(1), ack(&sent[next]), &mut out);
+            assert!(unacked_wire_bytes(&a) <= SEND_WINDOW);
+            assert_eq!(a.window_used(), unacked_wire_bytes(&a), "no holes here");
+            sent.extend(transmits(&out));
+            next += 1;
+        }
+        let order: Vec<(u64, u8)> = sent.iter().map(|f| (f.seq, f.payload[0])).collect();
+        assert_eq!(order, (0..12).map(|i| (i as u64, i)).collect::<Vec<_>>());
+        assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_lone_oversized_frame_may_always_go() {
+        let (mut a, _) = pair(ChannelConfig::sim_default());
+        let mut out = Vec::new();
+        a.offer(SimTime(0), vec![1; 10], &mut out);
+        a.offer(SimTime(0), vec![2; SEND_WINDOW + 1], &mut out);
+        a.offer(SimTime(0), vec![3; 10], &mut out);
+        let sent = transmits(&out);
+        assert_eq!(sent.len(), 1, "the big one waits for an empty window");
+        out.clear();
+        a.on_frame(SimTime(1), ack(&sent[0]), &mut out);
+        let sent = transmits(&out);
+        assert_eq!(sent.len(), 1, "alone it goes; nothing may join it");
+        assert_eq!(sent[0].payload.len(), SEND_WINDOW + 1);
+        assert!(unacked_wire_bytes(&a) > SEND_WINDOW && a.unacked.len() == 1);
+        out.clear();
+        a.on_frame(SimTime(2), ack(&sent[0]), &mut out);
+        assert_eq!(transmits(&out).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_and_unknown_acks_change_nothing() {
+        let (mut a, _) = pair(ChannelConfig::sim_default());
+        let mut out = Vec::new();
+        for i in 0..4u8 {
+            a.offer(SimTime(0), vec![i; 30 * 1024], &mut out);
+        }
+        let sent = transmits(&out);
+        assert_eq!(sent.len(), 2);
+        out.clear();
+        a.on_frame(SimTime(1), ack(&sent[0]), &mut out);
+        assert_eq!(transmits(&out).len(), 1, "one ack, one release");
+        let (used, in_flight) = (a.window_used(), a.in_flight());
+        out.clear();
+        // The same ack again, and one for a sequence never sent.
+        a.on_frame(SimTime(2), ack(&sent[0]), &mut out);
+        let mut stray = ack(&sent[0]);
+        stray.seq = 999;
+        a.on_frame(SimTime(2), stray, &mut out);
+        assert_eq!(out, vec![], "nothing transmitted twice");
+        assert_eq!((a.window_used(), a.in_flight()), (used, in_flight));
+    }
+
+    #[test]
+    fn an_acked_frame_above_a_hole_still_occupies_the_window() {
+        // The window spans oldest-unacked to newest-sent, so acks for
+        // later frames do not let the sender run ahead of a lost one —
+        // which is what keeps the receiver's reorder buffer bounded.
+        let (mut a, _) = pair(ChannelConfig::sim_default());
+        let mut out = Vec::new();
+        for i in 0..4u8 {
+            a.offer(SimTime(0), vec![i; 30 * 1024], &mut out);
+        }
+        let sent = transmits(&out);
+        out.clear();
+        a.on_frame(SimTime(1), ack(&sent[1]), &mut out);
+        assert_eq!(out, vec![], "frame 0 still holds the window");
+        assert!(a.window_used() > unacked_wire_bytes(&a));
+        a.on_frame(SimTime(2), ack(&sent[0]), &mut out);
+        assert_eq!(
+            transmits(&out).len(),
+            2,
+            "the hole closed: both wait no more"
+        );
+    }
+
+    #[test]
+    fn rto_of_a_backlogged_frame_starts_at_its_transmit() {
+        let cfg = ChannelConfig {
+            rto: Duration(100),
+            ..ChannelConfig::sim_default()
+        };
+        let mut a = PeerChannel::new(Endpoint(0), Endpoint(1), cfg, SimTime::ZERO);
+        let mut out = Vec::new();
+        a.offer(SimTime(0), vec![1; 40 * 1024], &mut out);
+        a.offer(SimTime(0), vec![2; 40 * 1024], &mut out);
+        let first = transmits(&out).remove(0);
+        assert_eq!(a.next_deadline(), Some(SimTime(100)));
+        // The ack arrives at t=90; the second frame goes out then and is
+        // not due at t=100, where a clock started at the offer would fire.
+        out.clear();
+        a.on_frame(SimTime(90), ack(&first), &mut out);
+        assert_eq!(transmits(&out).len(), 1);
+        assert_eq!(a.next_deadline(), Some(SimTime(190)));
+        out.clear();
+        a.on_tick(SimTime(100), &mut out);
+        assert_eq!(out, vec![]);
+        a.on_tick(SimTime(190), &mut out);
+        assert!(matches!(out[0], ChanOut::Retransmit(_)));
+    }
+
+    #[test]
+    fn a_dead_channel_holds_nothing_and_takes_nothing() {
+        let cfg = ChannelConfig {
+            rto: Duration(100),
+            max_attempts: 1,
+            ..ChannelConfig::sim_default()
+        };
+        let mut a = PeerChannel::new(Endpoint(0), Endpoint(1), cfg, SimTime::ZERO);
+        let mut out = Vec::new();
+        for i in 0..5u8 {
+            a.offer(SimTime(0), vec![i; 30 * 1024], &mut out);
+        }
+        assert_eq!(a.in_flight(), 5);
+        out.clear();
+        a.on_tick(SimTime(100), &mut out);
+        assert_eq!(out, vec![ChanOut::Dead]);
+        assert_eq!((a.in_flight(), a.window_used()), (0, 0));
+        out.clear();
+        a.offer(SimTime(200), vec![9], &mut out);
+        assert_eq!(out, vec![ChanOut::Count("transport.sends_to_dead")]);
+        assert_eq!(a.in_flight(), 0);
+    }
+
+    #[test]
+    fn reorder_buffer_refuses_past_its_cap_but_never_the_missing_frame() {
+        let (_, mut b) = pair(ChannelConfig::sim_default());
+        let data =
+            |seq: u64| Frame::data(Endpoint(0), Endpoint(1), seq, vec![seq as u8; 50 * 1024]);
+        let fits = REORDER_CAP / data(1).wire_len();
+        let mut out = Vec::new();
+        // A sender with no window: frame 0 missing, everything after it
+        // arriving. The buffer takes what the cap allows, acks exactly
+        // that, and refuses the rest without acking.
+        for seq in 1..=fits as u64 + 3 {
+            b.on_frame(SimTime(1), data(seq), &mut out);
+            assert!(b.reorder_bytes <= REORDER_CAP);
+        }
+        let refused = out
+            .iter()
+            .filter(|o| **o == ChanOut::Count("transport.reorder_refused"))
+            .count();
+        assert_eq!((transmits(&out).len(), refused), (fits, 3));
+        // A duplicate of a buffered frame is acked, not counted twice.
+        out.clear();
+        let held = b.reorder_bytes;
+        b.on_frame(SimTime(2), data(1), &mut out);
+        assert_eq!((transmits(&out).len(), b.reorder_bytes), (1, held));
+        // The missing frame is never refused, and drains the run.
+        out.clear();
+        b.on_frame(SimTime(3), data(0), &mut out);
+        let delivered = out
+            .iter()
+            .filter(|o| matches!(o, ChanOut::Deliver(_)))
+            .count();
+        assert_eq!((delivered, b.reorder_bytes), (fits + 1, 0));
+        // The refused frames come back as retransmits and are taken now.
+        out.clear();
+        b.on_frame(SimTime(4), data(fits as u64 + 1), &mut out);
+        assert!(matches!(
+            out[..],
+            [ChanOut::Transmit(_), ChanOut::Deliver(_)]
+        ));
     }
 
     #[test]

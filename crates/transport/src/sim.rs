@@ -112,6 +112,7 @@ impl World {
                         s.inbox.push_back(TransportEvent::PeerDead { peer });
                     }
                 }
+                ChanOut::Count(counter) => self.obs.incr(counter),
             }
         }
     }
@@ -327,8 +328,9 @@ impl Transport for SimEndpoint {
             .channels
             .entry(dst)
             .or_insert_with(|| PeerChannel::new(ep, dst, cfg, now));
-        let frame = chan.send_data(now, payload);
-        w.transmit(&frame);
+        let mut outs = Vec::new();
+        chan.offer(now, payload, &mut outs);
+        w.apply(ep, dst, outs);
         w.arm_tick(ep);
         Ok(())
     }
@@ -441,8 +443,15 @@ mod tests {
     #[test]
     fn offline_peer_is_declared_dead_after_retries() {
         let (net, mut a, mut b) = world_pair();
+        let observer = obs::Obs::enabled();
+        net.set_obs(observer.clone());
         net.set_online(Endpoint(2), false);
-        a.send(Endpoint(2), vec![1, 2, 3]).unwrap();
+        // More than one window, so part of it is still backlogged when
+        // the peer is given up on.
+        for i in 0..4u8 {
+            a.send(Endpoint(2), vec![i; 30 * 1024]).unwrap();
+        }
+        assert_eq!(a.pending(), 4);
         drain(&net);
         let mut evs = Vec::new();
         a.poll(&mut evs);
@@ -451,6 +460,56 @@ mod tests {
         b.poll(&mut bev);
         assert!(bev.is_empty());
         assert!(net.counters(Endpoint(1)).retransmits > 0);
+        // A dead channel holds nothing, and drops what it is offered next.
+        assert_eq!(a.pending(), 0);
+        a.send(Endpoint(2), vec![9]).unwrap();
+        assert_eq!(a.pending(), 0);
+        assert!(!net.step(), "a dropped send schedules nothing");
+        let reg = observer.registry().expect("obs enabled");
+        assert_eq!(reg.counter_value("transport.sends_to_dead"), 1);
+    }
+
+    /// The `simnet_bulk` shape at transport level: an orchestrator hands
+    /// 8 DSL workers 32 × 32 KiB each in one burst and every delivery is
+    /// answered with 32 KiB. The uplink needs ≈ 1 s per frame, so without
+    /// a send window most of the burst outlives the 30 s RTO in the queue.
+    #[test]
+    fn bulk_burst_over_dsl_needs_no_retransmits() {
+        let net = SimNet::new(1);
+        let mut orch = net.add_endpoint(Endpoint(0), HostSpec::reference_pc());
+        let mut workers: Vec<SimEndpoint> = (1..=8)
+            .map(|i| net.add_endpoint(Endpoint(i), HostSpec::reference_pc()))
+            .collect();
+        for job in 0..256u64 {
+            let to = Endpoint(1 + job % 8);
+            orch.send(to, vec![job as u8; 32 * 1024]).unwrap();
+        }
+        let (mut dispatched, mut results) = (0, 0);
+        let mut evs = Vec::new();
+        loop {
+            for w in &mut workers {
+                w.poll(&mut evs);
+                for ev in evs.drain(..) {
+                    if let TransportEvent::Delivered { payload, .. } = ev {
+                        dispatched += 1;
+                        w.send(Endpoint(0), payload).unwrap();
+                    }
+                }
+            }
+            orch.poll(&mut evs);
+            results += evs.drain(..).count();
+            if !net.step() {
+                break;
+            }
+        }
+        assert_eq!((dispatched, results), (256, 256));
+        for ep in 0..=8 {
+            let c = net.counters(Endpoint(ep));
+            assert_eq!(c.retransmits, 0, "ep{ep} retransmitted");
+        }
+        // One data frame and one ack per payload, nothing else.
+        assert_eq!(net.counters(Endpoint(0)).frames_sent, 256 + 256);
+        assert_eq!(orch.pending(), 0);
     }
 
     #[test]

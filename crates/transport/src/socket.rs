@@ -127,6 +127,7 @@ impl SocketTransport {
                     payload,
                 }),
                 ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
+                ChanOut::Count(counter) => self.obs.incr(counter),
             }
         }
     }
@@ -219,8 +220,9 @@ impl Transport for SocketTransport {
             .channels
             .entry(dst)
             .or_insert_with(|| PeerChannel::new(local, dst, cfg, now));
-        let frame = chan.send_data(now, payload);
-        self.transmit(&frame);
+        let mut outs = Vec::new();
+        chan.offer(now, payload, &mut outs);
+        self.apply(dst, outs);
         Ok(())
     }
 
@@ -346,5 +348,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(evs.contains(&TransportEvent::PeerDead { peer: Endpoint(2) }));
+        assert_eq!(a.pending(), 0, "nothing is owed to a dead peer");
     }
 }

@@ -6,6 +6,7 @@
 
 use netsim::SimTime;
 use p2p::advert::{AdvertBody, BlobAdvert};
+use p2p::wire::{Reader, WireError, Writer};
 use p2p::{Advertisement, PeerId};
 use proptest::prelude::*;
 use transport::frame::{Endpoint, Frame, FrameKind, MAX_PAYLOAD};
@@ -71,6 +72,109 @@ fn msg_from(sel: u8, a: u64, b: u64, s: &str, floats: &[f64]) -> GridMsg {
         },
         _ => GridMsg::Shutdown,
     }
+}
+
+/// `xs` one [`Writer::f64`] at a time: the encoding the bulk path must
+/// reproduce byte for byte.
+fn per_element(xs: &[f64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for &x in xs {
+        w.f64(x);
+    }
+    w.into_bytes()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn bulk_f64s_are_the_per_element_bytes() {
+    let edge = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF), // quiet NaN with a payload
+        f64::from_bits(0xFFF0_0000_0000_0001), // signalling, sign set
+        f64::INFINITY,
+        f64::MIN_POSITIVE,
+    ];
+    let long: Vec<f64> = (0..4096u64)
+        .map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    for xs in [&[][..], &edge[..], &long[..]] {
+        // Appended after bytes already in the writer, as in a message.
+        let mut w = Writer::new();
+        w.u8(0xEE);
+        w.f64s(xs);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[0], 0xEE);
+        assert_eq!(&bytes[1..], per_element(xs));
+        let mut r = Reader::new(&bytes[1..]);
+        assert_eq!(bits(&r.f64s(xs.len()).unwrap()), bits(xs));
+        assert_eq!(r.finish(), Ok(()));
+    }
+}
+
+#[test]
+fn f64_count_beyond_the_buffer_is_truncated_before_allocating() {
+    let buf = [0u8; 23];
+    for n in [3, 1 << 40, usize::MAX / 8 + 1, usize::MAX] {
+        // Allocating for `n` first would abort on the larger counts.
+        let err = Reader::new(&buf).f64s(n).unwrap_err();
+        assert!(
+            matches!(err, WireError::Truncated { have: 23, .. }),
+            "{n}: {err:?}"
+        );
+    }
+    assert_eq!(Reader::new(&buf).f64s(2).map(|v| v.len()), Ok(2));
+    // The same guard behind a message's length prefix: a Dispatch that
+    // claims 4096 inputs and carries one.
+    let module = ModuleInfo {
+        name: "m".into(),
+        version: 1,
+        hash: 2,
+        blob_len: 3,
+    };
+    let honest = GridMsg::encode_dispatch(7, &module, &[1.0]);
+    let mut lying = honest.clone();
+    let at = honest.len() - 12; // the u32 count before the one f64
+    lying[at..at + 4].copy_from_slice(&4096u32.to_le_bytes());
+    assert!(matches!(
+        GridMsg::decode(&lying),
+        Err(WireError::Truncated { .. })
+    ));
+}
+
+#[test]
+fn dispatch_bytes_are_unchanged_and_the_same_from_borrowed_parts() {
+    let module = ModuleInfo {
+        name: "sph".into(),
+        version: 3,
+        hash: 0xABCD,
+        blob_len: 32_768,
+    };
+    let input: Vec<f64> = (0..4096).map(|i| i as f64 * -0.25).collect();
+    // The layout every earlier build wrote: tag 3, job, module, count,
+    // then one f64 at a time.
+    let mut w = Writer::new();
+    w.u8(3);
+    w.u64(17);
+    w.str(&module.name);
+    w.u32(module.version);
+    w.u64(module.hash);
+    w.u64(module.blob_len);
+    w.u32(input.len() as u32);
+    let mut want = w.into_bytes();
+    want.extend(per_element(&input));
+    assert_eq!(GridMsg::encode_dispatch(17, &module, &input), want);
+    let owned = GridMsg::Dispatch {
+        job: 17,
+        module,
+        input,
+    };
+    assert_eq!(owned.encode(), want);
+    assert_eq!(GridMsg::decode(&want), Ok(owned));
 }
 
 proptest! {
