@@ -1,4 +1,5 @@
-//! The Kademlia routing table: prefix-split k-buckets with LRU order.
+//! The Kademlia routing table: prefix-split k-buckets with LRU order,
+//! packed into one contact array.
 //!
 //! The table starts as one bucket covering the whole ID space. When a
 //! bucket fills and it covers the node's *own* ID, it splits into two
@@ -6,8 +7,14 @@
 //! what bounds the table at O(k log n) contacts while keeping complete
 //! knowledge of the node's own neighbourhood.
 //!
-//! Within a bucket, contacts sit in least-recently-seen order: position 0
-//! is the LRU candidate for eviction. The table itself never decides
+//! Because only the own bucket ever splits, after `d` splits bucket
+//! `j < d` is exactly "shares `j` leading bits with the own ID" and the
+//! own bucket is "shares at least `d`". A contact's bucket is therefore
+//! `min((id ^ own).leading_zeros(), d)` — no search — and the buckets sit
+//! back to back, in that order, as runs of one `Vec<Contact>`.
+//!
+//! Within a run, contacts sit in least-recently-seen order: its first
+//! slot is the LRU candidate for eviction. The table itself never decides
 //! liveness — a full bucket surfaces its LRU contact through
 //! [`Insert::Full`] and the network layer pings it, then calls
 //! [`RoutingTable::replace_lru`] (evict the dead) or
@@ -15,6 +22,7 @@
 //! is Kademlia's bias toward long-lived peers).
 
 use crate::id::NodeId;
+use std::ops::Range;
 
 /// A routing-table entry: an overlay ID plus the opaque peer handle the
 /// network layer routes by (the p2p peer index).
@@ -39,54 +47,81 @@ pub enum Insert {
     Full { lru: Contact },
 }
 
-struct Bucket {
-    /// Top `plen` bits that every member ID shares.
-    prefix: u64,
-    plen: u32,
-    /// LRU order: index 0 = least recently seen.
-    contacts: Vec<Contact>,
-}
+/// The own bucket stops splitting at this depth: it then covers the own
+/// ID and its last-bit sibling only.
+const MAX_DEPTH: usize = 63;
 
-impl Bucket {
-    fn covers(&self, id: NodeId) -> bool {
-        self.plen == 0 || (id.0 ^ self.prefix) >> (64 - self.plen) == 0
-    }
-}
+/// Contact slots added per reallocation. A table holds a few dozen
+/// contacts and there is one per DHT member, so doubling would strand
+/// more memory than the table uses.
+const GROW: usize = 4;
 
 /// One peer's view of the overlay.
 pub struct RoutingTable {
     own: NodeId,
     k: usize,
-    buckets: Vec<Bucket>,
+    /// Every contact: run `j` (bucket `j`) directly follows run `j - 1`,
+    /// the own bucket comes last, LRU first within a run.
+    contacts: Vec<Contact>,
+    /// `ends[j]` is one past the last slot of run `j`, for each of the
+    /// `ends.len()` split-off buckets; the own bucket's run ends where
+    /// `contacts` does. Empty until the first split.
+    ends: Vec<u16>,
 }
 
 impl RoutingTable {
     pub fn new(own: NodeId, k: usize) -> Self {
         assert!(k >= 1, "bucket capacity must be at least 1");
+        assert!(
+            k * (MAX_DEPTH + 1) <= u16::MAX as usize,
+            "bucket capacity {k} overflows the run offsets"
+        );
         RoutingTable {
             own,
             k,
-            buckets: vec![Bucket {
-                prefix: 0,
-                plen: 0,
-                contacts: Vec::new(),
-            }],
+            contacts: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
-    pub fn own_id(&self) -> NodeId {
-        self.own
-    }
-
-    pub fn k(&self) -> usize {
-        self.k
+    /// How many times the own bucket has split; also its bucket index.
+    fn depth(&self) -> usize {
+        self.ends.len()
     }
 
     fn bucket_of(&self, id: NodeId) -> usize {
-        self.buckets
-            .iter()
-            .position(|b| b.covers(id))
-            .expect("buckets partition the ID space")
+        (self.own.distance(id).leading_zeros() as usize).min(self.depth())
+    }
+
+    /// The slots of bucket `j`.
+    fn run(&self, j: usize) -> Range<usize> {
+        let start = if j == 0 { 0 } else { self.ends[j - 1] as usize };
+        let end = self
+            .ends
+            .get(j)
+            .map_or(self.contacts.len(), |&e| e as usize);
+        start..end
+    }
+
+    /// The bucket covering `id`, its run, and the slot holding `id` if it
+    /// is stored (`contacts[slot..run.end].rotate_left(1)` makes it MRU).
+    fn find(&self, id: NodeId) -> (usize, Range<usize>, Option<usize>) {
+        let j = self.bucket_of(id);
+        let run = self.run(j);
+        let at = self.contacts[run.clone()].iter().position(|c| c.id == id);
+        let at = at.map(|pos| run.start + pos);
+        (j, run, at)
+    }
+
+    /// Store `c` at the MRU end of bucket `j`, whose run is `run`.
+    fn push(&mut self, j: usize, run: &Range<usize>, c: Contact) {
+        if self.contacts.len() == self.contacts.capacity() {
+            self.contacts.reserve_exact(GROW);
+        }
+        self.contacts.insert(run.end, c);
+        for e in &mut self.ends[j..] {
+            *e += 1;
+        }
     }
 
     /// Offer a contact to the table.
@@ -95,63 +130,50 @@ impl RoutingTable {
             return Insert::Ignored;
         }
         loop {
-            let bi = self.bucket_of(c.id);
-            let b = &mut self.buckets[bi];
-            if let Some(pos) = b.contacts.iter().position(|x| x.id == c.id) {
-                let existing = b.contacts.remove(pos);
-                b.contacts.push(existing);
+            let (j, run, at) = self.find(c.id);
+            if let Some(at) = at {
+                self.contacts[at..run.end].rotate_left(1);
                 return Insert::Refreshed;
             }
-            if b.contacts.len() < self.k {
-                b.contacts.push(c);
+            if run.len() < self.k {
+                self.push(j, &run, c);
                 return Insert::Added;
             }
-            if b.covers(self.own) && b.plen < 63 {
-                self.split(bi);
+            if j == self.depth() && j < MAX_DEPTH {
+                self.split();
                 continue;
             }
-            return Insert::Full { lru: b.contacts[0] };
+            return Insert::Full {
+                lru: self.contacts[run.start],
+            };
         }
     }
 
-    /// Split bucket `bi` into its two half-prefix children, redistributing
-    /// contacts. Only ever called for the bucket covering the own ID.
-    fn split(&mut self, bi: usize) {
-        let b = self.buckets.remove(bi);
-        let plen = b.plen + 1;
-        let bit = 1u64 << (64 - plen);
-        let mut zero = Bucket {
-            prefix: b.prefix,
-            plen,
-            contacts: Vec::new(),
-        };
-        let mut one = Bucket {
-            prefix: b.prefix | bit,
-            plen,
-            contacts: Vec::new(),
-        };
-        for c in b.contacts {
-            if c.id.0 & bit == 0 {
-                zero.contacts.push(c);
-            } else {
-                one.contacts.push(c);
+    /// Split the own bucket: its contacts that differ from the own ID at
+    /// the next bit become the new last split-off bucket, the rest stay.
+    /// Both halves keep their LRU order.
+    fn split(&mut self) {
+        let (own, d) = (self.own, self.depth());
+        let bit = 1u64 << (MAX_DEPTH - d);
+        let start = self.run(d).start;
+        let run = &mut self.contacts[start..];
+        let mut moved = 0;
+        for i in 0..run.len() {
+            if own.distance(run[i].id) & bit != 0 {
+                run[moved..=i].rotate_right(1);
+                moved += 1;
             }
         }
-        self.buckets.insert(bi, one);
-        self.buckets.insert(bi, zero);
+        self.ends.push((start + moved) as u16);
     }
 
     /// Mark a contact as just-seen (moves it to the MRU end).
     pub fn touch(&mut self, id: NodeId) -> bool {
-        let bi = self.bucket_of(id);
-        let b = &mut self.buckets[bi];
-        if let Some(pos) = b.contacts.iter().position(|x| x.id == id) {
-            let c = b.contacts.remove(pos);
-            b.contacts.push(c);
-            true
-        } else {
-            false
+        let (_, run, at) = self.find(id);
+        if let Some(at) = at {
+            self.contacts[at..run.end].rotate_left(1);
         }
+        at.is_some()
     }
 
     /// Evict the LRU contact of the bucket covering `c.id` and store `c`
@@ -162,51 +184,67 @@ impl RoutingTable {
         if c.id == self.own {
             return None;
         }
-        let bi = self.bucket_of(c.id);
-        let b = &mut self.buckets[bi];
-        if b.contacts.iter().any(|x| x.id == c.id) {
-            self.touch(c.id);
+        let (j, run, at) = self.find(c.id);
+        if let Some(at) = at {
+            self.contacts[at..run.end].rotate_left(1);
             return None;
         }
-        let evicted = if b.contacts.len() >= self.k {
-            Some(b.contacts.remove(0))
-        } else {
-            None
-        };
-        self.buckets[bi].contacts.push(c);
-        evicted
+        if run.len() < self.k {
+            self.push(j, &run, c);
+            return None;
+        }
+        let evicted = std::mem::replace(&mut self.contacts[run.start], c);
+        self.contacts[run].rotate_left(1);
+        Some(evicted)
     }
 
     /// Drop a contact wherever it is (routing-table poison repair, or a
     /// peer observed dead outside the ping path).
     pub fn remove(&mut self, id: NodeId) -> bool {
-        let bi = self.bucket_of(id);
-        let b = &mut self.buckets[bi];
-        let before = b.contacts.len();
-        b.contacts.retain(|x| x.id != id);
-        b.contacts.len() != before
+        let (j, _, at) = self.find(id);
+        if let Some(at) = at {
+            self.contacts.remove(at);
+            for e in &mut self.ends[j..] {
+                *e -= 1;
+            }
+        }
+        at.is_some()
     }
 
     pub fn contains(&self, id: NodeId) -> bool {
-        let bi = self.bucket_of(id);
-        self.buckets[bi].contacts.iter().any(|x| x.id == id)
+        self.find(id).2.is_some()
     }
 
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.contacts.len()).sum()
+        self.contacts.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.contacts.is_empty()
     }
 
     pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
+        self.depth() + 1
     }
 
-    /// All contacts, bucket by bucket (test/diagnostic surface).
+    /// Bucket indices by ascending ID prefix: the split-off buckets below
+    /// the own ID (own bit 1, rising index), the own bucket, those above
+    /// it (own bit 0, falling index).
+    fn buckets_by_prefix(&self) -> impl Iterator<Item = usize> {
+        let (own, d) = (self.own.0, self.depth());
+        let own_bit = move |j: &usize| own >> (MAX_DEPTH - j) & 1 == 1;
+        (0..d)
+            .filter(own_bit)
+            .chain(std::iter::once(d))
+            .chain((0..d).rev().filter(move |j| !own_bit(j)))
+    }
+
+    /// All contacts, bucket by bucket in ascending-prefix order (the order
+    /// is pinned: `poison_routing_table` draws one random value per
+    /// contact as it walks this, and the chaos digests follow).
     pub fn contacts(&self) -> impl Iterator<Item = Contact> + '_ {
-        self.buckets.iter().flat_map(|b| b.contacts.iter().copied())
+        self.buckets_by_prefix()
+            .flat_map(|j| self.contacts[self.run(j)].iter().copied())
     }
 
     /// The `count` known contacts closest to `target` by XOR distance,
@@ -221,69 +259,73 @@ impl RoutingTable {
     /// [`closest`](Self::closest) into a caller-owned buffer (cleared
     /// first). Hot reply paths pass a recycled scratch vector so serving a
     /// lookup step does not allocate.
+    ///
+    /// Buckets fall into distance bands around the bucket `t` covering
+    /// `target`: its own contacts agree with the target on one bit more
+    /// than anyone else and are strictly closest; every bucket beyond `t`
+    /// first differs from the target at bit `t` (one band, contiguous in
+    /// the array); bucket `j < t` first differs at bit `j`, so each is a
+    /// band farther than the last. Each band is sorted only if the ones
+    /// before it did not already yield `count`.
     pub fn closest_into(&self, target: NodeId, count: usize, out: &mut Vec<Contact>) {
         out.clear();
-        out.extend(self.contacts());
-        out.sort_unstable_by_key(|c| c.id.distance(target));
+        let t = self.bucket_of(target);
+        let beyond = self.run(t).end..self.contacts.len();
+        let bands = [self.run(t), beyond]
+            .into_iter()
+            .chain((0..t).rev().map(|j| self.run(j)));
+        for band in bands {
+            if out.len() >= count {
+                break;
+            }
+            let sorted = out.len();
+            out.extend_from_slice(&self.contacts[band]);
+            out[sorted..].sort_unstable_by_key(|c| c.id.distance(target));
+        }
         out.truncate(count);
     }
 
-    /// Test/diagnostic: per-bucket `(prefix, plen, len)` snapshot.
+    /// Test/diagnostic: per-bucket `(prefix, plen, len)` snapshot, in
+    /// ascending-prefix order. A split-off bucket's prefix is the own ID's
+    /// first `j + 1` bits with the last flipped; the own bucket's, `d` bits.
     pub fn bucket_shapes(&self) -> Vec<(u64, u32, usize)> {
-        self.buckets
-            .iter()
-            .map(|b| (b.prefix, b.plen, b.contacts.len()))
-            .collect()
+        let d = self.depth();
+        let shape = |j: usize| {
+            let flip = if j < d { 1u64 << (MAX_DEPTH - j) } else { 0 };
+            let plen = (j + 1).min(d) as u32;
+            let mask = !u64::MAX.checked_shr(plen).unwrap_or(0);
+            ((self.own.0 ^ flip) & mask, plen, self.run(j).len())
+        };
+        self.buckets_by_prefix().map(shape).collect()
     }
 
-    /// Internal consistency: buckets partition the space, every contact
-    /// lies in its bucket's range, no bucket exceeds k, and only the chain
-    /// of prefixes of the own ID may have split. Used by proptests.
+    /// Internal consistency: the runs tile the array in order, no bucket
+    /// exceeds k, every contact lies in the prefix range of its run's
+    /// bucket, and none is the own ID or stored twice. Used by proptests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for b in &self.buckets {
-            if b.contacts.len() > self.k {
-                return Err(format!(
-                    "bucket {:#x}/{} holds {} > k={}",
-                    b.prefix,
-                    b.plen,
-                    b.contacts.len(),
-                    self.k
-                ));
+        // `run(j)` spans two neighbours of this list, so the runs tile the
+        // array exactly when it ascends.
+        let ends = self.ends.iter().map(|&e| e as usize);
+        let bounds: Vec<usize> = ends.chain([self.contacts.len()]).collect();
+        if self.depth() > MAX_DEPTH || bounds.windows(2).any(|w| w[0] > w[1]) {
+            return Err(format!("runs end at {bounds:?}"));
+        }
+        for j in 0..=self.depth() {
+            let run = &self.contacts[self.run(j)];
+            if run.len() > self.k {
+                return Err(format!("bucket {j} holds {} > k={}", run.len(), self.k));
             }
-            for c in &b.contacts {
-                if !b.covers(c.id) {
-                    return Err(format!(
-                        "contact {:?} outside bucket {:#x}/{}",
-                        c, b.prefix, b.plen
-                    ));
-                }
-                if c.id == self.own {
-                    return Err("own ID stored as a contact".into());
-                }
+            let stray = |c: &&Contact| c.id == self.own || self.bucket_of(c.id) != j;
+            if let Some(c) = run.iter().find(stray) {
+                return Err(format!("contact {c:?} stored in bucket {j}"));
             }
         }
-        // Partition: every ID pattern is covered exactly once. Check the
-        // prefixes pairwise: no bucket's range may nest inside another's.
-        for (i, a) in self.buckets.iter().enumerate() {
-            for b in self.buckets.iter().skip(i + 1) {
-                let plen = a.plen.min(b.plen);
-                if plen == 0 || (a.prefix ^ b.prefix) >> (64 - plen) == 0 {
-                    return Err(format!(
-                        "buckets {:#x}/{} and {:#x}/{} overlap",
-                        a.prefix, a.plen, b.prefix, b.plen
-                    ));
-                }
-            }
+        let mut ids: Vec<NodeId> = self.contacts.iter().map(|c| c.id).collect();
+        ids.sort_unstable();
+        match ids.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(format!("contact {:?} stored twice", w[0])),
+            None => Ok(()),
         }
-        let total_coverage: f64 = self
-            .buckets
-            .iter()
-            .map(|b| (0.5f64).powi(b.plen as i32))
-            .sum();
-        if (total_coverage - 1.0).abs() > 1e-12 {
-            return Err(format!("buckets cover {total_coverage} of the space"));
-        }
-        Ok(())
     }
 }
 
@@ -373,5 +415,13 @@ mod tests {
         assert!(!t.contains(NodeId(42)));
         assert!(!t.remove(NodeId(42)));
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_empty_table_owns_no_heap() {
+        let t = RoutingTable::new(NodeId(7), 8);
+        assert_eq!(t.contacts.capacity() + t.ends.capacity(), 0);
+        assert_eq!(t.closest(NodeId(9), 8), vec![]);
+        assert_eq!(t.bucket_shapes(), vec![(0, 0, 0)]);
     }
 }

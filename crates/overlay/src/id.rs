@@ -73,6 +73,29 @@ impl NodeId {
         self.0 ^ other.0
     }
 
+    /// Index of the entry of `sorted` (ascending, no ID twice) XOR-nearest
+    /// to `self`, `None` if there is none. Descends the bits from the top:
+    /// the entries agreeing with `self` on a bit are closer than all that
+    /// do not, and in a sorted slice each half is one `partition_point`.
+    pub fn nearest_in(self, sorted: &[NodeId]) -> Option<usize> {
+        let (mut lo, mut hi) = (0, sorted.len());
+        for bit in (0..64).rev().map(|b| 1u64 << b) {
+            if hi - lo <= 1 {
+                break;
+            }
+            let ones = lo + sorted[lo..hi].partition_point(|id| id.0 & bit == 0);
+            if ones == lo || ones == hi {
+                continue; // the candidates all agree on this bit
+            }
+            if self.0 & bit != 0 {
+                lo = ones;
+            } else {
+                hi = ones;
+            }
+        }
+        (lo < hi).then_some(lo)
+    }
+
     /// Index of the k-bucket this distance falls into for a flat table:
     /// position of the highest set bit of the distance (`None` for self).
     pub fn bucket_index(self, other: NodeId) -> Option<u32> {
@@ -128,6 +151,31 @@ mod tests {
             NodeId::from_u64("blob", 0xFEED),
             NodeId::from_u64("blob", 0xFEEE)
         );
+    }
+
+    #[test]
+    fn nearest_in_matches_the_brute_force_scan() {
+        let mut rng = netsim::Pcg32::new(0x1D, 7);
+        assert_eq!(NodeId(5).nearest_in(&[]), None);
+        for n in [1usize, 2, 3, 17, 400] {
+            // Half the sets crowd into 2¹⁶ IDs so low bits decide.
+            for shift in [0u32, 48] {
+                let mut ids: Vec<NodeId> =
+                    (0..n).map(|_| NodeId(rng.next_u64() >> shift)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                for _ in 0..200 {
+                    let target = NodeId(rng.next_u64() >> shift);
+                    let scan = (0..ids.len()).min_by_key(|&i| ids[i].distance(target));
+                    assert_eq!(target.nearest_in(&ids), scan, "{target:?} in {ids:?}");
+                }
+                assert_eq!(
+                    ids[0].nearest_in(&ids),
+                    Some(0),
+                    "a member is its own nearest"
+                );
+            }
+        }
     }
 
     #[test]

@@ -106,9 +106,10 @@ impl Lookup {
     /// in-flight budget, restricted to the candidate window (an entry
     /// farther than the k closest non-failed entries is never useful).
     /// Marks them in flight. Call after construction and after every
-    /// `on_reply`/`on_fail`.
-    pub fn next_batch(&mut self) -> Vec<Contact> {
-        let mut out = Vec::new();
+    /// `on_reply`/`on_fail`. Fills the caller's buffer (cleared first), so
+    /// a lookup step need not allocate.
+    pub fn next_batch(&mut self, out: &mut Vec<Contact>) {
+        out.clear();
         let window = self.window_end();
         let mut budget = self.cfg.alpha.saturating_sub(self.in_flight);
         for e in self.entries.iter_mut().take(window) {
@@ -122,7 +123,6 @@ impl Lookup {
                 out.push(e.c);
             }
         }
-        out
     }
 
     /// Index one past the last entry worth querying: the position of the
@@ -210,6 +210,11 @@ impl Lookup {
             .unwrap_or(0)
     }
 
+    /// Contacts on the shortlist, in any state.
+    pub fn known(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Total number of queries issued so far.
     pub fn queried(&self) -> u64 {
         self.entries
@@ -230,6 +235,12 @@ mod tests {
         }
     }
 
+    fn batch(l: &mut Lookup) -> Vec<Contact> {
+        let mut out = Vec::new();
+        l.next_batch(&mut out);
+        out
+    }
+
     /// Run a full lookup against an in-memory network where every node
     /// knows `closest_of` its neighbours; returns the result set.
     fn drive(
@@ -241,7 +252,7 @@ mod tests {
         let mut l = Lookup::new(target, cfg, seeds);
         let mut guard = 0;
         while !l.is_done() {
-            let batch = l.next_batch();
+            let batch = batch(&mut l);
             assert!(
                 !batch.is_empty() || l.in_flight > 0,
                 "not done but nothing to do"
@@ -336,9 +347,9 @@ mod tests {
     fn alpha_bounds_in_flight() {
         let seeds: Vec<Contact> = (1..=10u64).map(c).collect();
         let mut l = Lookup::new(NodeId(0), LookupConfig { k: 8, alpha: 3 }, seeds);
-        assert_eq!(l.next_batch().len(), 3);
-        assert_eq!(l.next_batch().len(), 0, "alpha exhausted until replies");
+        assert_eq!(batch(&mut l).len(), 3);
+        assert_eq!(batch(&mut l).len(), 0, "alpha exhausted until replies");
         l.on_reply(NodeId(1), vec![]);
-        assert_eq!(l.next_batch().len(), 1, "one slot freed");
+        assert_eq!(batch(&mut l).len(), 1, "one slot freed");
     }
 }

@@ -132,12 +132,13 @@ proptest! {
         let cfg = LookupConfig { k: 8, alpha: 3 };
         let mut l = Lookup::new(target, cfg, tables[origin].closest(target, cfg.k));
         let mut guard = 0;
+        let mut batch = Vec::new();
         loop {
-            let batch = l.next_batch();
+            l.next_batch(&mut batch);
             if batch.is_empty() && l.is_done() {
                 break;
             }
-            for q in batch {
+            for &q in &batch {
                 let closer = tables[q.peer as usize].closest(target, cfg.k);
                 l.on_reply(q.id, closer);
             }

@@ -14,6 +14,34 @@ pub struct QueryId(pub u64);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LookupId(pub u64);
 
+/// Hasher for maps keyed by [`QueryId`] or [`LookupId`]: one multiply.
+/// Both are counters this process mints itself (`P2p::query`, lookup
+/// spawn) and a map only ever stores minted keys — an ID off the wire is
+/// looked up, never inserted — so there is no crafted-collision surface
+/// for SipHash to defend, and every delivered message probes these maps
+/// several times.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by one of the overlay's own sequential IDs.
+pub type IdMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// What a discovery query is looking for.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryKind {

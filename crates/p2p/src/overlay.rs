@@ -16,12 +16,12 @@
 //!   traffic (see `crate::routed`).
 
 use crate::advert::Advertisement;
-use crate::message::{LookupId, Message, P2pEvent, QueryId, QueryKind};
+use crate::message::{IdMap, LookupId, Message, P2pEvent, QueryId, QueryKind};
 use crate::pipe::{PipeError, PipeId, PipeTable};
 use crate::routed::{ActiveLookup, RoutedConfig, RoutedNode};
 use netsim::{HostId, Network, Pcg32, Sim, SimTime};
 use obs::Obs;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Index of a peer within the overlay.
@@ -177,8 +177,9 @@ impl QueryStatus {
 /// A notification surfaced to the embedding layer by [`P2p::handle`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum Incoming {
-    /// A query hit arrived at the origin (also recorded in [`QueryStatus`]).
-    QueryHit { id: QueryId, advert: Advertisement },
+    /// A query hit arrived at the origin; the advert itself is in
+    /// [`QueryStatus::hits`].
+    QueryHit { id: QueryId, provider: PeerId },
     /// Application data arrived on a pipe.
     PipeData {
         to: PeerId,
@@ -203,7 +204,7 @@ pub struct P2p {
     pub mode: DiscoveryMode,
     pub(crate) peers: Vec<PeerState>,
     pub pipes: PipeTable,
-    pub queries: HashMap<QueryId, QueryStatus>,
+    pub queries: IdMap<QueryId, QueryStatus>,
     next_query: u64,
     pub(crate) rendezvous_peers: Vec<PeerId>,
     /// Messages that could not be sent because an endpoint was offline.
@@ -212,7 +213,7 @@ pub struct P2p {
     /// Tuning for routed mode (read at bootstrap and per lookup).
     pub routed_cfg: RoutedConfig,
     /// In-progress iterative lookups, keyed by wire lookup ID.
-    pub(crate) lookups: HashMap<LookupId, ActiveLookup>,
+    pub(crate) lookups: IdMap<LookupId, ActiveLookup>,
     pub(crate) next_lookup: u64,
     /// How many peers had routed state at the last bootstrap (lazy
     /// re-bootstrap trigger when peers are added afterwards).
@@ -230,8 +231,10 @@ pub struct P2p {
     pub(crate) reply_contact_pool: Vec<Vec<(u64, PeerId)>>,
     /// Recycled `providers` buffers, same lifecycle as the contact pool.
     pub(crate) reply_advert_pool: Vec<Vec<Advertisement>>,
-    /// Scratch for routing-table `closest_into` on the serve path.
-    pub(crate) closest_scratch: Vec<::overlay::Contact>,
+    /// Scratch for contact lists that live within one call: the table's
+    /// `closest_into` on the serve path and for a new lookup's seeds, and
+    /// each batch a lookup step issues.
+    pub(crate) contact_scratch: Vec<::overlay::Contact>,
 }
 
 impl P2p {
@@ -240,19 +243,19 @@ impl P2p {
             mode,
             peers: Vec::new(),
             pipes: PipeTable::new(),
-            queries: HashMap::new(),
+            queries: IdMap::default(),
             next_query: 0,
             rendezvous_peers: Vec::new(),
             send_failures: 0,
             obs: Obs::disabled(),
             routed_cfg: RoutedConfig::default(),
-            lookups: HashMap::new(),
+            lookups: IdMap::default(),
             next_lookup: 0,
             routed_peers: 0,
             send_filter: None,
             reply_contact_pool: Vec::new(),
             reply_advert_pool: Vec::new(),
-            closest_scratch: Vec::new(),
+            contact_scratch: Vec::new(),
         }
     }
 
@@ -788,14 +791,15 @@ impl P2p {
                 }
             }
             Message::QueryHit { id, advert } => {
+                let provider = advert.peer();
                 if let Some(q) = self.queries.get_mut(&id) {
-                    q.hits.push((sim.now(), advert.clone()));
+                    q.hits.push((sim.now(), advert));
                 }
                 self.obs.incr("p2p.query_hits");
                 self.obs.event(sim.now().as_micros(), "p2p.query_hit", || {
-                    format!("id={} provider={}", id.0, advert.peer().0)
+                    format!("id={} provider={}", id.0, provider.0)
                 });
-                out.push(Incoming::QueryHit { id, advert });
+                out.push(Incoming::QueryHit { id, provider });
             }
             Message::Publish { advert } => {
                 if self.mode == DiscoveryMode::Routed {
@@ -1602,6 +1606,40 @@ mod tests {
         // the provider is still found.
         assert_eq!(w.p2p.queries[&qid].providers(), vec![provider]);
         assert_eq!(w.p2p.active_lookups(), 0);
+    }
+
+    #[test]
+    fn a_forged_reply_teaches_at_most_k_contacts() {
+        let observer = Obs::enabled();
+        let mut w = world(48, DiscoveryMode::Routed);
+        w.p2p.set_obs(observer.clone());
+        let origin = PeerId(0);
+        let kind = QueryKind::ByService("nobody-offers-this".into());
+        let qid = w.p2p.query(&mut w.sim, &mut w.net, origin, kind, 0);
+        let lid = LookupId(w.p2p.next_lookup - 1);
+        let before = w.p2p.lookups[&lid].lookup.known();
+        let k = w.p2p.routed_cfg.k;
+        let forged = 5_000;
+        let reply = Message::FindValueReply {
+            lid,
+            from: PeerId(9),
+            closer: (0..forged).map(|i| (!i, PeerId(i as u32 % 48))).collect(),
+            providers: Vec::new(),
+        };
+        let ev = P2pEvent::Delivered {
+            to: origin,
+            msg: reply,
+        };
+        w.p2p.handle(&mut w.sim, &mut w.net, ev);
+        assert!(w.p2p.lookups[&lid].lookup.known() <= before + k);
+        let refused = observer.registry().unwrap();
+        assert_eq!(
+            refused.counter_value("p2p.reply_contacts_refused"),
+            forged - k as u64
+        );
+        run(&mut w);
+        assert_eq!(w.p2p.active_lookups(), 0, "the lookup still resolves");
+        assert!(w.p2p.queries[&qid].hits.is_empty());
     }
 
     #[test]

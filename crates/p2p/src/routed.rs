@@ -195,6 +195,9 @@ impl P2p {
         let mut members: Vec<usize> = (0..n).filter(|&i| roles[i] != Role::Cold).collect();
         members.sort_unstable_by_key(|&i| ids[i].0);
         let hot: Vec<usize> = (0..n).filter(|&i| roles[i] == Role::Hot).collect();
+        let mut hot_by_id = hot.clone();
+        hot_by_id.sort_unstable_by_key(|&h| ids[h]);
+        let hot_ids: Vec<NodeId> = hot_by_id.iter().map(|&h| ids[h]).collect();
         let m = members.len();
         for (pos, &i) in members.iter().enumerate() {
             let mut table = kad::RoutingTable::new(ids[i], self.routed_cfg.k);
@@ -232,11 +235,7 @@ impl P2p {
         for i in 0..n {
             self.peers[i].is_rendezvous = roles[i] == Role::Hot;
             if roles[i] == Role::Cold {
-                let near = hot
-                    .iter()
-                    .copied()
-                    .min_by_key(|&h| ids[h].distance(ids[i]))
-                    .expect("hot tier is non-empty");
+                let near = hot_by_id[ids[i].nearest_in(&hot_ids).expect("hot tier is non-empty")];
                 self.peers[i].rendezvous = Some(PeerId(near as u32));
                 // Cold peers hold no routing state; role recorded for the
                 // delegation decision, table left empty.
@@ -449,21 +448,24 @@ impl P2p {
         key: u64,
         purpose: Purpose,
     ) {
-        let seeds = match self.peers[executor.0 as usize].routed.as_ref() {
-            Some(node) => node.table.closest(NodeId(key), self.routed_cfg.k),
-            None => return,
+        let Some(node) = self.peers[executor.0 as usize].routed.as_ref() else {
+            return;
         };
         let cfg = kad::LookupConfig {
             k: self.routed_cfg.k,
             alpha: self.routed_cfg.alpha,
         };
+        let mut seeds = std::mem::take(&mut self.contact_scratch);
+        node.table.closest_into(NodeId(key), cfg.k, &mut seeds);
+        let lookup = kad::Lookup::new(NodeId(key), cfg, seeds.iter().copied());
+        self.contact_scratch = seeds;
         let lid = LookupId(self.next_lookup);
         self.next_lookup += 1;
         self.obs.incr("p2p.lookups_started");
         self.lookups.insert(
             lid,
             ActiveLookup {
-                lookup: kad::Lookup::new(NodeId(key), cfg, seeds),
+                lookup,
                 executor,
                 key,
                 purpose,
@@ -482,23 +484,19 @@ impl P2p {
         net: &mut Network,
         lid: LookupId,
     ) {
-        loop {
-            let (batch, executor, key, kind) = match self.lookups.get_mut(&lid) {
-                None => return,
-                Some(al) => {
-                    let b = al.lookup.next_batch();
-                    if b.is_empty() {
-                        break;
-                    }
-                    let kind = match &al.purpose {
-                        Purpose::Query { kind, .. } => Some(kind.clone()),
-                        Purpose::Publish { .. } => None,
-                    };
-                    (b, al.executor, al.key, kind)
-                }
+        let mut batch = std::mem::take(&mut self.contact_scratch);
+        while let Some(al) = self.lookups.get_mut(&lid) {
+            al.lookup.next_batch(&mut batch);
+            if batch.is_empty() {
+                break;
+            }
+            let kind = match &al.purpose {
+                Purpose::Query { kind, .. } => Some(kind.clone()),
+                Purpose::Publish { .. } => None,
             };
+            let (executor, key) = (al.executor, al.key);
             let mut failed: Vec<NodeId> = Vec::new();
-            for c in batch {
+            for &c in &batch {
                 let msg = match &kind {
                     Some(kind) => Message::FindValue {
                         lid,
@@ -535,6 +533,7 @@ impl P2p {
                 }
             }
         }
+        self.contact_scratch = batch;
         if self.lookups.get(&lid).is_some_and(|al| al.lookup.is_done()) {
             self.finish_lookup(sim, net, lid);
         }
@@ -562,7 +561,7 @@ impl P2p {
         // lookup steps serves without allocating.
         let mut closer = self.take_contact_buf();
         let mut providers = self.take_advert_buf();
-        let mut scratch = std::mem::take(&mut self.closest_scratch);
+        let mut scratch = std::mem::take(&mut self.contact_scratch);
         if let Some(node) = self.peers[to.0 as usize].routed.as_mut() {
             if node.role != Role::Cold {
                 node.table
@@ -584,7 +583,7 @@ impl P2p {
                 }
             }
         }
-        self.closest_scratch = scratch;
+        self.contact_scratch = scratch;
         if !providers.is_empty() {
             self.obs
                 .add("p2p.provider_record_hits", providers.len() as u64);
@@ -635,6 +634,15 @@ impl P2p {
             self.recycle_advert_buf(providers);
             return;
         }
+        // An honest `closer` list is some table's `closest_into(.., k)`:
+        // what a reply carries beyond `k` is refused, so no remote peer
+        // decides how large a lookup's shortlist grows.
+        let k = self.routed_cfg.k;
+        if closer.len() > k {
+            self.obs
+                .add("p2p.reply_contacts_refused", (closer.len() - k) as u64);
+            closer.truncate(k);
+        }
         {
             let al = self.lookups.get_mut(&lid).unwrap();
             al.lookup.on_reply(
@@ -660,11 +668,12 @@ impl P2p {
                     // their (no-op) timeouts.
                     for advert in live.drain(..) {
                         if to == origin {
+                            let provider = advert.peer();
                             if let Some(q) = self.queries.get_mut(&id) {
-                                q.hits.push((now, advert.clone()));
+                                q.hits.push((now, advert));
                             }
                             self.obs.incr("p2p.query_hits");
-                            out.push(crate::overlay::Incoming::QueryHit { id, advert });
+                            out.push(crate::overlay::Incoming::QueryHit { id, provider });
                         } else {
                             self.send(sim, net, to, origin, Message::QueryHit { id, advert });
                         }

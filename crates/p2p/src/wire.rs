@@ -203,6 +203,23 @@ impl<'a> Reader<'a> {
         Ok(len as usize)
     }
 
+    /// A `u32` element count, validated against [`MAX_LEN`], with a
+    /// vector sized for it once — but for no more elements than the bytes
+    /// remaining could hold at `min_elem` bytes each, so a lying count
+    /// reserves at most the buffer's worth before it runs out of input.
+    pub fn list<T>(
+        &mut self,
+        what: &'static str,
+        min_elem: usize,
+    ) -> Result<(usize, Vec<T>), WireError> {
+        let len = self.u32()? as u64;
+        if len > MAX_LEN {
+            return Err(WireError::LengthOverflow { what, len });
+        }
+        let room = self.remaining() / min_elem;
+        Ok((len as usize, Vec::with_capacity(room.min(len as usize))))
+    }
+
     pub fn bytes(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
         let len = self.length(what)?;
         Ok(self.take(len)?.to_vec())
@@ -300,6 +317,14 @@ const AD_PIPE: u8 = 1;
 const AD_MODULE: u8 = 2;
 const AD_BLOB: u8 = 3;
 
+/// Fewest bytes a string, an advert and a `closer` contact encode to —
+/// what [`Reader::list`] divides the remaining input by. A string is at
+/// least its length prefix; the smallest advert is a pipe's with an empty
+/// name (expiry, tag, pipe ID, name, peer).
+const MIN_STR_WIRE: usize = 4;
+const MIN_ADVERT_WIRE: usize = 8 + 1 + 8 + MIN_STR_WIRE + 4;
+const CONTACT_WIRE: usize = 8 + 4;
+
 pub fn encode_advert(w: &mut Writer, ad: &Advertisement) {
     w.u64(ad.expires.0);
     match &ad.body {
@@ -344,14 +369,7 @@ pub fn decode_advert(r: &mut Reader) -> Result<Advertisement, WireError> {
             let peer = PeerId(r.u32()?);
             let cpu_ghz = r.f64()?;
             let free_ram_mib = r.u32()?;
-            let n = r.u32()? as u64;
-            if n > MAX_LEN {
-                return Err(WireError::LengthOverflow {
-                    what: "service list",
-                    len: n,
-                });
-            }
-            let mut services = Vec::new();
+            let (n, mut services) = r.list("service list", MIN_STR_WIRE)?;
             for _ in 0..n {
                 services.push(r.sym("service name")?);
             }
@@ -413,14 +431,7 @@ fn encode_closer(w: &mut Writer, closer: &[(u64, PeerId)]) {
 }
 
 fn decode_closer(r: &mut Reader) -> Result<Vec<(u64, PeerId)>, WireError> {
-    let n = r.u32()? as u64;
-    if n > MAX_LEN {
-        return Err(WireError::LengthOverflow {
-            what: "contact list",
-            len: n,
-        });
-    }
-    let mut closer = Vec::new();
+    let (n, mut closer) = r.list("contact list", CONTACT_WIRE)?;
     for _ in 0..n {
         let id = r.u64()?;
         let peer = PeerId(r.u32()?);
@@ -599,14 +610,7 @@ impl Message {
                 let lid = LookupId(r.u64()?);
                 let from = PeerId(r.u32()?);
                 let closer = decode_closer(r)?;
-                let n = r.u32()? as u64;
-                if n > MAX_LEN {
-                    return Err(WireError::LengthOverflow {
-                        what: "provider list",
-                        len: n,
-                    });
-                }
-                let mut providers = Vec::new();
+                let (n, mut providers) = r.list("provider list", MIN_ADVERT_WIRE)?;
                 for _ in 0..n {
                     providers.push(decode_advert(r)?);
                 }
@@ -908,6 +912,34 @@ mod tests {
         w.u32(u32::MAX); // service count
         let err = Message::decode(&w.into_bytes()).unwrap_err();
         assert!(matches!(err, WireError::LengthOverflow { .. }));
+    }
+
+    #[test]
+    fn a_lying_list_length_reserves_no_more_than_the_buffer_holds() {
+        let mut w = Writer::new();
+        w.u32(MAX_LEN as u32);
+        w.f64s(&[0.0; 2]);
+        w.u32(0);
+        let buf = w.into_bytes();
+        let (n, list) = Reader::new(&buf)
+            .list::<(u64, PeerId)>("contact list", super::CONTACT_WIRE)
+            .unwrap();
+        assert_eq!(
+            n, MAX_LEN as usize,
+            "the count is the caller's to run out on"
+        );
+        assert_eq!(list.capacity(), 20 / super::CONTACT_WIRE);
+        // And through the message decoder: a FIND_NODE reply claiming
+        // `MAX_LEN` contacts over 20 bytes is truncated, not allocated.
+        let mut w = Writer::new();
+        w.u8(super::MSG_FIND_NODE_REPLY);
+        w.u64(1);
+        w.u32(2);
+        w.u32(MAX_LEN as u32);
+        w.f64s(&[0.0; 2]);
+        w.u32(0);
+        let err = Message::decode(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
     }
 
     #[test]
