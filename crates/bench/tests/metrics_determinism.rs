@@ -1,9 +1,12 @@
-//! End-to-end determinism of the CI smoke artifact: two `repro --quick`
-//! invocations in separate processes must produce byte-identical metrics
-//! snapshots, and the snapshot must be valid JSON with the counters CI
-//! diffs against.
+//! End-to-end determinism of the CI smoke artifact: `repro --quick` must
+//! produce exactly the snapshot pinned in `golden/quick.metrics.json`, so
+//! a change that reorders, drops, adds or re-values a metric fails here
+//! instead of passing silently; and the snapshot must be valid JSON with
+//! the counters CI diffs against.
 
 use std::process::Command;
+
+const GOLDEN: &str = include_str!("golden/quick.metrics.json");
 
 fn run_quick(out: &std::path::Path) -> String {
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -18,13 +21,34 @@ fn run_quick(out: &std::path::Path) -> String {
     std::fs::read_to_string(out).expect("metrics file written")
 }
 
+/// Up to 120 bytes of `s` from `from`, for a readable mismatch report.
+fn context(s: &str, from: usize) -> String {
+    let bytes = &s.as_bytes()[from.min(s.len())..];
+    String::from_utf8_lossy(&bytes[..bytes.len().min(120)]).into_owned()
+}
+
 #[test]
-fn quick_metrics_snapshot_is_byte_identical_across_processes() {
+fn quick_metrics_snapshot_matches_the_pinned_golden() {
     let dir = std::env::temp_dir().join("repro_metrics_determinism");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let a = run_quick(&dir.join("a.json"));
-    let b = run_quick(&dir.join("b.json"));
-    assert_eq!(a, b, "same-seed smoke runs must be byte-identical");
+    if a != GOLDEN {
+        let at = a
+            .bytes()
+            .zip(GOLDEN.bytes())
+            .position(|(x, y)| x != y)
+            .unwrap_or(a.len().min(GOLDEN.len()));
+        let from = at.saturating_sub(60);
+        panic!(
+            "repro --quick snapshot differs from crates/bench/tests/golden/quick.metrics.json \
+             at byte {at}:\n  golden: …{}\n  run:    …{}\n\
+             If the change is meant to alter the snapshot, re-pin it in a commit of its own:\n  \
+             cargo run --release -p consumer-grid-bench --bin repro -- --quick \
+             --metrics-out crates/bench/tests/golden/quick.metrics.json",
+            context(GOLDEN, from),
+            context(&a, from),
+        );
+    }
 
     let doc = obs::json::parse(&a).expect("valid JSON");
     assert_eq!(

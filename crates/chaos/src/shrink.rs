@@ -3,8 +3,9 @@
 //! Two passes run to a fixpoint. First a ddmin-style structural pass
 //! removes contiguous chunks of events, largest chunks first, keeping any
 //! removal that still fails. Then a weakening pass replaces each surviving
-//! event with a strictly weaker version (see [`FaultEvent::weaken`]) while
-//! the plan keeps failing. The predicate is re-run on every candidate, so
+//! event with a strictly weaker version (see
+//! [`FaultEvent::weaken`](crate::plan::FaultEvent::weaken)) while the plan
+//! keeps failing. The predicate is re-run on every candidate, so
 //! the result is 1-minimal: deleting any single remaining event, or
 //! weakening any remaining event one more notch, makes the failure vanish.
 

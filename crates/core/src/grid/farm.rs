@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 use netsim::avail::AvailabilityTrace;
 use netsim::{Duration, HostId, HostSpec, Sim, SimTime};
-use obs::Obs;
+use obs::{Counter, HistogramHandle, Obs};
 use orch::{Delta, OrchestratorHandle};
 use p2p::{AdvertBody, Advertisement, BlobAdvert, PeerId, QueryId, QueryKind};
 use store::{assign_round_robin, BlobId, ChunkStore, FetchTracker};
@@ -273,6 +273,91 @@ pub struct FarmStats {
 /// retired-instruction stats on success, the sandbox/runtime error otherwise.
 pub type ResidentExec = Result<(Vec<Vec<f64>>, tvm::ExecStats), tvm::TvmError>;
 
+/// The scheduler's counters and latency histograms, resolved once in
+/// [`FarmScheduler::set_obs`]; events and the blacklist gauge go through
+/// the scheduler's `Obs` by name.
+#[derive(Default)]
+struct FarmMetrics {
+    dispatches: Counter,
+    retries: Counter,
+    completions: Counter,
+    module_cache_hits: Counter,
+    module_cache_misses: Counter,
+    module_bytes_sent: Counter,
+    requeues: Counter,
+    migrations: Counter,
+    worker_up: Counter,
+    worker_down: Counter,
+    local_rebuilds: Counter,
+    swarm_fetches: Counter,
+    chunk_reroutes: Counter,
+    blobs_verified: Counter,
+    verify_failures: Counter,
+    seed_adverts: Counter,
+    provider_expired: Counter,
+    fallback_no_provider: Counter,
+    providers_used: Counter,
+    bytes_from_controller: Counter,
+    bytes_from_peers: Counter,
+    votes_agreed: Counter,
+    votes_dissented: Counter,
+    speculative_dispatches: Counter,
+    speculative_wins: Counter,
+    speculative_losses: Counter,
+    speculative_cancelled: Counter,
+    speculative_wasted_us: Counter,
+    straggler_checks: Counter,
+    abandons: Counter,
+    stale_outputs_dropped: Counter,
+    output_retransfers: Counter,
+    returning_requeued: Counter,
+    job_latency_us: HistogramHandle,
+    chunk_fetch_us: HistogramHandle,
+}
+
+impl FarmMetrics {
+    fn new(obs: &Obs) -> Self {
+        let c = |name| obs.counter(name);
+        FarmMetrics {
+            dispatches: c("farm.dispatches"),
+            retries: c("farm.retries"),
+            completions: c("farm.completions"),
+            module_cache_hits: c("farm.module_cache_hits"),
+            module_cache_misses: c("farm.module_cache_misses"),
+            module_bytes_sent: c("farm.module_bytes_sent"),
+            requeues: c("farm.requeues"),
+            migrations: c("farm.migrations"),
+            worker_up: c("farm.worker_up"),
+            worker_down: c("farm.worker_down"),
+            local_rebuilds: c("store.local_rebuilds"),
+            swarm_fetches: c("store.swarm_fetches"),
+            chunk_reroutes: c("store.chunk_reroutes"),
+            blobs_verified: c("store.blobs_verified"),
+            verify_failures: c("store.verify_failures"),
+            seed_adverts: c("store.seed_adverts"),
+            provider_expired: c("store.provider_expired"),
+            fallback_no_provider: c("store.fallback_no_provider"),
+            providers_used: c("store.providers_used"),
+            bytes_from_controller: c("store.bytes_from_controller"),
+            bytes_from_peers: c("store.bytes_from_peers"),
+            votes_agreed: c("trust.votes_agreed"),
+            votes_dissented: c("trust.votes_dissented"),
+            speculative_dispatches: c("trust.speculative_dispatches"),
+            speculative_wins: c("trust.speculative_wins"),
+            speculative_losses: c("trust.speculative_losses"),
+            speculative_cancelled: c("trust.speculative_cancelled"),
+            speculative_wasted_us: c("trust.speculative_wasted_us"),
+            straggler_checks: c("trust.straggler_checks"),
+            abandons: c("trust.abandons"),
+            stale_outputs_dropped: c("orch.stale_outputs_dropped"),
+            output_retransfers: c("orch.output_retransfers"),
+            returning_requeued: c("orch.returning_requeued"),
+            job_latency_us: obs.histogram("farm.job_latency_us"),
+            chunk_fetch_us: obs.histogram("store.chunk_fetch_us"),
+        }
+    }
+}
+
 /// The Triana Controller's farm scheduler.
 ///
 /// Runs either classically (one controller, [`FarmScheduler::new`]) or
@@ -313,6 +398,7 @@ pub struct FarmScheduler {
     spec_dispatches: u64,
     spec_wins: u64,
     obs: Obs,
+    metrics: FarmMetrics,
 }
 
 impl FarmScheduler {
@@ -346,6 +432,7 @@ impl FarmScheduler {
             spec_dispatches: 0,
             spec_wins: 0,
             obs: Obs::disabled(),
+            metrics: FarmMetrics::default(),
         }
     }
 
@@ -356,6 +443,7 @@ impl FarmScheduler {
         for w in &mut self.workers {
             w.cache.set_obs(obs.clone());
         }
+        self.metrics = FarmMetrics::new(&obs);
         self.obs = obs;
     }
 
@@ -383,11 +471,11 @@ impl FarmScheduler {
     /// refresh the blacklist gauge.
     pub fn record_vote(&mut self, wid: WorkerId, agreed: bool) {
         self.profiles.record_vote(wid.0, agreed);
-        self.obs.incr(if agreed {
-            "trust.votes_agreed"
+        if agreed {
+            self.metrics.votes_agreed.incr();
         } else {
-            "trust.votes_dissented"
-        });
+            self.metrics.votes_dissented.incr();
+        }
         self.refresh_blacklist_gauge();
     }
 
@@ -710,13 +798,13 @@ impl FarmScheduler {
             None => false,
         };
         if module_key.is_some() {
-            self.obs.incr(if needs_module {
-                "farm.module_cache_misses"
+            if needs_module {
+                self.metrics.module_cache_misses.incr();
             } else {
-                "farm.module_cache_hits"
-            });
+                self.metrics.module_cache_hits.incr();
+            }
         }
-        self.obs.incr("farm.dispatches");
+        self.metrics.dispatches.incr();
         self.obs
             .event(world.sim.now().as_micros(), "farm.dispatch", || {
                 format!("job={} worker={}", job_id.0, wid.0)
@@ -731,7 +819,7 @@ impl FarmScheduler {
         self.jobs[job_id.0 as usize].state = JobState::Assigned;
         self.start_attempt(job_id, Role::Primary, wid);
         if self.jobs[job_id.0 as usize].attempts > 1 {
-            self.obs.incr("farm.retries");
+            self.metrics.retries.incr();
         }
         if needs_module {
             let key = module_key.expect("checked above");
@@ -758,7 +846,7 @@ impl FarmScheduler {
             .fetch(&key)
             .map(|b| b.len() as u64)
             .unwrap_or(0);
-        self.obs.add("farm.module_bytes_sent", bytes);
+        self.metrics.module_bytes_sent.add(bytes);
         let dst = self.workers[wid.0 as usize].host;
         let src = self.owner_host(job_id);
         match world.net.transfer(world.sim.now(), src, dst, bytes) {
@@ -794,7 +882,7 @@ impl FarmScheduler {
         if w.store.is_complete(id) {
             if let Ok(rebuilt) = w.store.assemble(id) {
                 w.cache.insert(key, rebuilt);
-                self.obs.incr("store.local_rebuilds");
+                self.metrics.local_rebuilds.incr();
                 return self.send_input(world, job_id, Role::Primary);
             }
             // Resident chunks are corrupt: drop them and fetch afresh.
@@ -802,7 +890,7 @@ impl FarmScheduler {
         }
         let layout = w.store.layout_for(blob_len);
         let origin = w.peer;
-        self.obs.incr("store.swarm_fetches");
+        self.metrics.swarm_fetches.incr();
         let query = world.p2p.query(
             &mut world.sim,
             &mut world.net,
@@ -863,7 +951,7 @@ impl FarmScheduler {
             Err(_) => match source {
                 // Provider went offline between discovery and pull.
                 ChunkSource::Peer(_) => {
-                    self.obs.incr("store.chunk_reroutes");
+                    self.metrics.chunk_reroutes.incr();
                     self.request_chunk(world, job, chunk, ChunkSource::Controller);
                 }
                 // Controller transfers only fail if the worker itself
@@ -889,7 +977,7 @@ impl FarmScheduler {
         match w.store.assemble(blob_id) {
             Ok(blob) => {
                 w.cache.insert(key, blob);
-                self.obs.incr("store.blobs_verified");
+                self.metrics.blobs_verified.incr();
                 self.advertise_provider(world, wid, blob_id);
                 self.send_input(world, job, Role::Primary);
             }
@@ -898,7 +986,7 @@ impl FarmScheduler {
                 // module cache. Drop the chunks, count the rejection, and
                 // fetch the authoritative copy from the controller.
                 w.store.release(blob_id);
-                self.obs.incr("store.verify_failures");
+                self.metrics.verify_failures.incr();
                 self.obs.event(now.as_micros(), "store.verify_failure", || {
                     format!("job={} worker={} blob={}", job.0, wid.0, blob_id)
                 });
@@ -927,7 +1015,7 @@ impl FarmScheduler {
             expires: world.sim.now() + sw.advert_ttl,
         };
         world.p2p.publish(&mut world.sim, &mut world.net, peer, ad);
-        self.obs.incr("store.seed_adverts");
+        self.metrics.seed_adverts.incr();
     }
 
     fn send_input(&mut self, world: &mut GridWorld, job_id: JobId, role: Role) {
@@ -951,7 +1039,7 @@ impl FarmScheduler {
                 if let Some(key) = &job.spec.module {
                     if self.workers[wid.0 as usize].cache.get(key).is_none() {
                         let blob_len = self.library.fetch(key).map_or(0, |b| b.len() as u64);
-                        self.obs.add("farm.module_bytes_sent", blob_len);
+                        self.metrics.module_bytes_sent.add(blob_len);
                         bytes += blob_len;
                     }
                 }
@@ -982,8 +1070,7 @@ impl FarmScheduler {
     /// Compute sunk into a copy whose result nobody will use.
     fn meter_sunk(&mut self, job: JobId, sunk: Duration) {
         self.jobs[job.0 as usize].wasted += sunk;
-        self.obs
-            .add("trust.speculative_wasted_us", sunk.as_micros());
+        self.metrics.speculative_wasted_us.add(sunk.as_micros());
     }
 
     /// Give up `role`'s copy of `job`, if there is one: the job was
@@ -996,7 +1083,7 @@ impl FarmScheduler {
             return false;
         };
         if role == Role::Backup {
-            self.obs.incr("trust.speculative_cancelled");
+            self.metrics.speculative_cancelled.incr();
         }
         if self.slots.is_up(a.worker) && a.phase.holds_slot() {
             if let Phase::Running { started, .. } = a.phase {
@@ -1011,13 +1098,18 @@ impl FarmScheduler {
     /// The only way a job returns to `Pending`, so nothing can still
     /// complete a job that is waiting to be dispatched. `counter` says
     /// why: `farm.requeues` or `farm.migrations`.
-    fn requeue(&mut self, world: &mut GridWorld, job_id: JobId, counter: &'static str) {
+    fn requeue(
+        &mut self,
+        world: &mut GridWorld,
+        job_id: JobId,
+        counter: fn(&FarmMetrics) -> &Counter,
+    ) {
         let now = world.sim.now();
         self.abandon(now, job_id, Role::Backup);
         self.abandon(now, job_id, Role::Primary);
         self.jobs[job_id.0 as usize].state = JobState::Pending;
         self.pending.push_back(job_id);
-        self.obs.incr(counter);
+        counter(&self.metrics).incr();
         self.record_delta(world, Delta::Requeue { job: job_id.0 });
     }
 
@@ -1027,7 +1119,7 @@ impl FarmScheduler {
     /// dropped — its primary is still running.
     fn attempt_failed(&mut self, world: &mut GridWorld, job: JobId, role: Role) {
         match role {
-            Role::Primary => self.requeue(world, job, "farm.requeues"),
+            Role::Primary => self.requeue(world, job, |m| &m.requeues),
             Role::Backup => {
                 self.abandon(world.sim.now(), job, role);
             }
@@ -1055,7 +1147,7 @@ impl FarmScheduler {
                 debug_assert!(w.attempts.is_empty());
                 world.net.set_online(w.host, true);
                 self.profiles.mark_up(wid.0, world.sim.now());
-                self.obs.incr("farm.worker_up");
+                self.metrics.worker_up.incr();
                 self.obs
                     .event(world.sim.now().as_micros(), "farm.worker_up", || {
                         format!("worker={}", wid.0)
@@ -1067,7 +1159,7 @@ impl FarmScheduler {
                     // Duplicate down-event: already handled.
                     return;
                 }
-                self.obs.incr("farm.worker_down");
+                self.metrics.worker_down.incr();
                 self.obs
                     .event(world.sim.now().as_micros(), "farm.worker_down", || {
                         format!("worker={}", wid.0)
@@ -1271,7 +1363,7 @@ impl FarmScheduler {
             // flight: the arrival lands on a dead (or deposed) owner. Drop
             // it — `on_orch_change` re-drives a primary's result toward the
             // new owner; a backup's is left to lose the race.
-            self.obs.incr("orch.stale_outputs_dropped");
+            self.metrics.stale_outputs_dropped.incr();
             return;
         }
         let now = world.sim.now();
@@ -1282,8 +1374,8 @@ impl FarmScheduler {
         j.completed = Some(now);
         j.completed_by = Some(worker);
         let latency = now.since(j.created);
-        self.obs.incr("farm.completions");
-        self.obs.observe("farm.job_latency_us", latency.as_micros());
+        self.metrics.completions.incr();
+        self.metrics.job_latency_us.observe(latency.as_micros());
         let (kind, by) = match role {
             Role::Primary => ("farm.complete", None),
             Role::Backup => ("trust.speculative_win", Some(worker.0)),
@@ -1296,11 +1388,11 @@ impl FarmScheduler {
         // The winner's seat is empty by now: this abandons the other copy.
         let raced = self.abandon(now, job, Role::Primary) | self.abandon(now, job, Role::Backup);
         match role {
-            Role::Primary if raced => self.obs.incr("trust.speculative_losses"),
+            Role::Primary if raced => self.metrics.speculative_losses.incr(),
             Role::Primary => return,
             Role::Backup => {
                 self.spec_wins += 1;
-                self.obs.incr("trust.speculative_wins");
+                self.metrics.speculative_wins.incr();
             }
         }
         // The loser's slot came free.
@@ -1341,7 +1433,7 @@ impl FarmScheduler {
         if !still_running || j.backup.is_some() {
             return;
         }
-        self.obs.incr("trust.straggler_checks");
+        self.metrics.straggler_checks.incr();
         let gigacycles = self.remaining_gigacycles(job);
         let mut cands = self.open_candidates();
         cands.retain(|c| c.worker != worker.0 && self.eligible(job, WorkerId(c.worker)));
@@ -1369,7 +1461,7 @@ impl FarmScheduler {
         };
         let backup = WorkerId(cands[ci].worker);
         self.spec_dispatches += 1;
-        self.obs.incr("trust.speculative_dispatches");
+        self.metrics.speculative_dispatches.incr();
         self.obs
             .event(world.sim.now().as_micros(), "trust.speculate", || {
                 format!("job={} straggler={} backup={}", job.0, worker.0, backup.0)
@@ -1401,7 +1493,7 @@ impl FarmScheduler {
             .map(|q| q.providers_live(world.sim.now()))
             .unwrap_or_default();
         if expired > 0 {
-            self.obs.add("store.provider_expired", expired);
+            self.metrics.provider_expired.add(expired);
         }
         providers.retain(|p| {
             *p != origin
@@ -1413,10 +1505,10 @@ impl FarmScheduler {
         providers.truncate(sw.max_providers);
         if providers.is_empty() {
             // Nobody (reachable) holds the blob yet: controller-direct.
-            self.obs.incr("store.fallback_no_provider");
+            self.metrics.fallback_no_provider.incr();
             return self.direct_fetch(world, job, key);
         }
-        self.obs.add("store.providers_used", providers.len() as u64);
+        self.metrics.providers_used.add(providers.len() as u64);
         let missing = self.workers[wid.0 as usize]
             .store
             .missing(blob, layout.blob_len);
@@ -1452,14 +1544,13 @@ impl FarmScheduler {
             fetch.key.clone(),
         );
         let bytes = layout.size(chunk);
-        self.obs
-            .observe("store.chunk_fetch_us", latency.as_micros());
+        self.metrics.chunk_fetch_us.observe(latency.as_micros());
         match source {
             ChunkSource::Controller => {
-                self.obs.add("store.bytes_from_controller", bytes);
-                self.obs.add("farm.module_bytes_sent", bytes);
+                self.metrics.bytes_from_controller.add(bytes);
+                self.metrics.module_bytes_sent.add(bytes);
             }
-            ChunkSource::Peer(_) => self.obs.add("store.bytes_from_peers", bytes),
+            ChunkSource::Peer(_) => self.metrics.bytes_from_peers.add(bytes),
         }
         let piece: Option<Vec<u8>> = match source {
             ChunkSource::Controller => self
@@ -1486,7 +1577,7 @@ impl FarmScheduler {
             // them, or the library republished the module mid-fetch).
             None => match source {
                 ChunkSource::Peer(_) => {
-                    self.obs.incr("store.chunk_reroutes");
+                    self.metrics.chunk_reroutes.incr();
                     self.request_chunk(world, job, chunk, ChunkSource::Controller);
                 }
                 ChunkSource::Controller => {
@@ -1543,7 +1634,7 @@ impl FarmScheduler {
                         // The peer walked away mid-run (§3.6.2 "user intervenes"):
                         // abandonment evidence against its trust score.
                         self.profiles.record_abandon(wid.0);
-                        self.obs.incr("trust.abandons");
+                        self.metrics.abandons.incr();
                         // Replicate the checkpoint head, so a takeover orchestrator
                         // resumes the job from here instead of from scratch.
                         self.record_delta(
@@ -1554,7 +1645,7 @@ impl FarmScheduler {
                             },
                         );
                     }
-                    self.requeue(world, job_id, "farm.migrations");
+                    self.requeue(world, job_id, |m| &m.migrations);
                 }
             }
         }
@@ -1716,7 +1807,7 @@ impl FarmScheduler {
             let dst = self.owner_host(job_id);
             let out_bytes = self.jobs[job_id.0 as usize].spec.output_bytes;
             if let Ok(delay) = world.net.transfer(world.sim.now(), src, dst, out_bytes) {
-                self.obs.incr("orch.output_retransfers");
+                self.metrics.output_retransfers.incr();
                 world.sim.schedule(
                     delay,
                     GridEvent::OutputArrived {
@@ -1734,8 +1825,8 @@ impl FarmScheduler {
         let j = &mut self.jobs[job_id.0 as usize];
         j.completed_by = None;
         j.fraction = 0.0;
-        self.obs.incr("orch.returning_requeued");
-        self.requeue(world, job_id, "farm.requeues");
+        self.metrics.returning_requeued.incr();
+        self.requeue(world, job_id, |m| &m.requeues);
     }
 
     /// Does every index equal a recount from the job and slot tables, and

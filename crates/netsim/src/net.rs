@@ -46,13 +46,21 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
+/// The `net.*` counters, resolved once in [`Network::set_obs`].
+#[derive(Default)]
+struct NetMetrics {
+    transfers: obs::Counter,
+    bytes: obs::Counter,
+    dropped: obs::Counter,
+}
+
 /// The host table plus link-queue state.
 pub struct Network {
     hosts: Vec<HostState>,
     stats: NetStats,
     /// Local (same-host) delivery cost; models IPC, not the network.
     pub loopback: Duration,
-    observer: obs::Obs,
+    metrics: NetMetrics,
     /// Severed host pairs (stored normalized low-high); transfers between
     /// them fail as [`SendError::LinkCut`]. Models a routing partition
     /// between two otherwise-online hosts.
@@ -81,7 +89,7 @@ impl Network {
             hosts: Vec::new(),
             stats: NetStats::default(),
             loopback: Duration::from_micros(50),
-            observer: obs::Obs::disabled(),
+            metrics: NetMetrics::default(),
             cut_links: HashSet::new(),
         }
     }
@@ -118,7 +126,11 @@ impl Network {
     /// Attach a metrics observer; every [`Network::transfer`] then also feeds
     /// the `net.*` counters in the shared registry.
     pub fn set_obs(&mut self, observer: obs::Obs) {
-        self.observer = observer;
+        self.metrics = NetMetrics {
+            transfers: observer.counter("net.transfers"),
+            bytes: observer.counter("net.bytes"),
+            dropped: observer.counter("net.dropped"),
+        };
     }
 
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
@@ -177,25 +189,23 @@ impl Network {
     ) -> Result<Duration, SendError> {
         if !self.hosts[src.0 as usize].online {
             self.stats.dropped += 1;
-            self.observer.incr("net.dropped");
+            self.metrics.dropped.incr();
             return Err(SendError::SourceOffline);
         }
         if !self.hosts[dst.0 as usize].online {
             self.stats.dropped += 1;
-            self.observer.incr("net.dropped");
+            self.metrics.dropped.incr();
             return Err(SendError::DestOffline);
         }
         if !self.cut_links.is_empty() && self.is_link_cut(src, dst) && src != dst {
             self.stats.dropped += 1;
-            self.observer.incr("net.dropped");
+            self.metrics.dropped.incr();
             return Err(SendError::LinkCut);
         }
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        if self.observer.is_enabled() {
-            self.observer.incr("net.transfers");
-            self.observer.add("net.bytes", bytes);
-        }
+        self.metrics.transfers.incr();
+        self.metrics.bytes.add(bytes);
         if src == dst {
             return Ok(self.loopback);
         }

@@ -8,7 +8,11 @@
 //! * a cheap handle, [`Obs`], threaded through the engine, grid
 //!   schedulers, P2P overlay and TVM. A disabled handle is a single
 //!   `Option` branch per call site, so instrumentation costs nothing when
-//!   off (the default everywhere).
+//!   off (the default everywhere);
+//! * typed metric handles, [`Counter`] and [`HistogramHandle`], resolved
+//!   once by name from an `Obs` and bumped on per-message paths with one
+//!   relaxed atomic add — no lock, no map lookup, no allocation. The
+//!   by-name methods on `Obs` resolve and bump in one call, for cold sites.
 //!
 //! Snapshots serialize to JSON with a fixed key order and no wall-clock
 //! data, so two identically-seeded runs emit byte-identical files; see
@@ -19,9 +23,11 @@
 //! parser in [`json`]) so every other crate can depend on it without
 //! widening the build graph.
 
+pub mod handle;
 pub mod json;
 pub mod registry;
 
+pub use handle::{Counter, HistogramHandle};
 pub use registry::{Event, Histogram, Registry, DEFAULT_EVENT_CAPACITY};
 
 use std::sync::Arc;
@@ -63,6 +69,18 @@ impl Obs {
     /// The backing registry, if enabled (for snapshots).
     pub fn registry(&self) -> Option<&Arc<Registry>> {
         self.inner.as_ref()
+    }
+
+    /// Resolve the named counter once, for a path that bumps it often.
+    /// The handle shares its value with the by-name methods; it appears in
+    /// the snapshot only once bumped.
+    pub fn counter(&self, name: &str) -> Counter {
+        Counter(self.inner.as_ref().map(|r| r.counter_slot(name)))
+    }
+
+    /// Resolve the named histogram once; see [`Obs::counter`].
+    pub fn histogram(&self, name: &str) -> HistogramHandle {
+        HistogramHandle(self.inner.as_ref().map(|r| r.histogram_slot(name)))
     }
 
     /// Add `delta` to the named monotonic counter.
@@ -175,6 +193,109 @@ mod tests {
             Some("farm.dispatch")
         );
         assert_eq!(v.get("events_dropped").unwrap().as_u64(), Some(0));
+    }
+
+    #[test]
+    fn a_handle_appears_only_once_bumped_and_add_zero_bumps() {
+        let obs = Obs::enabled();
+        let _idle = obs.counter("idle");
+        let zero = obs.counter("zero");
+        let _hist = obs.histogram("lat");
+        let empty = Obs::enabled().snapshot_json().unwrap();
+        assert_eq!(obs.snapshot_json().unwrap(), empty);
+        zero.add(0);
+        let snap = obs.snapshot_json().unwrap();
+        assert!(snap.contains("\"counters\":{\"zero\":0}"), "{snap}");
+    }
+
+    #[test]
+    fn handle_and_by_name_share_one_value() {
+        let obs = Obs::enabled();
+        let c = obs.counter("shared");
+        c.incr();
+        obs.add("shared", 4);
+        c.add(2);
+        assert_eq!(obs.registry().unwrap().counter_value("shared"), 7);
+        assert_eq!(obs.counter("shared").0.unwrap().get(), 7);
+    }
+
+    #[test]
+    fn handles_saturate() {
+        let obs = Obs::enabled();
+        let c = obs.counter("big");
+        c.add(u64::MAX - 1);
+        c.add(5);
+        c.incr();
+        obs.add("big", 3);
+        assert_eq!(obs.registry().unwrap().counter_value("big"), u64::MAX);
+        let h = obs.histogram("h");
+        h.observe(u64::MAX);
+        h.observe(7);
+        let snap = obs.snapshot_json().unwrap();
+        let doc = json::parse(&snap).unwrap();
+        let h = doc.get("histograms").unwrap().get("h").unwrap();
+        assert_eq!(h.get("sum").unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(h.get("min").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn default_and_disabled_handles_are_inert() {
+        Counter::default().add(3);
+        HistogramHandle::default().observe(3);
+        let off = Obs::disabled();
+        let (c, h) = (off.counter("c"), off.histogram("h"));
+        c.incr();
+        h.observe(1);
+        assert!(c.0.is_none() && h.0.is_none());
+        assert!(off.snapshot_json().is_none());
+    }
+
+    #[test]
+    fn handles_from_clones_share_a_slot() {
+        let obs = Obs::enabled();
+        let other = obs.clone();
+        let (a, b) = (obs.counter("n"), other.counter("n"));
+        assert!(Arc::ptr_eq(a.0.as_ref().unwrap(), b.0.as_ref().unwrap()));
+        a.incr();
+        b.add(2);
+        assert_eq!(other.registry().unwrap().counter_value("n"), 3);
+    }
+
+    #[test]
+    fn concurrent_bumps_sum_exactly() {
+        let obs = Obs::enabled();
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (c, h) = (obs.counter("bumps"), obs.histogram("samples"));
+                std::thread::spawn(move || {
+                    for i in 0..100_000u64 {
+                        c.incr();
+                        h.observe(i % 5);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(obs.registry().unwrap().counter_value("bumps"), 400_000);
+        let snap = json::parse(&obs.snapshot_json().unwrap()).unwrap();
+        let h = snap.get("histograms").unwrap().get("samples").unwrap();
+        assert_eq!(h.get("count").unwrap().as_u64(), Some(400_000));
+        assert_eq!(h.get("sum").unwrap().as_u64(), Some(4 * 200_000));
+    }
+
+    #[test]
+    fn histogram_handle_matches_by_name_observe() {
+        let samples = [0, 1, 2, 3, 900, 17, 1 << 40, u64::MAX, 5];
+        let by_name = Obs::enabled();
+        let handled = Obs::enabled();
+        let h = handled.histogram("lat");
+        for v in samples {
+            by_name.observe("lat", v);
+            h.observe(v);
+        }
+        assert_eq!(by_name.snapshot_json(), handled.snapshot_json());
     }
 
     #[test]

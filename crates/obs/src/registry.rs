@@ -2,20 +2,23 @@
 //! bounded structured event log.
 //!
 //! All collections are `BTreeMap`s so snapshot emission is deterministic
-//! without a sort pass. Wall-clock measurements go into the separate
-//! *volatile* section, which [`Registry::snapshot_json`] excludes — the
-//! deterministic snapshot of a seeded run must be byte-identical across
-//! machines and runs.
+//! without a sort pass. Counters and histograms map each name to the one
+//! slot its handles share (see [`crate::handle`]). Wall-clock measurements
+//! go into the separate *volatile* section, which
+//! [`Registry::snapshot_json`] excludes — the deterministic snapshot of a
+//! seeded run must be byte-identical across machines and runs.
 
+use crate::handle::{CounterSlot, HistogramSlot};
 use crate::json;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on retained events; older events are dropped (and counted).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// Power-of-two bucketed histogram of `u64` samples.
+/// Power-of-two bucketed histogram of `u64` samples, as read out of its
+/// slot for a snapshot (samples are recorded through the slot).
 ///
 /// Bucket `i` counts samples `v` with `2^(i-1) < v <= 2^i` (bucket 0 takes
 /// `v <= 1`). Only non-empty buckets appear in snapshots.
@@ -25,36 +28,11 @@ pub struct Histogram {
     pub sum: u64,
     pub min: u64,
     pub max: u64,
-    buckets: [u64; 64],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: [0; 64],
-        }
-    }
+    pub(crate) buckets: [u64; 64],
 }
 
 impl Histogram {
-    pub fn record(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.buckets[Self::bucket_index(value)] += 1;
-    }
-
-    fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value <= 1 {
             0
         } else {
@@ -95,9 +73,9 @@ pub struct Event {
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, Arc<CounterSlot>>,
     gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, Arc<HistogramSlot>>,
     events: VecDeque<Event>,
     events_dropped: u64,
     /// Wall-clock / host-dependent values, excluded from the deterministic
@@ -105,9 +83,10 @@ struct Inner {
     volatile: BTreeMap<String, f64>,
 }
 
-/// Shared metrics store. Cheap to clone via `Arc` inside [`crate::Obs`];
-/// all mutation is behind one mutex (instrumented paths hold it for a few
-/// map operations only).
+/// Shared metrics store. Cheap to clone via `Arc` inside [`crate::Obs`].
+/// The mutex guards the maps: it is taken to register a metric, on the
+/// by-name paths, for gauges and events, and to snapshot — never by a
+/// handle bump.
 pub struct Registry {
     inner: Mutex<Inner>,
     event_capacity: usize,
@@ -127,18 +106,25 @@ impl Registry {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("obs registry poisoned")
+    /// The maps are valid after any partial update, so a thread that
+    /// panicked holding the lock (a socket-farm worker's budget assert)
+    /// does not turn every later bump and snapshot into a second panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The slot behind counter `name`, registered (invisible) on first use.
+    pub(crate) fn counter_slot(&self, name: &str) -> Arc<CounterSlot> {
+        with_slot(&mut self.lock().counters, name, Arc::clone)
+    }
+
+    /// The slot behind histogram `name`, registered (invisible) on first use.
+    pub(crate) fn histogram_slot(&self, name: &str) -> Arc<HistogramSlot> {
+        with_slot(&mut self.lock().histograms, name, Arc::clone)
     }
 
     pub fn add_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.lock();
-        match inner.counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                inner.counters.insert(name.to_string(), delta);
-            }
-        }
+        with_slot(&mut self.lock().counters, name, |slot| slot.add(delta));
     }
 
     pub fn set_gauge(&self, name: &str, value: i64) {
@@ -158,11 +144,7 @@ impl Registry {
     }
 
     pub fn observe(&self, name: &str, value: u64) {
-        self.lock()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        with_slot(&mut self.lock().histograms, name, |slot| slot.record(value));
     }
 
     pub fn record_event(&self, t_micros: u64, kind: &str, detail: String) {
@@ -183,7 +165,7 @@ impl Registry {
     }
 
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
+        self.lock().counters.get(name).map_or(0, |slot| slot.get())
     }
 
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
@@ -195,8 +177,9 @@ impl Registry {
     }
 
     /// The deterministic snapshot: fixed top-level key order, `BTreeMap`
-    /// iteration order inside each section, virtual-time timestamps only.
-    /// Two identically-seeded runs produce byte-identical output.
+    /// iteration order inside each section, virtual-time timestamps only,
+    /// and only the metrics that were bumped. Two identically-seeded runs
+    /// produce byte-identical output.
     pub fn snapshot_json(&self) -> String {
         self.emit(false)
     }
@@ -211,13 +194,14 @@ impl Registry {
         let inner = self.lock();
         let mut out = String::with_capacity(1024);
         out.push_str("{\"schema\":\"triana-obs/1\",\"counters\":{");
-        for (i, (k, v)) in inner.counters.iter().enumerate() {
+        let counters = inner.counters.iter().filter(|(_, slot)| slot.visible());
+        for (i, (k, slot)) in counters.enumerate() {
             if i > 0 {
                 out.push(',');
             }
             json::push_string(&mut out, k);
             out.push(':');
-            out.push_str(&v.to_string());
+            out.push_str(&slot.get().to_string());
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in inner.gauges.iter().enumerate() {
@@ -229,7 +213,11 @@ impl Registry {
             out.push_str(&v.to_string());
         }
         out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in inner.histograms.iter().enumerate() {
+        let histograms = inner
+            .histograms
+            .iter()
+            .filter_map(|(k, slot)| Some((k, slot.load()?)));
+        for (i, (k, h)) in histograms.enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -275,6 +263,23 @@ impl Registry {
     }
 }
 
+/// Run `f` on the slot behind `name`, inserting a fresh one first if the
+/// name is new. One map walk when it exists; the name is copied only when
+/// it does not.
+fn with_slot<S: Default, R>(
+    map: &mut BTreeMap<String, Arc<S>>,
+    name: &str,
+    f: impl FnOnce(&Arc<S>) -> R,
+) -> R {
+    if let Some(slot) = map.get(name) {
+        return f(slot);
+    }
+    let slot = Arc::default();
+    let out = f(&slot);
+    map.insert(name.to_string(), slot);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,10 +309,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets_power_of_two() {
-        let mut h = Histogram::default();
+        let slot = HistogramSlot::default();
         for v in [0, 1, 2, 3, 4, 5, 1000] {
-            h.record(v);
+            slot.record(v);
         }
+        let h = slot.load().expect("holds samples");
         assert_eq!(h.count, 7);
         assert_eq!(h.sum, 1015);
         assert_eq!(h.min, 0);
@@ -321,8 +327,10 @@ mod tests {
 
     #[test]
     fn histogram_extremes() {
-        let mut h = Histogram::default();
-        h.record(u64::MAX);
+        let slot = HistogramSlot::default();
+        assert!(slot.load().is_none(), "an empty histogram is not emitted");
+        slot.record(u64::MAX);
+        let h = slot.load().expect("holds a sample");
         assert_eq!(h.nonzero_buckets(), vec![(u64::MAX, 1)]);
     }
 
@@ -360,6 +368,25 @@ mod tests {
         // Volatile section excluded from the deterministic snapshot.
         assert!(!a.contains("wall_secs"));
         assert!(!a.contains("volatile"));
+    }
+
+    #[test]
+    fn a_panic_holding_the_lock_does_not_take_obs_down() {
+        let r = Arc::new(Registry::default());
+        r.add_counter("before", 1);
+        let holder = Arc::clone(&r);
+        let joined = std::thread::spawn(move || {
+            let _guard = holder.lock();
+            panic!("worker assert while holding the registry");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(r.inner.is_poisoned());
+        r.add_counter("after", 2);
+        r.observe("lat", 3);
+        assert_eq!(r.counter_value("before"), 1);
+        let snap = r.snapshot_json();
+        assert!(snap.contains("\"after\":2,\"before\":1"), "{snap}");
     }
 
     #[test]

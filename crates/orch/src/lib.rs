@@ -42,7 +42,7 @@ use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 use netsim::{Duration, HostId, Network, Sim};
-use obs::Obs;
+use obs::{Counter, Obs};
 use p2p::{Message, P2p, P2pEvent, PeerId};
 
 /// One orchestrator member at construction time.
@@ -100,6 +100,38 @@ pub struct MembershipChange {
     pub reassigned: Vec<u64>,
 }
 
+/// The `orch.*` counters, resolved once in [`Orchestrators::set_obs`].
+#[derive(Default)]
+struct OrchMetrics {
+    deltas_broadcast: Counter,
+    delta_send_failures: Counter,
+    deltas_applied: Counter,
+    anti_entropy_repairs: Counter,
+    gossip_rounds: Counter,
+    owners_reassigned: Counter,
+    elections: Counter,
+    handoffs: Counter,
+    member_down: Counter,
+    member_up: Counter,
+}
+
+impl OrchMetrics {
+    fn new(obs: &Obs) -> Self {
+        OrchMetrics {
+            deltas_broadcast: obs.counter("orch.deltas_broadcast"),
+            delta_send_failures: obs.counter("orch.delta_send_failures"),
+            deltas_applied: obs.counter("orch.deltas_applied"),
+            anti_entropy_repairs: obs.counter("orch.anti_entropy_repairs"),
+            gossip_rounds: obs.counter("orch.gossip_rounds"),
+            owners_reassigned: obs.counter("orch.owners_reassigned"),
+            elections: obs.counter("orch.elections"),
+            handoffs: obs.counter("orch.handoffs"),
+            member_down: obs.counter("orch.member_down"),
+            member_up: obs.counter("orch.member_up"),
+        }
+    }
+}
+
 /// The orchestrator set: membership, the elected leader, the authoritative
 /// delta log, and one gossip-fed [`Replica`] per member.
 pub struct Orchestrators {
@@ -121,7 +153,7 @@ pub struct Orchestrators {
     handoffs: u64,
     repairs: u64,
     broadcasts: u64,
-    obs: Obs,
+    metrics: OrchMetrics,
 }
 
 impl Orchestrators {
@@ -156,7 +188,7 @@ impl Orchestrators {
             handoffs: 0,
             repairs: 0,
             broadcasts: 0,
-            obs: Obs::disabled(),
+            metrics: OrchMetrics::default(),
         }
     }
 
@@ -176,7 +208,7 @@ impl Orchestrators {
     }
 
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.metrics = OrchMetrics::new(&obs);
     }
 
     pub fn n_members(&self) -> usize {
@@ -397,13 +429,13 @@ impl Orchestrators {
                 continue;
             }
             self.broadcasts += 1;
-            self.obs.incr("orch.deltas_broadcast");
+            self.metrics.deltas_broadcast.incr();
             let msg = Message::OrchDelta {
                 seq,
                 bytes: d.wire_bytes(),
             };
             if !p2p.gossip(sim, net, from, self.members[i].peer, msg) {
-                self.obs.incr("orch.delta_send_failures");
+                self.metrics.delta_send_failures.incr();
             }
         }
     }
@@ -418,12 +450,12 @@ impl Orchestrators {
         let n = if sync {
             let n = self.replicas[idx].catch_up(&self.log, seq, count);
             self.repairs += n;
-            self.obs.add("orch.anti_entropy_repairs", n);
+            self.metrics.anti_entropy_repairs.add(n);
             n
         } else {
             self.replicas[idx].deliver(&self.log, seq)
         };
-        self.obs.add("orch.deltas_applied", n);
+        self.metrics.deltas_applied.add(n);
         n
     }
 
@@ -444,7 +476,7 @@ impl Orchestrators {
         if self.rounds > self.cfg.max_rounds {
             return true; // safety cap: stop driving the sim
         }
-        self.obs.incr("orch.gossip_rounds");
+        self.metrics.gossip_rounds.incr();
         if !self.has_leader {
             return false;
         }
@@ -486,8 +518,8 @@ impl Orchestrators {
         let from = self.replicas[self.leader].applied();
         let n = self.replicas[self.leader].catch_up(&self.log, from, behind);
         self.repairs += n;
-        self.obs.add("orch.anti_entropy_repairs", n);
-        self.obs.add("orch.deltas_applied", n);
+        self.metrics.anti_entropy_repairs.add(n);
+        self.metrics.deltas_applied.add(n);
         n
     }
 
@@ -513,7 +545,7 @@ impl Orchestrators {
             .collect();
         for &job in &orphans {
             let owner = self.pick_owner(job);
-            self.obs.incr("orch.owners_reassigned");
+            self.metrics.owners_reassigned.incr();
             self.record(
                 sim,
                 net,
@@ -535,8 +567,8 @@ impl Orchestrators {
                 self.epoch += 1;
                 self.elections += 1;
                 self.handoffs += 1;
-                self.obs.incr("orch.elections");
-                self.obs.incr("orch.handoffs");
+                self.metrics.elections.incr();
+                self.metrics.handoffs.incr();
                 self.catch_up_leader();
             }
             None => {
@@ -561,7 +593,7 @@ impl Orchestrators {
         }
         self.members[idx].up = false;
         self.members[idx].epoch += 1;
-        self.obs.incr("orch.member_down");
+        self.metrics.member_down.incr();
         let was_leader = self.has_leader && idx == self.leader;
         if was_leader {
             self.run_election();
@@ -590,7 +622,7 @@ impl Orchestrators {
         }
         self.members[idx].up = true;
         self.members[idx].epoch += 1;
-        self.obs.incr("orch.member_up");
+        self.metrics.member_up.incr();
         let mut elected = false;
         if !self.has_leader {
             self.run_election();

@@ -142,6 +142,38 @@ pub enum Message {
 }
 
 impl Message {
+    /// Each kind's `p2p.sent.*` counter, indexed by [`Message::kind`].
+    pub(crate) const SENT_COUNTERS: [&'static str; 11] = [
+        "p2p.sent.query",
+        "p2p.sent.query_hit",
+        "p2p.sent.publish",
+        "p2p.sent.pipe_data",
+        "p2p.sent.orch_delta",
+        "p2p.sent.orch_sync",
+        "p2p.sent.find_node",
+        "p2p.sent.find_node_reply",
+        "p2p.sent.find_value",
+        "p2p.sent.find_value_reply",
+        "p2p.sent.store_provider",
+    ];
+
+    /// Index of this message's kind in [`Message::SENT_COUNTERS`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Message::Query { .. } => 0,
+            Message::QueryHit { .. } => 1,
+            Message::Publish { .. } => 2,
+            Message::PipeData { .. } => 3,
+            Message::OrchDelta { .. } => 4,
+            Message::OrchSync { .. } => 5,
+            Message::FindNode { .. } => 6,
+            Message::FindNodeReply { .. } => 7,
+            Message::FindValue { .. } => 8,
+            Message::FindValueReply { .. } => 9,
+            Message::StoreProvider { .. } => 10,
+        }
+    }
+
     /// Approximate size on the wire, driving the link model.
     pub fn wire_size(&self) -> u64 {
         match self {

@@ -20,7 +20,7 @@ use crate::message::{IdMap, LookupId, Message, P2pEvent, QueryId, QueryKind};
 use crate::pipe::{PipeError, PipeId, PipeTable};
 use crate::routed::{ActiveLookup, RoutedConfig, RoutedNode};
 use netsim::{HostId, Network, Pcg32, Sim, SimTime};
-use obs::Obs;
+use obs::{Counter, Obs};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -199,6 +199,75 @@ pub enum Incoming {
     },
 }
 
+/// The overlay's counters, resolved once in [`P2p::set_obs`]. Events and
+/// once-per-run counters (bootstrap, purge, poisoning) go through `obs` by
+/// name.
+#[derive(Default)]
+pub(crate) struct P2pMetrics {
+    pub(crate) obs: Obs,
+    messages_sent: Counter,
+    bytes_sent: Counter,
+    sent: [Counter; 11],
+    messages_filtered: Counter,
+    send_failures: Counter,
+    messages_received: Counter,
+    messages_lost: Counter,
+    flood_duplicates: Counter,
+    publishes: Counter,
+    queries: Counter,
+    advert_cache_inserts: Counter,
+    advert_cache_hits: Counter,
+    pub(crate) query_hits: Counter,
+    pub(crate) overlay_pings: Counter,
+    pub(crate) cold_delegated_publishes: Counter,
+    pub(crate) cold_delegated_queries: Counter,
+    pub(crate) republishes: Counter,
+    pub(crate) lookup_local_hits: Counter,
+    pub(crate) lookups_started: Counter,
+    pub(crate) lookups_converged: Counter,
+    pub(crate) lookups_abandoned: Counter,
+    pub(crate) lookup_timeouts: Counter,
+    pub(crate) lookup_hops: Counter,
+    pub(crate) provider_record_hits: Counter,
+    pub(crate) provider_records_stored: Counter,
+    pub(crate) reply_contacts_refused: Counter,
+}
+
+impl P2pMetrics {
+    fn new(obs: Obs) -> Self {
+        let c = |name| obs.counter(name);
+        P2pMetrics {
+            messages_sent: c("p2p.messages_sent"),
+            bytes_sent: c("p2p.bytes_sent"),
+            sent: Message::SENT_COUNTERS.map(c),
+            messages_filtered: c("p2p.messages_filtered"),
+            send_failures: c("p2p.send_failures"),
+            messages_received: c("p2p.messages_received"),
+            messages_lost: c("p2p.messages_lost"),
+            flood_duplicates: c("p2p.flood_duplicates"),
+            publishes: c("p2p.publishes"),
+            queries: c("p2p.queries"),
+            advert_cache_inserts: c("p2p.advert_cache_inserts"),
+            advert_cache_hits: c("p2p.advert_cache_hits"),
+            query_hits: c("p2p.query_hits"),
+            overlay_pings: c("p2p.overlay_pings"),
+            cold_delegated_publishes: c("p2p.cold_delegated_publishes"),
+            cold_delegated_queries: c("p2p.cold_delegated_queries"),
+            republishes: c("p2p.republishes"),
+            lookup_local_hits: c("p2p.lookup_local_hits"),
+            lookups_started: c("p2p.lookups_started"),
+            lookups_converged: c("p2p.lookups_converged"),
+            lookups_abandoned: c("p2p.lookups_abandoned"),
+            lookup_timeouts: c("p2p.lookup_timeouts"),
+            lookup_hops: c("p2p.lookup_hops"),
+            provider_record_hits: c("p2p.provider_record_hits"),
+            provider_records_stored: c("p2p.provider_records_stored"),
+            reply_contacts_refused: c("p2p.reply_contacts_refused"),
+            obs,
+        }
+    }
+}
+
 /// The overlay network state.
 pub struct P2p {
     pub mode: DiscoveryMode,
@@ -209,7 +278,7 @@ pub struct P2p {
     pub(crate) rendezvous_peers: Vec<PeerId>,
     /// Messages that could not be sent because an endpoint was offline.
     pub send_failures: u64,
-    pub(crate) obs: Obs,
+    pub(crate) metrics: P2pMetrics,
     /// Tuning for routed mode (read at bootstrap and per lookup).
     pub routed_cfg: RoutedConfig,
     /// In-progress iterative lookups, keyed by wire lookup ID.
@@ -247,7 +316,7 @@ impl P2p {
             next_query: 0,
             rendezvous_peers: Vec::new(),
             send_failures: 0,
-            obs: Obs::disabled(),
+            metrics: P2pMetrics::default(),
             routed_cfg: RoutedConfig::default(),
             lookups: IdMap::default(),
             next_lookup: 0,
@@ -304,7 +373,7 @@ impl P2p {
     /// Attach an observability handle; overlay message traffic, queries,
     /// advert cache activity and send failures are recorded through it.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.metrics = P2pMetrics::new(obs);
     }
 
     /// Enrol a host as a peer.
@@ -426,7 +495,7 @@ impl P2p {
     ) -> bool {
         if let Some(filter) = self.send_filter.as_mut() {
             if !filter(sim.now(), from, to, &msg) {
-                self.obs.incr("p2p.messages_filtered");
+                self.metrics.messages_filtered.incr();
                 return false;
             }
         }
@@ -452,27 +521,15 @@ impl P2p {
                         q.messages += 1;
                     }
                 }
-                self.obs.incr("p2p.messages_sent");
-                self.obs.add("p2p.bytes_sent", bytes);
-                self.obs.incr(match &msg {
-                    Message::Query { .. } => "p2p.sent.query",
-                    Message::QueryHit { .. } => "p2p.sent.query_hit",
-                    Message::Publish { .. } => "p2p.sent.publish",
-                    Message::PipeData { .. } => "p2p.sent.pipe_data",
-                    Message::OrchDelta { .. } => "p2p.sent.orch_delta",
-                    Message::OrchSync { .. } => "p2p.sent.orch_sync",
-                    Message::FindNode { .. } => "p2p.sent.find_node",
-                    Message::FindNodeReply { .. } => "p2p.sent.find_node_reply",
-                    Message::FindValue { .. } => "p2p.sent.find_value",
-                    Message::FindValueReply { .. } => "p2p.sent.find_value_reply",
-                    Message::StoreProvider { .. } => "p2p.sent.store_provider",
-                });
+                self.metrics.messages_sent.incr();
+                self.metrics.bytes_sent.add(bytes);
+                self.metrics.sent[msg.kind()].incr();
                 sim.schedule(delay, P2pEvent::Delivered { to, msg }.into());
                 true
             }
             Err(_) => {
                 self.send_failures += 1;
-                self.obs.incr("p2p.send_failures");
+                self.metrics.send_failures.incr();
                 false
             }
         }
@@ -490,13 +547,13 @@ impl P2p {
         peer: PeerId,
         advert: Advertisement,
     ) {
-        self.obs.incr("p2p.publishes");
+        self.metrics.publishes.incr();
         self.peers[peer.0 as usize].ads.push(advert.clone());
         match self.mode {
             DiscoveryMode::Flooding => {}
             DiscoveryMode::Rendezvous => {
                 if self.peers[peer.0 as usize].is_rendezvous {
-                    self.obs.incr("p2p.advert_cache_inserts");
+                    self.metrics.advert_cache_inserts.incr();
                     self.peers[peer.0 as usize].cache.push(advert);
                 } else if let Some(r) = self.peers[peer.0 as usize].rendezvous {
                     self.send(sim, net, peer, r, Message::Publish { advert });
@@ -524,10 +581,12 @@ impl P2p {
         }
         let id = QueryId(self.next_query);
         self.next_query += 1;
-        self.obs.incr("p2p.queries");
-        self.obs.event(sim.now().as_micros(), "p2p.query", || {
-            format!("id={} origin={} ttl={ttl}", id.0, origin.0)
-        });
+        self.metrics.queries.incr();
+        self.metrics
+            .obs
+            .event(sim.now().as_micros(), "p2p.query", || {
+                format!("id={} origin={} ttl={ttl}", id.0, origin.0)
+            });
         self.queries.insert(
             id,
             QueryStatus {
@@ -628,7 +687,7 @@ impl P2p {
             .filter(|ad| ad.matches(&kind, now))
             .count() as u64;
         if cache_hits > 0 {
-            self.obs.add("p2p.advert_cache_hits", cache_hits);
+            self.metrics.advert_cache_hits.add(cache_hits);
         }
         let hits: Vec<Advertisement> = self.peers[rdv.0 as usize]
             .cache
@@ -731,10 +790,10 @@ impl P2p {
         let mut out = Vec::new();
         // A message arriving at an offline peer is lost.
         if !net.is_online(self.peers[to.0 as usize].host) {
-            self.obs.incr("p2p.messages_lost");
+            self.metrics.messages_lost.incr();
             return out;
         }
-        self.obs.incr("p2p.messages_received");
+        self.metrics.messages_received.incr();
         match msg {
             Message::Query {
                 id,
@@ -744,7 +803,7 @@ impl P2p {
                 kind,
             } => {
                 if !self.peers[to.0 as usize].seen.insert(id) {
-                    self.obs.incr("p2p.flood_duplicates");
+                    self.metrics.flood_duplicates.incr();
                     return out; // duplicate
                 }
                 if let Some(q) = self.queries.get_mut(&id) {
@@ -795,10 +854,12 @@ impl P2p {
                 if let Some(q) = self.queries.get_mut(&id) {
                     q.hits.push((sim.now(), advert));
                 }
-                self.obs.incr("p2p.query_hits");
-                self.obs.event(sim.now().as_micros(), "p2p.query_hit", || {
-                    format!("id={} provider={}", id.0, provider.0)
-                });
+                self.metrics.query_hits.incr();
+                self.metrics
+                    .obs
+                    .event(sim.now().as_micros(), "p2p.query_hit", || {
+                        format!("id={} provider={}", id.0, provider.0)
+                    });
                 out.push(Incoming::QueryHit { id, provider });
             }
             Message::Publish { advert } => {
@@ -808,7 +869,7 @@ impl P2p {
                     // advert's own peer as provider.
                     self.routed_publish_lookups(sim, net, to, advert);
                 } else {
-                    self.obs.incr("p2p.advert_cache_inserts");
+                    self.metrics.advert_cache_inserts.incr();
                     self.peers[to.0 as usize].cache.push(advert);
                 }
             }
@@ -882,7 +943,7 @@ impl P2p {
             }
         }
         if dropped > 0 {
-            self.obs.add("p2p.adverts_purged", dropped as u64);
+            self.metrics.obs.add("p2p.adverts_purged", dropped as u64);
         }
         dropped
     }

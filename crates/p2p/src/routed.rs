@@ -250,7 +250,7 @@ impl P2p {
             }
         }
         self.routed_peers = n;
-        self.obs.incr("p2p.routed_bootstraps");
+        self.metrics.obs.incr("p2p.routed_bootstraps");
     }
 
     /// Lazy bootstrap: scenarios that construct a routed world without an
@@ -291,7 +291,7 @@ impl P2p {
             }
         };
         if let Some(lru) = full {
-            self.obs.incr("p2p.overlay_pings");
+            self.metrics.overlay_pings.incr();
             let alive = net.is_online(lru_host(self, lru.peer));
             let node = self.peers[at.0 as usize].routed.as_mut().unwrap();
             if alive {
@@ -314,7 +314,7 @@ impl P2p {
             Some(Role::Cold) => {
                 // One hop to the rendezvous, which runs the store lookups.
                 if let Some(r) = self.peers[peer.0 as usize].rendezvous {
-                    self.obs.incr("p2p.cold_delegated_publishes");
+                    self.metrics.cold_delegated_publishes.incr();
                     self.send(sim, net, peer, r, Message::Publish { advert });
                 }
             }
@@ -357,7 +357,7 @@ impl P2p {
         match self.routed_role(origin) {
             Some(Role::Cold) => {
                 if let Some(r) = self.peers[origin.0 as usize].rendezvous {
-                    self.obs.incr("p2p.cold_delegated_queries");
+                    self.metrics.cold_delegated_queries.incr();
                     let msg = Message::Query {
                         id,
                         origin,
@@ -399,7 +399,7 @@ impl P2p {
             None => Vec::new(),
         };
         if !local.is_empty() {
-            self.obs.incr("p2p.lookup_local_hits");
+            self.metrics.lookup_local_hits.incr();
             for advert in local {
                 self.deliver_hit(sim, net, executor, origin, id, advert);
             }
@@ -434,7 +434,7 @@ impl P2p {
             if let Some(q) = self.queries.get_mut(&id) {
                 q.hits.push((now, advert));
             }
-            self.obs.incr("p2p.query_hits");
+            self.metrics.query_hits.incr();
         } else {
             self.send(sim, net, executor, origin, Message::QueryHit { id, advert });
         }
@@ -461,7 +461,7 @@ impl P2p {
         self.contact_scratch = seeds;
         let lid = LookupId(self.next_lookup);
         self.next_lookup += 1;
-        self.obs.incr("p2p.lookups_started");
+        self.metrics.lookups_started.incr();
         self.lookups.insert(
             lid,
             ActiveLookup {
@@ -585,8 +585,9 @@ impl P2p {
         }
         self.contact_scratch = scratch;
         if !providers.is_empty() {
-            self.obs
-                .add("p2p.provider_record_hits", providers.len() as u64);
+            self.metrics
+                .provider_record_hits
+                .add(providers.len() as u64);
         }
         let reply = match kind {
             Some(_) => Message::FindValueReply {
@@ -639,8 +640,9 @@ impl P2p {
         // decides how large a lookup's shortlist grows.
         let k = self.routed_cfg.k;
         if closer.len() > k {
-            self.obs
-                .add("p2p.reply_contacts_refused", (closer.len() - k) as u64);
+            self.metrics
+                .reply_contacts_refused
+                .add((closer.len() - k) as u64);
             closer.truncate(k);
         }
         {
@@ -666,13 +668,15 @@ impl P2p {
                     // FIND_VALUE early termination: first matching records
                     // resolve the query; in-flight requests are left to
                     // their (no-op) timeouts.
+                    if to == origin {
+                        self.metrics.query_hits.add(live.len() as u64);
+                    }
                     for advert in live.drain(..) {
                         if to == origin {
                             let provider = advert.peer();
                             if let Some(q) = self.queries.get_mut(&id) {
                                 q.hits.push((now, advert));
                             }
-                            self.obs.incr("p2p.query_hits");
                             out.push(crate::overlay::Incoming::QueryHit { id, provider });
                         } else {
                             self.send(sim, net, to, origin, Message::QueryHit { id, advert });
@@ -681,8 +685,8 @@ impl P2p {
                     if let Some(q) = self.queries.get_mut(&id) {
                         q.hops = q.hops.max(hops);
                     }
-                    self.obs.incr("p2p.lookups_converged");
-                    self.obs.add("p2p.lookup_hops", hops);
+                    self.metrics.lookups_converged.incr();
+                    self.metrics.lookup_hops.add(hops);
                     self.recycle_advert_buf(live);
                     self.recycle_advert_buf(providers);
                     self.lookups.remove(&lid);
@@ -712,7 +716,7 @@ impl P2p {
             // The executor itself died mid-lookup: abandon. Remaining
             // timers find the map empty and no-op.
             self.lookups.remove(&lid);
-            self.obs.incr("p2p.lookups_abandoned");
+            self.metrics.lookups_abandoned.incr();
             return;
         }
         let timed_out = {
@@ -720,7 +724,7 @@ impl P2p {
             al.lookup.on_fail(NodeId(node))
         };
         if timed_out {
-            self.obs.incr("p2p.lookup_timeouts");
+            self.metrics.lookup_timeouts.incr();
         }
         self.advance_lookup(sim, net, lid);
     }
@@ -736,8 +740,8 @@ impl P2p {
             return;
         };
         let hops = al.lookup.hops() as u64;
-        self.obs.incr("p2p.lookups_converged");
-        self.obs.add("p2p.lookup_hops", hops);
+        self.metrics.lookups_converged.incr();
+        self.metrics.lookup_hops.add(hops);
         match al.purpose {
             Purpose::Query { id, .. } => {
                 if let Some(q) = self.queries.get_mut(&id) {
@@ -806,7 +810,7 @@ impl P2p {
                         record: advert,
                     },
                 );
-                self.obs.incr("p2p.provider_records_stored");
+                self.metrics.provider_records_stored.incr();
             }
         }
     }
@@ -836,7 +840,7 @@ impl P2p {
                 poisoned += 1;
             }
         }
-        self.obs.add("p2p.routing_poisoned", poisoned);
+        self.metrics.obs.add("p2p.routing_poisoned", poisoned);
         poisoned
     }
 
@@ -857,7 +861,7 @@ impl P2p {
             .cloned()
             .collect();
         for advert in live {
-            self.obs.incr("p2p.republishes");
+            self.metrics.republishes.incr();
             self.routed_publish(sim, net, peer, advert);
         }
     }

@@ -37,9 +37,10 @@ pub mod sim;
 pub mod socket;
 
 pub use frame::{Endpoint, Frame, FrameError, FrameKind};
-pub use reliab::{ChanOut, ChannelConfig, PeerChannel};
+pub use reliab::{ChanDrop, ChanOut, ChannelConfig, PeerChannel};
 
 use netsim::{Duration, SimTime};
+use obs::Counter;
 
 /// Identifier of a pending timer, unique within one transport instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -132,23 +133,58 @@ pub struct TransportCounters {
 }
 
 impl TransportCounters {
-    pub(crate) fn frame_sent(&mut self, obs: &obs::Obs) {
+    pub(crate) fn frame_sent(&mut self, m: &FrameMetrics) {
         self.frames_sent += 1;
-        obs.incr("transport.frames_sent");
+        m.frames_sent.incr();
     }
 
-    pub(crate) fn frame_recv(&mut self, obs: &obs::Obs) {
+    pub(crate) fn frame_recv(&mut self, m: &FrameMetrics) {
         self.frames_recv += 1;
-        obs.incr("transport.frames_recv");
+        m.frames_recv.incr();
     }
 
-    pub(crate) fn retransmit(&mut self, obs: &obs::Obs) {
+    pub(crate) fn retransmit(&mut self, m: &FrameMetrics) {
         self.retransmits += 1;
-        obs.incr("transport.retransmits");
+        m.retransmits.incr();
     }
 
-    pub(crate) fn ack(&mut self, obs: &obs::Obs) {
+    pub(crate) fn ack(&mut self, m: &FrameMetrics) {
         self.acks += 1;
-        obs.incr("transport.acks");
+        m.acks.incr();
+    }
+}
+
+/// The per-frame `transport.*` counters of a backend, resolved once in its
+/// `set_obs`.
+#[derive(Default)]
+pub(crate) struct FrameMetrics {
+    frames_sent: Counter,
+    frames_recv: Counter,
+    retransmits: Counter,
+    acks: Counter,
+    pub(crate) decode_errors: Counter,
+    sends_to_dead: Counter,
+    reorder_refused: Counter,
+}
+
+impl FrameMetrics {
+    pub(crate) fn new(obs: &obs::Obs) -> Self {
+        FrameMetrics {
+            frames_sent: obs.counter("transport.frames_sent"),
+            frames_recv: obs.counter("transport.frames_recv"),
+            retransmits: obs.counter("transport.retransmits"),
+            acks: obs.counter("transport.acks"),
+            decode_errors: obs.counter("transport.decode_errors"),
+            sends_to_dead: obs.counter("transport.sends_to_dead"),
+            reorder_refused: obs.counter("transport.reorder_refused"),
+        }
+    }
+
+    /// Count what a channel dropped ([`ChanOut::Count`]).
+    pub(crate) fn dropped(&self, why: ChanDrop) {
+        match why {
+            ChanDrop::SendToDead => self.sends_to_dead.incr(),
+            ChanDrop::ReorderRefused => self.reorder_refused.incr(),
+        }
     }
 }

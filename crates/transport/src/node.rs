@@ -13,6 +13,7 @@ use crate::frame::Endpoint;
 use crate::proto::{GridMsg, ModuleInfo};
 use crate::{Transport, TransportEvent};
 use netsim::SimTime;
+use obs::Counter;
 use p2p::advert::{AdvertBody, BlobAdvert};
 use p2p::{Advertisement, PeerId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -43,6 +44,30 @@ fn blob_advert(ep: Endpoint, module: &ModuleInfo, chunk_bytes: u64) -> Advertise
     }
 }
 
+/// The per-job and per-chunk `transport.*` counters of a node, resolved
+/// once at construction.
+struct NodeMetrics {
+    proto_errors: Counter,
+    jobs_dispatched: Counter,
+    jobs_completed: Counter,
+    chunks_requested: Counter,
+    chunks_served: Counter,
+    verify_failures: Counter,
+}
+
+impl NodeMetrics {
+    fn new(obs: &obs::Obs) -> Self {
+        NodeMetrics {
+            proto_errors: obs.counter("transport.proto_errors"),
+            jobs_dispatched: obs.counter("transport.jobs_dispatched"),
+            jobs_completed: obs.counter("transport.jobs_completed"),
+            chunks_requested: obs.counter("transport.chunks_requested"),
+            chunks_served: obs.counter("transport.chunks_served"),
+            verify_failures: obs.counter("transport.verify_failures"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Orchestrator
 // ---------------------------------------------------------------------
@@ -65,7 +90,7 @@ pub struct OrchestratorNode<T> {
     assignment: BTreeMap<u64, Endpoint>,
     dispatched: bool,
     done: bool,
-    obs: obs::Obs,
+    metrics: NodeMetrics,
     events: Vec<TransportEvent>,
 }
 
@@ -101,7 +126,7 @@ impl<T: Transport> OrchestratorNode<T> {
             assignment: BTreeMap::new(),
             dispatched: false,
             done: false,
-            obs,
+            metrics: NodeMetrics::new(&obs),
             events: Vec::new(),
         }
     }
@@ -135,7 +160,7 @@ impl<T: Transport> OrchestratorNode<T> {
                     if let Ok(msg) = GridMsg::decode(&payload) {
                         self.on_msg(from, msg);
                     } else {
-                        self.obs.incr("transport.proto_errors");
+                        self.metrics.proto_errors.incr();
                     }
                 }
                 TransportEvent::Timer { .. } => {}
@@ -182,7 +207,7 @@ impl<T: Transport> OrchestratorNode<T> {
                         bytes: bytes.to_vec(),
                     };
                     let _ = self.t.send(from, reply.encode());
-                    self.obs.incr("transport.chunks_served");
+                    self.metrics.chunks_served.incr();
                 }
             }
             GridMsg::HaveBlob { blob } => {
@@ -190,7 +215,7 @@ impl<T: Transport> OrchestratorNode<T> {
             }
             GridMsg::JobResult { job, outputs } => {
                 self.results.entry(job).or_insert((from, outputs));
-                self.obs.incr("transport.jobs_completed");
+                self.metrics.jobs_completed.incr();
                 if self.results.len() == self.jobs.len() && !self.done {
                     let workers: Vec<Endpoint> = self.workers.iter().copied().collect();
                     for w in workers {
@@ -236,7 +261,7 @@ impl<T: Transport> OrchestratorNode<T> {
             self.assignment.insert(i as u64, w);
             let payload = GridMsg::encode_dispatch(i as u64, &job.module, &job.input);
             let _ = self.t.send(w, payload);
-            self.obs.incr("transport.jobs_dispatched");
+            self.metrics.jobs_dispatched.incr();
         }
     }
 }
@@ -269,7 +294,9 @@ pub struct WorkerNode<T> {
     waiting: BTreeMap<u64, Vec<(u64, ModuleInfo, Vec<f64>)>>,
     recovered_chunks: u64,
     done: bool,
+    /// For job execution (metered by the TVM); counters use `metrics`.
     obs: obs::Obs,
+    metrics: NodeMetrics,
     events: Vec<TransportEvent>,
 }
 
@@ -321,6 +348,7 @@ impl<T: Transport> WorkerNode<T> {
             waiting: BTreeMap::new(),
             recovered_chunks,
             done: false,
+            metrics: NodeMetrics::new(&obs),
             obs,
             events: Vec::new(),
         }
@@ -382,7 +410,7 @@ impl<T: Transport> WorkerNode<T> {
                     if let Ok(msg) = GridMsg::decode(&payload) {
                         self.on_msg(from, msg);
                     } else {
-                        self.obs.incr("transport.proto_errors");
+                        self.metrics.proto_errors.incr();
                     }
                 }
                 TransportEvent::Timer { .. } => {}
@@ -449,7 +477,7 @@ impl<T: Transport> WorkerNode<T> {
                         bytes: bytes.to_vec(),
                     };
                     let _ = self.t.send(from, reply.encode());
-                    self.obs.incr("transport.chunks_served");
+                    self.metrics.chunks_served.incr();
                 }
             }
             GridMsg::ChunkData {
@@ -504,7 +532,7 @@ impl<T: Transport> WorkerNode<T> {
                 index,
             };
             let _ = self.t.send(target, req.encode());
-            self.obs.incr("transport.chunks_requested");
+            self.metrics.chunks_requested.incr();
         }
         self.fetching.insert(module.hash, fs);
     }
@@ -532,7 +560,7 @@ impl<T: Transport> WorkerNode<T> {
             }
             Err(StoreError::HashMismatch { .. }) => {
                 // Poisoned transfer: drop everything and re-fetch.
-                self.obs.incr("transport.verify_failures");
+                self.metrics.verify_failures.incr();
                 self.store.release(id);
                 if let Some(d) = self.durable.as_mut() {
                     let _ = d.release(id);

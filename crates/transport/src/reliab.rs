@@ -99,8 +99,19 @@ pub enum ChanOut {
     Deliver(Vec<u8>),
     /// The peer stopped acking/answering; emitted once.
     Dead,
-    /// The channel dropped something; bump this `transport.*` counter.
-    Count(&'static str),
+    /// The channel dropped something; the transport counts it.
+    Count(ChanDrop),
+}
+
+/// What a channel dropped, counted as `transport.sends_to_dead` and
+/// `transport.reorder_refused`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChanDrop {
+    /// A payload offered to a channel whose peer is already dead.
+    SendToDead,
+    /// A data frame beyond the reorder buffer's cap; unacked, it is
+    /// retransmitted later like any lost frame.
+    ReorderRefused,
 }
 
 /// Reliable, ordered, deduplicated, flow-controlled channel state towards
@@ -181,7 +192,7 @@ impl PeerChannel {
     /// to make room. A dead channel accepts nothing.
     pub fn offer(&mut self, now: SimTime, payload: Vec<u8>, out: &mut Vec<ChanOut>) {
         if self.dead {
-            out.push(ChanOut::Count("transport.sends_to_dead"));
+            out.push(ChanOut::Count(ChanDrop::SendToDead));
             return;
         }
         self.backlog.push_back(payload);
@@ -232,7 +243,7 @@ impl PeerChannel {
                 if buffers && self.reorder_bytes + wire_len > REORDER_CAP {
                     // Beyond any honest sender's window. Unacked, it comes
                     // back later like any lost frame.
-                    out.push(ChanOut::Count("transport.reorder_refused"));
+                    out.push(ChanOut::Count(ChanDrop::ReorderRefused));
                     return;
                 }
                 // Always ack — duplicates mean the previous ack was lost.
@@ -621,7 +632,7 @@ mod tests {
         assert_eq!((a.in_flight(), a.window_used()), (0, 0));
         out.clear();
         a.offer(SimTime(200), vec![9], &mut out);
-        assert_eq!(out, vec![ChanOut::Count("transport.sends_to_dead")]);
+        assert_eq!(out, vec![ChanOut::Count(ChanDrop::SendToDead)]);
         assert_eq!(a.in_flight(), 0);
     }
 
@@ -641,7 +652,7 @@ mod tests {
         }
         let refused = out
             .iter()
-            .filter(|o| **o == ChanOut::Count("transport.reorder_refused"))
+            .filter(|o| **o == ChanOut::Count(ChanDrop::ReorderRefused))
             .count();
         assert_eq!((transmits(&out).len(), refused), (fits, 3));
         // A duplicate of a buffered frame is acked, not counted twice.

@@ -13,7 +13,7 @@
 
 use crate::frame::{Endpoint, Frame, FrameKind, MAX_PAYLOAD};
 use crate::reliab::{ChanOut, ChannelConfig, PeerChannel};
-use crate::{TimerId, Transport, TransportCounters, TransportError, TransportEvent};
+use crate::{FrameMetrics, TimerId, Transport, TransportCounters, TransportError, TransportEvent};
 use netsim::{Duration, HostId, HostSpec, Network, PayloadArena, PayloadId, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -49,7 +49,9 @@ struct World {
     /// Recycled storage for in-flight encoded frames: in steady state a
     /// frame encodes into a buffer some earlier frame already paid for.
     arena: PayloadArena<Vec<u8>>,
+    /// For the run-boundary arena counters; per-frame ones use `metrics`.
     obs: obs::Obs,
+    metrics: FrameMetrics,
 }
 
 impl World {
@@ -59,9 +61,9 @@ impl World {
         let Some(src) = self.eps.get_mut(&frame.src) else {
             return;
         };
-        src.counters.frame_sent(&self.obs);
+        src.counters.frame_sent(&self.metrics);
         if frame.kind == FrameKind::Ack {
-            src.counters.ack(&self.obs);
+            src.counters.ack(&self.metrics);
         }
         let src_host = src.host;
         let Some(dst) = self.eps.get(&frame.dst) else {
@@ -95,7 +97,7 @@ impl World {
                 ChanOut::Transmit(f) => self.transmit(&f),
                 ChanOut::Retransmit(f) => {
                     if let Some(s) = self.eps.get_mut(&ep) {
-                        s.counters.retransmit(&self.obs);
+                        s.counters.retransmit(&self.metrics);
                     }
                     self.transmit(&f);
                 }
@@ -112,7 +114,7 @@ impl World {
                         s.inbox.push_back(TransportEvent::PeerDead { peer });
                     }
                 }
-                ChanOut::Count(counter) => self.obs.incr(counter),
+                ChanOut::Count(why) => self.metrics.dropped(why),
             }
         }
     }
@@ -145,11 +147,11 @@ impl World {
                 let frame = match frame {
                     Ok(f) => f,
                     Err(_) => {
-                        self.obs.incr("transport.decode_errors");
+                        self.metrics.decode_errors.incr();
                         return;
                     }
                 };
-                s.counters.frame_recv(&self.obs);
+                s.counters.frame_recv(&self.metrics);
                 let now = self.sim.now();
                 let peer = frame.src;
                 let cfg = self.cfg;
@@ -211,6 +213,7 @@ impl SimNet {
                 cfg: ChannelConfig::sim_default(),
                 arena: PayloadArena::new(),
                 obs: obs::Obs::disabled(),
+                metrics: FrameMetrics::default(),
             })),
         }
     }
@@ -218,7 +221,9 @@ impl SimNet {
     /// Attach a metrics observer; `transport.*` counters then feed the
     /// shared registry.
     pub fn set_obs(&self, observer: obs::Obs) {
-        self.world.borrow_mut().obs = observer;
+        let mut w = self.world.borrow_mut();
+        w.metrics = FrameMetrics::new(&observer);
+        w.obs = observer;
     }
 
     /// Register an endpoint backed by a simulated host. Panics if the

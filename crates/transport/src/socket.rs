@@ -15,7 +15,7 @@
 
 use crate::frame::{Endpoint, Frame, FrameKind, MAX_PAYLOAD};
 use crate::reliab::{ChanOut, ChannelConfig, PeerChannel};
-use crate::{TimerId, Transport, TransportCounters, TransportError, TransportEvent};
+use crate::{FrameMetrics, TimerId, Transport, TransportCounters, TransportError, TransportEvent};
 use netsim::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
@@ -41,7 +41,7 @@ pub struct SocketTransport {
     next_timer: u64,
     epoch: Instant,
     counters: TransportCounters,
-    obs: obs::Obs,
+    metrics: FrameMetrics,
     inbox: VecDeque<TransportEvent>,
     buf: Box<[u8; RECV_BUF]>,
 }
@@ -66,7 +66,7 @@ impl SocketTransport {
             next_timer: 0,
             epoch: Instant::now(),
             counters: TransportCounters::default(),
-            obs: obs::Obs::disabled(),
+            metrics: FrameMetrics::default(),
             inbox: VecDeque::new(),
             buf: Box::new([0u8; RECV_BUF]),
         })
@@ -74,7 +74,7 @@ impl SocketTransport {
 
     /// Attach a metrics observer (`transport.*` counters).
     pub fn set_obs(&mut self, observer: obs::Obs) {
-        self.obs = observer;
+        self.metrics = FrameMetrics::new(&observer);
     }
 
     /// Override the channel tunables (e.g. tighter timeouts in tests).
@@ -102,9 +102,9 @@ impl SocketTransport {
         let Some(&addr) = self.peers.get(&frame.dst) else {
             return;
         };
-        self.counters.frame_sent(&self.obs);
+        self.counters.frame_sent(&self.metrics);
         if frame.kind == FrameKind::Ack {
-            self.counters.ack(&self.obs);
+            self.counters.ack(&self.metrics);
         }
         // UDP send failures (e.g. transient ENOBUFS) are treated as loss:
         // the reliability layer retransmits.
@@ -119,7 +119,7 @@ impl SocketTransport {
             match out {
                 ChanOut::Transmit(f) => self.transmit(&f),
                 ChanOut::Retransmit(f) => {
-                    self.counters.retransmit(&self.obs);
+                    self.counters.retransmit(&self.metrics);
                     self.transmit(&f);
                 }
                 ChanOut::Deliver(payload) => self.inbox.push_back(TransportEvent::Delivered {
@@ -127,7 +127,7 @@ impl SocketTransport {
                     payload,
                 }),
                 ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
-                ChanOut::Count(counter) => self.obs.incr(counter),
+                ChanOut::Count(why) => self.metrics.dropped(why),
             }
         }
     }
@@ -138,13 +138,13 @@ impl SocketTransport {
             match self.sock.recv_from(&mut self.buf[..]) {
                 Ok((n, addr)) => {
                     let Ok(frame) = Frame::decode(&self.buf[..n]) else {
-                        self.obs.incr("transport.decode_errors");
+                        self.metrics.decode_errors.incr();
                         continue;
                     };
                     if frame.dst != self.local {
                         continue;
                     }
-                    self.counters.frame_recv(&self.obs);
+                    self.counters.frame_recv(&self.metrics);
                     let peer = frame.src;
                     // Learn the return address from the packet itself.
                     self.peers.entry(peer).or_insert(addr);

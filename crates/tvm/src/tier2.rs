@@ -3,7 +3,7 @@
 //!
 //! This module hosts two things:
 //!
-//! 1. **The interpreter core** ([`run_vm`]) shared by the Prepared and
+//! 1. **The interpreter core** (`run_vm`) shared by the Prepared and
 //!    Tier2 tiers: a dense-dispatch loop over the 1:1 flattened code in
 //!    which every dispatched op retires exactly one source instruction.
 //!    It is monomorphised over a `const TIER2: bool`: the Tier2
@@ -12,7 +12,7 @@
 //! 2. **The tier-2 pipeline** ([`Tier2Module`]): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
 //!    and translate their stack traffic — from the *source* ops — into a
-//!    fixed virtual-register frame ([`LoopRegion`]). This is the only
+//!    fixed virtual-register frame (`LoopRegion`). This is the only
 //!    place instructions are fused: the translator and the `peephole`
 //!    pass combine register ops into superinstructions. At run time the
 //!    region executes whole iterations with no per-instruction

@@ -3,8 +3,9 @@
 //! The build environment cannot reach crates.io, so this crate supplies the
 //! slice of the proptest API the workspace's property tests consume:
 //!
-//! * the [`Strategy`] trait with `prop_map`, ranges, tuples, [`Just`] and
-//!   simple regex-class string strategies;
+//! * the [`Strategy`](strategy::Strategy) trait with `prop_map`, ranges,
+//!   tuples, [`Just`](strategy::Just) and simple regex-class string
+//!   strategies;
 //! * [`collection::vec`] and [`arbitrary`] (`any::<T>()`);
 //! * the `proptest!`, `prop_assert!`, `prop_assert_eq!` and `prop_oneof!`
 //!   macros.
