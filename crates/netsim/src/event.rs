@@ -5,14 +5,15 @@
 //! compose them with `From` impls. Ties in time are broken by insertion
 //! sequence number, giving a total, deterministic order.
 //!
-//! The queue itself is a *calendar queue*: an array of time buckets of
-//! fixed width, indexed by `(t / width) % nbuckets`, with events stored in
-//! an arena slab and buckets holding only `u32` slot indices. For the
-//! near-uniform event densities a network simulation produces, push and
-//! pop are O(1) amortised versus the binary heap's O(log n) — the
-//! difference that makes 10⁵-peer overlay experiments tractable. The pop
-//! order is *exactly* the `(timestamp, insertion-seq)` total order of the
-//! old heap, so every seeded experiment remains byte-identical.
+//! The queue itself is a *calendar queue* (Brown, CACM 31(10), 1988): an
+//! array of time buckets of fixed width, indexed by `(t / width) %
+//! nbuckets`, each bucket a sorted chain of slot indices through one key
+//! array beside the payload slab. Push appends to a chain in O(1) for
+//! ties and later events and pop takes a chain's head, so both are O(1)
+//! amortised versus the binary heap's O(log n) — the difference that
+//! makes 10⁵-peer overlay experiments tractable. The pop order is
+//! *exactly* the `(timestamp, insertion-seq)` total order of the old heap,
+//! so every seeded experiment remains byte-identical.
 
 use crate::rng::Pcg32;
 use crate::time::{Duration, SimTime};
@@ -95,132 +96,100 @@ impl<Ev> BinaryHeapQueue<Ev> {
 /// Minimum and maximum bucket-array sizes. The array is always a power of
 /// two so the `% nbuckets` in the index computation compiles to a mask.
 const MIN_BUCKETS: usize = 16;
-
-/// Capacity seeded into a bucket on first use (see `push`). At the tuned
-/// ~2-entry average occupancy, the chance of any bucket ever exceeding
-/// this is negligible (Poisson tail ~1e-17 per fill), so steady-state
-/// churn never grows a bucket; the cost is bounded at 24 entries per
-/// *touched* bucket.
-const BUCKET_RESERVE: usize = 24;
-
 const MAX_BUCKETS: usize = 1 << 20;
 
-/// A bucket entry carries its sort key inline so ordering decisions
-/// (binary search on push, window checks on pop) never touch the payload
-/// slab — the slab is read exactly once per event, when it pops.
+/// "No slot": the end of a bucket chain or of the free list, an empty
+/// bucket's head and tail, and the cached minimum of an empty queue.
+const NIL: u32 = u32::MAX;
+
+/// The sort key of one slab slot, kept apart from the payload so chain
+/// walks and window checks never touch the payload slab — it is read
+/// exactly once per event, when it pops.
 #[derive(Clone, Copy)]
-struct Entry {
+struct Key {
     at: u64,
     seq: u64,
-    idx: u32,
+    /// A live slot's successor in its bucket chain; a free slot's
+    /// successor in the free list. `NIL` ends either.
+    next: u32,
 }
 
-impl Entry {
-    #[inline]
-    fn key(self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
+/// One calendar bucket: the two ends of its chain, `NIL` when empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
 
-/// Sentinel for "no slot" in the intrusive free chain.
-const NO_SLOT: u32 = u32::MAX;
-
-impl Entry {
-    /// Sentinel meaning "queue empty" for the cached minimum: the
-    /// maximal key, so any real entry's key compares below it.
-    const NONE: Entry = Entry {
-        at: u64::MAX,
-        seq: u64::MAX,
-        idx: NO_SLOT,
-    };
-}
-
-/// One payload arena slot: a live event, or — while free — the index of
-/// the next free slot. Which variant is live is tracked structurally (see
-/// the safety invariants on [`EventQueue`]), never read blind.
-union Slot<Ev> {
-    payload: std::mem::ManuallyDrop<Ev>,
-    link: u32,
-}
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A standalone priority queue of timestamped events (earliest first,
 /// FIFO among equal timestamps), implemented as a calendar queue over an
 /// arena-backed payload slab.
 ///
 /// Hot-path layout (see DESIGN.md "Hot-path memory layout"):
-/// - The bucket width is always a power of two, stored as `shift`, so the
-///   bucket index is a shift+mask instead of a 64-bit division (the
-///   division cost three ~25-cycle `div`s per event in the previous
-///   layout — push, pop, and the next-min scan each paid one).
-/// - Buckets hold `Entry { at, seq, idx }` with the key inline; the
-///   payload slab is only dereferenced on pop, exactly once per event.
-/// - The cached global minimum stores the full entry, making `peek_time`
-///   a field read.
+/// - Slot `i` of the slab holds a payload and `keys[i]` its `(at, seq)`
+///   key plus one link. A bucket is the `head`/`tail` pair of a chain
+///   through `keys`, ascending by `(at, seq)`, so a pending event costs
+///   its slot plus a 24-byte key and a bucket costs 8 bytes. Push appends
+///   (every tie, and any event no earlier than its bucket's tail),
+///   prepends, or walks from the head; pop takes a head.
+/// - The bucket width is a power of two, stored as `shift`, so the bucket
+///   index is a shift and a mask. It is derived from the events due next
+///   whenever the array resizes, and re-derived when the slow paths
+///   (walks, empty-bucket scans) show it has gone stale.
+/// - The cached global minimum is a slot index, making `peek_time` one
+///   key read.
 ///
-/// At steady state (stable population, no resizes) push and pop allocate
-/// nothing: slots recycle through `free` and bucket vectors keep their
-/// capacity.
-///
-/// # Safety invariants
-///
-/// The `unsafe` in push/pop rests on two structural invariants:
-/// 1. `buckets.len()` is always a power of two, so any index masked with
-///    `buckets.len() - 1` is in bounds.
-/// 2. Every slot index `0..slab.len()` is at all times either *live*
-///    (appears in exactly one bucket entry; the slot holds an initialised
-///    payload) or *free* (reachable from `free_head` through the
-///    intrusive link chain; the slot holds a link). Pop moves the payload
-///    out and overwrites the slot with a link; push overwrites the link
-///    with a fresh payload before the index re-enters any bucket.
+/// Push and pop allocate only when the slab outgrows its high-water mark
+/// or the bucket array resizes, so a steady population allocates nothing.
 pub struct EventQueue<Ev> {
-    /// Arena of event payloads, occupancy governed by invariant 2. Free
-    /// slots double as the free list's links, so recycling a slot touches
-    /// only memory the push/pop already touches for the payload itself.
-    slab: Vec<Slot<Ev>>,
-    /// Head of the intrusive free-slot chain (`NO_SLOT` when empty).
-    free_head: u32,
-    /// `buckets[i]` holds entries with `(at >> shift) % nbuckets == i`,
-    /// sorted *descending* by `(at, seq)` so the minimum pops from the end.
-    buckets: Vec<Vec<Entry>>,
-    /// log2 of the bucket width in microseconds (width = `1 << shift`).
+    /// Event payloads; `None` exactly when the slot is on the free list.
+    slab: Vec<Option<Ev>>,
+    /// One key per slab slot; `next` threads the bucket chains and the
+    /// free list.
+    keys: Vec<Key>,
+    /// Head of the free-slot list.
+    free: u32,
+    /// `buckets[i]` chains the events with `(at >> shift) % nbuckets == i`.
+    buckets: Vec<Bucket>,
+    /// log2 of the bucket width in microseconds.
     shift: u32,
-    /// Cached `buckets.len() - 1` (invariant 1 makes this a valid mask).
+    /// `buckets.len() - 1`.
     mask: usize,
-    /// Cached `(1 << shift) - 1`: masks a timestamp to its window offset.
-    tmask: u64,
-    /// Cached global minimum entry (`Entry::NONE` when empty), kept
-    /// current on every push/pop so `peek_time` is O(1) and `&self`.
-    next: Entry,
+    /// Slot of the global minimum, kept current on every push and pop so
+    /// `peek_time` is O(1) and `&self`.
+    min: u32,
     len: usize,
     next_seq: u64,
+    /// Slow-path work metered since `window_seq` (see `charge`).
+    work: usize,
+    /// `next_seq` when the metering window opened.
+    window_seq: u64,
+    /// Every step ever charged (tests bound the work per push with it).
+    #[cfg(test)]
+    steps: u64,
 }
 
 impl<Ev> Default for EventQueue<Ev> {
     fn default() -> Self {
         EventQueue {
             slab: Vec::new(),
-            free_head: NO_SLOT,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            keys: Vec::new(),
+            free: NIL,
+            buckets: vec![EMPTY; MIN_BUCKETS],
             shift: 10,
             mask: MIN_BUCKETS - 1,
-            tmask: (1 << 10) - 1,
-            next: Entry::NONE,
+            min: NIL,
             len: 0,
             next_seq: 0,
-        }
-    }
-}
-
-impl<Ev> Drop for EventQueue<Ev> {
-    fn drop(&mut self) {
-        // Slab slots are unions, so live payloads must be dropped by
-        // hand: the bucket entries are the authoritative occupancy map.
-        for bucket in &self.buckets {
-            for ent in bucket {
-                // SAFETY: every bucket entry indexes a live slab slot
-                // (invariant 2), each exactly once.
-                unsafe { std::mem::ManuallyDrop::drop(&mut self.slab[ent.idx as usize].payload) };
-            }
+            work: 0,
+            window_seq: 0,
+            #[cfg(test)]
+            steps: 0,
         }
     }
 }
@@ -236,129 +205,99 @@ impl<Ev> EventQueue<Ev> {
     }
 
     #[inline]
+    fn key(&self, i: u32) -> (u64, u64) {
+        let k = &self.keys[i as usize];
+        (k.at, k.seq)
+    }
+
+    #[inline]
     pub fn push(&mut self, at: SimTime, ev: Ev) {
+        let at = at.0;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = if self.free_head != NO_SLOT {
-            let i = self.free_head;
-            // SAFETY: the free chain only ever holds indices < slab.len(),
-            // and a free slot holds a link (invariant 2). Assigning the
-            // payload field drops nothing (`ManuallyDrop`).
-            let slot = unsafe { self.slab.get_unchecked_mut(i as usize) };
-            self.free_head = unsafe { slot.link };
-            slot.payload = std::mem::ManuallyDrop::new(ev);
+        let key = Key { at, seq, next: NIL };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.keys[i as usize].next;
+            self.slab[i as usize] = Some(ev);
+            self.keys[i as usize] = key;
             i
         } else {
-            let i = self.slab.len() as u32;
-            self.slab.push(Slot {
-                payload: std::mem::ManuallyDrop::new(ev),
-            });
-            i
+            self.slab.push(Some(ev));
+            self.keys.push(key);
+            (self.keys.len() - 1) as u32
         };
-        let ent = Entry { at: at.0, seq, idx };
         self.len += 1;
-        // Keep the bucket sorted descending by (at, seq). Buckets average
-        // O(1) entries when the width is tuned, so a shift-down scan from
-        // the tail beats a binary search's setup cost.
-        let b = self.bucket_of(ent.at);
-        // SAFETY: `b` is masked with `buckets.len() - 1` and the length is
-        // a power of two (invariant 1).
-        let bucket = unsafe { self.buckets.get_unchecked_mut(b) };
-        // First touch after (re)sizing seeds enough capacity that later
-        // occupancy records cannot force a mid-run grow: with tuned widths
-        // a bucket averages ~2 entries, and a Poisson tail past this
-        // reserve is vanishingly rare — so the steady-state pop/push loop
-        // performs no allocation at all (the perf harness gates on this).
-        // The grow check, shift-down and insert are fused so the entry is
-        // written exactly once (`Vec::push` followed by a shift would
-        // write it twice and re-check capacity).
-        unsafe {
-            let n = bucket.len();
-            if n == bucket.capacity() {
-                bucket.reserve(if n == 0 { BUCKET_RESERVE } else { n });
+        // `seq` is the largest yet, so the new key sorts after every key
+        // with the same `at`: comparing times alone places it.
+        let b = self.bucket_of(at);
+        let Bucket { head, tail } = self.buckets[b];
+        let mut walked = 0;
+        if head == NIL {
+            self.buckets[b] = Bucket { head: i, tail: i };
+        } else if at >= self.keys[tail as usize].at {
+            self.keys[tail as usize].next = i;
+            self.buckets[b].tail = i;
+        } else if at < self.keys[head as usize].at {
+            self.keys[i as usize].next = head;
+            self.buckets[b].head = i;
+        } else {
+            // head.at <= at < tail.at, so the walk stops before the tail.
+            let mut p = head;
+            loop {
+                let n = self.keys[p as usize].next;
+                walked += 1;
+                if self.keys[n as usize].at > at {
+                    break;
+                }
+                p = n;
             }
-            // SAFETY: capacity > n after the reserve; `i` walks `n..=0`,
-            // every write lands in `0..=n`, and `set_len(n + 1)` only
-            // exposes slots that were just initialised.
-            let p = bucket.as_mut_ptr();
-            let mut i = n;
-            while i > 0 && (*p.add(i - 1)).key() < ent.key() {
-                *p.add(i) = *p.add(i - 1);
-                i -= 1;
-            }
-            *p.add(i) = ent;
-            bucket.set_len(n + 1);
+            self.keys[i as usize].next = self.keys[p as usize].next;
+            self.keys[p as usize].next = i;
         }
-        if ent.key() < self.next.key() {
-            self.next = ent;
+        if self.min == NIL || at < self.keys[self.min as usize].at {
+            self.min = i;
         }
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.resize();
+        } else if walked > 0 {
+            self.charge(walked);
         }
     }
 
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        let ent = self.next;
-        if ent.idx == NO_SLOT {
+        let i = self.min;
+        if i == NIL {
             return None;
         }
-        let b = self.bucket_of(ent.at);
-        // SAFETY: masked index, power-of-two length (invariant 1); the
-        // cached min's bucket cannot be empty (it contains the min), so
-        // the tail removal cannot underflow, and `Entry` is `Copy`, so
-        // shrinking via `set_len` leaks nothing.
-        let tail = unsafe {
-            let bucket = self.buckets.get_unchecked_mut(b);
-            let newlen = bucket.len() - 1;
-            debug_assert_eq!(
-                bucket.get_unchecked(newlen).idx,
-                ent.idx,
-                "cached min must be its bucket's tail"
-            );
-            bucket.set_len(newlen);
-            // The bucket's new tail: in the dense steady state it is the
-            // global minimum (fast path below).
-            if newlen > 0 {
-                Some(*bucket.get_unchecked(newlen - 1))
-            } else {
-                None
-            }
-        };
-        // SAFETY: the cached min is a live entry (invariant 2), so the
-        // slot is in bounds and initialised; the slot is then retired
-        // onto the free chain until the next push re-fills it.
-        let ev = unsafe {
-            let slot = self.slab.get_unchecked_mut(ent.idx as usize);
-            let ev = std::mem::ManuallyDrop::take(&mut slot.payload);
-            slot.link = self.free_head;
-            ev
-        };
-        self.free_head = ent.idx;
+        let Key { at, next, .. } = self.keys[i as usize];
+        let b = self.bucket_of(at);
+        debug_assert_eq!(self.buckets[b].head, i, "the minimum heads its bucket");
+        self.buckets[b].head = next;
+        if next == NIL {
+            self.buckets[b].tail = NIL;
+        }
+        let ev = self.slab[i as usize].take().expect("the minimum is live");
+        self.keys[i as usize].next = self.free;
+        self.free = i;
         self.len -= 1;
         if self.len * 4 < self.buckets.len() && self.buckets.len() > MIN_BUCKETS {
             self.resize();
+        } else if next != NIL && (self.keys[next as usize].at ^ at) >> self.shift == 0 {
+            // Fast path: the bucket's new head is in the popped event's
+            // window, so it is the global minimum.
+            self.min = next;
         } else {
-            // Fast path: the popped bucket's new tail is still inside the
-            // current window, so it is the global minimum and no calendar
-            // scan is needed.
-            let window_end = (ent.at | self.tmask) + 1;
-            self.next = match tail {
-                Some(tail) if tail.at < window_end => tail,
-                // The popped bucket is already known to hold nothing in
-                // the current window, so the scan starts at its successor.
-                _ => self.find_next_after(b, window_end),
-            };
+            let (min, scanned) = self.find_next_after(b, at >> self.shift);
+            self.min = min;
+            self.charge(scanned);
         }
-        Some((SimTime(ent.at), ev))
+        Some((SimTime(at), ev))
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.next.idx == NO_SLOT {
-            None
-        } else {
-            Some(SimTime(self.next.at))
-        }
+        (self.min != NIL).then(|| SimTime(self.keys[self.min as usize].at))
     }
 
     pub fn len(&self) -> usize {
@@ -369,78 +308,121 @@ impl<Ev> EventQueue<Ev> {
         self.len == 0
     }
 
-    /// Find the minimum entry, scanning buckets calendar-style from the
-    /// successor of bucket `after` (whose window `pop` has already ruled
-    /// out; pops are monotone, so nothing earlier can exist). Each
-    /// bucket's tail is its minimum; a tail belongs to the current "year"
-    /// iff its timestamp falls before the bucket's current window end.
-    /// One full empty lap falls back to a direct min scan.
-    fn find_next_after(&self, after: usize, mut window_end: u64) -> Entry {
+    /// Find the minimum, scanning buckets calendar-style from the
+    /// successor of bucket `after`, whose window `window` (a timestamp
+    /// `>> shift`) `pop` has just emptied. Every pending event is at or
+    /// after that window, so the head of the bucket `k` steps on is the
+    /// minimum iff it lies in window `window + k` — written as a
+    /// difference so no timestamp arithmetic can overflow. One empty lap
+    /// falls back to a direct scan of the heads. Returns the minimum's
+    /// slot and the buckets the search looked at.
+    fn find_next_after(&self, after: usize, window: u64) -> (u32, usize) {
         if self.len == 0 {
-            return Entry::NONE;
+            return (NIL, 0);
         }
-        let n = self.buckets.len();
-        let width = self.tmask + 1;
-        let mut i = (after + 1) & self.mask;
-        for _ in 1..n {
-            window_end += width;
-            if let Some(&tail) = self.buckets[i].last() {
-                if tail.at < window_end {
-                    return tail;
-                }
+        let mut b = after;
+        for k in 1..self.buckets.len() {
+            b = (b + 1) & self.mask;
+            let head = self.buckets[b].head;
+            if head != NIL && (self.keys[head as usize].at >> self.shift) - window == k as u64 {
+                return (head, k);
             }
-            i = (i + 1) & self.mask;
         }
         // Sparse year: jump straight to the global minimum.
-        self.buckets
+        let min = self
+            .buckets
             .iter()
-            .filter_map(|b| b.last().copied())
-            .min_by_key(|e| e.key())
-            .unwrap_or(Entry::NONE)
+            .map(|b| b.head)
+            .filter(|&h| h != NIL)
+            .min_by_key(|&h| self.key(h))
+            .unwrap_or(NIL);
+        (min, 2 * self.buckets.len())
+    }
+
+    /// Meter slow-path work: chain steps a push walked, buckets a pop
+    /// scanned. A width goes stale when the events due next change shape
+    /// while the population neither doubles nor quarters — a dense
+    /// start-up burst followed by a sparse hold leaves 2 µs buckets under
+    /// events 100 ms apart, and every pop laps the calendar. The hot path
+    /// is one add and one compare; every `8 × nbuckets` steps,
+    /// `recheck_width` decides.
+    #[inline]
+    fn charge(&mut self, steps: usize) {
+        #[cfg(test)]
+        {
+            self.steps += steps as u64;
+        }
+        self.work += steps;
+        if self.work > 8 * self.buckets.len() {
+            self.recheck_width();
+        }
+    }
+
+    /// If the metered work came to more than 8 steps a push (about twice
+    /// the worst a benchmark workload costs), resize to re-derive the
+    /// width; otherwise open a new metering window. A resize is bought by
+    /// at least `8 × nbuckets` wasted steps, and the work depends only on
+    /// the operation sequence, so this stays deterministic.
+    #[cold]
+    fn recheck_width(&mut self) {
+        if self.work > 8 * (self.next_seq - self.window_seq) as usize {
+            self.resize();
+        } else {
+            self.work = 0;
+            self.window_seq = self.next_seq;
+        }
     }
 
     /// Rebuild the bucket array for the current population: nbuckets is
-    /// the next power of two ≥ len (clamped), width the live event span
-    /// divided by the population, rounded up to a power of two and then
-    /// doubled (slightly-too-wide buckets measure faster than
-    /// slightly-too-narrow: a ~2-entry bucket costs one extra compare on
-    /// push, while an empty bucket costs a whole extra scan step on pop).
-    /// Both depend only on queue contents, so resizing is deterministic.
+    /// the next power of two ≥ len (clamped), and the width is twice the
+    /// mean gap between the *earliest quarter* of the pending events,
+    /// rounded up to a power of two. Sizing from the events due next, not
+    /// from the whole span, keeps a far-future tail from crowding the near
+    /// events into a few long chains (Brown samples the head for the same
+    /// reason; on `grid_farm` the earliest half still reaches seconds
+    /// ahead). A slightly-too-wide bucket costs a step on push, a
+    /// too-narrow one a scan step on pop. Both depend only on queue
+    /// contents, so resizing is deterministic.
     fn resize(&mut self) {
-        let mut live: Vec<Entry> = self.buckets.iter().flatten().copied().collect();
-        live.sort_unstable_by_key(|e| e.key());
+        let mut live = Vec::with_capacity(self.len);
+        for b in &self.buckets {
+            let mut i = b.head;
+            while i != NIL {
+                live.push(i);
+                i = self.keys[i as usize].next;
+            }
+        }
+        live.sort_unstable_by_key(|&i| self.key(i));
         let nbuckets = live
             .len()
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let (lo, hi) = match (live.first(), live.last()) {
-            (Some(f), Some(l)) => (f.at, l.at),
-            _ => (0, 0),
-        };
-        let width = ((hi - lo) / (live.len().max(1) as u64))
-            .max(1)
-            .next_power_of_two()
-            << 1;
-        self.shift = width.trailing_zeros();
-        self.tmask = width - 1;
-        self.mask = nbuckets - 1;
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        // Ascending insertion order makes every bucket sorted ascending;
-        // reverse each so the minimum sits at the tail. Buckets get the
-        // same first-touch reserve as `push`, so post-resize occupancy
-        // records cannot creep capacities up through repeated doublings.
-        for &ent in &live {
-            let b = self.bucket_of(ent.at);
-            let bucket = &mut self.buckets[b];
-            if bucket.capacity() == 0 {
-                bucket.reserve(BUCKET_RESERVE);
+        let head = &live[..live.len().div_ceil(4)];
+        let gap = match (head.first(), head.last()) {
+            (Some(&f), Some(&l)) => {
+                (self.keys[l as usize].at - self.keys[f as usize].at) / head.len() as u64
             }
-            bucket.push(ent);
+            _ => 0,
+        };
+        // width = 2 × next_power_of_two(max(gap, 1)), capped at 2⁶³.
+        self.shift = (u64::BITS - gap.saturating_sub(1).leading_zeros() + 1).min(63);
+        self.mask = nbuckets - 1;
+        self.buckets = vec![EMPTY; nbuckets];
+        // Ascending order makes every rebuilt chain ascending.
+        for &i in &live {
+            self.keys[i as usize].next = NIL;
+            let b = self.bucket_of(self.keys[i as usize].at);
+            let bucket = &mut self.buckets[b];
+            if bucket.tail == NIL {
+                bucket.head = i;
+            } else {
+                self.keys[bucket.tail as usize].next = i;
+            }
+            bucket.tail = i;
         }
-        for b in &mut self.buckets {
-            b.reverse();
-        }
-        self.next = live.first().copied().unwrap_or(Entry::NONE);
+        self.min = live.first().copied().unwrap_or(NIL);
+        self.work = 0;
+        self.window_seq = self.next_seq;
     }
 }
 
@@ -866,5 +848,157 @@ mod tests {
         }
         assert_eq!(q.slab.len(), high_water);
         assert_eq!(q.len(), 64);
+    }
+
+    /// Pop one event from each queue and demand they agree, in the popped
+    /// event and in what is left.
+    fn pop_both(cal: &mut EventQueue<u64>, heap: &mut BinaryHeapQueue<u64>) -> Option<SimTime> {
+        let popped = cal.pop();
+        assert_eq!(popped, heap.pop());
+        assert_eq!(cal.len(), heap.len());
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        popped.map(|(t, _)| t)
+    }
+
+    /// The shapes a hold model never shows, through grow and shrink
+    /// resizes: bursts of hundreds of exact ties, a near cluster spread
+    /// over µs–ms, and a far tail up to `u64::MAX - 1` that stays pending
+    /// while the near events drain around it (so shrink resizes see it).
+    /// Miri runs the same shapes at a fraction of the size.
+    #[test]
+    fn calendar_queue_matches_heap_on_skewed_shapes() {
+        const FAR: u64 = 1 << 62;
+        let (episodes, rounds) = if cfg!(miri) { (2, 3) } else { (24, 12) };
+        let (mut peak, mut shrank) = (0, false);
+        for episode in 0..episodes {
+            let mut rng = Pcg32::new(episode, 0x5EED);
+            let mut cal: EventQueue<u64> = EventQueue::new();
+            let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+            let (mut clock, mut far, mut tag) = (0u64, 0usize, 0u64);
+            for round in 0..rounds {
+                let tie = clock + rng.below(1_000);
+                for _ in 0..100 + rng.below(400) {
+                    let at = match rng.below(64) {
+                        0 => {
+                            far += 1;
+                            FAR + rng.below(u64::MAX - FAR)
+                        }
+                        1..=30 => tie,
+                        _ => {
+                            let spread = 10u64.pow(1 + rng.below(4) as u32);
+                            clock + rng.below(spread)
+                        }
+                    };
+                    cal.push(SimTime(at), tag);
+                    heap.push(SimTime(at), tag);
+                    tag += 1;
+                }
+                peak = peak.max(cal.buckets.len());
+                // Every other round, drain the near events down to a few.
+                if round % 2 == 1 {
+                    let keep = far + rng.below(32) as usize;
+                    while cal.len() > keep {
+                        clock = pop_both(&mut cal, &mut heap).expect("non-empty").0;
+                    }
+                    shrank |= cal.buckets.len() < peak;
+                }
+            }
+            while pop_both(&mut cal, &mut heap).is_some() {}
+        }
+        assert!(peak >= 256 && shrank, "the schedule must grow and shrink");
+    }
+
+    /// A resize of a few live events spanning ≈ 2⁶⁴: the width is the
+    /// widest the rule allows and no timestamp arithmetic overflows.
+    #[test]
+    fn calendar_queue_width_survives_a_span_of_2_64() {
+        let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
+        // 41 events grow the array to 64 buckets; popping the 26 earliest
+        // leaves 15, which shrinks it to 16 — a resize whose earliest
+        // quarter is {26, MAX-13, MAX-12, MAX-11}, a span of 2⁶⁴ - 38.
+        let times = (0..27).chain((0..13).map(|i| u64::MAX - 13 + i));
+        for (tag, at) in times.enumerate() {
+            cal.push(SimTime(at), tag as u64);
+            heap.push(SimTime(at), tag as u64);
+        }
+        cal.push(SimTime(u64::MAX), 99);
+        heap.push(SimTime(u64::MAX), 99);
+        while cal.len() > 15 {
+            pop_both(&mut cal, &mut heap);
+        }
+        assert_eq!(cal.buckets.len(), MIN_BUCKETS);
+        assert_eq!(cal.shift, 63);
+        while pop_both(&mut cal, &mut heap).is_some() {}
+    }
+
+    /// The sim at `now > 0` schedules a duration of `u64::MAX`: the instant
+    /// saturates at the end of time instead of wrapping into the past, so
+    /// the normal event pops first and the clock never goes backwards.
+    #[test]
+    fn far_future_saturates_instead_of_wrapping() {
+        let mut sim: Sim<u32> = Sim::new(1);
+        sim.schedule(Duration::from_micros(5), 0);
+        let mut seen = vec![];
+        sim.run(|s, ev| {
+            seen.push((s.now(), ev));
+            if ev == 0 {
+                s.schedule(Duration(u64::MAX), 2);
+                s.schedule(Duration::from_millis(1), 1);
+            }
+        });
+        assert_eq!(
+            seen,
+            vec![(SimTime(5), 0), (SimTime(1_005), 1), (SimTime(u64::MAX), 2)]
+        );
+    }
+
+    /// The work a `grid_farm` round puts on the queue: ≈ 500 worker churn
+    /// transitions over the next hour, a dispatch burst in the first
+    /// millisecond, then a hold whose delays follow the histogram of
+    /// `log2(at - now)` measured on that workload's pushes (0 to 70 min,
+    /// mode at 33–260 ms). The bound is on chain steps per push plus empty
+    /// buckets per pop, so it fails a width that ignores the near events
+    /// (the whole-span rule shifts ≈ 200 entries per push here) and one
+    /// that starves pops (without the re-width meter, the burst's 2 µs
+    /// width costs ≈ 345 scan steps per push in the hold).
+    #[test]
+    #[cfg_attr(miri, ignore = "a work bound, not a memory-safety check")]
+    fn push_walks_stay_short_on_a_farm_schedule() {
+        // Relative frequency of a delay in [2^(b-1), 2^b) µs, index b
+        // (b = 0: a delay of 0).
+        const DELAY_LOG2_WEIGHTS: [u64; 33] = [
+            11, 0, 0, 4, 0, 0, 0, 0, 0, 0, 19, 0, 0, 0, 11, 60, 320, 100, 280, 100, 75, 65, 35, 11,
+            11, 6, 1, 1, 1, 1, 1, 3, 4,
+        ];
+        let total: u64 = DELAY_LOG2_WEIGHTS.iter().sum();
+        let delay = |rng: &mut Pcg32| {
+            let mut pick = rng.below(total);
+            let mut b = 0;
+            while pick >= DELAY_LOG2_WEIGHTS[b] {
+                pick -= DELAY_LOG2_WEIGHTS[b];
+                b += 1;
+            }
+            match b {
+                0 => 0,
+                b => (1 << (b - 1)) + rng.below(1 << (b - 1)),
+            }
+        };
+        let mut rng = Pcg32::new(7, 0xFA23);
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for i in 0..500 {
+            q.push(SimTime(60_000_000 + rng.below(3_540_000_000)), i);
+        }
+        for i in 0..1_600 {
+            q.push(SimTime(1_000 + rng.below(1_000)), i);
+        }
+        let setup = q.steps;
+        let pushes = 100_000;
+        for i in 0..pushes {
+            let (now, _) = q.pop().expect("the hold keeps the population");
+            q.push(SimTime(now.0 + delay(&mut rng)), i);
+        }
+        let per_push = (q.steps - setup) as f64 / pushes as f64;
+        assert!(per_push <= 4.0, "{per_push:.2} steps per push");
     }
 }

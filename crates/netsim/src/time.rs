@@ -4,6 +4,11 @@
 //! accumulation drift; `u64` microseconds cover ~584 000 years, far beyond
 //! any experiment horizon (the longest paper scenario is a year of SETI-style
 //! accrual).
+//!
+//! Arithmetic saturates at `u64::MAX`, the end of time: a huge duration
+//! (a compute time from [`Duration::from_secs_f64`] on a host of almost no
+//! speed) schedules an event at the end of time instead of wrapping to an
+//! instant before now.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,9 +26,9 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds, saturating at the end of time.
     pub fn from_secs(s: u64) -> Self {
-        SimTime(s * MICROS_PER_SEC)
+        SimTime(s.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Fractional seconds since t=0.
@@ -47,11 +52,11 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     pub fn from_secs(s: u64) -> Self {
-        Duration(s * MICROS_PER_SEC)
+        Duration(s.saturating_mul(MICROS_PER_SEC))
     }
 
     pub fn from_millis(ms: u64) -> Self {
-        Duration(ms * 1_000)
+        Duration(ms.saturating_mul(1_000))
     }
 
     pub fn from_micros(us: u64) -> Self {
@@ -59,7 +64,8 @@ impl Duration {
     }
 
     /// Construct from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs clamp to zero.
+    /// microsecond. Negative or non-finite inputs clamp to zero, huge ones
+    /// to `u64::MAX`.
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Duration(0);
@@ -88,13 +94,13 @@ impl Duration {
 impl Add<Duration> for SimTime {
     type Output = SimTime;
     fn add(self, d: Duration) -> SimTime {
-        SimTime(self.0 + d.0)
+        SimTime(self.0.saturating_add(d.0))
     }
 }
 
 impl AddAssign<Duration> for SimTime {
     fn add_assign(&mut self, d: Duration) {
-        self.0 += d.0;
+        *self = *self + d;
     }
 }
 
@@ -108,13 +114,13 @@ impl Sub<Duration> for SimTime {
 impl Add for Duration {
     type Output = Duration;
     fn add(self, rhs: Duration) -> Duration {
-        Duration(self.0 + rhs.0)
+        Duration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Duration {
     fn add_assign(&mut self, rhs: Duration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -135,7 +141,7 @@ impl SubAssign for Duration {
 impl Mul<u64> for Duration {
     type Output = Duration;
     fn mul(self, k: u64) -> Duration {
-        Duration(self.0 * k)
+        Duration(self.0.saturating_mul(k))
     }
 }
 
@@ -217,5 +223,19 @@ mod tests {
         assert_eq!(d.saturating_sub(Duration::from_micros(9)), Duration::ZERO);
         let t = SimTime(3);
         assert_eq!(t - Duration::from_micros(10), SimTime::ZERO);
+        let end = SimTime(u64::MAX);
+        assert_eq!(t + Duration(u64::MAX), end);
+        let mut u = t;
+        u += Duration(u64::MAX - 1);
+        assert_eq!(u, end);
+        let mut d = Duration(u64::MAX);
+        d += Duration(1);
+        assert_eq!(d, Duration(u64::MAX));
+        assert_eq!(d + Duration(1), Duration(u64::MAX));
+        assert_eq!(Duration(u64::MAX / 2) * 3, Duration(u64::MAX));
+        assert_eq!(Duration::from_secs(u64::MAX).as_micros(), u64::MAX);
+        assert_eq!(Duration::from_millis(u64::MAX).as_micros(), u64::MAX);
+        assert_eq!(SimTime::from_secs(u64::MAX), end);
+        assert_eq!(Duration::from_secs_f64(1e30).as_micros(), u64::MAX);
     }
 }
