@@ -6,7 +6,6 @@
 //! string (printed by the `repro` binary). EXPERIMENTS.md records
 //! paper-vs-measured for every entry.
 
-pub mod alloc;
 pub mod e01_figure2_snr;
 pub mod e02_taskgraph_overhead;
 pub mod e03_galaxy_speedup;
@@ -22,6 +21,5 @@ pub mod e12_redundancy;
 pub mod e13_adaptive_scheduling;
 pub mod e14_decentralised_orch;
 pub mod e15_overlay_scale;
-pub mod perf;
 pub mod smoke;
 pub mod table;

@@ -1468,7 +1468,7 @@ mod tests {
 
     #[test]
     fn fault_free_routed_scenarios_complete_cleanly() {
-        // The acceptance criterion for structured discovery under the
+        // The acceptance check for structured discovery under the
         // chaos harness: every scenario drains green when discovery runs
         // over the Kademlia overlay instead of flooding, with no faults.
         for scenario in [Scenario::Farm, Scenario::Pipeline, Scenario::Voting] {

@@ -527,10 +527,10 @@ mod tests {
         assert_eq!(tier.tier_name(), "tier2");
         assert_eq!(tier.regions_translated(), 1);
         // An explicit policy overrides Auto for subsequent admissions.
-        cache.set_tier_policy(TierPolicy::Legacy);
+        cache.set_tier_policy(TierPolicy::Tier2);
         cache.insert(ModuleKey::new("B", 1), blob_of_size("B", 100));
-        let legacy = cache.prepared_of(&ModuleKey::new("B", 1)).unwrap();
-        assert_eq!(legacy.tier_name(), "legacy");
+        let forced = cache.prepared_of(&ModuleKey::new("B", 1)).unwrap();
+        assert_eq!(forced.tier_name(), "tier2");
     }
 
     const LOOP_SRC: &str = "\
@@ -635,24 +635,19 @@ loop:
     fn memo_keeps_tier_policies_apart() {
         let memo = TierMemo::default();
         let blob = assemble(LOOP_SRC).unwrap().to_blob();
-        let names: Vec<&str> = [
-            TierPolicy::Legacy,
-            TierPolicy::Prepared,
-            TierPolicy::Tier2,
-            TierPolicy::Auto,
-        ]
-        .into_iter()
-        .map(|policy| {
-            let mut cache = ModuleCache::with_memo(100_000, memo.clone());
-            cache.set_tier_policy(policy);
-            cache.insert(ModuleKey::new("Loop", 1), blob.clone());
-            cache
-                .prepared_of(&ModuleKey::new("Loop", 1))
-                .unwrap()
-                .tier_name()
-        })
-        .collect();
-        assert_eq!(names, ["legacy", "prepared", "tier2", "tier2"]);
+        let names: Vec<&str> = [TierPolicy::Prepared, TierPolicy::Tier2, TierPolicy::Auto]
+            .into_iter()
+            .map(|policy| {
+                let mut cache = ModuleCache::with_memo(100_000, memo.clone());
+                cache.set_tier_policy(policy);
+                cache.insert(ModuleKey::new("Loop", 1), blob.clone());
+                cache
+                    .prepared_of(&ModuleKey::new("Loop", 1))
+                    .unwrap()
+                    .tier_name()
+            })
+            .collect();
+        assert_eq!(names, ["prepared", "tier2", "tier2"]);
         // Tier2 and Auto agree on this blob but were asked for separately.
         let t2 = memo.admit(&blob, TierPolicy::Tier2).unwrap();
         let auto = memo.admit(&blob, TierPolicy::Auto).unwrap();

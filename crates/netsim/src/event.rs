@@ -17,81 +17,6 @@
 
 use crate::rng::Pcg32;
 use crate::time::{Duration, SimTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Scheduled<Ev> {
-    at: SimTime,
-    seq: u64,
-    ev: Ev,
-}
-
-impl<Ev> PartialEq for Scheduled<Ev> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<Ev> Eq for Scheduled<Ev> {}
-impl<Ev> PartialOrd for Scheduled<Ev> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<Ev> Ord for Scheduled<Ev> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first order.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The pre-refactor binary-heap event queue, kept as the reference
-/// implementation: the calendar queue must agree with it event-for-event
-/// (see the differential tests below), and the perf harness benches both
-/// so BENCH_PERF.json keeps the heap number for the trajectory.
-pub struct BinaryHeapQueue<Ev> {
-    heap: BinaryHeap<Scheduled<Ev>>,
-    next_seq: u64,
-}
-
-impl<Ev> Default for BinaryHeapQueue<Ev> {
-    fn default() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl<Ev> BinaryHeapQueue<Ev> {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, at: SimTime, ev: Ev) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, ev });
-    }
-
-    pub fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        self.heap.pop().map(|s| (s.at, s.ev))
-    }
-
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
 
 /// Minimum and maximum bucket-array sizes. The array is always a power of
 /// two so the `% nbuckets` in the index computation compiles to a mask.
@@ -599,6 +524,42 @@ impl<Ev> Sim<Ev> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The binary-heap event queue the calendar queue replaced, kept as
+    /// the reference it must agree with event for event (the differential
+    /// tests below).
+    struct BinaryHeapQueue<Ev: Ord> {
+        heap: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
+        next_seq: u64,
+    }
+
+    impl<Ev: Ord> BinaryHeapQueue<Ev> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, ev: Ev) {
+            self.heap.push(Reverse((at, self.next_seq, ev)));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Ev)> {
+            self.heap.pop().map(|Reverse((at, _, ev))| (at, ev))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((at, ..))| *at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
     fn events_dispatch_in_time_order() {

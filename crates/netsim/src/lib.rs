@@ -29,7 +29,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{BinaryHeapQueue, EventQueue, EventTap, Intercept, Sim};
+pub use event::{EventQueue, EventTap, Intercept, Sim};
 pub use host::HostSpec;
 pub use link::{LinkClass, LinkSpec};
 pub use net::{HostId, Network};

@@ -33,7 +33,7 @@ pub use isa::Op;
 pub use module::{Function, Module, ModuleBlob};
 pub use prepared::{ExecContext, PrepareError, PreparedModule};
 pub use sandbox::SandboxPolicy;
-pub use tier::{ExecOutcome, ExecTier, LegacyModule, TierPolicy};
+pub use tier::{ExecOutcome, ExecTier, TierPolicy};
 pub use tier2::Tier2Module;
 
 /// FNV-1a 64-bit hash; used for module content hashes.

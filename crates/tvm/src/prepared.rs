@@ -43,7 +43,7 @@ use std::fmt;
 /// microsecond. Used by [`PreparedModule::modeled_prepare_us`] so metering
 /// of preparation cost stays deterministic (wall-clock timings belong in
 /// the volatile snapshot section only).
-pub(crate) const PREPARE_OPS_PER_US: u64 = 100;
+const PREPARE_OPS_PER_US: u64 = 100;
 
 /// A binary operation: pop `b`, pop `a`, push `a ∘ b`.
 ///

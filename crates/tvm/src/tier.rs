@@ -1,12 +1,11 @@
-//! The execution-tier abstraction: one trait over Legacy, Prepared, and
-//! Tier2 execution, selected per module at cache admission.
+//! The execution-tier abstraction: one trait over Prepared and Tier2
+//! execution, selected per module at cache admission.
 //!
-//! Every tier honours the same observational contract — bit-identical
-//! outputs, [`ExecStats`], and typed errors for every program — so the
-//! grid can pick a tier purely on cost:
+//! Every tier honours the same observational contract as the reference
+//! interpreter [`crate::execute`] — bit-identical outputs, [`ExecStats`],
+//! and typed errors for every program — so the grid can pick a tier
+//! purely on cost:
 //!
-//! * **Legacy** ([`LegacyModule`]): re-verifies on every call and
-//!   allocates per `Call`; the reference semantics.
 //! * **Prepared** ([`PreparedModule`]): verify once, flatten 1:1;
 //!   allocation-free steady state.
 //! * **Tier2** ([`Tier2Module`]): Prepared plus register-translated hot
@@ -19,10 +18,9 @@
 
 use crate::interp::{record_execution, ExecStats, TvmError};
 use crate::module::{Module, ModuleBlob};
-use crate::prepared::{ExecContext, PrepareError, PreparedModule, PREPARE_OPS_PER_US};
+use crate::prepared::{ExecContext, PrepareError, PreparedModule};
 use crate::sandbox::SandboxPolicy;
 use crate::tier2::Tier2Module;
-use crate::verify::verify;
 use std::sync::Arc;
 
 /// What one execution produces: output ports + stats, or a typed error.
@@ -34,7 +32,6 @@ pub enum TierPolicy {
     /// Tier2 when at least one hot loop translated, else Prepared.
     #[default]
     Auto,
-    Legacy,
     Prepared,
     Tier2,
 }
@@ -44,7 +41,7 @@ pub enum TierPolicy {
 /// Object-safe so caches can hold `Arc<dyn ExecTier>` and workers can
 /// dispatch without knowing the tier.
 pub trait ExecTier: Send + Sync + std::fmt::Debug {
-    /// Stable tier name: `"legacy"`, `"prepared"`, or `"tier2"`.
+    /// Stable tier name: `"prepared"` or `"tier2"`.
     fn tier_name(&self) -> &'static str;
     fn name(&self) -> &str;
     fn version(&self) -> u32;
@@ -84,68 +81,6 @@ pub trait ExecTier: Send + Sync + std::fmt::Debug {
             record_execution(observer, &slim);
         }
         result
-    }
-}
-
-/// The reference tier: [`crate::execute`] semantics, including its cost
-/// model (re-verify every call, allocate per `Call`).
-#[derive(Clone, Debug)]
-pub struct LegacyModule {
-    module: Module,
-    source_hash: u64,
-    source_len: usize,
-}
-
-impl LegacyModule {
-    /// Wrap an already-verified module.
-    pub fn new(module: Module) -> Self {
-        let source_len = module.functions.iter().map(|f| f.code.len()).sum();
-        let source_hash = crate::fnv1a64(&module.to_blob().bytes);
-        LegacyModule {
-            module,
-            source_hash,
-            source_len,
-        }
-    }
-
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-}
-
-impl ExecTier for LegacyModule {
-    fn tier_name(&self) -> &'static str {
-        "legacy"
-    }
-    fn name(&self) -> &str {
-        &self.module.name
-    }
-    fn version(&self) -> u32 {
-        self.module.version
-    }
-    fn n_inputs(&self) -> u8 {
-        self.module.n_inputs
-    }
-    fn n_outputs(&self) -> u8 {
-        self.module.n_outputs
-    }
-    fn source_hash(&self) -> u64 {
-        self.source_hash
-    }
-    fn source_instructions(&self) -> usize {
-        self.source_len
-    }
-    fn modeled_prepare_us(&self) -> u64 {
-        (self.source_len as u64) / PREPARE_OPS_PER_US + 1
-    }
-
-    fn execute(
-        &self,
-        inputs: &[&[f64]],
-        policy: &SandboxPolicy,
-        _ctx: &mut ExecContext,
-    ) -> ExecOutcome {
-        crate::interp::execute(&self.module, inputs, policy)
     }
 }
 
@@ -250,10 +185,6 @@ pub fn admit(blob: &ModuleBlob, policy: TierPolicy) -> Result<Arc<dyn ExecTier>,
     }
     let module = Module::from_blob(blob).map_err(PrepareError::Blob)?;
     Ok(match policy {
-        TierPolicy::Legacy => {
-            verify(&module).map_err(PrepareError::Verify)?;
-            Arc::new(LegacyModule::new(module))
-        }
         TierPolicy::Prepared => {
             Arc::new(PreparedModule::prepare(&module).map_err(PrepareError::Verify)?)
         }
@@ -327,20 +258,18 @@ mod tests {
 
     #[test]
     fn all_tiers_agree_through_the_trait() {
-        let blob = looper().to_blob();
+        let module = looper();
         let policy = SandboxPolicy::standard();
-        let mut outcomes = Vec::new();
-        for tier_policy in [TierPolicy::Legacy, TierPolicy::Prepared, TierPolicy::Tier2] {
-            let tier = admit(&blob, tier_policy).unwrap();
-            let mut ctx = ExecContext::new();
-            outcomes.push(tier.execute(&[], &policy, &mut ctx));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], outcomes[2]);
+        let reference = crate::execute(&module, &[], &policy);
         assert_eq!(
-            outcomes[0].as_ref().unwrap().0,
+            reference.as_ref().unwrap().0,
             vec![vec![4.0, 3.0, 2.0, 1.0]]
         );
+        for tier_policy in [TierPolicy::Prepared, TierPolicy::Tier2] {
+            let tier = admit(&module.to_blob(), tier_policy).unwrap();
+            let mut ctx = ExecContext::new();
+            assert_eq!(tier.execute(&[], &policy, &mut ctx), reference);
+        }
     }
 
     #[test]
@@ -348,12 +277,7 @@ mod tests {
         let mut blob = looper().to_blob();
         let n = blob.bytes.len();
         blob.bytes[n - 1] ^= 0xFF;
-        for tier_policy in [
-            TierPolicy::Auto,
-            TierPolicy::Legacy,
-            TierPolicy::Prepared,
-            TierPolicy::Tier2,
-        ] {
+        for tier_policy in [TierPolicy::Auto, TierPolicy::Prepared, TierPolicy::Tier2] {
             assert!(matches!(
                 admit(&blob, tier_policy),
                 Err(PrepareError::Integrity)

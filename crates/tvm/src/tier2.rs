@@ -240,7 +240,7 @@ pub(crate) struct LoopRegion {
 /// Construction is [`PreparedModule::prepare`] plus region detection and
 /// translation; execution is the shared dispatch core with the region
 /// probe enabled. Metering, outputs, and the error taxonomy are
-/// bit-identical to the Legacy and Prepared tiers.
+/// bit-identical to [`crate::execute`] and the Prepared tier.
 #[derive(Clone, Debug)]
 pub struct Tier2Module {
     base: PreparedModule,

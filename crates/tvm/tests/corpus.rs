@@ -2,8 +2,9 @@
 //! are chosen to stress tier-2 region translation — zero-trip loops,
 //! bodies with varying stack depth, back-edges straddling region
 //! boundaries, deep nested calls — plus the two bench kernels. Every
-//! program runs under Legacy, Prepared, and Tier2 across a policy matrix
-//! and must agree bit for bit on outputs, `ExecStats`, and typed errors.
+//! program runs under the reference interpreter (`execute`), Prepared,
+//! and Tier2 across a policy matrix and must agree bit for bit on
+//! outputs, `ExecStats`, and typed errors.
 //!
 //! To add an entry: drop a `.tvm` file in `tests/corpus/` (leading `;`
 //! comment explaining what it stresses) — the runner picks it up by glob.

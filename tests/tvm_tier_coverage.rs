@@ -88,15 +88,9 @@ fn str_consts(text: &str) -> Vec<(String, String)> {
 /// Every module the repository ships, as `(where it came from, module)`.
 fn shipped_modules() -> Vec<(String, Module)> {
     let mut modules = Vec::new();
-    // Const kernels: examples, toolbox units, the E03/E04 perf kernels and
-    // the Criterion bench kernels.
+    // Const kernels: examples, toolbox units and the experiment harness.
     let mut files = Vec::new();
-    for dir in [
-        "examples",
-        "crates/toolbox",
-        "crates/bench/src",
-        "crates/bench/benches",
-    ] {
+    for dir in ["examples", "crates/toolbox", "crates/bench/src"] {
         files_under(&repo().join(dir), &mut files);
     }
     for path in &files {
@@ -152,8 +146,8 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
         "examples/code_on_demand.rs::SMOOTHER",
         "crates/toolbox/tests/tvm_groups.rs::DOUBLER",
         "crates/toolbox/src/tvm_unit.rs::SCALER",
-        "crates/bench/src/perf.rs::E03_SPH_KERNEL",
-        "crates/bench/src/perf.rs::E04_MATCHED_FILTER",
+        "corpus::sph_kernel",
+        "corpus::matched_filter",
     ] {
         assert!(
             names.contains(&expected),
@@ -193,7 +187,7 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
         }
     }
     assert!(
-        with_loops >= 8,
+        with_loops >= 7,
         "only {with_loops} looping kernels collected"
     );
 }

@@ -1,0 +1,178 @@
+//! The hot loops that claim to be allocation-free in steady state, checked
+//! with a counting global allocator: the netsim pop/push churn, the tier-2
+//! exec loop of the two bench-shaped kernels, pooled wire encoding, and
+//! `obs` handle bumps.
+//!
+//! Claims like these rot silently: one innocent `clone()` added two layers
+//! down re-introduces a per-event allocation and nothing else fails. Each
+//! test warms its loop up first, so one-time capacity growth (queue
+//! buckets, exec-context buffers, the scratch pool) is excluded, then
+//! demands exactly zero allocation events from the measured pass. CI also
+//! runs this file under `--release`, the codegen that ships.
+//!
+//! Allocation *events* (alloc, alloc_zeroed, realloc) are counted per
+//! thread, so the test harness's other threads never pollute a
+//! measurement. Deallocations are not counted: a loop that allocates
+//! nothing has nothing to free.
+
+use consumer_grid::netsim::{EventQueue, Pcg32, SimTime};
+use consumer_grid::obs::Obs;
+use consumer_grid::p2p::{self, LookupId, Message, PeerId};
+use consumer_grid::tvm::asm::assemble;
+use consumer_grid::tvm::{ExecContext, SandboxPolicy, Tier2Module};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+thread_local! {
+    static ALLOC_EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOC_EVENTS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// System allocator plus a per-thread allocation-event counter.
+struct CountingAlloc;
+
+// SAFETY: defers every operation to `System`; the counter update performs
+// no allocation (const-initialised TLS `Cell`).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocation events `f` performs on this thread. Its result goes through
+/// `black_box`, so the measured work cannot be optimised away.
+fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
+    let events = || ALLOC_EVENTS.with(Cell::get);
+    let before = events();
+    black_box(f());
+    events() - before
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    assert!(allocations(|| Vec::<u8>::with_capacity(64)) >= 1);
+}
+
+/// A 256-deep backlog, then one push per pop.
+#[test]
+fn event_queue_churn_allocates_nothing() {
+    let mut rng = Pcg32::new(0xE7E7, 0x51);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..256u64 {
+        q.push(SimTime(rng.below(1_000)), i);
+    }
+    let mut churn = |n: u64| {
+        let mut acc = 0u64;
+        for i in 0..n {
+            let (at, ev) = q.pop().expect("backlog never empties");
+            acc = acc.wrapping_add(ev.wrapping_mul(at.as_micros() | 1));
+            q.push(SimTime(at.as_micros() + 1 + rng.below(1_000)), i);
+        }
+        acc
+    };
+    black_box(churn(50_000));
+    assert_eq!(allocations(|| churn(50_000)), 0, "queue pop/push allocated");
+}
+
+/// `kernel` from the TVM corpus through the tier-2 exec loop with a reused
+/// context and the stats-only entry point.
+fn tier2_exec_allocations(kernel: &str, ports: usize) {
+    let path = format!(
+        "{}/crates/tvm/tests/corpus/{kernel}.tvm",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let tier2 =
+        Tier2Module::prepare(&assemble(&src).expect("kernel assembles")).expect("kernel verifies");
+    assert!(
+        tier2.regions_translated() > 0,
+        "{kernel}: no register region"
+    );
+    let mut rng = Pcg32::new(0x9E4F, 0x03);
+    let inputs: Vec<Vec<f64>> = (0..ports)
+        .map(|_| (0..4_096).map(|_| rng.range_f64(0.0, 2.0)).collect())
+        .collect();
+    let inputs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let policy = SandboxPolicy::standard();
+    let mut ctx = ExecContext::new();
+    tier2.run(&inputs, &policy, &mut ctx).expect("warm-up runs");
+    let n = allocations(|| {
+        for _ in 0..8 {
+            tier2.run(&inputs, &policy, &mut ctx).expect("runs");
+        }
+    });
+    assert_eq!(n, 0, "{kernel}: tier-2 exec loop allocated");
+}
+
+#[test]
+fn sph_kernel_exec_allocates_nothing() {
+    tier2_exec_allocations("sph_kernel", 1);
+}
+
+#[test]
+fn matched_filter_exec_allocates_nothing() {
+    tier2_exec_allocations("matched_filter", 2);
+}
+
+/// A routing reply through the thread-local scratch pool.
+#[test]
+fn pooled_encode_allocates_nothing() {
+    let msg = Message::FindNodeReply {
+        lid: LookupId(7),
+        from: PeerId(3),
+        closer: (0..16u32)
+            .map(|i| (u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15), PeerId(i)))
+            .collect(),
+    };
+    let encode = || {
+        p2p::wire::with_buf(|buf| {
+            msg.encode_into(buf);
+            black_box(buf.len())
+        })
+    };
+    encode();
+    let n = allocations(|| {
+        for _ in 0..64 {
+            encode();
+        }
+    });
+    assert_eq!(n, 0, "pooled wire encode allocated");
+}
+
+/// Bumping a resolved counter or histogram handle.
+#[test]
+fn obs_handle_bumps_allocate_nothing() {
+    let obs = Obs::enabled();
+    let (c, h) = (obs.counter("hot"), obs.histogram("hot_lat"));
+    let n = allocations(|| {
+        for i in 0..100_000 {
+            black_box(&c).incr();
+            black_box(&h).observe(i);
+        }
+    });
+    assert_eq!(n, 0, "handle bumps allocated");
+    assert_eq!(obs.registry().unwrap().counter_value("hot"), 100_000);
+}
