@@ -28,7 +28,7 @@
 //! outputs, same [`ExecStats`] (instruction count and high-water stack), and
 //! the same error for every failing program. Each dispatched op retires
 //! exactly one source instruction — budget check first, then the op's own
-//! checks in the legacy interpreter's order — so hostile programs trip the
+//! checks in the reference interpreter's order — so hostile programs trip the
 //! identical sandbox violation at the identical point. The differential
 //! property tests in `tests/properties.rs` pin this equivalence.
 

@@ -12,9 +12,11 @@
 //! 2. **The tier-2 pipeline** ([`Tier2Module`]): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
 //!    and translate their stack traffic — from the *source* ops — into a
-//!    fixed virtual-register frame (`LoopRegion`). This is the only
-//!    place instructions are fused: the translator and the `peephole`
-//!    pass combine register ops into superinstructions. At run time the
+//!    fixed virtual-register frame (`LoopRegion`). Two passes: the
+//!    `Translator` emits plain register ops only, numbering values so a
+//!    pure `Bin`/`Un` already computed in the same iteration is reused
+//!    rather than recomputed; then `peephole`, the one place instructions
+//!    are fused, combines them into superinstructions. At run time the
 //!    region executes whole iterations with no per-instruction
 //!    budget/overflow/underflow checks — those are hoisted into two
 //!    head-of-iteration preconditions — and with no operand-stack
@@ -26,13 +28,14 @@
 //! instruction budget and the stack headroom. When the precondition
 //! fails, the region syncs its registers back to the locals window and
 //! *falls back*: the dispatch loop resumes precise stack-form stepping at
-//! the loop head, which reproduces the legacy error (or partial-path
-//! success) at exactly the legacy instruction count. Region exits charge
-//! the exact number of source instructions the exited path would have
-//! retired, and the stack high-water mark is reconstructed from the
-//! region's translated peak, so `ExecStats` stay bit-identical to the
-//! legacy interpreter. The tier barrage in `tests/properties.rs` and the
-//! corpus runner in `tests/corpus.rs` pin this contract.
+//! the loop head, which reproduces the reference interpreter's
+//! (`tvm::execute`) error, or partial-path success, at exactly its
+//! instruction count. Region exits charge the exact number of source
+//! instructions the exited path would have retired, and the stack
+//! high-water mark is reconstructed from the region's translated peak,
+//! so `ExecStats` stay bit-identical to the reference interpreter. The
+//! tier barrage in `tests/properties.rs` and the corpus runner in
+//! `tests/corpus.rs` pin this contract.
 
 use crate::interp::{ExecStats, TvmError};
 use crate::isa::Op;
@@ -102,8 +105,11 @@ enum RegOp {
     /// Simulated syscall: `dst = 0.0`, `HostIoDenied` without capability.
     HostIo { dst: u16 },
     /// Fused `a ∘ b; jz/jnz target`: leave the region through `exit` when
-    /// `(result == 0) == exit_if_zero`.
+    /// `(result == 0) == exit_if_zero`. `pre`, when set, is a fused
+    /// leading `Bin` `(op, dst, a, b)` that runs first and leaves its
+    /// result in `dst`, so a compare chain's intermediate stays readable.
     BinExit {
+        pre: Option<(BinOp, u16, u16, u16)>,
         op: BinOp,
         a: u16,
         b: u16,
@@ -121,24 +127,28 @@ enum RegOp {
     /// holds, otherwise leave through `fall_exit` ([`NO_EXIT`] and
     /// unreachable for [`CondBack::Always`]).
     Back { cond: CondBack, fall_exit: u16 },
-    // -- Peephole superinstructions (see `peephole`): each is exactly the
-    // -- sequence of its constituent ops, checks in the original order.
-    /// Fused `InGet + InGet` off one index register: `dst1 =
-    /// inputs[port1][idx]; dst2 = inputs[port2][idx]` (port1 checked
-    /// first, as the unfused pair would).
+    // -- Peephole superinstructions (see `peephole`, which also builds
+    // -- `Bin2` and `BinExit`): each is exactly the sequence of its
+    // -- constituent ops, checks in the original order.
+    /// Fused `InGet + InGet`: `dst1 = inputs[port1][idx1]; dst2 =
+    /// inputs[port2][idx2]` (port1 checked first, as the unfused pair
+    /// would; `idx2` is never `dst1`).
     In2 {
         dst1: u16,
         port1: u8,
+        idx1: u16,
         dst2: u16,
         port2: u8,
-        idx: u16,
+        idx2: u16,
     },
-    /// Fused `In2 + Bin2`: fetch both ports at `idx`, combine with `op1`,
-    /// then `dst = c ∘₂ d` where [`SELF_OPERAND`] means the `op1` result.
+    /// Fused `In2 + Bin2`: fetch `inputs[port1][idx1]` and
+    /// `inputs[port2][idx2]`, combine with `op1`, then `dst = c ∘₂ d`
+    /// where [`SELF_OPERAND`] means the `op1` result.
     In2Bin2 {
         port1: u8,
+        idx1: u16,
         port2: u8,
-        idx: u16,
+        idx2: u16,
         op1: BinOp,
         op2: BinOp,
         c: u16,
@@ -285,6 +295,15 @@ impl Tier2Module {
         self.regions.len()
     }
 
+    /// Per region, in head order: the register ops one full iteration
+    /// sends through the dispatch loop (the inlined head exit and
+    /// back-edge excluded). An exact count that tests pin in place of a
+    /// timing.
+    #[doc(hidden)]
+    pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
+        self.regions.iter().map(|r| r.body().len()).collect()
+    }
+
     /// The underlying prepared module.
     pub fn base(&self) -> &PreparedModule {
         &self.base
@@ -339,9 +358,9 @@ struct VmState {
     out_cells: usize,
 }
 
-/// The shared dispatch core. Exact legacy semantics: one source
-/// instruction per dispatched op, budget check first, then the op's own
-/// checks in the legacy interpreter's order. With `TIER2` set, every
+/// The shared dispatch core. Exact reference-interpreter semantics: one
+/// source instruction per dispatched op, budget check first, then the
+/// op's own checks in `tvm::execute`'s order. With `TIER2` set, every
 /// dispatch first probes the region table; a hit runs whole loop
 /// iterations in register form.
 pub(crate) fn run_vm<const TIER2: bool>(
@@ -441,7 +460,7 @@ pub(crate) fn run_vm<const TIER2: bool>(
             }
         }
         // Every dispatched op retires exactly one source instruction, and
-        // the legacy interpreter checks the budget before each.
+        // the reference interpreter checks the budget before each.
         if instr >= max_instr {
             return Err(TvmError::BudgetExceeded);
         }
@@ -620,6 +639,44 @@ fn to_raw_index(x: f64) -> Option<usize> {
     Some(x as usize)
 }
 
+/// The two bounds-checked fetches of `In2`/`In2Bin2`: `inputs[port1][x1]`
+/// first, then `inputs[port2][x2]`, as the unfused `InGet` pair checks.
+#[inline(always)]
+fn gather2(
+    inputs: &[&[f64]],
+    port1: u8,
+    x1: f64,
+    port2: u8,
+    x2: f64,
+) -> Result<(f64, f64), TvmError> {
+    let get = |port: u8, x: f64| {
+        let data = inputs[port as usize];
+        match to_index(x, data.len()) {
+            Some(i) => Ok(data[i]),
+            None => Err(TvmError::IndexOutOfBounds { port, index: x }),
+        }
+    };
+    Ok((get(port1, x1)?, get(port2, x2)?))
+}
+
+/// `BinExit`'s test, shared by `run`'s inlined head and its dispatched
+/// arm: run the fused leading `Bin`, if any, then report whether `a ∘ b`
+/// leaves the region.
+#[inline(always)]
+fn bin_exit_taken(
+    regs: &mut [f64],
+    pre: Option<(BinOp, u16, u16, u16)>,
+    op: BinOp,
+    a: u16,
+    b: u16,
+    exit_if_zero: bool,
+) -> bool {
+    if let Some((op1, t, x, y)) = pre {
+        regs[t as usize] = op1.eval(regs[x as usize], regs[y as usize]);
+    }
+    (op.eval(regs[a as usize], regs[b as usize]) == 0.0) == exit_if_zero
+}
+
 impl LoopRegion {
     /// Run whole iterations in register form. Returns `Ok(false)` when the
     /// entry preconditions refuse the first iteration (state untouched —
@@ -650,12 +707,13 @@ impl LoopRegion {
         // iteration must fit the budget (the k-th of `full_cost` source ops
         // needs `instr + k <= max`) and the stack headroom (`peak_full`
         // pushes above entry sp). A partial path might fit where the full
-        // one does not; the precise fallback path handles those at legacy
-        // fidelity. The stack test is iteration-invariant (sp only moves at
-        // exits) and the budget admits exactly `budget_iters` full
-        // iterations, so the per-iteration precondition collapses to one
-        // counter compare — `st.instr` is charged in bulk on whichever path
-        // leaves the loop, identical to per-iteration accrual.
+        // one does not; the precise fallback path handles those exactly as
+        // the reference interpreter does. The stack test is
+        // iteration-invariant (sp only moves at exits) and the budget
+        // admits exactly `budget_iters` full iterations, so the
+        // per-iteration precondition collapses to one counter compare —
+        // `st.instr` is charged in bulk on whichever path leaves the loop,
+        // identical to per-iteration accrual.
         if st.instr + self.full_cost > policy.max_instructions
             || st.sp + self.peak_full > policy.max_stack
         {
@@ -667,41 +725,36 @@ impl LoopRegion {
         for &(r, v) in &self.consts {
             regs[r as usize] = v;
         }
-        // Counted loops open with a fused exit test; running it outside
-        // the dispatch loop saves one dispatch per iteration. Semantics
-        // are those of the `BinExit` arm below, verbatim.
-        let (head, body) = match self.ops.split_first() {
-            Some((
-                &RegOp::BinExit {
-                    op,
-                    a,
-                    b,
-                    exit_if_zero,
-                    exit,
-                },
-                rest,
-            )) => (Some((op, a, b, exit_if_zero, exit)), rest),
-            _ => (None, &self.ops[..]),
+        // Counted loops open with a fused exit test and every region
+        // closes with its back-edge; running both inline leaves only
+        // `self.body()` on the dispatch loop. The head shares
+        // `bin_exit_taken` with the `BinExit` arm below; the tail is the
+        // unfused `Bin` + `Back`.
+        let head = match self.ops[0] {
+            RegOp::BinExit {
+                pre,
+                op,
+                a,
+                b,
+                exit_if_zero,
+                exit,
+            } => Some((pre, op, a, b, exit_if_zero, exit)),
+            _ => None,
         };
-        // Likewise every region closes with its back-edge; running it
-        // inline after the body leaves only the interior ops on the
-        // dispatch loop. Semantics of the `Back`/`BinBack` arms, verbatim.
-        let (tail, body) = match body.split_last() {
-            Some((&RegOp::Back { cond, fall_exit }, rest)) => (Some((None, cond, fall_exit)), rest),
-            Some((
-                &RegOp::BinBack {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    cond,
-                    fall_exit,
-                },
-                rest,
-            )) => (Some((Some((op, dst, a, b)), cond, fall_exit)), rest),
-            _ => (None, body),
+        let (tail_bin, cond, fall_exit) = match self.ops[self.ops.len() - 1] {
+            RegOp::Back { cond, fall_exit } => (None, cond, fall_exit),
+            RegOp::BinBack {
+                op,
+                dst,
+                a,
+                b,
+                cond,
+                fall_exit,
+            } => (Some((op, dst, a, b)), cond, fall_exit),
+            _ => unreachable!("a translated region ends with its back-edge"),
         };
-        'iter: loop {
+        let body = self.body();
+        loop {
             if iters == budget_iters {
                 // The budget refuses the next full iteration mid-flight.
                 st.instr += iters * self.full_cost;
@@ -712,9 +765,8 @@ impl LoopRegion {
                 locals.copy_from_slice(&regs[..nl]);
                 return Ok(true);
             }
-            if let Some((op, a, b, exit_if_zero, exit)) = head {
-                let v = op.eval(regs[a as usize], regs[b as usize]);
-                if (v == 0.0) == exit_if_zero {
+            if let Some((pre, op, a, b, exit_if_zero, exit)) = head {
+                if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
                     return self.take_exit(exit, iters, stack, locals, regs, st);
                 }
             }
@@ -794,14 +846,14 @@ impl LoopRegion {
                         regs[dst as usize] = 0.0; // simulated syscall result
                     }
                     RegOp::BinExit {
+                        pre,
                         op,
                         a,
                         b,
                         exit_if_zero,
                         exit,
                     } => {
-                        let v = op.eval(regs[a as usize], regs[b as usize]);
-                        if (v == 0.0) == exit_if_zero {
+                        if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
                             return self.take_exit(exit, iters, stack, locals, regs, st);
                         }
                     }
@@ -814,82 +866,45 @@ impl LoopRegion {
                             return self.take_exit(exit, iters, stack, locals, regs, st);
                         }
                     }
-                    RegOp::Back { cond, fall_exit } => {
-                        let take = match cond {
-                            CondBack::Always => true,
-                            CondBack::IfZero(r) => regs[r as usize] == 0.0,
-                            CondBack::IfNonZero(r) => regs[r as usize] != 0.0,
-                        };
-                        if take {
-                            iters += 1;
-                            continue 'iter;
-                        }
-                        // The fall-through exit's cost equals `full_cost`,
-                        // charged inside take_exit.
-                        return self.take_exit(fall_exit, iters, stack, locals, regs, st);
+                    RegOp::Back { .. } | RegOp::BinBack { .. } => {
+                        unreachable!("the back-edge runs inline, after the body")
                     }
                     RegOp::In2 {
                         dst1,
                         port1,
+                        idx1,
                         dst2,
                         port2,
-                        idx,
+                        idx2,
                     } => {
-                        let x = regs[idx as usize];
-                        let d1 = inputs[port1 as usize];
-                        let v1 = match to_index(x, d1.len()) {
-                            Some(i) => d1[i],
-                            None => {
-                                return Err(TvmError::IndexOutOfBounds {
-                                    port: port1,
-                                    index: x,
-                                })
-                            }
-                        };
-                        let d2 = inputs[port2 as usize];
-                        let v2 = match to_index(x, d2.len()) {
-                            Some(i) => d2[i],
-                            None => {
-                                return Err(TvmError::IndexOutOfBounds {
-                                    port: port2,
-                                    index: x,
-                                })
-                            }
-                        };
+                        let (v1, v2) = gather2(
+                            inputs,
+                            port1,
+                            regs[idx1 as usize],
+                            port2,
+                            regs[idx2 as usize],
+                        )?;
                         regs[dst1 as usize] = v1;
                         regs[dst2 as usize] = v2;
                     }
                     RegOp::In2Bin2 {
                         port1,
+                        idx1,
                         port2,
-                        idx,
+                        idx2,
                         op1,
                         op2,
                         c,
                         d,
                         dst,
                     } => {
-                        let x = regs[idx as usize];
-                        let d1 = inputs[port1 as usize];
-                        let v1 = match to_index(x, d1.len()) {
-                            Some(i) => d1[i],
-                            None => {
-                                return Err(TvmError::IndexOutOfBounds {
-                                    port: port1,
-                                    index: x,
-                                })
-                            }
-                        };
-                        let d2 = inputs[port2 as usize];
-                        let v2 = match to_index(x, d2.len()) {
-                            Some(i) => d2[i],
-                            None => {
-                                return Err(TvmError::IndexOutOfBounds {
-                                    port: port2,
-                                    index: x,
-                                })
-                            }
-                        };
+                        let (v1, v2) = gather2(
+                            inputs,
+                            port1,
+                            regs[idx1 as usize],
+                            port2,
+                            regs[idx2 as usize],
+                        )?;
                         let t = op1.eval(v1, v2);
                         let lc = if c == SELF_OPERAND {
                             t
@@ -1004,48 +1019,30 @@ impl LoopRegion {
                         st.out_cells += 1;
                         outputs[port as usize].push(v);
                     }
-                    RegOp::BinBack {
-                        op,
-                        dst,
-                        a,
-                        b,
-                        cond,
-                        fall_exit,
-                    } => {
-                        let v = op.eval(regs[a as usize], regs[b as usize]);
-                        regs[dst as usize] = v;
-                        let take = match cond {
-                            CondBack::Always => true,
-                            CondBack::IfZero(r) => regs[r as usize] == 0.0,
-                            CondBack::IfNonZero(r) => regs[r as usize] != 0.0,
-                        };
-                        if take {
-                            iters += 1;
-                            continue 'iter;
-                        }
-                        return self.take_exit(fall_exit, iters, stack, locals, regs, st);
-                    }
                 }
             }
-            match tail {
-                Some((bin, cond, fall_exit)) => {
-                    if let Some((op, dst, a, b)) = bin {
-                        regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
-                    }
-                    let take = match cond {
-                        CondBack::Always => true,
-                        CondBack::IfZero(r) => regs[r as usize] == 0.0,
-                        CondBack::IfNonZero(r) => regs[r as usize] != 0.0,
-                    };
-                    if take {
-                        iters += 1;
-                        continue 'iter;
-                    }
-                    return self.take_exit(fall_exit, iters, stack, locals, regs, st);
-                }
-                None => unreachable!("translated region body must terminate with Back"),
+            if let Some((op, dst, a, b)) = tail_bin {
+                regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
             }
+            let take = match cond {
+                CondBack::Always => true,
+                CondBack::IfZero(r) => regs[r as usize] == 0.0,
+                CondBack::IfNonZero(r) => regs[r as usize] != 0.0,
+            };
+            if !take {
+                // The fall-through exit's cost equals `full_cost`, charged
+                // inside take_exit.
+                return self.take_exit(fall_exit, iters, stack, locals, regs, st);
+            }
+            iters += 1;
         }
+    }
+
+    /// The ops `run` sends through its dispatch loop: all but a leading
+    /// `BinExit` and the closing back-edge, which it runs inline.
+    fn body(&self) -> &[RegOp] {
+        let start = usize::from(matches!(self.ops[0], RegOp::BinExit { .. }));
+        &self.ops[start..self.ops.len() - 1]
     }
 
     /// Leave the region through exit `e`: charge the partial path, restore
@@ -1132,10 +1129,29 @@ fn detect_function_regions(code: &[Op], n_locals: u16, base: u32) -> Vec<LoopReg
     out
 }
 
+/// A pure computation the translator can number: same key, same
+/// operand registers unwritten since, same value.
+#[derive(Clone, Copy, PartialEq)]
+enum Value {
+    Bin(BinOp, u16, u16),
+    Un(UnOp, u16),
+}
+
+impl Value {
+    fn reads(self, r: u16) -> bool {
+        match self {
+            Value::Bin(_, a, b) => a == r || b == r,
+            Value::Un(_, src) => src == r,
+        }
+    }
+}
+
 /// The stack-to-register translator. The symbolic operand stack holds
 /// register ids; pure stack shuffles (push/load/dup/swap/over/pop) emit
-/// no code at all, and `store` tries to retarget the producing op's
-/// destination straight into the local's register.
+/// no code at all, `store` tries to retarget the producing op's
+/// destination straight into the local's register, and a `Bin`/`Un`
+/// already computed this iteration is reused instead of emitted again.
+/// It emits plain register ops only; fusing is `peephole`'s job.
 struct Translator {
     n_locals: u16,
     next_reg: u16,
@@ -1148,6 +1164,11 @@ struct Translator {
     /// Peak symbolic depth so far (== peak stack growth of the path).
     peak: usize,
     exits: Vec<RegionExit>,
+    /// Value numbering: computations whose result register still holds
+    /// them. A write to a register drops every entry that mentions it;
+    /// the table covers one pass over the body, so nothing survives the
+    /// back-edge.
+    values: Vec<(Value, u16)>,
 }
 
 impl Translator {
@@ -1161,6 +1182,7 @@ impl Translator {
             stack: Vec::new(),
             peak: 0,
             exits: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -1238,7 +1260,6 @@ impl Translator {
                 Some(
                     RegOp::Mov { dst, .. }
                         | RegOp::Bin { dst, .. }
-                        | RegOp::Bin2 { dst, .. }
                         | RegOp::Un { dst, .. }
                         | RegOp::InLen { dst, .. }
                         | RegOp::OutLen { dst, .. }
@@ -1267,7 +1288,6 @@ impl Translator {
                 Some(
                     RegOp::Mov { dst, .. }
                     | RegOp::Bin { dst, .. }
-                    | RegOp::Bin2 { dst, .. }
                     | RegOp::Un { dst, .. }
                     | RegOp::InLen { dst, .. }
                     | RegOp::OutLen { dst, .. }
@@ -1276,52 +1296,51 @@ impl Translator {
                 ) => *dst = i,
                 _ => unreachable!("can_patch checked the producer shape"),
             }
+            // `top` is never written now.
+            self.forget(top);
         } else if top != i {
             self.ops.push(RegOp::Mov { dst: i, src: top });
+        } else {
+            // `top == i` without a patch is a no-op: a surviving `i` on
+            // the symbolic stack means the local is unchanged since its
+            // load.
+            return Some(());
         }
-        // `top == i` without a patch is a no-op: a surviving `i` on the
-        // symbolic stack means the local is unchanged since its load.
+        self.forget(i);
         Some(())
     }
 
-    /// A binop, fusing with an immediately preceding `Bin` whose dead
-    /// temporary feeds this one.
-    fn bin(&mut self, op: BinOp) -> Option<()> {
-        let rb = self.pop()?;
-        let ra = self.pop()?;
-        if let Some(&RegOp::Bin {
-            op: op1,
-            dst: prev,
-            a,
-            b,
-        }) = self.ops.last()
-        {
-            if (ra == prev || rb == prev) && self.can_absorb(prev) {
+    /// Register `r` is written (or its producer retargeted): no numbered
+    /// value that reads it or lives in it stays valid.
+    fn forget(&mut self, r: u16) {
+        self.values.retain(|&(v, dst)| dst != r && !v.reads(r));
+    }
+
+    /// Push the register holding `v`: reuse a numbered one, or emit the
+    /// op `emit` builds into a fresh temporary.
+    fn value(&mut self, v: Value, emit: impl FnOnce(u16) -> RegOp) -> Option<()> {
+        let dst = match self.values.iter().find(|&&(k, _)| k == v) {
+            Some(&(_, dst)) => dst,
+            None => {
                 let dst = self.temp()?;
-                let c = if ra == prev { SELF_OPERAND } else { ra };
-                let d = if rb == prev { SELF_OPERAND } else { rb };
-                *self.ops.last_mut().unwrap() = RegOp::Bin2 {
-                    op1,
-                    a,
-                    b,
-                    op2: op,
-                    c,
-                    d,
-                    dst,
-                };
-                self.push_flat(dst);
-                return Some(());
+                self.ops.push(emit(dst));
+                self.values.push((v, dst));
+                dst
             }
-        }
-        let dst = self.temp()?;
-        self.ops.push(RegOp::Bin {
-            op,
-            dst,
-            a: ra,
-            b: rb,
-        });
+        };
         self.push_flat(dst);
         Some(())
+    }
+
+    fn bin(&mut self, op: BinOp) -> Option<()> {
+        let b = self.pop()?;
+        let a = self.pop()?;
+        self.value(Value::Bin(op, a, b), |dst| RegOp::Bin { op, dst, a, b })
+    }
+
+    fn un(&mut self, op: UnOp) -> Option<()> {
+        let src = self.pop()?;
+        self.value(Value::Un(op, src), |dst| RegOp::Un { op, dst, src })
     }
 }
 
@@ -1352,25 +1371,31 @@ fn reads(op: &RegOp, r: u16) -> bool {
         } => idx == r || a == r || b == r || c == r || d == r || e == r || f == r,
         RegOp::Un { src, .. } => src == r,
         RegOp::InLen { .. } | RegOp::OutLen { .. } | RegOp::HostIo { .. } => false,
-        RegOp::InGet { idx, .. } | RegOp::In2 { idx, .. } => idx == r,
-        RegOp::In2Bin2 { idx, c, d, .. } => idx == r || c == r || d == r,
+        RegOp::InGet { idx, .. } => idx == r,
+        RegOp::In2 { idx1, idx2, .. } => idx1 == r || idx2 == r,
+        RegOp::In2Bin2 {
+            idx1, idx2, c, d, ..
+        } => idx1 == r || idx2 == r || c == r || d == r,
         RegOp::OutPush { src, .. } => src == r,
         RegOp::OutSet { idx, val, .. } => idx == r || val == r,
-        RegOp::BinExit { a, b, .. } => a == r || b == r,
+        RegOp::BinExit { pre, a, b, .. } => {
+            a == r || b == r || pre.is_some_and(|(_, _, x, y)| x == r || y == r)
+        }
         RegOp::CondExit { cond, .. } => cond == r,
         RegOp::Back { ref cond, .. } => back_reads(cond),
         RegOp::BinBack { a, b, ref cond, .. } => a == r || b == r || back_reads(cond),
     }
 }
 
-/// Peephole combiner: fuse adjacent op pairs whose link register is a
-/// dead single-assignment temporary into superinstructions, repeating
-/// until a pass makes no change. Every fused op performs its constituent
-/// checks in the original order, and fusion never crosses an exit-capable
-/// op, so outputs, metering, and the error taxonomy are untouched — only
-/// dispatch count drops. `is_temp` must exclude local mirrors and pool
-/// constants; a temp is dead when no later op reads it and no exit
-/// snapshot pushes it.
+/// Peephole combiner, the only place ops are fused: fuse adjacent op
+/// pairs into superinstructions, repeating until a pass makes no change.
+/// Every fused op performs its constituent checks in the original order,
+/// and nothing is fused across an exit-capable op — an exit test only
+/// absorbs the ops before it — so outputs, metering, and the error
+/// taxonomy are untouched; only dispatch count drops. A link register
+/// the fused op no longer writes must be a dead temporary: `is_temp`
+/// excludes local mirrors and pool constants, and a temp is dead when no
+/// later op reads it and no exit snapshot pushes it.
 fn peephole(
     mut ops: Vec<RegOp>,
     exits: &[RegionExit],
@@ -1390,27 +1415,29 @@ fn peephole(
                     Some(RegOp::InGet {
                         dst: dst1,
                         port: port1,
-                        idx,
+                        idx: idx1,
                     }),
                     RegOp::InGet {
                         dst: dst2,
                         port: port2,
                         idx: idx2,
                     },
-                ) if idx == idx2 && dst1 != idx => Some(RegOp::In2 {
+                ) if dst1 != idx2 => Some(RegOp::In2 {
                     dst1,
                     port1,
+                    idx1,
                     dst2,
                     port2,
-                    idx,
+                    idx2,
                 }),
                 (
                     Some(RegOp::In2 {
                         dst1,
                         port1,
+                        idx1,
                         dst2,
                         port2,
-                        idx,
+                        idx2,
                     }),
                     RegOp::Bin2 {
                         op1,
@@ -1432,8 +1459,9 @@ fn peephole(
                 {
                     Some(RegOp::In2Bin2 {
                         port1,
+                        idx1,
                         port2,
-                        idx,
+                        idx2,
                         op1,
                         op2,
                         c,
@@ -1441,6 +1469,28 @@ fn peephole(
                         dst,
                     })
                 }
+                (
+                    Some(RegOp::Bin {
+                        op: op1,
+                        dst: t,
+                        a,
+                        b,
+                    }),
+                    RegOp::Bin {
+                        op: op2,
+                        dst,
+                        a: ra,
+                        b: rb,
+                    },
+                ) if (ra == t || rb == t) && dead(t) => Some(RegOp::Bin2 {
+                    op1,
+                    a,
+                    b,
+                    op2,
+                    c: if ra == t { SELF_OPERAND } else { ra },
+                    d: if rb == t { SELF_OPERAND } else { rb },
+                    dst,
+                }),
                 (
                     Some(RegOp::Bin2 {
                         op1,
@@ -1535,6 +1585,48 @@ fn peephole(
                         fall_exit,
                     })
                 }
+                (
+                    Some(RegOp::Bin { op, dst: t, a, b }),
+                    RegOp::CondExit {
+                        cond,
+                        exit_if_zero,
+                        exit,
+                    },
+                ) if cond == t && dead(t) => Some(RegOp::BinExit {
+                    pre: None,
+                    op,
+                    a,
+                    b,
+                    exit_if_zero,
+                    exit,
+                }),
+                // The `Bin` before an exit test rides in it as `pre` and
+                // still writes its result, so a compare chain's
+                // intermediate (`i + lag` in `lagged_autocorr`) stays
+                // readable by the ops after the exit.
+                (
+                    Some(RegOp::Bin {
+                        op: op1,
+                        dst,
+                        a: x,
+                        b: y,
+                    }),
+                    RegOp::BinExit {
+                        pre: None,
+                        op,
+                        a,
+                        b,
+                        exit_if_zero,
+                        exit,
+                    },
+                ) => Some(RegOp::BinExit {
+                    pre: Some((op1, dst, x, y)),
+                    op,
+                    a,
+                    b,
+                    exit_if_zero,
+                    exit,
+                }),
                 _ => None,
             };
             match fused {
@@ -1569,16 +1661,11 @@ fn translate_region(
         let op = code[pc];
         let at_back = pc == b;
         if let Some(bin) = BinOp::of(op) {
-            // A comparison feeding the back-edge or a forward exit is
-            // handled by the branch translation below via `Bin` fusion.
             t.bin(bin)?;
             continue;
         }
         if let Some(un) = UnOp::of(op) {
-            let src = t.pop()?;
-            let dst = t.temp()?;
-            t.ops.push(RegOp::Un { op: un, dst, src });
-            t.push_flat(dst);
+            t.un(un)?;
             continue;
         }
         match op {
@@ -1675,24 +1762,6 @@ fn translate_region(
                     let peak = t.peak;
                     let pushes = t.stack.clone();
                     let exit = t.add_exit(flat_of(target as usize), cost, peak, pushes);
-                    if let Some(&RegOp::Bin {
-                        op: bop,
-                        dst,
-                        a,
-                        b: rb,
-                    }) = t.ops.last()
-                    {
-                        if dst == cond && t.can_absorb(cond) {
-                            *t.ops.last_mut().unwrap() = RegOp::BinExit {
-                                op: bop,
-                                a,
-                                b: rb,
-                                exit_if_zero: on_zero,
-                                exit,
-                            };
-                            continue;
-                        }
-                    }
                     t.ops.push(RegOp::CondExit {
                         cond,
                         exit_if_zero: on_zero,
@@ -1985,21 +2054,14 @@ mod dump {
     use super::*;
     use crate::asm::assemble;
 
+    /// Print the translated regions of the corpus' bench kernels:
+    /// `cargo test -p triana-tvm --lib dump -- --ignored --nocapture`.
     #[test]
     #[ignore]
     fn dump_kernel_regions() {
-        let e03 = ".module SphKernel 1 1 1\n.func main 2\n inlen 0\n store 0\n \
-                   push 0\n store 1\nloop:\n load 1\n load 0\n lt\n jz end\n \
-                   load 1\n inget 0\n dup\n mul\n push 1\n swap\n sub\n push 0\n \
-                   max\n dup\n dup\n mul\n mul\n outpush 0\n load 1\n push 1\n \
-                   add\n store 1\n jmp loop\nend:\n halt\n";
-        let e04 = ".module MatchedFilter 1 2 1\n.func main 3\n inlen 0\n \
-                   store 0\n push 0\n store 1\n push 0\n store 2\nloop:\n \
-                   load 1\n load 0\n lt\n jz end\n load 1\n inget 0\n load 1\n \
-                   inget 1\n mul\n load 2\n add\n store 2\n load 1\n push 1\n \
-                   add\n store 1\n jmp loop\nend:\n load 2\n outpush 0\n halt\n";
-        for (name, src) in [("e03", e03), ("e04", e04)] {
-            let m = assemble(src).unwrap();
+        for name in ["sph_kernel", "matched_filter", "lagged_autocorr"] {
+            let path = format!("{}/tests/corpus/{name}.tvm", env!("CARGO_MANIFEST_DIR"));
+            let m = assemble(&std::fs::read_to_string(path).unwrap()).unwrap();
             let t2 = Tier2Module::prepare(&m).unwrap();
             println!("=== {name}: {} regions", t2.regions.len());
             for r in &t2.regions {

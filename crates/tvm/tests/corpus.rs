@@ -1,7 +1,8 @@
 //! Adversarial regression corpus: committed `.tvm` programs whose shapes
 //! are chosen to stress tier-2 region translation — zero-trip loops,
 //! bodies with varying stack depth, back-edges straddling region
-//! boundaries, deep nested calls — plus the two bench kernels. Every
+//! boundaries, deep nested calls, value-numbering traps — plus the three
+//! bench kernels. Every
 //! program runs under the reference interpreter (`execute`), Prepared,
 //! and Tier2 across a policy matrix and must agree bit for bit on
 //! outputs, `ExecStats`, and typed errors.
@@ -34,7 +35,7 @@ fn load_corpus() -> Vec<(String, Module)> {
         })
         .collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    assert!(entries.len() >= 6, "corpus unexpectedly small");
+    assert!(entries.len() >= 8, "corpus unexpectedly small");
     entries
 }
 
@@ -168,24 +169,37 @@ fn corpus_covers_translated_and_refused_regions() {
 }
 
 /// Pin the per-entry translation outcomes so a translator change that
-/// silently starts refusing (or admitting) a shape shows up in review.
+/// silently starts refusing (or admitting) a shape fails this test,
+/// and, per region, the register ops one iteration sends through the
+/// dispatch loop: an exact count standing in for a timing. The three
+/// bench kernels run one (`matched_filter`, `lagged_autocorr`) or two
+/// (`sph_kernel`) dispatched ops per iteration.
 #[test]
 fn corpus_translation_outcomes_are_pinned() {
-    let outcomes: Vec<(String, usize)> = load_corpus()
+    let outcomes: Vec<(String, usize, Vec<usize>)> = load_corpus()
         .iter()
         .map(|(name, module)| {
             let tier2 = Tier2Module::prepare(module).expect("corpus modules verify");
-            (name.clone(), tier2.regions_translated())
+            (
+                name.clone(),
+                tier2.regions_translated(),
+                tier2.dispatched_ops_per_iteration(),
+            )
         })
         .collect();
-    let expected: &[(&str, usize)] = &[
-        ("deep_nested_calls", 1),
-        ("matched_filter", 1),
-        ("sph_kernel", 1),
-        ("straddling_backedge", 0),
-        ("varying_stack_depth", 0),
-        ("zero_iteration_loop", 1),
+    let expected: &[(&str, usize, &[usize])] = &[
+        ("cse_after_store", 1, &[4]),
+        ("deep_nested_calls", 1, &[2]),
+        ("lagged_autocorr", 1, &[1]),
+        ("matched_filter", 1, &[1]),
+        ("sph_kernel", 1, &[2]),
+        ("straddling_backedge", 0, &[]),
+        ("varying_stack_depth", 0, &[]),
+        ("zero_iteration_loop", 1, &[3]),
     ];
-    let got: Vec<(&str, usize)> = outcomes.iter().map(|(n, r)| (n.as_str(), *r)).collect();
+    let got: Vec<(&str, usize, &[usize])> = outcomes
+        .iter()
+        .map(|(n, r, d)| (n.as_str(), *r, d.as_slice()))
+        .collect();
     assert_eq!(got, expected);
 }

@@ -304,22 +304,301 @@ fn arb_line_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The local [`loop_module`]'s counter lives in. Statements and repeated
+/// subexpressions store only below it, so most loops still end by count
+/// rather than at the budget wall.
+const COUNTER: u16 = DIFF_LOCALS - 1;
+
+/// Every binary op, so value numbering sees each `BinOp` key.
+fn arb_binop() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        prop_oneof![
+            Just(Op::Add),
+            Just(Op::Sub),
+            Just(Op::Mul),
+            Just(Op::Div),
+            Just(Op::Rem),
+            Just(Op::Min),
+            Just(Op::Max),
+            Just(Op::Pow),
+        ],
+        prop_oneof![
+            Just(Op::Eq),
+            Just(Op::Ne),
+            Just(Op::Lt),
+            Just(Op::Le),
+            Just(Op::Gt),
+            Just(Op::Ge),
+        ],
+    ]
+}
+
+/// Every unary op, so value numbering sees each `UnOp` key.
+fn arb_unop() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        Just(Op::Neg),
+        Just(Op::Abs),
+        Just(Op::Floor),
+        Just(Op::Sqrt),
+        Just(Op::Sin),
+        Just(Op::Cos),
+        Just(Op::Exp),
+        Just(Op::Ln),
+    ]
+}
+
+fn arb_cmp() -> impl Strategy<Value = Op> {
+    prop_oneof![Just(Op::Lt), Just(Op::Ge), Just(Op::Eq), Just(Op::Ne)]
+}
+
+/// A repeated subexpression `E` — `load a; load b; <binop>` or
+/// `load a; <unop>` — computed twice with a store into `a`, `b` or
+/// another local `t` between the two, in one of five shapes:
+/// - `E; store t; E; store z`: the first result is stored, so its
+///   producer is retargeted;
+/// - `E; push k; store t; E; <bin>; store z`: the first result waits on
+///   the stack while a constant is stored (a `Mov`);
+/// - `E; dup; store t; E; <bin>; store z`: the first result is stored and
+///   still waits on the stack (a `Mov` from it);
+/// - `load t; E; store t; E; <bin>; store z`: the old value of `t` waits
+///   beneath, so the store first copies it aside (the alias `Mov`, placed
+///   before a retargeted producer);
+/// - `E; pop; E; store z`: nothing is stored between, so the reuse's
+///   producer is the one retargeted.
+///
+/// Value numbering may reuse the first result only when the store missed
+/// every operand.
+fn arb_repeat() -> impl Strategy<Value = Vec<Op>> {
+    (
+        (0u16..COUNTER, 0u16..COUNTER, 0u8..4),
+        (arb_binop(), arb_unop(), arb_binop()),
+        (0u8..3, 0u16..COUNTER),
+        (0u8..5, 0u8..5),
+        0u16..COUNTER,
+    )
+        .prop_map(
+            |((a, b, unary), (op, un, bin), (into, other), (shape, k), z)| {
+                let expr = if unary == 0 {
+                    vec![Op::Load(a), un]
+                } else {
+                    vec![Op::Load(a), Op::Load(b), op]
+                };
+                let target = [a, b, other][into as usize];
+                let store = Op::Store(target);
+                let between = match shape {
+                    0 | 3 => vec![store],
+                    1 => vec![Op::Push(f64::from(k) - 2.0), store],
+                    2 => vec![Op::Dup, store],
+                    _ => vec![Op::Pop],
+                };
+                let mut ops = if shape == 3 {
+                    vec![Op::Load(target)]
+                } else {
+                    Vec::new()
+                };
+                ops.extend(&expr);
+                ops.extend(between);
+                ops.extend(expr);
+                if (1..=3).contains(&shape) {
+                    ops.push(bin);
+                }
+                ops.push(Op::Store(z));
+                ops
+            },
+        )
+}
+
+/// A stack-balanced statement: `load a; load b; <binop>; store c`,
+/// `load a; <unop>; store c`, `load a; inget p; store c`, a gather pair
+/// `load a; inget p; load b; inget q; <binop>; store c`, a dependent
+/// gather `load a; inget p; inget q; store c`, `load a; outpush p`, a
+/// constant operand `load a; push k; <binop>; store c`, a shuffle
+/// `load a; load b; swap; <binop>; store c` or
+/// `load a; load b; over; <binop>; <binop>; store c`, or lengths
+/// `inlen p; outlen q; <binop>; store c`.
+fn arb_statement() -> impl Strategy<Value = Vec<Op>> {
+    (
+        (0u8..10, -3i8..4),
+        (0u16..COUNTER, 0u16..COUNTER, 0u16..COUNTER),
+        (arb_binop(), arb_binop()),
+        arb_unop(),
+        (0u8..DIFF_PORTS, 0u8..DIFF_PORTS),
+    )
+        .prop_map(|((kind, k), (a, b, c), (bin, bin2), un, (p, q))| {
+            let mut ops = match kind {
+                0 => vec![Op::Load(a), Op::Load(b), bin],
+                1 => vec![Op::Load(a), un],
+                2 => vec![Op::Load(a), Op::InGet(p)],
+                3 => vec![Op::Load(a), Op::InGet(p), Op::Load(b), Op::InGet(q), bin],
+                4 => vec![Op::Load(a), Op::InGet(p), Op::InGet(q)],
+                5 => return vec![Op::Load(a), Op::OutPush(p)],
+                6 => vec![Op::Load(a), Op::Push(f64::from(k)), bin],
+                7 => vec![Op::Load(a), Op::Load(b), Op::Swap, bin],
+                8 => vec![Op::Load(a), Op::Load(b), Op::Over, bin, bin2],
+                _ => vec![Op::InLen(p), Op::OutLen(q), bin],
+            };
+            ops.push(Op::Store(c));
+            ops
+        })
+}
+
+/// Operands `op` pops and results it pushes, for the ops of
+/// [`arb_line_op`].
+fn pops_pushes(op: Op) -> (usize, usize) {
+    match op {
+        Op::Push(_) | Op::Load(_) | Op::InLen(_) | Op::OutLen(_) => (0, 1),
+        Op::Pop | Op::Store(_) | Op::OutPush(_) => (1, 0),
+        Op::Dup => (1, 2),
+        Op::Swap => (2, 2),
+        Op::Over => (2, 3),
+        Op::InGet(_) | Op::Neg | Op::Abs | Op::Sqrt | Op::Floor => (1, 1),
+        _ => (2, 1),
+    }
+}
+
+/// A stack-balanced run of arbitrary straight-line ops: three loads, the
+/// ops of a random run that find enough operands on the stack (so stack
+/// shuffles, repeats and stores into locals still loaded beneath all
+/// occur inside a region that translates), then stores that drain what
+/// is left.
+fn arb_shuffle() -> impl Strategy<Value = Vec<Op>> {
+    (
+        (0u16..COUNTER, 0u16..COUNTER, 0u16..COUNTER),
+        proptest::collection::vec(arb_line_op(), 0..12),
+    )
+        .prop_map(|((a, b, c), run)| {
+            let mut ops = vec![Op::Load(a), Op::Load(b), Op::Load(c)];
+            let mut depth = 3;
+            for op in run {
+                let (pops, pushes) = pops_pushes(op);
+                if depth >= pops {
+                    depth = depth - pops + pushes;
+                    ops.push(op);
+                }
+            }
+            ops.extend((0..depth).map(|i| Op::Store([a, b, c][i % 3])));
+            ops
+        })
+}
+
+/// A loop body of pieces: one in eight a lone straight-line op (which
+/// usually unbalances the stack, so the loop stays in stack form), one
+/// in eight a balanced run of arbitrary ops, two in eight a repeated
+/// subexpression, the rest balanced statements.
+fn arb_body() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        (
+            0u8..8,
+            arb_line_op(),
+            arb_shuffle(),
+            arb_repeat(),
+            arb_statement(),
+        ),
+        0..12,
+    )
+    .prop_map(|pieces| {
+        pieces
+            .into_iter()
+            .flat_map(|(k, op, shuffle, repeat, statement)| match k {
+                0 => vec![op],
+                1 => shuffle,
+                2 | 3 => repeat,
+                _ => statement,
+            })
+            .collect()
+    })
+}
+
+/// A second forward exit beside the counter's: `load 5; load k; <binop>`,
+/// optionally `load j; <cmp>` after it, then `jz` or `jnz` — a compare
+/// chain the peephole folds into one exit op. It sits at the loop head
+/// (where the region runs it inline) or after the counter test (where it
+/// is dispatched). With `reuse`, the body opens by recomputing
+/// `load 5; load k; <binop>` and pushing it to port 1, so that value
+/// stays live past the exit: the chain's intermediate, as in
+/// `lagged_autocorr`, or the tested value itself.
+struct ChainExit {
+    test: Vec<Op>,
+    on_zero: bool,
+    at_head: bool,
+    reuse: bool,
+}
+
+fn arb_chain_exit() -> impl Strategy<Value = Option<ChainExit>> {
+    (
+        0u8..3,
+        (0u16..DIFF_LOCALS, arb_binop()),
+        (0u16..DIFF_LOCALS + 1, arb_cmp()),
+        (0u8..2, 0u8..2, 0u8..2),
+    )
+        .prop_map(|(some, (k, op), (j, cmp), (on_zero, at_head, reuse))| {
+            let mut test = vec![Op::Load(COUNTER), Op::Load(k), op];
+            if j < DIFF_LOCALS {
+                test.extend([Op::Load(j), cmp]);
+            }
+            (some > 0).then_some(ChainExit {
+                test,
+                on_zero: on_zero == 1,
+                at_head: at_head == 1,
+                reuse: reuse == 1,
+            })
+        })
+}
+
 /// A counted while-loop over local 5 around an arbitrary straight-line
 /// body — the exact shape tier 2 hunts for. Some bodies translate to
 /// register form, others defeat the translator (stack dips below entry
-/// depth, interior traps); both kinds must agree with legacy either way.
-/// `iters == 0` exercises zero-trip loops: the region's head exit fires
-/// before any iteration retires.
-fn loop_module(iters: u8, body: Vec<Op>) -> Module {
-    let mut code = vec![Op::Push(iters as f64), Op::Store(5)];
+/// depth, interior traps); both kinds must agree with the reference
+/// interpreter either way. `iters == 0` exercises zero-trip loops: the
+/// region's head exit fires before any iteration retires. `chain` adds a
+/// compare-chain exit; the counter's `load 5; jz` stays, so the loop
+/// still ends unless the body stores into local 5. The other locals
+/// start distinct and non-zero, and every exit ends by pushing all six
+/// locals to port 0, so a wrong register value cannot stay hidden.
+fn loop_module(iters: u8, chain: Option<ChainExit>, body: Vec<Op>) -> Module {
+    let mut code = Vec::new();
+    for i in 0..COUNTER {
+        code.extend([Op::Push(f64::from(i) * 1.25 + 0.5), Op::Store(i)]);
+    }
+    code.extend([Op::Push(iters as f64), Op::Store(COUNTER)]);
     let head = code.len() as u32;
-    code.push(Op::Load(5));
-    let patch = code.len();
-    code.push(Op::Jz(0)); // forward exit, target patched below
+    // Forward exits, each a test and a `jz`/`jnz` whose target is
+    // patched below.
+    let mut tests = vec![(vec![Op::Load(COUNTER)], true)];
+    let mut reuse = Vec::new();
+    if let Some(c) = chain {
+        if c.reuse {
+            reuse = c.test[..3].to_vec();
+            reuse.push(Op::OutPush(1));
+        }
+        let at = if c.at_head { 0 } else { 1 };
+        tests.insert(at, (c.test, c.on_zero));
+    }
+    let mut patches = Vec::new();
+    for (test, on_zero) in tests {
+        code.extend(test);
+        patches.push(code.len());
+        code.push(if on_zero { Op::Jz(0) } else { Op::Jnz(0) });
+    }
+    code.extend(reuse);
     code.extend(body);
-    code.extend([Op::Load(5), Op::Push(1.0), Op::Sub, Op::Store(5)]);
+    code.extend([
+        Op::Load(COUNTER),
+        Op::Push(1.0),
+        Op::Sub,
+        Op::Store(COUNTER),
+    ]);
     code.push(Op::Jmp(head));
-    code[patch] = Op::Jz(code.len() as u32);
+    let end = code.len() as u32;
+    for at in patches {
+        code[at] = match code[at] {
+            Op::Jz(_) => Op::Jz(end),
+            _ => Op::Jnz(end),
+        };
+    }
+    for i in 0..DIFF_LOCALS {
+        code.extend([Op::Load(i), Op::OutPush(0)]);
+    }
     code.push(Op::Halt);
     Module {
         name: "loopy".into(),
@@ -334,6 +613,21 @@ fn loop_module(iters: u8, body: Vec<Op>) -> Module {
     }
 }
 
+/// Twelve [`loop_module`]s per case: only some bodies translate, and only
+/// some of those reach a given fusion or value-numbering shape, so one
+/// module per case leaves the shim's fixed case count too thin. Half the
+/// bodies are up to 24 arbitrary straight-line ops (random stack shuffles
+/// and stores), half are built from [`arb_body`]'s pieces.
+fn arb_loop_modules() -> impl Strategy<Value = Vec<Module>> {
+    let body = prop_oneof![proptest::collection::vec(arb_line_op(), 0..24), arb_body()];
+    proptest::collection::vec((0u8..9, arb_chain_exit(), body), 12..13).prop_map(|loops| {
+        loops
+            .into_iter()
+            .map(|(iters, chain, body)| loop_module(iters, chain, body))
+            .collect()
+    })
+}
+
 proptest! {
     /// Tier barrage over loop-shaped modules: counted loops with
     /// arbitrary straight-line bodies, run under the standard policy.
@@ -341,12 +635,10 @@ proptest! {
     /// every fused superinstruction path gets differential coverage.
     #[test]
     fn tier_barrage_on_loop_shaped_modules(
-        iters in 0u8..9,
-        body in proptest::collection::vec(arb_line_op(), 0..24),
+        modules in arb_loop_modules(),
         lens in proptest::collection::vec(0usize..12, 3..4),
         seed in 0u64..1000,
     ) {
-        let module = loop_module(iters, body);
         let buffers: Vec<Vec<f64>> = lens
             .iter()
             .enumerate()
@@ -357,8 +649,10 @@ proptest! {
             })
             .collect();
         let slices: Vec<&[f64]> = buffers.iter().map(Vec::as_slice).collect();
-        let failure = equiv_failure(&module, &slices, &SandboxPolicy::standard());
-        prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        for module in &modules {
+            let failure = equiv_failure(module, &slices, &SandboxPolicy::standard());
+            prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        }
     }
 
     /// The same barrage under hostile-tight policies: budget exhaustion
@@ -367,13 +661,11 @@ proptest! {
     /// fallback) or stepping op by op.
     #[test]
     fn tier_barrage_on_loops_under_tight_policies(
-        iters in 0u8..9,
-        body in proptest::collection::vec(arb_line_op(), 0..24),
+        modules in arb_loop_modules(),
         max_instructions in 1u64..400,
         max_stack in 1usize..12,
         max_output_cells in 0usize..24,
     ) {
-        let module = loop_module(iters, body);
         let input = [2.5, 0.0, -7.0];
         let slices: Vec<&[f64]> = vec![&input; DIFF_PORTS as usize];
         let policy = SandboxPolicy {
@@ -383,8 +675,10 @@ proptest! {
             max_output_cells,
             allow_host_io: false,
         };
-        let failure = equiv_failure(&module, &slices, &policy);
-        prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        for module in &modules {
+            let failure = equiv_failure(module, &slices, &policy);
+            prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        }
     }
 
     /// Verification is tier-independent: for raw (unsanitized) op streams,

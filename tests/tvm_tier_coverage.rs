@@ -2,7 +2,8 @@
 //! ships runs its loops in tier 2's register regions. Stack-form dispatch
 //! retires one source instruction per op and fuses nothing, so a loop that
 //! tier 2 refuses runs at about a third of the speed — a kernel that falls
-//! onto it should fail this test rather than slow down silently.
+//! onto it should fail this test rather than slow down silently. The one
+//! named exception is the outer loop of `corpus::lagged_autocorr`.
 //!
 //! Kernels kept as `const NAME: &str` literals are collected from the
 //! source files themselves, so a new example or toolbox kernel is covered
@@ -103,8 +104,8 @@ fn shipped_modules() -> Vec<(String, Module)> {
             }
         }
     }
-    // The two bench kernels of the tier corpus.
-    for entry in ["sph_kernel", "matched_filter"] {
+    // The three bench kernels of the tier corpus.
+    for entry in ["sph_kernel", "matched_filter", "lagged_autocorr"] {
         let path = repo()
             .join("crates/tvm/tests/corpus")
             .join(format!("{entry}.tvm"));
@@ -138,6 +139,13 @@ fn back_edges(module: &Module) -> usize {
         .count()
 }
 
+/// Loops tier 2 refuses by design, by kernel. A loop around a translated
+/// loop stays in stack form; for `lagged_autocorr`'s outer loop that is
+/// 0.1 % of the instructions (DESIGN.md "Which loops tier 2 refuses").
+fn refused_by_design(origin: &str) -> usize {
+    usize::from(origin == "corpus::lagged_autocorr")
+}
+
 #[test]
 fn every_shipped_kernel_runs_its_loops_in_register_regions() {
     let modules = shipped_modules();
@@ -148,6 +156,7 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
         "crates/toolbox/src/tvm_unit.rs::SCALER",
         "corpus::sph_kernel",
         "corpus::matched_filter",
+        "corpus::lagged_autocorr",
     ] {
         assert!(
             names.contains(&expected),
@@ -163,7 +172,7 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
             admit(&module.to_blob(), TierPolicy::Auto).unwrap_or_else(|e| panic!("{origin}: {e}"));
         assert_eq!(
             tier.regions_translated(),
-            loops,
+            loops - refused_by_design(origin),
             "{origin}: tier 2 refused a loop; it would run unfused on the stack form"
         );
         with_loops += usize::from(loops > 0);
@@ -187,7 +196,7 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
         }
     }
     assert!(
-        with_loops >= 7,
+        with_loops >= 8,
         "only {with_loops} looping kernels collected"
     );
 }

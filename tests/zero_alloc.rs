@@ -1,6 +1,6 @@
 //! The hot loops that claim to be allocation-free in steady state, checked
 //! with a counting global allocator: the netsim pop/push churn, the tier-2
-//! exec loop of the two bench-shaped kernels, pooled wire encoding, and
+//! exec loop of the three bench-shaped kernels, pooled wire encoding, and
 //! `obs` handle bumps.
 //!
 //! Claims like these rot silently: one innocent `clone()` added two layers
@@ -135,6 +135,11 @@ fn sph_kernel_exec_allocates_nothing() {
 #[test]
 fn matched_filter_exec_allocates_nothing() {
     tier2_exec_allocations("matched_filter", 2);
+}
+
+#[test]
+fn lagged_autocorr_exec_allocates_nothing() {
+    tier2_exec_allocations("lagged_autocorr", 1);
 }
 
 /// A routing reply through the thread-local scratch pool.
