@@ -217,7 +217,10 @@ fn tvm_stage(observer: &Obs) {
         .get_prepared(&triana_core::ModuleKey::new("Absent", 1))
         .is_none());
     // A hostile spin loop trips the instruction budget — the prepared path
-    // reports the same violation the legacy interpreter did.
+    // reports the same violation the reference interpreter does. `jmp
+    // loop` translates to a one-op region, which runs until the budget
+    // refuses a full iteration and then falls back to stack-form stepping
+    // for the last instruction: one `tvm.tier2_fallback_exits`.
     let spin = assemble(".module Spin 1 0 0\n.func main 0\nloop:\n jmp loop\n").expect("assembles");
     let tight = SandboxPolicy {
         max_instructions: 500,
@@ -229,8 +232,8 @@ fn tvm_stage(observer: &Obs) {
         .expect_err("budget must trip");
     assert_eq!(err, tvm::TvmError::BudgetExceeded);
 
-    // Tier-2 segment: a countdown loop admits as tier 2 under the cache's
-    // Auto policy (`tvm.tier2_regions` moves at admission), runs four
+    // Region segment: a countdown loop admits with one translated region
+    // (`tvm.tier2_regions` moves at admission), runs four
     // times through one context, and a budget two short of the
     // exact run cost forces one register-loop fallback — the precondition
     // fails inside the final iteration, so `tvm.tier2_fallback_exits`
@@ -242,22 +245,22 @@ fn tvm_stage(observer: &Obs) {
     .expect("assembles");
     let lkey = triana_core::ModuleKey::new("SmokeLoop", 1);
     cache.insert(lkey.clone(), looper.to_blob());
-    let tier = cache.get_prepared(&lkey).expect("admitted");
-    assert_eq!(tier.tier_name(), "tier2");
-    assert_eq!(tier.regions_translated(), 1);
-    let (out, stats) = tier
+    let looping = cache.get_prepared(&lkey).expect("admitted");
+    assert_eq!(looping.regions_translated(), 1);
+    let (out, stats) = looping
         .execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
         .expect("loop runs");
     assert_eq!(out[0], vec![5.0, 4.0, 3.0, 2.0, 1.0]);
     for _ in 0..3 {
-        tier.execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
+        looping
+            .execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
             .expect("loop runs again in the same context");
     }
     let short = SandboxPolicy {
         max_instructions: stats.instructions - 2,
         ..SandboxPolicy::standard()
     };
-    let err = tier
+    let err = looping
         .execute_obs(&[], &short, &mut ctx, observer)
         .expect_err("two instructions short must trip the budget");
     assert_eq!(err, tvm::TvmError::BudgetExceeded);

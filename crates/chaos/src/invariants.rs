@@ -189,37 +189,36 @@ pub fn check_cache_integrity(farm: &FarmScheduler, world: &GridWorld, out: &mut 
                         ),
                     ));
                 }
-                // Tier-2 artifacts must be deterministic: re-admitting the
-                // resident blob reproduces the same tier with the same
-                // translated-region count. A divergence means region
+                // Admission must be deterministic: re-admitting the resident
+                // blob reproduces the same translated regions, dispatching
+                // the same ops per iteration. A divergence means region
                 // detection or translation depends on something besides
                 // the blob bytes — a nondeterminism no chaos schedule is
                 // allowed to surface.
-                if p.tier_name() == "tier2" {
-                    match tvm::tier::admit(blob, tvm::TierPolicy::Auto) {
-                        Ok(again)
-                            if again.tier_name() == p.tier_name()
-                                && again.regions_translated() == p.regions_translated()
-                                && again.source_hash() == p.source_hash() => {}
-                        Ok(again) => out.push(Violation::new(
-                            "cache-integrity",
-                            format!(
-                                "worker {w} tier2 artifact for {key:?} is not reproducible: \
-                                 resident ({}, {} regions) vs re-admitted ({}, {} regions)",
-                                p.tier_name(),
-                                p.regions_translated(),
-                                again.tier_name(),
-                                again.regions_translated()
-                            ),
-                        )),
-                        Err(e) => out.push(Violation::new(
-                            "cache-integrity",
-                            format!(
-                                "worker {w} holds a tier2 artifact for {key:?} whose blob no \
-                                 longer re-admits: {e:?}"
-                            ),
-                        )),
-                    }
+                match tvm::PreparedModule::from_blob(blob) {
+                    Ok(again)
+                        if again.regions_translated() == p.regions_translated()
+                            && again.dispatched_ops_per_iteration()
+                                == p.dispatched_ops_per_iteration()
+                            && again.source_hash() == p.source_hash() => {}
+                    Ok(again) => out.push(Violation::new(
+                        "cache-integrity",
+                        format!(
+                            "worker {w} prepared module for {key:?} is not reproducible: \
+                             resident {} regions dispatching {:?} vs re-admitted {} dispatching {:?}",
+                            p.regions_translated(),
+                            p.dispatched_ops_per_iteration(),
+                            again.regions_translated(),
+                            again.dispatched_ops_per_iteration()
+                        ),
+                    )),
+                    Err(e) => out.push(Violation::new(
+                        "cache-integrity",
+                        format!(
+                            "worker {w} holds a prepared module for {key:?} whose blob no \
+                             longer re-admits: {e:?}"
+                        ),
+                    )),
                 }
             }
             let Some(truth) = farm.library.fetch(key) else {

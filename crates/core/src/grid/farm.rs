@@ -24,7 +24,7 @@ use trust::{Candidate, GridTrustConfig, PolicyHandle, ProfileRegistry};
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::grid::slots::SlotTable;
 use crate::grid::{ChunkSource, GridEvent, GridWorld, JobId, WorkerId, WorkerSetup};
-use crate::modules::{ModuleCache, ModuleKey, ModuleLibrary, TierMemo};
+use crate::modules::{AdmissionMemo, ModuleCache, ModuleKey, ModuleLibrary};
 
 /// One distributable unit of work.
 #[derive(Clone, Debug, PartialEq)]
@@ -394,7 +394,7 @@ pub struct FarmScheduler {
     policy: PolicyHandle,
     /// Module admissions already performed in this world, shared by every
     /// worker cache so one blob is verified and translated once.
-    tier_memo: TierMemo,
+    admissions: AdmissionMemo,
     spec_dispatches: u64,
     spec_wins: u64,
     obs: Obs,
@@ -428,7 +428,7 @@ impl FarmScheduler {
             peer_workers: HashMap::new(),
             profiles: ProfileRegistry::new(tcfg.profile),
             policy: tcfg.policy,
-            tier_memo: TierMemo::default(),
+            admissions: AdmissionMemo::default(),
             spec_dispatches: 0,
             spec_wins: 0,
             obs: Obs::disabled(),
@@ -538,7 +538,7 @@ impl FarmScheduler {
         let chunk_bytes = self.cfg.swarm.as_ref().map_or(16 * 1024, |s| s.chunk_bytes);
         self.peer_workers.insert(setup.peer, id);
         self.profiles.register(id.0, setup.spec.cpu_ghz, up);
-        let mut cache = ModuleCache::with_memo(setup.cache_bytes, self.tier_memo.clone());
+        let mut cache = ModuleCache::with_memo(setup.cache_bytes, self.admissions.clone());
         cache.set_obs(self.obs.clone());
         self.workers.push(Worker {
             peer: setup.peer,

@@ -34,12 +34,12 @@ impl StageSpec {
     /// interpreted TVM work, ~20 host cycles per source instruction per
     /// token sample (the same model the toolbox `TvmUnit` calibrates its
     /// work estimate with). Preparation is not charged here — it happened
-    /// once at cache admission, not per token. Any execution tier works;
-    /// the work model reads only the source instruction count.
+    /// once at cache admission, not per token. The work model reads only
+    /// the source instruction count.
     pub fn for_prepared_module(
         peer: PeerId,
         spec: HostSpec,
-        prepared: &dyn tvm::ExecTier,
+        prepared: &tvm::PreparedModule,
         token_samples: usize,
     ) -> StageSpec {
         let per_item = prepared.source_instructions().max(8) as f64;
@@ -640,13 +640,13 @@ mod tests {
         let module =
             tvm::asm::assemble(".module M 1 1 1\n.func main 0\n push 1\n outpush 0\n halt\n")
                 .unwrap();
-        let prepared = tvm::tier::admit(&module.to_blob(), tvm::TierPolicy::Auto).unwrap();
+        let prepared = tvm::PreparedModule::from_blob(&module.to_blob()).unwrap();
         let mut world = GridWorld::new(5, DiscoveryMode::Flooding);
         let (peer, _) = world.add_peer(HostSpec::lan_workstation());
         let small =
-            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &*prepared, 1_000);
+            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &prepared, 1_000);
         let big =
-            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &*prepared, 100_000);
+            StageSpec::for_prepared_module(peer, HostSpec::lan_workstation(), &prepared, 100_000);
         assert!(small.work_gigacycles > 0.0);
         assert!((big.work_gigacycles / small.work_gigacycles - 100.0).abs() < 1e-9);
     }

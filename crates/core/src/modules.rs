@@ -15,7 +15,7 @@
 use obs::Obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use tvm::{ExecTier, ModuleBlob, PrepareError, TierPolicy};
+use tvm::{ModuleBlob, PrepareError, PreparedModule};
 
 /// Identity of a module: name plus version. Content hash disambiguates
 /// further (stale copies of the same version are detected by hash).
@@ -96,32 +96,21 @@ pub struct CacheStats {
 ///
 /// Every simulated worker of a farm admits the same few blobs, and
 /// admission (integrity check, verification, translation) is a pure
-/// function of the blob bytes and the [`TierPolicy`]; an [`ExecTier`] is
-/// immutable and `Send + Sync`. So the caches of one scheduler share the
-/// result: the first admission of a blob does the work, later ones get the
-/// same `Arc`. Entries are found by content hash and policy and confirmed
-/// by comparing every byte, so a colliding or forged `hash` field can
-/// never hand out another blob's tier. Failed admissions are not kept.
+/// function of the blob bytes; a [`PreparedModule`] is immutable and
+/// `Send + Sync`. So the caches of one scheduler share the result: the
+/// first admission of a blob does the work, later ones get the same `Arc`.
+/// Entries are found by content hash and confirmed by comparing every
+/// byte, so a colliding or forged `hash` field can never hand out another
+/// blob's module. Failed admissions are not kept.
 ///
 /// The memo belongs to the scheduler that created it — one per world, so
 /// a fresh world pays its own admissions — and never evicts: it holds one
 /// entry per distinct blob the world's library ever served.
 #[derive(Clone, Default)]
-pub(crate) struct TierMemo(Arc<Mutex<Vec<Admitted>>>);
+pub(crate) struct AdmissionMemo(Arc<Mutex<Vec<(ModuleBlob, Arc<PreparedModule>)>>>);
 
-/// One successful admission: what was asked for and what came back.
-struct Admitted {
-    blob: ModuleBlob,
-    policy: TierPolicy,
-    tier: Arc<dyn ExecTier>,
-}
-
-impl TierMemo {
-    fn admit(
-        &self,
-        blob: &ModuleBlob,
-        policy: TierPolicy,
-    ) -> Result<Arc<dyn ExecTier>, PrepareError> {
+impl AdmissionMemo {
+    fn admit(&self, blob: &ModuleBlob) -> Result<Arc<PreparedModule>, PrepareError> {
         let mut memo = self
             .0
             .lock()
@@ -130,43 +119,36 @@ impl TierMemo {
         // hash comes first so bytes are only compared on the match.
         let known = memo
             .iter()
-            .find(|a| a.blob.hash == blob.hash && a.policy == policy && a.blob.bytes == blob.bytes);
-        if let Some(a) = known {
-            return Ok(Arc::clone(&a.tier));
+            .find(|(b, _)| b.hash == blob.hash && b.bytes == blob.bytes);
+        if let Some((_, prepared)) = known {
+            return Ok(Arc::clone(prepared));
         }
-        let tier = tvm::tier::admit(blob, policy)?;
-        memo.push(Admitted {
-            blob: blob.clone(),
-            policy,
-            tier: Arc::clone(&tier),
-        });
-        Ok(tier)
+        let prepared = Arc::new(PreparedModule::from_blob(blob)?);
+        memo.push((blob.clone(), Arc::clone(&prepared)));
+        Ok(prepared)
     }
 }
 
 /// A byte-bounded LRU cache of module blobs on a hosting peer.
 ///
-/// Admission is also the verify-once point and the execution-tier
-/// selection point: every cached blob is admitted through
-/// [`tvm::tier::admit`] exactly once, so steady-state execution never
-/// re-runs the bytecode verifier (the paper's JVM analogue: class
-/// verification happens at load, not per invocation). Under the default
-/// [`TierPolicy::Auto`], modules with translatable hot loops come back as
-/// tier 2, straight-line code as the prepared tier.
+/// Admission is also the verify-once point: every cached blob is admitted
+/// through [`PreparedModule::from_blob`] exactly once, so steady-state
+/// execution never re-runs the bytecode verifier or the loop translator
+/// (the paper's JVM analogue: class verification happens at load, not per
+/// invocation).
 pub struct ModuleCache {
     capacity: u64,
     resident: u64,
     /// Insertion/access order: front = least recently used.
     order: Vec<ModuleKey>,
     blobs: HashMap<ModuleKey, ModuleBlob>,
-    /// Admitted execution tier of each resident blob (absent only if the
-    /// blob failed to verify — corrupt entries stay resident for
-    /// integrity audits).
-    prepared: HashMap<ModuleKey, Arc<dyn ExecTier>>,
-    tier_policy: TierPolicy,
+    /// Admitted module of each resident blob (absent only if the blob
+    /// failed to verify — corrupt entries stay resident for integrity
+    /// audits).
+    prepared: HashMap<ModuleKey, Arc<PreparedModule>>,
     /// Shared admissions of the owning scheduler; `None` for a standalone
     /// cache, which admits every blob itself.
-    memo: Option<TierMemo>,
+    memo: Option<AdmissionMemo>,
     stats: CacheStats,
     obs: Obs,
 }
@@ -193,7 +175,6 @@ impl ModuleCache {
             order: Vec::new(),
             blobs: HashMap::new(),
             prepared: HashMap::new(),
-            tier_policy: TierPolicy::default(),
             memo: None,
             stats: CacheStats::default(),
             obs: Obs::disabled(),
@@ -204,7 +185,7 @@ impl ModuleCache {
     /// `memo`. Behaves like [`ModuleCache::new`] in every observable way —
     /// statistics and metrics included — except that equal blobs come back
     /// as the same `Arc`.
-    pub(crate) fn with_memo(capacity: u64, memo: TierMemo) -> Self {
+    pub(crate) fn with_memo(capacity: u64, memo: AdmissionMemo) -> Self {
         ModuleCache {
             memo: Some(memo),
             ..ModuleCache::new(capacity)
@@ -215,16 +196,6 @@ impl ModuleCache {
     /// hits/misses are metered through it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Choose which execution tier future admissions construct. Already
-    /// resident modules keep the tier they were admitted under.
-    pub fn set_tier_policy(&mut self, policy: TierPolicy) {
-        self.tier_policy = policy;
-    }
-
-    pub fn tier_policy(&self) -> TierPolicy {
-        self.tier_policy
     }
 
     pub fn capacity(&self) -> u64 {
@@ -271,11 +242,11 @@ impl ModuleCache {
         }
     }
 
-    /// Look up the admitted execution tier of a resident module, updating
+    /// Look up the admitted module of a resident key, updating
     /// recency and prepared hit/miss counters. This is the execution-path
     /// accessor: workers call it once per run and reuse the returned
     /// [`Arc`] across an [`tvm::ExecContext`].
-    pub fn get_prepared(&mut self, key: &ModuleKey) -> Option<Arc<dyn ExecTier>> {
+    pub fn get_prepared(&mut self, key: &ModuleKey) -> Option<Arc<PreparedModule>> {
         if let Some(p) = self.prepared.get(key) {
             let p = Arc::clone(p);
             self.stats.prepared_hits += 1;
@@ -289,10 +260,10 @@ impl ModuleCache {
         }
     }
 
-    /// Admitted tier of a resident module without touching recency or
+    /// Admitted module of a resident key without touching recency or
     /// hit/miss accounting — for integrity audits (chaos invariants check
     /// that every admitted module still matches its key's content id).
-    pub fn prepared_of(&self, key: &ModuleKey) -> Option<&Arc<dyn ExecTier>> {
+    pub fn prepared_of(&self, key: &ModuleKey) -> Option<&Arc<PreparedModule>> {
         self.prepared.get(key)
     }
 
@@ -324,20 +295,20 @@ impl ModuleCache {
             self.stats.evictions += 1;
         }
         let admitted = match &self.memo {
-            Some(memo) => memo.admit(&blob, self.tier_policy),
-            None => tvm::tier::admit(&blob, self.tier_policy),
+            Some(memo) => memo.admit(&blob),
+            None => PreparedModule::from_blob(&blob).map(Arc::new),
         };
         match admitted {
-            Ok(tier) => {
+            Ok(prepared) => {
                 self.stats.prepares += 1;
                 self.obs.incr("tvm.prepares");
                 self.obs
-                    .observe("tvm.prepare_us", tier.modeled_prepare_us());
-                let regions = tier.regions_translated() as u64;
+                    .observe("tvm.prepare_us", prepared.modeled_prepare_us());
+                let regions = prepared.regions_translated() as u64;
                 if regions > 0 {
                     self.obs.add("tvm.tier2_regions", regions);
                 }
-                self.prepared.insert(key.clone(), tier);
+                self.prepared.insert(key.clone(), prepared);
             }
             Err(_) => {
                 self.obs.incr("tvm.prepare_failures");
@@ -515,22 +486,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_admission_selects_tier_per_module() {
+    fn admission_translates_hot_loops() {
         let mut cache = ModuleCache::new(100_000);
         cache.insert(ModuleKey::new("A", 1), blob_of_size("A", 100));
         let straight = cache.prepared_of(&ModuleKey::new("A", 1)).unwrap();
-        assert_eq!(straight.tier_name(), "prepared");
         assert_eq!(straight.regions_translated(), 0);
         let blob = assemble(LOOP_SRC).unwrap().to_blob();
         cache.insert(ModuleKey::new("Loop", 1), blob);
-        let tier = cache.prepared_of(&ModuleKey::new("Loop", 1)).unwrap();
-        assert_eq!(tier.tier_name(), "tier2");
-        assert_eq!(tier.regions_translated(), 1);
-        // An explicit policy overrides Auto for subsequent admissions.
-        cache.set_tier_policy(TierPolicy::Tier2);
-        cache.insert(ModuleKey::new("B", 1), blob_of_size("B", 100));
-        let forced = cache.prepared_of(&ModuleKey::new("B", 1)).unwrap();
-        assert_eq!(forced.tier_name(), "tier2");
+        let looping = cache.prepared_of(&ModuleKey::new("Loop", 1)).unwrap();
+        assert_eq!(looping.regions_translated(), 1);
     }
 
     const LOOP_SRC: &str = "\
@@ -567,7 +531,7 @@ loop:
     #[test]
     fn shared_admission_is_invisible_except_for_the_arc() {
         let blob = assemble(LOOP_SRC).unwrap().to_blob();
-        let memo = TierMemo::default();
+        let memo = AdmissionMemo::default();
         let (alone, alone_obs) = admit_observed(|| ModuleCache::new(100_000), &blob);
         let (first, first_obs) =
             admit_observed(|| ModuleCache::with_memo(100_000, memo.clone()), &blob);
@@ -586,12 +550,12 @@ loop:
             first.prepared_of(&k).unwrap(),
             second.prepared_of(&k).unwrap(),
         );
-        assert!(Arc::ptr_eq(f, s), "caches of one memo share the tier");
+        assert!(Arc::ptr_eq(f, s), "caches of one memo share the module");
         assert!(!Arc::ptr_eq(a, f), "a standalone cache admits for itself");
-        assert_eq!((f.tier_name(), f.regions_translated()), ("tier2", 1));
+        assert_eq!(f.regions_translated(), 1);
         // Another scheduler's memo starts cold.
         let (other, _) = admit_observed(
-            || ModuleCache::with_memo(100_000, TierMemo::default()),
+            || ModuleCache::with_memo(100_000, AdmissionMemo::default()),
             &blob,
         );
         assert!(!Arc::ptr_eq(other.prepared_of(&k).unwrap(), f));
@@ -599,9 +563,9 @@ loop:
 
     #[test]
     fn memo_confirms_bytes_and_never_keeps_a_failure() {
-        let memo = TierMemo::default();
+        let memo = AdmissionMemo::default();
         let good = blob_of_size("A", 200);
-        // Same claimed hash, other bytes: must not be handed A's tier.
+        // Same claimed hash, other bytes: must not be handed A's module.
         let mut forged = blob_of_size("B", 300);
         forged.hash = good.hash;
         // A's bytes damaged in transit, hash field intact.
@@ -610,48 +574,22 @@ loop:
         torn.bytes[last] ^= 0xff;
 
         // Failures first: nothing they leave behind may satisfy `good`.
-        assert!(memo.admit(&torn, TierPolicy::Auto).is_err());
-        assert!(memo.admit(&forged, TierPolicy::Auto).is_err());
-        let tier = memo.admit(&good, TierPolicy::Auto).expect("valid blob");
-        assert_eq!(tier.source_hash(), good.hash);
+        assert!(memo.admit(&torn).is_err());
+        assert!(memo.admit(&forged).is_err());
+        let prepared = memo.admit(&good).expect("valid blob");
+        assert_eq!(prepared.source_hash(), good.hash);
         // And with `good` memoised, its hash still opens no door.
-        assert!(memo.admit(&torn, TierPolicy::Auto).is_err());
-        assert!(memo.admit(&forged, TierPolicy::Auto).is_err());
-        assert!(Arc::ptr_eq(
-            &memo.admit(&good, TierPolicy::Auto).unwrap(),
-            &tier
-        ));
+        assert!(memo.admit(&torn).is_err());
+        assert!(memo.admit(&forged).is_err());
+        assert!(Arc::ptr_eq(&memo.admit(&good).unwrap(), &prepared));
 
-        // Through a cache: the forged blob stays resident without a tier.
+        // Through a cache: the forged blob stays resident unprepared.
         let mut cache = ModuleCache::with_memo(100_000, memo.clone());
         cache.insert(ModuleKey::new("A", 1), good);
         cache.insert(ModuleKey::new("B", 1), forged);
         assert!(cache.prepared_of(&ModuleKey::new("A", 1)).is_some());
         assert!(cache.prepared_of(&ModuleKey::new("B", 1)).is_none());
         assert_eq!(cache.stats().prepares, 1);
-    }
-
-    #[test]
-    fn memo_keeps_tier_policies_apart() {
-        let memo = TierMemo::default();
-        let blob = assemble(LOOP_SRC).unwrap().to_blob();
-        let names: Vec<&str> = [TierPolicy::Prepared, TierPolicy::Tier2, TierPolicy::Auto]
-            .into_iter()
-            .map(|policy| {
-                let mut cache = ModuleCache::with_memo(100_000, memo.clone());
-                cache.set_tier_policy(policy);
-                cache.insert(ModuleKey::new("Loop", 1), blob.clone());
-                cache
-                    .prepared_of(&ModuleKey::new("Loop", 1))
-                    .unwrap()
-                    .tier_name()
-            })
-            .collect();
-        assert_eq!(names, ["prepared", "tier2", "tier2"]);
-        // Tier2 and Auto agree on this blob but were asked for separately.
-        let t2 = memo.admit(&blob, TierPolicy::Tier2).unwrap();
-        let auto = memo.admit(&blob, TierPolicy::Auto).unwrap();
-        assert!(!Arc::ptr_eq(&t2, &auto));
     }
 
     #[test]

@@ -11,15 +11,15 @@ use obs::Obs;
 use std::sync::Arc;
 use triana_core::data::{DataType, TrianaData, TypeSpec};
 use triana_core::unit::{Unit, UnitError};
-use tvm::{ExecContext, ExecStats, ExecTier, ModuleBlob, SandboxPolicy, TierPolicy};
+use tvm::{ExecContext, ExecStats, ModuleBlob, PreparedModule, SandboxPolicy};
 
 /// A unit backed by sandboxed TVM bytecode.
 ///
-/// Admission (blob → execution tier) verifies once; every `process` call
-/// after that reuses the admitted tier and a per-unit [`ExecContext`], so
+/// Admission (blob → prepared module) verifies once; every `process` call
+/// after that reuses the admitted module and a per-unit [`ExecContext`], so
 /// steady-state execution allocates nothing in the interpreter.
 pub struct TvmUnit {
-    tier: Arc<dyn ExecTier>,
+    prepared: Arc<PreparedModule>,
     ctx: ExecContext,
     policy: SandboxPolicy,
     /// Metering from the most recent execution (for the billing ledger).
@@ -29,14 +29,16 @@ pub struct TvmUnit {
 }
 
 /// Admit a blob as a module cache would: integrity check, parse, verify,
-/// pick the execution tier — once.
-fn admit_blob(blob: &ModuleBlob) -> Result<Arc<dyn ExecTier>, UnitError> {
-    tvm::tier::admit(blob, TierPolicy::Auto).map_err(|e| UnitError::Runtime(e.to_string()))
+/// translate — once.
+fn admit_blob(blob: &ModuleBlob) -> Result<Arc<PreparedModule>, UnitError> {
+    PreparedModule::from_blob(blob)
+        .map(Arc::new)
+        .map_err(|e| UnitError::Runtime(e.to_string()))
 }
 
 /// Register a TVM module blob as a unit factory under `name`. The blob is
 /// verified and admitted here, once; every instance the registry creates
-/// shares the admitted tier and owns only its private [`ExecContext`]
+/// shares the admitted module and owns only its private [`ExecContext`]
 /// scratch — so farmed clones and pipeline stages each get a per-worker
 /// context over the same verified code.
 pub fn register_tvm_module(
@@ -45,9 +47,9 @@ pub fn register_tvm_module(
     blob: &ModuleBlob,
     policy: SandboxPolicy,
 ) -> Result<(), UnitError> {
-    let tier = admit_blob(blob)?;
+    let prepared = admit_blob(blob)?;
     registry.register(name, move |_p| {
-        Ok(Box::new(TvmUnit::from_tier(Arc::clone(&tier), policy)))
+        Ok(Box::new(TvmUnit::from_prepared(Arc::clone(&prepared), policy)))
     });
     Ok(())
 }
@@ -55,15 +57,15 @@ pub fn register_tvm_module(
 impl TvmUnit {
     /// Admit a transferred blob: integrity check, parse, verify — once.
     pub fn from_blob(blob: &ModuleBlob, policy: SandboxPolicy) -> Result<Self, UnitError> {
-        Ok(Self::from_tier(admit_blob(blob)?, policy))
+        Ok(Self::from_prepared(admit_blob(blob)?, policy))
     }
 
     /// Build a unit around an already-admitted module (e.g. shared out of a
     /// [`triana_core::modules::ModuleCache`], which admits at insertion).
-    pub fn from_tier(tier: Arc<dyn ExecTier>, policy: SandboxPolicy) -> Self {
+    pub fn from_prepared(prepared: Arc<PreparedModule>, policy: SandboxPolicy) -> Self {
         TvmUnit {
-            type_name: format!("tvm:{}", tier.name()),
-            tier,
+            type_name: format!("tvm:{}", prepared.name()),
+            prepared,
             ctx: ExecContext::new(),
             policy,
             last_stats: ExecStats::default(),
@@ -71,8 +73,8 @@ impl TvmUnit {
         }
     }
 
-    pub fn tier(&self) -> &Arc<dyn ExecTier> {
-        &self.tier
+    pub fn prepared(&self) -> &Arc<PreparedModule> {
+        &self.prepared
     }
 
     /// Attach a metrics observer; sandboxed runs then feed the `tvm.*`
@@ -107,12 +109,12 @@ impl Unit for TvmUnit {
                 DataType::SampleSet,
                 DataType::Spectrum,
             ]);
-            self.tier.n_inputs() as usize
+            self.prepared.n_inputs() as usize
         ]
     }
 
     fn output_types(&self) -> Vec<DataType> {
-        vec![DataType::SampleSet; self.tier.n_outputs() as usize]
+        vec![DataType::SampleSet; self.prepared.n_outputs() as usize]
     }
 
     fn process(&mut self, inputs: Vec<TrianaData>) -> Result<Vec<TrianaData>, UnitError> {
@@ -131,7 +133,7 @@ impl Unit for TvmUnit {
             .collect::<Result<_, _>>()?;
         let slices: Vec<&[f64]> = buffers.iter().map(Vec::as_slice).collect();
         let (outputs, stats) = self
-            .tier
+            .prepared
             .execute_obs(&slices, &self.policy, &mut self.ctx, &self.observer)
             .map_err(|e| UnitError::Runtime(format!("sandboxed execution failed: {e}")))?;
         self.last_stats = stats;
@@ -152,7 +154,7 @@ impl Unit for TvmUnit {
                 _ => 1,
             })
             .sum();
-        let per_item = self.tier.source_instructions().max(8) as f64;
+        let per_item = self.prepared.source_instructions().max(8) as f64;
         input_len.max(1) as f64 * per_item * 20.0 / 1e9
     }
 }
@@ -225,16 +227,16 @@ end:
     }
 
     #[test]
-    fn shares_the_tier_a_module_cache_admitted() {
+    fn shares_the_module_a_module_cache_admitted() {
         use triana_core::modules::ModuleCache;
         use triana_core::ModuleKey;
         let mut cache = ModuleCache::new(1 << 20);
         let key = ModuleKey::new("Scaler", 1);
         cache.insert(key.clone(), assemble(SCALER).unwrap().to_blob());
         let admitted = cache.get_prepared(&key).expect("admitted at insertion");
-        let u = TvmUnit::from_tier(Arc::clone(&admitted), SandboxPolicy::standard());
-        assert!(Arc::ptr_eq(u.tier(), &admitted));
-        assert_eq!(u.tier().tier_name(), "tier2", "the scaler loop translates");
+        let u = TvmUnit::from_prepared(Arc::clone(&admitted), SandboxPolicy::standard());
+        assert!(Arc::ptr_eq(u.prepared(), &admitted));
+        assert_eq!(u.prepared().regions_translated(), 1, "the scaler loop translates");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::path::Path;
 use store::durable::DurableStore;
 use store::{BlobId, ChunkStore, StoreError};
 use triana_core::{ModuleCache, ModuleKey};
-use tvm::{ExecContext, ExecTier, ModuleBlob, SandboxPolicy};
+use tvm::{ExecContext, ModuleBlob, PreparedModule, SandboxPolicy};
 
 /// One farm job: which module to run and its input vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -553,9 +553,9 @@ impl<T: Transport> WorkerNode<T> {
                     .send(self.orch, GridMsg::HaveBlob { blob: module.hash }.encode());
                 // One cache lookup serves the whole backlog.
                 let waiting = self.waiting.remove(&module.hash).unwrap_or_default();
-                let tier = self.cache.get_prepared(&key);
+                let prepared = self.cache.get_prepared(&key);
                 for (job, _, input) in &waiting {
-                    self.execute_and_reply(*job, tier.as_deref(), input);
+                    self.execute_and_reply(*job, prepared.as_deref(), input);
                 }
             }
             Err(StoreError::HashMismatch { .. }) => {
@@ -591,22 +591,22 @@ impl<T: Transport> WorkerNode<T> {
     }
 
     fn run_job(&mut self, job: u64, key: &ModuleKey, input: &[f64]) {
-        let tier = self.cache.get_prepared(key);
-        self.execute_and_reply(job, tier.as_deref(), input);
+        let prepared = self.cache.get_prepared(key);
+        self.execute_and_reply(job, prepared.as_deref(), input);
     }
 
-    /// The one job path: execute on the admitted tier (a module that failed
+    /// The one job path: execute the admitted module (a module that failed
     /// admission, or a run the sandbox killed, yields no outputs) and send
     /// the `JobResult`.
-    fn execute_and_reply(&mut self, job: u64, tier: Option<&dyn ExecTier>, input: &[f64]) {
+    fn execute_and_reply(&mut self, job: u64, prepared: Option<&PreparedModule>, input: &[f64]) {
         let inputs: Vec<&[f64]> = if input.is_empty() {
             Vec::new()
         } else {
             vec![input]
         };
-        let outputs = tier
-            .and_then(|t| {
-                t.execute_obs(&inputs, &self.policy, &mut self.ctx, &self.obs)
+        let outputs = prepared
+            .and_then(|p| {
+                p.execute_obs(&inputs, &self.policy, &mut self.ctx, &self.obs)
                     .ok()
             })
             .map(|(outputs, _stats)| outputs)

@@ -33,8 +33,7 @@ pub use isa::Op;
 pub use module::{Function, Module, ModuleBlob};
 pub use prepared::{ExecContext, PrepareError, PreparedModule};
 pub use sandbox::SandboxPolicy;
-pub use tier::{ExecOutcome, ExecTier, TierPolicy};
-pub use tier2::Tier2Module;
+pub use tier::TierPolicy;
 
 /// FNV-1a 64-bit hash; used for module content hashes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -1,4 +1,4 @@
-//! The prepared-execution pipeline: verify once, execute many.
+//! The admitted module: verify once, execute many.
 //!
 //! [`crate::execute`] re-runs the bytecode verifier on every invocation and
 //! heap-allocates a locals `Vec` on every `Op::Call`. That is the wrong cost
@@ -11,31 +11,34 @@
 //! * [`PreparedModule::prepare`] — the one-time pass: verify, then decode
 //!   every function into a single flat instruction array, one prepared
 //!   instruction per source instruction, with jump and call targets
-//!   resolved to absolute indices.
+//!   resolved to absolute indices, then translate the hot loops into
+//!   register regions ([`crate::tier2`]).
 //! * [`ExecContext`] — the reusable per-worker execution state: operand
 //!   stack, frame stack, and a locals arena. After warm-up, repeated
 //!   [`PreparedModule::run`] calls perform **zero heap allocations**,
 //!   including on `Call` (callee locals live in the arena).
 //!
-//! Nothing is fused here. Instruction fusion lives in one place, the
-//! register regions of [`crate::tier2`], which translate hot loops from the
+//! Nothing is fused in the flat code. Instruction fusion lives in one
+//! place, the register regions, which translate hot loops from the
 //! *source* ops; the stack form is what runs everything else, and what a
 //! region falls back to.
 //!
 //! # Determinism contract
 //!
-//! The prepared path is an exact semantic twin of [`crate::execute`]: same
+//! A prepared module is an exact semantic twin of [`crate::execute`]: same
 //! outputs, same [`ExecStats`] (instruction count and high-water stack), and
 //! the same error for every failing program. Each dispatched op retires
 //! exactly one source instruction — budget check first, then the op's own
 //! checks in the reference interpreter's order — so hostile programs trip the
 //! identical sandbox violation at the identical point. The differential
-//! property tests in `tests/properties.rs` pin this equivalence.
+//! property tests in `tests/properties.rs` and the corpus runner in
+//! `tests/corpus.rs` pin this equivalence.
 
 use crate::interp::{ExecStats, TvmError};
 use crate::isa::Op;
 use crate::module::{Module, ModuleBlob};
 use crate::sandbox::SandboxPolicy;
+use crate::tier2::LoopRegion;
 use crate::verify::{verify, VerifyError};
 use std::fmt;
 
@@ -203,8 +206,8 @@ impl fmt::Display for PrepareError {
 
 impl std::error::Error for PrepareError {}
 
-/// A verified, flattened module, ready for repeated execution without
-/// further checks or per-call allocation.
+/// A verified, flattened module with its hot loops translated, ready for
+/// repeated execution without further checks or per-call allocation.
 #[derive(Clone, Debug)]
 pub struct PreparedModule {
     name: String,
@@ -218,52 +221,53 @@ pub struct PreparedModule {
     /// content id, so integrity audits can tie a prepared module back to
     /// the library's ground truth.
     source_hash: u64,
-}
-
-/// The one-time pass: verify `module`, then flatten it. Also returns each
-/// function's base offset in the flat array — source pc `p` of function
-/// `f` sits at `bases[f] + p` — which is how tier 2 region detection
-/// addresses flat code.
-pub(crate) fn prepare_full(module: &Module) -> Result<(PreparedModule, Vec<u32>), VerifyError> {
-    verify(module)?;
-    let mut bases = Vec::with_capacity(module.functions.len());
-    let mut total = 0u32;
-    for f in &module.functions {
-        bases.push(total);
-        total += f.code.len() as u32;
-    }
-    let mut code = Vec::with_capacity(total as usize);
-    for (f, &base) in module.functions.iter().zip(&bases) {
-        code.extend(f.code.iter().map(|&op| match op {
-            Op::Jmp(t) => PInst::Jmp(base + t),
-            Op::Jz(t) => PInst::Jz(base + t),
-            Op::Jnz(t) => PInst::Jnz(base + t),
-            Op::Call(t) => PInst::Call {
-                entry: bases[t as usize],
-                n_locals: module.functions[t as usize].n_locals,
-            },
-            other => translate(other),
-        }));
-    }
-    let prepared = PreparedModule {
-        name: module.name.clone(),
-        version: module.version,
-        n_inputs: module.n_inputs,
-        n_outputs: module.n_outputs,
-        entry_locals: module.functions[0].n_locals,
-        code,
-        source_hash: crate::fnv1a64(&module.to_blob().bytes),
-    };
-    Ok((prepared, bases))
+    /// Register-translated hot loops, in head order.
+    pub(crate) regions: Vec<LoopRegion>,
+    /// Flat pc → region index (`tier2::NO_REGION` almost everywhere).
+    pub(crate) region_at: Vec<u16>,
 }
 
 impl PreparedModule {
-    /// The one-time pass: verify `module`, then flatten.
+    /// The one-time pass: verify `module`, flatten it, then detect and
+    /// translate its hot loops.
     pub fn prepare(module: &Module) -> Result<Self, VerifyError> {
-        prepare_full(module).map(|(prepared, _)| prepared)
+        verify(module)?;
+        // Source pc `p` of function `f` sits at flat pc `bases[f] + p`.
+        let mut bases = Vec::with_capacity(module.functions.len());
+        let mut total = 0u32;
+        for f in &module.functions {
+            bases.push(total);
+            total += f.code.len() as u32;
+        }
+        let mut code = Vec::with_capacity(total as usize);
+        for (f, &base) in module.functions.iter().zip(&bases) {
+            code.extend(f.code.iter().map(|&op| match op {
+                Op::Jmp(t) => PInst::Jmp(base + t),
+                Op::Jz(t) => PInst::Jz(base + t),
+                Op::Jnz(t) => PInst::Jnz(base + t),
+                Op::Call(t) => PInst::Call {
+                    entry: bases[t as usize],
+                    n_locals: module.functions[t as usize].n_locals,
+                },
+                other => translate(other),
+            }));
+        }
+        let (regions, region_at) = crate::tier2::translate_loops(module, &bases, code.len());
+        Ok(PreparedModule {
+            name: module.name.clone(),
+            version: module.version,
+            n_inputs: module.n_inputs,
+            n_outputs: module.n_outputs,
+            entry_locals: module.functions[0].n_locals,
+            code,
+            source_hash: crate::fnv1a64(&module.to_blob().bytes),
+            regions,
+            region_at,
+        })
     }
 
-    /// Admit a transferred blob: integrity check, parse, verify, prepare.
+    /// Admit a transferred blob: integrity check, parse, verify, prepare,
+    /// translate.
     pub fn from_blob(blob: &ModuleBlob) -> Result<Self, PrepareError> {
         if !blob.integrity_ok() {
             return Err(PrepareError::Integrity);
@@ -307,6 +311,20 @@ impl PreparedModule {
         (self.code.len() as u64) / PREPARE_OPS_PER_US + 1
     }
 
+    /// Hot-loop regions translated to register form.
+    pub fn regions_translated(&self) -> usize {
+        self.regions.len()
+    }
+
+    /// Per region, in head order: the register ops one full iteration
+    /// sends through the dispatch loop (the inlined head exit and
+    /// back-edge excluded). An exact count that tests pin in place of a
+    /// timing.
+    #[doc(hidden)]
+    pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
+        self.regions.iter().map(LoopRegion::dispatched_ops).collect()
+    }
+
     /// Execute and return owned outputs, mirroring [`crate::execute`]'s
     /// signature. Allocates for the returned `Vec`s; use [`Self::run`] for
     /// the allocation-free steady state.
@@ -321,7 +339,8 @@ impl PreparedModule {
     }
 
     /// Instrumented variant of [`Self::execute`]; records the same
-    /// `tvm.*` counters as [`crate::execute_obs`].
+    /// `tvm.*` counters as [`crate::execute_obs`], plus
+    /// `tvm.tier2_fallback_exits` when a region fell back.
     pub fn execute_obs(
         &self,
         inputs: &[&[f64]],
@@ -333,6 +352,9 @@ impl PreparedModule {
         if observer.is_enabled() {
             let slim = result.as_ref().map(|(_, s)| *s).map_err(Clone::clone);
             crate::interp::record_execution(observer, &slim);
+            if ctx.tier2_fallbacks() > 0 {
+                observer.add("tvm.tier2_fallback_exits", ctx.tier2_fallbacks());
+            }
         }
         result
     }
@@ -353,7 +375,7 @@ impl PreparedModule {
             });
         }
         ctx.bind(self.entry_locals as usize, self.n_outputs as usize);
-        crate::tier2::run_vm::<false>(self, None, inputs, policy, ctx)
+        crate::tier2::run_vm(self, inputs, policy, ctx)
     }
 }
 
@@ -375,7 +397,7 @@ pub struct ExecContext {
     /// Tier-2 virtual-register frame; sized lazily per region.
     pub(crate) regs: Vec<f64>,
     /// Tier-2 fallback exits (region abandoned for precise stepping) taken
-    /// by the most recent run; zero on stack-tier runs.
+    /// by the most recent run.
     pub(crate) tier2_fallbacks: u64,
 }
 
@@ -426,7 +448,7 @@ fn bool_f(b: bool) -> f64 {
 }
 
 /// One-to-one translation of a source instruction that names no code
-/// address (branches and calls are resolved by [`prepare_full`]).
+/// address (branches and calls are resolved by [`PreparedModule::prepare`]).
 fn translate(op: Op) -> PInst {
     if let Some(b) = BinOp::of(op) {
         return PInst::Bin(b);

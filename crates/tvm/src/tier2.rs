@@ -1,15 +1,15 @@
-//! Execution tier 2: register-translated hot loops over the shared
-//! dispatch core.
+//! Register-translated hot loops, and the one dispatch loop every
+//! [`PreparedModule`] runs through.
 //!
 //! This module hosts two things:
 //!
-//! 1. **The interpreter core** (`run_vm`) shared by the Prepared and
-//!    Tier2 tiers: a dense-dispatch loop over the 1:1 flattened code in
-//!    which every dispatched op retires exactly one source instruction.
-//!    It is monomorphised over a `const TIER2: bool`: the Tier2
-//!    instantiation adds one table probe per dispatch that can divert a
-//!    hot loop into register form, the Prepared one compiles it away.
-//! 2. **The tier-2 pipeline** ([`Tier2Module`]): at prepare time, detect
+//! 1. **The dispatch loop** (`run_vm`): a dense-dispatch loop over the
+//!    1:1 flattened code in which every dispatched op retires exactly one
+//!    source instruction. Before each dispatch it probes the module's
+//!    region table; a hit diverts a hot loop into register form. Region
+//!    runs stay out of line, so straight-line code pays one table load and
+//!    compare per op and nothing else.
+//! 2. **The region pipeline** (`translate_loops`): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
 //!    and translate their stack traffic — from the *source* ops — into a
 //!    fixed virtual-register frame (`LoopRegion`). Two passes: the
@@ -34,15 +34,14 @@
 //! instructions the exited path would have retired, and the stack
 //! high-water mark is reconstructed from the region's translated peak,
 //! so `ExecStats` stay bit-identical to the reference interpreter. The
-//! tier barrage in `tests/properties.rs` and the corpus runner in
+//! loop barrage in `tests/properties.rs` and the corpus runner in
 //! `tests/corpus.rs` pin this contract.
 
 use crate::interp::{ExecStats, TvmError};
 use crate::isa::Op;
-use crate::module::{Module, ModuleBlob};
-use crate::prepared::{BinOp, ExecContext, PInst, PrepareError, PreparedModule, UnOp};
+use crate::module::Module;
+use crate::prepared::{BinOp, ExecContext, PInst, PreparedModule, UnOp};
 use crate::sandbox::SandboxPolicy;
-use crate::verify::VerifyError;
 
 /// Longest source span (in ops) a region may cover.
 const MAX_REGION_OPS: usize = 128;
@@ -245,108 +244,26 @@ pub(crate) struct LoopRegion {
     exits: Vec<RegionExit>,
 }
 
-/// A prepared module with register-translated hot-loop regions.
-///
-/// Construction is [`PreparedModule::prepare`] plus region detection and
-/// translation; execution is the shared dispatch core with the region
-/// probe enabled. Metering, outputs, and the error taxonomy are
-/// bit-identical to [`crate::execute`] and the Prepared tier.
-#[derive(Clone, Debug)]
-pub struct Tier2Module {
-    base: PreparedModule,
-    regions: Vec<LoopRegion>,
-    /// Flat pc → region index ([`NO_REGION`] almost everywhere).
-    region_at: Vec<u16>,
-}
-
-impl Tier2Module {
-    /// Verify and flatten, then detect and translate hot-loop regions.
-    pub fn prepare(module: &Module) -> Result<Self, VerifyError> {
-        let (base, bases) = crate::prepared::prepare_full(module)?;
-        let mut regions: Vec<LoopRegion> = Vec::new();
-        for (f, &fbase) in module.functions.iter().zip(&bases) {
-            regions.extend(detect_function_regions(&f.code, f.n_locals, fbase));
-        }
-        regions.truncate(NO_REGION as usize - 1);
-        regions.sort_by_key(|r| r.head_flat);
-        let mut region_at = vec![NO_REGION; base.code.len()];
-        for (i, r) in regions.iter().enumerate() {
-            region_at[r.head_flat as usize] = i as u16;
-        }
-        Ok(Tier2Module {
-            base,
-            regions,
-            region_at,
-        })
+/// Detect and translate the hot loops of every function of `module`,
+/// whose function `f` starts at flat pc `bases[f]`. Returns the regions in
+/// head order and the flat pc → region index table (`code_len` entries,
+/// [`NO_REGION`] almost everywhere).
+pub(crate) fn translate_loops(
+    module: &Module,
+    bases: &[u32],
+    code_len: usize,
+) -> (Vec<LoopRegion>, Vec<u16>) {
+    let mut regions: Vec<LoopRegion> = Vec::new();
+    for (f, &fbase) in module.functions.iter().zip(bases) {
+        regions.extend(detect_function_regions(&f.code, f.n_locals, fbase));
     }
-
-    /// Admit a transferred blob: integrity check, parse, verify, prepare,
-    /// translate.
-    pub fn from_blob(blob: &ModuleBlob) -> Result<Self, PrepareError> {
-        if !blob.integrity_ok() {
-            return Err(PrepareError::Integrity);
-        }
-        let module = Module::from_blob(blob).map_err(PrepareError::Blob)?;
-        Self::prepare(&module).map_err(PrepareError::Verify)
+    regions.truncate(NO_REGION as usize - 1);
+    regions.sort_by_key(|r| r.head_flat);
+    let mut region_at = vec![NO_REGION; code_len];
+    for (i, r) in regions.iter().enumerate() {
+        region_at[r.head_flat as usize] = i as u16;
     }
-
-    /// Hot-loop regions successfully translated to register form.
-    pub fn regions_translated(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Per region, in head order: the register ops one full iteration
-    /// sends through the dispatch loop (the inlined head exit and
-    /// back-edge excluded). An exact count that tests pin in place of a
-    /// timing.
-    #[doc(hidden)]
-    pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
-        self.regions.iter().map(|r| r.body().len()).collect()
-    }
-
-    /// The underlying prepared module.
-    pub fn base(&self) -> &PreparedModule {
-        &self.base
-    }
-
-    /// Demote to the plain Prepared tier (used by auto-admission when no
-    /// region translated — the probe would be pure overhead).
-    pub fn into_prepared(self) -> PreparedModule {
-        self.base
-    }
-
-    /// Execute in `ctx`, leaving outputs in the context's reusable
-    /// buffers; the tier-2 twin of [`PreparedModule::run`].
-    pub fn run(
-        &self,
-        inputs: &[&[f64]],
-        policy: &SandboxPolicy,
-        ctx: &mut ExecContext,
-    ) -> Result<ExecStats, TvmError> {
-        if inputs.len() != self.base.n_inputs() as usize {
-            return Err(TvmError::BadArity {
-                expected: self.base.n_inputs(),
-                got: inputs.len(),
-            });
-        }
-        ctx.bind(
-            self.base.entry_locals as usize,
-            self.base.n_outputs() as usize,
-        );
-        run_vm::<true>(&self.base, Some(self), inputs, policy, ctx)
-    }
-
-    /// Execute and return owned outputs, mirroring
-    /// [`PreparedModule::execute`]'s signature.
-    pub fn execute(
-        &self,
-        inputs: &[&[f64]],
-        policy: &SandboxPolicy,
-        ctx: &mut ExecContext,
-    ) -> Result<(Vec<Vec<f64>>, ExecStats), TvmError> {
-        let stats = self.run(inputs, policy, ctx)?;
-        Ok((ctx.outputs().to_vec(), stats))
-    }
+    (regions, region_at)
 }
 
 /// Mutable interpreter state handed to a region run.
@@ -358,14 +275,12 @@ struct VmState {
     out_cells: usize,
 }
 
-/// The shared dispatch core. Exact reference-interpreter semantics: one
-/// source instruction per dispatched op, budget check first, then the
-/// op's own checks in `tvm::execute`'s order. With `TIER2` set, every
-/// dispatch first probes the region table; a hit runs whole loop
-/// iterations in register form.
-pub(crate) fn run_vm<const TIER2: bool>(
+/// The dispatch loop. Exact reference-interpreter semantics: one source
+/// instruction per dispatched op, budget check first, then the op's own
+/// checks in `tvm::execute`'s order. Every dispatch first probes the
+/// region table; a hit runs whole loop iterations in register form.
+pub(crate) fn run_vm(
     prepared: &PreparedModule,
-    t2: Option<&Tier2Module>,
     inputs: &[&[f64]],
     policy: &SandboxPolicy,
     ctx: &mut ExecContext,
@@ -381,10 +296,8 @@ pub(crate) fn run_vm<const TIER2: bool>(
     let regs = &mut ctx.regs;
     let fallbacks = &mut ctx.tier2_fallbacks;
 
-    let (regions, region_at): (&[LoopRegion], &[u16]) = match t2 {
-        Some(m) => (&m.regions, &m.region_at),
-        None => (&[], &[]),
-    };
+    let regions = &prepared.regions[..];
+    let region_at = &prepared.region_at[..];
 
     let mut pc = 0usize;
     let mut sp = 0usize;
@@ -422,42 +335,40 @@ pub(crate) fn run_vm<const TIER2: bool>(
         }};
     }
     loop {
-        if TIER2 {
-            let ri = region_at[pc];
-            if ri != NO_REGION {
-                let region = &regions[ri as usize];
-                let nl = region.n_locals as usize;
-                let mut st = VmState {
-                    pc,
-                    sp,
-                    max_sp,
-                    instr,
-                    out_cells,
-                };
-                let entered = region.run(
-                    inputs,
-                    policy,
-                    stack,
-                    &mut locals[lb..lb + nl],
-                    outputs,
-                    regs,
-                    &mut st,
-                    fallbacks,
-                )?;
-                pc = st.pc;
-                sp = st.sp;
-                max_sp = st.max_sp;
-                instr = st.instr;
-                out_cells = st.out_cells;
-                if entered {
-                    // Resumed at an exit target, or back at the head after
-                    // a fallback (where the re-probe fails fast and the
-                    // precise path below takes over).
-                    continue;
-                }
-                // Preconditions refused entry: execute the head op (and
-                // everything after it) in precise stack form.
+        let ri = region_at[pc];
+        if ri != NO_REGION {
+            let region = &regions[ri as usize];
+            let nl = region.n_locals as usize;
+            let mut st = VmState {
+                pc,
+                sp,
+                max_sp,
+                instr,
+                out_cells,
+            };
+            let entered = region.run(
+                inputs,
+                policy,
+                stack,
+                &mut locals[lb..lb + nl],
+                outputs,
+                regs,
+                &mut st,
+                fallbacks,
+            )?;
+            pc = st.pc;
+            sp = st.sp;
+            max_sp = st.max_sp;
+            instr = st.instr;
+            out_cells = st.out_cells;
+            if entered {
+                // Resumed at an exit target, or back at the head after
+                // a fallback (where the re-probe fails fast and the
+                // precise path below takes over).
+                continue;
             }
+            // Preconditions refused entry: execute the head op (and
+            // everything after it) in precise stack form.
         }
         // Every dispatched op retires exactly one source instruction, and
         // the reference interpreter checks the budget before each.
@@ -683,7 +594,9 @@ impl LoopRegion {
     /// the caller steps precisely), `Ok(true)` after an exit or a
     /// mid-flight fallback (state synced; `st.pc` names the resume point),
     /// and `Err` for data-dependent faults, which discard stats exactly as
-    /// the stack tiers do.
+    /// the stack form does. Kept out of line: inlined, it slows the
+    /// dispatch loop that runs straight-line code.
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -1036,6 +949,11 @@ impl LoopRegion {
             }
             iters += 1;
         }
+    }
+
+    /// How many ops of one full iteration go through `run`'s dispatch loop.
+    pub(crate) fn dispatched_ops(&self) -> usize {
+        self.body().len()
     }
 
     /// The ops `run` sends through its dispatch loop: all but a leading
@@ -1846,7 +1764,7 @@ mod tests {
 
     fn agree(m: &Module, inputs: &[&[f64]], policy: &SandboxPolicy) {
         let legacy = execute(m, inputs, policy);
-        let t2 = Tier2Module::prepare(m).expect("verifies");
+        let t2 = PreparedModule::prepare(m).expect("verifies");
         let mut ctx = ExecContext::new();
         // Twice, to cover context reuse.
         for round in 0..2 {
@@ -1857,7 +1775,7 @@ mod tests {
 
     #[test]
     fn doubler_loop_translates_to_one_region() {
-        let t2 = Tier2Module::prepare(&doubler()).unwrap();
+        let t2 = PreparedModule::prepare(&doubler()).unwrap();
         assert_eq!(t2.regions_translated(), 1);
         let r = &t2.regions[0];
         assert_eq!(r.full_cost, 14); // ops 4..=17
@@ -1902,7 +1820,7 @@ mod tests {
     #[test]
     fn fallback_counter_counts_abandonments() {
         let input = [1.0, 2.0, 3.0];
-        let t2 = Tier2Module::prepare(&doubler()).unwrap();
+        let t2 = PreparedModule::prepare(&doubler()).unwrap();
         let mut ctx = ExecContext::new();
         // Pre-loop costs 4 instructions, each iteration 14: a budget of 20
         // admits exactly one register-form iteration, then falls back.
@@ -1947,7 +1865,7 @@ mod tests {
             0,
             1,
         );
-        let t2 = Tier2Module::prepare(&m).unwrap();
+        let t2 = PreparedModule::prepare(&m).unwrap();
         assert_eq!(t2.regions_translated(), 1);
         agree(&m, &[], &SandboxPolicy::standard());
     }
@@ -1976,7 +1894,7 @@ mod tests {
             0,
             0,
         );
-        let t2 = Tier2Module::prepare(&m).unwrap();
+        let t2 = PreparedModule::prepare(&m).unwrap();
         assert_eq!(t2.regions_translated(), 0);
         agree(&m, &[], &SandboxPolicy::standard());
     }
@@ -1999,8 +1917,8 @@ mod tests {
             0,
         );
         // Without the counter decrement the loop would spin forever; keep
-        // the budget small so both tiers trip it identically.
-        let t2 = Tier2Module::prepare(&m).unwrap();
+        // the budget small so both paths trip it identically.
+        let t2 = PreparedModule::prepare(&m).unwrap();
         assert_eq!(t2.regions_translated(), 0);
         let policy = SandboxPolicy {
             max_instructions: 100,
@@ -2038,7 +1956,7 @@ mod tests {
             0,
             1,
         );
-        let t2 = Tier2Module::prepare(&m).unwrap();
+        let t2 = PreparedModule::prepare(&m).unwrap();
         assert_eq!(t2.regions_translated(), 1);
         let mut ctx = ExecContext::new();
         let (out, _) = t2
@@ -2062,7 +1980,7 @@ mod dump {
         for name in ["sph_kernel", "matched_filter", "lagged_autocorr"] {
             let path = format!("{}/tests/corpus/{name}.tvm", env!("CARGO_MANIFEST_DIR"));
             let m = assemble(&std::fs::read_to_string(path).unwrap()).unwrap();
-            let t2 = Tier2Module::prepare(&m).unwrap();
+            let t2 = PreparedModule::prepare(&m).unwrap();
             println!("=== {name}: {} regions", t2.regions.len());
             for r in &t2.regions {
                 println!(

@@ -2,16 +2,15 @@
 //! are chosen to stress tier-2 region translation — zero-trip loops,
 //! bodies with varying stack depth, back-edges straddling region
 //! boundaries, deep nested calls, value-numbering traps — plus the three
-//! bench kernels. Every
-//! program runs under the reference interpreter (`execute`), Prepared,
-//! and Tier2 across a policy matrix and must agree bit for bit on
-//! outputs, `ExecStats`, and typed errors.
+//! bench kernels. Every program runs as a `PreparedModule` and under the
+//! reference interpreter (`execute`) across a policy matrix, and the two
+//! must agree bit for bit on outputs, `ExecStats`, and typed errors.
 //!
 //! To add an entry: drop a `.tvm` file in `tests/corpus/` (leading `;`
 //! comment explaining what it stresses) — the runner picks it up by glob.
 
 use tvm::asm::assemble;
-use tvm::{execute, ExecContext, Module, PreparedModule, SandboxPolicy, Tier2Module, TvmError};
+use tvm::{execute, ExecContext, Module, PreparedModule, SandboxPolicy, TvmError};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -73,25 +72,27 @@ fn errs_eq(a: &TvmError, b: &TvmError) -> bool {
     }
 }
 
-/// Three-way agreement for one (module, inputs, policy) cell.
-fn assert_tiers_agree(name: &str, module: &Module, inputs: &[&[f64]], policy: &SandboxPolicy) {
-    let legacy = execute(module, inputs, policy);
+/// Agreement with the reference interpreter for one (module, inputs,
+/// policy) cell, twice through one context to cover its reuse.
+fn assert_matches_reference(
+    name: &str,
+    module: &Module,
+    inputs: &[&[f64]],
+    policy: &SandboxPolicy,
+) {
+    let reference = execute(module, inputs, policy);
     let prepared = PreparedModule::prepare(module).expect("corpus modules verify");
-    let tier2 = Tier2Module::prepare(module).expect("corpus modules verify");
     let mut ctx = ExecContext::new();
-    let runs = [
-        ("prepared", prepared.execute(inputs, policy, &mut ctx)),
-        ("tier2", tier2.execute(inputs, policy, &mut ctx)),
-    ];
-    for (tier, fast) in &runs {
-        let same = match (&legacy, fast) {
+    for round in 0..2 {
+        let fast = prepared.execute(inputs, policy, &mut ctx);
+        let same = match (&reference, &fast) {
             (Ok((lo, ls)), Ok((fo, fs))) => bits(lo) == bits(fo) && ls == fs,
             (Err(a), Err(b)) => errs_eq(a, b),
             _ => false,
         };
         assert!(
             same,
-            "{name} under {policy:?} diverged:\n  legacy = {legacy:?}\n  {tier} = {fast:?}"
+            "{name} under {policy:?} diverged in round {round}:\n  reference = {reference:?}\n  prepared = {fast:?}"
         );
     }
 }
@@ -131,13 +132,13 @@ fn policy_matrix() -> Vec<SandboxPolicy> {
 
 /// Every corpus entry, against every policy cell, at several input sizes.
 #[test]
-fn corpus_tiers_agree_across_policy_matrix() {
+fn corpus_matches_reference_across_policy_matrix() {
     for (name, module) in load_corpus() {
         for len in [0usize, 1, 5, 16] {
             let buffers = inputs_for(&module, len);
             let slices: Vec<&[f64]> = buffers.iter().map(Vec::as_slice).collect();
             for policy in policy_matrix() {
-                assert_tiers_agree(&name, &module, &slices, &policy);
+                assert_matches_reference(&name, &module, &slices, &policy);
             }
         }
     }
@@ -151,8 +152,8 @@ fn corpus_covers_translated_and_refused_regions() {
     let mut translated = Vec::new();
     let mut refused = Vec::new();
     for (name, module) in load_corpus() {
-        let tier2 = Tier2Module::prepare(&module).expect("corpus modules verify");
-        if tier2.regions_translated() > 0 {
+        let prepared = PreparedModule::prepare(&module).expect("corpus modules verify");
+        if prepared.regions_translated() > 0 {
             translated.push(name);
         } else {
             refused.push(name);
@@ -179,11 +180,11 @@ fn corpus_translation_outcomes_are_pinned() {
     let outcomes: Vec<(String, usize, Vec<usize>)> = load_corpus()
         .iter()
         .map(|(name, module)| {
-            let tier2 = Tier2Module::prepare(module).expect("corpus modules verify");
+            let prepared = PreparedModule::prepare(module).expect("corpus modules verify");
             (
                 name.clone(),
-                tier2.regions_translated(),
-                tier2.dispatched_ops_per_iteration(),
+                prepared.regions_translated(),
+                prepared.dispatched_ops_per_iteration(),
             )
         })
         .collect();

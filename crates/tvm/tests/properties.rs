@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 use tvm::asm::assemble;
-use tvm::{
-    execute, ExecContext, Function, Module, Op, PreparedModule, SandboxPolicy, Tier2Module,
-    TvmError,
-};
+use tvm::{execute, ExecContext, Function, Module, Op, PreparedModule, SandboxPolicy, TvmError};
 
 /// Arbitrary (possibly invalid) instruction.
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -171,37 +168,28 @@ fn errs_eq(a: &TvmError, b: &TvmError) -> bool {
     }
 }
 
-/// Run every tier (each twice, to also exercise context reuse) and
-/// describe the first divergence from legacy, if any. The N-way barrage:
-/// Legacy is ground truth; Prepared and Tier2 must reproduce its outputs
-/// bit for bit, its `ExecStats`, and its typed errors.
+/// Run the prepared module (twice, to also exercise context reuse) and
+/// describe the first divergence from the reference interpreter, if any.
+/// The reference is ground truth: the prepared module must reproduce its
+/// outputs bit for bit, its `ExecStats`, and its typed errors.
 fn equiv_failure(module: &Module, inputs: &[&[f64]], policy: &SandboxPolicy) -> Option<String> {
-    let legacy = execute(module, inputs, policy);
+    let reference = execute(module, inputs, policy);
     let prepared = match PreparedModule::prepare(module) {
         Ok(p) => p,
         Err(e) => return Some(format!("prepare rejected a verified module: {e}")),
     };
-    let tier2 = match Tier2Module::prepare(module) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("tier2 prepare rejected a verified module: {e}")),
-    };
     let mut ctx = ExecContext::new();
     for round in 0..2 {
-        let runs = [
-            ("prepared", prepared.execute(inputs, policy, &mut ctx)),
-            ("tier2", tier2.execute(inputs, policy, &mut ctx)),
-        ];
-        for (tier, fast) in &runs {
-            let same = match (&legacy, fast) {
-                (Ok((lo, ls)), Ok((fo, fs))) => bits(lo) == bits(fo) && ls == fs,
-                (Err(a), Err(b)) => errs_eq(a, b),
-                _ => false,
-            };
-            if !same {
-                return Some(format!(
-                    "round {round} diverged:\n  legacy = {legacy:?}\n  {tier} = {fast:?}"
-                ));
-            }
+        let fast = prepared.execute(inputs, policy, &mut ctx);
+        let same = match (&reference, &fast) {
+            (Ok((lo, ls)), Ok((fo, fs))) => bits(lo) == bits(fo) && ls == fs,
+            (Err(a), Err(b)) => errs_eq(a, b),
+            _ => false,
+        };
+        if !same {
+            return Some(format!(
+                "round {round} diverged:\n  reference = {reference:?}\n  prepared = {fast:?}"
+            ));
         }
     }
     None
@@ -629,12 +617,12 @@ fn arb_loop_modules() -> impl Strategy<Value = Vec<Module>> {
 }
 
 proptest! {
-    /// Tier barrage over loop-shaped modules: counted loops with
+    /// Barrage over loop-shaped modules: counted loops with
     /// arbitrary straight-line bodies, run under the standard policy.
     /// This is the generator most likely to admit a translated region, so
     /// every fused superinstruction path gets differential coverage.
     #[test]
-    fn tier_barrage_on_loop_shaped_modules(
+    fn loop_barrage_matches_reference(
         modules in arb_loop_modules(),
         lens in proptest::collection::vec(0usize..12, 3..4),
         seed in 0u64..1000,
@@ -660,7 +648,7 @@ proptest! {
     /// running in register form (bulk-charged iterations plus a precise
     /// fallback) or stepping op by op.
     #[test]
-    fn tier_barrage_on_loops_under_tight_policies(
+    fn loop_barrage_matches_reference_under_tight_policies(
         modules in arb_loop_modules(),
         max_instructions in 1u64..400,
         max_stack in 1usize..12,
@@ -681,12 +669,12 @@ proptest! {
         }
     }
 
-    /// Verification is tier-independent: for raw (unsanitized) op streams,
-    /// the standalone verifier, `PreparedModule::prepare`, and
-    /// `Tier2Module::prepare` accept or reject in lockstep, with the same
-    /// typed error.
+    /// Preparation rejects exactly what the verifier rejects: for raw
+    /// (unsanitized) op streams, the standalone verifier and
+    /// `PreparedModule::prepare` accept or reject in lockstep, with the
+    /// same typed error.
     #[test]
-    fn tiers_agree_on_verification_rejection(
+    fn prepare_agrees_with_the_verifier(
         bodies in proptest::collection::vec(
             proptest::collection::vec(arb_full_op(), 1..30), 1..3),
     ) {
@@ -708,22 +696,12 @@ proptest! {
         };
         let verdict = tvm::verify::verify(&module);
         let prepared = PreparedModule::prepare(&module);
-        let tier2 = Tier2Module::prepare(&module);
         match verdict {
-            Ok(()) => {
-                prop_assert!(prepared.is_ok(), "prepared rejected a verified module");
-                prop_assert!(tier2.is_ok(), "tier2 rejected a verified module");
-            }
-            Err(e) => {
-                let want = format!("{e:?}");
-                match (&prepared, &tier2) {
-                    (Err(pe), Err(te)) => {
-                        prop_assert_eq!(format!("{:?}", pe), want.clone());
-                        prop_assert_eq!(format!("{:?}", te), want);
-                    }
-                    _ => prop_assert!(false, "a tier accepted a rejected module"),
-                }
-            }
+            Ok(()) => prop_assert!(prepared.is_ok(), "prepare rejected a verified module"),
+            Err(e) => match &prepared {
+                Err(pe) => prop_assert_eq!(format!("{:?}", pe), format!("{e:?}")),
+                Ok(_) => prop_assert!(false, "prepare accepted a rejected module"),
+            },
         }
     }
 }

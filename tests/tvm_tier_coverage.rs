@@ -11,8 +11,7 @@
 //! that function.
 
 use consumer_grid::tvm::asm::assemble;
-use consumer_grid::tvm::tier::admit;
-use consumer_grid::tvm::{ExecContext, Module, Op, SandboxPolicy, TierPolicy, TvmError};
+use consumer_grid::tvm::{ExecContext, Module, Op, PreparedModule, SandboxPolicy, TvmError};
 use std::path::{Path, PathBuf};
 
 fn repo() -> &'static Path {
@@ -168,10 +167,10 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
     let mut with_loops = 0;
     for (origin, module) in &modules {
         let loops = back_edges(module);
-        let tier =
-            admit(&module.to_blob(), TierPolicy::Auto).unwrap_or_else(|e| panic!("{origin}: {e}"));
+        let prepared = PreparedModule::from_blob(&module.to_blob())
+            .unwrap_or_else(|e| panic!("{origin}: {e}"));
         assert_eq!(
-            tier.regions_translated(),
+            prepared.regions_translated(),
             loops - refused_by_design(origin),
             "{origin}: tier 2 refused a loop; it would run unfused on the stack form"
         );
@@ -184,7 +183,7 @@ fn every_shipped_kernel_runs_its_loops_in_register_regions() {
             })
             .collect();
         let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        match tier.execute(&slices, &policy, &mut ctx) {
+        match prepared.execute(&slices, &policy, &mut ctx) {
             Ok(_) => assert_eq!(
                 ctx.tier2_fallbacks(),
                 0,

@@ -1,7 +1,7 @@
 //! The hot loops that claim to be allocation-free in steady state, checked
-//! with a counting global allocator: the netsim pop/push churn, the tier-2
-//! exec loop of the three bench-shaped kernels, pooled wire encoding, and
-//! `obs` handle bumps.
+//! with a counting global allocator: the netsim pop/push churn, the TVM
+//! exec loop on the three bench-shaped kernels and on a four-deep call
+//! chain, pooled wire encoding, and `obs` handle bumps.
 //!
 //! Claims like these rot silently: one innocent `clone()` added two layers
 //! down re-introduces a per-event allocation and nothing else fails. Each
@@ -19,7 +19,7 @@ use consumer_grid::netsim::{EventQueue, Pcg32, SimTime};
 use consumer_grid::obs::Obs;
 use consumer_grid::p2p::{self, LookupId, Message, PeerId};
 use consumer_grid::tvm::asm::assemble;
-use consumer_grid::tvm::{ExecContext, SandboxPolicy, Tier2Module};
+use consumer_grid::tvm::{ExecContext, PreparedModule, SandboxPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -97,18 +97,18 @@ fn event_queue_churn_allocates_nothing() {
     assert_eq!(allocations(|| churn(50_000)), 0, "queue pop/push allocated");
 }
 
-/// `kernel` from the TVM corpus through the tier-2 exec loop with a reused
-/// context and the stats-only entry point.
-fn tier2_exec_allocations(kernel: &str, ports: usize) {
+/// `kernel` from the TVM corpus through the exec loop, register regions
+/// included, with a reused context and the stats-only entry point.
+fn prepared_exec_allocations(kernel: &str, ports: usize) {
     let path = format!(
         "{}/crates/tvm/tests/corpus/{kernel}.tvm",
         env!("CARGO_MANIFEST_DIR")
     );
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let tier2 =
-        Tier2Module::prepare(&assemble(&src).expect("kernel assembles")).expect("kernel verifies");
+    let prepared = PreparedModule::prepare(&assemble(&src).expect("kernel assembles"))
+        .expect("kernel verifies");
     assert!(
-        tier2.regions_translated() > 0,
+        prepared.regions_translated() > 0,
         "{kernel}: no register region"
     );
     let mut rng = Pcg32::new(0x9E4F, 0x03);
@@ -118,28 +118,35 @@ fn tier2_exec_allocations(kernel: &str, ports: usize) {
     let inputs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
     let policy = SandboxPolicy::standard();
     let mut ctx = ExecContext::new();
-    tier2.run(&inputs, &policy, &mut ctx).expect("warm-up runs");
+    prepared.run(&inputs, &policy, &mut ctx).expect("warm-up runs");
     let n = allocations(|| {
         for _ in 0..8 {
-            tier2.run(&inputs, &policy, &mut ctx).expect("runs");
+            prepared.run(&inputs, &policy, &mut ctx).expect("runs");
         }
     });
-    assert_eq!(n, 0, "{kernel}: tier-2 exec loop allocated");
+    assert_eq!(n, 0, "{kernel}: exec loop allocated");
 }
 
 #[test]
 fn sph_kernel_exec_allocates_nothing() {
-    tier2_exec_allocations("sph_kernel", 1);
+    prepared_exec_allocations("sph_kernel", 1);
 }
 
 #[test]
 fn matched_filter_exec_allocates_nothing() {
-    tier2_exec_allocations("matched_filter", 2);
+    prepared_exec_allocations("matched_filter", 2);
 }
 
 #[test]
 fn lagged_autocorr_exec_allocates_nothing() {
-    tier2_exec_allocations("lagged_autocorr", 1);
+    prepared_exec_allocations("lagged_autocorr", 1);
+}
+
+/// `Call` and `Ret` four frames deep: callee locals come from the
+/// context's arena, never a fresh `Vec`.
+#[test]
+fn deep_nested_calls_exec_allocates_nothing() {
+    prepared_exec_allocations("deep_nested_calls", 1);
 }
 
 /// A routing reply through the thread-local scratch pool.
