@@ -107,7 +107,13 @@ pub struct CacheStats {
 /// a fresh world pays its own admissions — and never evicts: it holds one
 /// entry per distinct blob the world's library ever served.
 #[derive(Clone, Default)]
-pub(crate) struct AdmissionMemo(Arc<Mutex<Vec<(ModuleBlob, Arc<PreparedModule>)>>>);
+pub(crate) struct AdmissionMemo(Arc<Mutex<Vec<Admitted>>>);
+
+/// One successful admission: the blob and what it became.
+struct Admitted {
+    blob: ModuleBlob,
+    prepared: Arc<PreparedModule>,
+}
 
 impl AdmissionMemo {
     fn admit(&self, blob: &ModuleBlob) -> Result<Arc<PreparedModule>, PrepareError> {
@@ -119,12 +125,15 @@ impl AdmissionMemo {
         // hash comes first so bytes are only compared on the match.
         let known = memo
             .iter()
-            .find(|(b, _)| b.hash == blob.hash && b.bytes == blob.bytes);
-        if let Some((_, prepared)) = known {
-            return Ok(Arc::clone(prepared));
+            .find(|a| a.blob.hash == blob.hash && a.blob.bytes == blob.bytes);
+        if let Some(a) = known {
+            return Ok(Arc::clone(&a.prepared));
         }
         let prepared = Arc::new(PreparedModule::from_blob(blob)?);
-        memo.push((blob.clone(), Arc::clone(&prepared)));
+        memo.push(Admitted {
+            blob: blob.clone(),
+            prepared: Arc::clone(&prepared),
+        });
         Ok(prepared)
     }
 }

@@ -49,7 +49,10 @@ pub fn register_tvm_module(
 ) -> Result<(), UnitError> {
     let prepared = admit_blob(blob)?;
     registry.register(name, move |_p| {
-        Ok(Box::new(TvmUnit::from_prepared(Arc::clone(&prepared), policy)))
+        Ok(Box::new(TvmUnit::from_prepared(
+            Arc::clone(&prepared),
+            policy,
+        )))
     });
     Ok(())
 }
@@ -236,7 +239,11 @@ end:
         let admitted = cache.get_prepared(&key).expect("admitted at insertion");
         let u = TvmUnit::from_prepared(Arc::clone(&admitted), SandboxPolicy::standard());
         assert!(Arc::ptr_eq(u.prepared(), &admitted));
-        assert_eq!(u.prepared().regions_translated(), 1, "the scaler loop translates");
+        assert_eq!(
+            u.prepared().regions_translated(),
+            1,
+            "the scaler loop translates"
+        );
     }
 
     #[test]

@@ -172,7 +172,10 @@ pub(crate) enum PInst {
     Jmp(u32),
     Jz(u32),
     Jnz(u32),
-    Call { entry: u32, n_locals: u16 },
+    Call {
+        entry: u32,
+        n_locals: u16,
+    },
     Ret,
     Halt,
     InLen(u8),
@@ -181,6 +184,9 @@ pub(crate) enum PInst {
     OutSet(u8),
     OutLen(u8),
     HostIo,
+    /// Head of register region `n`: run the region, or the head's own op
+    /// when the region refuses entry.
+    Region(u16),
 }
 
 /// Why a blob could not be prepared.
@@ -223,8 +229,6 @@ pub struct PreparedModule {
     source_hash: u64,
     /// Register-translated hot loops, in head order.
     pub(crate) regions: Vec<LoopRegion>,
-    /// Flat pc → region index (`tier2::NO_REGION` almost everywhere).
-    pub(crate) region_at: Vec<u16>,
 }
 
 impl PreparedModule {
@@ -252,7 +256,7 @@ impl PreparedModule {
                 other => translate(other),
             }));
         }
-        let (regions, region_at) = crate::tier2::translate_loops(module, &bases, code.len());
+        let regions = crate::tier2::translate_loops(module, &bases, &mut code);
         Ok(PreparedModule {
             name: module.name.clone(),
             version: module.version,
@@ -262,7 +266,6 @@ impl PreparedModule {
             code,
             source_hash: crate::fnv1a64(&module.to_blob().bytes),
             regions,
-            region_at,
         })
     }
 
@@ -322,7 +325,10 @@ impl PreparedModule {
     /// timing.
     #[doc(hidden)]
     pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
-        self.regions.iter().map(LoopRegion::dispatched_ops).collect()
+        self.regions
+            .iter()
+            .map(LoopRegion::dispatched_ops)
+            .collect()
     }
 
     /// Execute and return owned outputs, mirroring [`crate::execute`]'s

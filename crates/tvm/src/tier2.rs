@@ -5,10 +5,11 @@
 //!
 //! 1. **The dispatch loop** (`run_vm`): a dense-dispatch loop over the
 //!    1:1 flattened code in which every dispatched op retires exactly one
-//!    source instruction. Before each dispatch it probes the module's
-//!    region table; a hit diverts a hot loop into register form. Region
-//!    runs stay out of line, so straight-line code pays one table load and
-//!    compare per op and nothing else.
+//!    source instruction. A translated loop's head op is replaced in the
+//!    flat code by `PInst::Region`, whose arm diverts the loop into
+//!    register form. So finding a region costs one more arm of the same
+//!    match, and the region run itself stays out of line: straight-line
+//!    code pays for neither.
 //! 2. **The region pipeline** (`translate_loops`): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
 //!    and translate their stack traffic — from the *source* ops — into a
@@ -47,8 +48,6 @@ use crate::sandbox::SandboxPolicy;
 const MAX_REGION_OPS: usize = 128;
 /// Virtual-register frame cap (locals + constants + temporaries).
 const MAX_REGION_REGS: usize = 4096;
-/// `region_at` sentinel: no region starts at this flat pc.
-const NO_REGION: u16 = u16::MAX;
 /// [`RegOp::Bin2`] operand sentinel: "the result of the first binop".
 const SELF_OPERAND: u16 = u16::MAX;
 /// [`RegOp::InGetBin3`] operand sentinel: "the value the fused `InGet`
@@ -229,6 +228,9 @@ struct RegionExit {
 pub(crate) struct LoopRegion {
     /// Flat pc of the loop head (region entry — the only way in).
     head_flat: u32,
+    /// The head's own op, which `PInst::Region` displaces in the flat
+    /// code (set by `translate_loops`).
+    head: PInst,
     /// Locals of the enclosing function, mirrored in registers `[0, n)`.
     n_locals: u16,
     /// Total virtual registers (locals + constants + temporaries).
@@ -245,25 +247,24 @@ pub(crate) struct LoopRegion {
 }
 
 /// Detect and translate the hot loops of every function of `module`,
-/// whose function `f` starts at flat pc `bases[f]`. Returns the regions in
-/// head order and the flat pc → region index table (`code_len` entries,
-/// [`NO_REGION`] almost everywhere).
+/// whose function `f` starts at flat pc `bases[f]` of `code`. Returns the
+/// regions in head order; `PInst::Region(i)` takes the place of region
+/// `i`'s head op in `code`, and the region keeps that op.
 pub(crate) fn translate_loops(
     module: &Module,
     bases: &[u32],
-    code_len: usize,
-) -> (Vec<LoopRegion>, Vec<u16>) {
+    code: &mut [PInst],
+) -> Vec<LoopRegion> {
     let mut regions: Vec<LoopRegion> = Vec::new();
     for (f, &fbase) in module.functions.iter().zip(bases) {
         regions.extend(detect_function_regions(&f.code, f.n_locals, fbase));
     }
-    regions.truncate(NO_REGION as usize - 1);
+    regions.truncate(usize::from(u16::MAX));
     regions.sort_by_key(|r| r.head_flat);
-    let mut region_at = vec![NO_REGION; code_len];
-    for (i, r) in regions.iter().enumerate() {
-        region_at[r.head_flat as usize] = i as u16;
+    for (i, r) in regions.iter_mut().enumerate() {
+        r.head = std::mem::replace(&mut code[r.head_flat as usize], PInst::Region(i as u16));
     }
-    (regions, region_at)
+    regions
 }
 
 /// Mutable interpreter state handed to a region run.
@@ -297,7 +298,6 @@ pub(crate) fn run_vm(
     let fallbacks = &mut ctx.tier2_fallbacks;
 
     let regions = &prepared.regions[..];
-    let region_at = &prepared.region_at[..];
 
     let mut pc = 0usize;
     let mut sp = 0usize;
@@ -334,189 +334,198 @@ pub(crate) fn run_vm(
             }
         }};
     }
-    loop {
-        let ri = region_at[pc];
-        if ri != NO_REGION {
-            let region = &regions[ri as usize];
-            let nl = region.n_locals as usize;
-            let mut st = VmState {
-                pc,
-                sp,
-                max_sp,
-                instr,
-                out_cells,
-            };
-            let entered = region.run(
-                inputs,
-                policy,
-                stack,
-                &mut locals[lb..lb + nl],
-                outputs,
-                regs,
-                &mut st,
-                fallbacks,
-            )?;
-            pc = st.pc;
-            sp = st.sp;
-            max_sp = st.max_sp;
-            instr = st.instr;
-            out_cells = st.out_cells;
-            if entered {
-                // Resumed at an exit target, or back at the head after
-                // a fallback (where the re-probe fails fast and the
-                // precise path below takes over).
-                continue;
-            }
-            // Preconditions refused entry: execute the head op (and
-            // everything after it) in precise stack form.
-        }
+    'run: loop {
         // Every dispatched op retires exactly one source instruction, and
-        // the reference interpreter checks the budget before each.
+        // the reference interpreter checks the budget before each. A region
+        // head is no exception: with no budget left its region would
+        // refuse entry, and the head op would trip this same check.
         if instr >= max_instr {
             return Err(TvmError::BudgetExceeded);
         }
         instr += 1;
         // pc is always in range: the verifier guarantees every function
         // ends in a terminator and all jump targets are mapped.
-        let op = code[pc];
+        let mut op = code[pc];
         pc += 1;
-        match op {
-            PInst::Push(x) => pushv!(x),
-            PInst::Pop => {
-                underflow!(1);
-                sp -= 1;
-            }
-            PInst::Dup => {
-                underflow!(1);
-                let a = stack[sp - 1];
-                pushv!(a);
-            }
-            PInst::Swap => {
-                underflow!(2);
-                stack.swap(sp - 1, sp - 2);
-            }
-            PInst::Over => {
-                underflow!(2);
-                let a = stack[sp - 2];
-                pushv!(a);
-            }
-            PInst::Load(i) => {
-                let v = locals[lb + i as usize];
-                pushv!(v);
-            }
-            PInst::Store(i) => {
-                underflow!(1);
-                sp -= 1;
-                locals[lb + i as usize] = stack[sp];
-            }
-            PInst::Bin(op) => {
-                underflow!(2);
-                let b = stack[sp - 1];
-                let a = stack[sp - 2];
-                sp -= 1;
-                stack[sp - 1] = op.eval(a, b);
-            }
-            PInst::Un(op) => {
-                underflow!(1);
-                stack[sp - 1] = op.eval(stack[sp - 1]);
-            }
-            PInst::Jmp(t) => pc = t as usize,
-            PInst::Jz(t) => {
-                underflow!(1);
-                sp -= 1;
-                if stack[sp] == 0.0 {
-                    pc = t as usize;
+        // One pass per op; a second when a region refuses entry and its
+        // head's own op runs instead.
+        loop {
+            match op {
+                PInst::Push(x) => pushv!(x),
+                PInst::Pop => {
+                    underflow!(1);
+                    sp -= 1;
                 }
-            }
-            PInst::Jnz(t) => {
-                underflow!(1);
-                sp -= 1;
-                if stack[sp] != 0.0 {
-                    pc = t as usize;
+                PInst::Dup => {
+                    underflow!(1);
+                    let a = stack[sp - 1];
+                    pushv!(a);
                 }
-            }
-            PInst::Call { entry, n_locals } => {
-                // `frames` holds suspended callers, so depth = len + 1.
-                if frames.len() + 1 >= policy.max_call_depth {
-                    return Err(TvmError::CallDepthExceeded);
+                PInst::Swap => {
+                    underflow!(2);
+                    stack.swap(sp - 1, sp - 2);
                 }
-                frames.push((pc as u32, lb as u32));
-                lb = lt;
-                lt += n_locals as usize;
-                if locals.len() < lt {
-                    locals.resize(lt, 0.0);
-                } else {
-                    locals[lb..lt].fill(0.0);
+                PInst::Over => {
+                    underflow!(2);
+                    let a = stack[sp - 2];
+                    pushv!(a);
                 }
-                pc = entry as usize;
-            }
-            PInst::Ret => match frames.pop() {
-                Some((ret_pc, caller_lb)) => {
-                    lt = lb;
-                    lb = caller_lb as usize;
-                    pc = ret_pc as usize;
+                PInst::Load(i) => {
+                    let v = locals[lb + i as usize];
+                    pushv!(v);
                 }
-                None => break,
-            },
-            PInst::Halt => break,
-            PInst::InLen(p) => pushv!(inputs[p as usize].len() as f64),
-            PInst::InGet(p) => {
-                underflow!(1);
-                let idx = stack[sp - 1];
-                let port = inputs[p as usize];
-                match to_index(idx, port.len()) {
-                    Some(i) => stack[sp - 1] = port[i],
-                    None => {
-                        return Err(TvmError::IndexOutOfBounds {
-                            port: p,
-                            index: idx,
-                        })
+                PInst::Store(i) => {
+                    underflow!(1);
+                    sp -= 1;
+                    locals[lb + i as usize] = stack[sp];
+                }
+                PInst::Bin(op) => {
+                    underflow!(2);
+                    let b = stack[sp - 1];
+                    let a = stack[sp - 2];
+                    sp -= 1;
+                    stack[sp - 1] = op.eval(a, b);
+                }
+                PInst::Un(op) => {
+                    underflow!(1);
+                    stack[sp - 1] = op.eval(stack[sp - 1]);
+                }
+                PInst::Jmp(t) => pc = t as usize,
+                PInst::Jz(t) => {
+                    underflow!(1);
+                    sp -= 1;
+                    if stack[sp] == 0.0 {
+                        pc = t as usize;
                     }
                 }
-            }
-            PInst::OutPush(p) => {
-                underflow!(1);
-                sp -= 1;
-                let v = stack[sp];
-                if out_cells >= policy.max_output_cells {
-                    return Err(TvmError::OutputLimitExceeded);
-                }
-                out_cells += 1;
-                outputs[p as usize].push(v);
-            }
-            PInst::OutSet(p) => {
-                underflow!(2);
-                let v = stack[sp - 1];
-                let idx = stack[sp - 2];
-                sp -= 2;
-                let out = &mut outputs[p as usize];
-                let i = match to_raw_index(idx) {
-                    Some(i) => i,
-                    None => {
-                        return Err(TvmError::IndexOutOfBounds {
-                            port: p,
-                            index: idx,
-                        })
+                PInst::Jnz(t) => {
+                    underflow!(1);
+                    sp -= 1;
+                    if stack[sp] != 0.0 {
+                        pc = t as usize;
                     }
-                };
-                if i >= out.len() {
-                    let grow = i + 1 - out.len();
-                    if out_cells + grow > policy.max_output_cells {
+                }
+                PInst::Call { entry, n_locals } => {
+                    // `frames` holds suspended callers, so depth = len + 1.
+                    if frames.len() + 1 >= policy.max_call_depth {
+                        return Err(TvmError::CallDepthExceeded);
+                    }
+                    frames.push((pc as u32, lb as u32));
+                    lb = lt;
+                    lt += n_locals as usize;
+                    if locals.len() < lt {
+                        locals.resize(lt, 0.0);
+                    } else {
+                        locals[lb..lt].fill(0.0);
+                    }
+                    pc = entry as usize;
+                }
+                PInst::Ret => match frames.pop() {
+                    Some((ret_pc, caller_lb)) => {
+                        lt = lb;
+                        lb = caller_lb as usize;
+                        pc = ret_pc as usize;
+                    }
+                    None => break 'run,
+                },
+                PInst::Halt => break 'run,
+                PInst::InLen(p) => pushv!(inputs[p as usize].len() as f64),
+                PInst::InGet(p) => {
+                    underflow!(1);
+                    let idx = stack[sp - 1];
+                    let port = inputs[p as usize];
+                    match to_index(idx, port.len()) {
+                        Some(i) => stack[sp - 1] = port[i],
+                        None => {
+                            return Err(TvmError::IndexOutOfBounds {
+                                port: p,
+                                index: idx,
+                            })
+                        }
+                    }
+                }
+                PInst::OutPush(p) => {
+                    underflow!(1);
+                    sp -= 1;
+                    let v = stack[sp];
+                    if out_cells >= policy.max_output_cells {
                         return Err(TvmError::OutputLimitExceeded);
                     }
-                    out_cells += grow;
-                    out.resize(i + 1, 0.0);
+                    out_cells += 1;
+                    outputs[p as usize].push(v);
                 }
-                out[i] = v;
-            }
-            PInst::OutLen(p) => pushv!(outputs[p as usize].len() as f64),
-            PInst::HostIo => {
-                if !policy.allow_host_io {
-                    return Err(TvmError::HostIoDenied);
+                PInst::OutSet(p) => {
+                    underflow!(2);
+                    let v = stack[sp - 1];
+                    let idx = stack[sp - 2];
+                    sp -= 2;
+                    let out = &mut outputs[p as usize];
+                    let i = match to_raw_index(idx) {
+                        Some(i) => i,
+                        None => {
+                            return Err(TvmError::IndexOutOfBounds {
+                                port: p,
+                                index: idx,
+                            })
+                        }
+                    };
+                    if i >= out.len() {
+                        let grow = i + 1 - out.len();
+                        if out_cells + grow > policy.max_output_cells {
+                            return Err(TvmError::OutputLimitExceeded);
+                        }
+                        out_cells += grow;
+                        out.resize(i + 1, 0.0);
+                    }
+                    out[i] = v;
                 }
-                underflow!(1);
-                stack[sp - 1] = 0.0; // simulated syscall result
+                PInst::OutLen(p) => pushv!(outputs[p as usize].len() as f64),
+                PInst::HostIo => {
+                    if !policy.allow_host_io {
+                        return Err(TvmError::HostIoDenied);
+                    }
+                    underflow!(1);
+                    stack[sp - 1] = 0.0; // simulated syscall result
+                }
+                PInst::Region(ri) => {
+                    // The region starts at its head, before the head's
+                    // budget charge above.
+                    let region = &regions[ri as usize];
+                    let nl = region.n_locals as usize;
+                    let mut st = VmState {
+                        pc: pc - 1,
+                        sp,
+                        max_sp,
+                        instr: instr - 1,
+                        out_cells,
+                    };
+                    if region.run(
+                        inputs,
+                        policy,
+                        stack,
+                        &mut locals[lb..lb + nl],
+                        outputs,
+                        regs,
+                        &mut st,
+                        fallbacks,
+                    )? {
+                        // Resumed at an exit target, or back at the head
+                        // after a fallback (where the next entry is
+                        // refused and the head op steps precisely).
+                        pc = st.pc;
+                        sp = st.sp;
+                        max_sp = st.max_sp;
+                        instr = st.instr;
+                        out_cells = st.out_cells;
+                        continue 'run;
+                    }
+                    // Entry refused, state untouched: the head's own op
+                    // (and everything after it) steps in stack form.
+                    op = region.head;
+                    continue;
+                }
             }
+            break;
         }
     }
 
@@ -1701,6 +1710,7 @@ fn translate_region(
     let ops = peephole(ops, &t.exits, &|r| t.is_temp(r));
     Some(LoopRegion {
         head_flat: flat_of(h),
+        head: PInst::Halt,
         n_locals,
         n_regs: t.next_reg,
         consts: t.consts,
