@@ -745,7 +745,7 @@ fn host(cpu_ghz: f64) -> HostSpec {
 
 /// A real assembled module blob of roughly `approx` bytes, so corruption
 /// and hash verification run against genuine TVM bytes. Ends in a small
-/// countdown loop so Auto admission produces a tier-2 artifact and the
+/// countdown loop so admission translates a region and the
 /// cache-integrity invariant's re-admission determinism check has
 /// translated regions to bite on.
 fn sized_blob(name: &str, approx: usize) -> tvm::ModuleBlob {
@@ -1200,10 +1200,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_integrity_holds_over_tiers_shared_between_workers() {
-        // The farm's worker caches hand out one admitted tier per blob.
-        // The integrity audit — hash agreement plus tier-2 re-admission —
-        // must read the same on a shared tier as on a private one.
+    fn cache_integrity_holds_over_modules_shared_between_workers() {
+        // The farm's worker caches hand out one admitted module per blob.
+        // The integrity audit — hash agreement plus re-admission — must
+        // read the same on a shared module as on a private one.
         let oracle = FaultOracle::new(3);
         let mut fw = build_farm_world(3, &oracle, false, false);
         for i in 0..N_JOBS {
@@ -1220,7 +1220,7 @@ mod tests {
             &mut fw.ctx,
             &mut violations,
         );
-        let tiers: Vec<_> = (0..fw.farm.n_workers() as u32)
+        let admitted: Vec<_> = (0..fw.farm.n_workers() as u32)
             .filter_map(|w| {
                 fw.farm
                     .worker_cache(WorkerId(w))
@@ -1228,13 +1228,15 @@ mod tests {
             })
             .collect();
         assert!(
-            tiers.len() >= 2,
+            admitted.len() >= 2,
             "the module reached {} caches",
-            tiers.len()
+            admitted.len()
         );
         assert!(
-            tiers.iter().all(|t| std::sync::Arc::ptr_eq(t, tiers[0])),
-            "every cache of one farm holds the same admitted tier"
+            admitted
+                .iter()
+                .all(|p| std::sync::Arc::ptr_eq(p, admitted[0])),
+            "every cache of one farm holds the same admitted module"
         );
         check_cache_integrity(&fw.farm, &fw.world, &mut violations);
         assert!(violations.is_empty(), "{violations:?}");

@@ -118,7 +118,9 @@ fn prepared_exec_allocations(kernel: &str, ports: usize) {
     let inputs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
     let policy = SandboxPolicy::standard();
     let mut ctx = ExecContext::new();
-    prepared.run(&inputs, &policy, &mut ctx).expect("warm-up runs");
+    prepared
+        .run(&inputs, &policy, &mut ctx)
+        .expect("warm-up runs");
     let n = allocations(|| {
         for _ in 0..8 {
             prepared.run(&inputs, &policy, &mut ctx).expect("runs");
