@@ -1774,20 +1774,20 @@ mod tests {
 
     fn agree(m: &Module, inputs: &[&[f64]], policy: &SandboxPolicy) {
         let legacy = execute(m, inputs, policy);
-        let t2 = PreparedModule::prepare(m).expect("verifies");
+        let prepared = PreparedModule::prepare(m).expect("verifies");
         let mut ctx = ExecContext::new();
         // Twice, to cover context reuse.
         for round in 0..2 {
-            let fast = t2.execute(inputs, policy, &mut ctx);
+            let fast = prepared.execute(inputs, policy, &mut ctx);
             assert_eq!(legacy, fast, "round {round}");
         }
     }
 
     #[test]
     fn doubler_loop_translates_to_one_region() {
-        let t2 = PreparedModule::prepare(&doubler()).unwrap();
-        assert_eq!(t2.regions_translated(), 1);
-        let r = &t2.regions[0];
+        let prepared = PreparedModule::prepare(&doubler()).unwrap();
+        assert_eq!(prepared.regions_translated(), 1);
+        let r = &prepared.regions[0];
         assert_eq!(r.full_cost, 14); // ops 4..=17
         assert_eq!(r.peak_full, 2);
         // Head compare exits with an empty symbolic stack.
@@ -1830,7 +1830,7 @@ mod tests {
     #[test]
     fn fallback_counter_counts_abandonments() {
         let input = [1.0, 2.0, 3.0];
-        let t2 = PreparedModule::prepare(&doubler()).unwrap();
+        let prepared = PreparedModule::prepare(&doubler()).unwrap();
         let mut ctx = ExecContext::new();
         // Pre-loop costs 4 instructions, each iteration 14: a budget of 20
         // admits exactly one register-form iteration, then falls back.
@@ -1838,11 +1838,12 @@ mod tests {
             max_instructions: 20,
             ..SandboxPolicy::standard()
         };
-        let err = t2.execute(&[&input], &policy, &mut ctx).unwrap_err();
+        let err = prepared.execute(&[&input], &policy, &mut ctx).unwrap_err();
         assert_eq!(err, TvmError::BudgetExceeded);
         assert_eq!(ctx.tier2_fallbacks(), 1);
         // A comfortable budget never falls back, and the counter resets.
-        t2.execute(&[&input], &SandboxPolicy::standard(), &mut ctx)
+        prepared
+            .execute(&[&input], &SandboxPolicy::standard(), &mut ctx)
             .unwrap();
         assert_eq!(ctx.tier2_fallbacks(), 0);
     }
@@ -1875,8 +1876,8 @@ mod tests {
             0,
             1,
         );
-        let t2 = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(t2.regions_translated(), 1);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        assert_eq!(prepared.regions_translated(), 1);
         agree(&m, &[], &SandboxPolicy::standard());
     }
 
@@ -1904,8 +1905,8 @@ mod tests {
             0,
             0,
         );
-        let t2 = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(t2.regions_translated(), 0);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        assert_eq!(prepared.regions_translated(), 0);
         agree(&m, &[], &SandboxPolicy::standard());
     }
 
@@ -1928,8 +1929,8 @@ mod tests {
         );
         // Without the counter decrement the loop would spin forever; keep
         // the budget small so both paths trip it identically.
-        let t2 = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(t2.regions_translated(), 0);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        assert_eq!(prepared.regions_translated(), 0);
         let policy = SandboxPolicy {
             max_instructions: 100,
             ..SandboxPolicy::standard()
@@ -1966,10 +1967,10 @@ mod tests {
             0,
             1,
         );
-        let t2 = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(t2.regions_translated(), 1);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        assert_eq!(prepared.regions_translated(), 1);
         let mut ctx = ExecContext::new();
-        let (out, _) = t2
+        let (out, _) = prepared
             .execute(&[], &SandboxPolicy::standard(), &mut ctx)
             .unwrap();
         assert_eq!(out, vec![vec![14.0]]);
@@ -1990,9 +1991,9 @@ mod dump {
         for name in ["sph_kernel", "matched_filter", "lagged_autocorr"] {
             let path = format!("{}/tests/corpus/{name}.tvm", env!("CARGO_MANIFEST_DIR"));
             let m = assemble(&std::fs::read_to_string(path).unwrap()).unwrap();
-            let t2 = PreparedModule::prepare(&m).unwrap();
-            println!("=== {name}: {} regions", t2.regions.len());
-            for r in &t2.regions {
+            let prepared = PreparedModule::prepare(&m).unwrap();
+            println!("=== {name}: {} regions", prepared.regions.len());
+            for r in &prepared.regions {
                 println!(
                     "  head={} n_locals={} n_regs={} full_cost={} peak={} consts={:?}",
                     r.head_flat, r.n_locals, r.n_regs, r.full_cost, r.peak_full, r.consts
