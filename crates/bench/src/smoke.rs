@@ -15,6 +15,7 @@ use netsim::{HostSpec, Pcg32, SimTime};
 use obs::Obs;
 use p2p::advert::{AdvertBody, PeerAdvert};
 use p2p::{Advertisement, DiscoveryMode, QueryKind};
+use std::sync::atomic::{AtomicU64, Ordering};
 use toolbox::standard_registry;
 use transport::harness::{demo_module, run_sim, FarmSpec};
 use transport::node::JobSpec as TransportJobSpec;
@@ -295,12 +296,17 @@ fn transport_stage(observer: &Obs) {
     // Durable-restart segment: the same farm runs cold then warm over one
     // set of durable store directories, so `transport.recovered_chunks`
     // lands in the snapshot with a deterministic nonzero value. The
-    // directory paths are process-unique scratch space and never enter
-    // the snapshot; they are removed before and after so repeated
-    // invocations see an identical cold start.
+    // directory paths are unique to this call (two calls in one process
+    // may run at once) and never enter the snapshot; they are removed
+    // before and after so repeated invocations see an identical cold start.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dirs: Vec<std::path::PathBuf> = (0..2)
         .map(|i| {
-            std::env::temp_dir().join(format!("triana-smoke-transport-{}-{i}", std::process::id()))
+            std::env::temp_dir().join(format!(
+                "triana-smoke-transport-{}-{call}-{i}",
+                std::process::id()
+            ))
         })
         .collect();
     for d in &dirs {

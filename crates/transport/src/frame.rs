@@ -9,6 +9,8 @@
 
 use p2p::wire::{Reader, WireError, Writer};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Logical address of a transport endpoint. Stable across backends: the
 /// sim maps it to a `netsim::HostId`, the socket backend to a
@@ -125,6 +127,63 @@ impl From<WireError> for FrameError {
     }
 }
 
+/// A frame's payload bytes: owned, or shared with the copy a channel
+/// keeps for retransmission. Only [`PeerChannel::send_data`] shares one,
+/// so a retransmit is a reference bump instead of a copy; decoded and
+/// control frames stay owned and cost no extra allocation. Compares and
+/// prints as its bytes.
+///
+/// [`PeerChannel::send_data`]: crate::reliab::PeerChannel::send_data
+#[derive(Clone)]
+pub enum Payload {
+    Owned(Vec<u8>),
+    Shared(Arc<Vec<u8>>),
+}
+
+impl Payload {
+    /// Make an owned payload shared, moving (not copying) its buffer, so
+    /// that cloning it from then on bumps a reference count.
+    pub(crate) fn share(&mut self) {
+        if let Payload::Owned(bytes) = self {
+            *self = Payload::Shared(Arc::new(std::mem::take(bytes)));
+        }
+    }
+
+    /// The bytes as a `Vec`: a move when owned or no longer shared, and a
+    /// copy only while another handle still holds the buffer.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Owned(bytes) => bytes,
+            Payload::Shared(bytes) => Arc::try_unwrap(bytes).unwrap_or_else(|b| b.to_vec()),
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Owned(bytes) => bytes,
+            Payload::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One transport frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
@@ -134,7 +193,7 @@ pub struct Frame {
     /// Data: the frame's sequence number. Ack: the acknowledged sequence.
     /// Ping/Pong: a probe nonce echoed back.
     pub seq: u64,
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl Frame {
@@ -144,7 +203,7 @@ impl Frame {
             src,
             dst,
             seq,
-            payload,
+            payload: Payload::Owned(payload),
         }
     }
 
@@ -154,7 +213,7 @@ impl Frame {
             src,
             dst,
             seq,
-            payload: Vec::new(),
+            payload: Payload::Owned(Vec::new()),
         }
     }
 
@@ -224,7 +283,7 @@ impl Frame {
             src,
             dst,
             seq,
-            payload,
+            payload: Payload::Owned(payload),
         })
     }
 }

@@ -81,21 +81,25 @@ fn durable_dir(spec: &FarmSpec, i: usize) -> Option<&std::path::Path> {
     spec.durable_dirs.as_ref().map(|v| v[i].as_path())
 }
 
-fn outcome<T: Transport, U: Transport>(
-    orch: &OrchestratorNode<T>,
-    workers: &[WorkerNode<U>],
+/// The outcome of a finished farm, for both backends: the orchestrator's
+/// results are moved out, and `workers` yields each worker's cache
+/// fingerprint and recovered chunk count in worker order.
+fn outcome<T: Transport>(
+    orch: OrchestratorNode<'_, T>,
+    workers: impl IntoIterator<Item = (Vec<(String, u32, u64)>, u64)>,
 ) -> FarmOutcome {
+    let (results, assignment) = orch.into_results();
     let mut worker_modules = BTreeMap::new();
-    let mut recovered = 0;
-    for (i, w) in workers.iter().enumerate() {
-        worker_modules.insert(worker_endpoint(i), w.cached_modules());
-        recovered += w.recovered_chunks();
+    let mut recovered_chunks = 0;
+    for (i, (modules, recovered)) in workers.into_iter().enumerate() {
+        worker_modules.insert(worker_endpoint(i), modules);
+        recovered_chunks += recovered;
     }
     FarmOutcome {
-        results: orch.results().clone(),
-        assignment: orch.assignment().clone(),
+        results,
+        assignment,
         worker_modules,
-        recovered_chunks: recovered,
+        recovered_chunks,
     }
 }
 
@@ -104,6 +108,12 @@ fn outcome<T: Transport, U: Transport>(
 /// `transport.*` counter values in `observer`.
 pub fn run_sim(spec: &FarmSpec, seed: u64, observer: obs::Obs) -> FarmOutcome {
     let net = SimNet::new(seed);
+    run_sim_on(&net, spec, observer)
+}
+
+/// [`run_sim`] over a given network, whose counters the caller can read
+/// afterwards.
+fn run_sim_on(net: &SimNet, spec: &FarmSpec, observer: obs::Obs) -> FarmOutcome {
     net.set_obs(observer.clone());
     let orch_t = net.add_endpoint(orch_endpoint(), HostSpec::reference_pc());
     let mut workers: Vec<WorkerNode<_>> = (0..spec.n_workers)
@@ -123,7 +133,7 @@ pub fn run_sim(spec: &FarmSpec, seed: u64, observer: obs::Obs) -> FarmOutcome {
         orch_t,
         spec.chunk_bytes,
         spec.modules.clone(),
-        spec.jobs.clone(),
+        &spec.jobs[..],
         spec.n_workers,
         observer,
     );
@@ -150,7 +160,12 @@ pub fn run_sim(spec: &FarmSpec, seed: u64, observer: obs::Obs) -> FarmOutcome {
     }
     assert!(orch.is_done(), "sim farm did not complete all jobs");
     net.publish_arena_stats();
-    outcome(&orch, &workers)
+    outcome(
+        orch,
+        workers
+            .iter()
+            .map(|w| (w.cached_modules(), w.recovered_chunks())),
+    )
 }
 
 /// Run the same farm over real UDP sockets on loopback: the
@@ -231,7 +246,7 @@ pub fn run_sockets(
         orch_t,
         spec.chunk_bytes,
         spec.modules.clone(),
-        spec.jobs.clone(),
+        &spec.jobs[..],
         spec.n_workers,
         observer,
     );
@@ -252,17 +267,48 @@ pub fn run_sockets(
         orch.pump();
         std::thread::sleep(std::time::Duration::from_micros(200));
     }
-    let mut worker_modules = BTreeMap::new();
-    let mut recovered = 0;
-    for (i, h) in handles.into_iter().enumerate() {
-        let (mods, rec) = h.join().expect("worker thread");
-        worker_modules.insert(worker_endpoint(i), mods);
-        recovered += rec;
-    }
-    FarmOutcome {
-        results: orch.results().clone(),
-        assignment: orch.assignment().clone(),
-        worker_modules,
-        recovered_chunks: recovered,
+    outcome(
+        orch,
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread")),
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every payload byte a SimNet farm delivers is copied twice inside
+    /// the transport, encoded onto the wire and decoded off it: a frame's
+    /// retransmit entry shares the sent buffer instead of copying it.
+    #[test]
+    fn a_delivered_payload_byte_is_copied_twice() {
+        let (module, blob) = demo_module("copies", 1, 200);
+        let spec = FarmSpec {
+            chunk_bytes: 256,
+            cache_capacity: 1 << 20,
+            n_workers: 3,
+            modules: vec![(module.clone(), blob)],
+            jobs: (0..12)
+                .map(|i| JobSpec {
+                    module: module.clone(),
+                    input: vec![i as f64; 512],
+                })
+                .collect(),
+            durable_dirs: None,
+        };
+        let net = SimNet::new(5);
+        let outcome = run_sim_on(&net, &spec, obs::Obs::disabled());
+        assert_eq!(outcome.results.len(), 12);
+        let (mut copied, mut delivered) = (0, 0);
+        for ep in 0..=spec.n_workers as u64 {
+            let c = net.counters(Endpoint(ep));
+            assert_eq!(c.retransmits, 0);
+            copied += c.payload_bytes_copied;
+            delivered += c.payload_bytes_delivered;
+        }
+        assert!(delivered > 12 * 512 * 8, "the inputs alone are 48 KiB");
+        assert_eq!(copied, 2 * delivered);
     }
 }

@@ -27,6 +27,22 @@
 //! Durable peer state (write-ahead manifest + hash-verified chunk files)
 //! lives in `store::durable`; the node runtime admits fetched chunks
 //! there so a restarted peer recovers its module cache from disk.
+//!
+//! # Payload ownership along one hop
+//!
+//! A payload is copied four times between two nodes: the proto encode
+//! ([`proto::GridMsg::encode_dispatch`] and
+//! [`proto::GridMsg::encode_job_result`] write from borrowed job inputs
+//! and execution outputs), the wire encode ([`Frame::encode_into`] into a
+//! recycled buffer), the wire decode ([`Frame::decode`] copies out of the
+//! datagram) and the proto decode. Nothing else copies it:
+//! [`PeerChannel::send_data`] shares the data frame's [`frame::Payload`]
+//! with its retransmit entry until the ack, a decoded payload reaches
+//! [`TransportEvent::Delivered`] as the buffer the decoder filled, and
+//! the harness lends its job list to the orchestrator and moves the
+//! results out. [`TransportCounters`] charges the two wire copies, so a
+//! simulated farm reads exactly 2 payload bytes copied per payload byte
+//! delivered.
 
 pub mod frame;
 pub mod harness;
@@ -122,14 +138,22 @@ pub trait Transport {
     fn pending(&self) -> usize;
 }
 
-/// Lifetime counters every backend maintains, mirrored into the shared
-/// obs registry under `transport.*` when an observer is attached.
+/// Lifetime counters every backend maintains. The frame counts are
+/// mirrored into the shared obs registry under `transport.*` when an
+/// observer is attached; the payload byte counts are read here only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     pub frames_sent: u64,
     pub frames_recv: u64,
     pub retransmits: u64,
     pub acks: u64,
+    /// Payload bytes copied by this endpoint's transport: each frame
+    /// encoded onto the wire and each frame decoded off it. Summed over a
+    /// run and divided by `payload_bytes_delivered`, it is the copies a
+    /// delivered byte costs inside the transport.
+    pub payload_bytes_copied: u64,
+    /// Payload bytes delivered to this endpoint's application.
+    pub payload_bytes_delivered: u64,
 }
 
 impl TransportCounters {
@@ -151,6 +175,14 @@ impl TransportCounters {
     pub(crate) fn ack(&mut self, m: &FrameMetrics) {
         self.acks += 1;
         m.acks.incr();
+    }
+
+    pub(crate) fn payload_copied(&mut self, frame: &Frame) {
+        self.payload_bytes_copied += frame.payload.len() as u64;
+    }
+
+    pub(crate) fn payload_delivered(&mut self, payload: &[u8]) {
+        self.payload_bytes_delivered += payload.len() as u64;
     }
 }
 

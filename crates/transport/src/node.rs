@@ -16,6 +16,7 @@ use netsim::SimTime;
 use obs::Counter;
 use p2p::advert::{AdvertBody, BlobAdvert};
 use p2p::{Advertisement, PeerId};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use store::durable::DurableStore;
@@ -72,21 +73,25 @@ impl NodeMetrics {
 // Orchestrator
 // ---------------------------------------------------------------------
 
+/// Completed jobs: job id → (worker, outputs).
+pub type JobResults = BTreeMap<u64, (Endpoint, Vec<Vec<f64>>)>;
+
 /// The farm master: enrols workers, dispatches jobs round-robin, serves
 /// module chunks as the origin provider, and collects results.
-pub struct OrchestratorNode<T> {
+pub struct OrchestratorNode<'a, T> {
     t: T,
     chunk_bytes: u64,
     /// Origin copy of every dispatchable module, seeded into the store.
     store: ChunkStore,
     modules: BTreeMap<u64, ModuleInfo>,
-    jobs: Vec<JobSpec>,
+    /// Borrowed from the caller where it keeps its job list.
+    jobs: Cow<'a, [JobSpec]>,
     expected_workers: usize,
     workers: BTreeSet<Endpoint>,
     /// blob → endpoints known to hold it completely (orchestrator
     /// included implicitly).
     holders: BTreeMap<u64, BTreeSet<Endpoint>>,
-    results: BTreeMap<u64, (Endpoint, Vec<Vec<f64>>)>,
+    results: JobResults,
     assignment: BTreeMap<u64, Endpoint>,
     dispatched: bool,
     done: bool,
@@ -94,15 +99,15 @@ pub struct OrchestratorNode<T> {
     events: Vec<TransportEvent>,
 }
 
-impl<T: Transport> OrchestratorNode<T> {
+impl<'a, T: Transport> OrchestratorNode<'a, T> {
     /// `modules` pairs each dispatchable module's identity with its blob;
     /// blobs are seeded into the orchestrator's chunk store so it is the
-    /// origin provider for every blob.
+    /// origin provider for every blob. `jobs` may be owned or lent.
     pub fn new(
         t: T,
         chunk_bytes: u64,
         modules: Vec<(ModuleInfo, ModuleBlob)>,
-        jobs: Vec<JobSpec>,
+        jobs: impl Into<Cow<'a, [JobSpec]>>,
         expected_workers: usize,
         obs: obs::Obs,
     ) -> Self {
@@ -118,7 +123,7 @@ impl<T: Transport> OrchestratorNode<T> {
             chunk_bytes,
             store,
             modules: index,
-            jobs,
+            jobs: jobs.into(),
             expected_workers,
             workers: BTreeSet::new(),
             holders: BTreeMap::new(),
@@ -140,13 +145,19 @@ impl<T: Transport> OrchestratorNode<T> {
     }
 
     /// Completed jobs: job id → (worker, outputs).
-    pub fn results(&self) -> &BTreeMap<u64, (Endpoint, Vec<Vec<f64>>)> {
+    pub fn results(&self) -> &JobResults {
         &self.results
     }
 
     /// Which worker each job was dispatched to.
     pub fn assignment(&self) -> &BTreeMap<u64, Endpoint> {
         &self.assignment
+    }
+
+    /// The finished farm's results and assignment, moved out rather than
+    /// copied.
+    pub fn into_results(self) -> (JobResults, BTreeMap<u64, Endpoint>) {
+        (self.results, self.assignment)
     }
 
     /// Drive the node: drain transport events and react. Call in a loop.
@@ -599,19 +610,17 @@ impl<T: Transport> WorkerNode<T> {
     /// admission, or a run the sandbox killed, yields no outputs) and send
     /// the `JobResult`.
     fn execute_and_reply(&mut self, job: u64, prepared: Option<&PreparedModule>, input: &[f64]) {
-        let inputs: Vec<&[f64]> = if input.is_empty() {
-            Vec::new()
+        let inputs: &[&[f64]] = if input.is_empty() {
+            &[]
         } else {
-            vec![input]
+            std::slice::from_ref(&input)
         };
-        let outputs = prepared
-            .and_then(|p| {
-                p.execute_obs(&inputs, &self.policy, &mut self.ctx, &self.obs)
-                    .ok()
-            })
-            .map(|(outputs, _stats)| outputs)
-            .unwrap_or_default();
-        let msg = GridMsg::JobResult { job, outputs };
-        let _ = self.t.send(self.orch, msg.encode());
+        let ran = prepared.map(|p| p.run_obs(inputs, &self.policy, &mut self.ctx, &self.obs));
+        let outputs = match ran {
+            Some(Ok(_stats)) => self.ctx.outputs(),
+            _ => &[],
+        };
+        let msg = GridMsg::encode_job_result(job, outputs);
+        let _ = self.t.send(self.orch, msg);
     }
 }

@@ -105,11 +105,24 @@ fn encode_dispatch(w: &mut Writer, job: u64, module: &ModuleInfo, input: &[f64])
     encode_f64s(w, input);
 }
 
+fn encode_job_result(w: &mut Writer, job: u64, outputs: &[Vec<f64>]) {
+    w.u8(TAG_JOB_RESULT);
+    w.u64(job);
+    w.u32(outputs.len() as u32);
+    for o in outputs {
+        encode_f64s(w, o);
+    }
+}
+
 /// Allowance for a message's fixed-width fields when sizing its buffer.
 const FIXED_HINT: usize = 64;
 
 fn dispatch_hint(module: &ModuleInfo, input: &[f64]) -> usize {
     FIXED_HINT + module.name.len() + 8 * input.len()
+}
+
+fn job_result_hint(outputs: &[Vec<f64>]) -> usize {
+    FIXED_HINT + outputs.iter().map(|o| 4 + 8 * o.len()).sum::<usize>()
 }
 
 impl GridMsg {
@@ -120,9 +133,7 @@ impl GridMsg {
         match self {
             GridMsg::Dispatch { module, input, .. } => dispatch_hint(module, input),
             GridMsg::ChunkData { bytes, .. } => FIXED_HINT + bytes.len(),
-            GridMsg::JobResult { outputs, .. } => {
-                FIXED_HINT + outputs.iter().map(|o| 4 + 8 * o.len()).sum::<usize>()
-            }
+            GridMsg::JobResult { outputs, .. } => job_result_hint(outputs),
             _ => FIXED_HINT,
         }
     }
@@ -133,6 +144,15 @@ impl GridMsg {
     pub fn encode_dispatch(job: u64, module: &ModuleInfo, input: &[f64]) -> Vec<u8> {
         let mut w = Writer::over(Vec::with_capacity(dispatch_hint(module, input)));
         encode_dispatch(&mut w, job, module, input);
+        w.into_bytes()
+    }
+
+    /// The bytes of `GridMsg::JobResult { job, outputs }.encode()` from
+    /// borrowed outputs: a worker encodes straight from its execution
+    /// context's output buffers.
+    pub fn encode_job_result(job: u64, outputs: &[Vec<f64>]) -> Vec<u8> {
+        let mut w = Writer::over(Vec::with_capacity(job_result_hint(outputs)));
+        encode_job_result(&mut w, job, outputs);
         w.into_bytes()
     }
 
@@ -188,12 +208,7 @@ impl GridMsg {
                 w.u64(*blob);
             }
             GridMsg::JobResult { job, outputs } => {
-                w.u8(TAG_JOB_RESULT);
-                w.u64(*job);
-                w.u32(outputs.len() as u32);
-                for o in outputs {
-                    encode_f64s(&mut w, o);
-                }
+                encode_job_result(&mut w, *job, outputs);
             }
             GridMsg::Shutdown => {
                 w.u8(TAG_SHUTDOWN);
@@ -328,6 +343,9 @@ mod tests {
     fn every_variant_round_trips() {
         for msg in samples() {
             let bytes = msg.encode();
+            if let GridMsg::JobResult { job, outputs } = &msg {
+                assert_eq!(GridMsg::encode_job_result(*job, outputs), bytes);
+            }
             assert_eq!(GridMsg::decode(&bytes), Ok(msg));
         }
     }

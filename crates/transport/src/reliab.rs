@@ -218,7 +218,9 @@ impl PeerChannel {
     pub fn send_data(&mut self, now: SimTime, payload: Vec<u8>) -> Frame {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let frame = Frame::data(self.local, self.peer, seq, payload);
+        let mut frame = Frame::data(self.local, self.peer, seq, payload);
+        // The retransmit entry and the frame returned share one buffer.
+        frame.payload.share();
         self.unacked.insert(
             seq,
             Pending {
@@ -256,10 +258,10 @@ impl PeerChannel {
                 )));
                 if buffers {
                     self.reorder_bytes += wire_len;
-                    self.reorder.insert(frame.seq, frame.payload);
+                    self.reorder.insert(frame.seq, frame.payload.into_vec());
                 } else if frame.seq == self.recv_next {
                     self.recv_next += 1;
-                    out.push(ChanOut::Deliver(frame.payload));
+                    out.push(ChanOut::Deliver(frame.payload.into_vec()));
                     // Drain the contiguous run behind it.
                     while let Some(payload) = self.reorder.remove(&self.recv_next) {
                         self.recv_next += 1;
@@ -492,6 +494,47 @@ mod tests {
 
     fn ack(of: &Frame) -> Frame {
         Frame::control(FrameKind::Ack, of.dst, of.src, of.seq)
+    }
+
+    #[test]
+    fn a_payload_is_held_once_from_send_to_delivery() {
+        let cfg = ChannelConfig {
+            rto: Duration(100),
+            ..ChannelConfig::sim_default()
+        };
+        let (mut a, mut b) = pair(cfg);
+        let sent = a.send_data(SimTime(0), vec![7; 4096]);
+        let buf = sent.payload.as_ptr();
+        assert_eq!(
+            a.unacked[&0].frame.payload.as_ptr(),
+            buf,
+            "kept, not copied"
+        );
+        let mut out = Vec::new();
+        a.on_tick(SimTime(100), &mut out);
+        match &out[..] {
+            [ChanOut::Retransmit(again)] => assert_eq!(again.payload.as_ptr(), buf),
+            other => panic!("expected one retransmit, got {other:?}"),
+        }
+        out.clear();
+        // The ack drops the kept handle: the sent frame holds the buffer
+        // alone again and gives it up without a copy.
+        a.on_frame(SimTime(150), ack(&sent), &mut out);
+        assert_eq!(a.in_flight(), 0);
+        let wire = sent.encode();
+        let bytes = sent.payload.into_vec();
+        assert_eq!(bytes.as_ptr(), buf);
+        // A decoded frame owns its bytes and hands them on as they are.
+        let decoded = Frame::decode(&wire).expect("own encoding decodes");
+        let wire_copy = decoded.payload.as_ptr();
+        assert_ne!(wire_copy, buf);
+        b.on_frame(SimTime(200), decoded, &mut out);
+        match &out[..] {
+            [ChanOut::Transmit(_), ChanOut::Deliver(got)] => {
+                assert_eq!((got.as_ptr(), got.len()), (wire_copy, 4096));
+            }
+            other => panic!("expected an ack and a delivery, got {other:?}"),
+        }
     }
 
     #[test]

@@ -49,6 +49,9 @@ struct World {
     /// Recycled storage for in-flight encoded frames: in steady state a
     /// frame encodes into a buffer some earlier frame already paid for.
     arena: PayloadArena<Vec<u8>>,
+    /// Scratch for channel outputs, handed back empty after each `apply`
+    /// so a delivered frame, a send or a tick allocates no buffer.
+    outs: Vec<ChanOut>,
     /// For the run-boundary arena counters; per-frame ones use `metrics`.
     obs: obs::Obs,
     metrics: FrameMetrics,
@@ -58,6 +61,7 @@ impl World {
     /// Put an encoded frame on the simulated wire. Loss (offline host,
     /// cut link) is silent here — the reliability layer notices.
     fn transmit(&mut self, frame: &Frame) {
+        let dst_host = self.eps.get(&frame.dst).map(|d| d.host);
         let Some(src) = self.eps.get_mut(&frame.src) else {
             return;
         };
@@ -66,10 +70,10 @@ impl World {
             src.counters.ack(&self.metrics);
         }
         let src_host = src.host;
-        let Some(dst) = self.eps.get(&frame.dst) else {
+        let Some(dst_host) = dst_host else {
             return;
         };
-        let dst_host = dst.host;
+        src.counters.payload_copied(frame);
         let (id, buf) = self.arena.acquire();
         buf.clear();
         frame.encode_into(buf);
@@ -89,10 +93,10 @@ impl World {
         }
     }
 
-    /// Apply channel outputs for endpoint `ep`, given the peer they
-    /// concern.
-    fn apply(&mut self, ep: Endpoint, peer: Endpoint, outs: Vec<ChanOut>) {
-        for out in outs {
+    /// Apply (and drain) channel outputs for endpoint `ep`, given the peer
+    /// they concern.
+    fn apply(&mut self, ep: Endpoint, peer: Endpoint, outs: &mut Vec<ChanOut>) {
+        for out in outs.drain(..) {
             match out {
                 ChanOut::Transmit(f) => self.transmit(&f),
                 ChanOut::Retransmit(f) => {
@@ -103,6 +107,7 @@ impl World {
                 }
                 ChanOut::Deliver(payload) => {
                     if let Some(s) = self.eps.get_mut(&ep) {
+                        s.counters.payload_delivered(&payload);
                         s.inbox.push_back(TransportEvent::Delivered {
                             from: peer,
                             payload,
@@ -152,6 +157,7 @@ impl World {
                     }
                 };
                 s.counters.frame_recv(&self.metrics);
+                s.counters.payload_copied(&frame);
                 let now = self.sim.now();
                 let peer = frame.src;
                 let cfg = self.cfg;
@@ -159,9 +165,10 @@ impl World {
                     .channels
                     .entry(peer)
                     .or_insert_with(|| PeerChannel::new(dst, peer, cfg, now));
-                let mut outs = Vec::new();
+                let mut outs = std::mem::take(&mut self.outs);
                 chan.on_frame(now, frame, &mut outs);
-                self.apply(dst, peer, outs);
+                self.apply(dst, peer, &mut outs);
+                self.outs = outs;
                 self.arm_tick(dst);
             }
             NetEv::Timer { ep, id, token } => {
@@ -180,17 +187,20 @@ impl World {
                 }
                 s.tick_at = None;
                 let now = self.sim.now();
-                let mut all: Vec<(Endpoint, Vec<ChanOut>)> = Vec::new();
-                for (peer, chan) in s.channels.iter_mut() {
-                    let mut outs = Vec::new();
-                    chan.on_tick(now, &mut outs);
-                    if !outs.is_empty() {
-                        all.push((*peer, outs));
+                let mut outs = std::mem::take(&mut self.outs);
+                // One channel at a time in peer order. Applying touches no
+                // channel, so this is ticking them all and then applying.
+                let mut next = s.channels.keys().next().copied();
+                while let Some(peer) = next {
+                    let s = self.eps.get_mut(&ep).expect("ticked endpoint registered");
+                    let mut from = s.channels.range_mut(peer..);
+                    if let Some((_, chan)) = from.next() {
+                        chan.on_tick(now, &mut outs);
                     }
+                    next = from.next().map(|(&p, _)| p);
+                    self.apply(ep, peer, &mut outs);
                 }
-                for (peer, outs) in all {
-                    self.apply(ep, peer, outs);
-                }
+                self.outs = outs;
                 self.arm_tick(ep);
             }
         }
@@ -212,6 +222,7 @@ impl SimNet {
                 eps: BTreeMap::new(),
                 cfg: ChannelConfig::sim_default(),
                 arena: PayloadArena::new(),
+                outs: Vec::new(),
                 obs: obs::Obs::disabled(),
                 metrics: FrameMetrics::default(),
             })),
@@ -328,14 +339,15 @@ impl Transport for SimEndpoint {
         let now = w.sim.now();
         let cfg = w.cfg;
         let ep = self.ep;
+        let mut outs = std::mem::take(&mut w.outs);
         let s = w.eps.get_mut(&ep).expect("own endpoint registered");
         let chan = s
             .channels
             .entry(dst)
             .or_insert_with(|| PeerChannel::new(ep, dst, cfg, now));
-        let mut outs = Vec::new();
         chan.offer(now, payload, &mut outs);
-        w.apply(ep, dst, outs);
+        w.apply(ep, dst, &mut outs);
+        w.outs = outs;
         w.arm_tick(ep);
         Ok(())
     }

@@ -106,6 +106,7 @@ impl SocketTransport {
         if frame.kind == FrameKind::Ack {
             self.counters.ack(&self.metrics);
         }
+        self.counters.payload_copied(frame);
         // UDP send failures (e.g. transient ENOBUFS) are treated as loss:
         // the reliability layer retransmits.
         p2p::wire::with_buf(|buf| {
@@ -122,10 +123,13 @@ impl SocketTransport {
                     self.counters.retransmit(&self.metrics);
                     self.transmit(&f);
                 }
-                ChanOut::Deliver(payload) => self.inbox.push_back(TransportEvent::Delivered {
-                    from: peer,
-                    payload,
-                }),
+                ChanOut::Deliver(payload) => {
+                    self.counters.payload_delivered(&payload);
+                    self.inbox.push_back(TransportEvent::Delivered {
+                        from: peer,
+                        payload,
+                    });
+                }
                 ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
                 ChanOut::Count(why) => self.metrics.dropped(why),
             }
@@ -141,6 +145,7 @@ impl SocketTransport {
                         self.metrics.decode_errors.incr();
                         continue;
                     };
+                    self.counters.payload_copied(&frame);
                     if frame.dst != self.local {
                         continue;
                     }

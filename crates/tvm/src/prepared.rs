@@ -344,9 +344,8 @@ impl PreparedModule {
         Ok((ctx.outputs().to_vec(), stats))
     }
 
-    /// Instrumented variant of [`Self::execute`]; records the same
-    /// `tvm.*` counters as [`crate::execute_obs`], plus
-    /// `tvm.tier2_fallback_exits` when a region fell back.
+    /// Instrumented variant of [`Self::execute`]: [`Self::run_obs`] and a
+    /// copy of the outputs.
     pub fn execute_obs(
         &self,
         inputs: &[&[f64]],
@@ -354,10 +353,23 @@ impl PreparedModule {
         ctx: &mut ExecContext,
         observer: &obs::Obs,
     ) -> Result<(Vec<Vec<f64>>, ExecStats), TvmError> {
-        let result = self.execute(inputs, policy, ctx);
+        let stats = self.run_obs(inputs, policy, ctx, observer)?;
+        Ok((ctx.outputs().to_vec(), stats))
+    }
+
+    /// Instrumented variant of [`Self::run`]; records the same `tvm.*`
+    /// counters as [`crate::execute_obs`], plus `tvm.tier2_fallback_exits`
+    /// when a region fell back. The outputs stay in `ctx`.
+    pub fn run_obs(
+        &self,
+        inputs: &[&[f64]],
+        policy: &SandboxPolicy,
+        ctx: &mut ExecContext,
+        observer: &obs::Obs,
+    ) -> Result<ExecStats, TvmError> {
+        let result = self.run(inputs, policy, ctx);
         if observer.is_enabled() {
-            let slim = result.as_ref().map(|(_, s)| *s).map_err(Clone::clone);
-            crate::interp::record_execution(observer, &slim);
+            crate::interp::record_execution(observer, &result);
             if ctx.tier2_fallbacks() > 0 {
                 observer.add("tvm.tier2_fallback_exits", ctx.tier2_fallbacks());
             }
