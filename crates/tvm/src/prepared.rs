@@ -321,8 +321,9 @@ impl PreparedModule {
 
     /// Per region, in head order: the register ops one full iteration
     /// sends through the dispatch loop (the inlined head exit and
-    /// back-edge excluded). An exact count that tests pin in place of a
-    /// timing.
+    /// back-edge excluded; none for a multiply-accumulate region, which
+    /// runs as one native loop). An exact count that tests pin in place
+    /// of a timing.
     #[doc(hidden)]
     pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
         self.regions
@@ -417,6 +418,8 @@ pub struct ExecContext {
     /// Tier-2 fallback exits (region abandoned for precise stepping) taken
     /// by the most recent run.
     pub(crate) tier2_fallbacks: u64,
+    /// Ops the most recent run sent through a dispatch match.
+    pub(crate) dispatched_ops: u64,
 }
 
 impl ExecContext {
@@ -434,6 +437,15 @@ impl ExecContext {
     /// in favour of precise stack-form stepping.
     pub fn tier2_fallbacks(&self) -> u64 {
         self.tier2_fallbacks
+    }
+
+    /// Ops the most recent run sent through a dispatch match, failed runs
+    /// included: one per stack-form op, and per region iteration its
+    /// [`PreparedModule::dispatched_ops_per_iteration`] entry (0 for a
+    /// multiply-accumulate region). An exact work count charged at region
+    /// exit and run end, never per iteration; not an obs counter.
+    pub fn dispatched_ops(&self) -> u64 {
+        self.dispatched_ops
     }
 
     /// Ready the context for a run: entry locals zeroed, output buffers

@@ -21,7 +21,14 @@
 //!    region executes whole iterations with no per-instruction
 //!    budget/overflow/underflow checks — those are hoisted into two
 //!    head-of-iteration preconditions — and with no operand-stack
-//!    traffic at all.
+//!    traffic at all. The generic region loop runs a leading exit test
+//!    and the back-edge inline and sends the ops between them through
+//!    one `match` per op. A region whose ops are a counted
+//!    multiply-accumulate (`MacLoop`, decided once after `peephole`: the
+//!    inner loops of `matched_filter` and `lagged_autocorr`) runs as one
+//!    native Rust loop instead, with its loop-carried values in locals,
+//!    and dispatches nothing per iteration. `sph_kernel` and every other
+//!    shape stay on the generic loop.
 //!
 //! # Fallback and the metering contract
 //!
@@ -35,7 +42,10 @@
 //! instructions the exited path would have retired, and the stack
 //! high-water mark is reconstructed from the region's translated peak,
 //! so `ExecStats` stay bit-identical to the reference interpreter. The
-//! loop barrage in `tests/properties.rs` and the corpus runner in
+//! ops a run sent through a dispatch `match` are charged the same way, at
+//! region exit and run end, never per iteration
+//! (`ExecContext::dispatched_ops`). The loop and multiply-accumulate
+//! barrages in `tests/properties.rs` and the corpus runner in
 //! `tests/corpus.rs` pin this contract.
 
 use crate::interp::{ExecStats, TvmError};
@@ -244,6 +254,108 @@ pub(crate) struct LoopRegion {
     /// Peak stack growth (relative to entry sp) of a full iteration.
     peak_full: usize,
     exits: Vec<RegionExit>,
+    /// Set when `ops` is a counted multiply-accumulate, which `run`
+    /// executes as one native loop.
+    mac: Option<MacLoop>,
+}
+
+/// A counted multiply-accumulate region, `while x < n { acc += in[x1] *
+/// in[x2]; i += s }`, where `x`, `x1` and `x2` are each `i` or `t = i +
+/// k`: the inner loop of the corpus `matched_filter` and
+/// `lagged_autocorr`, matched on its three register ops by
+/// [`MacLoop::of`] at prepare time. Its registers are pairwise distinct,
+/// so `n`, `k` and `s` hold still for the whole run, and `i`, `acc` and
+/// `t` are the only registers it writes.
+#[derive(Clone, Copy, Debug)]
+struct MacLoop {
+    i: u16,
+    n: u16,
+    acc: u16,
+    s: u16,
+    /// `(t, k)` when the exit test opens with `t = i + k`.
+    lag: Option<(u16, u16)>,
+    /// Which of `i` (false) or `t` (true) the exit test compares with `n`.
+    test_t: bool,
+    port1: u8,
+    idx1_t: bool,
+    port2: u8,
+    idx2_t: bool,
+    /// `acc + p` (true) or `p + acc`: the source's operand order, which
+    /// decides the NaN payload that survives.
+    acc_first: bool,
+    exit: u16,
+}
+
+impl MacLoop {
+    fn of(ops: &[RegOp]) -> Option<MacLoop> {
+        let [RegOp::BinExit {
+            pre,
+            op: BinOp::Lt,
+            a: test,
+            b: n,
+            exit_if_zero: true,
+            exit,
+        }, RegOp::In2Bin2 {
+            port1,
+            idx1,
+            port2,
+            idx2,
+            op1: BinOp::Mul,
+            op2: BinOp::Add,
+            c,
+            d,
+            dst: acc,
+        }, RegOp::BinBack {
+            op: BinOp::Add,
+            dst: i,
+            a: i_read,
+            b: s,
+            cond: CondBack::Always,
+            ..
+        }] = *ops
+        else {
+            return None;
+        };
+        let lag = match pre {
+            None => None,
+            Some((BinOp::Add, t, x, k)) if x == i => Some((t, k)),
+            Some(_) => return None,
+        };
+        // `i` (false) or `t` (true); anything else refuses the shape.
+        let pick = |r: u16| match lag {
+            _ if r == i => Some(false),
+            Some((t, _)) if r == t => Some(true),
+            _ => None,
+        };
+        let acc_first = match (c, d) {
+            (x, SELF_OPERAND) if x == acc => true,
+            (SELF_OPERAND, x) if x == acc => false,
+            _ => return None,
+        };
+        let all = [i, n, acc, s, lag.map_or(i, |l| l.0), lag.map_or(i, |l| l.1)];
+        let named = &all[..if lag.is_some() { 6 } else { 4 }];
+        let distinct = named
+            .iter()
+            .enumerate()
+            .all(|(j, r)| !named[j + 1..].contains(r));
+        if i_read != i || !distinct {
+            return None;
+        }
+        Some(MacLoop {
+            i,
+            n,
+            acc,
+            s,
+            lag,
+            test_t: pick(test)?,
+            port1,
+            idx1_t: pick(idx1)?,
+            port2,
+            idx2_t: pick(idx2)?,
+            acc_first,
+            exit,
+        })
+    }
 }
 
 /// Detect and translate the hot loops of every function of `module`,
@@ -274,12 +386,17 @@ struct VmState {
     max_sp: usize,
     instr: u64,
     out_cells: usize,
+    /// Register ops the region sent through its dispatch match, charged
+    /// on every way out (errors included).
+    dispatched: u64,
 }
 
 /// The dispatch loop. Exact reference-interpreter semantics: one source
 /// instruction per dispatched op, budget check first, then the op's own
-/// checks in `tvm::execute`'s order. Every dispatch first probes the
-/// region table; a hit runs whole loop iterations in register form.
+/// checks in `tvm::execute`'s order. A region head runs whole loop
+/// iterations in register form. On every way out the run charges
+/// `ctx.dispatched_ops`: each stack-form op counts one, and an accepted
+/// region entry counts what its run dispatched in place of the head op.
 pub(crate) fn run_vm(
     prepared: &PreparedModule,
     inputs: &[&[f64]],
@@ -296,6 +413,7 @@ pub(crate) fn run_vm(
     let outputs = &mut ctx.outputs;
     let regs = &mut ctx.regs;
     let fallbacks = &mut ctx.tier2_fallbacks;
+    let dispatched = &mut ctx.dispatched_ops;
 
     let regions = &prepared.regions[..];
 
@@ -307,13 +425,24 @@ pub(crate) fn run_vm(
     let mut lb = 0usize;
     let mut lt = prepared.entry_locals as usize;
     let mut out_cells = 0usize;
+    // Source instructions retired inside regions, and the register ops
+    // their runs dispatched: `instr` less the first is what stepped here.
+    let mut region_retired = 0u64;
+    let mut region_ops = 0u64;
 
+    // Charge the dispatch count, then fail the run.
+    macro_rules! fail {
+        ($e:expr) => {{
+            *dispatched = instr - region_retired + region_ops;
+            return Err($e);
+        }};
+    }
     // Write `v` at `sp` after the overflow check, growing the backing
     // buffer only the first time a depth is reached.
     macro_rules! pushv {
         ($v:expr) => {{
             if sp >= max_stack {
-                return Err(TvmError::StackOverflow);
+                fail!(TvmError::StackOverflow);
             }
             let v = $v;
             if sp < stack.len() {
@@ -330,7 +459,7 @@ pub(crate) fn run_vm(
     macro_rules! underflow {
         ($n:expr) => {{
             if sp < $n {
-                return Err(TvmError::StackUnderflow);
+                fail!(TvmError::StackUnderflow);
             }
         }};
     }
@@ -340,7 +469,7 @@ pub(crate) fn run_vm(
         // head is no exception: with no budget left its region would
         // refuse entry, and the head op would trip this same check.
         if instr >= max_instr {
-            return Err(TvmError::BudgetExceeded);
+            fail!(TvmError::BudgetExceeded);
         }
         instr += 1;
         // pc is always in range: the verifier guarantees every function
@@ -408,7 +537,7 @@ pub(crate) fn run_vm(
                 PInst::Call { entry, n_locals } => {
                     // `frames` holds suspended callers, so depth = len + 1.
                     if frames.len() + 1 >= policy.max_call_depth {
-                        return Err(TvmError::CallDepthExceeded);
+                        fail!(TvmError::CallDepthExceeded);
                     }
                     frames.push((pc as u32, lb as u32));
                     lb = lt;
@@ -436,12 +565,10 @@ pub(crate) fn run_vm(
                     let port = inputs[p as usize];
                     match to_index(idx, port.len()) {
                         Some(i) => stack[sp - 1] = port[i],
-                        None => {
-                            return Err(TvmError::IndexOutOfBounds {
-                                port: p,
-                                index: idx,
-                            })
-                        }
+                        None => fail!(TvmError::IndexOutOfBounds {
+                            port: p,
+                            index: idx,
+                        }),
                     }
                 }
                 PInst::OutPush(p) => {
@@ -449,7 +576,7 @@ pub(crate) fn run_vm(
                     sp -= 1;
                     let v = stack[sp];
                     if out_cells >= policy.max_output_cells {
-                        return Err(TvmError::OutputLimitExceeded);
+                        fail!(TvmError::OutputLimitExceeded);
                     }
                     out_cells += 1;
                     outputs[p as usize].push(v);
@@ -462,17 +589,15 @@ pub(crate) fn run_vm(
                     let out = &mut outputs[p as usize];
                     let i = match to_raw_index(idx) {
                         Some(i) => i,
-                        None => {
-                            return Err(TvmError::IndexOutOfBounds {
-                                port: p,
-                                index: idx,
-                            })
-                        }
+                        None => fail!(TvmError::IndexOutOfBounds {
+                            port: p,
+                            index: idx,
+                        }),
                     };
                     if i >= out.len() {
                         let grow = i + 1 - out.len();
                         if out_cells + grow > policy.max_output_cells {
-                            return Err(TvmError::OutputLimitExceeded);
+                            fail!(TvmError::OutputLimitExceeded);
                         }
                         out_cells += grow;
                         out.resize(i + 1, 0.0);
@@ -482,7 +607,7 @@ pub(crate) fn run_vm(
                 PInst::OutLen(p) => pushv!(outputs[p as usize].len() as f64),
                 PInst::HostIo => {
                     if !policy.allow_host_io {
-                        return Err(TvmError::HostIoDenied);
+                        fail!(TvmError::HostIoDenied);
                     }
                     underflow!(1);
                     stack[sp - 1] = 0.0; // simulated syscall result
@@ -498,8 +623,9 @@ pub(crate) fn run_vm(
                         max_sp,
                         instr: instr - 1,
                         out_cells,
+                        dispatched: 0,
                     };
-                    if region.run(
+                    let ran = region.run(
                         inputs,
                         policy,
                         stack,
@@ -508,10 +634,21 @@ pub(crate) fn run_vm(
                         regs,
                         &mut st,
                         fallbacks,
-                    )? {
+                    );
+                    region_ops += st.dispatched;
+                    let entered = match ran {
+                        Ok(entered) => entered,
+                        Err(e) => {
+                            // The region took the head's dispatch.
+                            instr -= 1;
+                            fail!(e)
+                        }
+                    };
+                    if entered {
                         // Resumed at an exit target, or back at the head
                         // after a fallback (where the next entry is
                         // refused and the head op steps precisely).
+                        region_retired += st.instr - (instr - 1);
                         pc = st.pc;
                         sp = st.sp;
                         max_sp = st.max_sp;
@@ -529,6 +666,7 @@ pub(crate) fn run_vm(
         }
     }
 
+    *dispatched = instr - region_retired + region_ops;
     Ok(ExecStats {
         instructions: instr,
         max_stack: max_sp,
@@ -552,11 +690,13 @@ fn to_index(x: f64, len: usize) -> Option<usize> {
     (i < len).then_some(i)
 }
 
+/// `x` as an index when it lies in `[0, 2⁵²]`: NaN fails both compares
+/// and ±inf one, so no separate finiteness test, and in range the
+/// one-instruction `as i64` truncates exactly as `as usize` would.
 fn to_raw_index(x: f64) -> Option<usize> {
-    if !x.is_finite() || x < 0.0 || x > (1u64 << 52) as f64 {
-        return None;
-    }
-    Some(x as usize)
+    (0.0..=(1u64 << 52) as f64)
+        .contains(&x)
+        .then_some(x as i64 as usize)
 }
 
 /// The two bounds-checked fetches of `In2`/`In2Bin2`: `inputs[port1][x1]`
@@ -647,6 +787,18 @@ impl LoopRegion {
         for &(r, v) in &self.consts {
             regs[r as usize] = v;
         }
+        if let Some(mac) = self.mac {
+            return self.run_mac(
+                mac,
+                budget_iters,
+                inputs,
+                stack,
+                locals,
+                regs,
+                st,
+                fallbacks,
+            );
+        }
         // Counted loops open with a fused exit test and every region
         // closes with its back-edge; running both inline leaves only
         // `self.body()` on the dispatch loop. The head shares
@@ -678,21 +830,22 @@ impl LoopRegion {
         let body = self.body();
         loop {
             if iters == budget_iters {
-                // The budget refuses the next full iteration mid-flight.
-                st.instr += iters * self.full_cost;
-                *fallbacks += 1;
-                if st.sp + self.peak_full > st.max_sp {
-                    st.max_sp = st.sp + self.peak_full;
-                }
-                locals.copy_from_slice(&regs[..nl]);
-                return Ok(true);
+                return self.fall_back(iters, locals, regs, st, fallbacks);
             }
             if let Some((pre, op, a, b, exit_if_zero, exit)) = head {
                 if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
-                    return self.take_exit(exit, iters, stack, locals, regs, st);
+                    return self.take_exit(exit, iters, 0, stack, locals, regs, st);
                 }
             }
-            for op in body {
+            for (j, op) in body.iter().enumerate() {
+                // Charge the `j + 1` ops this iteration dispatched, then
+                // fail the run.
+                macro_rules! fail {
+                    ($e:expr) => {{
+                        st.dispatched += iters * body.len() as u64 + j as u64 + 1;
+                        return Err($e);
+                    }};
+                }
                 match *op {
                     RegOp::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
                     RegOp::Bin { op, dst, a, b } => {
@@ -734,12 +887,12 @@ impl LoopRegion {
                         let data = inputs[port as usize];
                         match to_index(x, data.len()) {
                             Some(i) => regs[dst as usize] = data[i],
-                            None => return Err(TvmError::IndexOutOfBounds { port, index: x }),
+                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
                         }
                     }
                     RegOp::OutPush { port, src } => {
                         if st.out_cells >= policy.max_output_cells {
-                            return Err(TvmError::OutputLimitExceeded);
+                            fail!(TvmError::OutputLimitExceeded);
                         }
                         st.out_cells += 1;
                         outputs[port as usize].push(regs[src as usize]);
@@ -748,13 +901,13 @@ impl LoopRegion {
                         let x = regs[idx as usize];
                         let i = match to_raw_index(x) {
                             Some(i) => i,
-                            None => return Err(TvmError::IndexOutOfBounds { port, index: x }),
+                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
                         };
                         let out = &mut outputs[port as usize];
                         if i >= out.len() {
                             let grow = i + 1 - out.len();
                             if st.out_cells + grow > policy.max_output_cells {
-                                return Err(TvmError::OutputLimitExceeded);
+                                fail!(TvmError::OutputLimitExceeded);
                             }
                             st.out_cells += grow;
                             out.resize(i + 1, 0.0);
@@ -763,7 +916,7 @@ impl LoopRegion {
                     }
                     RegOp::HostIo { dst } => {
                         if !policy.allow_host_io {
-                            return Err(TvmError::HostIoDenied);
+                            fail!(TvmError::HostIoDenied);
                         }
                         regs[dst as usize] = 0.0; // simulated syscall result
                     }
@@ -776,7 +929,7 @@ impl LoopRegion {
                         exit,
                     } => {
                         if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
-                            return self.take_exit(exit, iters, stack, locals, regs, st);
+                            return self.take_exit(exit, iters, j + 1, stack, locals, regs, st);
                         }
                     }
                     RegOp::CondExit {
@@ -785,7 +938,7 @@ impl LoopRegion {
                         exit,
                     } => {
                         if (regs[cond as usize] == 0.0) == exit_if_zero {
-                            return self.take_exit(exit, iters, stack, locals, regs, st);
+                            return self.take_exit(exit, iters, j + 1, stack, locals, regs, st);
                         }
                     }
                     RegOp::Back { .. } | RegOp::BinBack { .. } => {
@@ -799,13 +952,16 @@ impl LoopRegion {
                         port2,
                         idx2,
                     } => {
-                        let (v1, v2) = gather2(
+                        let (v1, v2) = match gather2(
                             inputs,
                             port1,
                             regs[idx1 as usize],
                             port2,
                             regs[idx2 as usize],
-                        )?;
+                        ) {
+                            Ok(v) => v,
+                            Err(e) => fail!(e),
+                        };
                         regs[dst1 as usize] = v1;
                         regs[dst2 as usize] = v2;
                     }
@@ -820,13 +976,16 @@ impl LoopRegion {
                         d,
                         dst,
                     } => {
-                        let (v1, v2) = gather2(
+                        let (v1, v2) = match gather2(
                             inputs,
                             port1,
                             regs[idx1 as usize],
                             port2,
                             regs[idx2 as usize],
-                        )?;
+                        ) {
+                            Ok(v) => v,
+                            Err(e) => fail!(e),
+                        };
                         let t = op1.eval(v1, v2);
                         let lc = if c == SELF_OPERAND {
                             t
@@ -894,7 +1053,7 @@ impl LoopRegion {
                         let data = inputs[port as usize];
                         let v = match to_index(x, data.len()) {
                             Some(i) => data[i],
-                            None => return Err(TvmError::IndexOutOfBounds { port, index: x }),
+                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
                         };
                         let rd = |r: u16, prev: f64| match r {
                             SELF_OPERAND => prev,
@@ -909,7 +1068,7 @@ impl LoopRegion {
                     RegOp::BinPush { op, a, b, port } => {
                         let v = op.eval(regs[a as usize], regs[b as usize]);
                         if st.out_cells >= policy.max_output_cells {
-                            return Err(TvmError::OutputLimitExceeded);
+                            fail!(TvmError::OutputLimitExceeded);
                         }
                         st.out_cells += 1;
                         outputs[port as usize].push(v);
@@ -936,7 +1095,7 @@ impl LoopRegion {
                         };
                         let v = op2.eval(lc, rd);
                         if st.out_cells >= policy.max_output_cells {
-                            return Err(TvmError::OutputLimitExceeded);
+                            fail!(TvmError::OutputLimitExceeded);
                         }
                         st.out_cells += 1;
                         outputs[port as usize].push(v);
@@ -954,15 +1113,89 @@ impl LoopRegion {
             if !take {
                 // The fall-through exit's cost equals `full_cost`, charged
                 // inside take_exit.
-                return self.take_exit(fall_exit, iters, stack, locals, regs, st);
+                return self.take_exit(fall_exit, iters, body.len(), stack, locals, regs, st);
             }
             iters += 1;
         }
     }
 
-    /// How many ops of one full iteration go through `run`'s dispatch loop.
+    /// `run` for a [`MacLoop`] region: the same iterations as the generic
+    /// loop with nothing dispatched, and `i`, `acc` and `t` carried in
+    /// locals instead of `regs`. Every check keeps its place: the budget
+    /// test, then the exit test, then both gathers through `to_index`
+    /// (port 1 first), and the accumulate keeps the source's operand
+    /// order. `regs` gets the three back on every way out, so `take_exit`
+    /// and the fallback see what the generic loop would leave.
+    #[allow(clippy::too_many_arguments)]
+    fn run_mac(
+        &self,
+        m: MacLoop,
+        budget_iters: u64,
+        inputs: &[&[f64]],
+        stack: &mut Vec<f64>,
+        locals: &mut [f64],
+        regs: &mut [f64],
+        st: &mut VmState,
+        fallbacks: &mut u64,
+    ) -> Result<bool, TvmError> {
+        enum Out {
+            Budget,
+            Exit,
+            Fault(u8, f64),
+        }
+        let (n, s) = (regs[m.n as usize], regs[m.s as usize]);
+        let k = m.lag.map_or(0.0, |(_, k)| regs[k as usize]);
+        let (in1, in2) = (inputs[m.port1 as usize], inputs[m.port2 as usize]);
+        let mut i = regs[m.i as usize];
+        let mut acc = regs[m.acc as usize];
+        let mut t = m.lag.map_or(0.0, |(t, _)| regs[t as usize]);
+        let mut iters: u64 = 0;
+        let out = loop {
+            if iters == budget_iters {
+                break Out::Budget;
+            }
+            if m.lag.is_some() {
+                t = i + k;
+            }
+            if BinOp::Lt.eval(if m.test_t { t } else { i }, n) == 0.0 {
+                break Out::Exit;
+            }
+            let x1 = if m.idx1_t { t } else { i };
+            let v1 = match to_index(x1, in1.len()) {
+                Some(j) => in1[j],
+                None => break Out::Fault(m.port1, x1),
+            };
+            let x2 = if m.idx2_t { t } else { i };
+            let v2 = match to_index(x2, in2.len()) {
+                Some(j) => in2[j],
+                None => break Out::Fault(m.port2, x2),
+            };
+            let p = v1 * v2;
+            let (l, r) = if m.acc_first { (acc, p) } else { (p, acc) };
+            acc = l + r;
+            i += s;
+            iters += 1;
+        };
+        regs[m.i as usize] = i;
+        regs[m.acc as usize] = acc;
+        if let Some((tr, _)) = m.lag {
+            regs[tr as usize] = t;
+        }
+        match out {
+            Out::Budget => self.fall_back(iters, locals, regs, st, fallbacks),
+            Out::Exit => self.take_exit(m.exit, iters, 0, stack, locals, regs, st),
+            Out::Fault(port, index) => Err(TvmError::IndexOutOfBounds { port, index }),
+        }
+    }
+
+    /// How many ops of one full iteration go through `run`'s dispatch
+    /// loop: none for a multiply-accumulate region.
     pub(crate) fn dispatched_ops(&self) -> usize {
-        self.body().len()
+        if self.mac.is_some() {
+            0
+        } else {
+            self.body().len()
+        }
     }
 
     /// The ops `run` sends through its dispatch loop: all but a leading
@@ -972,13 +1205,37 @@ impl LoopRegion {
         &self.ops[start..self.ops.len() - 1]
     }
 
-    /// Leave the region through exit `e`: charge the partial path, restore
-    /// the stack high-water mark, materialise the symbolic stack, sync the
+    /// The budget refuses the next full iteration mid-flight: charge the
+    /// `iters` run, sync the locals and resume at the head, where precise
+    /// stepping takes over.
+    fn fall_back(
+        &self,
+        iters: u64,
+        locals: &mut [f64],
+        regs: &[f64],
+        st: &mut VmState,
+        fallbacks: &mut u64,
+    ) -> Result<bool, TvmError> {
+        st.instr += iters * self.full_cost;
+        st.dispatched += iters * self.dispatched_ops() as u64;
+        *fallbacks += 1;
+        if st.sp + self.peak_full > st.max_sp {
+            st.max_sp = st.sp + self.peak_full;
+        }
+        locals.copy_from_slice(&regs[..self.n_locals as usize]);
+        Ok(true)
+    }
+
+    /// Leave the region through exit `e` after `iters` full iterations and
+    /// `partial` dispatched ops of the next: charge the path, restore the
+    /// stack high-water mark, materialise the symbolic stack, sync the
     /// locals, and point `st.pc` at the resume target.
+    #[allow(clippy::too_many_arguments)]
     fn take_exit(
         &self,
         e: u16,
         iters: u64,
+        partial: usize,
         stack: &mut Vec<f64>,
         locals: &mut [f64],
         regs: &[f64],
@@ -986,6 +1243,7 @@ impl LoopRegion {
     ) -> Result<bool, TvmError> {
         let ex = &self.exits[e as usize];
         st.instr += iters * self.full_cost + ex.cost;
+        st.dispatched += iters * self.dispatched_ops() as u64 + partial as u64;
         // Completed iterations reached the full-path peak; a first-iteration
         // exit only reached the peak of its partial path.
         let peak = if iters > 0 { self.peak_full } else { ex.peak };
@@ -1708,6 +1966,7 @@ fn translate_region(
     }
     let ops = std::mem::take(&mut t.ops);
     let ops = peephole(ops, &t.exits, &|r| t.is_temp(r));
+    let mac = MacLoop::of(&ops);
     Some(LoopRegion {
         head_flat: flat_of(h),
         head: PInst::Halt,
@@ -1718,6 +1977,7 @@ fn translate_region(
         full_cost,
         peak_full: t.peak,
         exits: t.exits,
+        mac,
     })
 }
 
@@ -1846,6 +2106,35 @@ mod tests {
             .execute(&[&input], &SandboxPolicy::standard(), &mut ctx)
             .unwrap();
         assert_eq!(ctx.tier2_fallbacks(), 0);
+    }
+
+    #[test]
+    fn dispatch_count_is_charged_on_every_way_out() {
+        // The doubler's region dispatches `In` and `BinPush` per
+        // iteration; its prelude is four stack-form ops and `Halt` one.
+        let input = [1.0, 2.0, 3.0];
+        let prepared = PreparedModule::prepare(&doubler()).unwrap();
+        assert_eq!(prepared.dispatched_ops_per_iteration(), [2]);
+        let mut ctx = ExecContext::new();
+        let std_policy = SandboxPolicy::standard();
+        prepared.execute(&[&input], &std_policy, &mut ctx).unwrap();
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 2 + 1);
+        // A budget of 20 admits one iteration, then falls back; the head's
+        // two loads step before the budget fails the run.
+        let tight = SandboxPolicy {
+            max_instructions: 20,
+            ..std_policy
+        };
+        prepared.execute(&[&input], &tight, &mut ctx).unwrap_err();
+        assert_eq!(ctx.dispatched_ops(), 4 + 2 + 2);
+        // With n = 5 over three inputs, the fourth iteration's gather, its
+        // first dispatched op, fails the run.
+        let mut m = doubler();
+        m.functions[0].code[0] = Push(5.0);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        let err = prepared.execute(&[&input], &std_policy, &mut ctx);
+        assert!(matches!(err, Err(TvmError::IndexOutOfBounds { .. })));
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 2 + 1);
     }
 
     #[test]

@@ -172,9 +172,11 @@ fn corpus_covers_translated_and_refused_regions() {
 /// Pin the per-entry translation outcomes so a translator change that
 /// silently starts refusing (or admitting) a shape fails this test,
 /// and, per region, the register ops one iteration sends through the
-/// dispatch loop: an exact count standing in for a timing. The three
-/// bench kernels run one (`matched_filter`, `lagged_autocorr`) or two
-/// (`sph_kernel`) dispatched ops per iteration.
+/// dispatch loop: an exact count standing in for a timing. The inner
+/// loops of `matched_filter` and `lagged_autocorr` are counted
+/// multiply-accumulates, which run as one native loop and dispatch
+/// nothing; `sph_kernel` dispatches two ops per iteration, and the near
+/// miss `matched_filter_sub` stays on the generic loop at one.
 #[test]
 fn corpus_translation_outcomes_are_pinned() {
     let outcomes: Vec<(String, usize, Vec<usize>)> = load_corpus()
@@ -191,8 +193,9 @@ fn corpus_translation_outcomes_are_pinned() {
     let expected: &[(&str, usize, &[usize])] = &[
         ("cse_after_store", 1, &[4]),
         ("deep_nested_calls", 1, &[2]),
-        ("lagged_autocorr", 1, &[1]),
-        ("matched_filter", 1, &[1]),
+        ("lagged_autocorr", 1, &[0]),
+        ("matched_filter", 1, &[0]),
+        ("matched_filter_sub", 1, &[1]),
         ("sph_kernel", 1, &[2]),
         ("straddling_backedge", 0, &[]),
         ("varying_stack_depth", 0, &[]),
@@ -203,4 +206,40 @@ fn corpus_translation_outcomes_are_pinned() {
         .map(|(n, r, d)| (n.as_str(), *r, d.as_slice()))
         .collect();
     assert_eq!(got, expected);
+}
+
+/// Pin `ExecContext::dispatched_ops` for the three bench kernels on fixed
+/// inputs: the ops one run sends through a dispatch match, stack-form ops
+/// and region body ops alike. The last column is the same count with
+/// every region on the generic loop, as before multiply-accumulate
+/// regions ran natively (it is not checked); the difference is one per
+/// inner iteration.
+#[test]
+fn kernel_dispatch_counts_are_pinned() {
+    let mut got = Vec::new();
+    for (name, module) in load_corpus() {
+        if !["lagged_autocorr", "matched_filter", "sph_kernel"].contains(&name.as_str()) {
+            continue;
+        }
+        let buffers = inputs_for(&module, 64);
+        let slices: Vec<&[f64]> = buffers.iter().map(Vec::as_slice).collect();
+        let prepared = PreparedModule::prepare(&module).expect("corpus modules verify");
+        let mut ctx = ExecContext::new();
+        let (_, stats) = prepared
+            .execute(&slices, &SandboxPolicy::standard(), &mut ctx)
+            .expect("kernel runs");
+        got.push((name, stats.instructions, ctx.dispatched_ops()));
+    }
+    // (kernel, instructions, dispatched ops, dispatched ops on the
+    // generic loop)
+    let expected: [(&str, u64, u64, u64); 3] = [
+        ("lagged_autocorr", 33273, 489, 2041),
+        ("matched_filter", 1101, 9, 73),
+        ("sph_kernel", 1481, 133, 133),
+    ];
+    let want: Vec<(String, u64, u64)> = expected
+        .iter()
+        .map(|&(n, i, d, _)| (n.to_string(), i, d))
+        .collect();
+    assert_eq!(got, want);
 }

@@ -173,16 +173,35 @@ fn errs_eq(a: &TvmError, b: &TvmError) -> bool {
 /// The reference is ground truth: the prepared module must reproduce its
 /// outputs bit for bit, its `ExecStats`, and its typed errors.
 fn equiv_failure(module: &Module, inputs: &[&[f64]], policy: &SandboxPolicy) -> Option<String> {
+    match PreparedModule::prepare(module) {
+        Ok(prepared) => divergence(
+            module,
+            &prepared,
+            &mut ExecContext::new(),
+            inputs,
+            policy,
+            bits,
+        ),
+        Err(e) => Some(format!("prepare rejected a verified module: {e}")),
+    }
+}
+
+/// [`equiv_failure`] for a module already prepared, in a context the
+/// caller may reuse across policies, with outputs compared as `key`
+/// renders them.
+fn divergence(
+    module: &Module,
+    prepared: &PreparedModule,
+    ctx: &mut ExecContext,
+    inputs: &[&[f64]],
+    policy: &SandboxPolicy,
+    key: fn(&[Vec<f64>]) -> Vec<Vec<u64>>,
+) -> Option<String> {
     let reference = execute(module, inputs, policy);
-    let prepared = match PreparedModule::prepare(module) {
-        Ok(p) => p,
-        Err(e) => return Some(format!("prepare rejected a verified module: {e}")),
-    };
-    let mut ctx = ExecContext::new();
     for round in 0..2 {
-        let fast = prepared.execute(inputs, policy, &mut ctx);
+        let fast = prepared.execute(inputs, policy, ctx);
         let same = match (&reference, &fast) {
-            (Ok((lo, ls)), Ok((fo, fs))) => bits(lo) == bits(fo) && ls == fs,
+            (Ok((lo, ls)), Ok((fo, fs))) => key(lo) == key(fo) && ls == fs,
             (Err(a), Err(b)) => errs_eq(a, b),
             _ => false,
         };
@@ -702,6 +721,335 @@ proptest! {
                 Err(pe) => prop_assert_eq!(format!("{:?}", pe), format!("{e:?}")),
                 Ok(_) => prop_assert!(false, "prepare accepted a rejected module"),
             },
+        }
+    }
+}
+
+/// NaN with payload `p`, so a swapped operand shows in the result bits.
+fn nan(p: u64) -> f64 {
+    f64::from_bits(0x7ff8_0000_0000_0000 | p)
+}
+
+/// Output bits for the multiply-accumulate barrage. When two NaNs with
+/// different payloads meet in an add or multiply, which payload survives
+/// is the compiler's choice at that site: Rust leaves it unspecified, and
+/// an optimised build swaps operands freely (on a straight-line probe the
+/// reference keeps the first operand's payload in a debug build and the
+/// second's in a release build). A debug build swaps nothing, so there every payload
+/// must match, and a swapped accumulate fails the barrage; an optimised
+/// build compares every NaN as the one canonical NaN.
+fn mac_bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    let canon = |v: f64| if v.is_nan() { f64::NAN } else { v };
+    outputs
+        .iter()
+        .map(|port| {
+            port.iter()
+                .map(|&v| if cfg!(debug_assertions) { v } else { canon(v) }.to_bits())
+                .collect()
+        })
+        .collect()
+}
+
+/// Index-register values for [`mac_module`]: integral, fractional,
+/// negative, signed zero, NaN, ±inf, 2⁵² and past it (where `to_index`
+/// refuses), so a gather can fail at any iteration a loop reaches.
+fn mac_index(j: u8) -> f64 {
+    const BIG: f64 = (1u64 << 52) as f64;
+    [
+        0.0,
+        -0.0,
+        1.0,
+        0.5,
+        -1.0,
+        2.0,
+        3.0,
+        nan(1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        BIG,
+        BIG + 2.0,
+    ][j as usize % 12]
+}
+
+/// Input and accumulator values: NaNs with distinct payloads, ±inf,
+/// signed zero, negative, fractional and huge.
+fn mac_value(j: u8) -> f64 {
+    [
+        1.5,
+        -2.25,
+        0.0,
+        -0.0,
+        nan(2),
+        nan(3),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e308,
+        0.125,
+        7.0,
+        -3.0,
+    ][j as usize % 12]
+}
+
+/// How a [`mac_module`] differs from a counted multiply-accumulate, if at
+/// all. Each near miss must take the generic region loop.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum MacMiss {
+    None,
+    /// `acc = acc - p` (or `p - acc`).
+    SubAccumulate,
+    /// `ge; jnz end` instead of `lt; jz end`.
+    JnzPolarity,
+    /// The accumulator is the index local `i`.
+    AccIsIndex,
+    /// The body writes the step local.
+    StepWritten,
+    /// The lag local is `n`.
+    LagIsBound,
+}
+
+/// A counted multiply-accumulate loop over locals `n, k, i, acc, s` (0 to
+/// 4) in the shape of the corpus `matched_filter` and `lagged_autocorr`,
+/// or one of its near misses.
+#[derive(Clone, Copy, Debug)]
+struct MacSpec {
+    /// `n = inlen port` or a constant.
+    n: Result<u8, f64>,
+    /// 0: no lag; 1: the exit test compares `t = i + k`; 2: it computes
+    /// `t`, drops it and compares `i` (the gathers still reuse `t`).
+    lag: u8,
+    i0: f64,
+    k: f64,
+    acc0: f64,
+    /// The step, a constant in the back-edge or (`step_local`) local 4.
+    s: f64,
+    step_local: bool,
+    /// Per gather: input port, and whether it reads at `t` (else `i`).
+    g1: (u8, bool),
+    g2: (u8, bool),
+    acc_first: bool,
+    miss: MacMiss,
+}
+
+impl MacSpec {
+    /// Does `MacLoop` admit it? A near miss no. Nor a gather at `t` that
+    /// the exit test did not compute, nor a compared `t` that no gather
+    /// reads (the peephole then fuses the add into the compare).
+    fn is_mac(&self) -> bool {
+        let at_t = self.g1.1 || self.g2.1;
+        self.miss == MacMiss::None && [!at_t, at_t, true][self.lag as usize]
+    }
+}
+
+fn arb_mac_spec() -> impl Strategy<Value = MacSpec> {
+    (
+        (0u8..18, 0u8..12, 0u8..12, 0u8..14, 0u8..3),
+        (0u8..2, 0u8..2, 0u8..2, 0u8..2, 0u8..5),
+        (0u8..2, 0u8..2, 0u8..15, 0u8..8),
+    )
+        .prop_map(
+            |(
+                (i0, k, acc0, s, lag),
+                (p1, t1, p2, t2, n_kind),
+                (acc_first, step_local, miss, n),
+            )| {
+                let steps = [1.0, 1.0, 1.0, 2.0, 0.5, 0.25, -1.0, 0.0, -0.0, nan(4)];
+                let miss = match miss {
+                    0 => MacMiss::SubAccumulate,
+                    1 => MacMiss::JnzPolarity,
+                    2 => MacMiss::AccIsIndex,
+                    3 => MacMiss::StepWritten,
+                    4 => MacMiss::LagIsBound,
+                    _ => MacMiss::None,
+                };
+                let bounds = [0.0, 3.0, 6.0, 4.5, -1.0, nan(5), f64::INFINITY, 1e17];
+                // These two misses need the lag or the step local in use.
+                let lag_is_bound = miss == MacMiss::LagIsBound;
+                MacSpec {
+                    n: if n_kind == 0 {
+                        Err(bounds[n as usize])
+                    } else {
+                        Ok(n_kind % 2)
+                    },
+                    lag: if lag_is_bound { 1 } else { lag },
+                    // Over a third of the loops start at 0 and run a while.
+                    i0: if i0 < 12 { mac_index(i0) } else { 0.0 },
+                    k: mac_index(k),
+                    acc0: mac_value(acc0),
+                    s: if s < 10 {
+                        steps[s as usize]
+                    } else {
+                        mac_index(s)
+                    },
+                    step_local: step_local == 1 || miss == MacMiss::StepWritten,
+                    g1: (p1, t1 == 1 || lag_is_bound),
+                    g2: (p2, t2 == 1),
+                    acc_first: acc_first == 1,
+                    miss,
+                }
+            },
+        )
+}
+
+/// Build [`MacSpec`]'s loop; every exit ends by pushing all five locals
+/// to port 0, so a wrong register value cannot stay hidden.
+fn mac_module(m: &MacSpec) -> Module {
+    use Op::*;
+    let (n, k, i, s) = (0u16, 1u16, 2u16, 4u16);
+    let acc = if m.miss == MacMiss::AccIsIndex { i } else { 3 };
+    let lag = if m.miss == MacMiss::LagIsBound { n } else { k };
+    let mut code = vec![match m.n {
+        Ok(port) => InLen(port),
+        Err(v) => Push(v),
+    }];
+    code.push(Store(n));
+    for (l, v) in [(k, m.k), (i, m.i0), (3, m.acc0), (s, m.s)] {
+        code.extend([Push(v), Store(l)]);
+    }
+    let head = code.len() as u32;
+    code.push(Load(i));
+    if m.lag > 0 {
+        code.extend([Load(lag), Add]);
+    }
+    if m.lag == 2 {
+        code.extend([Pop, Load(i)]);
+    }
+    code.push(Load(n));
+    let jnz = m.miss == MacMiss::JnzPolarity;
+    code.extend(if jnz { [Ge, Jnz(0)] } else { [Lt, Jz(0)] });
+    let exit_at = code.len() - 1;
+    if m.acc_first {
+        code.push(Load(acc));
+    }
+    for (port, at_t) in [m.g1, m.g2] {
+        code.push(Load(i));
+        if at_t {
+            code.extend([Load(lag), Add]);
+        }
+        code.push(InGet(port));
+    }
+    code.push(Mul);
+    if !m.acc_first {
+        code.push(Load(acc));
+    }
+    code.push(if m.miss == MacMiss::SubAccumulate {
+        Sub
+    } else {
+        Add
+    });
+    code.push(Store(acc));
+    if m.miss == MacMiss::StepWritten {
+        code.extend([Load(3), Store(s)]);
+    }
+    code.push(Load(i));
+    code.push(if m.step_local { Load(s) } else { Push(m.s) });
+    code.extend([Add, Store(i), Jmp(head)]);
+    let end = code.len() as u32;
+    code[exit_at] = if jnz { Jnz(end) } else { Jz(end) };
+    for l in 0..5 {
+        code.extend([Load(l), OutPush(0)]);
+    }
+    code.push(Halt);
+    Module {
+        name: "mac".into(),
+        version: 1,
+        n_inputs: 2,
+        n_outputs: 1,
+        functions: vec![Function {
+            name: "main".into(),
+            n_locals: 5,
+            code,
+        }],
+    }
+}
+
+/// Six [`mac_module`]s per case, two input ports of 0 to 11 [`mac_value`]s
+/// each. Every module must translate to one region, dispatching nothing
+/// per iteration exactly when [`MacSpec::is_mac`].
+fn arb_mac_case() -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
+    (
+        proptest::collection::vec(arb_mac_spec(), 6..7),
+        proptest::collection::vec(proptest::collection::vec(0u8..12, 0..12), 2..3),
+    )
+        .prop_map(|(specs, ports)| {
+            let inputs = ports
+                .into_iter()
+                .map(|p| p.into_iter().map(mac_value).collect())
+                .collect();
+            (specs, inputs)
+        })
+}
+
+/// The barrage's budget: roomy for every loop that ends, yet it stops a
+/// zero step soon.
+const MAC_BUDGET: u64 = 4_000;
+
+fn mac_prepared(spec: &MacSpec) -> (Module, PreparedModule) {
+    let module = mac_module(spec);
+    let prepared = PreparedModule::prepare(&module).expect("mac modules verify");
+    let dispatched = prepared.dispatched_ops_per_iteration();
+    assert_eq!(dispatched.len(), 1, "{spec:?} translates one region");
+    assert_eq!(
+        dispatched[0] == 0,
+        spec.is_mac(),
+        "{spec:?}: {dispatched:?}"
+    );
+    (module, prepared)
+}
+
+proptest! {
+    /// Counted multiply-accumulate loops and their near misses under a
+    /// roomy policy: outputs, `ExecStats` and errors (the gather that
+    /// fails, at the iteration it fails) match the reference bit for bit.
+    #[test]
+    fn mac_barrage_matches_reference(case in arb_mac_case()) {
+        let (specs, inputs) = case;
+        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let policy = SandboxPolicy {
+            max_instructions: MAC_BUDGET,
+            ..SandboxPolicy::standard()
+        };
+        for spec in &specs {
+            let (module, prepared) = mac_prepared(spec);
+            let mut ctx = ExecContext::new();
+            let failure = divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
+            prop_assert!(failure.is_none(), "{spec:?}: {}", failure.unwrap());
+        }
+    }
+
+    /// The same loops under a budget that stops at every instruction of
+    /// the run, so at every iteration boundary and inside every
+    /// iteration, and under stack and output caps that refuse entry or
+    /// fail the tail.
+    #[test]
+    fn mac_barrage_matches_reference_under_tight_policies(case in arb_mac_case()) {
+        let (specs, inputs) = case;
+        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let roomy = SandboxPolicy {
+            max_instructions: MAC_BUDGET,
+            ..SandboxPolicy::standard()
+        };
+        for spec in &specs {
+            let (module, prepared) = mac_prepared(spec);
+            let ran = match execute(&module, &slices, &roomy) {
+                Ok((_, stats)) => stats.instructions,
+                Err(_) => MAC_BUDGET,
+            };
+            let mut ctx = ExecContext::new();
+            let budgets = (1..=ran.min(240) + 1).map(|max_instructions| SandboxPolicy {
+                max_instructions,
+                ..roomy
+            });
+            let caps = (1..4).map(|max_stack| SandboxPolicy { max_stack, ..roomy }).chain(
+                (0..5).map(|max_output_cells| SandboxPolicy {
+                    max_output_cells,
+                    ..roomy
+                }),
+            );
+            for policy in budgets.chain(caps) {
+                let failure =
+                    divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
+                prop_assert!(failure.is_none(), "{spec:?} under {policy:?}: {}", failure.unwrap());
+            }
         }
     }
 }
