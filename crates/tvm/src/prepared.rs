@@ -321,9 +321,9 @@ impl PreparedModule {
 
     /// Per region, in head order: the register ops one full iteration
     /// sends through the dispatch loop (the inlined head exit and
-    /// back-edge excluded; none for a multiply-accumulate region, which
-    /// runs as one native loop). An exact count that tests pin in place
-    /// of a timing.
+    /// back-edge excluded; none for a multiply-accumulate or a map
+    /// region, which run natively). An exact count that tests pin in
+    /// place of a timing.
     #[doc(hidden)]
     pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
         self.regions
@@ -440,10 +440,10 @@ impl ExecContext {
     }
 
     /// Ops the most recent run sent through a dispatch match, failed runs
-    /// included: one per stack-form op, and per region iteration its
+    /// included: one per stack-form op, per region iteration its
     /// [`PreparedModule::dispatched_ops_per_iteration`] entry (0 for a
-    /// multiply-accumulate region). An exact work count charged at region
-    /// exit and run end, never per iteration; not an obs counter.
+    /// multiply-accumulate or map region; a map chunk charges its body
+    /// once). An exact count, not an obs counter, charged at region exit and run end.
     pub fn dispatched_ops(&self) -> u64 {
         self.dispatched_ops
     }

@@ -21,14 +21,16 @@
 //!    region executes whole iterations with no per-instruction
 //!    budget/overflow/underflow checks — those are hoisted into two
 //!    head-of-iteration preconditions — and with no operand-stack
-//!    traffic at all. The generic region loop runs a leading exit test
-//!    and the back-edge inline and sends the ops between them through
-//!    one `match` per op. A region whose ops are a counted
-//!    multiply-accumulate (`MacLoop`, decided once after `peephole`: the
-//!    inner loops of `matched_filter` and `lagged_autocorr`) runs as one
-//!    native Rust loop instead, with its loop-carried values in locals,
-//!    and dispatches nothing per iteration. `sph_kernel` and every other
-//!    shape stay on the generic loop.
+//!    traffic at all. A counted loop (`Counted`: exit on `i < n` or
+//!    `i + k < n`, back-edge `i += s`, matched once on the plain ops) runs
+//!    one of two native bodies and dispatches nothing per iteration: a
+//!    multiply-accumulate fold (`MacLoop`: `matched_filter`,
+//!    `lagged_autocorr`) as one Rust loop with its carried values in
+//!    locals, and a map that carries nothing but `i` (`MapLoop`:
+//!    `sph_kernel`) a chunk of `LANES` iterations at a time, each body op
+//!    once per chunk over a column per register. Every other region runs
+//!    the generic loop: a leading exit test and the back-edge inline, and
+//!    one `match` per op between them.
 //!
 //! # Fallback and the metering contract
 //!
@@ -44,7 +46,7 @@
 //! so `ExecStats` stay bit-identical to the reference interpreter. The
 //! ops a run sent through a dispatch `match` are charged the same way, at
 //! region exit and run end, never per iteration
-//! (`ExecContext::dispatched_ops`). The loop and multiply-accumulate
+//! (`ExecContext::dispatched_ops`). The loop, multiply-accumulate and map
 //! barrages in `tests/properties.rs` and the corpus runner in
 //! `tests/corpus.rs` pin this contract.
 
@@ -59,10 +61,12 @@ const MAX_REGION_OPS: usize = 128;
 /// Virtual-register frame cap (locals + constants + temporaries).
 const MAX_REGION_REGS: usize = 4096;
 /// [`RegOp::Bin2`] operand sentinel: "the result of the first binop".
+/// Register ids stay far below it ([`MAX_REGION_REGS`]).
 const SELF_OPERAND: u16 = u16::MAX;
-/// [`RegOp::InGetBin3`] operand sentinel: "the value the fused `InGet`
-/// fetched". Register ids stay far below both sentinels ([`MAX_REGION_REGS`]).
-const GET_OPERAND: u16 = u16::MAX - 1;
+/// Iterations a map region runs per chunk (see [`MapLoop`]).
+const LANES: usize = 64;
+/// Column cap of a map region's fixed stack frame.
+const MAX_COLS: usize = 16;
 /// [`RegOp::Back`] fall-through sentinel for unconditional back-edges.
 const NO_EXIT: u16 = u16::MAX;
 
@@ -138,20 +142,10 @@ enum RegOp {
     // -- Peephole superinstructions (see `peephole`, which also builds
     // -- `Bin2` and `BinExit`): each is exactly the sequence of its
     // -- constituent ops, checks in the original order.
-    /// Fused `InGet + InGet`: `dst1 = inputs[port1][idx1]; dst2 =
-    /// inputs[port2][idx2]` (port1 checked first, as the unfused pair
-    /// would; `idx2` is never `dst1`).
-    In2 {
-        dst1: u16,
-        port1: u8,
-        idx1: u16,
-        dst2: u16,
-        port2: u8,
-        idx2: u16,
-    },
-    /// Fused `In2 + Bin2`: fetch `inputs[port1][idx1]` and
-    /// `inputs[port2][idx2]`, combine with `op1`, then `dst = c ∘₂ d`
-    /// where [`SELF_OPERAND`] means the `op1` result.
+    /// Fused `InGet + InGet + Bin2`: fetch `inputs[port1][idx1]`, then
+    /// `inputs[port2][idx2]` (port 1 checked first, as the unfused pair
+    /// would), combine with `op1`, then `dst = c ∘₂ d` where
+    /// [`SELF_OPERAND`] means the `op1` result.
     In2Bin2 {
         port1: u8,
         idx1: u16,
@@ -162,61 +156,6 @@ enum RegOp {
         c: u16,
         d: u16,
         dst: u16,
-    },
-    /// Fused `Bin2 + Bin`: `t = a ∘₁ b; u = c ∘₂ d` (`c`/`d` may be
-    /// [`SELF_OPERAND`] = `t`), then `dst = e ∘₃ f` where `e`/`f` may be
-    /// [`SELF_OPERAND`] = `u`.
-    Bin3 {
-        op1: BinOp,
-        a: u16,
-        b: u16,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        op3: BinOp,
-        e: u16,
-        f: u16,
-        dst: u16,
-    },
-    /// Fused `Bin + OutPush`: `outputs[port].push(a ∘ b)`.
-    BinPush { op: BinOp, a: u16, b: u16, port: u8 },
-    /// Fused `Bin2 + OutPush`.
-    Bin2Push {
-        op1: BinOp,
-        a: u16,
-        b: u16,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        port: u8,
-    },
-    /// Fused `InGet + Bin3`: fetch `v = inputs[port][idx]` (same bounds
-    /// check and error as the unfused get), then run the three-op chain
-    /// where [`GET_OPERAND`] means `v` and [`SELF_OPERAND`] means the
-    /// previous op's result.
-    InGetBin3 {
-        port: u8,
-        idx: u16,
-        op1: BinOp,
-        a: u16,
-        b: u16,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        op3: BinOp,
-        e: u16,
-        f: u16,
-        dst: u16,
-    },
-    /// Fused `Bin + Back`: `dst = a ∘ b`, then the back-edge test (which
-    /// may read `dst`, exactly as the unfused pair would).
-    BinBack {
-        op: BinOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-        cond: CondBack,
-        fall_exit: u16,
     },
 }
 
@@ -254,28 +193,104 @@ pub(crate) struct LoopRegion {
     /// Peak stack growth (relative to entry sp) of a full iteration.
     peak_full: usize,
     exits: Vec<RegionExit>,
-    /// Set when `ops` is a counted multiply-accumulate, which `run`
+    /// Set when the region is a counted multiply-accumulate, which `run`
     /// executes as one native loop.
     mac: Option<MacLoop>,
+    /// Set when the region is a counted map, which `run` executes a
+    /// chunk of lanes at a time.
+    map: Option<MapLoop>,
 }
 
-/// A counted multiply-accumulate region, `while x < n { acc += in[x1] *
-/// in[x2]; i += s }`, where `x`, `x1` and `x2` are each `i` or `t = i +
-/// k`: the inner loop of the corpus `matched_filter` and
-/// `lagged_autocorr`, matched on its three register ops by
-/// [`MacLoop::of`] at prepare time. Its registers are pairwise distinct,
-/// so `n`, `k` and `s` hold still for the whole run, and `i`, `acc` and
-/// `t` are the only registers it writes.
+/// The counted head and back-edge shared by the native region runners,
+/// matched once on the translator's plain ops by [`Counted::of`]: the
+/// region opens with `[t = i + k;] c = x < n; jz exit`, where `x` is `i`
+/// or `t` and `c` a dead temporary, and closes with `i = i + s; jmp head`.
+/// The head writes only `t` (and `c`), the tail only `i`, and the body
+/// none of `i`, `n`, `s`, `k` and `t`, so `n`, `k` and `s` hold still for
+/// the whole run.
 #[derive(Clone, Copy, Debug)]
-struct MacLoop {
+struct Counted {
     i: u16,
     n: u16,
-    acc: u16,
     s: u16,
     /// `(t, k)` when the exit test opens with `t = i + k`.
     lag: Option<(u16, u16)>,
     /// Which of `i` (false) or `t` (true) the exit test compares with `n`.
     test_t: bool,
+    exit: u16,
+    /// Plain ops the head takes: 2, or 3 with the lag.
+    head_len: usize,
+}
+
+impl Counted {
+    fn of(ops: &[RegOp], exits: &[RegionExit], is_temp: &dyn Fn(u16) -> bool) -> Option<Counted> {
+        let bin = |j: usize| ops.get(j).and_then(as_bin);
+        let lagged = matches!(
+            (bin(0), bin(1)),
+            (Some((BinOp::Add, ..)), Some((BinOp::Lt, ..)))
+        );
+        let head_len = 2 + usize::from(lagged);
+        let tail = ops.len().checked_sub(2).filter(|&t| t >= head_len)?;
+        let (Some((BinOp::Lt, c, x, n)), Some((BinOp::Add, i, i_read, s))) =
+            (bin(head_len - 2), bin(tail))
+        else {
+            return None;
+        };
+        let RegOp::CondExit {
+            cond,
+            exit_if_zero: true,
+            exit,
+        } = ops[head_len - 1]
+        else {
+            return None;
+        };
+        let lag = match ops[0] {
+            RegOp::Bin { dst, a, b, .. } if lagged && a == i => Some((dst, b)),
+            _ if lagged => return None,
+            _ => None,
+        };
+        let test_t = match lag {
+            _ if x == i => false,
+            Some((t, _)) if x == t => true,
+            _ => return None,
+        };
+        let (t, k) = lag.unwrap_or((i, n));
+        let held = [n, s, k];
+        // The head's exit is the only way out, so the back-edge is a `jmp`.
+        let fixed = i_read == i
+            && exits.len() == 1
+            && !held.contains(&i)
+            && (lag.is_none() || t != i && !held.contains(&t))
+            && cond == c
+            && is_temp(c)
+            && !ops[head_len..].iter().any(|op| reads(op, c))
+            && !exits[0].pushes.contains(&c)
+            && ops[head_len..tail]
+                .iter()
+                .filter_map(|&op| dst(op))
+                .all(|d| ![i, t].contains(&d) && !held.contains(&d));
+        fixed.then_some(Counted {
+            i,
+            n,
+            s,
+            lag,
+            test_t,
+            exit,
+            head_len,
+        })
+    }
+}
+
+/// A counted multiply-accumulate region, `while x < n { acc += in[x1] *
+/// in[x2]; i += s }`, where `x`, `x1` and `x2` are each `i` or `t = i +
+/// k`: the inner loop of the corpus `matched_filter` and
+/// `lagged_autocorr`, matched by [`MacLoop::of`] on its four plain body
+/// ops at prepare time. Besides `acc` the body writes only dead
+/// temporaries, so `i`, `acc` and `t` are all `run_mac` keeps.
+#[derive(Clone, Copy, Debug)]
+struct MacLoop {
+    head: Counted,
+    acc: u16,
     port1: u8,
     idx1_t: bool,
     port2: u8,
@@ -283,78 +298,133 @@ struct MacLoop {
     /// `acc + p` (true) or `p + acc`: the source's operand order, which
     /// decides the NaN payload that survives.
     acc_first: bool,
-    exit: u16,
 }
 
 impl MacLoop {
-    fn of(ops: &[RegOp]) -> Option<MacLoop> {
-        let [RegOp::BinExit {
-            pre,
-            op: BinOp::Lt,
-            a: test,
-            b: n,
-            exit_if_zero: true,
-            exit,
-        }, RegOp::In2Bin2 {
-            port1,
-            idx1,
-            port2,
-            idx2,
-            op1: BinOp::Mul,
-            op2: BinOp::Add,
-            c,
-            d,
-            dst: acc,
-        }, RegOp::BinBack {
-            op: BinOp::Add,
-            dst: i,
-            a: i_read,
-            b: s,
-            cond: CondBack::Always,
-            ..
-        }] = *ops
+    fn of(head: Counted, body: &[RegOp], is_temp: &dyn Fn(u16) -> bool) -> Option<MacLoop> {
+        let [RegOp::InGet {
+            dst: g1,
+            port: port1,
+            idx: idx1,
+        }, RegOp::InGet {
+            dst: g2,
+            port: port2,
+            idx: idx2,
+        }, mul, add] = *body
         else {
             return None;
         };
-        let lag = match pre {
-            None => None,
-            Some((BinOp::Add, t, x, k)) if x == i => Some((t, k)),
-            Some(_) => return None,
+        let (Some((BinOp::Mul, p, pa, pb)), Some((BinOp::Add, acc, a, b))) =
+            (as_bin(&mul), as_bin(&add))
+        else {
+            return None;
         };
+        let Counted { i, lag, .. } = head;
         // `i` (false) or `t` (true); anything else refuses the shape.
         let pick = |r: u16| match lag {
             _ if r == i => Some(false),
             Some((t, _)) if r == t => Some(true),
             _ => None,
         };
-        let acc_first = match (c, d) {
-            (x, SELF_OPERAND) if x == acc => true,
-            (SELF_OPERAND, x) if x == acc => false,
+        let acc_first = match (a, b) {
+            (x, y) if x == acc && y == p => true,
+            (x, y) if x == p && y == acc => false,
             _ => return None,
         };
-        let all = [i, n, acc, s, lag.map_or(i, |l| l.0), lag.map_or(i, |l| l.1)];
-        let named = &all[..if lag.is_some() { 6 } else { 4 }];
-        let distinct = named
-            .iter()
-            .enumerate()
-            .all(|(j, r)| !named[j + 1..].contains(r));
-        if i_read != i || !distinct {
+        if (pa, pb) != (g1, g2) || ![g1, g2, p].into_iter().all(is_temp) {
             return None;
         }
         Some(MacLoop {
-            i,
-            n,
+            head,
             acc,
-            s,
-            lag,
-            test_t: pick(test)?,
             port1,
             idx1_t: pick(idx1)?,
             port2,
             idx2_t: pick(idx2)?,
             acc_first,
-            exit,
         })
+    }
+}
+
+/// A counted map region: a [`Counted`] loop whose plain body uses only
+/// `Mov`, `Bin`, `Un`, `InLen`, `InGet` and `OutPush`, writes each
+/// register once and reads it only after that write, and pushes each
+/// output port from at most one op. So no value but `i` crosses the
+/// back-edge, and `run_map` runs it [`LANES`] iterations at a time, one
+/// column per register, each body op once per chunk.
+#[derive(Clone, Debug)]
+struct MapLoop {
+    head: Counted,
+    /// The body with every register renumbered to its column, so an op's
+    /// operand columns all lie below its result's.
+    body: Vec<RegOp>,
+    /// The register each of the first `n_cols` columns holds: `i`, `t`
+    /// when the head has a lag, then the body's operands and results in
+    /// first-use order.
+    cols: [u16; MAX_COLS],
+    n_cols: usize,
+    /// Bit `c` is set when the body writes column `c`'s register, which
+    /// each chunk's last lane syncs back to `regs`. The other columns past
+    /// `i` and `t` hold loop-invariant operands, filled once per run.
+    written: u16,
+    /// `OutPush` ops in the body, one per port.
+    pushes: usize,
+}
+
+impl MapLoop {
+    fn of(head: Counted, body: &[RegOp]) -> Option<MapLoop> {
+        let writes = |r: u16| body.iter().any(|&op| dst(op) == Some(r));
+        let mut m = MapLoop {
+            head,
+            body: Vec::with_capacity(body.len()),
+            cols: [head.i; MAX_COLS],
+            n_cols: 1 + usize::from(head.lag.is_some()),
+            written: 0,
+            pushes: 0,
+        };
+        m.cols[1] = head.lag.map_or(head.i, |(t, _)| t);
+        // The column of register `r`, read or written, new on its first use.
+        let col = |m: &mut MapLoop, r: u16, write: bool| {
+            match m.cols[..m.n_cols].iter().position(|&x| x == r) {
+                Some(c) if !write => Some(c as u16),
+                // Written twice, read before its write (a value carried
+                // across the back-edge), or out of columns.
+                Some(_) => None,
+                None if !write && writes(r) || m.n_cols == MAX_COLS => None,
+                None => {
+                    m.cols[m.n_cols] = r;
+                    m.written |= u16::from(write) << m.n_cols;
+                    m.n_cols += 1;
+                    Some(m.n_cols as u16 - 1)
+                }
+            }
+        };
+        for mut op in body.iter().copied() {
+            let pushed = |p: u8| {
+                m.body
+                    .iter()
+                    .any(|o| matches!(*o, RegOp::OutPush { port, .. } if port == p))
+            };
+            let (reads, dst) = match &mut op {
+                RegOp::Mov { dst, src }
+                | RegOp::Un { dst, src, .. }
+                | RegOp::InGet { dst, idx: src, .. } => ([Some(src), None], Some(dst)),
+                RegOp::Bin { dst, a, b, .. } => ([Some(a), Some(b)], Some(dst)),
+                RegOp::InLen { dst, .. } => ([None, None], Some(dst)),
+                RegOp::OutPush { port, src } if !pushed(*port) => ([Some(src), None], None),
+                _ => return None,
+            };
+            // Operands first: a result's column then lies above them all.
+            for r in reads.into_iter().flatten() {
+                *r = col(&mut m, *r, false)?;
+            }
+            if let Some(d) = dst {
+                *d = col(&mut m, *d, true)?;
+            }
+            m.pushes += usize::from(matches!(op, RegOp::OutPush { .. }));
+            m.body.push(op);
+        }
+        Some(m)
     }
 }
 
@@ -699,24 +769,14 @@ fn to_raw_index(x: f64) -> Option<usize> {
         .then_some(x as i64 as usize)
 }
 
-/// The two bounds-checked fetches of `In2`/`In2Bin2`: `inputs[port1][x1]`
-/// first, then `inputs[port2][x2]`, as the unfused `InGet` pair checks.
+/// `inputs[port][x]`, with the stack form's bounds check and error.
 #[inline(always)]
-fn gather2(
-    inputs: &[&[f64]],
-    port1: u8,
-    x1: f64,
-    port2: u8,
-    x2: f64,
-) -> Result<(f64, f64), TvmError> {
-    let get = |port: u8, x: f64| {
-        let data = inputs[port as usize];
-        match to_index(x, data.len()) {
-            Some(i) => Ok(data[i]),
-            None => Err(TvmError::IndexOutOfBounds { port, index: x }),
-        }
-    };
-    Ok((get(port1, x1)?, get(port2, x2)?))
+fn fetch(inputs: &[&[f64]], port: u8, x: f64) -> Result<f64, TvmError> {
+    let data = inputs[port as usize];
+    match to_index(x, data.len()) {
+        Some(i) => Ok(data[i]),
+        None => Err(TvmError::IndexOutOfBounds { port, index: x }),
+    }
 }
 
 /// `BinExit`'s test, shared by `run`'s inlined head and its dispatched
@@ -735,6 +795,54 @@ fn bin_exit_taken(
         regs[t as usize] = op1.eval(regs[x as usize], regs[y as usize]);
     }
     (op.eval(regs[a as usize], regs[b as usize]) == 0.0) == exit_if_zero
+}
+
+/// The second stage of `Bin2` and `In2Bin2`: `c ∘₂ d`, where
+/// [`SELF_OPERAND`] means the first stage's result `t`.
+#[inline(always)]
+fn second(regs: &[f64], op2: BinOp, c: u16, d: u16, t: f64) -> f64 {
+    let pick = |r: u16| {
+        if r == SELF_OPERAND {
+            t
+        } else {
+            regs[r as usize]
+        }
+    };
+    op2.eval(pick(c), pick(d))
+}
+
+/// `d[j] = a[j] ∘ b[j]` over a chunk's live lanes: the op is matched
+/// once, and each arm is a lane loop over [`BinOp::eval`] with the op
+/// fixed, which the compiler specialises.
+fn bin_lanes(op: BinOp, d: &mut [f64], a: &[f64], b: &[f64]) {
+    macro_rules! lanes {
+        ($($v:ident)*) => {
+            match op {
+                $(BinOp::$v => {
+                    for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
+                        *d = BinOp::$v.eval(x, y);
+                    }
+                })*
+            }
+        };
+    }
+    lanes!(Add Sub Mul Div Rem Min Max Pow Eq Ne Lt Le Gt Ge)
+}
+
+/// [`bin_lanes`] for a [`UnOp`].
+fn un_lanes(op: UnOp, d: &mut [f64], a: &[f64]) {
+    macro_rules! lanes {
+        ($($v:ident)*) => {
+            match op {
+                $(UnOp::$v => {
+                    for (d, &x) in d.iter_mut().zip(a) {
+                        *d = UnOp::$v.eval(x);
+                    }
+                })*
+            }
+        };
+    }
+    lanes!(Neg Abs Floor Sqrt Sin Cos Exp Ln)
 }
 
 impl LoopRegion {
@@ -799,6 +907,20 @@ impl LoopRegion {
                 fallbacks,
             );
         }
+        if let Some(map) = &self.map {
+            return self.run_map(
+                map,
+                budget_iters,
+                inputs,
+                policy,
+                stack,
+                locals,
+                outputs,
+                regs,
+                st,
+                fallbacks,
+            );
+        }
         // Counted loops open with a fused exit test and every region
         // closes with its back-edge; running both inline leaves only
         // `self.body()` on the dispatch loop. The head shares
@@ -815,18 +937,10 @@ impl LoopRegion {
             } => Some((pre, op, a, b, exit_if_zero, exit)),
             _ => None,
         };
-        let (tail_bin, cond, fall_exit) = match self.ops[self.ops.len() - 1] {
-            RegOp::Back { cond, fall_exit } => (None, cond, fall_exit),
-            RegOp::BinBack {
-                op,
-                dst,
-                a,
-                b,
-                cond,
-                fall_exit,
-            } => (Some((op, dst, a, b)), cond, fall_exit),
-            _ => unreachable!("a translated region ends with its back-edge"),
+        let RegOp::Back { cond, fall_exit } = self.ops[self.ops.len() - 1] else {
+            unreachable!("a translated region ends with its back-edge")
         };
+        let tail_bin = self.tail_bin();
         let body = self.body();
         loop {
             if iters == budget_iters {
@@ -861,17 +975,7 @@ impl LoopRegion {
                         dst,
                     } => {
                         let t = op1.eval(regs[a as usize], regs[b as usize]);
-                        let lc = if c == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[c as usize]
-                        };
-                        let rd = if d == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[d as usize]
-                        };
-                        regs[dst as usize] = op2.eval(lc, rd);
+                        regs[dst as usize] = second(regs, op2, c, d, t);
                     }
                     RegOp::Un { op, dst, src } => {
                         regs[dst as usize] = op.eval(regs[src as usize]);
@@ -883,11 +987,9 @@ impl LoopRegion {
                         regs[dst as usize] = outputs[port as usize].len() as f64;
                     }
                     RegOp::InGet { dst, port, idx } => {
-                        let x = regs[idx as usize];
-                        let data = inputs[port as usize];
-                        match to_index(x, data.len()) {
-                            Some(i) => regs[dst as usize] = data[i],
-                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
+                        match fetch(inputs, port, regs[idx as usize]) {
+                            Ok(v) => regs[dst as usize] = v,
+                            Err(e) => fail!(e),
                         }
                     }
                     RegOp::OutPush { port, src } => {
@@ -941,29 +1043,8 @@ impl LoopRegion {
                             return self.take_exit(exit, iters, j + 1, stack, locals, regs, st);
                         }
                     }
-                    RegOp::Back { .. } | RegOp::BinBack { .. } => {
+                    RegOp::Back { .. } => {
                         unreachable!("the back-edge runs inline, after the body")
-                    }
-                    RegOp::In2 {
-                        dst1,
-                        port1,
-                        idx1,
-                        dst2,
-                        port2,
-                        idx2,
-                    } => {
-                        let (v1, v2) = match gather2(
-                            inputs,
-                            port1,
-                            regs[idx1 as usize],
-                            port2,
-                            regs[idx2 as usize],
-                        ) {
-                            Ok(v) => v,
-                            Err(e) => fail!(e),
-                        };
-                        regs[dst1 as usize] = v1;
-                        regs[dst2 as usize] = v2;
                     }
                     RegOp::In2Bin2 {
                         port1,
@@ -976,129 +1057,15 @@ impl LoopRegion {
                         d,
                         dst,
                     } => {
-                        let (v1, v2) = match gather2(
-                            inputs,
-                            port1,
-                            regs[idx1 as usize],
-                            port2,
-                            regs[idx2 as usize],
-                        ) {
+                        let v1 = match fetch(inputs, port1, regs[idx1 as usize]) {
                             Ok(v) => v,
                             Err(e) => fail!(e),
                         };
-                        let t = op1.eval(v1, v2);
-                        let lc = if c == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[c as usize]
+                        let v2 = match fetch(inputs, port2, regs[idx2 as usize]) {
+                            Ok(v) => v,
+                            Err(e) => fail!(e),
                         };
-                        let rd = if d == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[d as usize]
-                        };
-                        regs[dst as usize] = op2.eval(lc, rd);
-                    }
-                    RegOp::Bin3 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        dst,
-                    } => {
-                        let t = op1.eval(regs[a as usize], regs[b as usize]);
-                        let lc = if c == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[c as usize]
-                        };
-                        let rd = if d == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[d as usize]
-                        };
-                        let u = op2.eval(lc, rd);
-                        let le = if e == SELF_OPERAND {
-                            u
-                        } else {
-                            regs[e as usize]
-                        };
-                        let rf = if f == SELF_OPERAND {
-                            u
-                        } else {
-                            regs[f as usize]
-                        };
-                        regs[dst as usize] = op3.eval(le, rf);
-                    }
-                    RegOp::InGetBin3 {
-                        port,
-                        idx,
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        dst,
-                    } => {
-                        let x = regs[idx as usize];
-                        let data = inputs[port as usize];
-                        let v = match to_index(x, data.len()) {
-                            Some(i) => data[i],
-                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
-                        };
-                        let rd = |r: u16, prev: f64| match r {
-                            SELF_OPERAND => prev,
-                            GET_OPERAND => v,
-                            _ => regs[r as usize],
-                        };
-                        let t = op1.eval(rd(a, 0.0), rd(b, 0.0));
-                        let u = op2.eval(rd(c, t), rd(d, t));
-                        let res = op3.eval(rd(e, u), rd(f, u));
-                        regs[dst as usize] = res;
-                    }
-                    RegOp::BinPush { op, a, b, port } => {
-                        let v = op.eval(regs[a as usize], regs[b as usize]);
-                        if st.out_cells >= policy.max_output_cells {
-                            fail!(TvmError::OutputLimitExceeded);
-                        }
-                        st.out_cells += 1;
-                        outputs[port as usize].push(v);
-                    }
-                    RegOp::Bin2Push {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        port,
-                    } => {
-                        let t = op1.eval(regs[a as usize], regs[b as usize]);
-                        let lc = if c == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[c as usize]
-                        };
-                        let rd = if d == SELF_OPERAND {
-                            t
-                        } else {
-                            regs[d as usize]
-                        };
-                        let v = op2.eval(lc, rd);
-                        if st.out_cells >= policy.max_output_cells {
-                            fail!(TvmError::OutputLimitExceeded);
-                        }
-                        st.out_cells += 1;
-                        outputs[port as usize].push(v);
+                        regs[dst as usize] = second(regs, op2, c, d, op1.eval(v1, v2));
                     }
                 }
             }
@@ -1143,21 +1110,22 @@ impl LoopRegion {
             Exit,
             Fault(u8, f64),
         }
-        let (n, s) = (regs[m.n as usize], regs[m.s as usize]);
-        let k = m.lag.map_or(0.0, |(_, k)| regs[k as usize]);
+        let h = m.head;
+        let (n, s) = (regs[h.n as usize], regs[h.s as usize]);
+        let k = h.lag.map_or(0.0, |(_, k)| regs[k as usize]);
         let (in1, in2) = (inputs[m.port1 as usize], inputs[m.port2 as usize]);
-        let mut i = regs[m.i as usize];
+        let mut i = regs[h.i as usize];
         let mut acc = regs[m.acc as usize];
-        let mut t = m.lag.map_or(0.0, |(t, _)| regs[t as usize]);
+        let mut t = h.lag.map_or(0.0, |(t, _)| regs[t as usize]);
         let mut iters: u64 = 0;
         let out = loop {
             if iters == budget_iters {
                 break Out::Budget;
             }
-            if m.lag.is_some() {
+            if h.lag.is_some() {
                 t = i + k;
             }
-            if BinOp::Lt.eval(if m.test_t { t } else { i }, n) == 0.0 {
+            if BinOp::Lt.eval(if h.test_t { t } else { i }, n) == 0.0 {
                 break Out::Exit;
             }
             let x1 = if m.idx1_t { t } else { i };
@@ -1176,22 +1144,160 @@ impl LoopRegion {
             i += s;
             iters += 1;
         };
-        regs[m.i as usize] = i;
+        regs[h.i as usize] = i;
         regs[m.acc as usize] = acc;
-        if let Some((tr, _)) = m.lag {
+        if let Some((tr, _)) = h.lag {
             regs[tr as usize] = t;
         }
         match out {
             Out::Budget => self.fall_back(iters, locals, regs, st, fallbacks),
-            Out::Exit => self.take_exit(m.exit, iters, 0, stack, locals, regs, st),
+            Out::Exit => self.take_exit(h.exit, iters, 0, stack, locals, regs, st),
             Out::Fault(port, index) => Err(TvmError::IndexOutOfBounds { port, index }),
         }
     }
 
+    /// `run` for a [`MapLoop`] region: the generic loop's iterations,
+    /// [`LANES`] at a time on fixed stack columns. Per chunk, the counter
+    /// column is built by the tail's own repeated `i + s`, up to the
+    /// budget and the first lane whose exit test leaves; then each body op
+    /// runs once over the live lanes. A fallible op that fails at lane `L`
+    /// records its error and cuts the live lanes to `L` for the ops after
+    /// it, so the error returned is the last recorded: the first in
+    /// (iteration, op) order, as the generic loop raises it. `regs` gets
+    /// each chunk's last lane, and on the way out the counter, so the exit
+    /// and fallback see what the generic loop leaves; each chunk charges
+    /// its body ops once to `st.dispatched`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn run_map(
+        &self,
+        m: &MapLoop,
+        budget_iters: u64,
+        inputs: &[&[f64]],
+        policy: &SandboxPolicy,
+        stack: &mut Vec<f64>,
+        locals: &mut [f64],
+        outputs: &mut [Vec<f64>],
+        regs: &mut [f64],
+        st: &mut VmState,
+        fallbacks: &mut u64,
+    ) -> Result<bool, TvmError> {
+        let h = m.head;
+        let mut cols = [[0.0f64; LANES]; MAX_COLS];
+        let fixed = 1 + usize::from(h.lag.is_some());
+        for c in fixed..m.n_cols {
+            if m.written >> c & 1 == 0 {
+                cols[c] = [regs[m.cols[c] as usize]; LANES];
+            }
+        }
+        let (n, s) = (regs[h.n as usize], regs[h.s as usize]);
+        let k = h.lag.map_or(0.0, |(_, k)| regs[k as usize]);
+        let mut i = regs[h.i as usize];
+        let mut t = h.lag.map_or(0.0, |(t, _)| regs[t as usize]);
+        let mut iters: u64 = 0;
+        let mut chunks: u64 = 0;
+        let exited = loop {
+            let cap = (budget_iters - iters).min(LANES as u64) as usize;
+            let mut live = 0;
+            let mut exited = false;
+            while live < cap {
+                if h.lag.is_some() {
+                    t = i + k;
+                    cols[1][live] = t;
+                }
+                if BinOp::Lt.eval(if h.test_t { t } else { i }, n) == 0.0 {
+                    exited = true;
+                    break;
+                }
+                cols[0][live] = i;
+                i += s;
+                live += 1;
+            }
+            if live > 0 {
+                chunks += 1;
+                let mut fault = None;
+                // This push's rank among the body's pushes: lane `j` pushes
+                // the chunk's `j * pushes + q`-th cell.
+                let mut q = 0;
+                for op in &m.body {
+                    if let RegOp::OutPush { port, src } = *op {
+                        let room = policy
+                            .max_output_cells
+                            .saturating_sub(st.out_cells + q)
+                            .div_ceil(m.pushes);
+                        if room < live {
+                            fault = Some(TvmError::OutputLimitExceeded);
+                            live = room;
+                        }
+                        // Grow as one push at a time would: the same
+                        // reallocations whatever the chunk width.
+                        let out = &mut outputs[port as usize];
+                        while out.capacity() - out.len() < live {
+                            out.reserve(out.capacity() - out.len() + 1);
+                        }
+                        out.extend_from_slice(&cols[src as usize][..live]);
+                        q += 1;
+                        continue;
+                    }
+                    let (lo, hi) = cols.split_at_mut(usize::from(dst(*op).expect("a result")));
+                    let d = &mut hi[0][..live];
+                    match *op {
+                        RegOp::Mov { src, .. } => d.copy_from_slice(&lo[src as usize][..live]),
+                        RegOp::Bin { op, a, b, .. } => {
+                            bin_lanes(op, d, &lo[a as usize][..live], &lo[b as usize][..live]);
+                        }
+                        RegOp::Un { op, src, .. } => un_lanes(op, d, &lo[src as usize][..live]),
+                        RegOp::InLen { port, .. } => d.fill(inputs[port as usize].len() as f64),
+                        RegOp::InGet { port, idx, .. } => {
+                            let (data, x) = (inputs[port as usize], &lo[idx as usize]);
+                            let mut ok = 0;
+                            while ok < live {
+                                match to_index(x[ok], data.len()) {
+                                    Some(j) => d[ok] = data[j],
+                                    None => break,
+                                }
+                                ok += 1;
+                            }
+                            if ok < live {
+                                fault = Some(TvmError::IndexOutOfBounds { port, index: x[ok] });
+                                live = ok;
+                            }
+                        }
+                        _ => unreachable!("`MapLoop::of` admits no other op"),
+                    }
+                }
+                if let Some(e) = fault {
+                    st.dispatched += chunks * m.body.len() as u64;
+                    return Err(e);
+                }
+                st.out_cells += live * m.pushes;
+                iters += live as u64;
+                for c in fixed..m.n_cols {
+                    if m.written >> c & 1 == 1 {
+                        regs[m.cols[c] as usize] = cols[c][live - 1];
+                    }
+                }
+            }
+            if exited || iters == budget_iters {
+                break exited;
+            }
+        };
+        regs[h.i as usize] = i;
+        if let Some((tr, _)) = h.lag {
+            regs[tr as usize] = t;
+        }
+        st.dispatched += chunks * m.body.len() as u64;
+        if exited {
+            self.take_exit(h.exit, iters, 0, stack, locals, regs, st)
+        } else {
+            self.fall_back(iters, locals, regs, st, fallbacks)
+        }
+    }
+
     /// How many ops of one full iteration go through `run`'s dispatch
-    /// loop: none for a multiply-accumulate region.
+    /// loop: none for a multiply-accumulate or a map region.
     pub(crate) fn dispatched_ops(&self) -> usize {
-        if self.mac.is_some() {
+        if self.mac.is_some() || self.map.is_some() {
             0
         } else {
             self.body().len()
@@ -1199,10 +1305,17 @@ impl LoopRegion {
     }
 
     /// The ops `run` sends through its dispatch loop: all but a leading
-    /// `BinExit` and the closing back-edge, which it runs inline.
+    /// `BinExit` and the closing back-edge with the `Bin` before it, which
+    /// it runs inline.
     fn body(&self) -> &[RegOp] {
         let start = usize::from(matches!(self.ops[0], RegOp::BinExit { .. }));
-        &self.ops[start..self.ops.len() - 1]
+        let end = self.ops.len() - 1 - usize::from(self.tail_bin().is_some());
+        &self.ops[start..end]
+    }
+
+    /// The `Bin` right before the closing back-edge, if any.
+    fn tail_bin(&self) -> Option<(BinOp, u16, u16, u16)> {
+        self.ops[..self.ops.len() - 1].last().and_then(as_bin)
     }
 
     /// The budget refuses the next full iteration mid-flight: charge the
@@ -1440,18 +1553,7 @@ impl Translator {
         let alias = self.stack.contains(&i);
         let can_patch = top != i
             && self.can_absorb(top)
-            && matches!(
-                self.ops.last(),
-                Some(
-                    RegOp::Mov { dst, .. }
-                        | RegOp::Bin { dst, .. }
-                        | RegOp::Un { dst, .. }
-                        | RegOp::InLen { dst, .. }
-                        | RegOp::OutLen { dst, .. }
-                        | RegOp::InGet { dst, .. }
-                        | RegOp::HostIo { dst }
-                ) if *dst == top
-            );
+            && self.ops.last().and_then(|&op| dst(op)) == Some(top);
         // The alias-preserving Mov must read the local *before* the new
         // value lands, so it goes in front of a retargeted producer.
         let mov_pos = if can_patch {
@@ -1469,18 +1571,7 @@ impl Translator {
             }
         }
         if can_patch {
-            match self.ops.last_mut() {
-                Some(
-                    RegOp::Mov { dst, .. }
-                    | RegOp::Bin { dst, .. }
-                    | RegOp::Un { dst, .. }
-                    | RegOp::InLen { dst, .. }
-                    | RegOp::OutLen { dst, .. }
-                    | RegOp::InGet { dst, .. }
-                    | RegOp::HostIo { dst },
-                ) => *dst = i,
-                _ => unreachable!("can_patch checked the producer shape"),
-            }
+            *self.ops.last_mut().and_then(dst_mut).expect("a producer") = i;
             // `top` is never written now.
             self.forget(top);
         } else if top != i {
@@ -1529,6 +1620,33 @@ impl Translator {
     }
 }
 
+/// The result register of a plain producer op: the one `store` may
+/// retarget, and the one a map body writes.
+fn dst_mut(op: &mut RegOp) -> Option<&mut u16> {
+    match op {
+        RegOp::Mov { dst, .. }
+        | RegOp::Bin { dst, .. }
+        | RegOp::Un { dst, .. }
+        | RegOp::InLen { dst, .. }
+        | RegOp::OutLen { dst, .. }
+        | RegOp::InGet { dst, .. }
+        | RegOp::HostIo { dst } => Some(dst),
+        _ => None,
+    }
+}
+
+fn dst(mut op: RegOp) -> Option<u16> {
+    dst_mut(&mut op).copied()
+}
+
+/// `(op, dst, a, b)` of a plain `Bin`.
+fn as_bin(op: &RegOp) -> Option<(BinOp, u16, u16, u16)> {
+    match *op {
+        RegOp::Bin { op, dst, a, b } => Some((op, dst, a, b)),
+        _ => None,
+    }
+}
+
 /// Does `op` read register `r` (as an operand — destinations excluded)?
 fn reads(op: &RegOp, r: u16) -> bool {
     let back_reads = |cond: &CondBack| match *cond {
@@ -1537,27 +1655,11 @@ fn reads(op: &RegOp, r: u16) -> bool {
     };
     match *op {
         RegOp::Mov { src, .. } => src == r,
-        RegOp::Bin { a, b, .. } | RegOp::BinPush { a, b, .. } => a == r || b == r,
-        RegOp::Bin2 { a, b, c, d, .. } | RegOp::Bin2Push { a, b, c, d, .. } => {
-            a == r || b == r || c == r || d == r
-        }
-        RegOp::Bin3 {
-            a, b, c, d, e, f, ..
-        } => a == r || b == r || c == r || d == r || e == r || f == r,
-        RegOp::InGetBin3 {
-            idx,
-            a,
-            b,
-            c,
-            d,
-            e,
-            f,
-            ..
-        } => idx == r || a == r || b == r || c == r || d == r || e == r || f == r,
+        RegOp::Bin { a, b, .. } => a == r || b == r,
+        RegOp::Bin2 { a, b, c, d, .. } => a == r || b == r || c == r || d == r,
         RegOp::Un { src, .. } => src == r,
         RegOp::InLen { .. } | RegOp::OutLen { .. } | RegOp::HostIo { .. } => false,
         RegOp::InGet { idx, .. } => idx == r,
-        RegOp::In2 { idx1, idx2, .. } => idx1 == r || idx2 == r,
         RegOp::In2Bin2 {
             idx1, idx2, c, d, ..
         } => idx1 == r || idx2 == r || c == r || d == r,
@@ -1568,12 +1670,11 @@ fn reads(op: &RegOp, r: u16) -> bool {
         }
         RegOp::CondExit { cond, .. } => cond == r,
         RegOp::Back { ref cond, .. } => back_reads(cond),
-        RegOp::BinBack { a, b, ref cond, .. } => a == r || b == r || back_reads(cond),
     }
 }
 
-/// Peephole combiner, the only place ops are fused: fuse adjacent op
-/// pairs into superinstructions, repeating until a pass makes no change.
+/// Peephole combiner, the only place ops are fused: fuse runs of adjacent
+/// ops into superinstructions, repeating until a pass makes no change.
 /// Every fused op performs its constituent checks in the original order,
 /// and nothing is fused across an exit-capable op — an exit test only
 /// absorbs the ops before it — so outputs, metering, and the error
@@ -1596,33 +1697,13 @@ fn peephole(
                     && !exits.iter().any(|e| e.pushes.contains(&t))
             };
             let fused = match (out.last().copied(), *op) {
+                // Two gathers feeding a `Bin2`: the first sits just below
+                // the second in `out`, and goes with it.
                 (
                     Some(RegOp::InGet {
-                        dst: dst1,
-                        port: port1,
-                        idx: idx1,
-                    }),
-                    RegOp::InGet {
                         dst: dst2,
                         port: port2,
                         idx: idx2,
-                    },
-                ) if dst1 != idx2 => Some(RegOp::In2 {
-                    dst1,
-                    port1,
-                    idx1,
-                    dst2,
-                    port2,
-                    idx2,
-                }),
-                (
-                    Some(RegOp::In2 {
-                        dst1,
-                        port1,
-                        idx1,
-                        dst2,
-                        port2,
-                        idx2,
                     }),
                     RegOp::Bin2 {
                         op1,
@@ -1633,27 +1714,33 @@ fn peephole(
                         d,
                         dst,
                     },
-                ) if a == dst1
-                    && b == dst2
-                    && c != dst1
-                    && c != dst2
-                    && d != dst1
-                    && d != dst2
-                    && dead(dst1)
-                    && dead(dst2) =>
-                {
-                    Some(RegOp::In2Bin2 {
-                        port1,
-                        idx1,
-                        port2,
-                        idx2,
-                        op1,
-                        op2,
-                        c,
-                        d,
-                        dst,
-                    })
-                }
+                ) => match out.len().checked_sub(2).map(|j| out[j]) {
+                    Some(RegOp::InGet {
+                        dst: dst1,
+                        port: port1,
+                        idx: idx1,
+                    }) if (a, b) == (dst1, dst2)
+                        && dst1 != idx2
+                        && ![dst1, dst2].contains(&c)
+                        && ![dst1, dst2].contains(&d)
+                        && dead(dst1)
+                        && dead(dst2) =>
+                    {
+                        out.pop();
+                        Some(RegOp::In2Bin2 {
+                            port1,
+                            idx1,
+                            port2,
+                            idx2,
+                            op1,
+                            op2,
+                            c,
+                            d,
+                            dst,
+                        })
+                    }
+                    _ => None,
+                },
                 (
                     Some(RegOp::Bin {
                         op: op1,
@@ -1676,100 +1763,6 @@ fn peephole(
                     d: if rb == t { SELF_OPERAND } else { rb },
                     dst,
                 }),
-                (
-                    Some(RegOp::Bin2 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        dst: t,
-                    }),
-                    RegOp::Bin {
-                        op: op3,
-                        dst,
-                        a: ra,
-                        b: rb,
-                    },
-                ) if (ra == t || rb == t) && dead(t) => Some(RegOp::Bin3 {
-                    op1,
-                    a,
-                    b,
-                    op2,
-                    c,
-                    d,
-                    op3,
-                    e: if ra == t { SELF_OPERAND } else { ra },
-                    f: if rb == t { SELF_OPERAND } else { rb },
-                    dst,
-                }),
-                (
-                    Some(RegOp::InGet { dst: g, port, idx }),
-                    RegOp::Bin3 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        op3,
-                        e,
-                        f,
-                        dst,
-                    },
-                ) if g != idx && dead(g) => {
-                    let m = |r: u16| if r == g { GET_OPERAND } else { r };
-                    Some(RegOp::InGetBin3 {
-                        port,
-                        idx,
-                        op1,
-                        a: m(a),
-                        b: m(b),
-                        op2,
-                        c: m(c),
-                        d: m(d),
-                        op3,
-                        e: m(e),
-                        f: m(f),
-                        dst,
-                    })
-                }
-                (
-                    Some(RegOp::Bin2 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        dst: t,
-                    }),
-                    RegOp::OutPush { port, src },
-                ) if src == t && dead(t) => Some(RegOp::Bin2Push {
-                    op1,
-                    a,
-                    b,
-                    op2,
-                    c,
-                    d,
-                    port,
-                }),
-                (Some(RegOp::Bin { op, dst: t, a, b }), RegOp::OutPush { port, src })
-                    if src == t && dead(t) =>
-                {
-                    Some(RegOp::BinPush { op, a, b, port })
-                }
-                (Some(RegOp::Bin { op, dst, a, b }), RegOp::Back { cond, fall_exit }) => {
-                    Some(RegOp::BinBack {
-                        op,
-                        dst,
-                        a,
-                        b,
-                        cond,
-                        fall_exit,
-                    })
-                }
                 (
                     Some(RegOp::Bin { op, dst: t, a, b }),
                     RegOp::CondExit {
@@ -1882,14 +1875,12 @@ fn translate_region(
             }
             Op::Load(i) => t.push_grow(i),
             Op::Store(i) => t.store(i)?,
-            Op::InLen(p) => {
+            Op::InLen(port) | Op::OutLen(port) => {
                 let dst = t.temp()?;
-                t.ops.push(RegOp::InLen { dst, port: p });
-                t.push_grow(dst);
-            }
-            Op::OutLen(p) => {
-                let dst = t.temp()?;
-                t.ops.push(RegOp::OutLen { dst, port: p });
+                t.ops.push(match op {
+                    Op::InLen(_) => RegOp::InLen { dst, port },
+                    _ => RegOp::OutLen { dst, port },
+                });
                 t.push_grow(dst);
             }
             Op::InGet(p) => {
@@ -1964,9 +1955,17 @@ fn translate_region(
     if !matches!(t.ops.last(), Some(RegOp::Back { .. })) {
         return None;
     }
-    let ops = std::mem::take(&mut t.ops);
-    let ops = peephole(ops, &t.exits, &|r| t.is_temp(r));
-    let mac = MacLoop::of(&ops);
+    let plain = std::mem::take(&mut t.ops);
+    let is_temp = |r| t.is_temp(r);
+    let (mac, map) = match Counted::of(&plain, &t.exits, &is_temp) {
+        Some(c) => {
+            let body = &plain[c.head_len..plain.len() - 2];
+            let mac = MacLoop::of(c, body, &is_temp);
+            (mac, mac.map_or_else(|| MapLoop::of(c, body), |_| None))
+        }
+        None => (None, None),
+    };
+    let ops = peephole(plain, &t.exits, &is_temp);
     Some(LoopRegion {
         head_flat: flat_of(h),
         head: PInst::Halt,
@@ -1978,6 +1977,7 @@ fn translate_region(
         peak_full: t.peak,
         exits: t.exits,
         mac,
+        map,
     })
 }
 
@@ -2002,7 +2002,8 @@ mod tests {
         }
     }
 
-    /// The doubler loop: `out[i] = 2 * in[i]` — the canonical hot loop.
+    /// The doubler loop: `out[i] = 2 * in[i]` — the canonical hot loop,
+    /// and a map region.
     fn doubler() -> Module {
         module1(
             vec![
@@ -2108,33 +2109,76 @@ mod tests {
         assert_eq!(ctx.tier2_fallbacks(), 0);
     }
 
+    /// [`doubler`] pushing each product twice: two ops push port 0, a
+    /// near miss of the map shape that stays on the generic loop.
+    fn double_pusher() -> Module {
+        let mut m = doubler();
+        let code = &mut m.functions[0].code;
+        code.splice(12..12, [Dup, OutPush(0)]);
+        code[7] = Jz(20);
+        m
+    }
+
     #[test]
     fn dispatch_count_is_charged_on_every_way_out() {
-        // The doubler's region dispatches `In` and `BinPush` per
+        // The region dispatches `InGet`, `Bin` and both pushes per
         // iteration; its prelude is four stack-form ops and `Halt` one.
         let input = [1.0, 2.0, 3.0];
-        let prepared = PreparedModule::prepare(&doubler()).unwrap();
-        assert_eq!(prepared.dispatched_ops_per_iteration(), [2]);
+        let prepared = PreparedModule::prepare(&double_pusher()).unwrap();
+        assert_eq!(prepared.dispatched_ops_per_iteration(), [4]);
         let mut ctx = ExecContext::new();
         let std_policy = SandboxPolicy::standard();
         prepared.execute(&[&input], &std_policy, &mut ctx).unwrap();
-        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 2 + 1);
-        // A budget of 20 admits one iteration, then falls back; the head's
-        // two loads step before the budget fails the run.
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 4 + 1);
+        // A budget of 22 admits one 16-instruction iteration, then falls
+        // back; the head's two loads step before the budget fails the run.
         let tight = SandboxPolicy {
-            max_instructions: 20,
+            max_instructions: 22,
             ..std_policy
         };
         prepared.execute(&[&input], &tight, &mut ctx).unwrap_err();
-        assert_eq!(ctx.dispatched_ops(), 4 + 2 + 2);
+        assert_eq!(ctx.dispatched_ops(), 4 + 4 + 2);
         // With n = 5 over three inputs, the fourth iteration's gather, its
         // first dispatched op, fails the run.
-        let mut m = doubler();
+        let mut m = double_pusher();
         m.functions[0].code[0] = Push(5.0);
         let prepared = PreparedModule::prepare(&m).unwrap();
         let err = prepared.execute(&[&input], &std_policy, &mut ctx);
         assert!(matches!(err, Err(TvmError::IndexOutOfBounds { .. })));
-        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 2 + 1);
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 4 + 1);
+    }
+
+    #[test]
+    fn map_region_charges_its_body_once_per_chunk() {
+        // The doubler is a map region: its three body ops run once per
+        // chunk of lanes, whatever the chunk's width.
+        let prepared = PreparedModule::prepare(&doubler()).unwrap();
+        assert_eq!(prepared.dispatched_ops_per_iteration(), [0]);
+        let mut ctx = ExecContext::new();
+        let std_policy = SandboxPolicy::standard();
+        let input: Vec<f64> = (0..2 * LANES + 1).map(|j| j as f64).collect();
+        prepared.execute(&[&input], &std_policy, &mut ctx).unwrap();
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 3 + 1);
+        prepared
+            .execute(&[&input[..3]], &std_policy, &mut ctx)
+            .unwrap();
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 + 1);
+        // A budget of 20 admits a one-lane chunk, then falls back.
+        let tight = SandboxPolicy {
+            max_instructions: 20,
+            ..std_policy
+        };
+        prepared
+            .execute(&[&input[..3]], &tight, &mut ctx)
+            .unwrap_err();
+        assert_eq!(ctx.dispatched_ops(), 4 + 3 + 2);
+        // With n = 5 over three inputs, lane 3's gather fails the chunk.
+        let mut m = doubler();
+        m.functions[0].code[0] = Push(5.0);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        let err = prepared.execute(&[&input[..3]], &std_policy, &mut ctx);
+        assert!(matches!(err, Err(TvmError::IndexOutOfBounds { .. })));
+        assert_eq!(ctx.dispatched_ops(), 4 + 3);
     }
 
     #[test]

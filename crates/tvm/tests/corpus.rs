@@ -174,9 +174,10 @@ fn corpus_covers_translated_and_refused_regions() {
 /// and, per region, the register ops one iteration sends through the
 /// dispatch loop: an exact count standing in for a timing. The inner
 /// loops of `matched_filter` and `lagged_autocorr` are counted
-/// multiply-accumulates, which run as one native loop and dispatch
-/// nothing; `sph_kernel` dispatches two ops per iteration, and the near
-/// miss `matched_filter_sub` stays on the generic loop at one.
+/// multiply-accumulates, which run as one native loop, and `sph_kernel`'s
+/// is a counted map, which runs a chunk of lanes at a time: none of the
+/// three dispatches an op per iteration. The near misses
+/// `matched_filter_sub` and `sph_running_max` stay on the generic loop.
 #[test]
 fn corpus_translation_outcomes_are_pinned() {
     let outcomes: Vec<(String, usize, Vec<usize>)> = load_corpus()
@@ -196,7 +197,8 @@ fn corpus_translation_outcomes_are_pinned() {
         ("lagged_autocorr", 1, &[0]),
         ("matched_filter", 1, &[0]),
         ("matched_filter_sub", 1, &[1]),
-        ("sph_kernel", 1, &[2]),
+        ("sph_kernel", 1, &[0]),
+        ("sph_running_max", 1, &[6]),
         ("straddling_backedge", 0, &[]),
         ("varying_stack_depth", 0, &[]),
         ("zero_iteration_loop", 1, &[3]),
@@ -210,10 +212,11 @@ fn corpus_translation_outcomes_are_pinned() {
 
 /// Pin `ExecContext::dispatched_ops` for the three bench kernels on fixed
 /// inputs: the ops one run sends through a dispatch match, stack-form ops
-/// and region body ops alike. The last column is the same count with
-/// every region on the generic loop, as before multiply-accumulate
-/// regions ran natively (it is not checked); the difference is one per
-/// inner iteration.
+/// and region body ops alike. A map region charges its body ops once per
+/// chunk of lanes, so `sph_kernel`'s 64 iterations cost one chunk of
+/// seven. The last column is the same count with every region on the
+/// generic loop, as before multiply-accumulate and map regions ran
+/// natively (it is not checked).
 #[test]
 fn kernel_dispatch_counts_are_pinned() {
     let mut got = Vec::new();
@@ -235,7 +238,7 @@ fn kernel_dispatch_counts_are_pinned() {
     let expected: [(&str, u64, u64, u64); 3] = [
         ("lagged_autocorr", 33273, 489, 2041),
         ("matched_filter", 1101, 9, 73),
-        ("sph_kernel", 1481, 133, 133),
+        ("sph_kernel", 1481, 12, 133),
     ];
     let want: Vec<(String, u64, u64)> = expected
         .iter()

@@ -730,7 +730,7 @@ fn nan(p: u64) -> f64 {
     f64::from_bits(0x7ff8_0000_0000_0000 | p)
 }
 
-/// Output bits for the multiply-accumulate barrage. When two NaNs with
+/// Output bits for the multiply-accumulate and map barrages. When two NaNs with
 /// different payloads meet in an add or multiply, which payload survives
 /// is the compiler's choice at that site: Rust leaves it unspecified, and
 /// an optimised build swaps operands freely (on a straight-line probe the
@@ -791,7 +791,7 @@ fn mac_value(j: u8) -> f64 {
 }
 
 /// How a [`mac_module`] differs from a counted multiply-accumulate, if at
-/// all. Each near miss must take the generic region loop.
+/// all. Each near miss but `LagIsBound` must take the generic region loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum MacMiss {
     None,
@@ -803,7 +803,7 @@ enum MacMiss {
     AccIsIndex,
     /// The body writes the step local.
     StepWritten,
-    /// The lag local is `n`.
+    /// The lag local is `n`: admitted, since the loop only reads both.
     LagIsBound,
 }
 
@@ -832,11 +832,10 @@ struct MacSpec {
 
 impl MacSpec {
     /// Does `MacLoop` admit it? A near miss no. Nor a gather at `t` that
-    /// the exit test did not compute, nor a compared `t` that no gather
-    /// reads (the peephole then fuses the add into the compare).
+    /// the exit test did not compute.
     fn is_mac(&self) -> bool {
         let at_t = self.g1.1 || self.g2.1;
-        self.miss == MacMiss::None && [!at_t, at_t, true][self.lag as usize]
+        matches!(self.miss, MacMiss::None | MacMiss::LagIsBound) && (self.lag > 0 || !at_t)
     }
 }
 
@@ -1045,6 +1044,264 @@ proptest! {
                     ..roomy
                 }),
             );
+            for policy in budgets.chain(caps) {
+                let failure =
+                    divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
+                prop_assert!(failure.is_none(), "{spec:?} under {policy:?}: {}", failure.unwrap());
+            }
+        }
+    }
+}
+
+/// How a [`map_module`] differs from a counted map, if at all. Each near
+/// miss must take the generic region loop.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum MapMiss {
+    None,
+    /// A running maximum in local 4, read before the body writes it: a
+    /// value carried across the back-edge.
+    Carried,
+    /// The body pushes port 0 twice.
+    TwoPushes,
+    /// The body reads `outlen 0`.
+    OutLen,
+}
+
+/// A counted map loop over locals `n, k, i, s, m, x` (0 to 5) in the shape
+/// of the corpus `sph_kernel`, with more of the admitted ops and more ways
+/// to fail, or one of its near misses.
+#[derive(Clone, Copy, Debug)]
+struct MapSpec {
+    n: f64,
+    /// The exit test compares `t = i + k` instead of `i`.
+    lag: bool,
+    i0: f64,
+    k: f64,
+    /// The step, a constant in the back-edge or (`step_local`) local 3.
+    s: f64,
+    step_local: bool,
+    /// The SPH weight's gather port.
+    p1: u8,
+    /// A second gather `w = w ∘ in[port][x]`: its port, whether it reads
+    /// at `i + k` (else `i`), and `∘`.
+    g2: Option<(u8, bool, Op)>,
+    un: Option<Op>,
+    /// `w = w + inlen 1`.
+    inlen: bool,
+    /// `dup; store 5`: the body writes local 5 through a `Mov`.
+    store_x: bool,
+    /// A second push, of the counter (or `t`), to port 1.
+    push_i: bool,
+    miss: MapMiss,
+}
+
+impl MapSpec {
+    fn is_map(&self) -> bool {
+        self.miss == MapMiss::None
+    }
+}
+
+/// The bounds the barrage cares about: either side of a chunk of 64
+/// lanes, and a second chunk's edge.
+const MAP_NS: [f64; 6] = [0.0, 1.0, 63.0, 64.0, 65.0, 129.0];
+
+fn arb_map_spec() -> impl Strategy<Value = MapSpec> {
+    (
+        (0u8..9, 0u8..2, 0u8..12, 0u8..8, 0u8..9),
+        (0u8..2, 0u8..2, 0u8..4, 0u8..2, arb_binop()),
+        (0u8..3, arb_unop(), 0u8..2, 0u8..2, 0u8..2),
+        (0u8..10,),
+    )
+        .prop_map(
+            |(
+                (n, lag, i0, k, s),
+                (step_local, p1, g2, g2_t, bin),
+                (un, un_op, inlen, store_x, push_i),
+                (miss,),
+            )| {
+                let steps = [1.0, 1.0, 1.0, 0.1, 0.5, 2.0, -1.0, -0.5, 0.7];
+                let starts = [0.0, 0.0, 0.0, 0.0, -0.0, 0.5, 3.0, 100.0];
+                MapSpec {
+                    n: if n < 6 {
+                        MAP_NS[n as usize]
+                    } else {
+                        mac_index(n + 4)
+                    },
+                    lag: lag == 1,
+                    i0: if i0 < 8 {
+                        starts[i0 as usize]
+                    } else {
+                        mac_index(i0)
+                    },
+                    k: [0.0, 1.0, 2.0, -1.0, 0.5, 64.0, nan(6), -0.0][k as usize],
+                    s: steps[s as usize],
+                    step_local: step_local == 1,
+                    p1,
+                    g2: (g2 > 0).then_some((g2 % 2, g2_t == 1, bin)),
+                    un: (un > 0).then_some(un_op),
+                    inlen: inlen == 1,
+                    store_x: store_x == 1,
+                    push_i: push_i == 1,
+                    miss: match miss {
+                        0 => MapMiss::Carried,
+                        1 => MapMiss::TwoPushes,
+                        2 => MapMiss::OutLen,
+                        _ => MapMiss::None,
+                    },
+                }
+            },
+        )
+}
+
+/// Build [`MapSpec`]'s loop; every exit ends by pushing all six locals
+/// to port 0, so a wrong register value cannot stay hidden.
+fn map_module(m: &MapSpec) -> Module {
+    use Op::*;
+    let (n, k, i, s, x) = (0u16, 1u16, 2u16, 3u16, 5u16);
+    let mut code = Vec::new();
+    for (l, v) in [(n, m.n), (k, m.k), (i, m.i0), (s, m.s), (4, -1.0), (x, 7.0)] {
+        code.extend([Push(v), Store(l)]);
+    }
+    let head = code.len() as u32;
+    let at = |t: bool| {
+        if t {
+            vec![Load(i), Load(k), Add]
+        } else {
+            vec![Load(i)]
+        }
+    };
+    code.extend(at(m.lag));
+    code.extend([Load(n), Lt, Jz(0)]);
+    let exit_at = code.len() - 1;
+    code.push(Load(i));
+    code.extend([InGet(m.p1), Dup, Mul, Push(1.0), Swap, Sub, Push(0.0), Max]);
+    if let Some((port, at_t, bin)) = m.g2 {
+        code.extend(at(at_t));
+        code.extend([InGet(port), bin]);
+    }
+    code.extend(m.un);
+    if m.inlen {
+        code.extend([InLen(1), Add]);
+    }
+    if m.store_x {
+        code.extend([Dup, Store(x)]);
+    }
+    match m.miss {
+        MapMiss::Carried => code.extend([Dup, Load(4), Max, Store(4)]),
+        MapMiss::OutLen => code.extend([OutLen(0), Add]),
+        _ => {}
+    }
+    code.push(OutPush(0));
+    if m.miss == MapMiss::TwoPushes {
+        code.extend([Load(i), OutPush(0)]);
+    }
+    if m.push_i {
+        code.extend(at(m.lag));
+        code.push(OutPush(1));
+    }
+    code.push(Load(i));
+    code.push(if m.step_local { Load(s) } else { Push(m.s) });
+    code.extend([Add, Store(i), Jmp(head)]);
+    let end = code.len() as u32;
+    code[exit_at] = Jz(end);
+    for l in 0..6 {
+        code.extend([Load(l), OutPush(0)]);
+    }
+    code.push(Halt);
+    Module {
+        name: "map".into(),
+        version: 1,
+        n_inputs: 2,
+        n_outputs: 2,
+        functions: vec![Function {
+            name: "main".into(),
+            n_locals: 6,
+            code,
+        }],
+    }
+}
+
+/// Four [`map_module`]s per case, two input ports of 0 to 130
+/// [`mac_value`]s each, so a gather can fail at any lane of two chunks.
+fn arb_map_case() -> impl Strategy<Value = (Vec<MapSpec>, Vec<Vec<f64>>)> {
+    (
+        proptest::collection::vec(arb_map_spec(), 4..5),
+        proptest::collection::vec((0usize..131, 0u8..12), 2..3),
+    )
+        .prop_map(|(specs, ports)| {
+            let inputs = ports
+                .into_iter()
+                .map(|(len, v)| (0..len).map(|j| mac_value(v + j as u8 % 5)).collect())
+                .collect();
+            (specs, inputs)
+        })
+}
+
+/// Roomy for every loop that ends, yet it stops a zero or wrong-way step.
+const MAP_BUDGET: u64 = 12_000;
+
+fn map_prepared(spec: &MapSpec) -> (Module, PreparedModule) {
+    let module = map_module(spec);
+    let prepared = PreparedModule::prepare(&module).expect("map modules verify");
+    let dispatched = prepared.dispatched_ops_per_iteration();
+    assert_eq!(dispatched.len(), 1, "{spec:?} translates one region");
+    assert_eq!(
+        dispatched[0] == 0,
+        spec.is_map(),
+        "{spec:?}: {dispatched:?}"
+    );
+    (module, prepared)
+}
+
+proptest! {
+    /// Counted map loops and their near misses under a roomy policy:
+    /// outputs, `ExecStats` and errors (the op that fails, at the
+    /// iteration it fails) match the reference bit for bit.
+    #[test]
+    fn map_barrage_matches_reference(case in arb_map_case()) {
+        let (specs, inputs) = case;
+        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let policy = SandboxPolicy {
+            max_instructions: MAP_BUDGET,
+            ..SandboxPolicy::standard()
+        };
+        for spec in &specs {
+            let (module, prepared) = map_prepared(spec);
+            let mut ctx = ExecContext::new();
+            let failure = divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
+            prop_assert!(failure.is_none(), "{spec:?}: {}", failure.unwrap());
+        }
+    }
+
+    /// The same loops under a budget at every iteration boundary (and
+    /// one instruction either side), an output cap at every lane, and
+    /// stack caps that refuse entry.
+    #[test]
+    fn map_barrage_matches_reference_under_tight_policies(case in arb_map_case()) {
+        let (specs, inputs) = case;
+        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let roomy = SandboxPolicy {
+            max_instructions: MAP_BUDGET,
+            ..SandboxPolicy::standard()
+        };
+        for spec in &specs {
+            let (module, prepared) = map_prepared(spec);
+            let (ran, cells) = match execute(&module, &slices, &roomy) {
+                Ok((out, stats)) => (stats.instructions, out.iter().map(Vec::len).sum()),
+                Err(_) => (MAP_BUDGET, 2 * 130 + 6),
+            };
+            let code = &module.functions[0].code;
+            let head = code.iter().position(|op| matches!(op, Op::Load(2))).unwrap() as u64;
+            let back = code.iter().position(|op| matches!(op, Op::Jmp(_))).unwrap() as u64;
+            let full = back - head + 1;
+            let budgets = (0..=(ran - head) / full)
+                .flat_map(|j| [head + j * full, head + j * full + 1, head + j * full + 2])
+                .filter(|&b| b <= ran + 1)
+                .map(|max_instructions| SandboxPolicy { max_instructions, ..roomy });
+            let caps = (0..=cells + 1)
+                .map(|max_output_cells| SandboxPolicy { max_output_cells, ..roomy })
+                .chain((1..4).map(|max_stack| SandboxPolicy { max_stack, ..roomy }));
+            let mut ctx = ExecContext::new();
             for policy in budgets.chain(caps) {
                 let failure =
                     divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
