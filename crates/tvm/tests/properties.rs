@@ -1253,6 +1253,53 @@ fn map_prepared(spec: &MapSpec) -> (Module, PreparedModule) {
     (module, prepared)
 }
 
+/// Two fallible gathers in one map iteration, each failing at every lane
+/// of two chunks: port 0 at `i` runs out at lane `len`, port 1 at `i + 1`
+/// at lane `130 - len`, so either one raises the error. Each fault also
+/// meets an output cap at its own lane, the one before and the one after.
+#[test]
+fn map_faults_at_every_lane() {
+    let spec = MapSpec {
+        n: 129.0,
+        lag: false,
+        i0: 0.0,
+        k: 1.0,
+        s: 1.0,
+        step_local: false,
+        p1: 0,
+        g2: Some((1, true, Op::Add)),
+        un: None,
+        inlen: false,
+        store_x: true,
+        push_i: true,
+        miss: MapMiss::None,
+    };
+    let (module, prepared) = map_prepared(&spec);
+    let mut ctx = ExecContext::new();
+    let roomy = SandboxPolicy {
+        max_instructions: MAP_BUDGET,
+        ..SandboxPolicy::standard()
+    };
+    for len in 0..=131 {
+        let caps = [2 * len, 2 * len + 1, 2 * len + 2].map(|max_output_cells| SandboxPolicy {
+            max_output_cells,
+            ..roomy
+        });
+        for (a, b) in [(len, 131), (131, len + 1), (len, 131 - len)] {
+            let inputs = [vec![0.5; a], vec![-0.25; b]];
+            let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+            for policy in [roomy].into_iter().chain(caps) {
+                let failure = divergence(&module, &prepared, &mut ctx, &slices, &policy, bits);
+                assert!(
+                    failure.is_none(),
+                    "{a}/{b} under {policy:?}: {}",
+                    failure.unwrap()
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// Counted map loops and their near misses under a roomy policy:
     /// outputs, `ExecStats` and errors (the op that fails, at the
