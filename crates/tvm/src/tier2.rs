@@ -344,6 +344,41 @@ impl MacLoop {
             acc_first,
         })
     }
+
+    /// How many leading iterations from counter `i` pass every check of
+    /// `run_mac`'s checked loop: the budget (`budget_iters`), the exit test
+    /// against `n` and the gathers into ports of `lens`. Zero unless `i`,
+    /// `s` and `k` are integers of magnitude at most 2⁵² and `s ≥ 1`.
+    /// Then every admitted iteration gathers at a value in `[0, 2⁵²]`, and
+    /// `i` and `t` lie within `|k|` of it, so each is an exact integer of
+    /// magnitude at most 2⁵³ and equals the generic loop's repeated `i += s`.
+    fn clean_iters(&self, [i, s, k, n]: [f64; 4], lens: [usize; 2], budget_iters: u64) -> u64 {
+        const MAX: f64 = (1u64 << 52) as f64;
+        let int = |x: f64| x.abs() <= MAX && x.trunc() == x;
+        if !(int(i) && int(s) && int(k) && s >= 1.0) {
+            return 0;
+        }
+        // Iteration `j`'s `t` or `i`, exact.
+        let at = |x_t: bool, j: u64| (if x_t { i + k } else { i }) as i128 + j as i128 * s as i128;
+        // `to_index` admits `[0, 2⁵²]` below `len`. The values only grow,
+        // so each check, and so all of them, passes a prefix of the
+        // iterations: bisect for its length. The exit test is the compare
+        // itself, which any `n` (NaN, ±inf, fractional, huge) answers as
+        // the checked loop does.
+        let gather =
+            |x_t, len: usize, j| at(x_t, 0) >= 0 && at(x_t, j) < len.min((1 << 52) + 1) as i128;
+        let passes = |j| {
+            gather(self.idx1_t, lens[0], j)
+                && gather(self.idx2_t, lens[1], j)
+                && BinOp::Lt.eval(at(self.head.test_t, j) as f64, n) != 0.0
+        };
+        let (mut lo, mut hi) = (0, budget_iters.min(lens[0].min(lens[1]) as u64));
+        while lo < hi {
+            let j = lo + (hi - lo) / 2;
+            (lo, hi) = if passes(j) { (j + 1, hi) } else { (lo, j) };
+        }
+        lo
+    }
 }
 
 /// A counted map region: a [`Counted`] loop whose plain body uses only
@@ -1088,11 +1123,14 @@ impl LoopRegion {
 
     /// `run` for a [`MacLoop`] region: the same iterations as the generic
     /// loop with nothing dispatched, and `i`, `acc` and `t` carried in
-    /// locals instead of `regs`. Every check keeps its place: the budget
-    /// test, then the exit test, then both gathers through `to_index`
-    /// (port 1 first), and the accumulate keeps the source's operand
-    /// order. `regs` gets the three back on every way out, so `take_exit`
-    /// and the fallback see what the generic loop would leave.
+    /// locals instead of `regs`. The checks are decided once per entry:
+    /// the first [`MacLoop::clean_iters`] iterations pass them all, so they
+    /// run as a plain slice loop. The rest run checked, each check in its
+    /// place: the budget test, then the exit test, then both gathers
+    /// through `to_index` (port 1 first). Both loops keep the source's
+    /// operand order in the accumulate. `regs` gets the three back on
+    /// every way out, so `take_exit` and the fallback see what the generic
+    /// loop would leave.
     #[allow(clippy::too_many_arguments)]
     fn run_mac(
         &self,
@@ -1117,7 +1155,26 @@ impl LoopRegion {
         let mut i = regs[h.i as usize];
         let mut acc = regs[m.acc as usize];
         let mut t = h.lag.map_or(0.0, |(t, _)| regs[t as usize]);
-        let mut iters: u64 = 0;
+        let clean = m.clean_iters([i, s, k, n], [in1.len(), in2.len()], budget_iters);
+        if clean > 0 {
+            // Integers below 2⁵³ (see `clean_iters`): the casts and `i₀ + j·s`
+            // are exact, and iteration 0 keeps `i₀`'s zero sign. The add takes
+            // its operands as a pair, as below: an unoptimised build commutes
+            // a bare `acc + p`, which changes which NaN payload survives.
+            let (step, j) = (s as usize, clean as usize - 1);
+            let at = |x_t: bool| (if x_t { i + k } else { i }) as usize;
+            let (b1, b2, span) = (at(m.idx1_t), at(m.idx2_t), j * step + 1);
+            let (a, b) = (&in1[b1..b1 + span], &in2[b2..b2 + span]);
+            for x in (0..span).step_by(step) {
+                let p = a[x] * b[x];
+                let (l, r) = if m.acc_first { (acc, p) } else { (p, acc) };
+                acc = l + r;
+            }
+            let last = if j > 0 { i + (j * step) as f64 } else { i };
+            t = if h.lag.is_some() { last + k } else { t };
+            i = last + s;
+        }
+        let mut iters = clean;
         let out = loop {
             if iters == budget_iters {
                 break Out::Budget;
@@ -1144,6 +1201,8 @@ impl LoopRegion {
             i += s;
             iters += 1;
         };
+        #[cfg(test)]
+        tests::CHECKED_ITERS.with(|c| c.set(c.get() + iters - clean));
         regs[h.i as usize] = i;
         regs[m.acc as usize] = acc;
         if let Some((tr, _)) = h.lag {
@@ -1986,7 +2045,189 @@ mod tests {
     use super::*;
     use crate::module::Function;
     use crate::{execute, Module};
+    use std::cell::Cell;
     use Op::*;
+
+    thread_local! {
+        /// Iterations `run_mac` has run on this thread past its clean
+        /// prefix, each through the per-iteration checks.
+        pub(super) static CHECKED_ITERS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Iterations one run of corpus kernel `name`, over `len` inputs per
+    /// port, sends through `run_mac`'s per-iteration checks. The run must
+    /// match the reference interpreter.
+    fn checked_iters(name: &str, len: usize) -> u64 {
+        let path = format!("{}/tests/corpus/{name}.tvm", env!("CARGO_MANIFEST_DIR"));
+        let m = crate::asm::assemble(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let input: Vec<f64> = (0..len).map(|j| (j as f64 * 0.61).sin()).collect();
+        let inputs = vec![&input[..]; m.n_inputs as usize];
+        let policy = SandboxPolicy::standard();
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        CHECKED_ITERS.with(|c| c.set(0));
+        let got = prepared.execute(&inputs, &policy, &mut ExecContext::new());
+        assert_eq!(got, execute(&m, &inputs, &policy), "{name}");
+        CHECKED_ITERS.with(Cell::get)
+    }
+
+    #[test]
+    fn mac_kernels_run_every_iteration_unchecked() {
+        // Checked per iteration, every iteration ran through the checks:
+        // 1 552 for `lagged_autocorr` on 64 inputs, 64 for `matched_filter`
+        // and 32 272 for the 1 024-input `simnet_compute` job.
+        assert_eq!(checked_iters("lagged_autocorr", 64), 0);
+        assert_eq!(checked_iters("matched_filter", 64), 0);
+        assert_eq!(checked_iters("lagged_autocorr", 1024), 0);
+        assert_eq!(checked_iters("matched_filter_stride2", 64), 0);
+        // A fractional step admits no prefix: all 128 iterations are checked.
+        assert_eq!(checked_iters("matched_filter_half_step", 64), 128);
+    }
+
+    /// A [`MacLoop`] of the given shape; `clean_iters` reads no register id.
+    fn mac_shape(lag: bool, test_t: bool, idx1_t: bool, idx2_t: bool) -> MacLoop {
+        let head = Counted {
+            i: 0,
+            n: 1,
+            s: 2,
+            lag: lag.then_some((3, 4)),
+            test_t,
+            exit: 0,
+            head_len: 2 + usize::from(lag),
+        };
+        MacLoop {
+            head,
+            acc: 5,
+            port1: 0,
+            idx1_t,
+            port2: 1,
+            idx2_t,
+            acc_first: true,
+        }
+    }
+
+    /// The iterations the checked loop runs from `i`, one at a time: the
+    /// budget, then the exit test, then both gathers.
+    fn naive_iters(m: &MacLoop, [i, s, k, n]: [f64; 4], lens: [usize; 2], budget: u64) -> u64 {
+        let mut i = i;
+        for j in 0..budget {
+            let t = i + k;
+            let at = |x_t: bool| if x_t { t } else { i };
+            if BinOp::Lt.eval(at(m.head.test_t), n) == 0.0
+                || to_index(at(m.idx1_t), lens[0]).is_none()
+                || to_index(at(m.idx2_t), lens[1]).is_none()
+            {
+                return j;
+            }
+            i += s;
+        }
+        budget
+    }
+
+    #[test]
+    fn clean_iters_pins() {
+        let lagged = mac_shape(true, true, false, true);
+        for lag in 0..32 {
+            let got = lagged.clean_iters([0.0, 1.0, lag as f64, 64.0], [64, 64], u64::MAX);
+            assert_eq!(got, 64 - lag);
+        }
+        let filter = mac_shape(false, false, false, false);
+        let run = |i, s, n, budget| filter.clean_iters([i, s, 0.0, n], [64, 64], budget);
+        assert_eq!(run(0.0, 2.0, 64.0, u64::MAX), 32);
+        assert_eq!(run(-0.0, 3.0, 64.0, u64::MAX), 22);
+        assert_eq!(run(0.0, 1.0, 64.0, 10), 10);
+        assert_eq!(run(0.0, 1.0, 40.5, u64::MAX), 41);
+        assert_eq!(run(0.0, 1.0, f64::INFINITY, u64::MAX), 64);
+        assert_eq!(run(0.0, 0.5, 64.0, u64::MAX), 0);
+        assert_eq!(run(-1.0, 1.0, 64.0, u64::MAX), 0);
+        assert_eq!(run(0.0, 1.0, f64::NAN, u64::MAX), 0);
+    }
+
+    /// `clean_iters` never admits an iteration the checked loop would not
+    /// pass (soundness), and when its preconditions hold it admits every
+    /// one that does (completeness), over integer, fractional, signed-zero,
+    /// NaN, infinite, negative and past-2⁵² values, port lengths 0 to 129,
+    /// and budgets at, next to and far from each boundary.
+    #[test]
+    fn clean_iters_is_sound_and_complete() {
+        const BIG: f64 = (1u64 << 52) as f64;
+        const LIMIT: u64 = 300;
+        let is = [
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            -1.0,
+            -3.0,
+            0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            BIG,
+            -BIG,
+            BIG + 2.0,
+            -BIG - 2.0,
+        ];
+        let steps = [
+            1.0,
+            2.0,
+            3.0,
+            0.5,
+            1.5,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            BIG,
+            BIG + 2.0,
+        ];
+        let int = |x: f64| x.abs() <= BIG && x.trunc() == x;
+        let mut case = 0usize;
+        for (lag, test_t, idx1_t, idx2_t) in [(false, false, false, false)]
+            .into_iter()
+            .chain((0..8).map(|b| (true, b & 1 != 0, b & 2 != 0, b & 4 != 0)))
+        {
+            let m = mac_shape(lag, test_t, idx1_t, idx2_t);
+            let ks: &[f64] = if lag { &is } else { &[0.0] };
+            for (&i, &s, &k) in is.iter().flat_map(|i| {
+                steps
+                    .iter()
+                    .flat_map(move |s| ks.iter().map(move |k| (i, s, k)))
+            }) {
+                case += 1;
+                let lens = [case * 37 % 130, (case * 53 + case / 130) % 130];
+                let ns = [
+                    lens[0] as f64,
+                    lens[1] as f64 + 0.5,
+                    lens[0] as f64 - 3.0,
+                    0.0,
+                    64.5,
+                    -1.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    1e17,
+                    BIG + 2.0,
+                ];
+                let n = ns[case % ns.len()];
+                let v = [i, s, k, n];
+                let free = naive_iters(&m, v, lens, LIMIT);
+                for budget in [0, 1, free.saturating_sub(1), free, free + 1, LIMIT] {
+                    let want = naive_iters(&m, v, lens, budget);
+                    let got = m.clean_iters(v, lens, budget);
+                    let pre = int(i) && int(s) && int(k) && s >= 1.0;
+                    assert!(
+                        got <= want,
+                        "unsound: {m:?} {v:?} {lens:?} budget {budget}: {got} > {want}"
+                    );
+                    assert!(
+                        !pre || got == want,
+                        "incomplete: {m:?} {v:?} {lens:?} budget {budget}: {got} < {want}"
+                    );
+                }
+            }
+        }
+    }
 
     fn module1(code: Vec<Op>, n_locals: u16, n_inputs: u8, n_outputs: u8) -> Module {
         Module {

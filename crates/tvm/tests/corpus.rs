@@ -196,6 +196,8 @@ fn corpus_translation_outcomes_are_pinned() {
         ("deep_nested_calls", 1, &[2]),
         ("lagged_autocorr", 1, &[0]),
         ("matched_filter", 1, &[0]),
+        ("matched_filter_half_step", 1, &[0]),
+        ("matched_filter_stride2", 1, &[0]),
         ("matched_filter_sub", 1, &[1]),
         ("sph_kernel", 1, &[0]),
         ("sph_running_max", 1, &[6]),

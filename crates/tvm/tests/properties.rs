@@ -889,6 +889,42 @@ fn arb_mac_spec() -> impl Strategy<Value = MacSpec> {
         )
 }
 
+/// The integer-heavy arm: integer starts, lags and bounds with steps 1 to
+/// 3, and the near miss 1.5. So most loops run a clean prefix (the
+/// iterations `run_mac` decides at entry to pass every check), then leave
+/// by the exit, by a gather that runs off its port or at the budget.
+/// Starts and lags include −0.0, lags are also negative, and `n = inlen`
+/// ends a gather exactly at its port's length.
+fn arb_mac_int_spec() -> impl Strategy<Value = MacSpec> {
+    (
+        (0u8..6, 0u8..8, 0u8..12, 0u8..4, 0u8..3),
+        (0u8..2, 0u8..2, 0u8..2, 0u8..2, 0u8..6),
+        (0u8..2, 0u8..2, 0u8..2),
+    )
+        .prop_map(
+            |((i0, k, acc0, s, lag), (p1, t1, p2, t2, n), (acc_first, step_local, n_port))| {
+                let bounds = [2.0, 5.0, 9.0, 16.0];
+                MacSpec {
+                    n: if n < 4 {
+                        Err(bounds[n as usize])
+                    } else {
+                        Ok(n_port)
+                    },
+                    lag,
+                    i0: [0.0, -0.0, 1.0, 2.0, 0.0, -0.0][i0 as usize],
+                    k: [0.0, -0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 4.0][k as usize],
+                    acc0: mac_value(acc0),
+                    s: [1.0, 2.0, 3.0, 1.5][s as usize],
+                    step_local: step_local == 1,
+                    g1: (p1, t1 == 1),
+                    g2: (p2, t2 == 1),
+                    acc_first: acc_first == 1,
+                    miss: MacMiss::None,
+                }
+            },
+        )
+}
+
 /// Build [`MacSpec`]'s loop; every exit ends by pushing all five locals
 /// to port 0, so a wrong register value cannot stay hidden.
 fn mac_module(m: &MacSpec) -> Module {
@@ -1022,35 +1058,72 @@ proptest! {
     #[test]
     fn mac_barrage_matches_reference_under_tight_policies(case in arb_mac_case()) {
         let (specs, inputs) = case;
-        let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-        let roomy = SandboxPolicy {
-            max_instructions: MAC_BUDGET,
-            ..SandboxPolicy::standard()
+        let failure = mac_tight_failure(&specs, &inputs, 240);
+        prop_assert!(failure.is_none(), "{}", failure.unwrap());
+    }
+
+    /// The integer-heavy arm under every budget of the whole run, so the
+    /// budget cuts each clean prefix at every length, at its end and past
+    /// it, and under the same caps.
+    #[test]
+    fn mac_integer_barrage_matches_reference_under_tight_policies(
+        case in arb_mac_int_case()
+    ) {
+        let (specs, inputs) = case;
+        let failure = mac_tight_failure(&specs, &inputs, MAC_BUDGET);
+        prop_assert!(failure.is_none(), "{}", failure.unwrap());
+    }
+}
+
+/// [`arb_mac_case`] for the integer-heavy arm: six [`arb_mac_int_spec`]
+/// loops over two ports of 0 to 16 [`mac_value`]s each.
+fn arb_mac_int_case() -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
+    (
+        proptest::collection::vec(arb_mac_int_spec(), 6..7),
+        proptest::collection::vec(proptest::collection::vec(0u8..12, 0..17), 2..3),
+    )
+        .prop_map(|(specs, ports)| {
+            let inputs = ports
+                .into_iter()
+                .map(|p| p.into_iter().map(mac_value).collect())
+                .collect();
+            (specs, inputs)
+        })
+}
+
+/// The first divergence of `specs` over `inputs` from the reference, under
+/// every instruction budget up to `sweep` past the roomy run's length,
+/// three stack caps and five output caps.
+fn mac_tight_failure(specs: &[MacSpec], inputs: &[Vec<f64>], sweep: u64) -> Option<String> {
+    let slices: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let roomy = SandboxPolicy {
+        max_instructions: MAC_BUDGET,
+        ..SandboxPolicy::standard()
+    };
+    for spec in specs {
+        let (module, prepared) = mac_prepared(spec);
+        let ran = match execute(&module, &slices, &roomy) {
+            Ok((_, stats)) => stats.instructions,
+            Err(_) => MAC_BUDGET,
         };
-        for spec in &specs {
-            let (module, prepared) = mac_prepared(spec);
-            let ran = match execute(&module, &slices, &roomy) {
-                Ok((_, stats)) => stats.instructions,
-                Err(_) => MAC_BUDGET,
-            };
-            let mut ctx = ExecContext::new();
-            let budgets = (1..=ran.min(240) + 1).map(|max_instructions| SandboxPolicy {
-                max_instructions,
+        let mut ctx = ExecContext::new();
+        let budgets = (1..=ran.min(sweep) + 1).map(|max_instructions| SandboxPolicy {
+            max_instructions,
+            ..roomy
+        });
+        let caps = (1..4)
+            .map(|max_stack| SandboxPolicy { max_stack, ..roomy })
+            .chain((0..5).map(|max_output_cells| SandboxPolicy {
+                max_output_cells,
                 ..roomy
-            });
-            let caps = (1..4).map(|max_stack| SandboxPolicy { max_stack, ..roomy }).chain(
-                (0..5).map(|max_output_cells| SandboxPolicy {
-                    max_output_cells,
-                    ..roomy
-                }),
-            );
-            for policy in budgets.chain(caps) {
-                let failure =
-                    divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits);
-                prop_assert!(failure.is_none(), "{spec:?} under {policy:?}: {}", failure.unwrap());
+            }));
+        for policy in budgets.chain(caps) {
+            if let Some(f) = divergence(&module, &prepared, &mut ctx, &slices, &policy, mac_bits) {
+                return Some(format!("{spec:?} over {inputs:?} under {policy:?}: {f}"));
             }
         }
     }
+    None
 }
 
 /// How a [`map_module`] differs from a counted map, if at all. Each near
