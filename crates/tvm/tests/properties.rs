@@ -1001,9 +1001,18 @@ fn mac_module(m: &MacSpec) -> Module {
 /// each. Every module must translate to one region, dispatching nothing
 /// per iteration exactly when [`MacSpec::is_mac`].
 fn arb_mac_case() -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
+    mac_case(arb_mac_spec(), 12)
+}
+
+/// Six `spec` loops per case over two input ports of fewer than
+/// `max_len` [`mac_value`]s each.
+fn mac_case(
+    spec: impl Strategy<Value = MacSpec>,
+    max_len: usize,
+) -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
     (
-        proptest::collection::vec(arb_mac_spec(), 6..7),
-        proptest::collection::vec(proptest::collection::vec(0u8..12, 0..12), 2..3),
+        proptest::collection::vec(spec, 6..7),
+        proptest::collection::vec(proptest::collection::vec(0u8..12, 0..max_len), 2..3),
     )
         .prop_map(|(specs, ports)| {
             let inputs = ports
@@ -1067,28 +1076,12 @@ proptest! {
     /// it, and under the same caps.
     #[test]
     fn mac_integer_barrage_matches_reference_under_tight_policies(
-        case in arb_mac_int_case()
+        case in mac_case(arb_mac_int_spec(), 17)
     ) {
         let (specs, inputs) = case;
         let failure = mac_tight_failure(&specs, &inputs, MAC_BUDGET);
         prop_assert!(failure.is_none(), "{}", failure.unwrap());
     }
-}
-
-/// [`arb_mac_case`] for the integer-heavy arm: six [`arb_mac_int_spec`]
-/// loops over two ports of 0 to 16 [`mac_value`]s each.
-fn arb_mac_int_case() -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
-    (
-        proptest::collection::vec(arb_mac_int_spec(), 6..7),
-        proptest::collection::vec(proptest::collection::vec(0u8..12, 0..17), 2..3),
-    )
-        .prop_map(|(specs, ports)| {
-            let inputs = ports
-                .into_iter()
-                .map(|p| p.into_iter().map(mac_value).collect())
-                .collect();
-            (specs, inputs)
-        })
 }
 
 /// The first divergence of `specs` over `inputs` from the reference, under

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Non-test lines of Rust (ROADMAP item 5): every line of a `src/**/*.rs`
+# Non-test lines of Rust (ROADMAP item 10): every line of a `src/**/*.rs`
 # file up to the file's first top-level `#[cfg(test)]`. Prints one row per
 # crate and the workspace total, for this checkout or the one given as $1.
 set -euo pipefail
