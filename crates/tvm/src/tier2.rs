@@ -2072,9 +2072,9 @@ mod tests {
 
     #[test]
     fn mac_kernels_run_every_iteration_unchecked() {
-        // Checked per iteration, every iteration ran through the checks:
-        // 1 552 for `lagged_autocorr` on 64 inputs, 64 for `matched_filter`
-        // and 32 272 for the 1 024-input `simnet_compute` job.
+        // Every iteration runs in the clean prefix: all 1 552 of
+        // `lagged_autocorr` on 64 inputs, all 64 of `matched_filter` and all
+        // 32 272 of the 1 024-input `simnet_compute` job.
         assert_eq!(checked_iters("lagged_autocorr", 64), 0);
         assert_eq!(checked_iters("matched_filter", 64), 0);
         assert_eq!(checked_iters("lagged_autocorr", 1024), 0);
