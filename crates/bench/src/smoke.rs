@@ -219,9 +219,9 @@ fn tvm_stage(observer: &Obs) {
         .is_none());
     // A hostile spin loop trips the instruction budget — the prepared path
     // reports the same violation the reference interpreter does. `jmp
-    // loop` translates to a one-op region, which runs until the budget
-    // refuses a full iteration and then falls back to stack-form stepping
-    // for the last instruction: one `tvm.tier2_fallback_exits`.
+    // loop` is a spin region: it charges every iteration the budget admits
+    // in one step and falls back, and the budget then stops stack-form
+    // stepping at the head: one `tvm.tier2_fallback_exits`.
     let spin = assemble(".module Spin 1 0 0\n.func main 0\nloop:\n jmp loop\n").expect("assembles");
     let tight = SandboxPolicy {
         max_instructions: 500,
@@ -233,15 +233,15 @@ fn tvm_stage(observer: &Obs) {
         .expect_err("budget must trip");
     assert_eq!(err, tvm::TvmError::BudgetExceeded);
 
-    // Region segment: a countdown loop admits with one translated region
-    // (`tvm.tier2_regions` moves at admission), runs four
-    // times through one context, and a budget two short of the
-    // exact run cost forces one register-loop fallback — the precondition
-    // fails inside the final iteration, so `tvm.tier2_fallback_exits`
-    // lands in the snapshot with a deterministic nonzero value.
+    // Region segment: a counted loop admits with one translated (map)
+    // region (`tvm.tier2_regions` moves at admission), runs four times
+    // through one context, and a budget two short of the exact run cost
+    // forces one region fallback — the budget refuses the exit test's
+    // partial iteration, so `tvm.tier2_fallback_exits` lands in the
+    // snapshot with a deterministic nonzero value.
     let looper = assemble(
-        ".module SmokeLoop 1 0 1\n.func main 1\n push 5\n store 0\nloop:\n load 0\n outpush 0\n \
-         load 0\n push 1\n sub\n store 0\n load 0\n jnz loop\n halt\n",
+        ".module SmokeLoop 1 0 1\n.func main 1\n push 0\n store 0\nloop:\n load 0\n push 5\n lt\n \
+         jz end\n load 0\n outpush 0\n load 0\n push 1\n add\n store 0\n jmp loop\nend:\n halt\n",
     )
     .expect("assembles");
     let lkey = triana_core::ModuleKey::new("SmokeLoop", 1);
@@ -251,7 +251,7 @@ fn tvm_stage(observer: &Obs) {
     let (out, stats) = looping
         .execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)
         .expect("loop runs");
-    assert_eq!(out[0], vec![5.0, 4.0, 3.0, 2.0, 1.0]);
+    assert_eq!(out[0], vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     for _ in 0..3 {
         looping
             .execute_obs(&[], &SandboxPolicy::standard(), &mut ctx, observer)

@@ -745,9 +745,8 @@ fn host(cpu_ghz: f64) -> HostSpec {
 
 /// A real assembled module blob of roughly `approx` bytes, so corruption
 /// and hash verification run against genuine TVM bytes. Ends in a small
-/// countdown loop so admission translates a region and the
-/// cache-integrity invariant's re-admission determinism check has
-/// translated regions to bite on.
+/// countdown loop, which runs in stack form: a `jnz` back-edge is none of
+/// the shapes tier 2 translates, so admission translates no region.
 fn sized_blob(name: &str, approx: usize) -> tvm::ModuleBlob {
     let mut src = format!(".module {name} 1 0 0\n.func main 1\n");
     for _ in 0..approx / 10 {

@@ -190,26 +190,21 @@ pub fn check_cache_integrity(farm: &FarmScheduler, world: &GridWorld, out: &mut 
                     ));
                 }
                 // Admission must be deterministic: re-admitting the resident
-                // blob reproduces the same translated regions, dispatching
-                // the same ops per iteration. A divergence means region
-                // detection or translation depends on something besides
-                // the blob bytes — a nondeterminism no chaos schedule is
-                // allowed to surface.
+                // blob reproduces the same translated regions. A divergence
+                // means region detection or translation depends on
+                // something besides the blob bytes — a nondeterminism no
+                // chaos schedule is allowed to surface.
                 match tvm::PreparedModule::from_blob(blob) {
                     Ok(again)
                         if again.regions_translated() == p.regions_translated()
-                            && again.dispatched_ops_per_iteration()
-                                == p.dispatched_ops_per_iteration()
                             && again.source_hash() == p.source_hash() => {}
                     Ok(again) => out.push(Violation::new(
                         "cache-integrity",
                         format!(
                             "worker {w} prepared module for {key:?} is not reproducible: \
-                             resident {} regions dispatching {:?} vs re-admitted {} dispatching {:?}",
+                             resident {} regions vs re-admitted {}",
                             p.regions_translated(),
-                            p.dispatched_ops_per_iteration(),
-                            again.regions_translated(),
-                            again.dispatched_ops_per_iteration()
+                            again.regions_translated()
                         ),
                     )),
                     Err(e) => out.push(Violation::new(

@@ -509,17 +509,21 @@ mod tests {
     const LOOP_SRC: &str = "\
 .module Loop 1 0 1
 .func main 1
- push 4
+ push 0
  store 0
 loop:
+ load 0
+ push 4
+ lt
+ jz end
  load 0
  outpush 0
  load 0
  push 1
- sub
+ add
  store 0
- load 0
- jnz loop
+ jmp loop
+end:
  halt
 ";
 

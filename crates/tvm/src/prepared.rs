@@ -319,19 +319,6 @@ impl PreparedModule {
         self.regions.len()
     }
 
-    /// Per region, in head order: the register ops one full iteration
-    /// sends through the dispatch loop (the inlined head exit and
-    /// back-edge excluded; none for a multiply-accumulate or a map
-    /// region, which run natively). An exact count that tests pin in
-    /// place of a timing.
-    #[doc(hidden)]
-    pub fn dispatched_ops_per_iteration(&self) -> Vec<usize> {
-        self.regions
-            .iter()
-            .map(LoopRegion::dispatched_ops)
-            .collect()
-    }
-
     /// Execute and return owned outputs, mirroring [`crate::execute`]'s
     /// signature. Allocates for the returned `Vec`s; use [`Self::run`] for
     /// the allocation-free steady state.
@@ -440,10 +427,9 @@ impl ExecContext {
     }
 
     /// Ops the most recent run sent through a dispatch match, failed runs
-    /// included: one per stack-form op, per region iteration its
-    /// [`PreparedModule::dispatched_ops_per_iteration`] entry (0 for a
-    /// multiply-accumulate or map region; a map chunk charges its body
-    /// once). An exact count, not an obs counter, charged at region exit and run end.
+    /// included: one per stack-form op, and a map region's body ops once
+    /// per chunk (a fold or spin region dispatches none). An exact count,
+    /// not an obs counter, charged at region exit and run end.
     pub fn dispatched_ops(&self) -> u64 {
         self.dispatched_ops
     }

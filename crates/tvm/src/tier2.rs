@@ -13,24 +13,25 @@
 //! 2. **The region pipeline** (`translate_loops`): at prepare time, detect
 //!    back-edge loops whose bodies are straight-line and stack-balanced,
 //!    and translate their stack traffic — from the *source* ops — into a
-//!    fixed virtual-register frame (`LoopRegion`). Two passes: the
-//!    `Translator` emits plain register ops only, numbering values so a
+//!    fixed virtual-register frame. The `Translator` numbers values, so a
 //!    pure `Bin`/`Un` already computed in the same iteration is reused
-//!    rather than recomputed; then `peephole`, the one place instructions
-//!    are fused, combines them into superinstructions. At run time the
-//!    region executes whole iterations with no per-instruction
-//!    budget/overflow/underflow checks — those are hoisted into two
-//!    head-of-iteration preconditions — and with no operand-stack
-//!    traffic at all. A counted loop (`Counted`: exit on `i < n` or
-//!    `i + k < n`, back-edge `i += s`, matched once on the plain ops) runs
-//!    one of two native bodies and dispatches nothing per iteration: a
-//!    multiply-accumulate fold (`MacLoop`: `matched_filter`,
-//!    `lagged_autocorr`) as one Rust loop with its carried values in
-//!    locals, and a map that carries nothing but `i` (`MapLoop`:
-//!    `sph_kernel`) a chunk of `LANES` iterations at a time, each body op
-//!    once per chunk over a column per register. Every other region runs
-//!    the generic loop: a leading exit test and the back-edge inline, and
-//!    one `match` per op between them.
+//!    rather than recomputed, and `hoist` lifts the loop-invariant ones
+//!    into the region's entry. A loop becomes a region (`LoopRegion`) only
+//!    in one of three shapes, each of which runs natively and dispatches
+//!    nothing per iteration:
+//!    - a counted multiply-accumulate fold (`MacLoop`: `matched_filter`,
+//!      `lagged_autocorr`), run as one Rust loop with its carried values
+//!      in locals;
+//!    - a counted map that carries nothing but `i` (`MapLoop`:
+//!      `sph_kernel`), run a chunk of `LANES` iterations at a time, each
+//!      body op once per chunk over a column per register;
+//!    - a spin, a loop with no exit whose register form is empty (a CPU
+//!      burner's `jmp` to itself), which charges every iteration the
+//!      budget admits in one step.
+//!
+//!    The two counted shapes share `Counted`: exit on `i < n` or
+//!    `i + k < n`, back-edge `i += s`, matched once on the plain ops. Any
+//!    other loop runs on the dispatch loop in stack form.
 //!
 //! # Fallback and the metering contract
 //!
@@ -44,7 +45,7 @@
 //! instructions the exited path would have retired, and the stack
 //! high-water mark is reconstructed from the region's translated peak,
 //! so `ExecStats` stay bit-identical to the reference interpreter. The
-//! ops a run sent through a dispatch `match` are charged the same way, at
+//! ops a map region runs once per chunk are charged the same way, at
 //! region exit and run end, never per iteration
 //! (`ExecContext::dispatched_ops`). The loop, multiply-accumulate and map
 //! barrages in `tests/properties.rs` and the corpus runner in
@@ -60,26 +61,10 @@ use crate::sandbox::SandboxPolicy;
 const MAX_REGION_OPS: usize = 128;
 /// Virtual-register frame cap (locals + constants + temporaries).
 const MAX_REGION_REGS: usize = 4096;
-/// [`RegOp::Bin2`] operand sentinel: "the result of the first binop".
-/// Register ids stay far below it ([`MAX_REGION_REGS`]).
-const SELF_OPERAND: u16 = u16::MAX;
 /// Iterations a map region runs per chunk (see [`MapLoop`]).
 const LANES: usize = 64;
 /// Column cap of a map region's fixed stack frame.
 const MAX_COLS: usize = 16;
-/// [`RegOp::Back`] fall-through sentinel for unconditional back-edges.
-const NO_EXIT: u16 = u16::MAX;
-
-/// Back-edge condition of a translated loop.
-#[derive(Clone, Copy, Debug)]
-enum CondBack {
-    /// `jmp head` — always loop.
-    Always,
-    /// `jz head` — loop while the register is zero.
-    IfZero(u16),
-    /// `jnz head` — loop while the register is non-zero.
-    IfNonZero(u16),
-}
 
 /// One register-form instruction. Operands and destinations are indices
 /// into the region's virtual-register frame: `[0, n_locals)` mirror the
@@ -91,75 +76,19 @@ enum RegOp {
     Mov { dst: u16, src: u16 },
     /// `dst = a ∘ b`.
     Bin { op: BinOp, dst: u16, a: u16, b: u16 },
-    /// Two fused binops: `t = a ∘₁ b; dst = c ∘₂ d`, where `c`/`d` may be
-    /// [`SELF_OPERAND`] to mean `t`.
-    Bin2 {
-        op1: BinOp,
-        a: u16,
-        b: u16,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        dst: u16,
-    },
     /// `dst = f(src)`.
     Un { op: UnOp, dst: u16, src: u16 },
     /// `dst = inputs[port].len()`.
     InLen { dst: u16, port: u8 },
-    /// `dst = outputs[port].len()`.
-    OutLen { dst: u16, port: u8 },
     /// `dst = inputs[port][idx]`, `IndexOutOfBounds` on a bad index.
     InGet { dst: u16, port: u8, idx: u16 },
     /// `outputs[port].push(src)`, `OutputLimitExceeded` past the cap.
     OutPush { port: u8, src: u16 },
-    /// `outputs[port][idx] = val`, growing the port (both errors possible).
-    OutSet { port: u8, idx: u16, val: u16 },
-    /// Simulated syscall: `dst = 0.0`, `HostIoDenied` without capability.
-    HostIo { dst: u16 },
-    /// Fused `a ∘ b; jz/jnz target`: leave the region through `exit` when
-    /// `(result == 0) == exit_if_zero`. `pre`, when set, is a fused
-    /// leading `Bin` `(op, dst, a, b)` that runs first and leaves its
-    /// result in `dst`, so a compare chain's intermediate stays readable.
-    BinExit {
-        pre: Option<(BinOp, u16, u16, u16)>,
-        op: BinOp,
-        a: u16,
-        b: u16,
-        exit_if_zero: bool,
-        exit: u16,
-    },
-    /// `jz/jnz target` on a register: leave through `exit` when
-    /// `(cond == 0) == exit_if_zero`.
-    CondExit {
-        cond: u16,
-        exit_if_zero: bool,
-        exit: u16,
-    },
-    /// The back-edge, always the region's last op: loop when `cond`
-    /// holds, otherwise leave through `fall_exit` ([`NO_EXIT`] and
-    /// unreachable for [`CondBack::Always`]).
-    Back { cond: CondBack, fall_exit: u16 },
-    // -- Peephole superinstructions (see `peephole`, which also builds
-    // -- `Bin2` and `BinExit`): each is exactly the sequence of its
-    // -- constituent ops, checks in the original order.
-    /// Fused `InGet + InGet + Bin2`: fetch `inputs[port1][idx1]`, then
-    /// `inputs[port2][idx2]` (port 1 checked first, as the unfused pair
-    /// would), combine with `op1`, then `dst = c ∘₂ d` where
-    /// [`SELF_OPERAND`] means the `op1` result.
-    In2Bin2 {
-        port1: u8,
-        idx1: u16,
-        port2: u8,
-        idx2: u16,
-        op1: BinOp,
-        op2: BinOp,
-        c: u16,
-        d: u16,
-        dst: u16,
-    },
+    /// `jz`: leave the region through its one exit when `cond` is zero.
+    ExitIfZero { cond: u16 },
 }
 
-/// One way out of a region, with the exact metering of the exited path.
+/// The way out of a region, with the exact metering of the exited path.
 #[derive(Clone, Debug)]
 struct RegionExit {
     /// Flat pc execution resumes at.
@@ -186,28 +115,33 @@ pub(crate) struct LoopRegion {
     n_regs: u16,
     /// Constant pool: `(register, value)`, loaded at region entry.
     consts: Vec<(u16, f64)>,
-    /// The translated loop body; last op is always [`RegOp::Back`].
-    ops: Vec<RegOp>,
+    /// Loop-invariant pure ops lifted out of the body (see [`hoist`]):
+    /// `(register, value)`, computed at region entry after the pool.
+    hoisted: Vec<(u16, Value)>,
     /// Source instructions one full iteration retires.
     full_cost: u64,
     /// Peak stack growth (relative to entry sp) of a full iteration.
     peak_full: usize,
-    exits: Vec<RegionExit>,
-    /// Set when the region is a counted multiply-accumulate, which `run`
-    /// executes as one native loop.
-    mac: Option<MacLoop>,
-    /// Set when the region is a counted map, which `run` executes a
-    /// chunk of lanes at a time.
-    map: Option<MapLoop>,
+    /// The head's exit; a spin has none.
+    exit: Option<RegionExit>,
+    shape: Shape,
+}
+
+/// How a region runs: see the module docs.
+#[derive(Clone, Debug)]
+enum Shape {
+    Fold(MacLoop),
+    Map(MapLoop),
+    Spin,
 }
 
 /// The counted head and back-edge shared by the native region runners,
 /// matched once on the translator's plain ops by [`Counted::of`]: the
 /// region opens with `[t = i + k;] c = x < n; jz exit`, where `x` is `i`
-/// or `t` and `c` a dead temporary, and closes with `i = i + s; jmp head`.
-/// The head writes only `t` (and `c`), the tail only `i`, and the body
-/// none of `i`, `n`, `s`, `k` and `t`, so `n`, `k` and `s` hold still for
-/// the whole run.
+/// or `t` and `c` a dead temporary, and closes with `i = i + s`, or with
+/// `i = r` where the body computed `r = i + s`. The head writes only `t`
+/// (and `c`), the tail only `i`, and the body none of `i`, `n`, `s`, `k`
+/// and `t`, so `n`, `k` and `s` hold still for the whole run.
 #[derive(Clone, Copy, Debug)]
 struct Counted {
     i: u16,
@@ -217,31 +151,35 @@ struct Counted {
     lag: Option<(u16, u16)>,
     /// Which of `i` (false) or `t` (true) the exit test compares with `n`.
     test_t: bool,
-    exit: u16,
     /// Plain ops the head takes: 2, or 3 with the lag.
     head_len: usize,
 }
 
 impl Counted {
-    fn of(ops: &[RegOp], exits: &[RegionExit], is_temp: &dyn Fn(u16) -> bool) -> Option<Counted> {
+    fn of(ops: &[RegOp], pushes: &[u16], is_temp: &dyn Fn(u16) -> bool) -> Option<Counted> {
         let bin = |j: usize| ops.get(j).and_then(as_bin);
         let lagged = matches!(
             (bin(0), bin(1)),
             (Some((BinOp::Add, ..)), Some((BinOp::Lt, ..)))
         );
         let head_len = 2 + usize::from(lagged);
-        let tail = ops.len().checked_sub(2).filter(|&t| t >= head_len)?;
+        let tail = ops.len().checked_sub(1).filter(|&t| t >= head_len)?;
+        // `i = i + s`, or `i = r` with `r = i + s` (a temporary, so written
+        // by that one op).
+        let step = match ops[tail] {
+            RegOp::Mov { dst: i, src: r } if is_temp(r) => ops[head_len..tail]
+                .iter()
+                .find(|&&op| dst(op) == Some(r))
+                .and_then(as_bin)
+                .map(|(op, _, a, b)| (op, i, a, b)),
+            op => as_bin(&op),
+        };
         let (Some((BinOp::Lt, c, x, n)), Some((BinOp::Add, i, i_read, s))) =
-            (bin(head_len - 2), bin(tail))
+            (bin(head_len - 2), step)
         else {
             return None;
         };
-        let RegOp::CondExit {
-            cond,
-            exit_if_zero: true,
-            exit,
-        } = ops[head_len - 1]
-        else {
+        let RegOp::ExitIfZero { cond } = ops[head_len - 1] else {
             return None;
         };
         let lag = match ops[0] {
@@ -256,15 +194,13 @@ impl Counted {
         };
         let (t, k) = lag.unwrap_or((i, n));
         let held = [n, s, k];
-        // The head's exit is the only way out, so the back-edge is a `jmp`.
         let fixed = i_read == i
-            && exits.len() == 1
             && !held.contains(&i)
             && (lag.is_none() || t != i && !held.contains(&t))
             && cond == c
             && is_temp(c)
             && !ops[head_len..].iter().any(|op| reads(op, c))
-            && !exits[0].pushes.contains(&c)
+            && !pushes.contains(&c)
             && ops[head_len..tail]
                 .iter()
                 .filter_map(|&op| dst(op))
@@ -275,7 +211,6 @@ impl Counted {
             s,
             lag,
             test_t,
-            exit,
             head_len,
         })
     }
@@ -351,7 +286,8 @@ impl MacLoop {
     /// `s` and `k` are integers of magnitude at most 2⁵² and `s ≥ 1`.
     /// Then every admitted iteration gathers at a value in `[0, 2⁵²]`, and
     /// `i` and `t` lie within `|k|` of it, so each is an exact integer of
-    /// magnitude at most 2⁵³ and equals the generic loop's repeated `i += s`.
+    /// magnitude at most 2⁵³ and equals the checked loop's repeated
+    /// `i += s`.
     fn clean_iters(&self, [i, s, k, n]: [f64; 4], lens: [usize; 2], budget_iters: u64) -> u64 {
         const MAX: f64 = (1u64 << 52) as f64;
         let int = |x: f64| x.abs() <= MAX && x.trunc() == x;
@@ -491,11 +427,10 @@ struct VmState {
     max_sp: usize,
     instr: u64,
     out_cells: usize,
-    /// Register ops the region sent through its dispatch match, charged
-    /// on every way out (errors included).
+    /// Register ops a map region ran once per chunk, charged on every
+    /// way out (errors included).
     dispatched: u64,
 }
-
 /// The dispatch loop. Exact reference-interpreter semantics: one source
 /// instruction per dispatched op, budget check first, then the op's own
 /// checks in `tvm::execute`'s order. A region head runs whole loop
@@ -804,48 +739,6 @@ fn to_raw_index(x: f64) -> Option<usize> {
         .then_some(x as i64 as usize)
 }
 
-/// `inputs[port][x]`, with the stack form's bounds check and error.
-#[inline(always)]
-fn fetch(inputs: &[&[f64]], port: u8, x: f64) -> Result<f64, TvmError> {
-    let data = inputs[port as usize];
-    match to_index(x, data.len()) {
-        Some(i) => Ok(data[i]),
-        None => Err(TvmError::IndexOutOfBounds { port, index: x }),
-    }
-}
-
-/// `BinExit`'s test, shared by `run`'s inlined head and its dispatched
-/// arm: run the fused leading `Bin`, if any, then report whether `a ∘ b`
-/// leaves the region.
-#[inline(always)]
-fn bin_exit_taken(
-    regs: &mut [f64],
-    pre: Option<(BinOp, u16, u16, u16)>,
-    op: BinOp,
-    a: u16,
-    b: u16,
-    exit_if_zero: bool,
-) -> bool {
-    if let Some((op1, t, x, y)) = pre {
-        regs[t as usize] = op1.eval(regs[x as usize], regs[y as usize]);
-    }
-    (op.eval(regs[a as usize], regs[b as usize]) == 0.0) == exit_if_zero
-}
-
-/// The second stage of `Bin2` and `In2Bin2`: `c ∘₂ d`, where
-/// [`SELF_OPERAND`] means the first stage's result `t`.
-#[inline(always)]
-fn second(regs: &[f64], op2: BinOp, c: u16, d: u16, t: f64) -> f64 {
-    let pick = |r: u16| {
-        if r == SELF_OPERAND {
-            t
-        } else {
-            regs[r as usize]
-        }
-    };
-    op2.eval(pick(c), pick(d))
-}
-
 /// `d[j] = a[j] ∘ b[j]` over a chunk's live lanes: the op is matched
 /// once, and each arm is a lane loop over [`BinOp::eval`] with the op
 /// fixed, which the compiler specialises.
@@ -905,8 +798,6 @@ impl LoopRegion {
         if regs.len() < self.n_regs as usize {
             regs.resize(self.n_regs as usize, 0.0);
         }
-        // Plain-slice view: keeps register access off the Vec indirection
-        // inside the hot dispatch loop.
         let regs: &mut [f64] = &mut regs[..];
         // Head preconditions, hoisted out of the iteration loop. One full
         // iteration must fit the budget (the k-th of `full_cost` source ops
@@ -925,14 +816,16 @@ impl LoopRegion {
             return Ok(false);
         }
         let budget_iters = (policy.max_instructions - st.instr) / self.full_cost;
-        let mut iters: u64 = 0;
         regs[..nl].copy_from_slice(locals);
         for &(r, v) in &self.consts {
             regs[r as usize] = v;
         }
-        if let Some(mac) = self.mac {
-            return self.run_mac(
-                mac,
+        for &(r, v) in &self.hoisted {
+            regs[r as usize] = v.eval(regs);
+        }
+        match &self.shape {
+            Shape::Fold(mac) => self.run_mac(
+                *mac,
                 budget_iters,
                 inputs,
                 stack,
@@ -940,10 +833,8 @@ impl LoopRegion {
                 regs,
                 st,
                 fallbacks,
-            );
-        }
-        if let Some(map) = &self.map {
-            return self.run_map(
+            ),
+            Shape::Map(map) => self.run_map(
                 map,
                 budget_iters,
                 inputs,
@@ -954,183 +845,22 @@ impl LoopRegion {
                 regs,
                 st,
                 fallbacks,
-            );
-        }
-        // Counted loops open with a fused exit test and every region
-        // closes with its back-edge; running both inline leaves only
-        // `self.body()` on the dispatch loop. The head shares
-        // `bin_exit_taken` with the `BinExit` arm below; the tail is the
-        // unfused `Bin` + `Back`.
-        let head = match self.ops[0] {
-            RegOp::BinExit {
-                pre,
-                op,
-                a,
-                b,
-                exit_if_zero,
-                exit,
-            } => Some((pre, op, a, b, exit_if_zero, exit)),
-            _ => None,
-        };
-        let RegOp::Back { cond, fall_exit } = self.ops[self.ops.len() - 1] else {
-            unreachable!("a translated region ends with its back-edge")
-        };
-        let tail_bin = self.tail_bin();
-        let body = self.body();
-        loop {
-            if iters == budget_iters {
-                return self.fall_back(iters, locals, regs, st, fallbacks);
-            }
-            if let Some((pre, op, a, b, exit_if_zero, exit)) = head {
-                if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
-                    return self.take_exit(exit, iters, 0, stack, locals, regs, st);
-                }
-            }
-            for (j, op) in body.iter().enumerate() {
-                // Charge the `j + 1` ops this iteration dispatched, then
-                // fail the run.
-                macro_rules! fail {
-                    ($e:expr) => {{
-                        st.dispatched += iters * body.len() as u64 + j as u64 + 1;
-                        return Err($e);
-                    }};
-                }
-                match *op {
-                    RegOp::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
-                    RegOp::Bin { op, dst, a, b } => {
-                        regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
-                    }
-                    RegOp::Bin2 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        dst,
-                    } => {
-                        let t = op1.eval(regs[a as usize], regs[b as usize]);
-                        regs[dst as usize] = second(regs, op2, c, d, t);
-                    }
-                    RegOp::Un { op, dst, src } => {
-                        regs[dst as usize] = op.eval(regs[src as usize]);
-                    }
-                    RegOp::InLen { dst, port } => {
-                        regs[dst as usize] = inputs[port as usize].len() as f64;
-                    }
-                    RegOp::OutLen { dst, port } => {
-                        regs[dst as usize] = outputs[port as usize].len() as f64;
-                    }
-                    RegOp::InGet { dst, port, idx } => {
-                        match fetch(inputs, port, regs[idx as usize]) {
-                            Ok(v) => regs[dst as usize] = v,
-                            Err(e) => fail!(e),
-                        }
-                    }
-                    RegOp::OutPush { port, src } => {
-                        if st.out_cells >= policy.max_output_cells {
-                            fail!(TvmError::OutputLimitExceeded);
-                        }
-                        st.out_cells += 1;
-                        outputs[port as usize].push(regs[src as usize]);
-                    }
-                    RegOp::OutSet { port, idx, val } => {
-                        let x = regs[idx as usize];
-                        let i = match to_raw_index(x) {
-                            Some(i) => i,
-                            None => fail!(TvmError::IndexOutOfBounds { port, index: x }),
-                        };
-                        let out = &mut outputs[port as usize];
-                        if i >= out.len() {
-                            let grow = i + 1 - out.len();
-                            if st.out_cells + grow > policy.max_output_cells {
-                                fail!(TvmError::OutputLimitExceeded);
-                            }
-                            st.out_cells += grow;
-                            out.resize(i + 1, 0.0);
-                        }
-                        out[i] = regs[val as usize];
-                    }
-                    RegOp::HostIo { dst } => {
-                        if !policy.allow_host_io {
-                            fail!(TvmError::HostIoDenied);
-                        }
-                        regs[dst as usize] = 0.0; // simulated syscall result
-                    }
-                    RegOp::BinExit {
-                        pre,
-                        op,
-                        a,
-                        b,
-                        exit_if_zero,
-                        exit,
-                    } => {
-                        if bin_exit_taken(regs, pre, op, a, b, exit_if_zero) {
-                            return self.take_exit(exit, iters, j + 1, stack, locals, regs, st);
-                        }
-                    }
-                    RegOp::CondExit {
-                        cond,
-                        exit_if_zero,
-                        exit,
-                    } => {
-                        if (regs[cond as usize] == 0.0) == exit_if_zero {
-                            return self.take_exit(exit, iters, j + 1, stack, locals, regs, st);
-                        }
-                    }
-                    RegOp::Back { .. } => {
-                        unreachable!("the back-edge runs inline, after the body")
-                    }
-                    RegOp::In2Bin2 {
-                        port1,
-                        idx1,
-                        port2,
-                        idx2,
-                        op1,
-                        op2,
-                        c,
-                        d,
-                        dst,
-                    } => {
-                        let v1 = match fetch(inputs, port1, regs[idx1 as usize]) {
-                            Ok(v) => v,
-                            Err(e) => fail!(e),
-                        };
-                        let v2 = match fetch(inputs, port2, regs[idx2 as usize]) {
-                            Ok(v) => v,
-                            Err(e) => fail!(e),
-                        };
-                        regs[dst as usize] = second(regs, op2, c, d, op1.eval(v1, v2));
-                    }
-                }
-            }
-            if let Some((op, dst, a, b)) = tail_bin {
-                regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
-            }
-            let take = match cond {
-                CondBack::Always => true,
-                CondBack::IfZero(r) => regs[r as usize] == 0.0,
-                CondBack::IfNonZero(r) => regs[r as usize] != 0.0,
-            };
-            if !take {
-                // The fall-through exit's cost equals `full_cost`, charged
-                // inside take_exit.
-                return self.take_exit(fall_exit, iters, body.len(), stack, locals, regs, st);
-            }
-            iters += 1;
+            ),
+            // No iteration changes a register: only the budget ends it.
+            Shape::Spin => self.fall_back(budget_iters, locals, regs, st, fallbacks),
         }
     }
 
-    /// `run` for a [`MacLoop`] region: the same iterations as the generic
-    /// loop with nothing dispatched, and `i`, `acc` and `t` carried in
-    /// locals instead of `regs`. The checks are decided once per entry:
-    /// the first [`MacLoop::clean_iters`] iterations pass them all, so they
-    /// run as a plain slice loop. The rest run checked, each check in its
-    /// place: the budget test, then the exit test, then both gathers
-    /// through `to_index` (port 1 first). Both loops keep the source's
-    /// operand order in the accumulate. `regs` gets the three back on
-    /// every way out, so `take_exit` and the fallback see what the generic
-    /// loop would leave.
+    /// `run` for a [`MacLoop`] region: the loop's iterations with nothing
+    /// dispatched, and `i`, `acc` and `t` carried in locals instead of
+    /// `regs`. The checks are decided once per entry: the first
+    /// [`MacLoop::clean_iters`] iterations pass them all, so they run as a
+    /// plain slice loop. The rest run checked, each check in its place:
+    /// the budget test, then the exit test, then both gathers through
+    /// `to_index` (port 1 first). Both loops keep the source's operand
+    /// order in the accumulate. `regs` gets the three back on every way
+    /// out, so `take_exit` and the fallback see what stack-form stepping
+    /// would leave.
     #[allow(clippy::too_many_arguments)]
     fn run_mac(
         &self,
@@ -1210,21 +940,21 @@ impl LoopRegion {
         }
         match out {
             Out::Budget => self.fall_back(iters, locals, regs, st, fallbacks),
-            Out::Exit => self.take_exit(h.exit, iters, 0, stack, locals, regs, st),
+            Out::Exit => self.take_exit(iters, stack, locals, regs, st),
             Out::Fault(port, index) => Err(TvmError::IndexOutOfBounds { port, index }),
         }
     }
 
-    /// `run` for a [`MapLoop`] region: the generic loop's iterations,
-    /// [`LANES`] at a time on fixed stack columns. Per chunk, the counter
-    /// column is built by the tail's own repeated `i + s`, up to the
-    /// budget and the first lane whose exit test leaves; then each body op
-    /// runs once over the live lanes. A fallible op that fails at lane `L`
-    /// records its error and cuts the live lanes to `L` for the ops after
-    /// it, so the error returned is the last recorded: the first in
-    /// (iteration, op) order, as the generic loop raises it. `regs` gets
-    /// each chunk's last lane, and on the way out the counter, so the exit
-    /// and fallback see what the generic loop leaves; each chunk charges
+    /// `run` for a [`MapLoop`] region: the loop's iterations, [`LANES`] at
+    /// a time on fixed stack columns. Per chunk, the counter column is
+    /// built by the tail's own repeated `i + s`, up to the budget and the
+    /// first lane whose exit test leaves; then each body op runs once over
+    /// the live lanes. A fallible op that fails at lane `L` records its
+    /// error and cuts the live lanes to `L` for the ops after it, so the
+    /// error returned is the last recorded: the first in (iteration, op)
+    /// order, as stack-form stepping raises it. `regs` gets each chunk's
+    /// last lane, and on the way out the counter, so the exit and
+    /// fallback see what stack-form stepping leaves; each chunk charges
     /// its body ops once to `st.dispatched`.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -1347,34 +1077,10 @@ impl LoopRegion {
         }
         st.dispatched += chunks * m.body.len() as u64;
         if exited {
-            self.take_exit(h.exit, iters, 0, stack, locals, regs, st)
+            self.take_exit(iters, stack, locals, regs, st)
         } else {
             self.fall_back(iters, locals, regs, st, fallbacks)
         }
-    }
-
-    /// How many ops of one full iteration go through `run`'s dispatch
-    /// loop: none for a multiply-accumulate or a map region.
-    pub(crate) fn dispatched_ops(&self) -> usize {
-        if self.mac.is_some() || self.map.is_some() {
-            0
-        } else {
-            self.body().len()
-        }
-    }
-
-    /// The ops `run` sends through its dispatch loop: all but a leading
-    /// `BinExit` and the closing back-edge with the `Bin` before it, which
-    /// it runs inline.
-    fn body(&self) -> &[RegOp] {
-        let start = usize::from(matches!(self.ops[0], RegOp::BinExit { .. }));
-        let end = self.ops.len() - 1 - usize::from(self.tail_bin().is_some());
-        &self.ops[start..end]
-    }
-
-    /// The `Bin` right before the closing back-edge, if any.
-    fn tail_bin(&self) -> Option<(BinOp, u16, u16, u16)> {
-        self.ops[..self.ops.len() - 1].last().and_then(as_bin)
     }
 
     /// The budget refuses the next full iteration mid-flight: charge the
@@ -1389,7 +1095,6 @@ impl LoopRegion {
         fallbacks: &mut u64,
     ) -> Result<bool, TvmError> {
         st.instr += iters * self.full_cost;
-        st.dispatched += iters * self.dispatched_ops() as u64;
         *fallbacks += 1;
         if st.sp + self.peak_full > st.max_sp {
             st.max_sp = st.sp + self.peak_full;
@@ -1398,24 +1103,20 @@ impl LoopRegion {
         Ok(true)
     }
 
-    /// Leave the region through exit `e` after `iters` full iterations and
-    /// `partial` dispatched ops of the next: charge the path, restore the
-    /// stack high-water mark, materialise the symbolic stack, sync the
-    /// locals, and point `st.pc` at the resume target.
-    #[allow(clippy::too_many_arguments)]
+    /// Leave the region through its exit after `iters` full iterations:
+    /// charge the path, restore the stack high-water mark, materialise the
+    /// symbolic stack, sync the locals, and point `st.pc` at the resume
+    /// target.
     fn take_exit(
         &self,
-        e: u16,
         iters: u64,
-        partial: usize,
         stack: &mut Vec<f64>,
         locals: &mut [f64],
         regs: &[f64],
         st: &mut VmState,
     ) -> Result<bool, TvmError> {
-        let ex = &self.exits[e as usize];
+        let ex = self.exit.as_ref().expect("a counted region has an exit");
         st.instr += iters * self.full_cost + ex.cost;
-        st.dispatched += iters * self.dispatched_ops() as u64 + partial as u64;
         // Completed iterations reached the full-path peak; a first-iteration
         // exit only reached the peak of its partial path.
         let peak = if iters > 0 { self.peak_full } else { ex.peak };
@@ -1488,7 +1189,7 @@ fn detect_function_regions(code: &[Op], n_locals: u16, base: u32) -> Vec<LoopReg
 
 /// A pure computation the translator can number: same key, same
 /// operand registers unwritten since, same value.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Value {
     Bin(BinOp, u16, u16),
     Un(UnOp, u16),
@@ -1501,6 +1202,13 @@ impl Value {
             Value::Un(_, src) => src == r,
         }
     }
+
+    fn eval(self, regs: &[f64]) -> f64 {
+        match self {
+            Value::Bin(op, a, b) => op.eval(regs[a as usize], regs[b as usize]),
+            Value::Un(op, src) => op.eval(regs[src as usize]),
+        }
+    }
 }
 
 /// The stack-to-register translator. The symbolic operand stack holds
@@ -1508,7 +1216,6 @@ impl Value {
 /// no code at all, `store` tries to retarget the producing op's
 /// destination straight into the local's register, and a `Bin`/`Un`
 /// already computed this iteration is reused instead of emitted again.
-/// It emits plain register ops only; fusing is `peephole`'s job.
 struct Translator {
     n_locals: u16,
     next_reg: u16,
@@ -1520,7 +1227,7 @@ struct Translator {
     stack: Vec<u16>,
     /// Peak symbolic depth so far (== peak stack growth of the path).
     peak: usize,
-    exits: Vec<RegionExit>,
+    exit: Option<RegionExit>,
     /// Value numbering: computations whose result register still holds
     /// them. A write to a register drops every entry that mentions it;
     /// the table covers one pass over the body, so nothing survives the
@@ -1538,7 +1245,7 @@ impl Translator {
             ops: Vec::new(),
             stack: Vec::new(),
             peak: 0,
-            exits: Vec::new(),
+            exit: None,
             values: Vec::new(),
         }
     }
@@ -1575,7 +1282,7 @@ impl Translator {
     fn can_absorb(&self, r: u16) -> bool {
         self.is_temp(r)
             && !self.stack.contains(&r)
-            && !self.exits.iter().any(|e| e.pushes.contains(&r))
+            && !self.exit.as_ref().is_some_and(|e| e.pushes.contains(&r))
     }
 
     /// Net-push: grows the symbolic stack and the path peak.
@@ -1593,16 +1300,6 @@ impl Translator {
 
     fn pop(&mut self) -> Option<u16> {
         self.stack.pop()
-    }
-
-    fn add_exit(&mut self, target_flat: u32, cost: u64, peak: usize, pushes: Vec<u16>) -> u16 {
-        self.exits.push(RegionExit {
-            target_flat,
-            cost,
-            peak,
-            pushes,
-        });
-        (self.exits.len() - 1) as u16
     }
 
     /// `store i`: protect live aliases of the local's old value, then
@@ -1687,10 +1384,8 @@ fn dst_mut(op: &mut RegOp) -> Option<&mut u16> {
         | RegOp::Bin { dst, .. }
         | RegOp::Un { dst, .. }
         | RegOp::InLen { dst, .. }
-        | RegOp::OutLen { dst, .. }
-        | RegOp::InGet { dst, .. }
-        | RegOp::HostIo { dst } => Some(dst),
-        _ => None,
+        | RegOp::InGet { dst, .. } => Some(dst),
+        RegOp::OutPush { .. } | RegOp::ExitIfZero { .. } => None,
     }
 }
 
@@ -1708,182 +1403,47 @@ fn as_bin(op: &RegOp) -> Option<(BinOp, u16, u16, u16)> {
 
 /// Does `op` read register `r` (as an operand — destinations excluded)?
 fn reads(op: &RegOp, r: u16) -> bool {
-    let back_reads = |cond: &CondBack| match *cond {
-        CondBack::Always => false,
-        CondBack::IfZero(c) | CondBack::IfNonZero(c) => c == r,
-    };
     match *op {
-        RegOp::Mov { src, .. } => src == r,
         RegOp::Bin { a, b, .. } => a == r || b == r,
-        RegOp::Bin2 { a, b, c, d, .. } => a == r || b == r || c == r || d == r,
-        RegOp::Un { src, .. } => src == r,
-        RegOp::InLen { .. } | RegOp::OutLen { .. } | RegOp::HostIo { .. } => false,
-        RegOp::InGet { idx, .. } => idx == r,
-        RegOp::In2Bin2 {
-            idx1, idx2, c, d, ..
-        } => idx1 == r || idx2 == r || c == r || d == r,
-        RegOp::OutPush { src, .. } => src == r,
-        RegOp::OutSet { idx, val, .. } => idx == r || val == r,
-        RegOp::BinExit { pre, a, b, .. } => {
-            a == r || b == r || pre.is_some_and(|(_, _, x, y)| x == r || y == r)
-        }
-        RegOp::CondExit { cond, .. } => cond == r,
-        RegOp::Back { ref cond, .. } => back_reads(cond),
+        RegOp::Mov { src, .. }
+        | RegOp::Un { src, .. }
+        | RegOp::InGet { idx: src, .. }
+        | RegOp::OutPush { src, .. }
+        | RegOp::ExitIfZero { cond: src } => src == r,
+        RegOp::InLen { .. } => false,
     }
 }
 
-/// Peephole combiner, the only place ops are fused: fuse runs of adjacent
-/// ops into superinstructions, repeating until a pass makes no change.
-/// Every fused op performs its constituent checks in the original order,
-/// and nothing is fused across an exit-capable op — an exit test only
-/// absorbs the ops before it — so outputs, metering, and the error
-/// taxonomy are untouched; only dispatch count drops. A link register
-/// the fused op no longer writes must be a dead temporary: `is_temp`
-/// excludes local mirrors and pool constants, and a temp is dead when no
-/// later op reads it and no exit snapshot pushes it.
-fn peephole(
-    mut ops: Vec<RegOp>,
-    exits: &[RegionExit],
-    is_temp: &dyn Fn(u16) -> bool,
-) -> Vec<RegOp> {
-    loop {
-        let mut out: Vec<RegOp> = Vec::with_capacity(ops.len());
-        let mut changed = false;
-        for (i, op) in ops.iter().enumerate() {
-            let dead = |t: u16| {
-                is_temp(t)
-                    && !ops[i + 1..].iter().any(|later| reads(later, t))
-                    && !exits.iter().any(|e| e.pushes.contains(&t))
-            };
-            let fused = match (out.last().copied(), *op) {
-                // Two gathers feeding a `Bin2`: the first sits just below
-                // the second in `out`, and goes with it.
-                (
-                    Some(RegOp::InGet {
-                        dst: dst2,
-                        port: port2,
-                        idx: idx2,
-                    }),
-                    RegOp::Bin2 {
-                        op1,
-                        a,
-                        b,
-                        op2,
-                        c,
-                        d,
-                        dst,
-                    },
-                ) => match out.len().checked_sub(2).map(|j| out[j]) {
-                    Some(RegOp::InGet {
-                        dst: dst1,
-                        port: port1,
-                        idx: idx1,
-                    }) if (a, b) == (dst1, dst2)
-                        && dst1 != idx2
-                        && ![dst1, dst2].contains(&c)
-                        && ![dst1, dst2].contains(&d)
-                        && dead(dst1)
-                        && dead(dst2) =>
-                    {
-                        out.pop();
-                        Some(RegOp::In2Bin2 {
-                            port1,
-                            idx1,
-                            port2,
-                            idx2,
-                            op1,
-                            op2,
-                            c,
-                            d,
-                            dst,
-                        })
-                    }
-                    _ => None,
-                },
-                (
-                    Some(RegOp::Bin {
-                        op: op1,
-                        dst: t,
-                        a,
-                        b,
-                    }),
-                    RegOp::Bin {
-                        op: op2,
-                        dst,
-                        a: ra,
-                        b: rb,
-                    },
-                ) if (ra == t || rb == t) && dead(t) => Some(RegOp::Bin2 {
-                    op1,
-                    a,
-                    b,
-                    op2,
-                    c: if ra == t { SELF_OPERAND } else { ra },
-                    d: if rb == t { SELF_OPERAND } else { rb },
-                    dst,
-                }),
-                (
-                    Some(RegOp::Bin { op, dst: t, a, b }),
-                    RegOp::CondExit {
-                        cond,
-                        exit_if_zero,
-                        exit,
-                    },
-                ) if cond == t && dead(t) => Some(RegOp::BinExit {
-                    pre: None,
-                    op,
-                    a,
-                    b,
-                    exit_if_zero,
-                    exit,
-                }),
-                // The `Bin` before an exit test rides in it as `pre` and
-                // still writes its result, so a compare chain's
-                // intermediate (`i + lag` in `lagged_autocorr`) stays
-                // readable by the ops after the exit.
-                (
-                    Some(RegOp::Bin {
-                        op: op1,
-                        dst,
-                        a: x,
-                        b: y,
-                    }),
-                    RegOp::BinExit {
-                        pre: None,
-                        op,
-                        a,
-                        b,
-                        exit_if_zero,
-                        exit,
-                    },
-                ) => Some(RegOp::BinExit {
-                    pre: Some((op1, dst, x, y)),
-                    op,
-                    a,
-                    b,
-                    exit_if_zero,
-                    exit,
-                }),
-                _ => None,
-            };
-            match fused {
-                Some(f) => {
-                    *out.last_mut().unwrap() = f;
-                    changed = true;
-                }
-                None => out.push(*op),
-            }
+/// Lift the loop-invariant pure ops out of `ops`, in order: a `Bin` or
+/// `Un` into a temporary whose operands no op left in the region writes
+/// (constants, locals the region never stores, and temporaries lifted
+/// before it). They cannot fail, so computing them once at region entry
+/// gives every iteration the values it would compute itself.
+fn hoist(ops: &mut Vec<RegOp>, is_temp: &dyn Fn(u16) -> bool) -> Vec<(u16, Value)> {
+    let mut hoisted = Vec::new();
+    let mut j = 0;
+    while j < ops.len() {
+        let lift = match ops[j] {
+            RegOp::Bin { op, dst, a, b } => Some((dst, Value::Bin(op, a, b))),
+            RegOp::Un { op, dst, src } => Some((dst, Value::Un(op, src))),
+            _ => None,
         }
-        ops = out;
-        if !changed {
-            return ops;
+        .filter(|&(d, v)| is_temp(d) && !ops.iter().any(|&op| dst(op).is_some_and(|w| v.reads(w))));
+        match lift {
+            Some(x) => {
+                hoisted.push(x);
+                ops.remove(j);
+            }
+            None => j += 1,
         }
     }
+    hoisted
 }
 
 /// Translate source ops `[h, b]` (`code[b]` is the back-edge branch to
-/// `h`) into register form, or `None` when the body defeats translation.
-/// `base` is the function's offset in the flat code array.
+/// `h`) into register form, or `None` when the loop is none of the three
+/// shapes (see the module docs). `base` is the function's offset in the
+/// flat code array.
 fn translate_region(
     code: &[Op],
     h: usize,
@@ -1891,12 +1451,8 @@ fn translate_region(
     n_locals: u16,
     base: u32,
 ) -> Option<LoopRegion> {
-    let flat_of = |pc: usize| base + pc as u32;
-    let full_cost = (b - h + 1) as u64;
     let mut t = Translator::new(n_locals);
-    for pc in h..=b {
-        let op = code[pc];
-        let at_back = pc == b;
+    for (pc, &op) in (h..).zip(&code[h..=b]) {
         if let Some(bin) = BinOp::of(op) {
             t.bin(bin)?;
             continue;
@@ -1934,109 +1490,66 @@ fn translate_region(
             }
             Op::Load(i) => t.push_grow(i),
             Op::Store(i) => t.store(i)?,
-            Op::InLen(port) | Op::OutLen(port) => {
+            Op::InLen(port) => {
                 let dst = t.temp()?;
-                t.ops.push(match op {
-                    Op::InLen(_) => RegOp::InLen { dst, port },
-                    _ => RegOp::OutLen { dst, port },
-                });
+                t.ops.push(RegOp::InLen { dst, port });
                 t.push_grow(dst);
             }
-            Op::InGet(p) => {
+            Op::InGet(port) => {
                 let idx = t.pop()?;
                 let dst = t.temp()?;
-                t.ops.push(RegOp::InGet { dst, port: p, idx });
+                t.ops.push(RegOp::InGet { dst, port, idx });
                 t.push_flat(dst);
             }
-            Op::OutPush(p) => {
+            Op::OutPush(port) => {
                 let src = t.pop()?;
-                t.ops.push(RegOp::OutPush { port: p, src });
+                t.ops.push(RegOp::OutPush { port, src });
             }
-            Op::OutSet(p) => {
-                let val = t.pop()?;
-                let idx = t.pop()?;
-                t.ops.push(RegOp::OutSet { port: p, idx, val });
-            }
-            Op::HostIo(_) => {
-                t.pop()?;
-                let dst = t.temp()?;
-                t.ops.push(RegOp::HostIo { dst });
-                t.push_flat(dst);
-            }
-            Op::Jmp(target) => {
-                if !(at_back && target as usize == h && t.stack.is_empty()) {
-                    return None;
-                }
-                t.ops.push(RegOp::Back {
-                    cond: CondBack::Always,
-                    fall_exit: NO_EXIT,
-                });
-            }
-            Op::Jz(target) | Op::Jnz(target) => {
-                let on_zero = matches!(op, Op::Jz(_));
+            // The back-edge, with nothing left on the stack.
+            Op::Jmp(_) if pc == b && t.stack.is_empty() => {}
+            // The loop's one way out, forward past its end.
+            Op::Jz(target) if target as usize > b && t.exit.is_none() => {
                 let cond = t.pop()?;
-                if at_back && target as usize == h {
-                    // Conditional back-edge; its fall-through is a full-
-                    // cost exit to b+1 (which exists: the verifier demands
-                    // a terminator after a conditional last op).
-                    if !t.stack.is_empty() || b + 1 >= code.len() {
-                        return None;
-                    }
-                    let fall = t.add_exit(flat_of(b + 1), full_cost, t.peak, Vec::new());
-                    t.ops.push(RegOp::Back {
-                        cond: if on_zero {
-                            CondBack::IfZero(cond)
-                        } else {
-                            CondBack::IfNonZero(cond)
-                        },
-                        fall_exit: fall,
-                    });
-                } else if target as usize > b {
-                    // Forward exit out of the region.
-                    let cost = (pc - h + 1) as u64;
-                    let peak = t.peak;
-                    let pushes = t.stack.clone();
-                    let exit = t.add_exit(flat_of(target as usize), cost, peak, pushes);
-                    t.ops.push(RegOp::CondExit {
-                        cond,
-                        exit_if_zero: on_zero,
-                        exit,
-                    });
-                } else {
-                    // Interior branch or a non-terminal back-edge.
-                    return None;
-                }
+                t.exit = Some(RegionExit {
+                    target_flat: base + target,
+                    cost: (pc - h + 1) as u64,
+                    peak: t.peak,
+                    pushes: t.stack.clone(),
+                });
+                t.ops.push(RegOp::ExitIfZero { cond });
             }
-            Op::Call(_) | Op::Ret | Op::Halt => return None,
-            _ => unreachable!("arithmetic handled above"),
+            // No shape has a second exit, a `jnz`, a conditional back-edge,
+            // an interior jump, a call, a return, a halt, an output length
+            // or store, or a host call.
+            _ => return None,
         }
     }
-    if !matches!(t.ops.last(), Some(RegOp::Back { .. })) {
-        return None;
-    }
-    let plain = std::mem::take(&mut t.ops);
+    let mut ops = std::mem::take(&mut t.ops);
     let is_temp = |r| t.is_temp(r);
-    let (mac, map) = match Counted::of(&plain, &t.exits, &is_temp) {
-        Some(c) => {
-            let body = &plain[c.head_len..plain.len() - 2];
-            let mac = MacLoop::of(c, body, &is_temp);
-            (mac, mac.map_or_else(|| MapLoop::of(c, body), |_| None))
+    let hoisted = hoist(&mut ops, &is_temp);
+    let shape = match &t.exit {
+        None if ops.is_empty() => Shape::Spin,
+        None => return None,
+        Some(exit) => {
+            let c = Counted::of(&ops, &exit.pushes, &is_temp)?;
+            let body = &ops[c.head_len..ops.len() - 1];
+            match MacLoop::of(c, body, &is_temp) {
+                Some(mac) => Shape::Fold(mac),
+                None => Shape::Map(MapLoop::of(c, body)?),
+            }
         }
-        None => (None, None),
     };
-    let ops = peephole(plain, &t.exits, &is_temp);
     Some(LoopRegion {
-        head_flat: flat_of(h),
+        head_flat: base + h as u32,
         head: PInst::Halt,
         n_locals,
         n_regs: t.next_reg,
         consts: t.consts,
-        ops,
-        full_cost,
+        hoisted,
+        full_cost: (b - h + 1) as u64,
         peak_full: t.peak,
-        exits: t.exits,
-        mac,
-        map,
+        exit: t.exit,
+        shape,
     })
 }
 
@@ -2091,7 +1604,6 @@ mod tests {
             s: 2,
             lag: lag.then_some((3, 4)),
             test_t,
-            exit: 0,
             head_len: 2 + usize::from(lag),
         };
         MacLoop {
@@ -2293,9 +1805,8 @@ mod tests {
         assert_eq!(r.full_cost, 14); // ops 4..=17
         assert_eq!(r.peak_full, 2);
         // Head compare exits with an empty symbolic stack.
-        assert!(r.exits.iter().all(|e| e.pushes.is_empty()));
-        // Register form collapses 14 source ops into a handful.
-        assert!(r.ops.len() <= 6, "got {:?}", r.ops);
+        assert!(r.exit.as_ref().unwrap().pushes.is_empty());
+        assert!(matches!(r.shape, Shape::Map(_)), "got {:?}", r.shape);
     }
 
     #[test]
@@ -2351,7 +1862,7 @@ mod tests {
     }
 
     /// [`doubler`] pushing each product twice: two ops push port 0, a
-    /// near miss of the map shape that stays on the generic loop.
+    /// near miss of the map shape, so the loop runs in stack form.
     fn double_pusher() -> Module {
         let mut m = doubler();
         let code = &mut m.functions[0].code;
@@ -2361,32 +1872,34 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_count_is_charged_on_every_way_out() {
-        // The region dispatches `InGet`, `Bin` and both pushes per
-        // iteration; its prelude is four stack-form ops and `Halt` one.
+    fn refused_loop_dispatches_every_instruction() {
         let input = [1.0, 2.0, 3.0];
         let prepared = PreparedModule::prepare(&double_pusher()).unwrap();
-        assert_eq!(prepared.dispatched_ops_per_iteration(), [4]);
+        assert_eq!(prepared.regions_translated(), 0);
         let mut ctx = ExecContext::new();
-        let std_policy = SandboxPolicy::standard();
-        prepared.execute(&[&input], &std_policy, &mut ctx).unwrap();
-        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 4 + 1);
-        // A budget of 22 admits one 16-instruction iteration, then falls
-        // back; the head's two loads step before the budget fails the run.
+        // A run that halts, one the budget stops and one a gather fails.
+        let mut faulty = double_pusher();
+        faulty.functions[0].code[0] = Push(5.0);
         let tight = SandboxPolicy {
             max_instructions: 22,
-            ..std_policy
+            ..SandboxPolicy::standard()
         };
-        prepared.execute(&[&input], &tight, &mut ctx).unwrap_err();
-        assert_eq!(ctx.dispatched_ops(), 4 + 4 + 2);
-        // With n = 5 over three inputs, the fourth iteration's gather, its
-        // first dispatched op, fails the run.
-        let mut m = double_pusher();
-        m.functions[0].code[0] = Push(5.0);
-        let prepared = PreparedModule::prepare(&m).unwrap();
-        let err = prepared.execute(&[&input], &std_policy, &mut ctx);
-        assert!(matches!(err, Err(TvmError::IndexOutOfBounds { .. })));
-        assert_eq!(ctx.dispatched_ops(), 4 + 3 * 4 + 1);
+        for (m, policy) in [
+            (double_pusher(), SandboxPolicy::standard()),
+            (double_pusher(), tight),
+            (faulty, SandboxPolicy::standard()),
+        ] {
+            agree(&m, &[&input], &policy);
+            let prepared = PreparedModule::prepare(&m).unwrap();
+            let ran = prepared.execute(&[&input], &policy, &mut ctx);
+            let retired = match ran {
+                Ok((_, stats)) => stats.instructions,
+                Err(TvmError::BudgetExceeded) => policy.max_instructions,
+                // Up to the fourth iteration's gather, which fails.
+                Err(_) => 4 + 3 * 16 + 6,
+            };
+            assert_eq!(ctx.dispatched_ops(), retired);
+        }
     }
 
     #[test]
@@ -2394,7 +1907,6 @@ mod tests {
         // The doubler is a map region: its three body ops run once per
         // chunk of lanes, whatever the chunk's width.
         let prepared = PreparedModule::prepare(&doubler()).unwrap();
-        assert_eq!(prepared.dispatched_ops_per_iteration(), [0]);
         let mut ctx = ExecContext::new();
         let std_policy = SandboxPolicy::standard();
         let input: Vec<f64> = (0..2 * LANES + 1).map(|j| j as f64).collect();
@@ -2450,8 +1962,9 @@ mod tests {
             0,
             1,
         );
+        // A conditional back-edge: no shape, so the loop runs in stack form.
         let prepared = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(prepared.regions_translated(), 1);
+        assert_eq!(prepared.regions_translated(), 0);
         agree(&m, &[], &SandboxPolicy::standard());
     }
 
@@ -2514,41 +2027,111 @@ mod tests {
 
     #[test]
     fn exit_with_live_stack_materialises_values() {
-        // The forward exit fires with two values on the symbolic stack;
-        // they must land on the real stack for the tail to consume.
+        // The counted head's exit fires with a value on the symbolic
+        // stack; it must land on the real stack for the tail to consume.
         let m = module1(
             vec![
                 Push(0.0),  // 0
                 Store(0),   // 1
-                Load(0),    // 2 <- head: running value
-                Push(10.0), // 3
-                Load(0),    // 4
-                Push(4.0),  // 5
-                Ge,         // 6
-                Jnz(15),    // 7 exit with [local0, 10.0] live
-                Pop,        // 8
-                Pop,        // 9
-                Load(0),    // 10
-                Push(1.0),  // 11
-                Add,        // 12
-                Store(0),   // 13
-                Jmp(2),     // 14 back-edge
-                Add,        // 15: consumes the two live values
-                OutPush(0), // 16
-                Halt,       // 17
+                Push(10.0), // 2 <- head: live across the exit
+                Load(0),    // 3
+                Push(4.0),  // 4
+                Lt,         // 5
+                Jz(13),     // 6 exit with [10.0] live
+                Pop,        // 7
+                Load(0),    // 8
+                Push(1.0),  // 9
+                Add,        // 10
+                Store(0),   // 11
+                Jmp(2),     // 12 back-edge
+                Load(0),    // 13
+                Add,        // 14: consumes the live value
+                OutPush(0), // 15
+                Halt,       // 16
             ],
             1,
             0,
             1,
         );
         let prepared = PreparedModule::prepare(&m).unwrap();
-        assert_eq!(prepared.regions_translated(), 1);
+        assert!(matches!(prepared.regions[0].shape, Shape::Map(_)));
         let mut ctx = ExecContext::new();
         let (out, _) = prepared
             .execute(&[], &SandboxPolicy::standard(), &mut ctx)
             .unwrap();
         assert_eq!(out, vec![vec![14.0]]);
-        agree(&m, &[], &SandboxPolicy::standard());
+        for budget in 1..=60 {
+            let policy = SandboxPolicy {
+                max_instructions: budget,
+                ..SandboxPolicy::standard()
+            };
+            agree(&m, &[], &policy);
+        }
+    }
+
+    /// A map whose head computes its bound as `len - 1` and whose
+    /// back-edge reuses the body's `i + 1`, as in the moving average of
+    /// `examples/code_on_demand.rs`: the bound is hoisted into the entry
+    /// and the back-edge is a `Mov`.
+    #[test]
+    fn hoisted_bound_and_reused_step_make_a_map() {
+        let m = module1(
+            vec![
+                InLen(0),   // 0
+                Store(0),   // 1
+                Push(0.0),  // 2
+                Store(1),   // 3
+                Load(1),    // 4 <- head
+                Load(0),    // 5
+                Push(1.0),  // 6
+                Sub,        // 7: hoisted
+                Lt,         // 8
+                Jz(20),     // 9
+                Load(1),    // 10
+                Push(1.0),  // 11
+                Add,        // 12: i + 1
+                InGet(0),   // 13
+                OutPush(0), // 14
+                Load(1),    // 15
+                Push(1.0),  // 16
+                Add,        // 17: reuses 12
+                Store(1),   // 18
+                Jmp(4),     // 19 back-edge
+                Halt,       // 20
+            ],
+            2,
+            1,
+            1,
+        );
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        let r = &prepared.regions[0];
+        assert_eq!(r.hoisted.len(), 1);
+        assert!(matches!(r.shape, Shape::Map(_)), "got {:?}", r.shape);
+        let input = [0.5, 1.5, 2.5, 3.5];
+        agree(&m, &[&input], &SandboxPolicy::standard());
+        agree(&m, &[&[]], &SandboxPolicy::standard());
+    }
+
+    /// A loop with no exit and no register op is a spin: one entry
+    /// charges every iteration the budget admits, and the rest of the
+    /// budget steps in stack form.
+    #[test]
+    fn spin_charges_the_budget_in_one_step() {
+        let m = module1(vec![Push(1.0), Pop, Jmp(0)], 0, 0, 0);
+        let prepared = PreparedModule::prepare(&m).unwrap();
+        assert!(matches!(prepared.regions[0].shape, Shape::Spin));
+        let mut ctx = ExecContext::new();
+        for budget in 1..=12 {
+            let policy = SandboxPolicy {
+                max_instructions: budget,
+                ..SandboxPolicy::standard()
+            };
+            agree(&m, &[], &policy);
+            let err = prepared.execute(&[], &policy, &mut ctx).unwrap_err();
+            assert_eq!(err, TvmError::BudgetExceeded);
+            assert_eq!(ctx.tier2_fallbacks(), u64::from(budget >= 3));
+            assert_eq!(ctx.dispatched_ops(), budget % 3);
+        }
     }
 }
 
@@ -2572,15 +2155,9 @@ mod dump {
                     "  head={} n_locals={} n_regs={} full_cost={} peak={} consts={:?}",
                     r.head_flat, r.n_locals, r.n_regs, r.full_cost, r.peak_full, r.consts
                 );
-                for (i, op) in r.ops.iter().enumerate() {
-                    println!("    [{i}] {op:?}");
-                }
-                for (i, e) in r.exits.iter().enumerate() {
-                    println!(
-                        "    exit[{i}] target={} cost={} peak={} pushes={:?}",
-                        e.target_flat, e.cost, e.peak, e.pushes
-                    );
-                }
+                println!("    hoisted {:?}", r.hoisted);
+                println!("    {:?}", r.shape);
+                println!("    exit {:?}", r.exit);
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Adversarial regression corpus: committed `.tvm` programs whose shapes
 //! are chosen to stress tier-2 region translation — zero-trip loops,
 //! bodies with varying stack depth, back-edges straddling region
-//! boundaries, deep nested calls, value-numbering traps — plus the three
-//! bench kernels. Every program runs as a `PreparedModule` and under the
-//! reference interpreter (`execute`) across a policy matrix, and the two
-//! must agree bit for bit on outputs, `ExecStats`, and typed errors.
+//! boundaries, deep nested calls, value-numbering traps, near misses of
+//! the fold and map shapes (all of which run in stack form) — plus the
+//! three bench kernels. Every program runs as a `PreparedModule` and
+//! under the reference interpreter (`execute`) across a policy matrix, and
+//! the two must agree bit for bit on outputs, `ExecStats`, and typed
+//! errors.
 //!
 //! To add an entry: drop a `.tvm` file in `tests/corpus/` (leading `;`
 //! comment explaining what it stresses) — the runner picks it up by glob.
@@ -170,55 +172,43 @@ fn corpus_covers_translated_and_refused_regions() {
 }
 
 /// Pin the per-entry translation outcomes so a translator change that
-/// silently starts refusing (or admitting) a shape fails this test,
-/// and, per region, the register ops one iteration sends through the
-/// dispatch loop: an exact count standing in for a timing. The inner
-/// loops of `matched_filter` and `lagged_autocorr` are counted
-/// multiply-accumulates, which run as one native loop, and `sph_kernel`'s
-/// is a counted map, which runs a chunk of lanes at a time: none of the
-/// three dispatches an op per iteration. The near misses
-/// `matched_filter_sub` and `sph_running_max` stay on the generic loop.
+/// silently starts refusing (or admitting) a shape fails this test. Tier 2
+/// translates a loop only as a counted multiply-accumulate fold
+/// (`matched_filter`, `lagged_autocorr` and the step variants), a counted
+/// map (`sph_kernel`) or a spin; each runs natively and dispatches no op
+/// per iteration. The near misses of those shapes run in stack form.
 #[test]
 fn corpus_translation_outcomes_are_pinned() {
-    let outcomes: Vec<(String, usize, Vec<usize>)> = load_corpus()
+    let outcomes: Vec<(String, usize)> = load_corpus()
         .iter()
         .map(|(name, module)| {
             let prepared = PreparedModule::prepare(module).expect("corpus modules verify");
-            (
-                name.clone(),
-                prepared.regions_translated(),
-                prepared.dispatched_ops_per_iteration(),
-            )
+            (name.clone(), prepared.regions_translated())
         })
         .collect();
-    let expected: &[(&str, usize, &[usize])] = &[
-        ("cse_after_store", 1, &[4]),
-        ("deep_nested_calls", 1, &[2]),
-        ("lagged_autocorr", 1, &[0]),
-        ("matched_filter", 1, &[0]),
-        ("matched_filter_half_step", 1, &[0]),
-        ("matched_filter_stride2", 1, &[0]),
-        ("matched_filter_sub", 1, &[1]),
-        ("sph_kernel", 1, &[0]),
-        ("sph_running_max", 1, &[6]),
-        ("straddling_backedge", 0, &[]),
-        ("varying_stack_depth", 0, &[]),
-        ("zero_iteration_loop", 1, &[3]),
+    let expected: &[(&str, usize)] = &[
+        ("cse_after_store", 0),
+        ("deep_nested_calls", 0),
+        ("lagged_autocorr", 1),
+        ("matched_filter", 1),
+        ("matched_filter_half_step", 1),
+        ("matched_filter_stride2", 1),
+        ("matched_filter_sub", 0),
+        ("sph_kernel", 1),
+        ("sph_running_max", 0),
+        ("straddling_backedge", 0),
+        ("varying_stack_depth", 0),
+        ("zero_iteration_loop", 0),
     ];
-    let got: Vec<(&str, usize, &[usize])> = outcomes
-        .iter()
-        .map(|(n, r, d)| (n.as_str(), *r, d.as_slice()))
-        .collect();
+    let got: Vec<(&str, usize)> = outcomes.iter().map(|(n, r)| (n.as_str(), *r)).collect();
     assert_eq!(got, expected);
 }
 
 /// Pin `ExecContext::dispatched_ops` for the three bench kernels on fixed
 /// inputs: the ops one run sends through a dispatch match, stack-form ops
-/// and region body ops alike. A map region charges its body ops once per
+/// and map body ops alike. A map region charges its body ops once per
 /// chunk of lanes, so `sph_kernel`'s 64 iterations cost one chunk of
-/// seven. The last column is the same count with every region on the
-/// generic loop, as before multiply-accumulate and map regions ran
-/// natively (it is not checked).
+/// seven, and a fold region charges none.
 #[test]
 fn kernel_dispatch_counts_are_pinned() {
     let mut got = Vec::new();
@@ -235,16 +225,15 @@ fn kernel_dispatch_counts_are_pinned() {
             .expect("kernel runs");
         got.push((name, stats.instructions, ctx.dispatched_ops()));
     }
-    // (kernel, instructions, dispatched ops, dispatched ops on the
-    // generic loop)
-    let expected: [(&str, u64, u64, u64); 3] = [
-        ("lagged_autocorr", 33273, 489, 2041),
-        ("matched_filter", 1101, 9, 73),
-        ("sph_kernel", 1481, 12, 133),
+    // (kernel, instructions, dispatched ops)
+    let expected: [(&str, u64, u64); 3] = [
+        ("lagged_autocorr", 33273, 489),
+        ("matched_filter", 1101, 9),
+        ("sph_kernel", 1481, 12),
     ];
     let want: Vec<(String, u64, u64)> = expected
         .iter()
-        .map(|&(n, i, d, _)| (n.to_string(), i, d))
+        .map(|&(n, i, d)| (n.to_string(), i, d))
         .collect();
     assert_eq!(got, want);
 }

@@ -518,9 +518,8 @@ fn arb_body() -> impl Strategy<Value = Vec<Op>> {
 
 /// A second forward exit beside the counter's: `load 5; load k; <binop>`,
 /// optionally `load j; <cmp>` after it, then `jz` or `jnz` — a compare
-/// chain the peephole folds into one exit op. It sits at the loop head
-/// (where the region runs it inline) or after the counter test (where it
-/// is dispatched). With `reuse`, the body opens by recomputing
+/// chain. It sits at the loop head or after the counter test; either way
+/// no shape has two exits, so the loop runs in stack form. With `reuse`, the body opens by recomputing
 /// `load 5; load k; <binop>` and pushing it to port 1, so that value
 /// stays live past the exit: the chain's intermediate, as in
 /// `lagged_autocorr`, or the tested value itself.
@@ -552,26 +551,29 @@ fn arb_chain_exit() -> impl Strategy<Value = Option<ChainExit>> {
         })
 }
 
-/// A counted while-loop over local 5 around an arbitrary straight-line
-/// body — the exact shape tier 2 hunts for. Some bodies translate to
-/// register form, others defeat the translator (stack dips below entry
-/// depth, interior traps); both kinds must agree with the reference
-/// interpreter either way. `iters == 0` exercises zero-trip loops: the
-/// region's head exit fires before any iteration retires. `chain` adds a
-/// compare-chain exit; the counter's `load 5; jz` stays, so the loop
-/// still ends unless the body stores into local 5. The other locals
-/// start distinct and non-zero, and every exit ends by pushing all six
-/// locals to port 0, so a wrong register value cannot stay hidden.
+/// A counted while-loop over local 5, `i < iters … i += 1`, around an
+/// arbitrary straight-line body. Bodies that carry no value across the
+/// back-edge translate to a map region; the others, and every loop with
+/// a second exit, defeat the translator (a carried value, two pushes to a
+/// port, stack dips below entry depth, interior traps) and run in stack
+/// form. Both kinds must agree with the reference interpreter.
+/// `iters == 0` exercises zero-trip loops: the region's head exit fires
+/// before any iteration retires. `chain` adds a compare-chain exit; the
+/// counter's test stays, so the loop still ends unless the body stores
+/// into local 5. The other locals start distinct and non-zero, and every
+/// exit ends by pushing all six locals to port 0, so a wrong register
+/// value cannot stay hidden.
 fn loop_module(iters: u8, chain: Option<ChainExit>, body: Vec<Op>) -> Module {
     let mut code = Vec::new();
     for i in 0..COUNTER {
         code.extend([Op::Push(f64::from(i) * 1.25 + 0.5), Op::Store(i)]);
     }
-    code.extend([Op::Push(iters as f64), Op::Store(COUNTER)]);
+    code.extend([Op::Push(0.0), Op::Store(COUNTER)]);
     let head = code.len() as u32;
     // Forward exits, each a test and a `jz`/`jnz` whose target is
     // patched below.
-    let mut tests = vec![(vec![Op::Load(COUNTER)], true)];
+    let counted = vec![Op::Load(COUNTER), Op::Push(iters as f64), Op::Lt];
+    let mut tests = vec![(counted, true)];
     let mut reuse = Vec::new();
     if let Some(c) = chain {
         if c.reuse {
@@ -592,7 +594,7 @@ fn loop_module(iters: u8, chain: Option<ChainExit>, body: Vec<Op>) -> Module {
     code.extend([
         Op::Load(COUNTER),
         Op::Push(1.0),
-        Op::Sub,
+        Op::Add,
         Op::Store(COUNTER),
     ]);
     code.push(Op::Jmp(head));
@@ -618,6 +620,58 @@ fn loop_module(iters: u8, chain: Option<ChainExit>, body: Vec<Op>) -> Module {
             code,
         }],
     }
+}
+
+/// A spin: a prelude that sets every local, then a loop with no exit
+/// around a run of pure shuffles — pushes, loads, `pop`, `dup`, `swap`,
+/// `over` and arithmetic on what they leave — popped back to the entry
+/// depth. Returns the module, its head pc and the loop's length.
+fn arb_spin() -> impl Strategy<Value = (Module, u64, u64)> {
+    let op = prop_oneof![
+        (-4f64..4.0).prop_map(Op::Push),
+        (0u16..DIFF_LOCALS).prop_map(Op::Load),
+        Just(Op::Pop),
+        Just(Op::Dup),
+        Just(Op::Swap),
+        Just(Op::Over),
+        arb_binop(),
+        prop_oneof![
+            Just(Op::Neg),
+            Just(Op::Abs),
+            Just(Op::Sqrt),
+            Just(Op::Floor)
+        ],
+    ];
+    proptest::collection::vec(op, 0..10).prop_map(|run| {
+        let mut code = Vec::new();
+        for i in 0..DIFF_LOCALS {
+            code.extend([Op::Push(f64::from(i) - 1.5), Op::Store(i)]);
+        }
+        let head = code.len();
+        let mut depth = 0;
+        for op in run {
+            let (pops, pushes) = pops_pushes(op);
+            if depth >= pops {
+                depth = depth - pops + pushes;
+                code.push(op);
+            }
+        }
+        code.extend((0..depth).map(|_| Op::Pop));
+        code.push(Op::Jmp(head as u32));
+        let full = (code.len() - head) as u64;
+        let module = Module {
+            name: "spin".into(),
+            version: 1,
+            n_inputs: 0,
+            n_outputs: 0,
+            functions: vec![Function {
+                name: "main".into(),
+                n_locals: DIFF_LOCALS,
+                code,
+            }],
+        };
+        (module, head as u64, full)
+    })
 }
 
 /// Twelve [`loop_module`]s per case: only some bodies translate, and only
@@ -684,6 +738,34 @@ proptest! {
         };
         for module in &modules {
             let failure = equiv_failure(module, &slices, &policy);
+            prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        }
+    }
+
+    /// Spin loops — no exit, only pure shuffles — under every budget from
+    /// 1 to 64 and under stack caps. A budget ends every run, so the
+    /// error alone cannot tell how many iterations the region charged:
+    /// the dispatch and fallback counts pin that. The prelude's stores
+    /// and the instructions the region's last full iteration leaves step
+    /// in stack form; the iterations it charges dispatch nothing.
+    #[test]
+    fn spin_barrage_matches_reference_under_every_small_budget(
+        spin in arb_spin(),
+        max_stack in 1usize..6,
+    ) {
+        let (module, head, full) = spin;
+        let prepared = PreparedModule::prepare(&module).expect("spins verify");
+        prop_assert_eq!(prepared.regions_translated(), 1);
+        let mut ctx = ExecContext::new();
+        for max_instructions in 1..=64 {
+            let policy = SandboxPolicy { max_instructions, ..SandboxPolicy::standard() };
+            let failure = divergence(&module, &prepared, &mut ctx, &[], &policy, bits);
+            prop_assert!(failure.is_none(), "{}", failure.unwrap());
+            let iters = max_instructions.checked_sub(head).map_or(0, |b| b / full);
+            prop_assert_eq!(ctx.dispatched_ops(), max_instructions - iters * full);
+            prop_assert_eq!(ctx.tier2_fallbacks(), u64::from(iters > 0));
+            let capped = SandboxPolicy { max_stack, ..policy };
+            let failure = divergence(&module, &prepared, &mut ctx, &[], &capped, bits);
             prop_assert!(failure.is_none(), "{}", failure.unwrap());
         }
     }
@@ -791,7 +873,7 @@ fn mac_value(j: u8) -> f64 {
 }
 
 /// How a [`mac_module`] differs from a counted multiply-accumulate, if at
-/// all. Each near miss but `LagIsBound` must take the generic region loop.
+/// all. Each near miss but `LagIsBound` must run in stack form.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum MacMiss {
     None,
@@ -998,8 +1080,8 @@ fn mac_module(m: &MacSpec) -> Module {
 }
 
 /// Six [`mac_module`]s per case, two input ports of 0 to 11 [`mac_value`]s
-/// each. Every module must translate to one region, dispatching nothing
-/// per iteration exactly when [`MacSpec::is_mac`].
+/// each. A module must translate to one region exactly when
+/// [`MacSpec::is_mac`].
 fn arb_mac_case() -> impl Strategy<Value = (Vec<MacSpec>, Vec<Vec<f64>>)> {
     mac_case(arb_mac_spec(), 12)
 }
@@ -1030,12 +1112,10 @@ const MAC_BUDGET: u64 = 4_000;
 fn mac_prepared(spec: &MacSpec) -> (Module, PreparedModule) {
     let module = mac_module(spec);
     let prepared = PreparedModule::prepare(&module).expect("mac modules verify");
-    let dispatched = prepared.dispatched_ops_per_iteration();
-    assert_eq!(dispatched.len(), 1, "{spec:?} translates one region");
     assert_eq!(
-        dispatched[0] == 0,
-        spec.is_mac(),
-        "{spec:?}: {dispatched:?}"
+        prepared.regions_translated(),
+        usize::from(spec.is_mac()),
+        "{spec:?}"
     );
     (module, prepared)
 }
@@ -1120,7 +1200,7 @@ fn mac_tight_failure(specs: &[MacSpec], inputs: &[Vec<f64>], sweep: u64) -> Opti
 }
 
 /// How a [`map_module`] differs from a counted map, if at all. Each near
-/// miss must take the generic region loop.
+/// miss must run in stack form.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum MapMiss {
     None,
@@ -1139,6 +1219,9 @@ enum MapMiss {
 #[derive(Clone, Copy, Debug)]
 struct MapSpec {
     n: f64,
+    /// The exit test compares with `n - d`, computed in the head every
+    /// iteration and hoisted into the region's entry.
+    bound_sub: Option<f64>,
     /// The exit test compares `t = i + k` instead of `i`.
     lag: bool,
     i0: f64,
@@ -1158,6 +1241,10 @@ struct MapSpec {
     store_x: bool,
     /// A second push, of the counter (or `t`), to port 1.
     push_i: bool,
+    /// `w = w + in[p1][i + s]`, whose `i + s` the back-edge reuses, so it
+    /// closes with a `Mov` into `i`. In place of `un` and `inlen`, so the
+    /// body still fits a map's columns.
+    reuse_step: bool,
     miss: MapMiss,
 }
 
@@ -1176,14 +1263,14 @@ fn arb_map_spec() -> impl Strategy<Value = MapSpec> {
         (0u8..9, 0u8..2, 0u8..12, 0u8..8, 0u8..9),
         (0u8..2, 0u8..2, 0u8..4, 0u8..2, arb_binop()),
         (0u8..3, arb_unop(), 0u8..2, 0u8..2, 0u8..2),
-        (0u8..10,),
+        (0u8..10, 0u8..6, 0u8..2),
     )
         .prop_map(
             |(
                 (n, lag, i0, k, s),
                 (step_local, p1, g2, g2_t, bin),
                 (un, un_op, inlen, store_x, push_i),
-                (miss,),
+                (miss, bound_sub, reuse_step),
             )| {
                 let steps = [1.0, 1.0, 1.0, 0.1, 0.5, 2.0, -1.0, -0.5, 0.7];
                 let starts = [0.0, 0.0, 0.0, 0.0, -0.0, 0.5, 3.0, 100.0];
@@ -1193,6 +1280,8 @@ fn arb_map_spec() -> impl Strategy<Value = MapSpec> {
                     } else {
                         mac_index(n + 4)
                     },
+                    bound_sub: [None, None, None, Some(1.0), Some(-2.0), Some(0.5)]
+                        [bound_sub as usize],
                     lag: lag == 1,
                     i0: if i0 < 8 {
                         starts[i0 as usize]
@@ -1204,10 +1293,11 @@ fn arb_map_spec() -> impl Strategy<Value = MapSpec> {
                     step_local: step_local == 1,
                     p1,
                     g2: (g2 > 0).then_some((g2 % 2, g2_t == 1, bin)),
-                    un: (un > 0).then_some(un_op),
-                    inlen: inlen == 1,
+                    un: (un > 0 && reuse_step == 0).then_some(un_op),
+                    inlen: inlen == 1 && reuse_step == 0,
                     store_x: store_x == 1,
                     push_i: push_i == 1,
+                    reuse_step: reuse_step == 1,
                     miss: match miss {
                         0 => MapMiss::Carried,
                         1 => MapMiss::TwoPushes,
@@ -1237,8 +1327,13 @@ fn map_module(m: &MapSpec) -> Module {
         }
     };
     code.extend(at(m.lag));
-    code.extend([Load(n), Lt, Jz(0)]);
+    code.push(Load(n));
+    if let Some(d) = m.bound_sub {
+        code.extend([Push(d), Sub]);
+    }
+    code.extend([Lt, Jz(0)]);
     let exit_at = code.len() - 1;
+    let step = if m.step_local { Load(s) } else { Push(m.s) };
     code.push(Load(i));
     code.extend([InGet(m.p1), Dup, Mul, Push(1.0), Swap, Sub, Push(0.0), Max]);
     if let Some((port, at_t, bin)) = m.g2 {
@@ -1248,6 +1343,9 @@ fn map_module(m: &MapSpec) -> Module {
     code.extend(m.un);
     if m.inlen {
         code.extend([InLen(1), Add]);
+    }
+    if m.reuse_step {
+        code.extend([Load(i), step, Add, InGet(m.p1), Add]);
     }
     if m.store_x {
         code.extend([Dup, Store(x)]);
@@ -1265,9 +1363,7 @@ fn map_module(m: &MapSpec) -> Module {
         code.extend(at(m.lag));
         code.push(OutPush(1));
     }
-    code.push(Load(i));
-    code.push(if m.step_local { Load(s) } else { Push(m.s) });
-    code.extend([Add, Store(i), Jmp(head)]);
+    code.extend([Load(i), step, Add, Store(i), Jmp(head)]);
     let end = code.len() as u32;
     code[exit_at] = Jz(end);
     for l in 0..6 {
@@ -1309,12 +1405,10 @@ const MAP_BUDGET: u64 = 12_000;
 fn map_prepared(spec: &MapSpec) -> (Module, PreparedModule) {
     let module = map_module(spec);
     let prepared = PreparedModule::prepare(&module).expect("map modules verify");
-    let dispatched = prepared.dispatched_ops_per_iteration();
-    assert_eq!(dispatched.len(), 1, "{spec:?} translates one region");
     assert_eq!(
-        dispatched[0] == 0,
-        spec.is_map(),
-        "{spec:?}: {dispatched:?}"
+        prepared.regions_translated(),
+        usize::from(spec.is_map()),
+        "{spec:?}"
     );
     (module, prepared)
 }
@@ -1327,6 +1421,7 @@ fn map_prepared(spec: &MapSpec) -> (Module, PreparedModule) {
 fn map_faults_at_every_lane() {
     let spec = MapSpec {
         n: 129.0,
+        bound_sub: None,
         lag: false,
         i0: 0.0,
         k: 1.0,
@@ -1338,6 +1433,7 @@ fn map_faults_at_every_lane() {
         inlen: false,
         store_x: true,
         push_i: true,
+        reuse_step: false,
         miss: MapMiss::None,
     };
     let (module, prepared) = map_prepared(&spec);
