@@ -18,10 +18,10 @@
 //!   [`PreparedModule::run`] calls perform **zero heap allocations**,
 //!   including on `Call` (callee locals live in the arena).
 //!
-//! Nothing is fused in the flat code. Instruction fusion lives in one
-//! place, the register regions, which translate hot loops from the
-//! *source* ops; the stack form is what runs everything else, and what a
-//! region falls back to.
+//! Nothing is fused in the flat code. The register regions translate the
+//! hot loops of three shapes from the *source* ops and run them natively;
+//! the stack form is what runs everything else, and what a region falls
+//! back to.
 //!
 //! # Determinism contract
 //!

@@ -2111,28 +2111,6 @@ mod tests {
         agree(&m, &[&input], &SandboxPolicy::standard());
         agree(&m, &[&[]], &SandboxPolicy::standard());
     }
-
-    /// A loop with no exit and no register op is a spin: one entry
-    /// charges every iteration the budget admits, and the rest of the
-    /// budget steps in stack form.
-    #[test]
-    fn spin_charges_the_budget_in_one_step() {
-        let m = module1(vec![Push(1.0), Pop, Jmp(0)], 0, 0, 0);
-        let prepared = PreparedModule::prepare(&m).unwrap();
-        assert!(matches!(prepared.regions[0].shape, Shape::Spin));
-        let mut ctx = ExecContext::new();
-        for budget in 1..=12 {
-            let policy = SandboxPolicy {
-                max_instructions: budget,
-                ..SandboxPolicy::standard()
-            };
-            agree(&m, &[], &policy);
-            let err = prepared.execute(&[], &policy, &mut ctx).unwrap_err();
-            assert_eq!(err, TvmError::BudgetExceeded);
-            assert_eq!(ctx.tier2_fallbacks(), u64::from(budget >= 3));
-            assert_eq!(ctx.dispatched_ops(), budget % 3);
-        }
-    }
 }
 
 #[cfg(test)]
