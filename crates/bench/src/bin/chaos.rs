@@ -8,7 +8,8 @@
 //!
 //! `sweep` runs every seed's generated fault plan against its scenario
 //! **twice** and insists the two run digests match (the determinism gate)
-//! before checking invariants. On the first failure it shrinks the plan to
+//! before checking invariants. It prints one `seed=… scenario=… digest=…`
+//! line per seed, so two builds compare seed by seed with `cmp`. On the first failure it shrinks the plan to
 //! a minimal reproducer, writes `chaos.reproducer.txt`, prints the replay
 //! command, and exits 1. `replay` re-executes one exact configuration and
 //! prints its full deterministic report: running the printed command twice
@@ -68,6 +69,11 @@ fn sweep(seeds: u64, orch: bool, routed: bool) -> i32 {
             println!("replay: {}", replay_command(&cfg));
             return 1;
         }
+        println!(
+            "seed={seed} scenario={} digest={:016x}",
+            cfg.scenario.name(),
+            a.digest
+        );
         if !a.ok() {
             println!(
                 "seed {seed} ({}): {} violation(s)",
