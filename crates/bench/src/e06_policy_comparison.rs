@@ -64,7 +64,7 @@ pub fn run_peer_to_peer(w: &Workload) -> PolicyOutcome {
         })
         .collect();
     let mut pl = PipelineScheduler::new(&mut world, ctrl, "e6", stages, w.token_bytes);
-    pl.emit_tokens(&mut world.sim, w.tokens, Duration::ZERO);
+    pl.emit_tokens(&mut world, w.tokens, Duration::ZERO);
     run_pipeline(&mut world, &mut pl);
     assert!(pl.all_done(), "pipeline must drain");
     let st = pl.stats();

@@ -10,16 +10,16 @@
 //! runs of the same config must match byte-for-byte.
 
 use netsim::avail::AvailabilityTrace;
-use netsim::{Duration, HostId, HostSpec, Pcg32, SimTime};
+use netsim::{Duration, HostId, HostSpec, Pcg32, Sim, SimTime};
 use obs::Obs;
 use orch::{OrchConfig, OrchestratorHandle, OrchestratorSpec, Orchestrators};
-use p2p::{AdvertBody, Advertisement, BlobAdvert, DiscoveryMode, Incoming, PeerId};
+use p2p::{AdvertBody, Advertisement, BlobAdvert, DiscoveryMode, PeerId};
 use store::{BlobId, ChunkLayout};
 use triana_core::checkpoint::CheckpointPolicy;
 use triana_core::grid::farm::{FarmConfig, FarmScheduler, JobSpec, SwarmConfig};
 use triana_core::grid::pipeline::{PipelineScheduler, StageSpec};
 use triana_core::grid::redundancy::{Behaviour, RedundancyConfig, VotingFarm};
-use triana_core::grid::{GridEvent, GridWorld, JobId, WorkerId, WorkerSetup};
+use triana_core::grid::{GridEvent, GridWorld, JobId, Scheduler, WorkerId, WorkerSetup};
 use triana_core::modules::ModuleKey;
 use trust::{orchestrator_eligibility, GridTrustConfig};
 
@@ -198,197 +198,196 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// A fault plan lowered to the operations the driver applies at runtime.
 /// Windowed faults (`Drop`/`Duplicate`/`Delay`) become oracle window
 /// updates whose end is anchored at the event's *nominal* time; a
-/// `Partition` becomes a cut/uncut pair.
+/// partition becomes a cut/uncut pair. Churn is no action: it goes into
+/// the sim queue (see [`PlanRuntime::new`]).
 #[derive(Clone, Debug)]
 enum Action {
-    Down(u32),
-    Up(u32),
-    Cut(u32),
-    Uncut(u32),
-    DropWindow { until_ms: u64, pct: u8 },
-    DupWindow { until_ms: u64, pct: u8 },
-    DelayWindow { until_ms: u64, pct: u8, max_ms: u32 },
-    Corrupt(u32),
-    Skew { worker: u32, pct: u8 },
-    Lie(u32),
-    OrchDown(u32),
-    OrchUp(u32),
-    OrchCut(u32),
-    OrchUncut(u32),
-    Poison(u32),
-    SuperDown(u32),
-    SuperUp(u32),
+    DropWindow {
+        until_ms: u64,
+        pct: u8,
+    },
+    DupWindow {
+        until_ms: u64,
+        pct: u8,
+    },
+    DelayWindow {
+        until_ms: u64,
+        pct: u8,
+        max_ms: u32,
+    },
+    /// A fault on one member of the orchestrator set.
+    Orch(u32, OrchFault),
+    /// A fault aimed at one farm worker.
+    Worker(u32, WorkerFault),
+}
+
+#[derive(Clone, Copy, Debug)]
+enum OrchFault {
+    Down,
+    Up,
+    Cut,
+    Uncut,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum WorkerFault {
+    Cut,
+    Uncut,
+    Corrupt,
+    Skew(u8),
+    Lie,
+    Poison,
+    SuperDown,
+    SuperUp,
 }
 
 /// The plan, expanded and sorted, consumed progressively as the driver
 /// steps the sim (shared across waves in the voting scenario).
-pub struct PlanRuntime {
+struct PlanRuntime {
     actions: Vec<(u64, Action)>,
     next: usize,
 }
 
 impl PlanRuntime {
-    pub fn new(plan: &FaultPlan, scenario: Scenario) -> PlanRuntime {
-        let n = match scenario {
-            Scenario::Pipeline => N_STAGES as u32,
-            _ => N_WORKERS as u32,
-        };
+    /// Expand `plan` for `scenario`. Churn (worker or stage down and up)
+    /// goes straight into `sim` as grid events at its exact times, because
+    /// churn handlers read `sim.now()` (checkpoint credit, trust
+    /// profiling), which must be the fault's nominal time. Everything else
+    /// (oracle windows, link cuts, state edits) only takes effect at the
+    /// next event handler anyway, so it stays an action the driver applies
+    /// once the sim reaches its time.
+    fn new(plan: &FaultPlan, scenario: Scenario, sim: &mut Sim<GridEvent>) -> PlanRuntime {
+        let pipeline = scenario == Scenario::Pipeline;
+        let n = if pipeline { N_STAGES } else { N_WORKERS } as u32;
         let mut actions: Vec<(u64, Action)> = Vec::with_capacity(plan.len() * 2);
+        let mut churn: Vec<(u64, GridEvent)> = Vec::new();
         for ev in &plan.events {
             let at = ev.at_ms;
+            let until = |secs: u32| at + u64::from(secs) * 1_000;
+            let to_worker = |worker: u32, f: WorkerFault| Action::Worker(worker % n, f);
+            let to_orch = |orch: u32, f: OrchFault| Action::Orch(orch % N_ORCH as u32, f);
             match ev.kind {
-                FaultKind::Crash { worker } => actions.push((at, Action::Down(worker % n))),
-                FaultKind::Restart { worker } => actions.push((at, Action::Up(worker % n))),
+                FaultKind::Crash { worker } => {
+                    churn.push((at, GridEvent::WorkerDown(WorkerId(worker % n))));
+                }
+                FaultKind::Restart { worker } => {
+                    churn.push((at, GridEvent::WorkerUp(WorkerId(worker % n))));
+                }
+                FaultKind::Partition { worker, secs } if pipeline => {
+                    // The pipe protocol has no retry for lost tokens on a
+                    // live-but-unreachable stage; a partition there is
+                    // indistinguishable from a permanent hang, so the
+                    // pipeline scenario maps it to stage churn.
+                    churn.push((at, GridEvent::WorkerDown(WorkerId(worker % n))));
+                    churn.push((until(secs), GridEvent::WorkerUp(WorkerId(worker % n))));
+                }
                 FaultKind::Partition { worker, secs } => {
-                    if scenario == Scenario::Pipeline {
-                        // The pipe protocol has no retry for lost tokens on
-                        // a live-but-unreachable stage; a partition there
-                        // is indistinguishable from a permanent hang, so
-                        // the pipeline scenario maps it to stage churn.
-                        actions.push((at, Action::Down(worker % n)));
-                        actions.push((at + u64::from(secs) * 1_000, Action::Up(worker % n)));
-                    } else {
-                        actions.push((at, Action::Cut(worker % n)));
-                        actions.push((at + u64::from(secs) * 1_000, Action::Uncut(worker % n)));
-                    }
+                    actions.push((at, to_worker(worker, WorkerFault::Cut)));
+                    actions.push((until(secs), to_worker(worker, WorkerFault::Uncut)));
                 }
                 FaultKind::Drop { pct, secs } => actions.push((
                     at,
                     Action::DropWindow {
-                        until_ms: at + u64::from(secs) * 1_000,
+                        until_ms: until(secs),
                         pct,
                     },
                 )),
                 FaultKind::Duplicate { pct, secs } => actions.push((
                     at,
                     Action::DupWindow {
-                        until_ms: at + u64::from(secs) * 1_000,
+                        until_ms: until(secs),
                         pct,
                     },
                 )),
                 FaultKind::Delay { pct, max_ms, secs } => actions.push((
                     at,
                     Action::DelayWindow {
-                        until_ms: at + u64::from(secs) * 1_000,
+                        until_ms: until(secs),
                         pct,
                         max_ms,
                     },
                 )),
                 FaultKind::Corrupt { worker } => {
-                    if scenario != Scenario::Pipeline {
-                        actions.push((at, Action::Corrupt(worker % n)));
-                    }
+                    actions.push((at, to_worker(worker, WorkerFault::Corrupt)))
                 }
                 FaultKind::Skew { worker, pct } => {
-                    if scenario != Scenario::Pipeline {
-                        actions.push((
-                            at,
-                            Action::Skew {
-                                worker: worker % n,
-                                pct,
-                            },
-                        ));
-                    }
+                    actions.push((at, to_worker(worker, WorkerFault::Skew(pct))));
                 }
                 FaultKind::Lie { worker } => {
-                    if scenario != Scenario::Pipeline {
-                        actions.push((at, Action::Lie(worker % n)));
-                    }
-                }
-                FaultKind::OrchCrash { orch } => {
-                    actions.push((at, Action::OrchDown(orch % N_ORCH as u32)));
-                }
-                FaultKind::OrchRestart { orch } => {
-                    actions.push((at, Action::OrchUp(orch % N_ORCH as u32)));
-                }
-                FaultKind::OrchPartition { orch, secs } => {
-                    let o = orch % N_ORCH as u32;
-                    actions.push((at, Action::OrchCut(o)));
-                    actions.push((at + u64::from(secs) * 1_000, Action::OrchUncut(o)));
+                    actions.push((at, to_worker(worker, WorkerFault::Lie)))
                 }
                 FaultKind::RoutePoison { worker } => {
-                    if scenario != Scenario::Pipeline {
-                        actions.push((at, Action::Poison(worker % n)));
-                    }
+                    actions.push((at, to_worker(worker, WorkerFault::Poison)));
                 }
                 FaultKind::SuperPeerFail { worker, secs } => {
-                    // Overlay faults target the farm's worker peers (the
-                    // pipeline's stage peers have no farm churn handler for
-                    // a rendezvous outage, so pipelines skip them — they
-                    // still exercise routed discovery per se).
-                    if scenario != Scenario::Pipeline {
-                        let w = worker % n;
-                        actions.push((at, Action::SuperDown(w)));
-                        actions.push((at + u64::from(secs) * 1_000, Action::SuperUp(w)));
-                    }
+                    actions.push((at, to_worker(worker, WorkerFault::SuperDown)));
+                    actions.push((until(secs), to_worker(worker, WorkerFault::SuperUp)));
+                }
+                FaultKind::OrchCrash { orch } => actions.push((at, to_orch(orch, OrchFault::Down))),
+                FaultKind::OrchRestart { orch } => actions.push((at, to_orch(orch, OrchFault::Up))),
+                FaultKind::OrchPartition { orch, secs } => {
+                    actions.push((at, to_orch(orch, OrchFault::Cut)));
+                    actions.push((until(secs), to_orch(orch, OrchFault::Uncut)));
                 }
             }
         }
+        if pipeline {
+            // Worker faults aim at what only a farm worker has: a link the
+            // farm heals with a kick, a module store, a clock the farm
+            // profiles, a provider role, a routing table, a rendezvous
+            // role. A pipeline's stages see churn, message chaos and
+            // orchestrator faults.
+            actions.retain(|(_, a)| !matches!(a, Action::Worker(..)));
+        }
         actions.sort_by_key(|(t, _)| *t);
+        churn.sort_by_key(|(t, _)| *t);
+        let last = |actions: &[(u64, Action)], churn: &[(u64, GridEvent)]| {
+            let t = actions.last().map_or(0, |(t, _)| *t);
+            t.max(churn.last().map_or(0, |(t, _)| *t))
+        };
         {
             // An orchestrator that never comes back leaves its log entries
             // unrepairable and can park ownership forever: guarantee every
-            // OrchDown has a matching later OrchUp, mirroring the pipeline
+            // crash has a matching later restart, mirroring the pipeline
             // stage balance below.
-            let last = actions.last().map_or(0, |(t, _)| *t);
+            let last = last(&actions, &churn);
             let mut balance = [0i32; N_ORCH];
             for (_, a) in &actions {
                 match a {
-                    Action::OrchDown(o) => balance[*o as usize] -= 1,
-                    Action::OrchUp(o) => balance[*o as usize] = 0,
+                    Action::Orch(o, OrchFault::Down) => balance[*o as usize] -= 1,
+                    Action::Orch(o, OrchFault::Up) => balance[*o as usize] = 0,
                     _ => {}
                 }
             }
             for (o, b) in balance.iter().enumerate() {
                 if *b < 0 {
-                    actions.push((last + 10_000, Action::OrchUp(o as u32)));
+                    actions.push((last + 10_000, Action::Orch(o as u32, OrchFault::Up)));
                 }
             }
         }
-        if scenario == Scenario::Pipeline {
+        if pipeline {
             // A stage that never comes back makes lost tokens recirculate
             // forever (emit → dead stage → re-emit): guarantee every Down
             // has a matching later Up so the pipeline can drain.
-            let last = actions.last().map_or(0, |(t, _)| *t);
+            let last = last(&actions, &churn);
             let mut balance = vec![0i32; n as usize];
-            for (_, a) in &actions {
-                match a {
-                    Action::Down(s) => balance[*s as usize] -= 1,
-                    Action::Up(s) => balance[*s as usize] = 0,
+            for (_, ev) in &churn {
+                match ev {
+                    GridEvent::WorkerDown(WorkerId(s)) => balance[*s as usize] -= 1,
+                    GridEvent::WorkerUp(WorkerId(s)) => balance[*s as usize] = 0,
                     _ => {}
                 }
             }
             for (s, b) in balance.iter().enumerate() {
                 if *b < 0 {
-                    actions.push((last + 10_000, Action::Up(s as u32)));
+                    churn.push((last + 10_000, GridEvent::WorkerUp(WorkerId(s as u32))));
                 }
             }
+        }
+        for (at, ev) in churn {
+            sim.schedule_at(ms_to_time(at), ev);
         }
         PlanRuntime { actions, next: 0 }
-    }
-
-    /// Move the churn actions (worker/stage down and up) out of the action
-    /// list and into the sim queue as real grid events at their exact
-    /// times. Everything else (oracle windows, link cuts, state edits)
-    /// only takes effect at the next event handler anyway, so it can keep
-    /// the apply-at-horizon path — but churn handlers read `sim.now()`
-    /// (checkpoint credit, trust profiling), which must be the fault's
-    /// nominal time, not whenever the driver gets around to it.
-    pub fn schedule_churn(&mut self, sim: &mut netsim::Sim<GridEvent>) {
-        debug_assert_eq!(self.next, 0, "schedule churn before driving");
-        let mut rest = Vec::with_capacity(self.actions.len());
-        for (at, a) in self.actions.drain(..) {
-            match a {
-                Action::Down(w) => {
-                    sim.schedule_at(ms_to_time(at), GridEvent::WorkerDown(WorkerId(w)));
-                }
-                Action::Up(w) => {
-                    sim.schedule_at(ms_to_time(at), GridEvent::WorkerUp(WorkerId(w)));
-                }
-                other => rest.push((at, other)),
-            }
-        }
-        self.actions = rest;
     }
 
     fn pop_due(&mut self, horizon_ms: Option<u64>) -> Option<Action> {
@@ -412,323 +411,257 @@ fn ms_to_time(ms: u64) -> SimTime {
     SimTime::ZERO + Duration::from_millis(ms)
 }
 
-/// Reachability bookkeeping for the orchestrator set, shared by the farm
-/// and pipeline drivers: a member is usable only while its host is online
-/// *and* unpartitioned.
-struct OrchFaults {
-    /// Hosts of the orchestrator set; empty when the world runs the
-    /// classic single controller (orch plan actions are then ignored).
-    hosts: Vec<HostId>,
-    offline: Vec<bool>,
-    cuts: Vec<u32>,
+/// A scheduler the driver faults: the grid's drive step plus the
+/// orchestrator hooks the farm and the pipeline share.
+trait Target: Scheduler {
+    fn orchestrators(&self) -> &OrchestratorHandle;
+    fn on_orch_change(&mut self, world: &mut GridWorld);
+    /// The farm worker faults aim at. A pipeline has none, and
+    /// [`PlanRuntime::new`] gives it no worker fault.
+    fn farm(&mut self) -> Option<&mut FarmScheduler>;
 }
 
-impl OrchFaults {
-    fn new(hosts: Vec<HostId>) -> Self {
-        OrchFaults {
-            offline: vec![false; hosts.len()],
-            cuts: vec![0; hosts.len()],
-            hosts,
-        }
+impl Target for FarmScheduler {
+    fn orchestrators(&self) -> &OrchestratorHandle {
+        FarmScheduler::orchestrators(self)
     }
-
-    /// Cut or heal every link between orchestrator `o` and the rest of
-    /// the grid (`peers` — workers or stages — and fellow orchestrators).
-    fn set_partitioned(&self, world: &mut GridWorld, peers: &[HostId], o: usize, cut: bool) {
-        for &ph in peers {
-            world.net.set_link_cut(self.hosts[o], ph, cut);
-        }
-        for (j, &oh) in self.hosts.iter().enumerate() {
-            if j != o {
-                world.net.set_link_cut(self.hosts[o], oh, cut);
-            }
-        }
+    fn on_orch_change(&mut self, world: &mut GridWorld) {
+        FarmScheduler::on_orch_change(self, world);
+    }
+    fn farm(&mut self) -> Option<&mut FarmScheduler> {
+        Some(self)
     }
 }
 
-/// Apply one orchestrator fault (`OrchDown`/`OrchUp`/`OrchCut`/`OrchUncut`)
-/// to the set behind `orch`. When it changes member `o`'s reachability the
-/// membership view is pushed to match and `changed` lets the scheduler
-/// react (election, ownership reassignment, resumed returns, kick).
-fn apply_orch_action(
-    world: &mut GridWorld,
-    faults: &mut OrchFaults,
-    peers: &[HostId],
-    orch: &OrchestratorHandle,
-    act: Action,
-    changed: impl FnOnce(&mut GridWorld),
-) {
-    let o = match act {
-        Action::OrchDown(o) | Action::OrchUp(o) | Action::OrchCut(o) | Action::OrchUncut(o) => {
-            o as usize
-        }
-        _ => unreachable!("not an orchestrator action: {act:?}"),
-    };
-    if o >= faults.hosts.len() {
-        return;
+impl Target for PipelineScheduler {
+    fn orchestrators(&self) -> &OrchestratorHandle {
+        PipelineScheduler::orchestrators(self)
     }
-    match act {
-        Action::OrchDown(_) if !faults.offline[o] => {
-            faults.offline[o] = true;
-            world.net.set_online(faults.hosts[o], false);
-        }
-        Action::OrchUp(_) if faults.offline[o] => {
-            faults.offline[o] = false;
-            world.net.set_online(faults.hosts[o], true);
-        }
-        Action::OrchCut(_) => {
-            faults.cuts[o] += 1;
-            if faults.cuts[o] == 1 {
-                faults.set_partitioned(world, peers, o, true);
-            }
-        }
-        Action::OrchUncut(_) if faults.cuts[o] > 0 => {
-            faults.cuts[o] -= 1;
-            if faults.cuts[o] == 0 {
-                faults.set_partitioned(world, peers, o, false);
-            }
-        }
-        // The member is already in the state the fault asks for.
-        _ => return,
+    fn on_orch_change(&mut self, world: &mut GridWorld) {
+        PipelineScheduler::on_orch_change(self, world);
     }
-    if !faults.offline[o] && faults.cuts[o] == 0 {
-        orch.set_member_up(&mut world.sim, &mut world.net, &mut world.p2p, o);
-    } else {
-        orch.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, o);
+    fn farm(&mut self) -> Option<&mut FarmScheduler> {
+        None
     }
-    changed(world);
 }
 
-/// Static facts the farm driver needs to apply plan actions, plus the
-/// orchestrator set's reachability bookkeeping.
-pub struct FarmCtx {
+/// What plan actions need to know about a scenario's world, plus the
+/// orchestrator set's reachability bookkeeping: a member is usable only
+/// while its host is online *and* unpartitioned.
+struct FaultCtx {
     ctrl_host: HostId,
-    worker_hosts: Vec<HostId>,
+    /// Hosts of the farm's workers or of the pipeline's stages.
+    peer_hosts: Vec<HostId>,
+    /// The farm's shared module, which `corrupt` and `lie` faults aim at
+    /// (empty in a pipeline).
     module_blob: BlobId,
     module_len: u64,
     module_chunks: u32,
-    orch: OrchFaults,
+    /// Hosts of the orchestrator set; empty when the world runs the
+    /// classic single controller (orch plan actions are then ignored).
+    orch_hosts: Vec<HostId>,
+    orch_offline: Vec<bool>,
+    orch_cuts: Vec<u32>,
     /// Seed-derived stream for routing-table poisonings (`rtbl` faults).
     poison_rng: Pcg32,
 }
 
-fn apply_farm_action(
-    world: &mut GridWorld,
-    farm: &mut FarmScheduler,
-    oracle: &FaultOracle,
-    ctx: &mut FarmCtx,
-    act: Action,
-) {
-    match act {
-        Action::Down(w) => farm.handle(world, GridEvent::WorkerDown(WorkerId(w))),
-        Action::Up(w) => farm.handle(world, GridEvent::WorkerUp(WorkerId(w))),
-        Action::Cut(w) => {
-            world
-                .net
-                .set_link_cut(ctx.ctrl_host, ctx.worker_hosts[w as usize], true);
+impl FaultCtx {
+    /// Apply one plan action to the world and its scheduler.
+    fn apply<S: Target>(
+        &mut self,
+        world: &mut GridWorld,
+        sched: &mut S,
+        oracle: &FaultOracle,
+        act: Action,
+    ) {
+        match act {
+            Action::DropWindow { until_ms, pct } => {
+                oracle.set_drop_window(ms_to_time(until_ms), pct);
+            }
+            Action::DupWindow { until_ms, pct } => {
+                oracle.set_dup_window(ms_to_time(until_ms), pct);
+            }
+            Action::DelayWindow {
+                until_ms,
+                pct,
+                max_ms,
+            } => oracle.set_delay_window(
+                ms_to_time(until_ms),
+                pct,
+                Duration::from_millis(u64::from(max_ms)),
+            ),
+            Action::Orch(o, fault) => self.orch_fault(world, sched, o as usize, fault),
+            Action::Worker(w, fault) => {
+                let farm = sched.farm().expect("only a farm plan has worker faults");
+                self.worker_fault(world, farm, WorkerId(w), fault);
+            }
         }
-        Action::Uncut(w) => {
-            world
-                .net
-                .set_link_cut(ctx.ctrl_host, ctx.worker_hosts[w as usize], false);
-            // Link repairs are not grid events; nudge the queue so jobs
-            // bounced off the severed route get rescheduled.
-            farm.kick(world);
+    }
+
+    /// Apply a fault to orchestrator `o`. When it changes the member's
+    /// reachability the membership view is pushed to match and the
+    /// scheduler reacts (election, ownership reassignment, resumed
+    /// returns, kick).
+    fn orch_fault<S: Target>(
+        &mut self,
+        world: &mut GridWorld,
+        sched: &mut S,
+        o: usize,
+        fault: OrchFault,
+    ) {
+        if o >= self.orch_hosts.len() {
+            return;
         }
-        Action::DropWindow { until_ms, pct } => oracle.set_drop_window(ms_to_time(until_ms), pct),
-        Action::DupWindow { until_ms, pct } => oracle.set_dup_window(ms_to_time(until_ms), pct),
-        Action::DelayWindow {
-            until_ms,
-            pct,
-            max_ms,
-        } => oracle.set_delay_window(
-            ms_to_time(until_ms),
-            pct,
-            Duration::from_millis(u64::from(max_ms)),
-        ),
-        Action::Corrupt(w) => {
-            // No-op unless the blob is resident — exactly like real bit-rot.
-            farm.worker_store_mut(WorkerId(w))
-                .corrupt_chunk(ctx.module_blob, 0);
+        match fault {
+            OrchFault::Down if !self.orch_offline[o] => {
+                self.orch_offline[o] = true;
+                world.net.set_online(self.orch_hosts[o], false);
+            }
+            OrchFault::Up if self.orch_offline[o] => {
+                self.orch_offline[o] = false;
+                world.net.set_online(self.orch_hosts[o], true);
+            }
+            OrchFault::Cut => {
+                self.orch_cuts[o] += 1;
+                if self.orch_cuts[o] == 1 {
+                    self.set_partitioned(world, o, true);
+                }
+            }
+            OrchFault::Uncut if self.orch_cuts[o] > 0 => {
+                self.orch_cuts[o] -= 1;
+                if self.orch_cuts[o] == 0 {
+                    self.set_partitioned(world, o, false);
+                }
+            }
+            // The member is already in the state the fault asks for.
+            _ => return,
         }
-        Action::Skew { worker, pct } => {
-            farm.set_worker_efficiency(WorkerId(worker), f64::from(pct.max(5)) / 100.0);
+        let orch = sched.orchestrators();
+        if !self.orch_offline[o] && self.orch_cuts[o] == 0 {
+            orch.set_member_up(&mut world.sim, &mut world.net, &mut world.p2p, o);
+        } else {
+            orch.set_member_down(&mut world.sim, &mut world.net, &mut world.p2p, o);
         }
-        Action::Lie(w) => {
-            // Byzantine provider claim: advertise the module blob from a
-            // worker that may not hold a single chunk of it. Swarm pulls
-            // against it fail and must reroute to the controller.
-            let provider = farm.worker_peer(WorkerId(w));
-            let ad = Advertisement {
-                body: AdvertBody::Blob(BlobAdvert {
-                    blob: ctx.module_blob.0,
-                    size_bytes: ctx.module_len,
-                    chunks: ctx.module_chunks,
-                    provider,
-                }),
-                expires: world.sim.now() + Duration::from_secs(3_600),
-            };
-            world
-                .p2p
-                .publish(&mut world.sim, &mut world.net, provider, ad);
+        sched.on_orch_change(world);
+    }
+
+    /// Cut or heal every link between orchestrator `o` and the rest of
+    /// the grid (workers or stages, and fellow orchestrators).
+    fn set_partitioned(&self, world: &mut GridWorld, o: usize, cut: bool) {
+        let others = self.orch_hosts.iter().enumerate().filter(|&(j, _)| j != o);
+        for &h in self.peer_hosts.iter().chain(others.map(|(_, h)| h)) {
+            world.net.set_link_cut(self.orch_hosts[o], h, cut);
         }
-        Action::OrchDown(_) | Action::OrchUp(_) | Action::OrchCut(_) | Action::OrchUncut(_) => {
-            let orch = farm.orchestrators().clone();
-            let peers = &ctx.worker_hosts;
-            apply_orch_action(world, &mut ctx.orch, peers, &orch, act, |w| {
-                farm.on_orch_change(w);
-            });
-        }
-        Action::Poison(w) => {
-            // No-op outside routed mode (a flooding peer has no routing
-            // table), exactly like Corrupt on a non-resident blob.
-            let peer = farm.worker_peer(WorkerId(w));
-            world.p2p.poison_routing_table(peer, &mut ctx.poison_rng);
-        }
-        Action::SuperDown(w) => {
+    }
+
+    fn worker_fault(
+        &mut self,
+        world: &mut GridWorld,
+        farm: &mut FarmScheduler,
+        wid: WorkerId,
+        fault: WorkerFault,
+    ) {
+        match fault {
+            WorkerFault::Cut => {
+                let host = self.peer_hosts[wid.0 as usize];
+                world.net.set_link_cut(self.ctrl_host, host, true);
+            }
+            WorkerFault::Uncut => {
+                let host = self.peer_hosts[wid.0 as usize];
+                world.net.set_link_cut(self.ctrl_host, host, false);
+                // Link repairs are not grid events; nudge the queue so jobs
+                // bounced off the severed route get rescheduled.
+                farm.kick(world);
+            }
+            WorkerFault::Corrupt => {
+                // No-op unless the blob is resident — exactly like real
+                // bit-rot.
+                farm.worker_store_mut(wid)
+                    .corrupt_chunk(self.module_blob, 0);
+            }
+            WorkerFault::Skew(pct) => {
+                farm.set_worker_efficiency(wid, f64::from(pct.max(5)) / 100.0);
+            }
+            WorkerFault::Lie => {
+                // Byzantine provider claim: advertise the module blob from a
+                // worker that may not hold a single chunk of it. Swarm pulls
+                // against it fail and must reroute to the controller.
+                let provider = farm.worker_peer(wid);
+                let ad = Advertisement {
+                    body: AdvertBody::Blob(BlobAdvert {
+                        blob: self.module_blob.0,
+                        size_bytes: self.module_len,
+                        chunks: self.module_chunks,
+                        provider,
+                    }),
+                    expires: world.sim.now() + Duration::from_secs(3_600),
+                };
+                world
+                    .p2p
+                    .publish(&mut world.sim, &mut world.net, provider, ad);
+            }
+            WorkerFault::Poison => {
+                // No-op outside routed mode (a flooding peer has no routing
+                // table), exactly like Corrupt on a non-resident blob.
+                let peer = farm.worker_peer(wid);
+                world.p2p.poison_routing_table(peer, &mut self.poison_rng);
+            }
             // Only fell the worker if its peer actually serves as a hot
             // rendezvous — the fault is about super-peer outage, not plain
             // worker churn (the Crash kind already covers that). Roles are
             // assigned at bootstrap and stable for the whole run, so the
             // matching SuperUp sees the same verdict.
-            if world.p2p.is_rendezvous(farm.worker_peer(WorkerId(w))) {
-                farm.handle(world, GridEvent::WorkerDown(WorkerId(w)));
+            WorkerFault::SuperDown if world.p2p.is_rendezvous(farm.worker_peer(wid)) => {
+                farm.handle(world, GridEvent::WorkerDown(wid));
             }
-        }
-        Action::SuperUp(w) => {
-            if world.p2p.is_rendezvous(farm.worker_peer(WorkerId(w))) {
-                farm.handle(world, GridEvent::WorkerUp(WorkerId(w)));
+            WorkerFault::SuperUp if world.p2p.is_rendezvous(farm.worker_peer(wid)) => {
+                farm.handle(world, GridEvent::WorkerUp(wid));
             }
+            WorkerFault::SuperDown | WorkerFault::SuperUp => {}
         }
     }
 }
 
-/// Step the farm world to drain, interleaving plan actions at their due
-/// times and auditing the blacklist after every handled event. Actions due
-/// before the next sim event apply first; once the queue is empty the
-/// remaining actions apply immediately (there is no natural event left to
-/// wait for).
-pub fn drive_farm(
+/// Step a scenario's world to drain, applying plan actions at their due
+/// times: actions due before the next sim event apply first; once the
+/// queue is empty the remaining actions apply immediately (there is no
+/// natural event left to wait for). `audit` runs after every handled
+/// event.
+fn drive<S: Target>(
     world: &mut GridWorld,
-    farm: &mut FarmScheduler,
+    sched: &mut S,
     rt: &mut PlanRuntime,
     oracle: &FaultOracle,
-    ctx: &mut FarmCtx,
-    violations: &mut Vec<Violation>,
+    ctx: &mut FaultCtx,
+    mut audit: impl FnMut(&S),
 ) {
+    loop {
+        let horizon_ms = world.sim.peek_time().map(|t| t.as_micros() / 1_000);
+        while let Some(act) = rt.pop_due(horizon_ms) {
+            ctx.apply(world, sched, oracle, act);
+        }
+        if world.step(sched) {
+            audit(sched);
+        } else if !rt.pending() {
+            break;
+        }
+    }
+}
+
+/// The farm scenarios' per-step audit: no job moved onto a worker the
+/// farm has blacklisted.
+fn blacklist_audit<'v>(
+    farm: &FarmScheduler,
+    violations: &'v mut Vec<Violation>,
+) -> impl FnMut(&FarmScheduler) + 'v {
     let mut before: Vec<Option<WorkerId>> = (0..farm.n_jobs())
         .map(|j| farm.job_assignment(JobId(j as u64)))
         .collect();
-    loop {
-        let horizon_ms = world.sim.peek_time().map(|t| t.as_micros() / 1_000);
-        while let Some(act) = rt.pop_due(horizon_ms) {
-            apply_farm_action(world, farm, oracle, ctx, act);
-        }
-        match world.sim.step() {
-            Some(GridEvent::P2p(pe)) => {
-                for inc in world.p2p.handle(&mut world.sim, &mut world.net, pe) {
-                    if let Incoming::Orch {
-                        to,
-                        seq,
-                        count,
-                        sync,
-                    } = inc
-                    {
-                        farm.orch_deliver(to, seq, count, sync);
-                    }
-                }
-            }
-            Some(ev) => farm.handle(world, ev),
-            None => {
-                if rt.pending() {
-                    continue; // actions beyond the last event still apply
-                }
-                break;
-            }
-        }
+    move |farm| {
         check_blacklist_respected(farm, &before, violations);
         for (j, slot) in before.iter_mut().enumerate() {
             *slot = farm.job_assignment(JobId(j as u64));
-        }
-    }
-}
-
-/// Static facts and orchestrator reachability bookkeeping for the
-/// pipeline driver (the pipeline analogue of [`FarmCtx`]).
-pub struct PipeCtx {
-    stage_hosts: Vec<HostId>,
-    orch: OrchFaults,
-}
-
-/// Step the pipeline world to drain (same action protocol as
-/// [`drive_farm`]; only churn, message chaos, and orchestrator faults
-/// reach a pipeline).
-pub fn drive_pipeline(
-    world: &mut GridWorld,
-    pl: &mut PipelineScheduler,
-    rt: &mut PlanRuntime,
-    oracle: &FaultOracle,
-    ctx: &mut PipeCtx,
-) {
-    loop {
-        let horizon_ms = world.sim.peek_time().map(|t| t.as_micros() / 1_000);
-        while let Some(act) = rt.pop_due(horizon_ms) {
-            match act {
-                Action::Down(s) => pl.handle(
-                    &mut world.sim,
-                    &mut world.net,
-                    &mut world.p2p,
-                    GridEvent::WorkerDown(WorkerId(s)),
-                ),
-                Action::Up(s) => pl.handle(
-                    &mut world.sim,
-                    &mut world.net,
-                    &mut world.p2p,
-                    GridEvent::WorkerUp(WorkerId(s)),
-                ),
-                Action::DropWindow { until_ms, pct } => {
-                    oracle.set_drop_window(ms_to_time(until_ms), pct);
-                }
-                Action::DupWindow { until_ms, pct } => {
-                    oracle.set_dup_window(ms_to_time(until_ms), pct);
-                }
-                Action::DelayWindow {
-                    until_ms,
-                    pct,
-                    max_ms,
-                } => oracle.set_delay_window(
-                    ms_to_time(until_ms),
-                    pct,
-                    Duration::from_millis(u64::from(max_ms)),
-                ),
-                Action::OrchDown(_)
-                | Action::OrchUp(_)
-                | Action::OrchCut(_)
-                | Action::OrchUncut(_) => {
-                    let orch = pl.orchestrators().clone();
-                    let peers = &ctx.stage_hosts;
-                    apply_orch_action(world, &mut ctx.orch, peers, &orch, act, |w| {
-                        pl.on_orch_change(&mut w.sim, &mut w.net, &mut w.p2p);
-                    });
-                }
-                // Filtered out by PlanRuntime::new for pipelines.
-                _ => unreachable!("farm-only action in a pipeline plan"),
-            }
-        }
-        match world.sim.step() {
-            Some(GridEvent::P2p(pe)) => {
-                let incoming = world.p2p.handle(&mut world.sim, &mut world.net, pe);
-                for inc in incoming {
-                    pl.on_incoming(&mut world.sim, &mut world.net, &mut world.p2p, inc);
-                }
-            }
-            Some(ev) => pl.handle(&mut world.sim, &mut world.net, &mut world.p2p, ev),
-            None => {
-                if rt.pending() {
-                    continue;
-                }
-                break;
-            }
         }
     }
 }
@@ -760,14 +693,6 @@ fn sized_blob(name: &str, approx: usize) -> tvm::ModuleBlob {
         .to_blob()
 }
 
-struct FarmWorld {
-    world: GridWorld,
-    farm: FarmScheduler,
-    ctx: FarmCtx,
-    obs: Obs,
-    module_key: ModuleKey,
-}
-
 /// Build the [`N_ORCH`]-member orchestrator set for a decentralised run:
 /// `lead` (the classic controller peer, fastest host) plus two slower
 /// peers, eligibility scored from advertised clock at full trust.
@@ -797,7 +722,16 @@ fn build_orch_set(
     (handle, hosts)
 }
 
-fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: bool) -> FarmWorld {
+/// The world every scenario starts from: its discovery mode, an enabled
+/// obs, the oracle's tap and send filter, the controller peer and the
+/// orchestrator set (the controller alone, or [`N_ORCH`] members with
+/// `use_orch`). The fault context knows no worker or stage yet.
+fn build_world(
+    seed: u64,
+    oracle: &FaultOracle,
+    use_orch: bool,
+    routed: bool,
+) -> (GridWorld, Obs, OrchestratorHandle, FaultCtx) {
     let mode = if routed {
         DiscoveryMode::Routed
     } else {
@@ -809,6 +743,37 @@ fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: boo
     world.p2p.set_obs(obs.clone());
     world.p2p.set_send_filter(oracle.send_filter());
     let (ctrl, ctrl_host) = world.add_peer(host(2.0));
+    let (orch, orch_hosts) = if use_orch {
+        let (handle, hosts) = build_orch_set(&mut world, ctrl, ctrl_host, seed);
+        handle.set_obs(obs.clone());
+        (handle, hosts)
+    } else {
+        (OrchestratorHandle::single(ctrl, ctrl_host), Vec::new())
+    };
+    let ctx = FaultCtx {
+        ctrl_host,
+        peer_hosts: Vec::new(),
+        module_blob: BlobId::of(&[]),
+        module_len: 0,
+        module_chunks: 0,
+        orch_offline: vec![false; orch_hosts.len()],
+        orch_cuts: vec![0; orch_hosts.len()],
+        orch_hosts,
+        poison_rng: Pcg32::new(seed, 0x0007_B150),
+    };
+    (world, obs, orch, ctx)
+}
+
+struct FarmWorld {
+    world: GridWorld,
+    farm: FarmScheduler,
+    ctx: FaultCtx,
+    obs: Obs,
+    module_key: ModuleKey,
+}
+
+fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: bool) -> FarmWorld {
+    let (mut world, obs, orch, mut ctx) = build_world(seed, oracle, use_orch, routed);
     let cfg = FarmConfig {
         checkpoint: Some(CheckpointPolicy::every(Duration::from_secs(5), 2_000)),
         swarm: Some(SwarmConfig {
@@ -817,22 +782,13 @@ fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: boo
         }),
         trust: Some(GridTrustConfig::adaptive()),
     };
-    let mut orch_hosts = Vec::new();
-    let mut farm = if use_orch {
-        let (handle, hosts) = build_orch_set(&mut world, ctrl, ctrl_host, seed);
-        handle.set_obs(obs.clone());
-        orch_hosts = hosts;
-        FarmScheduler::with_orchestrators(handle, cfg)
-    } else {
-        FarmScheduler::new(&world, ctrl, cfg)
-    };
+    let mut farm = FarmScheduler::with_orchestrators(orch, cfg);
     farm.set_obs(obs.clone());
     let horizon = SimTime::from_secs(200_000);
-    let mut worker_hosts = Vec::with_capacity(N_WORKERS);
     for i in 0..N_WORKERS {
         let spec = host(1.0 + i as f64 * 0.5);
         let (peer, h) = world.add_peer(spec.clone());
-        worker_hosts.push(h);
+        ctx.peer_hosts.push(h);
         farm.add_worker(
             &mut world,
             WorkerSetup {
@@ -857,22 +813,14 @@ fn build_farm_world(seed: u64, oracle: &FaultOracle, use_orch: bool, routed: boo
     }
     let module_key = ModuleKey::new("Chaos", 1);
     let blob = sized_blob("Chaos", 2_000);
-    let module_blob = BlobId::of_blob(&blob);
-    let layout = ChunkLayout::new(blob.len() as u64, 256);
-    let module_len = blob.len() as u64;
+    ctx.module_blob = BlobId::of_blob(&blob);
+    ctx.module_len = blob.len() as u64;
+    ctx.module_chunks = ChunkLayout::new(blob.len() as u64, 256).count();
     farm.library.publish(module_key.clone(), blob);
     FarmWorld {
         world,
         farm,
-        ctx: FarmCtx {
-            ctrl_host,
-            worker_hosts,
-            module_blob,
-            module_len,
-            module_chunks: layout.count(),
-            orch: OrchFaults::new(orch_hosts),
-            poison_rng: Pcg32::new(seed, 0x0007_B150),
-        },
+        ctx,
         obs,
         module_key,
     }
@@ -947,16 +895,16 @@ fn run_farm_scenario(cfg: &ChaosConfig) -> RunOutcome {
         let spec = farm_job(i, &fw.module_key);
         fw.farm.submit(&mut fw.world, spec);
     }
-    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Farm);
-    rt.schedule_churn(&mut fw.world.sim);
+    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Farm, &mut fw.world.sim);
     let mut violations = Vec::new();
-    drive_farm(
+    let audit = blacklist_audit(&fw.farm, &mut violations);
+    drive(
         &mut fw.world,
         &mut fw.farm,
         &mut rt,
         &oracle,
         &mut fw.ctx,
-        &mut violations,
+        audit,
     );
     let reg = fw.obs.registry().expect("obs enabled").clone();
     check_no_stranded_jobs(&fw.farm, &mut violations);
@@ -991,8 +939,7 @@ fn run_voting_scenario(cfg: &ChaosConfig) -> RunOutcome {
     behaviours[0] = Behaviour::Cheater { cheat_prob: 1.0 };
     let mut voting = VotingFarm::new(RedundancyConfig::triple(), behaviours, cfg.seed);
     voting.set_obs(fw.obs.clone());
-    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Voting);
-    rt.schedule_churn(&mut fw.world.sim);
+    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Voting, &mut fw.world.sim);
     let mut violations = Vec::new();
     let unit_spec = JobSpec {
         work_gigacycles: 12.0,
@@ -1006,13 +953,14 @@ fn run_voting_scenario(cfg: &ChaosConfig) -> RunOutcome {
         for _ in 0..2 {
             voting.submit_unit(&mut fw.farm, &mut fw.world, unit_spec.clone());
         }
-        drive_farm(
+        let audit = blacklist_audit(&fw.farm, &mut violations);
+        drive(
             &mut fw.world,
             &mut fw.farm,
             &mut rt,
             &oracle,
             &mut fw.ctx,
-            &mut violations,
+            audit,
         );
         for u in 0..voting.units.len() {
             voting.apply_unit(&mut fw.farm, u);
@@ -1048,58 +996,25 @@ fn run_voting_scenario(cfg: &ChaosConfig) -> RunOutcome {
 fn run_pipeline_scenario(cfg: &ChaosConfig) -> RunOutcome {
     let oracle = FaultOracle::new(cfg.seed);
     oracle.set_mutate_drop_output(cfg.mutate_drop_output);
-    let mode = if cfg.routed {
-        // Pipelines take the lazy-bootstrap path: the overlay assembles
-        // itself (neutral profiles) on the first publish or query.
-        DiscoveryMode::Routed
-    } else {
-        DiscoveryMode::Flooding
-    };
-    let mut world = GridWorld::new(cfg.seed, mode);
-    let obs = Obs::enabled();
-    world.sim.set_tap(oracle.tap());
-    world.p2p.set_obs(obs.clone());
-    world.p2p.set_send_filter(oracle.send_filter());
-    let (ctrl, ctrl_host) = world.add_peer(host(2.0));
-    let (orch_set, orch_hosts) = if cfg.orch {
-        let (handle, hosts) = build_orch_set(&mut world, ctrl, ctrl_host, cfg.seed);
-        handle.set_obs(obs.clone());
-        (Some(handle), hosts)
-    } else {
-        (None, Vec::new())
-    };
+    // In routed mode a pipeline takes the lazy-bootstrap path: the overlay
+    // assembles itself (neutral profiles) on the first publish or query.
+    let (mut world, obs, orch, mut ctx) = build_world(cfg.seed, &oracle, cfg.orch, cfg.routed);
     let mut stages = Vec::with_capacity(N_STAGES);
-    let mut stage_hosts: Vec<HostId> = Vec::with_capacity(N_STAGES);
     for i in 0..N_STAGES {
         let spec = host(1.5 + i as f64 * 0.25);
         let (peer, h) = world.add_peer(spec.clone());
-        stage_hosts.push(h);
+        ctx.peer_hosts.push(h);
         stages.push(StageSpec {
             peer,
             spec,
             work_gigacycles: 5.0,
         });
     }
-    let mut pl = match orch_set {
-        Some(handle) => PipelineScheduler::with_orchestrators(
-            &mut world,
-            handle,
-            "chaos",
-            stages,
-            10_000,
-            Vec::new(),
-        ),
-        None => PipelineScheduler::new(&mut world, ctrl, "chaos", stages, 10_000),
-    };
+    let mut pl = PipelineScheduler::with_orchestrators(&mut world, orch, "chaos", stages, 10_000);
     pl.set_obs(obs.clone());
-    pl.emit_tokens(&mut world.sim, N_TOKENS, Duration::from_secs(1));
-    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Pipeline);
-    rt.schedule_churn(&mut world.sim);
-    let mut ctx = PipeCtx {
-        stage_hosts,
-        orch: OrchFaults::new(orch_hosts),
-    };
-    drive_pipeline(&mut world, &mut pl, &mut rt, &oracle, &mut ctx);
+    pl.emit_tokens(&mut world, N_TOKENS, Duration::from_secs(1));
+    let mut rt = PlanRuntime::new(&cfg.plan, Scenario::Pipeline, &mut world.sim);
+    drive(&mut world, &mut pl, &mut rt, &oracle, &mut ctx, |_| {});
     let reg = obs.registry().expect("obs enabled").clone();
     let mut violations = Vec::new();
     check_pipeline(&pl, N_TOKENS, &reg, &mut violations);
@@ -1209,15 +1124,16 @@ mod tests {
             let spec = farm_job(i, &fw.module_key);
             fw.farm.submit(&mut fw.world, spec);
         }
-        let mut rt = PlanRuntime::new(&FaultPlan::empty(), Scenario::Farm);
+        let mut rt = PlanRuntime::new(&FaultPlan::empty(), Scenario::Farm, &mut fw.world.sim);
         let mut violations = Vec::new();
-        drive_farm(
+        let audit = blacklist_audit(&fw.farm, &mut violations);
+        drive(
             &mut fw.world,
             &mut fw.farm,
             &mut rt,
             &oracle,
             &mut fw.ctx,
-            &mut violations,
+            audit,
         );
         let admitted: Vec<_> = (0..fw.farm.n_workers() as u32)
             .filter_map(|w| {
@@ -1305,21 +1221,17 @@ mod tests {
         // finish after the restart. One worker, one ~50 s job, checkpoints
         // every 5 s, crash at 26 s, restart at 30 s.
         let oracle = FaultOracle::new(5);
-        let mut world = GridWorld::new(5, DiscoveryMode::Flooding);
-        world.sim.set_tap(oracle.tap());
-        let obs = Obs::enabled();
-        world.p2p.set_obs(obs.clone());
-        world.p2p.set_send_filter(oracle.send_filter());
-        let (ctrl, ctrl_host) = world.add_peer(host(2.0));
+        let (mut world, obs, orch, mut ctx) = build_world(5, &oracle, false, false);
         let cfg = FarmConfig {
             checkpoint: Some(CheckpointPolicy::every(Duration::from_secs(5), 2_000)),
             swarm: None,
             trust: None,
         };
-        let mut farm = FarmScheduler::new(&world, ctrl, cfg);
-        farm.set_obs(obs.clone());
+        let mut farm = FarmScheduler::with_orchestrators(orch, cfg);
+        farm.set_obs(obs);
         let spec = host(1.0);
         let (peer, worker_host) = world.add_peer(spec.clone());
+        ctx.peer_hosts.push(worker_host);
         farm.add_worker(
             &mut world,
             WorkerSetup {
@@ -1339,26 +1251,10 @@ mod tests {
             },
         );
         let plan: FaultPlan = "crash@26000:w0;restart@30000:w0".parse().unwrap();
-        let mut rt = PlanRuntime::new(&plan, Scenario::Farm);
-        rt.schedule_churn(&mut world.sim);
-        let mut ctx = FarmCtx {
-            ctrl_host,
-            worker_hosts: vec![worker_host],
-            module_blob: BlobId::of(&[]),
-            module_len: 0,
-            module_chunks: 0,
-            orch: OrchFaults::new(Vec::new()),
-            poison_rng: Pcg32::new(5, 0x0007_B150),
-        };
+        let mut rt = PlanRuntime::new(&plan, Scenario::Farm, &mut world.sim);
         let mut violations = Vec::new();
-        drive_farm(
-            &mut world,
-            &mut farm,
-            &mut rt,
-            &oracle,
-            &mut ctx,
-            &mut violations,
-        );
+        let audit = blacklist_audit(&farm, &mut violations);
+        drive(&mut world, &mut farm, &mut rt, &oracle, &mut ctx, audit);
         assert!(violations.is_empty(), "{violations:?}");
         let s = farm.stats();
         assert_eq!(s.jobs_done, 1, "job must finish after the restart");

@@ -16,13 +16,15 @@
 //! have arrived back at the controller.
 
 use netsim::{Duration, SimTime};
-use obs::Obs;
 
 use crate::data::TrianaData;
 use crate::graph::{GraphError, GroupId, TaskGraph, TaskId};
 use crate::grid::farm::{run_farm, FarmConfig, FarmScheduler, JobSpec};
+use crate::grid::pipeline::{run_pipeline, PipelineScheduler, StageSpec};
 use crate::grid::{GridWorld, JobId, WorkerSetup};
-use crate::rewrite::{group_job_spec, plan_parallel, DistributedPlan, PlanError};
+use crate::rewrite::{
+    group_job_spec, plan_parallel, plan_peer_to_peer, DistributedPlan, PlanError,
+};
 use crate::unit::{UnitError, UnitRegistry};
 
 /// One completed token: the real output values plus simulated latency.
@@ -223,46 +225,15 @@ pub fn execute_group_parallel(
     tokens: Vec<TrianaData>,
     cfg: FarmConfig,
 ) -> Result<GroupRun, ExecError> {
-    execute_group_parallel_obs(
-        world,
-        graph,
-        registry,
-        gid,
-        controller,
-        workers,
-        tokens,
-        cfg,
-        &Obs::disabled(),
-    )
-}
-
-/// [`execute_group_parallel`] with observability: the graph rewrite is
-/// counted, and the driving farm scheduler records through the same handle.
-#[allow(clippy::too_many_arguments)] // same seam as the uninstrumented variant
-pub fn execute_group_parallel_obs(
-    world: &mut GridWorld,
-    graph: &TaskGraph,
-    registry: &UnitRegistry,
-    gid: GroupId,
-    controller: p2p::PeerId,
-    workers: Vec<WorkerSetup>,
-    tokens: Vec<TrianaData>,
-    cfg: FarmConfig,
-    observer: &Obs,
-) -> Result<GroupRun, ExecError> {
     let entry = single_entry(graph, gid)?;
     let peers: Vec<p2p::PeerId> = workers.iter().map(|w| w.peer).collect();
     let plan = plan_parallel(graph, gid, &peers)?;
-    observer.incr("exec.rewrites");
-    observer.add("exec.rewrite_clones", plan.assignments.len() as u64);
-    observer.add("exec.tokens_submitted", tokens.len() as u64);
 
     // Real results, computed up front (clone semantics: stateless).
     let outputs = compute_all_outputs(graph, registry, gid, entry, &tokens)?;
 
     // Simulated timing via the farm.
     let mut farm = FarmScheduler::new(world, controller, cfg);
-    farm.set_obs(observer.clone());
     for w in workers {
         farm.add_worker(world, w);
     }
@@ -286,7 +257,6 @@ pub fn execute_group_parallel_obs(
 /// Run a peer-to-peer group as a pipeline over `stage_peers` (one per
 /// member task, in topological order), computing real outputs and simulated
 /// per-token latencies.
-#[allow(clippy::too_many_arguments)] // same seam as the parallel variant
 pub fn execute_group_pipeline(
     world: &mut GridWorld,
     graph: &TaskGraph,
@@ -296,40 +266,8 @@ pub fn execute_group_pipeline(
     stage_peers: &[p2p::PeerId],
     tokens: Vec<TrianaData>,
 ) -> Result<GroupRun, ExecError> {
-    execute_group_pipeline_obs(
-        world,
-        graph,
-        registry,
-        gid,
-        controller,
-        stage_peers,
-        tokens,
-        &Obs::disabled(),
-    )
-}
-
-/// [`execute_group_pipeline`] with observability: the graph rewrite is
-/// counted, and the driving pipeline scheduler records through the same
-/// handle.
-#[allow(clippy::too_many_arguments)] // same seam as the uninstrumented variant
-pub fn execute_group_pipeline_obs(
-    world: &mut GridWorld,
-    graph: &TaskGraph,
-    registry: &UnitRegistry,
-    gid: GroupId,
-    controller: p2p::PeerId,
-    stage_peers: &[p2p::PeerId],
-    tokens: Vec<TrianaData>,
-    observer: &Obs,
-) -> Result<GroupRun, ExecError> {
-    use crate::grid::pipeline::{run_pipeline, PipelineScheduler, StageSpec};
-    use crate::rewrite::plan_peer_to_peer;
-
     let entry = single_entry(graph, gid)?;
     let plan = plan_peer_to_peer(graph, gid, stage_peers)?;
-    observer.incr("exec.rewrites");
-    observer.add("exec.rewrite_stages", plan.assignments.len() as u64);
-    observer.add("exec.tokens_submitted", tokens.len() as u64);
 
     // Real results, token by token (chain semantics are per-token).
     let outputs = compute_all_outputs(graph, registry, gid, entry, &tokens)?;
@@ -360,8 +298,7 @@ pub fn execute_group_pipeline_obs(
         stages,
         token_bytes,
     );
-    pl.set_obs(observer.clone());
-    pl.emit_tokens(&mut world.sim, tokens.len() as u64, netsim::Duration::ZERO);
+    pl.emit_tokens(world, tokens.len() as u64, Duration::ZERO);
     run_pipeline(world, &mut pl);
 
     let results = collect_results(outputs, |i| pl.token_latency(i as u64))?;

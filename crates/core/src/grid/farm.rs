@@ -15,7 +15,7 @@ use netsim::avail::AvailabilityTrace;
 use netsim::{Duration, HostId, HostSpec, Sim, SimTime};
 use obs::{Counter, HistogramHandle, Obs};
 use orch::{Delta, OrchestratorHandle};
-use p2p::{AdvertBody, Advertisement, BlobAdvert, PeerId, QueryId, QueryKind};
+use p2p::{AdvertBody, Advertisement, BlobAdvert, Incoming, PeerId, QueryId, QueryKind};
 use store::{assign_round_robin, BlobId, ChunkStore, FetchTracker};
 
 use resources::account::{BillingLedger, UsageRecord, VirtualAccount};
@@ -23,7 +23,7 @@ use trust::{Candidate, GridTrustConfig, PolicyHandle, ProfileRegistry};
 
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::grid::slots::SlotTable;
-use crate::grid::{ChunkSource, GridEvent, GridWorld, JobId, WorkerId, WorkerSetup};
+use crate::grid::{ChunkSource, GridEvent, GridWorld, JobId, Scheduler, WorkerId, WorkerSetup};
 use crate::modules::{AdmissionMemo, ModuleCache, ModuleKey, ModuleLibrary};
 
 /// One distributable unit of work.
@@ -1914,27 +1914,29 @@ fn schedule_transitions(sim: &mut Sim<GridEvent>, wid: WorkerId, trace: &Availab
     }
 }
 
+impl Scheduler for FarmScheduler {
+    fn handle(&mut self, world: &mut GridWorld, ev: GridEvent) {
+        FarmScheduler::handle(self, world, ev);
+    }
+
+    /// Only orchestrator gossip concerns a farm.
+    fn on_incoming(&mut self, _: &mut GridWorld, inc: Incoming) {
+        if let Incoming::Orch {
+            to,
+            seq,
+            count,
+            sync,
+        } = inc
+        {
+            self.orch_deliver(to, seq, count, sync);
+        }
+    }
+}
+
 /// Drive the world until all events drain (or the sim horizon), routing
 /// overlay events to the overlay and everything else to the farm.
 pub fn run_farm(world: &mut GridWorld, farm: &mut FarmScheduler) {
-    while let Some(ev) = world.sim.step() {
-        match ev {
-            GridEvent::P2p(pe) => {
-                for inc in world.p2p.handle(&mut world.sim, &mut world.net, pe) {
-                    if let p2p::Incoming::Orch {
-                        to,
-                        seq,
-                        count,
-                        sync,
-                    } = inc
-                    {
-                        farm.orch_deliver(to, seq, count, sync);
-                    }
-                }
-            }
-            other => farm.handle(world, other),
-        }
-    }
+    while world.step(farm) {}
 }
 
 #[cfg(test)]

@@ -13,6 +13,10 @@
 //!   bound together with named pipes;
 //! * [`service`] — Triana Service / Controller actors and discovery-driven
 //!   worker enrolment.
+//!
+//! Both policies are one [`Scheduler`] shape: every method takes the
+//! `&mut GridWorld` it acts on, and [`GridWorld::step`] is the one loop
+//! body that drives either of them.
 
 #[cfg(test)]
 mod dispatch_props;
@@ -25,7 +29,7 @@ mod slots;
 
 use netsim::avail::AvailabilityTrace;
 use netsim::{HostId, HostSpec, Network, Sim, SimTime};
-use p2p::{DiscoveryMode, P2p, P2pEvent, PeerId};
+use p2p::{DiscoveryMode, Incoming, P2p, P2pEvent, PeerId};
 
 use crate::modules::ModuleKey;
 
@@ -158,6 +162,39 @@ impl GridWorld {
     pub fn now(&self) -> SimTime {
         self.sim.now()
     }
+
+    /// Step the sim once: overlay traffic goes through the overlay and each
+    /// delivery it surfaces to `sched`, every other event straight to
+    /// `sched`. False once the queue is empty.
+    pub fn step<S: Scheduler>(&mut self, sched: &mut S) -> bool {
+        match self.sim.step() {
+            None => false,
+            Some(GridEvent::P2p(pe)) => {
+                for inc in self.p2p.handle(&mut self.sim, &mut self.net, pe) {
+                    sched.on_incoming(self, inc);
+                }
+                true
+            }
+            Some(ev) => {
+                sched.handle(self, ev);
+                true
+            }
+        }
+    }
+}
+
+/// What [`GridWorld::step`] drives: a distribution policy's scheduler.
+pub trait Scheduler {
+    /// A grid event other than overlay traffic.
+    fn handle(&mut self, world: &mut GridWorld, ev: GridEvent);
+    /// A delivery the overlay surfaced (pipe data, orchestrator gossip).
+    fn on_incoming(&mut self, world: &mut GridWorld, inc: Incoming);
+}
+
+/// No scheduler: the overlay alone runs, and grid events go nowhere.
+impl Scheduler for () {
+    fn handle(&mut self, _: &mut GridWorld, _: GridEvent) {}
+    fn on_incoming(&mut self, _: &mut GridWorld, _: Incoming) {}
 }
 
 /// A volunteer worker as seen by a scheduler: its peer identity, hardware,

@@ -6,19 +6,19 @@
 //! exactly as §3.4 describes: each stage advertises an input pipe under the
 //! connection's unique name and the upstream stage binds to it.
 //!
-//! Stages may churn ([`PipelineScheduler::with_churn`]). Recovery is
+//! Stages may churn: `WorkerDown`/`WorkerUp` events carrying the stage
+//! index as the worker id take a stage off and back on line. Recovery is
 //! end-to-end, as a stateless pipeline permits: every token carries an
 //! **attempt** tag; when a stage fails, tokens at or in flight to that
 //! stage are re-emitted from the controller with a bumped attempt, and any
 //! stale copies still in the network are ignored on arrival.
 
-use netsim::avail::AvailabilityTrace;
-use netsim::{Duration, HostSpec, Network, Sim, SimTime};
+use netsim::{Duration, HostSpec, SimTime};
 use obs::Obs;
 use orch::{Delta, OrchestratorHandle};
 use p2p::{Incoming, PeerId, PipeId};
 
-use crate::grid::{GridEvent, GridWorld, WorkerId};
+use crate::grid::{GridEvent, GridWorld, Scheduler, WorkerId};
 
 /// One pipeline stage placed on a peer.
 #[derive(Clone, Debug)]
@@ -155,7 +155,9 @@ pub struct PipelineScheduler {
 }
 
 impl PipelineScheduler {
-    /// Build a pipeline over always-up stages.
+    /// Build the pipeline: advertise stage input pipes (named
+    /// `<name>.stage<i>`, §3.4's unique connection labels), bind each
+    /// upstream sender, and a result pipe back to the controller.
     pub fn new(
         world: &mut GridWorld,
         controller: PeerId,
@@ -163,25 +165,8 @@ impl PipelineScheduler {
         stages: Vec<StageSpec>,
         token_bytes: u64,
     ) -> Self {
-        Self::with_churn(world, controller, name, stages, token_bytes, Vec::new())
-    }
-
-    /// Build the pipeline: advertise stage input pipes (named
-    /// `<name>.stage<i>`, §3.4's unique connection labels), bind each
-    /// upstream sender, and a result pipe back to the controller. A
-    /// non-empty `traces` (one per stage) makes stages churn; their
-    /// up/down transitions fire as `WorkerUp`/`WorkerDown` events with the
-    /// stage index as the worker id.
-    pub fn with_churn(
-        world: &mut GridWorld,
-        controller: PeerId,
-        name: &str,
-        stages: Vec<StageSpec>,
-        token_bytes: u64,
-        traces: Vec<AvailabilityTrace>,
-    ) -> Self {
         let orch = OrchestratorHandle::single(controller, world.p2p.host_of(controller));
-        Self::with_orchestrators(world, orch, name, stages, token_bytes, traces)
+        Self::with_orchestrators(world, orch, name, stages, token_bytes)
     }
 
     /// Build the pipeline under a decentralised orchestrator set: the
@@ -194,14 +179,9 @@ impl PipelineScheduler {
         name: &str,
         stages: Vec<StageSpec>,
         token_bytes: u64,
-        traces: Vec<AvailabilityTrace>,
     ) -> Self {
         let controller = orch.leader_peer();
         assert!(!stages.is_empty(), "pipeline needs at least one stage");
-        assert!(
-            traces.is_empty() || traces.len() == stages.len(),
-            "one availability trace per stage"
-        );
         let mut built = Vec::with_capacity(stages.len());
         let mut prev = controller;
         for (i, s) in stages.iter().enumerate() {
@@ -216,22 +196,6 @@ impl PipelineScheduler {
                 .pipes
                 .bind(in_pipe, prev)
                 .expect("fresh pipe binds");
-            let up = traces.get(i).is_none_or(|t| t.is_up(world.sim.now()));
-            if let Some(t) = traces.get(i) {
-                world.net.set_online(world.p2p.host_of(s.peer), up);
-                for &(start, end) in t.intervals() {
-                    if start > SimTime::ZERO {
-                        world
-                            .sim
-                            .schedule_at(start, GridEvent::WorkerUp(WorkerId(i as u32)));
-                    }
-                    if end < t.horizon() {
-                        world
-                            .sim
-                            .schedule_at(end, GridEvent::WorkerDown(WorkerId(i as u32)));
-                    }
-                }
-            }
             built.push(Stage {
                 peer: s.peer,
                 spec: s.spec.clone(),
@@ -239,7 +203,7 @@ impl PipelineScheduler {
                 in_pipe,
                 queue: Vec::new(),
                 busy: false,
-                up,
+                up: true,
             });
             prev = s.peer;
         }
@@ -287,14 +251,23 @@ impl PipelineScheduler {
 
     /// Schedule emission of `count` tokens spaced `interval` apart,
     /// starting now.
-    pub fn emit_tokens(&mut self, sim: &mut Sim<GridEvent>, count: u64, interval: Duration) {
+    pub fn emit_tokens(&mut self, world: &mut GridWorld, count: u64, interval: Duration) {
         for t in 0..count {
             self.tokens.push(TokenRecord::default());
-            sim.schedule(interval * t, GridEvent::EmitToken { token: t });
+            world
+                .sim
+                .schedule(interval * t, GridEvent::EmitToken { token: t });
         }
+        self.arm_tick(world);
+    }
+
+    /// Arm the anti-entropy tick of a multi-orchestrator set.
+    fn arm_tick(&mut self, world: &mut GridWorld) {
         if !self.tick_armed && !self.orch.is_single() {
             self.tick_armed = true;
-            sim.schedule(self.orch.anti_entropy_interval(), GridEvent::OrchTick);
+            world
+                .sim
+                .schedule(self.orch.anti_entropy_interval(), GridEvent::OrchTick);
         }
     }
 
@@ -303,28 +276,21 @@ impl PipelineScheduler {
         &self.orch
     }
 
-    /// Route a gossip delivery ([`p2p::Incoming::Orch`]) into the set.
-    pub fn orch_deliver(&mut self, to: PeerId, seq: u64, count: u64, sync: bool) {
-        self.orch.deliver(to, seq, count, sync);
-    }
-
     /// The orchestrator set changed (election, crash, heal): migrate the
     /// endpoint pipes to the new leader and restart every unfinished token
     /// under a fresh attempt — copies still in flight toward the old
     /// leader (or computing under the old attempt) become stale and are
     /// dropped on arrival, so each token still completes exactly once.
-    pub fn on_orch_change(
-        &mut self,
-        sim: &mut Sim<GridEvent>,
-        net: &mut Network,
-        p2p: &mut p2p::P2p,
-    ) {
+    pub fn on_orch_change(&mut self, world: &mut GridWorld) {
         let leader = self.orch.leader_peer();
         // The successor re-advertises the result pipe and takes over the
         // emitter binding of stage 0 (§3.4's named-pipe rebinding, driven
         // by failover instead of group construction).
-        let _ = p2p.pipes.rebind_receiver(self.result_pipe, leader);
-        let _ = p2p.pipes.rebind_sender(self.stages[0].in_pipe, leader);
+        let _ = world.p2p.pipes.rebind_receiver(self.result_pipe, leader);
+        let _ = world
+            .p2p
+            .pipes
+            .rebind_sender(self.stages[0].in_pipe, leader);
         let unfinished: Vec<u64> = self
             .tokens
             .iter()
@@ -334,35 +300,34 @@ impl PipelineScheduler {
             .collect();
         for t in unfinished {
             self.obs.incr("orch.pipeline_reemits");
-            self.reemit(sim, net, p2p, t);
+            self.reemit(world, t);
         }
-        if !self.tick_armed && !self.orch.is_single() {
-            self.tick_armed = true;
-            sim.schedule(self.orch.anti_entropy_interval(), GridEvent::OrchTick);
-        }
+        self.arm_tick(world);
     }
 
-    fn emit(
-        &mut self,
-        sim: &mut Sim<GridEvent>,
-        net: &mut Network,
-        p2p: &mut p2p::P2p,
-        token: u64,
-    ) {
+    fn emit(&mut self, world: &mut GridWorld, token: u64) {
         let rec = &mut self.tokens[token as usize];
         if rec.position == Position::Done {
             return;
         }
         if rec.emitted.is_none() {
-            rec.emitted = Some(sim.now());
+            rec.emitted = Some(world.sim.now());
         }
         rec.attempts_total += 1;
         let attempt = rec.attempt;
         let full = tag(token, rec.attempt);
         let pipe = self.stages[0].in_pipe;
         let emitter = self.orch.leader_peer();
-        let sent = p2p
-            .send_pipe(sim, net, emitter, pipe, full, self.token_bytes)
+        let sent = world
+            .p2p
+            .send_pipe(
+                &mut world.sim,
+                &mut world.net,
+                emitter,
+                pipe,
+                full,
+                self.token_bytes,
+            )
             .unwrap_or(false);
         let rec = &mut self.tokens[token as usize];
         if sent {
@@ -371,9 +336,10 @@ impl PipelineScheduler {
             if attempt > 0 {
                 self.obs.incr("pipeline.reemissions");
             }
-            self.obs.event(sim.now().as_micros(), "pipeline.emit", || {
-                format!("token={token} attempt={attempt}")
-            });
+            self.obs
+                .event(world.sim.now().as_micros(), "pipeline.emit", || {
+                    format!("token={token} attempt={attempt}")
+                });
         } else {
             // Stage 0 is offline: park until it returns.
             rec.position = Position::Parked;
@@ -382,195 +348,12 @@ impl PipelineScheduler {
     }
 
     /// Re-emit a token with a bumped attempt (stale copies are ignored).
-    fn reemit(
-        &mut self,
-        sim: &mut Sim<GridEvent>,
-        net: &mut Network,
-        p2p: &mut p2p::P2p,
-        token: u64,
-    ) {
+    fn reemit(&mut self, world: &mut GridWorld, token: u64) {
         self.tokens[token as usize].attempt += 1;
-        self.emit(sim, net, p2p, token);
+        self.emit(world, token);
     }
 
-    /// Handle non-overlay grid events addressed to the pipeline.
-    pub fn handle(
-        &mut self,
-        sim: &mut Sim<GridEvent>,
-        net: &mut Network,
-        p2p: &mut p2p::P2p,
-        ev: GridEvent,
-    ) {
-        match ev {
-            GridEvent::EmitToken { token } => {
-                self.emit(sim, net, p2p, token);
-            }
-            GridEvent::StageComputeDone { stage, token: full } => {
-                let (token, attempt) = untag(full);
-                if self.tokens[token as usize].attempt != attempt {
-                    // A stale attempt finished computing (a failover
-                    // re-emitted the token mid-compute). The result is
-                    // discarded, but the compute slot still frees up —
-                    // otherwise the stage stays busy forever and every
-                    // queued token deadlocks behind it.
-                    if self.stages[stage].up {
-                        self.stages[stage].busy = false;
-                        self.start_next(sim, stage);
-                    }
-                    return;
-                }
-                if !self.stages[stage].up {
-                    return; // completed exactly as the stage died
-                }
-                self.stages[stage].busy = false;
-                // Forward downstream.
-                let from = self.stages[stage].peer;
-                let (pipe, to_result) = if stage + 1 < self.stages.len() {
-                    (self.stages[stage + 1].in_pipe, false)
-                } else {
-                    (self.result_pipe, true)
-                };
-                let sent = p2p
-                    .send_pipe(sim, net, from, pipe, full, self.token_bytes)
-                    .unwrap_or(false);
-                if sent {
-                    self.tokens[token as usize].position = if to_result {
-                        Position::InTransitToResult
-                    } else {
-                        Position::InTransitTo(stage + 1)
-                    };
-                } else {
-                    // The next stage is offline right now: restart the
-                    // token from the controller.
-                    self.reemit(sim, net, p2p, token);
-                }
-                self.start_next(sim, stage);
-            }
-            GridEvent::WorkerDown(WorkerId(s)) => {
-                let s = s as usize;
-                if s >= self.stages.len() {
-                    return;
-                }
-                self.obs.incr("pipeline.stage_down");
-                self.obs
-                    .event(sim.now().as_micros(), "pipeline.stage_down", || {
-                        format!("stage={s}")
-                    });
-                self.stages[s].up = false;
-                self.stages[s].busy = false;
-                self.stages[s].queue.clear();
-                net.set_online(p2p.host_of(self.stages[s].peer), false);
-                // Restart every token lost with the stage.
-                let lost: Vec<u64> = self
-                    .tokens
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| {
-                        r.position == Position::AtStage(s) || r.position == Position::InTransitTo(s)
-                    })
-                    .map(|(i, _)| i as u64)
-                    .collect();
-                for t in lost {
-                    self.reemit(sim, net, p2p, t);
-                }
-            }
-            GridEvent::WorkerUp(WorkerId(s)) => {
-                let s = s as usize;
-                if s >= self.stages.len() {
-                    return;
-                }
-                self.stages[s].up = true;
-                net.set_online(p2p.host_of(self.stages[s].peer), true);
-                // Re-emit parked tokens (stage 0 outages park them). A
-                // fresh record is also `Parked`, so require a prior
-                // emission — otherwise a stage recovery before a token's
-                // scheduled first emission would send it twice under the
-                // same attempt tag.
-                let parked: Vec<u64> = self
-                    .tokens
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| {
-                        r.position == Position::Parked
-                            && r.completed.is_none()
-                            && r.emitted.is_some()
-                    })
-                    .map(|(i, _)| i as u64)
-                    .collect();
-                for t in parked {
-                    self.reemit(sim, net, p2p, t);
-                }
-            }
-            GridEvent::OrchTick => {
-                let converged = self.orch.anti_entropy_round(sim, net, p2p);
-                if (self.all_done() && converged) || self.orch.tick_exhausted() {
-                    self.tick_armed = false;
-                } else {
-                    sim.schedule(self.orch.anti_entropy_interval(), GridEvent::OrchTick);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Handle overlay notifications (pipe deliveries and gossip).
-    pub fn on_incoming(
-        &mut self,
-        sim: &mut Sim<GridEvent>,
-        net: &mut Network,
-        p2p: &mut p2p::P2p,
-        inc: Incoming,
-    ) {
-        if let Incoming::Orch {
-            to,
-            seq,
-            count,
-            sync,
-        } = inc
-        {
-            self.orch.deliver(to, seq, count, sync);
-            return;
-        }
-        if let Incoming::PipeData {
-            pipe, tag: full, ..
-        } = inc
-        {
-            let (token, attempt) = untag(full);
-            let Some(rec) = self.tokens.get_mut(token as usize) else {
-                return;
-            };
-            if rec.attempt != attempt || rec.position == Position::Done {
-                return; // stale copy from before a retransmission
-            }
-            if pipe == self.result_pipe {
-                rec.completed = Some(sim.now());
-                rec.position = Position::Done;
-                let latency = rec.emitted.map(|e| sim.now().since(e));
-                self.obs.incr("pipeline.tokens_done");
-                if let Some(lat) = latency {
-                    self.obs
-                        .observe("pipeline.token_latency_us", lat.as_micros());
-                }
-                self.obs
-                    .event(sim.now().as_micros(), "pipeline.token_done", || {
-                        format!("token={token} attempt={attempt}")
-                    });
-                self.orch
-                    .record(sim, net, p2p, Delta::Complete { job: token });
-                return;
-            }
-            if let Some(idx) = self.stages.iter().position(|s| s.in_pipe == pipe) {
-                if !self.stages[idx].up {
-                    return; // arrived at a dead stage (possible same-instant race)
-                }
-                rec.position = Position::AtStage(idx);
-                self.stages[idx].queue.push(full);
-                self.start_next(sim, idx);
-            }
-        }
-    }
-
-    fn start_next(&mut self, sim: &mut Sim<GridEvent>, stage: usize) {
+    fn start_next(&mut self, world: &mut GridWorld, stage: usize) {
         let s = &mut self.stages[stage];
         if s.busy || !s.up || s.queue.is_empty() {
             return;
@@ -578,7 +361,9 @@ impl PipelineScheduler {
         let full = s.queue.remove(0);
         s.busy = true;
         let exec = s.spec.exec_time(s.work);
-        sim.schedule(exec, GridEvent::StageComputeDone { stage, token: full });
+        world
+            .sim
+            .schedule(exec, GridEvent::StageComputeDone { stage, token: full });
     }
 
     pub fn all_done(&self) -> bool {
@@ -613,25 +398,204 @@ impl PipelineScheduler {
     }
 }
 
+impl Scheduler for PipelineScheduler {
+    /// Token emissions, stage completions, stage churn and the orchestrator
+    /// tick.
+    fn handle(&mut self, world: &mut GridWorld, ev: GridEvent) {
+        match ev {
+            GridEvent::EmitToken { token } => {
+                self.emit(world, token);
+            }
+            GridEvent::StageComputeDone { stage, token: full } => {
+                let (token, attempt) = untag(full);
+                if self.tokens[token as usize].attempt != attempt {
+                    // A stale attempt finished computing (a failover
+                    // re-emitted the token mid-compute). The result is
+                    // discarded, but the compute slot still frees up —
+                    // otherwise the stage stays busy forever and every
+                    // queued token deadlocks behind it.
+                    if self.stages[stage].up {
+                        self.stages[stage].busy = false;
+                        self.start_next(world, stage);
+                    }
+                    return;
+                }
+                if !self.stages[stage].up {
+                    return; // completed exactly as the stage died
+                }
+                self.stages[stage].busy = false;
+                // Forward downstream.
+                let from = self.stages[stage].peer;
+                let (pipe, to_result) = if stage + 1 < self.stages.len() {
+                    (self.stages[stage + 1].in_pipe, false)
+                } else {
+                    (self.result_pipe, true)
+                };
+                let sent = world
+                    .p2p
+                    .send_pipe(
+                        &mut world.sim,
+                        &mut world.net,
+                        from,
+                        pipe,
+                        full,
+                        self.token_bytes,
+                    )
+                    .unwrap_or(false);
+                if sent {
+                    self.tokens[token as usize].position = if to_result {
+                        Position::InTransitToResult
+                    } else {
+                        Position::InTransitTo(stage + 1)
+                    };
+                } else {
+                    // The next stage is offline right now: restart the
+                    // token from the controller.
+                    self.reemit(world, token);
+                }
+                self.start_next(world, stage);
+            }
+            GridEvent::WorkerDown(WorkerId(s)) => {
+                let s = s as usize;
+                if s >= self.stages.len() {
+                    return;
+                }
+                self.obs.incr("pipeline.stage_down");
+                self.obs
+                    .event(world.sim.now().as_micros(), "pipeline.stage_down", || {
+                        format!("stage={s}")
+                    });
+                self.stages[s].up = false;
+                self.stages[s].busy = false;
+                self.stages[s].queue.clear();
+                world
+                    .net
+                    .set_online(world.p2p.host_of(self.stages[s].peer), false);
+                // Restart every token lost with the stage.
+                let lost: Vec<u64> = self
+                    .tokens
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| {
+                        r.position == Position::AtStage(s) || r.position == Position::InTransitTo(s)
+                    })
+                    .map(|(i, _)| i as u64)
+                    .collect();
+                for t in lost {
+                    self.reemit(world, t);
+                }
+            }
+            GridEvent::WorkerUp(WorkerId(s)) => {
+                let s = s as usize;
+                if s >= self.stages.len() {
+                    return;
+                }
+                self.stages[s].up = true;
+                world
+                    .net
+                    .set_online(world.p2p.host_of(self.stages[s].peer), true);
+                // Re-emit parked tokens (stage 0 outages park them). A
+                // fresh record is also `Parked`, so require a prior
+                // emission — otherwise a stage recovery before a token's
+                // scheduled first emission would send it twice under the
+                // same attempt tag.
+                let parked: Vec<u64> = self
+                    .tokens
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| {
+                        r.position == Position::Parked
+                            && r.completed.is_none()
+                            && r.emitted.is_some()
+                    })
+                    .map(|(i, _)| i as u64)
+                    .collect();
+                for t in parked {
+                    self.reemit(world, t);
+                }
+            }
+            GridEvent::OrchTick => {
+                let converged =
+                    self.orch
+                        .anti_entropy_round(&mut world.sim, &mut world.net, &mut world.p2p);
+                if (self.all_done() && converged) || self.orch.tick_exhausted() {
+                    self.tick_armed = false;
+                } else {
+                    world
+                        .sim
+                        .schedule(self.orch.anti_entropy_interval(), GridEvent::OrchTick);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Pipe deliveries move tokens on; gossip goes to the orchestrator set.
+    fn on_incoming(&mut self, world: &mut GridWorld, inc: Incoming) {
+        if let Incoming::Orch {
+            to,
+            seq,
+            count,
+            sync,
+        } = inc
+        {
+            self.orch.deliver(to, seq, count, sync);
+            return;
+        }
+        if let Incoming::PipeData {
+            pipe, tag: full, ..
+        } = inc
+        {
+            let (token, attempt) = untag(full);
+            let Some(rec) = self.tokens.get_mut(token as usize) else {
+                return;
+            };
+            if rec.attempt != attempt || rec.position == Position::Done {
+                return; // stale copy from before a retransmission
+            }
+            if pipe == self.result_pipe {
+                let now = world.sim.now();
+                rec.completed = Some(now);
+                rec.position = Position::Done;
+                let latency = rec.emitted.map(|e| now.since(e));
+                self.obs.incr("pipeline.tokens_done");
+                if let Some(lat) = latency {
+                    self.obs
+                        .observe("pipeline.token_latency_us", lat.as_micros());
+                }
+                self.obs.event(now.as_micros(), "pipeline.token_done", || {
+                    format!("token={token} attempt={attempt}")
+                });
+                self.orch.record(
+                    &mut world.sim,
+                    &mut world.net,
+                    &mut world.p2p,
+                    Delta::Complete { job: token },
+                );
+                return;
+            }
+            if let Some(idx) = self.stages.iter().position(|s| s.in_pipe == pipe) {
+                if !self.stages[idx].up {
+                    return; // arrived at a dead stage (possible same-instant race)
+                }
+                rec.position = Position::AtStage(idx);
+                self.stages[idx].queue.push(full);
+                self.start_next(world, idx);
+            }
+        }
+    }
+}
+
 /// Drive the world to completion, routing overlay events through the
 /// overlay and surfacing pipe deliveries to the pipeline.
 pub fn run_pipeline(world: &mut GridWorld, pl: &mut PipelineScheduler) {
-    while let Some(ev) = world.sim.step() {
-        match ev {
-            GridEvent::P2p(pe) => {
-                let incoming = world.p2p.handle(&mut world.sim, &mut world.net, pe);
-                for inc in incoming {
-                    pl.on_incoming(&mut world.sim, &mut world.net, &mut world.p2p, inc);
-                }
-            }
-            other => pl.handle(&mut world.sim, &mut world.net, &mut world.p2p, other),
-        }
-    }
+    while world.step(pl) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::avail::AvailabilityTrace;
     use netsim::HostSpec;
     use p2p::DiscoveryMode;
 
@@ -671,7 +635,7 @@ mod tests {
     #[test]
     fn tokens_flow_through_all_stages() {
         let (mut world, mut pl) = build(3, 2.0, 1_000); // 1 s/stage at 2 GHz
-        pl.emit_tokens(&mut world.sim, 5, Duration::ZERO);
+        pl.emit_tokens(&mut world, 5, Duration::ZERO);
         run_pipeline(&mut world, &mut pl);
         assert!(pl.all_done());
         let st = pl.stats();
@@ -689,7 +653,7 @@ mod tests {
         // the scheduled emission then sent a second copy under the same
         // attempt tag — every affected token completed twice.
         let (mut world, mut pl) = build(3, 2.0, 1_000);
-        pl.emit_tokens(&mut world.sim, 5, Duration::from_secs(1));
+        pl.emit_tokens(&mut world, 5, Duration::from_secs(1));
         world
             .sim
             .schedule(Duration::from_millis(500), GridEvent::WorkerUp(WorkerId(0)));
@@ -705,7 +669,7 @@ mod tests {
         // 4 stages of 1 s each: steady-state throughput ~1 token/s even
         // though per-token latency is ~4 s.
         let (mut world, mut pl) = build(4, 2.0, 1_000);
-        pl.emit_tokens(&mut world.sim, 20, Duration::ZERO);
+        pl.emit_tokens(&mut world, 20, Duration::ZERO);
         run_pipeline(&mut world, &mut pl);
         let st = pl.stats();
         assert_eq!(st.tokens_done, 20);
@@ -717,7 +681,7 @@ mod tests {
     #[test]
     fn single_stage_behaves_like_remote_call() {
         let (mut world, mut pl) = build(1, 4.0, 10_000); // 2 s at 2 GHz
-        pl.emit_tokens(&mut world.sim, 1, Duration::ZERO);
+        pl.emit_tokens(&mut world, 1, Duration::ZERO);
         run_pipeline(&mut world, &mut pl);
         let st = pl.stats();
         assert_eq!(st.tokens_done, 1);
@@ -732,13 +696,13 @@ mod tests {
     fn spaced_emission_reduces_queueing() {
         let burst = {
             let (mut world, mut pl) = build(2, 2.0, 1_000);
-            pl.emit_tokens(&mut world.sim, 10, Duration::ZERO);
+            pl.emit_tokens(&mut world, 10, Duration::ZERO);
             run_pipeline(&mut world, &mut pl);
             pl.stats().mean_latency()
         };
         let spaced = {
             let (mut world, mut pl) = build(2, 2.0, 1_000);
-            pl.emit_tokens(&mut world.sim, 10, Duration::from_secs(2));
+            pl.emit_tokens(&mut world, 10, Duration::from_secs(2));
             run_pipeline(&mut world, &mut pl);
             pl.stats().mean_latency()
         };
@@ -787,8 +751,26 @@ mod tests {
                 work_gigacycles: work,
             });
         }
-        let pl =
-            PipelineScheduler::with_churn(&mut world, ctrl, "churny", stages, 1_000, stage_traces);
+        let pl = PipelineScheduler::new(&mut world, ctrl, "churny", stages, 1_000);
+        // Each trace's transitions reach the pipeline as `WorkerDown` /
+        // `WorkerUp` events for its stage, the way the chaos harness churns
+        // stages.
+        for (i, t) in stage_traces.iter().enumerate() {
+            let stage = WorkerId(i as u32);
+            if !t.is_up(SimTime::ZERO) {
+                world
+                    .sim
+                    .schedule_at(SimTime::ZERO, GridEvent::WorkerDown(stage));
+            }
+            for &(start, end) in t.intervals() {
+                if start > SimTime::ZERO {
+                    world.sim.schedule_at(start, GridEvent::WorkerUp(stage));
+                }
+                if end < t.horizon() {
+                    world.sim.schedule_at(end, GridEvent::WorkerDown(stage));
+                }
+            }
+        }
         (world, pl)
     }
 
@@ -808,7 +790,7 @@ mod tests {
             AvailabilityTrace::always(horizon),
         ];
         let (mut world, mut pl) = build_churny(traces, 2.0); // 1 s/stage
-        pl.emit_tokens(&mut world.sim, 10, Duration::from_secs(1));
+        pl.emit_tokens(&mut world, 10, Duration::from_secs(1));
         run_pipeline(&mut world, &mut pl);
         assert!(pl.all_done(), "{:?}", pl.stats());
         let st = pl.stats();
@@ -829,7 +811,7 @@ mod tests {
             horizon,
         )];
         let (mut world, mut pl) = build_churny(traces, 2.0);
-        pl.emit_tokens(&mut world.sim, 3, Duration::ZERO);
+        pl.emit_tokens(&mut world, 3, Duration::ZERO);
         run_pipeline(&mut world, &mut pl);
         assert!(pl.all_done());
         let st = pl.stats();
@@ -842,7 +824,7 @@ mod tests {
         let horizon = SimTime::from_secs(10_000);
         let traces = vec![AvailabilityTrace::always(horizon); 3];
         let (mut world, mut pl) = build_churny(traces, 2.0);
-        pl.emit_tokens(&mut world.sim, 5, Duration::ZERO);
+        pl.emit_tokens(&mut world, 5, Duration::ZERO);
         run_pipeline(&mut world, &mut pl);
         let st = pl.stats();
         assert_eq!(st.tokens_done, 5);

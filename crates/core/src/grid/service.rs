@@ -14,7 +14,7 @@ use p2p::{Advertisement, PeerId, QueryId, QueryKind};
 use resources::account::{BillingLedger, UsageRecord, VirtualAccount};
 use resources::trust::ResourcePolicy;
 
-use crate::grid::{GridEvent, GridWorld};
+use crate::grid::GridWorld;
 
 /// The daemon hosted on a volunteer peer (§3.2's "Triana Service").
 pub struct TrianaService {
@@ -113,11 +113,7 @@ impl TrianaController {
 
     /// Drain all pending events (overlay only — no schedulers attached).
     pub fn drain(&self, world: &mut GridWorld) {
-        while let Some(ev) = world.sim.step() {
-            if let GridEvent::P2p(pe) = ev {
-                world.p2p.handle(&mut world.sim, &mut world.net, pe);
-            }
-        }
+        while world.step(&mut ()) {}
     }
 
     /// Select one provider from a completed query's hits.
