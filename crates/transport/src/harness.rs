@@ -77,8 +77,30 @@ pub fn worker_endpoint(i: usize) -> Endpoint {
     Endpoint(1 + i as u64)
 }
 
-fn durable_dir(spec: &FarmSpec, i: usize) -> Option<&std::path::Path> {
-    spec.durable_dirs.as_ref().map(|v| v[i].as_path())
+/// The spec's orchestrator over `t`, lent the spec's job list.
+fn orchestrator<T: Transport>(t: T, spec: &FarmSpec, obs: obs::Obs) -> OrchestratorNode<'_, T> {
+    let modules = spec.modules.clone();
+    OrchestratorNode::new(
+        t,
+        spec.chunk_bytes,
+        modules,
+        &spec.jobs[..],
+        spec.n_workers,
+        obs,
+    )
+}
+
+/// The spec's worker `i` over `t`, on its durable directory if it has one.
+fn worker<T: Transport>(t: T, spec: &FarmSpec, i: usize, obs: obs::Obs) -> WorkerNode<T> {
+    let dir = spec.durable_dirs.as_ref().map(|v| v[i].as_path());
+    WorkerNode::new(
+        t,
+        orch_endpoint(),
+        spec.chunk_bytes,
+        spec.cache_capacity,
+        dir,
+        obs,
+    )
 }
 
 /// The outcome of a finished farm, for both backends: the orchestrator's
@@ -119,24 +141,10 @@ fn run_sim_on(net: &SimNet, spec: &FarmSpec, observer: obs::Obs) -> FarmOutcome 
     let mut workers: Vec<WorkerNode<_>> = (0..spec.n_workers)
         .map(|i| {
             let t = net.add_endpoint(worker_endpoint(i), HostSpec::reference_pc());
-            WorkerNode::new(
-                t,
-                orch_endpoint(),
-                spec.chunk_bytes,
-                spec.cache_capacity,
-                durable_dir(spec, i),
-                observer.clone(),
-            )
+            worker(t, spec, i, observer.clone())
         })
         .collect();
-    let mut orch = OrchestratorNode::new(
-        orch_t,
-        spec.chunk_bytes,
-        spec.modules.clone(),
-        &spec.jobs[..],
-        spec.n_workers,
-        observer,
-    );
+    let mut orch = orchestrator(orch_t, spec, observer);
     for w in &mut workers {
         w.start();
     }
@@ -176,52 +184,35 @@ pub fn run_sockets(
     observer: obs::Obs,
     budget: std::time::Duration,
 ) -> FarmOutcome {
-    let mut orch_t =
-        SocketTransport::bind_loopback(orch_endpoint()).expect("bind orchestrator socket");
-    orch_t.set_obs(observer.clone());
-    let orch_addr = orch_t.local_addr().expect("orchestrator address");
-    // Bind every worker first so the full address mesh is known before
+    // Bind every node first, so the full address mesh is known before
     // any node starts talking.
-    let mut sockets: Vec<SocketTransport> = (0..spec.n_workers)
-        .map(|i| {
-            let mut t =
-                SocketTransport::bind_loopback(worker_endpoint(i)).expect("bind worker socket");
+    let eps: Vec<Endpoint> = std::iter::once(orch_endpoint())
+        .chain((0..spec.n_workers).map(worker_endpoint))
+        .collect();
+    let mut sockets: Vec<SocketTransport> = eps
+        .iter()
+        .map(|&ep| {
+            let mut t = SocketTransport::bind_loopback(ep).expect("bind loopback socket");
             t.set_obs(observer.clone());
-            t.register_peer(orch_endpoint(), orch_addr);
             t
         })
         .collect();
-    let worker_addrs: Vec<std::net::SocketAddr> = sockets
+    let addrs: Vec<std::net::SocketAddr> = sockets
         .iter()
-        .map(|t| t.local_addr().expect("worker address"))
+        .map(|t| t.local_addr().expect("socket address"))
         .collect();
-    for (i, t) in sockets.iter_mut().enumerate() {
-        for (j, &addr) in worker_addrs.iter().enumerate() {
-            if i != j {
-                t.register_peer(worker_endpoint(j), addr);
-            }
+    for t in &mut sockets {
+        for (&ep, &addr) in eps.iter().zip(&addrs) {
+            t.register_peer(ep, addr);
         }
     }
-    for (j, &addr) in worker_addrs.iter().enumerate() {
-        orch_t.register_peer(worker_endpoint(j), addr);
-    }
+    let orch_t = sockets.remove(0);
     let handles: Vec<_> = sockets
         .into_iter()
         .enumerate()
         .map(|(i, t)| {
-            let chunk_bytes = spec.chunk_bytes;
-            let cache_capacity = spec.cache_capacity;
-            let dir = spec.durable_dirs.as_ref().map(|v| v[i].clone());
-            let obs = observer.clone();
+            let mut w = worker(t, spec, i, observer.clone());
             std::thread::spawn(move || {
-                let mut w = WorkerNode::new(
-                    t,
-                    orch_endpoint(),
-                    chunk_bytes,
-                    cache_capacity,
-                    dir.as_deref(),
-                    obs,
-                );
                 w.start();
                 let start = Instant::now();
                 while !w.is_done() {
@@ -242,14 +233,7 @@ pub fn run_sockets(
             })
         })
         .collect();
-    let mut orch = OrchestratorNode::new(
-        orch_t,
-        spec.chunk_bytes,
-        spec.modules.clone(),
-        &spec.jobs[..],
-        spec.n_workers,
-        observer,
-    );
+    let mut orch = orchestrator(orch_t, spec, observer);
     let start = Instant::now();
     while !orch.is_done() {
         orch.pump();

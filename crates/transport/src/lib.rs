@@ -6,8 +6,7 @@
 //! This crate closes that gap with a small transport abstraction:
 //!
 //! * [`Transport`] — endpoint addressing ([`Endpoint`]), framed datagram
-//!   send, polled delivery events, cancellable timers, and a monotonic
-//!   microsecond clock;
+//!   send, polled delivery events, and a monotonic microsecond clock;
 //! * [`sim::SimNet`] / [`sim::SimEndpoint`] — the trait over the existing
 //!   netsim calendar-queue loop, so runs stay deterministic and every
 //!   chaos fault still applies;
@@ -16,8 +15,9 @@
 //!   codec;
 //! * [`reliab::PeerChannel`] — the shared reliability layer (per-peer
 //!   sequence numbers, in-order delivery, a fixed send window,
-//!   ack/retransmit with exponential backoff, liveness probing) used
-//!   identically by both backends;
+//!   ack/retransmit with exponential backoff, liveness probing), one per
+//!   peer in each endpoint's channel set (`reliab::ChannelSet`), which
+//!   both backends drive over their own wire;
 //! * [`node`] / [`proto`] — a worker/orchestrator node runtime speaking a
 //!   small grid protocol over the trait, reusing the p2p wire codec, the
 //!   chunked swarm store, and the TVM prepared-execution cache;
@@ -55,12 +55,7 @@ pub mod socket;
 pub use frame::{Endpoint, Frame, FrameError, FrameKind};
 pub use reliab::{ChanDrop, ChanOut, ChannelConfig, PeerChannel};
 
-use netsim::{Duration, SimTime};
-use obs::Counter;
-
-/// Identifier of a pending timer, unique within one transport instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub u64);
+use netsim::SimTime;
 
 /// Why a send was refused outright (losses and timeouts surface later as
 /// retransmits or [`TransportEvent::PeerDead`], not here).
@@ -93,9 +88,6 @@ impl std::error::Error for TransportError {}
 pub enum TransportEvent {
     /// A reliable, in-order datagram payload from a peer.
     Delivered { from: Endpoint, payload: Vec<u8> },
-    /// A timer set with [`Transport::set_timer`] expired (and was not
-    /// cancelled first). Carries the caller's token.
-    Timer { token: u64 },
     /// The reliability layer gave up on this peer (retransmits exhausted
     /// or liveness silence). Emitted once per peer.
     PeerDead { peer: Endpoint },
@@ -119,17 +111,9 @@ pub trait Transport {
     /// declared dead is dropped (`transport.sends_to_dead`).
     fn send(&mut self, dst: Endpoint, payload: Vec<u8>) -> Result<(), TransportError>;
 
-    /// Arm a one-shot timer `delay` from now; the `token` comes back in
-    /// the [`TransportEvent::Timer`].
-    fn set_timer(&mut self, delay: Duration, token: u64) -> TimerId;
-
-    /// Cancel a pending timer. Cancelling an already-fired or unknown
-    /// timer is a no-op.
-    fn cancel_timer(&mut self, timer: TimerId);
-
-    /// Drain everything ready right now — delivered payloads, expired
-    /// timers, peer-death notices — into `events`, in a deterministic
-    /// order for a given history. Never blocks.
+    /// Drain everything ready right now — delivered payloads and
+    /// peer-death notices — into `events`, in a deterministic order for a
+    /// given history. Never blocks.
     fn poll(&mut self, events: &mut Vec<TransportEvent>);
 
     /// Payloads accepted but not yet acknowledged — on the wire or still
@@ -138,7 +122,7 @@ pub trait Transport {
     fn pending(&self) -> usize;
 }
 
-/// Lifetime counters every backend maintains. The frame counts are
+/// Lifetime counters of one endpoint's channel set. The frame counts are
 /// mirrored into the shared obs registry under `transport.*` when an
 /// observer is attached; the payload byte counts are read here only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -156,67 +140,31 @@ pub struct TransportCounters {
     pub payload_bytes_delivered: u64,
 }
 
-impl TransportCounters {
-    pub(crate) fn frame_sent(&mut self, m: &FrameMetrics) {
-        self.frames_sent += 1;
-        m.frames_sent.incr();
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::HostSpec;
 
-    pub(crate) fn frame_recv(&mut self, m: &FrameMetrics) {
-        self.frames_recv += 1;
-        m.frames_recv.incr();
-    }
-
-    pub(crate) fn retransmit(&mut self, m: &FrameMetrics) {
-        self.retransmits += 1;
-        m.retransmits.incr();
-    }
-
-    pub(crate) fn ack(&mut self, m: &FrameMetrics) {
-        self.acks += 1;
-        m.acks.incr();
-    }
-
-    pub(crate) fn payload_copied(&mut self, frame: &Frame) {
-        self.payload_bytes_copied += frame.payload.len() as u64;
-    }
-
-    pub(crate) fn payload_delivered(&mut self, payload: &[u8]) {
-        self.payload_bytes_delivered += payload.len() as u64;
-    }
-}
-
-/// The per-frame `transport.*` counters of a backend, resolved once in its
-/// `set_obs`.
-#[derive(Default)]
-pub(crate) struct FrameMetrics {
-    frames_sent: Counter,
-    frames_recv: Counter,
-    retransmits: Counter,
-    acks: Counter,
-    pub(crate) decode_errors: Counter,
-    sends_to_dead: Counter,
-    reorder_refused: Counter,
-}
-
-impl FrameMetrics {
-    pub(crate) fn new(obs: &obs::Obs) -> Self {
-        FrameMetrics {
-            frames_sent: obs.counter("transport.frames_sent"),
-            frames_recv: obs.counter("transport.frames_recv"),
-            retransmits: obs.counter("transport.retransmits"),
-            acks: obs.counter("transport.acks"),
-            decode_errors: obs.counter("transport.decode_errors"),
-            sends_to_dead: obs.counter("transport.sends_to_dead"),
-            reorder_refused: obs.counter("transport.reorder_refused"),
+    /// Both backends refuse, through the one check their channel sets
+    /// share, a payload no frame can carry and a peer with no address.
+    #[test]
+    fn oversized_payloads_and_unknown_peers_are_refused_on_both_backends() {
+        fn refuses(t: &mut impl Transport) {
+            let len = frame::MAX_PAYLOAD + 1;
+            let err = t.send(Endpoint(2), vec![0; len]).unwrap_err();
+            assert_eq!(err, TransportError::PayloadTooLarge { len });
+            let err = t.send(Endpoint(99), vec![1]).unwrap_err();
+            assert_eq!(err, TransportError::UnknownPeer(Endpoint(99)));
+            assert_eq!(t.pending(), 0);
         }
-    }
-
-    /// Count what a channel dropped ([`ChanOut::Count`]).
-    pub(crate) fn dropped(&self, why: ChanDrop) {
-        match why {
-            ChanDrop::SendToDead => self.sends_to_dead.incr(),
-            ChanDrop::ReorderRefused => self.reorder_refused.incr(),
-        }
+        let net = sim::SimNet::new(7);
+        let mut a = net.add_endpoint(Endpoint(1), HostSpec::reference_pc());
+        net.add_endpoint(Endpoint(2), HostSpec::reference_pc());
+        refuses(&mut a);
+        assert!(!net.step(), "a refused send schedules nothing");
+        let mut s = socket::SocketTransport::bind_loopback(Endpoint(1)).unwrap();
+        s.register_peer(Endpoint(2), "127.0.0.1:9".parse().unwrap());
+        refuses(&mut s);
+        assert_eq!(s.counters(), TransportCounters::default());
     }
 }

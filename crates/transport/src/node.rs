@@ -69,6 +69,30 @@ impl NodeMetrics {
     }
 }
 
+/// Answer a `ChunkRequest` for `blob`'s chunk `index` from `store`, if it
+/// holds that chunk: the orchestrator (the origin) and every worker (a
+/// swarm peer) serve chunks alike.
+fn serve_chunk<T: Transport>(
+    t: &mut T,
+    store: &ChunkStore,
+    metrics: &NodeMetrics,
+    to: Endpoint,
+    blob: u64,
+    index: u32,
+) {
+    let Some(bytes) = store.chunk(BlobId(blob), index) else {
+        return;
+    };
+    let reply = GridMsg::ChunkData {
+        blob,
+        blob_len: store.layout_of(BlobId(blob)).map_or(0, |l| l.blob_len),
+        index,
+        bytes: bytes.to_vec(),
+    };
+    let _ = t.send(to, reply.encode());
+    metrics.chunks_served.incr();
+}
+
 // ---------------------------------------------------------------------
 // Orchestrator
 // ---------------------------------------------------------------------
@@ -163,18 +187,13 @@ impl<'a, T: Transport> OrchestratorNode<'a, T> {
     /// Drive the node: drain transport events and react. Call in a loop.
     pub fn pump(&mut self) {
         let mut events = std::mem::take(&mut self.events);
-        events.clear();
         self.t.poll(&mut events);
         for ev in events.drain(..) {
             match ev {
-                TransportEvent::Delivered { from, payload } => {
-                    if let Ok(msg) = GridMsg::decode(&payload) {
-                        self.on_msg(from, msg);
-                    } else {
-                        self.metrics.proto_errors.incr();
-                    }
-                }
-                TransportEvent::Timer { .. } => {}
+                TransportEvent::Delivered { from, payload } => match GridMsg::decode(&payload) {
+                    Ok(msg) => self.on_msg(from, msg),
+                    Err(_) => self.metrics.proto_errors.incr(),
+                },
                 TransportEvent::PeerDead { .. } => {
                     // A worker that died mid-farm would stall the run;
                     // the harness watchdog surfaces it. Restart-based
@@ -201,25 +220,8 @@ impl<'a, T: Transport> OrchestratorNode<'a, T> {
                     self.dispatch_all();
                 }
             }
-            GridMsg::ChunkRequest {
-                blob,
-                blob_len: _,
-                index,
-            } => {
-                if let Some(bytes) = self.store.chunk(BlobId(blob), index) {
-                    let reply = GridMsg::ChunkData {
-                        blob,
-                        blob_len: self
-                            .store
-                            .layout_of(BlobId(blob))
-                            .map(|l| l.blob_len)
-                            .unwrap_or(0),
-                        index,
-                        bytes: bytes.to_vec(),
-                    };
-                    let _ = self.t.send(from, reply.encode());
-                    self.metrics.chunks_served.incr();
-                }
+            GridMsg::ChunkRequest { blob, index, .. } => {
+                serve_chunk(&mut self.t, &self.store, &self.metrics, from, blob, index);
             }
             GridMsg::HaveBlob { blob } => {
                 self.holders.entry(blob).or_default().insert(from);
@@ -281,12 +283,6 @@ impl<'a, T: Transport> OrchestratorNode<'a, T> {
 // Worker
 // ---------------------------------------------------------------------
 
-struct FetchState {
-    module: ModuleInfo,
-    /// Round-robin cursor over the provider list.
-    next_provider: usize,
-}
-
 /// A consumer-grid worker: enrols with the orchestrator, fetches module
 /// blobs chunk-by-chunk from the swarm, verifies and caches them, runs
 /// dispatched jobs through the prepared-execution cache, and serves its
@@ -300,7 +296,8 @@ pub struct WorkerNode<T> {
     policy: SandboxPolicy,
     ctx: ExecContext,
     providers: BTreeMap<u64, Vec<Endpoint>>,
-    fetching: BTreeMap<u64, FetchState>,
+    /// Blobs being fetched: blob → the module it carries.
+    fetching: BTreeMap<u64, ModuleInfo>,
     /// Jobs waiting for a blob fetch: blob → (job, module, input).
     waiting: BTreeMap<u64, Vec<(u64, ModuleInfo, Vec<f64>)>>,
     recovered_chunks: u64,
@@ -413,18 +410,13 @@ impl<T: Transport> WorkerNode<T> {
     /// Drive the node: drain transport events and react. Call in a loop.
     pub fn pump(&mut self) {
         let mut events = std::mem::take(&mut self.events);
-        events.clear();
         self.t.poll(&mut events);
         for ev in events.drain(..) {
             match ev {
-                TransportEvent::Delivered { from, payload } => {
-                    if let Ok(msg) = GridMsg::decode(&payload) {
-                        self.on_msg(from, msg);
-                    } else {
-                        self.metrics.proto_errors.incr();
-                    }
-                }
-                TransportEvent::Timer { .. } => {}
+                TransportEvent::Delivered { from, payload } => match GridMsg::decode(&payload) {
+                    Ok(msg) => self.on_msg(from, msg),
+                    Err(_) => self.metrics.proto_errors.incr(),
+                },
                 TransportEvent::PeerDead { peer } => {
                     if peer == self.orch {
                         // Orchestrator unreachable: nothing left to work
@@ -439,7 +431,6 @@ impl<T: Transport> WorkerNode<T> {
 
     fn on_msg(&mut self, from: Endpoint, msg: GridMsg) {
         match msg {
-            GridMsg::Welcome { .. } => {}
             GridMsg::Providers { blob, adverts } => {
                 let mut eps: Vec<Endpoint> = adverts
                     .iter()
@@ -470,26 +461,8 @@ impl<T: Transport> WorkerNode<T> {
                     self.begin_fetch(&module);
                 }
             }
-            GridMsg::ChunkRequest {
-                blob,
-                blob_len: _,
-                index,
-            } => {
-                if let Some(bytes) = self.store.chunk(BlobId(blob), index) {
-                    let blob_len = self
-                        .store
-                        .layout_of(BlobId(blob))
-                        .map(|l| l.blob_len)
-                        .unwrap_or(0);
-                    let reply = GridMsg::ChunkData {
-                        blob,
-                        blob_len,
-                        index,
-                        bytes: bytes.to_vec(),
-                    };
-                    let _ = self.t.send(from, reply.encode());
-                    self.metrics.chunks_served.incr();
-                }
+            GridMsg::ChunkRequest { blob, index, .. } => {
+                serve_chunk(&mut self.t, &self.store, &self.metrics, from, blob, index);
             }
             GridMsg::ChunkData {
                 blob,
@@ -504,8 +477,8 @@ impl<T: Transport> WorkerNode<T> {
                     }
                 }
                 if self.store.is_complete(id) {
-                    if let Some(fs) = self.fetching.remove(&blob) {
-                        self.finish_fetch(&fs.module);
+                    if let Some(module) = self.fetching.remove(&blob) {
+                        self.finish_fetch(&module);
                     }
                 }
             }
@@ -530,13 +503,8 @@ impl<T: Transport> WorkerNode<T> {
             .filter(|p| !p.is_empty())
             .unwrap_or_else(|| vec![self.orch]);
         let missing = self.store.missing(BlobId(module.hash), module.blob_len);
-        let mut fs = FetchState {
-            module: module.clone(),
-            next_provider: 0,
-        };
-        for index in missing {
-            let target = providers[fs.next_provider % providers.len()];
-            fs.next_provider += 1;
+        for (i, index) in missing.into_iter().enumerate() {
+            let target = providers[i % providers.len()];
             let req = GridMsg::ChunkRequest {
                 blob: module.hash,
                 blob_len: module.blob_len,
@@ -545,7 +513,7 @@ impl<T: Transport> WorkerNode<T> {
             let _ = self.t.send(target, req.encode());
             self.metrics.chunks_requested.incr();
         }
-        self.fetching.insert(module.hash, fs);
+        self.fetching.insert(module.hash, module.clone());
     }
 
     /// All chunks arrived: assemble, verify, cache, seal, announce, and

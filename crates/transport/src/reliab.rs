@@ -18,9 +18,16 @@
 //! frames) is what bounds the receiver: everything it may have to hold
 //! out of order lies inside it, which is why [`REORDER_CAP`] can refuse
 //! anything beyond.
+//!
+//! One `ChannelSet` holds an endpoint's channels, one per peer, with
+//! the inbox and counters they feed. It is sans-IO like the channels: a
+//! backend hands it the clock, a `Wire` and a scratch buffer, and keeps
+//! only how frames reach peers and how they arrive.
 
 use crate::frame::{Endpoint, Frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
+use crate::{TransportCounters, TransportError, TransportEvent};
 use netsim::{Duration, SimTime};
+use obs::Counter;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Wire bytes ([`Frame::wire_len`]) a channel keeps between its oldest
@@ -349,6 +356,210 @@ impl PeerChannel {
             deadline = Some(deadline.map_or(probe, |d| d.min(probe)));
         }
         deadline
+    }
+}
+
+/// How one endpoint's frames reach their peers: the part of a send that
+/// differs between backends.
+pub(crate) trait Wire {
+    /// Whether `peer` has an address on this wire; a send to any other
+    /// peer is refused.
+    fn knows(&self, peer: Endpoint) -> bool;
+
+    /// Encode `frame` and put it on the wire. Loss is silent: the channel
+    /// retransmits.
+    fn transmit(&mut self, frame: &Frame);
+}
+
+/// One endpoint's side of every conversation: a [`PeerChannel`] per peer,
+/// opened on first contact either way, plus the inbox
+/// [`crate::Transport::poll`] drains and the endpoint's counters. Every
+/// call takes the caller's clock, a scratch buffer for channel outputs
+/// (handed back empty) and the [`Wire`] those outputs go out on.
+pub(crate) struct ChannelSet {
+    local: Endpoint,
+    pub(crate) cfg: ChannelConfig,
+    channels: BTreeMap<Endpoint, PeerChannel>,
+    sink: Sink,
+}
+
+/// The per-frame `transport.*` counters of a [`ChannelSet`], resolved once
+/// in [`ChannelSet::set_obs`].
+#[derive(Default)]
+struct FrameMetrics {
+    frames_sent: Counter,
+    frames_recv: Counter,
+    retransmits: Counter,
+    acks: Counter,
+    decode_errors: Counter,
+    sends_to_dead: Counter,
+    reorder_refused: Counter,
+}
+
+impl FrameMetrics {
+    fn new(obs: &obs::Obs) -> Self {
+        FrameMetrics {
+            frames_sent: obs.counter("transport.frames_sent"),
+            frames_recv: obs.counter("transport.frames_recv"),
+            retransmits: obs.counter("transport.retransmits"),
+            acks: obs.counter("transport.acks"),
+            decode_errors: obs.counter("transport.decode_errors"),
+            sends_to_dead: obs.counter("transport.sends_to_dead"),
+            reorder_refused: obs.counter("transport.reorder_refused"),
+        }
+    }
+}
+
+/// Where channel outputs land: the inbox and the counters.
+struct Sink {
+    inbox: VecDeque<TransportEvent>,
+    counters: TransportCounters,
+    metrics: FrameMetrics,
+}
+
+impl Sink {
+    /// Carry out (and drain) the outputs of the channel towards `peer`.
+    fn apply(&mut self, peer: Endpoint, out: &mut Vec<ChanOut>, wire: &mut impl Wire) {
+        for o in out.drain(..) {
+            match o {
+                ChanOut::Transmit(f) => self.transmit(&f, wire),
+                ChanOut::Retransmit(f) => {
+                    self.counters.retransmits += 1;
+                    self.metrics.retransmits.incr();
+                    self.transmit(&f, wire);
+                }
+                ChanOut::Deliver(payload) => {
+                    self.counters.payload_bytes_delivered += payload.len() as u64;
+                    self.inbox.push_back(TransportEvent::Delivered {
+                        from: peer,
+                        payload,
+                    });
+                }
+                ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
+                ChanOut::Count(ChanDrop::SendToDead) => self.metrics.sends_to_dead.incr(),
+                ChanOut::Count(ChanDrop::ReorderRefused) => self.metrics.reorder_refused.incr(),
+            }
+        }
+    }
+
+    fn transmit(&mut self, frame: &Frame, wire: &mut impl Wire) {
+        self.counters.frames_sent += 1;
+        self.metrics.frames_sent.incr();
+        if frame.kind == FrameKind::Ack {
+            self.counters.acks += 1;
+            self.metrics.acks.incr();
+        }
+        self.counters.payload_bytes_copied += frame.payload.len() as u64;
+        wire.transmit(frame);
+    }
+}
+
+impl ChannelSet {
+    pub(crate) fn new(local: Endpoint, cfg: ChannelConfig) -> Self {
+        ChannelSet {
+            local,
+            cfg,
+            channels: BTreeMap::new(),
+            sink: Sink {
+                inbox: VecDeque::new(),
+                counters: TransportCounters::default(),
+                metrics: FrameMetrics::default(),
+            },
+        }
+    }
+
+    /// Feed the `transport.*` counters to `observer`'s registry.
+    pub(crate) fn set_obs(&mut self, observer: &obs::Obs) {
+        self.sink.metrics = FrameMetrics::new(observer);
+    }
+
+    pub(crate) fn counters(&self) -> TransportCounters {
+        self.sink.counters
+    }
+
+    fn channel(&mut self, peer: Endpoint, now: SimTime) -> &mut PeerChannel {
+        let (local, cfg) = (self.local, self.cfg);
+        self.channels
+            .entry(peer)
+            .or_insert_with(|| PeerChannel::new(local, peer, cfg, now))
+    }
+
+    /// [`crate::Transport::send`]: refuse a payload no frame can carry or
+    /// a peer the wire cannot address, else offer it to `dst`'s channel.
+    pub(crate) fn send(
+        &mut self,
+        now: SimTime,
+        dst: Endpoint,
+        payload: Vec<u8>,
+        out: &mut Vec<ChanOut>,
+        wire: &mut impl Wire,
+    ) -> Result<(), TransportError> {
+        if payload.len() > MAX_PAYLOAD {
+            return Err(TransportError::PayloadTooLarge { len: payload.len() });
+        }
+        if !wire.knows(dst) {
+            return Err(TransportError::UnknownPeer(dst));
+        }
+        self.channel(dst, now).offer(now, payload, out);
+        self.sink.apply(dst, out, wire);
+        Ok(())
+    }
+
+    /// Decode one datagram off the wire: its payload copy is charged, a
+    /// malformed one counted as a decode error.
+    pub(crate) fn decode(&mut self, datagram: &[u8]) -> Option<Frame> {
+        match Frame::decode(datagram) {
+            Ok(frame) => {
+                self.sink.counters.payload_bytes_copied += frame.payload.len() as u64;
+                Some(frame)
+            }
+            Err(_) => {
+                self.sink.metrics.decode_errors.incr();
+                None
+            }
+        }
+    }
+
+    /// React to a decoded frame addressed to this endpoint.
+    pub(crate) fn on_frame(
+        &mut self,
+        now: SimTime,
+        frame: Frame,
+        out: &mut Vec<ChanOut>,
+        wire: &mut impl Wire,
+    ) {
+        self.sink.counters.frames_recv += 1;
+        self.sink.metrics.frames_recv.incr();
+        let peer = frame.src;
+        self.channel(peer, now).on_frame(now, frame, out);
+        self.sink.apply(peer, out, wire);
+    }
+
+    /// Run every channel's timers, in peer order.
+    pub(crate) fn on_tick(&mut self, now: SimTime, out: &mut Vec<ChanOut>, wire: &mut impl Wire) {
+        for (&peer, chan) in &mut self.channels {
+            chan.on_tick(now, out);
+            self.sink.apply(peer, out, wire);
+        }
+    }
+
+    /// Move everything delivered or declared dead so far into `events`.
+    pub(crate) fn poll(&mut self, events: &mut Vec<TransportEvent>) {
+        events.extend(self.sink.inbox.drain(..));
+    }
+
+    /// [`crate::Transport::pending`]: payloads in flight to any peer.
+    pub(crate) fn pending(&self) -> usize {
+        self.channels.values().map(PeerChannel::in_flight).sum()
+    }
+
+    /// Earliest instant [`ChannelSet::on_tick`] has something to do, or
+    /// `None` while every channel is quiescent.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.channels
+            .values()
+            .filter_map(PeerChannel::next_deadline)
+            .min()
     }
 }
 

@@ -11,12 +11,12 @@
 //! reliability layer's retransmit/liveness machinery takes over, exactly
 //! as it would on a real socket.
 
-use crate::frame::{Endpoint, Frame, FrameKind, MAX_PAYLOAD};
-use crate::reliab::{ChanOut, ChannelConfig, PeerChannel};
-use crate::{FrameMetrics, TimerId, Transport, TransportCounters, TransportError, TransportEvent};
-use netsim::{Duration, HostId, HostSpec, Network, PayloadArena, PayloadId, Sim, SimTime};
+use crate::frame::{Endpoint, Frame};
+use crate::reliab::{ChanOut, ChannelConfig, ChannelSet, Wire};
+use crate::{Transport, TransportCounters, TransportError, TransportEvent};
+use netsim::{HostId, HostSpec, Network, PayloadArena, PayloadId, Sim, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 enum NetEv {
@@ -24,63 +24,43 @@ enum NetEv {
     /// The bytes live in the world's payload arena; the event carries only
     /// the slot id, released back for reuse at delivery.
     Frame { dst: Endpoint, payload: PayloadId },
-    /// A one-shot application timer.
-    Timer { ep: Endpoint, id: u64, token: u64 },
     /// Channel maintenance (retransmit / liveness) for one endpoint.
     Tick { ep: Endpoint, at: SimTime },
 }
 
-struct EpState {
-    host: HostId,
-    channels: BTreeMap<Endpoint, PeerChannel>,
-    inbox: VecDeque<TransportEvent>,
-    cancelled: BTreeSet<u64>,
-    next_timer: u64,
-    counters: TransportCounters,
-    /// Instant of the currently-scheduled maintenance tick, if any.
-    tick_at: Option<SimTime>,
-}
-
-struct World {
+/// The event loop and link model every endpoint shares.
+struct Link {
     sim: Sim<NetEv>,
     net: Network,
-    eps: BTreeMap<Endpoint, EpState>,
-    cfg: ChannelConfig,
     /// Recycled storage for in-flight encoded frames: in steady state a
     /// frame encodes into a buffer some earlier frame already paid for.
     arena: PayloadArena<Vec<u8>>,
-    /// Scratch for channel outputs, handed back empty after each `apply`
-    /// so a delivered frame, a send or a tick allocates no buffer.
-    outs: Vec<ChanOut>,
-    /// For the run-boundary arena counters; per-frame ones use `metrics`.
-    obs: obs::Obs,
-    metrics: FrameMetrics,
 }
 
-impl World {
-    /// Put an encoded frame on the simulated wire. Loss (offline host,
-    /// cut link) is silent here — the reliability layer notices.
+/// The simulated wire under one endpoint's channel-set call: the link,
+/// and every endpoint's host to address frames by.
+struct SimWire<'a> {
+    link: &'a mut Link,
+    eps: &'a BTreeMap<Endpoint, EpState>,
+}
+
+impl Wire for SimWire<'_> {
+    fn knows(&self, peer: Endpoint) -> bool {
+        self.eps.contains_key(&peer)
+    }
+
     fn transmit(&mut self, frame: &Frame) {
-        let dst_host = self.eps.get(&frame.dst).map(|d| d.host);
-        let Some(src) = self.eps.get_mut(&frame.src) else {
+        let (Some(src), Some(dst)) = (self.eps.get(&frame.src), self.eps.get(&frame.dst)) else {
             return;
         };
-        src.counters.frame_sent(&self.metrics);
-        if frame.kind == FrameKind::Ack {
-            src.counters.ack(&self.metrics);
-        }
-        let src_host = src.host;
-        let Some(dst_host) = dst_host else {
-            return;
-        };
-        src.counters.payload_copied(frame);
-        let (id, buf) = self.arena.acquire();
+        let link = &mut *self.link;
+        let (id, buf) = link.arena.acquire();
         buf.clear();
         frame.encode_into(buf);
         let wire_bytes = buf.len() as u64;
-        let now = self.sim.now();
-        match self.net.transfer(now, src_host, dst_host, wire_bytes) {
-            Ok(delay) => self.sim.schedule(
+        let now = link.sim.now();
+        match link.net.transfer(now, src.host, dst.host, wire_bytes) {
+            Ok(delay) => link.sim.schedule(
                 delay,
                 NetEv::Frame {
                     dst: frame.dst,
@@ -89,121 +69,77 @@ impl World {
             ),
             // Lost on the wire (offline host, cut link): the slot frees
             // immediately instead of riding a phantom delivery.
-            Err(_) => self.arena.release(id),
+            Err(_) => link.arena.release(id),
         }
     }
+}
 
-    /// Apply (and drain) channel outputs for endpoint `ep`, given the peer
-    /// they concern.
-    fn apply(&mut self, ep: Endpoint, peer: Endpoint, outs: &mut Vec<ChanOut>) {
-        for out in outs.drain(..) {
-            match out {
-                ChanOut::Transmit(f) => self.transmit(&f),
-                ChanOut::Retransmit(f) => {
-                    if let Some(s) = self.eps.get_mut(&ep) {
-                        s.counters.retransmit(&self.metrics);
-                    }
-                    self.transmit(&f);
-                }
-                ChanOut::Deliver(payload) => {
-                    if let Some(s) = self.eps.get_mut(&ep) {
-                        s.counters.payload_delivered(&payload);
-                        s.inbox.push_back(TransportEvent::Delivered {
-                            from: peer,
-                            payload,
-                        });
-                    }
-                }
-                ChanOut::Dead => {
-                    if let Some(s) = self.eps.get_mut(&ep) {
-                        s.inbox.push_back(TransportEvent::PeerDead { peer });
-                    }
-                }
-                ChanOut::Count(why) => self.metrics.dropped(why),
-            }
-        }
-    }
+struct EpState {
+    host: HostId,
+    /// In a cell so that while one endpoint's channels run, the wire can
+    /// still read every endpoint's `host`.
+    set: RefCell<ChannelSet>,
+    /// Instant of the currently-scheduled maintenance tick, if any.
+    tick_at: Option<SimTime>,
+}
 
-    /// (Re)arm the maintenance tick for `ep` at the earliest channel
+struct World {
+    link: Link,
+    eps: BTreeMap<Endpoint, EpState>,
+    /// Scratch for channel outputs, handed back empty by every channel
+    /// set call, so a delivered frame, a send or a tick allocates no
+    /// buffer.
+    outs: Vec<ChanOut>,
+    /// Every endpoint's channel set feeds its per-frame counters here;
+    /// the arena counters land here at run boundaries.
+    obs: obs::Obs,
+}
+
+impl World {
+    /// (Re)arm the maintenance tick for `ep` at its channels' next
     /// deadline, if it is sooner than whatever is already scheduled.
     fn arm_tick(&mut self, ep: Endpoint) {
-        let Some(s) = self.eps.get_mut(&ep) else {
-            return;
-        };
-        let deadline = s.channels.values().filter_map(|c| c.next_deadline()).min();
-        let Some(d) = deadline else {
+        let s = self.eps.get_mut(&ep).expect("endpoint registered");
+        let Some(d) = s.set.get_mut().next_deadline() else {
             return;
         };
         if s.tick_at.is_some_and(|t| t <= d) {
             return;
         }
         s.tick_at = Some(d);
-        self.sim.schedule_at(d, NetEv::Tick { ep, at: d });
+        self.link.sim.schedule_at(d, NetEv::Tick { ep, at: d });
     }
 
     fn on_event(&mut self, ev: NetEv) {
-        match ev {
-            NetEv::Frame { dst, payload } => {
-                let frame = Frame::decode(self.arena.get(payload));
-                self.arena.release(payload);
-                let Some(s) = self.eps.get_mut(&dst) else {
-                    return;
-                };
-                let frame = match frame {
-                    Ok(f) => f,
-                    Err(_) => {
-                        self.metrics.decode_errors.incr();
-                        return;
-                    }
-                };
-                s.counters.frame_recv(&self.metrics);
-                s.counters.payload_copied(&frame);
-                let now = self.sim.now();
-                let peer = frame.src;
-                let cfg = self.cfg;
-                let chan = s
-                    .channels
-                    .entry(peer)
-                    .or_insert_with(|| PeerChannel::new(dst, peer, cfg, now));
-                let mut outs = std::mem::take(&mut self.outs);
-                chan.on_frame(now, frame, &mut outs);
-                self.apply(dst, peer, &mut outs);
-                self.outs = outs;
-                self.arm_tick(dst);
-            }
-            NetEv::Timer { ep, id, token } => {
-                if let Some(s) = self.eps.get_mut(&ep) {
-                    if !s.cancelled.remove(&id) {
-                        s.inbox.push_back(TransportEvent::Timer { token });
-                    }
-                }
-            }
+        let now = self.link.sim.now();
+        let ep = match ev {
+            NetEv::Frame { dst, .. } => dst,
             NetEv::Tick { ep, at } => {
-                let Some(s) = self.eps.get_mut(&ep) else {
-                    return;
-                };
+                let s = self.eps.get_mut(&ep).expect("ticks reach endpoints");
                 if s.tick_at != Some(at) {
                     return; // superseded by an earlier re-arm
                 }
                 s.tick_at = None;
-                let now = self.sim.now();
-                let mut outs = std::mem::take(&mut self.outs);
-                // One channel at a time in peer order. Applying touches no
-                // channel, so this is ticking them all and then applying.
-                let mut next = s.channels.keys().next().copied();
-                while let Some(peer) = next {
-                    let s = self.eps.get_mut(&ep).expect("ticked endpoint registered");
-                    let mut from = s.channels.range_mut(peer..);
-                    if let Some((_, chan)) = from.next() {
-                        chan.on_tick(now, &mut outs);
-                    }
-                    next = from.next().map(|(&p, _)| p);
-                    self.apply(ep, peer, &mut outs);
-                }
-                self.outs = outs;
-                self.arm_tick(ep);
+                ep
             }
+        };
+        let mut wire = SimWire {
+            link: &mut self.link,
+            eps: &self.eps,
+        };
+        let mut set = self.eps[&ep].set.borrow_mut();
+        match ev {
+            NetEv::Frame { payload, .. } => {
+                let frame = set.decode(wire.link.arena.get(payload));
+                wire.link.arena.release(payload);
+                if let Some(frame) = frame {
+                    set.on_frame(now, frame, &mut self.outs, &mut wire);
+                }
+            }
+            NetEv::Tick { .. } => set.on_tick(now, &mut self.outs, &mut wire),
         }
+        drop(set);
+        self.arm_tick(ep);
     }
 }
 
@@ -217,14 +153,14 @@ impl SimNet {
     pub fn new(seed: u64) -> Self {
         SimNet {
             world: Rc::new(RefCell::new(World {
-                sim: Sim::new(seed),
-                net: Network::new(),
+                link: Link {
+                    sim: Sim::new(seed),
+                    net: Network::new(),
+                    arena: PayloadArena::new(),
+                },
                 eps: BTreeMap::new(),
-                cfg: ChannelConfig::sim_default(),
-                arena: PayloadArena::new(),
                 outs: Vec::new(),
                 obs: obs::Obs::disabled(),
-                metrics: FrameMetrics::default(),
             })),
         }
     }
@@ -233,7 +169,9 @@ impl SimNet {
     /// shared registry.
     pub fn set_obs(&self, observer: obs::Obs) {
         let mut w = self.world.borrow_mut();
-        w.metrics = FrameMetrics::new(&observer);
+        for s in w.eps.values_mut() {
+            s.set.get_mut().set_obs(&observer);
+        }
         w.obs = observer;
     }
 
@@ -241,19 +179,15 @@ impl SimNet {
     /// endpoint id is already taken.
     pub fn add_endpoint(&self, ep: Endpoint, spec: HostSpec) -> SimEndpoint {
         let mut w = self.world.borrow_mut();
-        let host = w.net.add_host(spec);
-        let prev = w.eps.insert(
-            ep,
-            EpState {
-                host,
-                channels: BTreeMap::new(),
-                inbox: VecDeque::new(),
-                cancelled: BTreeSet::new(),
-                next_timer: 0,
-                counters: TransportCounters::default(),
-                tick_at: None,
-            },
-        );
+        let host = w.link.net.add_host(spec);
+        let mut set = ChannelSet::new(ep, ChannelConfig::sim_default());
+        set.set_obs(&w.obs);
+        let state = EpState {
+            host,
+            set: RefCell::new(set),
+            tick_at: None,
+        };
+        let prev = w.eps.insert(ep, state);
         assert!(prev.is_none(), "endpoint {ep} registered twice");
         SimEndpoint {
             world: Rc::clone(&self.world),
@@ -266,7 +200,7 @@ impl SimNet {
     pub fn set_online(&self, ep: Endpoint, online: bool) {
         let mut w = self.world.borrow_mut();
         if let Some(host) = w.eps.get(&ep).map(|s| s.host) {
-            w.net.set_online(host, online);
+            w.link.net.set_online(host, online);
         }
     }
 
@@ -274,7 +208,7 @@ impl SimNet {
     /// has drained (the network is quiescent).
     pub fn step(&self) -> bool {
         let mut w = self.world.borrow_mut();
-        match w.sim.step() {
+        match w.link.sim.step() {
             Some(ev) => {
                 w.on_event(ev);
                 true
@@ -284,12 +218,12 @@ impl SimNet {
     }
 
     pub fn now(&self) -> SimTime {
-        self.world.borrow().sim.now()
+        self.world.borrow().link.sim.now()
     }
 
     /// Arena traffic so far (allocs = slots created, reuses = recycled).
     pub fn arena_stats(&self) -> netsim::PayloadStats {
-        self.world.borrow().arena.stats()
+        self.world.borrow().link.arena.stats()
     }
 
     /// Fold the arena counters into the observer as monotonic counters
@@ -297,7 +231,7 @@ impl SimNet {
     /// boundaries so the per-frame hot path never touches the registry.
     pub fn publish_arena_stats(&self) {
         let w = self.world.borrow();
-        let stats = w.arena.stats();
+        let stats = w.link.arena.stats();
         w.obs.add("netsim.payload_allocs", stats.allocs);
         w.obs.add("netsim.payload_reuses", stats.reuses);
     }
@@ -308,7 +242,7 @@ impl SimNet {
             .borrow()
             .eps
             .get(&ep)
-            .map(|s| s.counters)
+            .map(|s| s.set.borrow().counters())
             .unwrap_or_default()
     }
 }
@@ -325,63 +259,34 @@ impl Transport for SimEndpoint {
     }
 
     fn now(&self) -> SimTime {
-        self.world.borrow().sim.now()
+        self.world.borrow().link.sim.now()
     }
 
     fn send(&mut self, dst: Endpoint, payload: Vec<u8>) -> Result<(), TransportError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(TransportError::PayloadTooLarge { len: payload.len() });
-        }
         let mut w = self.world.borrow_mut();
-        if !w.eps.contains_key(&dst) {
-            return Err(TransportError::UnknownPeer(dst));
-        }
-        let now = w.sim.now();
-        let cfg = w.cfg;
-        let ep = self.ep;
-        let mut outs = std::mem::take(&mut w.outs);
-        let s = w.eps.get_mut(&ep).expect("own endpoint registered");
-        let chan = s
-            .channels
-            .entry(dst)
-            .or_insert_with(|| PeerChannel::new(ep, dst, cfg, now));
-        chan.offer(now, payload, &mut outs);
-        w.apply(ep, dst, &mut outs);
-        w.outs = outs;
-        w.arm_tick(ep);
-        Ok(())
-    }
-
-    fn set_timer(&mut self, delay: Duration, token: u64) -> TimerId {
-        let mut w = self.world.borrow_mut();
-        let ep = self.ep;
-        let s = w.eps.get_mut(&ep).expect("own endpoint registered");
-        let id = s.next_timer;
-        s.next_timer += 1;
-        w.sim.schedule(delay, NetEv::Timer { ep, id, token });
-        TimerId(id)
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        let mut w = self.world.borrow_mut();
-        if let Some(s) = w.eps.get_mut(&self.ep) {
-            s.cancelled.insert(timer.0);
-        }
+        let w = &mut *w;
+        let now = w.link.sim.now();
+        let mut wire = SimWire {
+            link: &mut w.link,
+            eps: &w.eps,
+        };
+        let sent = w.eps[&self.ep]
+            .set
+            .borrow_mut()
+            .send(now, dst, payload, &mut w.outs, &mut wire);
+        w.arm_tick(self.ep);
+        sent
     }
 
     fn poll(&mut self, events: &mut Vec<TransportEvent>) {
-        let mut w = self.world.borrow_mut();
-        if let Some(s) = w.eps.get_mut(&self.ep) {
-            events.extend(s.inbox.drain(..));
-        }
+        self.world.borrow().eps[&self.ep]
+            .set
+            .borrow_mut()
+            .poll(events);
     }
 
     fn pending(&self) -> usize {
-        let w = self.world.borrow();
-        w.eps
-            .get(&self.ep)
-            .map(|s| s.channels.values().map(PeerChannel::in_flight).sum())
-            .unwrap_or(0)
+        self.world.borrow().eps[&self.ep].set.borrow().pending()
     }
 }
 
@@ -443,18 +348,6 @@ mod tests {
             })
             .collect();
         assert_eq!(got, (0..20).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn timers_fire_and_cancel() {
-        let (net, mut a, _b) = world_pair();
-        a.set_timer(Duration::from_millis(5), 111);
-        let doomed = a.set_timer(Duration::from_millis(6), 222);
-        a.cancel_timer(doomed);
-        drain(&net);
-        let mut evs = Vec::new();
-        a.poll(&mut evs);
-        assert_eq!(evs, vec![TransportEvent::Timer { token: 111 }]);
     }
 
     #[test]
@@ -542,19 +435,5 @@ mod tests {
             (format!("{evs:?}"), net.counters(Endpoint(1)), net.now())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn oversized_payload_refused() {
-        let (_net, mut a, _b) = world_pair();
-        let err = a.send(Endpoint(2), vec![0; MAX_PAYLOAD + 1]).unwrap_err();
-        assert!(matches!(err, TransportError::PayloadTooLarge { .. }));
-    }
-
-    #[test]
-    fn unknown_peer_refused() {
-        let (_net, mut a, _b) = world_pair();
-        let err = a.send(Endpoint(99), vec![1]).unwrap_err();
-        assert_eq!(err, TransportError::UnknownPeer(Endpoint(99)));
     }
 }

@@ -3,21 +3,21 @@
 //! This offline workspace has no async runtime (no tokio), so the
 //! backend is a poll-driven state machine over `std::net::UdpSocket` in
 //! nonblocking mode — one socket per node, one frame per datagram,
-//! driven by the same [`Transport::poll`] loop the sim backend uses. The
-//! reliability layer on top is byte-for-byte the same [`PeerChannel`]
-//! code: UDP loss, duplication and reordering are exactly the faults the
-//! channel already absorbs under chaos testing in the simulator.
+//! driven by the same [`Transport::poll`] loop the sim backend uses. Above
+//! the socket sits the same channel set the simulator drives, byte for
+//! byte: UDP loss, duplication and reordering are exactly the faults its
+//! channels already absorb under chaos testing in the simulator.
 //!
 //! The clock is a monotonic `Instant` anchored at construction and
 //! reported as microseconds in [`SimTime`] — same type, different
 //! substance — so node code written against the trait needs no
 //! wall-clock special cases.
 
-use crate::frame::{Endpoint, Frame, FrameKind, MAX_PAYLOAD};
-use crate::reliab::{ChanOut, ChannelConfig, PeerChannel};
-use crate::{FrameMetrics, TimerId, Transport, TransportCounters, TransportError, TransportEvent};
-use netsim::{Duration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use crate::frame::{Endpoint, Frame, MAX_PAYLOAD};
+use crate::reliab::{ChanOut, ChannelConfig, ChannelSet, Wire};
+use crate::{Transport, TransportCounters, TransportError, TransportEvent};
+use netsim::SimTime;
+use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
@@ -25,24 +25,41 @@ use std::time::Instant;
 /// Receive buffer: one full frame plus header.
 const RECV_BUF: usize = MAX_PAYLOAD + 512;
 
-/// [`Transport`] over one nonblocking UDP socket.
-pub struct SocketTransport {
+/// The socket and the directory that addresses frames on it.
+struct Udp {
     sock: UdpSocket,
-    local: Endpoint,
     /// Endpoint → address directory. Learned from inbound frames when
     /// not pre-registered, so only one side of a link needs static
     /// configuration.
     peers: BTreeMap<Endpoint, SocketAddr>,
-    channels: BTreeMap<Endpoint, PeerChannel>,
-    cfg: ChannelConfig,
-    /// timer id → (deadline, token); scanned on every poll (timer
-    /// populations here are tiny).
-    timers: BTreeMap<u64, (SimTime, u64)>,
-    next_timer: u64,
+}
+
+impl Wire for Udp {
+    fn knows(&self, peer: Endpoint) -> bool {
+        self.peers.contains_key(&peer)
+    }
+
+    fn transmit(&mut self, frame: &Frame) {
+        let Some(&addr) = self.peers.get(&frame.dst) else {
+            return;
+        };
+        // UDP send failures (e.g. transient ENOBUFS) are treated as loss:
+        // the reliability layer retransmits.
+        p2p::wire::with_buf(|buf| {
+            frame.encode_into(buf);
+            let _ = self.sock.send_to(buf, addr);
+        });
+    }
+}
+
+/// [`Transport`] over one nonblocking UDP socket.
+pub struct SocketTransport {
+    udp: Udp,
+    local: Endpoint,
+    set: ChannelSet,
+    /// Scratch for channel outputs, handed back empty by every call.
+    outs: Vec<ChanOut>,
     epoch: Instant,
-    counters: TransportCounters,
-    metrics: FrameMetrics,
-    inbox: VecDeque<TransportEvent>,
     buf: Box<[u8; RECV_BUF]>,
 }
 
@@ -57,112 +74,60 @@ impl SocketTransport {
         sock.set_nonblocking(true)
             .map_err(|e| TransportError::Io(e.to_string()))?;
         Ok(SocketTransport {
-            sock,
+            udp: Udp {
+                sock,
+                peers: BTreeMap::new(),
+            },
             local,
-            peers: BTreeMap::new(),
-            channels: BTreeMap::new(),
-            cfg: ChannelConfig::socket_default(),
-            timers: BTreeMap::new(),
-            next_timer: 0,
+            set: ChannelSet::new(local, ChannelConfig::socket_default()),
+            outs: Vec::new(),
             epoch: Instant::now(),
-            counters: TransportCounters::default(),
-            metrics: FrameMetrics::default(),
-            inbox: VecDeque::new(),
             buf: Box::new([0u8; RECV_BUF]),
         })
     }
 
     /// Attach a metrics observer (`transport.*` counters).
     pub fn set_obs(&mut self, observer: obs::Obs) {
-        self.metrics = FrameMetrics::new(&observer);
+        self.set.set_obs(&observer);
     }
 
     /// Override the channel tunables (e.g. tighter timeouts in tests).
     pub fn set_channel_config(&mut self, cfg: ChannelConfig) {
-        self.cfg = cfg;
+        self.set.cfg = cfg;
     }
 
     /// The socket's bound address, for handing to peers out of band.
     pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
-        self.sock
+        self.udp
+            .sock
             .local_addr()
             .map_err(|e| TransportError::Io(e.to_string()))
     }
 
     /// Teach this transport where an endpoint lives.
     pub fn register_peer(&mut self, ep: Endpoint, addr: SocketAddr) {
-        self.peers.insert(ep, addr);
+        self.udp.peers.insert(ep, addr);
     }
 
     pub fn counters(&self) -> TransportCounters {
-        self.counters
-    }
-
-    fn transmit(&mut self, frame: &Frame) {
-        let Some(&addr) = self.peers.get(&frame.dst) else {
-            return;
-        };
-        self.counters.frame_sent(&self.metrics);
-        if frame.kind == FrameKind::Ack {
-            self.counters.ack(&self.metrics);
-        }
-        self.counters.payload_copied(frame);
-        // UDP send failures (e.g. transient ENOBUFS) are treated as loss:
-        // the reliability layer retransmits.
-        p2p::wire::with_buf(|buf| {
-            frame.encode_into(buf);
-            let _ = self.sock.send_to(buf, addr);
-        });
-    }
-
-    fn apply(&mut self, peer: Endpoint, outs: Vec<ChanOut>) {
-        for out in outs {
-            match out {
-                ChanOut::Transmit(f) => self.transmit(&f),
-                ChanOut::Retransmit(f) => {
-                    self.counters.retransmit(&self.metrics);
-                    self.transmit(&f);
-                }
-                ChanOut::Deliver(payload) => {
-                    self.counters.payload_delivered(&payload);
-                    self.inbox.push_back(TransportEvent::Delivered {
-                        from: peer,
-                        payload,
-                    });
-                }
-                ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
-                ChanOut::Count(why) => self.metrics.dropped(why),
-            }
-        }
+        self.set.counters()
     }
 
     /// Drain the socket until it would block.
     fn pump_socket(&mut self) {
         loop {
-            match self.sock.recv_from(&mut self.buf[..]) {
+            match self.udp.sock.recv_from(&mut self.buf[..]) {
                 Ok((n, addr)) => {
-                    let Ok(frame) = Frame::decode(&self.buf[..n]) else {
-                        self.metrics.decode_errors.incr();
+                    let Some(frame) = self.set.decode(&self.buf[..n]) else {
                         continue;
                     };
-                    self.counters.payload_copied(&frame);
                     if frame.dst != self.local {
                         continue;
                     }
-                    self.counters.frame_recv(&self.metrics);
-                    let peer = frame.src;
                     // Learn the return address from the packet itself.
-                    self.peers.entry(peer).or_insert(addr);
+                    self.udp.peers.entry(frame.src).or_insert(addr);
                     let now = self.now();
-                    let cfg = self.cfg;
-                    let local = self.local;
-                    let chan = self
-                        .channels
-                        .entry(peer)
-                        .or_insert_with(|| PeerChannel::new(local, peer, cfg, now));
-                    let mut outs = Vec::new();
-                    chan.on_frame(now, frame, &mut outs);
-                    self.apply(peer, outs);
+                    self.set.on_frame(now, frame, &mut self.outs, &mut self.udp);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -171,33 +136,6 @@ impl SocketTransport {
                 // by retransmission either way.
                 Err(_) => break,
             }
-        }
-    }
-
-    fn fire_timers(&mut self, now: SimTime) {
-        let due: Vec<u64> = self
-            .timers
-            .iter()
-            .filter(|(_, &(at, _))| at <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let (_, token) = self.timers.remove(&id).expect("collected above");
-            self.inbox.push_back(TransportEvent::Timer { token });
-        }
-    }
-
-    fn tick_channels(&mut self, now: SimTime) {
-        let mut all: Vec<(Endpoint, Vec<ChanOut>)> = Vec::new();
-        for (peer, chan) in self.channels.iter_mut() {
-            let mut outs = Vec::new();
-            chan.on_tick(now, &mut outs);
-            if !outs.is_empty() {
-                all.push((*peer, outs));
-            }
-        }
-        for (peer, outs) in all {
-            self.apply(peer, outs);
         }
     }
 }
@@ -212,52 +150,27 @@ impl Transport for SocketTransport {
     }
 
     fn send(&mut self, dst: Endpoint, payload: Vec<u8>) -> Result<(), TransportError> {
-        if payload.len() > MAX_PAYLOAD {
-            return Err(TransportError::PayloadTooLarge { len: payload.len() });
-        }
-        if !self.peers.contains_key(&dst) {
-            return Err(TransportError::UnknownPeer(dst));
-        }
         let now = self.now();
-        let cfg = self.cfg;
-        let local = self.local;
-        let chan = self
-            .channels
-            .entry(dst)
-            .or_insert_with(|| PeerChannel::new(local, dst, cfg, now));
-        let mut outs = Vec::new();
-        chan.offer(now, payload, &mut outs);
-        self.apply(dst, outs);
-        Ok(())
-    }
-
-    fn set_timer(&mut self, delay: Duration, token: u64) -> TimerId {
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(id, (self.now() + delay, token));
-        TimerId(id)
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.timers.remove(&timer.0);
+        self.set
+            .send(now, dst, payload, &mut self.outs, &mut self.udp)
     }
 
     fn poll(&mut self, events: &mut Vec<TransportEvent>) {
         self.pump_socket();
         let now = self.now();
-        self.fire_timers(now);
-        self.tick_channels(now);
-        events.extend(self.inbox.drain(..));
+        self.set.on_tick(now, &mut self.outs, &mut self.udp);
+        self.set.poll(events);
     }
 
     fn pending(&self) -> usize {
-        self.channels.values().map(PeerChannel::in_flight).sum()
+        self.set.pending()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::Duration;
 
     fn linked_pair() -> (SocketTransport, SocketTransport) {
         let mut a = SocketTransport::bind_loopback(Endpoint(1)).unwrap();
@@ -312,21 +225,6 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
         assert!(a.counters().frames_sent >= 10);
         assert!(b.counters().acks >= 10);
-    }
-
-    #[test]
-    fn timers_fire_and_cancel_on_wall_clock() {
-        let mut a = SocketTransport::bind_loopback(Endpoint(9)).unwrap();
-        a.set_timer(Duration::from_millis(5), 42);
-        let doomed = a.set_timer(Duration::from_millis(5), 43);
-        a.cancel_timer(doomed);
-        let start = Instant::now();
-        let mut evs = Vec::new();
-        while evs.is_empty() && start.elapsed().as_millis() < 2_000 {
-            a.poll(&mut evs);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(evs, vec![TransportEvent::Timer { token: 42 }]);
     }
 
     #[test]
