@@ -79,11 +79,10 @@ pub fn worker_endpoint(i: usize) -> Endpoint {
 
 /// The spec's orchestrator over `t`, lent the spec's job list.
 fn orchestrator<T: Transport>(t: T, spec: &FarmSpec, obs: obs::Obs) -> OrchestratorNode<'_, T> {
-    let modules = spec.modules.clone();
     OrchestratorNode::new(
         t,
         spec.chunk_bytes,
-        modules,
+        spec.modules.clone(),
         &spec.jobs[..],
         spec.n_workers,
         obs,
