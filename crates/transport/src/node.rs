@@ -230,8 +230,7 @@ impl<'a, T: Transport> OrchestratorNode<'a, T> {
                 self.results.entry(job).or_insert((from, outputs));
                 self.metrics.jobs_completed.incr();
                 if self.results.len() == self.jobs.len() && !self.done {
-                    let workers: Vec<Endpoint> = self.workers.iter().copied().collect();
-                    for w in workers {
+                    for &w in &self.workers {
                         let _ = self.t.send(w, GridMsg::Shutdown.encode());
                     }
                     self.done = true;
@@ -298,8 +297,8 @@ pub struct WorkerNode<T> {
     providers: BTreeMap<u64, Vec<Endpoint>>,
     /// Blobs being fetched: blob → the module it carries.
     fetching: BTreeMap<u64, ModuleInfo>,
-    /// Jobs waiting for a blob fetch: blob → (job, module, input).
-    waiting: BTreeMap<u64, Vec<(u64, ModuleInfo, Vec<f64>)>>,
+    /// Jobs waiting for a blob fetch: blob → (job, input).
+    waiting: BTreeMap<u64, Vec<(u64, Vec<f64>)>>,
     recovered_chunks: u64,
     done: bool,
     /// For job execution (metered by the TVM); counters use `metrics`.
@@ -457,7 +456,7 @@ impl<T: Transport> WorkerNode<T> {
                     self.waiting
                         .entry(module.hash)
                         .or_default()
-                        .push((job, module.clone(), input));
+                        .push((job, input));
                     self.begin_fetch(&module);
                 }
             }
@@ -533,7 +532,7 @@ impl<T: Transport> WorkerNode<T> {
                 // One cache lookup serves the whole backlog.
                 let waiting = self.waiting.remove(&module.hash).unwrap_or_default();
                 let prepared = self.cache.get_prepared(&key);
-                for (job, _, input) in &waiting {
+                for (job, input) in &waiting {
                     self.execute_and_reply(*job, prepared.as_deref(), input);
                 }
             }
