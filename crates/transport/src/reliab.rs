@@ -143,9 +143,6 @@ pub struct PeerChannel {
     ping_nonce: u64,
     ping_sent_at: Option<SimTime>,
     dead: bool,
-    /// Lifetime stats for the transport's counters.
-    pub retransmits: u64,
-    pub acks_sent: u64,
 }
 
 impl PeerChannel {
@@ -165,17 +162,7 @@ impl PeerChannel {
             ping_nonce: 0,
             ping_sent_at: None,
             dead: false,
-            retransmits: 0,
-            acks_sent: 0,
         }
-    }
-
-    pub fn peer(&self) -> Endpoint {
-        self.peer
-    }
-
-    pub fn is_dead(&self) -> bool {
-        self.dead
     }
 
     /// Payloads accepted but not yet acknowledged: on the wire or still
@@ -256,7 +243,6 @@ impl PeerChannel {
                     return;
                 }
                 // Always ack — duplicates mean the previous ack was lost.
-                self.acks_sent += 1;
                 out.push(ChanOut::Transmit(Frame::control(
                     FrameKind::Ack,
                     self.local,
@@ -311,7 +297,6 @@ impl PeerChannel {
                 let backoff =
                     Duration((self.cfg.rto.0 << p.attempts.min(16)).min(self.cfg.rto_max.0));
                 p.next_retry = now + backoff;
-                self.retransmits += 1;
                 out.push(ChanOut::Retransmit(p.frame.clone()));
             }
         }
@@ -609,10 +594,15 @@ mod tests {
         assert_eq!(a.in_flight(), 2);
         let (got, acks) = shuttle(
             SimTime(10),
-            vec![ChanOut::Transmit(f1), ChanOut::Transmit(f2)],
+            vec![ChanOut::Transmit(f1.clone()), ChanOut::Transmit(f2.clone())],
             &mut b,
         );
         assert_eq!(got, vec![vec![1], vec![2]]);
+        // One ack per frame, and nothing else.
+        assert_eq!(
+            acks,
+            vec![ChanOut::Transmit(ack(&f1)), ChanOut::Transmit(ack(&f2))]
+        );
         // Feed the acks back.
         for ack in acks {
             if let ChanOut::Transmit(f) = ack {
@@ -620,7 +610,6 @@ mod tests {
             }
         }
         assert_eq!(a.in_flight(), 0);
-        assert_eq!(b.acks_sent, 2);
     }
 
     #[test]
@@ -671,22 +660,21 @@ mod tests {
             liveness: Duration::from_secs(3_600),
         };
         let mut a = PeerChannel::new(Endpoint(0), Endpoint(1), cfg, SimTime::ZERO);
-        a.send_data(SimTime(0), vec![1]);
+        let sent = a.send_data(SimTime(0), vec![1]);
         let mut out = Vec::new();
         // First retry due at t=100.
         a.on_tick(SimTime(100), &mut out);
-        assert!(matches!(out[0], ChanOut::Retransmit(_)));
+        assert_eq!(out, vec![ChanOut::Retransmit(sent.clone())]);
         // Backoff doubled: next at 100 + 200.
         assert_eq!(a.next_deadline(), Some(SimTime(300)));
         out.clear();
         a.on_tick(SimTime(300), &mut out);
-        assert!(matches!(out[0], ChanOut::Retransmit(_)));
+        assert_eq!(out, vec![ChanOut::Retransmit(sent)]);
         out.clear();
-        // Third expiry exhausts max_attempts.
+        // Third expiry exhausts max_attempts: no third retransmit.
         a.on_tick(SimTime(1_000), &mut out);
         assert_eq!(out, vec![ChanOut::Dead]);
-        assert!(a.is_dead());
-        assert_eq!(a.retransmits, 2);
+        assert!(a.dead);
         assert_eq!(a.next_deadline(), None);
     }
 
@@ -957,7 +945,7 @@ mod tests {
             assert_eq!(pong.kind, FrameKind::Pong);
             a.on_frame(SimTime(1_200), pong, &mut out);
         }
-        assert!(!a.is_dead());
+        assert!(!a.dead);
         // Silence past the liveness bound kills it.
         a.on_tick(SimTime(1_200 + 5_000), &mut out);
         assert_eq!(out, vec![ChanOut::Dead]);

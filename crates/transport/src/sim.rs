@@ -217,15 +217,6 @@ impl SimNet {
         }
     }
 
-    pub fn now(&self) -> SimTime {
-        self.world.borrow().link.sim.now()
-    }
-
-    /// Arena traffic so far (allocs = slots created, reuses = recycled).
-    pub fn arena_stats(&self) -> netsim::PayloadStats {
-        self.world.borrow().link.arena.stats()
-    }
-
     /// Fold the arena counters into the observer as monotonic counters
     /// (`netsim.payload_allocs` / `netsim.payload_reuses`). Called at run
     /// boundaries so the per-frame hot path never touches the registry.
@@ -432,7 +423,7 @@ mod tests {
             drain(&net);
             let mut evs = Vec::new();
             b.poll(&mut evs);
-            (format!("{evs:?}"), net.counters(Endpoint(1)), net.now())
+            (format!("{evs:?}"), net.counters(Endpoint(1)), b.now())
         };
         assert_eq!(run(), run());
     }
