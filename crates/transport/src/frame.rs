@@ -31,29 +31,21 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// Frame discriminator.
+/// Frame discriminator; its wire code is the discriminant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FrameKind {
     /// Application payload, sequenced and retransmitted until acked.
-    Data,
+    Data = 0,
     /// Acknowledges receipt of the data frame with the carried `seq`.
-    Ack,
+    Ack = 1,
     /// Liveness probe (sent on idle channels).
-    Ping,
+    Ping = 2,
     /// Liveness reply.
-    Pong,
+    Pong = 3,
 }
 
 impl FrameKind {
-    fn code(self) -> u8 {
-        match self {
-            FrameKind::Data => 0,
-            FrameKind::Ack => 1,
-            FrameKind::Ping => 2,
-            FrameKind::Pong => 3,
-        }
-    }
-
     fn from_code(code: u8) -> Option<FrameKind> {
         Some(match code {
             0 => FrameKind::Data,
@@ -239,7 +231,7 @@ impl Frame {
         w.u32(self.wire_len() as u32);
         w.u16(MAGIC);
         w.u8(VERSION);
-        w.u8(self.kind.code());
+        w.u8(self.kind as u8);
         w.u64(self.src.0);
         w.u64(self.dst.0);
         w.u64(self.seq);

@@ -14,12 +14,12 @@ use crate::frame::Endpoint;
 use crate::node::{JobSpec, OrchestratorNode, WorkerNode};
 use crate::proto::ModuleInfo;
 use crate::sim::SimNet;
-use crate::socket::SocketTransport;
+use crate::socket::{SocketTransport, WAIT_SLACK};
 use crate::Transport;
 use netsim::HostSpec;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tvm::ModuleBlob;
 
 /// A farm to run: modules, jobs, worker count, store geometry.
@@ -175,33 +175,46 @@ fn run_sim_on(net: &SimNet, spec: &FarmSpec, observer: obs::Obs) -> FarmOutcome 
     )
 }
 
+/// Step a node until it is done, waiting on its socket in between:
+/// `step(wait)` waits up to `wait` on the socket, pumps the node and says
+/// whether it is done. `false` if `end` came first. A socket wait can end
+/// [`WAIT_SLACK`] past its timeout, so the last `WAIT_SLACK` before `end`
+/// is slept instead, with one more step after it.
+fn drive(end: Instant, mut step: impl FnMut(Duration) -> bool) -> bool {
+    let mut wait = Duration::ZERO;
+    while !step(wait) {
+        let left = end.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        wait = left.saturating_sub(WAIT_SLACK);
+        if wait.is_zero() {
+            std::thread::sleep(left);
+        }
+    }
+    true
+}
+
 /// Run the same farm over real UDP sockets on loopback: the
 /// orchestrator on the calling thread, one OS thread per worker.
 /// Panics if the farm does not complete within `budget`.
-pub fn run_sockets(
-    spec: &FarmSpec,
-    observer: obs::Obs,
-    budget: std::time::Duration,
-) -> FarmOutcome {
+pub fn run_sockets(spec: &FarmSpec, observer: obs::Obs, budget: Duration) -> FarmOutcome {
     // Bind every node first, so the full address mesh is known before
     // any node starts talking.
-    let eps: Vec<Endpoint> = std::iter::once(orch_endpoint())
+    let mut sockets: Vec<SocketTransport> = std::iter::once(orch_endpoint())
         .chain((0..spec.n_workers).map(worker_endpoint))
-        .collect();
-    let mut sockets: Vec<SocketTransport> = eps
-        .iter()
-        .map(|&ep| {
+        .map(|ep| {
             let mut t = SocketTransport::bind_loopback(ep).expect("bind loopback socket");
             t.set_obs(observer.clone());
             t
         })
         .collect();
-    let addrs: Vec<std::net::SocketAddr> = sockets
+    let addrs: Vec<(Endpoint, std::net::SocketAddr)> = sockets
         .iter()
-        .map(|t| t.local_addr().expect("socket address"))
+        .map(|t| (t.local(), t.local_addr().expect("socket address")))
         .collect();
     for t in &mut sockets {
-        for (&ep, &addr) in eps.iter().zip(&addrs) {
+        for &(ep, addr) in &addrs {
             t.register_peer(ep, addr);
         }
     }
@@ -213,42 +226,38 @@ pub fn run_sockets(
             let mut w = worker(t, spec, i, observer.clone());
             std::thread::spawn(move || {
                 w.start();
-                let start = Instant::now();
-                while !w.is_done() {
+                let finished = drive(Instant::now() + budget, |wait| {
+                    w.transport_mut().wait(wait);
                     w.pump();
-                    assert!(
-                        start.elapsed() < budget,
-                        "worker {i} did not finish within the budget"
-                    );
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
+                    w.is_done()
+                });
+                assert!(finished, "worker {i} did not finish within the budget");
                 // Grace flush: let final acks drain so peers exit clean.
-                let flush = Instant::now();
-                while w.transport().pending() > 0 && flush.elapsed().as_millis() < 500 {
+                drive(Instant::now() + Duration::from_millis(500), |wait| {
+                    w.transport_mut().wait(wait);
                     w.pump();
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                }
+                    w.transport().pending() == 0
+                });
                 (w.cached_modules(), w.recovered_chunks())
             })
         })
         .collect();
     let mut orch = orchestrator(orch_t, spec, observer);
-    let start = Instant::now();
-    while !orch.is_done() {
+    let finished = drive(Instant::now() + budget, |wait| {
+        orch.transport_mut().wait(wait);
         orch.pump();
-        assert!(
-            start.elapsed() < budget,
-            "socket farm did not finish within the budget"
-        );
-        std::thread::sleep(std::time::Duration::from_micros(200));
-    }
-    // Keep pumping while workers ack the shutdown and drain.
+        orch.is_done()
+    });
+    assert!(finished, "socket farm did not finish within the budget");
+    // Keep pumping while workers ack the shutdown and drain: for 50 ms,
+    // then until nothing is owed, 1 s in all at most.
     let flush = Instant::now();
-    while (orch.transport().pending() > 0 || flush.elapsed().as_millis() < 50)
-        && flush.elapsed().as_millis() < 1_000
-    {
-        orch.pump();
-        std::thread::sleep(std::time::Duration::from_micros(200));
+    for (end_ms, until_drained) in [(50, false), (1_000, true)] {
+        drive(flush + Duration::from_millis(end_ms), |wait| {
+            orch.transport_mut().wait(wait);
+            orch.pump();
+            until_drained && orch.transport().pending() == 0
+        });
     }
     outcome(
         orch,
@@ -261,6 +270,26 @@ pub fn run_sockets(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `drive` hands its steps socket waits that end `WAIT_SLACK` before its
+    /// end at the latest, sleeps out the rest, and steps once more after
+    /// it. The step here returns at once, as if a datagram ended each wait.
+    #[test]
+    fn drive_sleeps_its_last_wait_slack() {
+        let end = Instant::now() + Duration::from_millis(20);
+        let mut steps = Vec::new();
+        let done = drive(end, |wait| {
+            steps.push((Instant::now(), wait));
+            false
+        });
+        assert!(!done);
+        for &(at, wait) in steps.iter().filter(|(_, wait)| !wait.is_zero()) {
+            assert!(at + wait + WAIT_SLACK <= end + Duration::from_millis(1));
+        }
+        let &(last_at, last_wait) = steps.last().unwrap();
+        assert_eq!(last_wait, Duration::ZERO);
+        assert!(last_at >= end, "the last step follows the sleep");
+    }
 
     /// Every payload byte a SimNet farm delivers is copied twice inside
     /// the transport, encoded onto the wire and decoded off it: a frame's

@@ -168,6 +168,10 @@ impl<'a, T: Transport> OrchestratorNode<'a, T> {
         &self.t
     }
 
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.t
+    }
+
     /// Completed jobs: job id → (worker, outputs).
     pub fn results(&self) -> &JobResults {
         &self.results
@@ -367,6 +371,10 @@ impl<T: Transport> WorkerNode<T> {
 
     pub fn transport(&self) -> &T {
         &self.t
+    }
+
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.t
     }
 
     /// Chunks recovered from the durable store at startup.

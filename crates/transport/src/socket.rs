@@ -6,7 +6,9 @@
 //! driven by the same [`Transport::poll`] loop the sim backend uses. Above
 //! the socket sits the same channel set the simulator drives, byte for
 //! byte: UDP loss, duplication and reordering are exactly the faults its
-//! channels already absorb under chaos testing in the simulator.
+//! channels already absorb under chaos testing in the simulator. Between
+//! polls a node blocks in [`SocketTransport::wait`], so an idle node costs
+//! no CPU.
 //!
 //! The clock is a monotonic `Instant` anchored at construction and
 //! reported as microseconds in [`SimTime`] — same type, different
@@ -20,10 +22,15 @@ use netsim::SimTime;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Receive buffer: one full frame plus header.
 const RECV_BUF: usize = MAX_PAYLOAD + 512;
+
+/// How late [`SocketTransport::wait`] ends when it times out: the kernel
+/// counts a socket's receive timeout in scheduler ticks and fires it up to
+/// two ticks after it is due (8 ms at the usual `HZ=250`; more under load).
+pub const WAIT_SLACK: Duration = Duration::from_millis(8);
 
 /// The socket and the directory that addresses frames on it.
 struct Udp {
@@ -66,11 +73,7 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Bind a fresh socket on the loopback interface (ephemeral port).
     pub fn bind_loopback(local: Endpoint) -> Result<Self, TransportError> {
-        Self::bind(local, "127.0.0.1:0")
-    }
-
-    pub fn bind(local: Endpoint, addr: &str) -> Result<Self, TransportError> {
-        let sock = UdpSocket::bind(addr).map_err(|e| TransportError::Io(e.to_string()))?;
+        let sock = UdpSocket::bind("127.0.0.1:0").map_err(|e| TransportError::Io(e.to_string()))?;
         sock.set_nonblocking(true)
             .map_err(|e| TransportError::Io(e.to_string()))?;
         Ok(SocketTransport {
@@ -91,11 +94,6 @@ impl SocketTransport {
         self.set.set_obs(&observer);
     }
 
-    /// Override the channel tunables (e.g. tighter timeouts in tests).
-    pub fn set_channel_config(&mut self, cfg: ChannelConfig) {
-        self.set.cfg = cfg;
-    }
-
     /// The socket's bound address, for handing to peers out of band.
     pub fn local_addr(&self) -> Result<SocketAddr, TransportError> {
         self.udp
@@ -113,27 +111,45 @@ impl SocketTransport {
         self.set.counters()
     }
 
+    /// Block until a datagram arrives (left for the next
+    /// [`Transport::poll`]), a channel timer falls due or `limit` passes.
+    /// A wait that times out ends up to [`WAIT_SLACK`] late.
+    pub fn wait(&mut self, limit: Duration) {
+        let due = self
+            .set
+            .next_deadline()
+            .map(|d| d.0.saturating_sub(self.now().0));
+        let timeout = due.map_or(limit, |us| limit.min(Duration::from_micros(us)));
+        if timeout.is_zero() {
+            return; // A timer is due now; the socket refuses a zero timeout.
+        }
+        // An error (the timeout, an interrupt) ends the wait as a datagram does.
+        let sock = &self.udp.sock;
+        let _ = sock
+            .set_nonblocking(false)
+            .and_then(|()| sock.set_read_timeout(Some(timeout)))
+            .and_then(|()| sock.peek_from(&mut [0]));
+        let _ = sock.set_nonblocking(true);
+    }
+
     /// Drain the socket until it would block.
     fn pump_socket(&mut self) {
         loop {
             match self.udp.sock.recv_from(&mut self.buf[..]) {
                 Ok((n, addr)) => {
-                    let Some(frame) = self.set.decode(&self.buf[..n]) else {
+                    let decoded = self.set.decode(&self.buf[..n]);
+                    let Some(frame) = decoded.filter(|f| f.dst == self.local) else {
                         continue;
                     };
-                    if frame.dst != self.local {
-                        continue;
-                    }
                     // Learn the return address from the packet itself.
                     self.udp.peers.entry(frame.src).or_insert(addr);
                     let now = self.now();
                     self.set.on_frame(now, frame, &mut self.outs, &mut self.udp);
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Connection-refused noise from a peer that is not up
-                // yet surfaces here on some platforms; loss is handled
-                // by retransmission either way.
+                // Would block, or connection-refused noise from a peer
+                // that is not up yet (some platforms surface it here);
+                // loss is handled by retransmission either way.
                 Err(_) => break,
             }
         }
@@ -203,7 +219,7 @@ mod tests {
             if start.elapsed().as_millis() as u64 > budget_ms {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            b.wait(std::time::Duration::from_millis(10));
         }
         got
     }
@@ -232,13 +248,13 @@ mod tests {
         let mut a = SocketTransport::bind_loopback(Endpoint(1)).unwrap();
         // Register a peer address nobody is listening on.
         a.register_peer(Endpoint(2), "127.0.0.1:9".parse().unwrap());
-        a.set_channel_config(ChannelConfig {
+        a.set.cfg = ChannelConfig {
             rto: Duration::from_millis(2),
             rto_max: Duration::from_millis(4),
             max_attempts: 3,
             ping_after: None,
             liveness: Duration::from_secs(60),
-        });
+        };
         a.send(Endpoint(2), vec![1]).unwrap();
         let start = Instant::now();
         let mut evs = Vec::new();
@@ -247,10 +263,60 @@ mod tests {
             .any(|e| matches!(e, TransportEvent::PeerDead { .. }))
             && start.elapsed().as_millis() < 5_000
         {
+            // Each wait ends at the next retry, which the poll sends.
+            a.wait(std::time::Duration::from_secs(1));
             a.poll(&mut evs);
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(evs.contains(&TransportEvent::PeerDead { peer: Endpoint(2) }));
         assert_eq!(a.pending(), 0, "nothing is owed to a dead peer");
+    }
+
+    #[test]
+    fn a_datagram_ends_the_wait() {
+        let (mut a, mut b) = linked_pair();
+        // Nothing to receive and no timer: the wait runs to its limit.
+        let start = Instant::now();
+        b.wait(std::time::Duration::from_millis(20));
+        assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+        let sender = std::thread::spawn(move || a.send(Endpoint(2), vec![9]).unwrap());
+        let start = Instant::now();
+        b.wait(std::time::Duration::from_secs(10));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "the datagram, not the limit, ended the wait"
+        );
+        sender.join().unwrap();
+        let mut evs = Vec::new();
+        b.poll(&mut evs);
+        assert_eq!(
+            evs,
+            vec![TransportEvent::Delivered {
+                from: Endpoint(1),
+                payload: vec![9]
+            }]
+        );
+    }
+
+    #[test]
+    fn a_due_retransmit_ends_the_wait() {
+        let mut a = SocketTransport::bind_loopback(Endpoint(1)).unwrap();
+        // A silent peer: a bound socket nobody reads.
+        let silent = SocketTransport::bind_loopback(Endpoint(2)).unwrap();
+        a.register_peer(Endpoint(2), silent.local_addr().unwrap());
+        a.set.cfg = ChannelConfig {
+            rto: Duration::from_millis(2),
+            ..ChannelConfig::socket_default()
+        };
+        a.send(Endpoint(2), vec![1]).unwrap();
+        let start = Instant::now();
+        a.wait(std::time::Duration::from_secs(10));
+        let waited = start.elapsed();
+        // Never early; late by the kernel's tick rounding and scheduling,
+        // which is milliseconds, not the 10 s limit.
+        assert!(waited >= std::time::Duration::from_millis(1), "{waited:?}");
+        assert!(waited < std::time::Duration::from_millis(100), "{waited:?}");
+        assert_eq!(a.counters().retransmits, 0);
+        a.poll(&mut Vec::new());
+        assert_eq!(a.counters().retransmits, 1, "the retransmit follows");
     }
 }
