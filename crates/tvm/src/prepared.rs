@@ -264,7 +264,7 @@ impl PreparedModule {
             n_outputs: module.n_outputs,
             entry_locals: module.functions[0].n_locals,
             code,
-            source_hash: crate::fnv1a64(&module.to_blob().bytes),
+            source_hash: module.to_blob().hash,
             regions,
         })
     }

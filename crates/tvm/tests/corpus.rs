@@ -204,6 +204,18 @@ fn corpus_translation_outcomes_are_pinned() {
     assert_eq!(got, expected);
 }
 
+/// A prepared module's source hash is its blob's content id, for every
+/// corpus program, the three bench kernels among them.
+#[test]
+fn source_hash_is_the_content_id_of_every_corpus_blob() {
+    for (name, module) in load_corpus() {
+        let blob = module.to_blob();
+        let prepared = PreparedModule::from_blob(&blob).expect("corpus blobs admit");
+        assert_eq!(prepared.source_hash(), blob.hash, "{name}");
+        assert_eq!(blob.hash, tvm::fnv1a64(&blob.bytes), "{name}");
+    }
+}
+
 /// Pin `ExecContext::dispatched_ops` for the three bench kernels on fixed
 /// inputs: the ops one run sends through a dispatch match, stack-form ops
 /// and map body ops alike. A map region charges its body ops once per
