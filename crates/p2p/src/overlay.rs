@@ -231,6 +231,7 @@ pub(crate) struct P2pMetrics {
     pub(crate) provider_record_hits: Counter,
     pub(crate) provider_records_stored: Counter,
     pub(crate) reply_contacts_refused: Counter,
+    pub(crate) reply_providers_refused: Counter,
 }
 
 impl P2pMetrics {
@@ -263,6 +264,7 @@ impl P2pMetrics {
             provider_record_hits: c("p2p.provider_record_hits"),
             provider_records_stored: c("p2p.provider_records_stored"),
             reply_contacts_refused: c("p2p.reply_contacts_refused"),
+            reply_providers_refused: c("p2p.reply_providers_refused"),
             obs,
         }
     }
@@ -1701,6 +1703,74 @@ mod tests {
         run(&mut w);
         assert_eq!(w.p2p.active_lookups(), 0, "the lookup still resolves");
         assert!(w.p2p.queries[&qid].hits.is_empty());
+    }
+
+    #[test]
+    fn a_forged_reply_adds_at_most_k_hits() {
+        let observer = Obs::enabled();
+        let mut w = world(48, DiscoveryMode::Routed);
+        w.p2p.set_obs(observer.clone());
+        let origin = PeerId(0);
+        let kind = QueryKind::ByService("triana".into());
+        let qid = w.p2p.query(&mut w.sim, &mut w.net, origin, kind, 0);
+        let lid = LookupId(w.p2p.next_lookup - 1);
+        let k = w.p2p.routed_cfg.k;
+        let forged = 5_000;
+        let expires = SimTime::from_secs(3600);
+        let reply = Message::FindValueReply {
+            lid,
+            from: PeerId(9),
+            closer: Vec::new(),
+            providers: (0..forged)
+                .map(|i| triana_ad(PeerId(i as u32 % 48), expires))
+                .collect(),
+        };
+        let ev = P2pEvent::Delivered {
+            to: origin,
+            msg: reply,
+        };
+        w.p2p.handle(&mut w.sim, &mut w.net, ev);
+        assert_eq!(w.p2p.queries[&qid].hits.len(), k);
+        let refused = observer.registry().unwrap();
+        assert_eq!(
+            refused.counter_value("p2p.reply_providers_refused"),
+            forged - k as u64
+        );
+        run(&mut w);
+        assert_eq!(w.p2p.active_lookups(), 0, "the lookup still resolves");
+        assert_eq!(w.p2p.queries[&qid].hits.len(), k);
+    }
+
+    #[test]
+    fn a_key_answers_with_at_most_k_records() {
+        for providers in [5, 12] {
+            let observer = Obs::enabled();
+            let n = 48;
+            let mut w = world(n, DiscoveryMode::Routed);
+            w.p2p.set_obs(observer.clone());
+            for p in 1..=providers {
+                let ad = triana_ad(PeerId(p), SimTime::from_secs(3600));
+                w.p2p.publish(&mut w.sim, &mut w.net, PeerId(p), ad);
+            }
+            run(&mut w);
+            let want = providers.min(w.p2p.routed_cfg.k as u32) as usize;
+            // Origins that provide nothing, so every hit came from a DHT
+            // store: the origin's own or the first remote one to answer.
+            for origin in providers + 1..n as u32 {
+                let kind = QueryKind::ByService("triana".into());
+                let qid = w.p2p.query(&mut w.sim, &mut w.net, PeerId(origin), kind, 0);
+                run(&mut w);
+                let q = &w.p2p.queries[&qid];
+                assert_eq!(q.hits.len(), want, "{providers} providers, origin {origin}");
+                assert_eq!(q.providers().len(), want);
+            }
+            // Both answer paths ran: the executor's own store and a
+            // remote FIND_VALUE reply.
+            let r = observer.registry().unwrap();
+            assert!(r.counter_value("p2p.lookup_local_hits") > 0);
+            assert!(r.counter_value("p2p.provider_record_hits") > 0);
+            assert_eq!(r.counter_value("p2p.reply_providers_refused"), 0);
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   each derived key, found by an iterative `FIND_NODE` walk.
 //! * **Query** runs an iterative `FIND_VALUE` toward the key and
 //!   terminates as soon as a node returns matching provider records —
-//!   O(log n) hops instead of an O(n)-message flood.
+//!   O(log n) hops instead of an O(n)-message flood. Like a `closer` list,
+//!   an answer carries at most k records (the first live matches, in
+//!   store order), and an executor refuses what a reply holds beyond k.
 //! * The **super-peer tier** (see `overlay::super_peer`) classifies peers
 //!   hot/warm/cold from their trust profiles. Hot and warm peers are DHT
 //!   nodes; cold peers hold no routing state and delegate every publish
@@ -39,7 +41,8 @@ use netsim::{Duration, Network, Pcg32, Sim, SimTime};
 /// Tuning for routed mode. Read at bootstrap and per lookup.
 #[derive(Clone, Copy, Debug)]
 pub struct RoutedConfig {
-    /// Bucket size, lookup result width, and store replication factor.
+    /// Bucket size, lookup result width, store replication factor, and
+    /// the most provider records one FIND_VALUE answer carries.
     pub k: usize,
     /// Lookup parallelism (α).
     pub alpha: usize,
@@ -140,6 +143,26 @@ pub(crate) fn keys_for_advert(ad: &Advertisement) -> Vec<u64> {
         AdvertBody::Module(m) => vec![NodeId::from_name("mod", &m.name).0],
         AdvertBody::Blob(b) => vec![NodeId::from_u64("blob", b.blob).0],
     }
+}
+
+/// What a store answers a FIND_VALUE for `kind` with: the first `k` live
+/// records under `key` that match it, in store order, appended to `out`.
+/// A remote server and the executor's own store both answer through this,
+/// so a reply never carries more than a local hit delivers.
+fn answer_from_store(
+    store: &mut kad::ProviderStore<Advertisement>,
+    key: u64,
+    kind: &QueryKind,
+    now: SimTime,
+    k: usize,
+    out: &mut Vec<Advertisement>,
+) {
+    let live = store.get(key, now).iter();
+    out.extend(
+        live.filter(|r| r.record.matches(kind, now))
+            .take(k)
+            .map(|r| r.record.clone()),
+    );
 }
 
 impl P2p {
@@ -388,23 +411,19 @@ impl P2p {
         let now = sim.now();
         // FIND_VALUE semantics: a local store hit resolves the query
         // without touching the network.
-        let local: Vec<Advertisement> = match self.peers[executor.0 as usize].routed.as_mut() {
-            Some(node) => node
-                .store
-                .get(key, now)
-                .iter()
-                .filter(|r| r.record.matches(kind, now))
-                .map(|r| r.record.clone())
-                .collect(),
-            None => Vec::new(),
-        };
+        let (k, mut local) = (self.routed_cfg.k, self.take_advert_buf());
+        if let Some(node) = self.peers[executor.0 as usize].routed.as_mut() {
+            answer_from_store(&mut node.store, key, kind, now, k, &mut local);
+        }
         if !local.is_empty() {
             self.metrics.lookup_local_hits.incr();
-            for advert in local {
+            for advert in local.drain(..) {
                 self.deliver_hit(sim, net, executor, origin, id, advert);
             }
+            self.recycle_advert_buf(local);
             return;
         }
+        self.recycle_advert_buf(local);
         self.spawn_lookup(
             sim,
             net,
@@ -573,13 +592,8 @@ impl P2p {
                         .map(|c| (c.id.0, PeerId(c.peer))),
                 );
                 if let Some(kind) = &kind {
-                    providers.extend(
-                        node.store
-                            .get(key, now)
-                            .iter()
-                            .filter(|r| r.record.matches(kind, now))
-                            .map(|r| r.record.clone()),
-                    );
+                    let k = self.routed_cfg.k;
+                    answer_from_store(&mut node.store, key, kind, now, k, &mut providers);
                 }
             }
         }
@@ -635,15 +649,22 @@ impl P2p {
             self.recycle_advert_buf(providers);
             return;
         }
-        // An honest `closer` list is some table's `closest_into(.., k)`:
+        // An honest `closer` list is some table's `closest_into(.., k)` and
+        // an honest `providers` list some store's `answer_from_store(.., k)`:
         // what a reply carries beyond `k` is refused, so no remote peer
-        // decides how large a lookup's shortlist grows.
+        // decides how large a lookup's shortlist or a query's hits grow.
         let k = self.routed_cfg.k;
         if closer.len() > k {
             self.metrics
                 .reply_contacts_refused
                 .add((closer.len() - k) as u64);
             closer.truncate(k);
+        }
+        if providers.len() > k {
+            self.metrics
+                .reply_providers_refused
+                .add((providers.len() - k) as u64);
+            providers.truncate(k);
         }
         {
             let al = self.lookups.get_mut(&lid).unwrap();
