@@ -265,8 +265,10 @@ impl RoutingTable {
     /// than anyone else and are strictly closest; every bucket beyond `t`
     /// first differs from the target at bit `t` (one band, contiguous in
     /// the array); bucket `j < t` first differs at bit `j`, so each is a
-    /// band farther than the last. Each band is sorted only if the ones
-    /// before it did not already yield `count`.
+    /// band farther than the last. A band is visited only if the ones
+    /// before it did not already yield `count`, and one that would
+    /// overshoot is first partitioned around the last contact still
+    /// needed, so only the part kept is sorted.
     pub fn closest_into(&self, target: NodeId, count: usize, out: &mut Vec<Contact>) {
         out.clear();
         let t = self.bucket_of(target);
@@ -274,13 +276,21 @@ impl RoutingTable {
         let bands = [self.run(t), beyond]
             .into_iter()
             .chain((0..t).rev().map(|j| self.run(j)));
+        let key = |c: &Contact| c.id.distance(target);
         for band in bands {
-            if out.len() >= count {
+            let need = count.saturating_sub(out.len());
+            if need == 0 {
                 break;
             }
             let sorted = out.len();
             out.extend_from_slice(&self.contacts[band]);
-            out[sorted..].sort_unstable_by_key(|c| c.id.distance(target));
+            let band = &mut out[sorted..];
+            if band.len() > need {
+                band.select_nth_unstable_by_key(need, key);
+                band[..need].sort_unstable_by_key(key);
+            } else {
+                band.sort_unstable_by_key(key);
+            }
         }
         out.truncate(count);
     }

@@ -147,4 +147,36 @@ proptest! {
         }
         check(&pair);
     }
+
+    /// `closest_into` against sorting every contact, on tables with
+    /// buckets up to 32 wide, so a band that overshoots `count` is large
+    /// enough to take the partition-then-sort path on many shapes. The
+    /// buffer starts dirty, as a recycled one does.
+    #[test]
+    fn closest_into_matches_sorting_every_contact(
+        own in proptest::arbitrary::any::<u64>(),
+        k in 1usize..33,
+        ids in proptest::collection::vec(
+            (proptest::arbitrary::any::<u64>(), 0u32..64),
+            0..400,
+        ),
+        queries in proptest::collection::vec(
+            (proptest::arbitrary::any::<u64>(), 0u32..64, 0usize..80),
+            1..16,
+        ),
+    ) {
+        let mut table = RoutingTable::new(NodeId(own), k);
+        for (noise, shared) in ids {
+            let _ = table.insert(contact(near(own, noise, shared)));
+        }
+        let mut out = vec![contact(own ^ 1); 3];
+        for (noise, shared, count) in queries {
+            let target = NodeId(near(own, noise, shared));
+            let mut oracle: Vec<Contact> = table.contacts().collect();
+            oracle.sort_unstable_by_key(|c| c.id.distance(target));
+            oracle.truncate(count);
+            table.closest_into(target, count, &mut out);
+            prop_assert_eq!(&out, &oracle, "closest_into({:?}, {})", target, count);
+        }
+    }
 }
