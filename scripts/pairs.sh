@@ -65,5 +65,8 @@ for seed in $(seq 1 "$pairs"); do
 done
 
 echo "run lines: $dir/parent.jsonl $dir/change.jsonl" >&2
-# Exits non-zero when a bounded metric regresses or is unresolved.
-exec "$dir/gridbench-change" compare "$dir/parent.jsonl" "$dir/change.jsonl"
+# Exits non-zero when a bounded metric regresses or is unresolved. Not
+# `exec`: the shell must stay to run the EXIT trap that deletes the trees.
+status=0
+"$dir/gridbench-change" compare "$dir/parent.jsonl" "$dir/change.jsonl" || status=$?
+exit "$status"
