@@ -857,8 +857,10 @@ impl LoopRegion {
     /// [`MacLoop::clean_iters`] iterations pass them all, so they run as a
     /// plain slice loop. The rest run checked, each check in its place:
     /// the budget test, then the exit test, then both gathers through
-    /// `to_index` (port 1 first). Both loops keep the source's operand
-    /// order in the accumulate. `regs` gets the three back on every way
+    /// `to_index` (port 1 first). Both loops accumulate through `mac`,
+    /// which keeps the source's operand order by taking the operands as a
+    /// pair: an unoptimised build commutes a bare `acc + p`, which changes
+    /// which NaN payload survives. `regs` gets the three back on every way
     /// out, so `take_exit` and the fallback see what stack-form stepping
     /// would leave.
     #[allow(clippy::too_many_arguments)]
@@ -885,21 +887,27 @@ impl LoopRegion {
         let mut i = regs[h.i as usize];
         let mut acc = regs[m.acc as usize];
         let mut t = h.lag.map_or(0.0, |(t, _)| regs[t as usize]);
+        let mac = |acc, (x, y): (&f64, &f64)| {
+            let p = x * y;
+            let (l, r) = if m.acc_first { (acc, p) } else { (p, acc) };
+            l + r
+        };
         let clean = m.clean_iters([i, s, k, n], [in1.len(), in2.len()], budget_iters);
         if clean > 0 {
             // Integers below 2⁵³ (see `clean_iters`): the casts and `i₀ + j·s`
-            // are exact, and iteration 0 keeps `i₀`'s zero sign. The add takes
-            // its operands as a pair, as below: an unoptimised build commutes
-            // a bare `acc + p`, which changes which NaN payload survives.
+            // are exact, and iteration 0 keeps `i₀`'s zero sign.
             let (step, j) = (s as usize, clean as usize - 1);
             let at = |x_t: bool| (if x_t { i + k } else { i }) as usize;
             let (b1, b2, span) = (at(m.idx1_t), at(m.idx2_t), j * step + 1);
             let (a, b) = (&in1[b1..b1 + span], &in2[b2..b2 + span]);
-            for x in (0..span).step_by(step) {
-                let p = a[x] * b[x];
-                let (l, r) = if m.acc_first { (acc, p) } else { (p, acc) };
-                acc = l + r;
+            // Unit stride: 4 iterations a trip, adds in order; 1 a trip followed placement.
+            let quads = if step == 1 { span / 4 } else { 0 };
+            let ((qa, ra), (qb, rb)) = (a.split_at(4 * quads), b.split_at(4 * quads));
+            for (x4, y4) in qa.as_chunks::<4>().0.iter().zip(qb.as_chunks::<4>().0) {
+                acc = x4.iter().zip(y4).fold(acc, mac);
             }
+            let (ra, rb) = (ra.iter().step_by(step), rb.iter().step_by(step));
+            acc = ra.zip(rb).fold(acc, mac);
             let last = if j > 0 { i + (j * step) as f64 } else { i };
             t = if h.lag.is_some() { last + k } else { t };
             i = last + s;
@@ -916,18 +924,14 @@ impl LoopRegion {
                 break Out::Exit;
             }
             let x1 = if m.idx1_t { t } else { i };
-            let v1 = match to_index(x1, in1.len()) {
-                Some(j) => in1[j],
-                None => break Out::Fault(m.port1, x1),
+            let Some(j1) = to_index(x1, in1.len()) else {
+                break Out::Fault(m.port1, x1);
             };
             let x2 = if m.idx2_t { t } else { i };
-            let v2 = match to_index(x2, in2.len()) {
-                Some(j) => in2[j],
-                None => break Out::Fault(m.port2, x2),
+            let Some(j2) = to_index(x2, in2.len()) else {
+                break Out::Fault(m.port2, x2);
             };
-            let p = v1 * v2;
-            let (l, r) = if m.acc_first { (acc, p) } else { (p, acc) };
-            acc = l + r;
+            acc = mac(acc, (&in1[j1], &in2[j2]));
             i += s;
             iters += 1;
         };
@@ -1096,9 +1100,7 @@ impl LoopRegion {
     ) -> Result<bool, TvmError> {
         st.instr += iters * self.full_cost;
         *fallbacks += 1;
-        if st.sp + self.peak_full > st.max_sp {
-            st.max_sp = st.sp + self.peak_full;
-        }
+        st.max_sp = st.max_sp.max(st.sp + self.peak_full);
         locals.copy_from_slice(&regs[..self.n_locals as usize]);
         Ok(true)
     }
@@ -1120,9 +1122,7 @@ impl LoopRegion {
         // Completed iterations reached the full-path peak; a first-iteration
         // exit only reached the peak of its partial path.
         let peak = if iters > 0 { self.peak_full } else { ex.peak };
-        if st.sp + peak > st.max_sp {
-            st.max_sp = st.sp + peak;
-        }
+        st.max_sp = st.max_sp.max(st.sp + peak);
         for &r in &ex.pushes {
             pushv_raw(stack, st.sp, regs[r as usize]);
             st.sp += 1;
@@ -1594,6 +1594,22 @@ mod tests {
         assert_eq!(checked_iters("matched_filter_stride2", 64), 0);
         // A fractional step admits no prefix: all 128 iterations are checked.
         assert_eq!(checked_iters("matched_filter_half_step", 64), 128);
+    }
+
+    #[test]
+    fn unit_stride_prefix_matches_reference_at_every_remainder() {
+        // The unit-stride prefix runs four iterations per trip; these
+        // lengths leave every remainder, and the stride-2 kernel takes the
+        // one-at-a-time path.
+        for len in 0..=13 {
+            for name in [
+                "lagged_autocorr",
+                "matched_filter",
+                "matched_filter_stride2",
+            ] {
+                checked_iters(name, len);
+            }
+        }
     }
 
     /// A [`MacLoop`] of the given shape; `clean_iters` reads no register id.
