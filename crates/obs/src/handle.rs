@@ -13,8 +13,13 @@
 //! the snapshot — once it has been bumped, so resolving handles for paths
 //! a run never takes leaves the snapshot exactly as if the metric had
 //! only ever been used by name.
+//!
+//! [`crate::handles!`] declares a layer's handle struct with each metric's
+//! name written once, beside its field; [`Resolve`] is how it builds each
+//! field.
 
 use crate::registry::Histogram;
+use crate::Obs;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -138,4 +143,73 @@ impl HistogramHandle {
             slot.record(value);
         }
     }
+}
+
+/// A handle [`crate::handles!`] can resolve by its metric name.
+pub trait Resolve: Default {
+    fn resolve(obs: &Obs, name: &str) -> Self;
+}
+
+impl Resolve for Counter {
+    fn resolve(obs: &Obs, name: &str) -> Self {
+        obs.counter(name)
+    }
+}
+
+impl Resolve for HistogramHandle {
+    fn resolve(obs: &Obs, name: &str) -> Self {
+        obs.histogram(name)
+    }
+}
+
+/// Declare a struct of metric handles, each field written once beside its
+/// metric name. The struct derives `Default` (every handle inert) and gets
+/// `fn new(&Obs) -> Self`, which resolves every handle by its name; the
+/// fields take the struct's visibility. Fields after a `;` are not one
+/// handle per name: each is built by a `fn(&Obs) -> T`.
+///
+/// ```
+/// obs::handles! {
+///     struct Frames {
+///         sent: obs::Counter = "frames.sent",
+///         size: obs::HistogramHandle = "frames.size",
+///         ;
+///         by_kind: [obs::Counter; 2] = |obs| ["frames.a", "frames.b"].map(|n| obs.counter(n)),
+///     }
+/// }
+/// let observer = obs::Obs::enabled();
+/// let frames = Frames::new(&observer);
+/// frames.sent.incr();
+/// frames.by_kind[1].incr();
+/// assert_eq!(observer.registry().unwrap().counter_value("frames.b"), 1);
+/// ```
+#[macro_export]
+macro_rules! handles {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $ty:ty = $metric:literal,)*
+            $(; $($xfield:ident: $xty:ty = $build:expr,)*)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $name {
+            $($vis $field: $ty,)*
+            $($($vis $xfield: $xty,)*)?
+        }
+
+        impl $name {
+            /// Resolve every handle from `obs`.
+            $vis fn new(obs: &$crate::Obs) -> Self {
+                $name {
+                    $($field: <$ty as $crate::handle::Resolve>::resolve(obs, $metric),)*
+                    $($($xfield: {
+                        let build: fn(&$crate::Obs) -> $xty = $build;
+                        build(obs)
+                    },)*)?
+                }
+            }
+        }
+    };
 }

@@ -13,6 +13,8 @@
 //!   once by name from an `Obs` and bumped on per-message paths with one
 //!   relaxed atomic add — no lock, no map lookup, no allocation. The
 //!   by-name methods on `Obs` resolve and bump in one call, for cold sites.
+//!   A layer declares its handles once with [`handles!`], each field beside
+//!   its metric name, and keeps no second count beside them.
 //!
 //! Snapshots serialize to JSON with a fixed key order and no wall-clock
 //! data, so two identically-seeded runs emit byte-identical files; see
@@ -296,6 +298,46 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(by_name.snapshot_json(), handled.snapshot_json());
+    }
+
+    crate::handles! {
+        struct Declared {
+            first: Counter = "layer.first",
+            second: Counter = "layer.second",
+            latency: HistogramHandle = "layer.latency_us",
+            ;
+            by_kind: [Counter; 2] = |obs| ["layer.kind.a", "layer.kind.b"].map(|n| obs.counter(n)),
+        }
+    }
+
+    #[test]
+    fn declared_handles_record_exactly_their_names() {
+        let obs = Obs::enabled();
+        let declared = Declared::new(&obs);
+        declared.first.incr();
+        declared.second.incr();
+        declared.latency.observe(7);
+        declared.by_kind.iter().for_each(Counter::incr);
+        let snap = json::parse(&obs.snapshot_json().unwrap()).unwrap();
+        let names = |section: &str| -> Vec<String> {
+            let map = snap.get(section).unwrap().as_object().unwrap();
+            map.keys().cloned().collect()
+        };
+        assert_eq!(
+            names("counters"),
+            ["layer.first", "layer.kind.a", "layer.kind.b", "layer.second"]
+        );
+        assert_eq!(names("histograms"), ["layer.latency_us"]);
+        let reg = obs.registry().unwrap();
+        assert_eq!(reg.counter_value("layer.first"), 1);
+        assert_eq!(reg.counter_value("layer.second"), 1);
+
+        let inert = Declared::default();
+        inert.first.incr();
+        inert.latency.observe(7);
+        assert!(inert.first.0.is_none() && inert.second.0.is_none());
+        assert!(inert.latency.0.is_none());
+        assert!(inert.by_kind.iter().all(|c| c.0.is_none()));
     }
 
     #[test]
