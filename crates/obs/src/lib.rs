@@ -325,7 +325,12 @@ mod tests {
         };
         assert_eq!(
             names("counters"),
-            ["layer.first", "layer.kind.a", "layer.kind.b", "layer.second"]
+            [
+                "layer.first",
+                "layer.kind.a",
+                "layer.kind.b",
+                "layer.second"
+            ]
         );
         assert_eq!(names("histograms"), ["layer.latency_us"]);
         let reg = obs.registry().unwrap();

@@ -129,12 +129,6 @@ fn outcome<T: Transport>(
 /// `transport.*` counter values in `observer`.
 pub fn run_sim(spec: &FarmSpec, seed: u64, observer: obs::Obs) -> FarmOutcome {
     let net = SimNet::new(seed);
-    run_sim_on(&net, spec, observer)
-}
-
-/// [`run_sim`] over a given network, whose counters the caller can read
-/// afterwards.
-fn run_sim_on(net: &SimNet, spec: &FarmSpec, observer: obs::Obs) -> FarmOutcome {
     net.set_obs(observer.clone());
     let orch_t = net.add_endpoint(orch_endpoint(), HostSpec::reference_pc());
     let mut workers: Vec<WorkerNode<_>> = (0..spec.n_workers)
@@ -310,17 +304,16 @@ mod tests {
                 .collect(),
             durable_dirs: None,
         };
-        let net = SimNet::new(5);
-        let outcome = run_sim_on(&net, &spec, obs::Obs::disabled());
+        let observer = obs::Obs::enabled();
+        let outcome = run_sim(&spec, 5, observer.clone());
         assert_eq!(outcome.results.len(), 12);
-        let (mut copied, mut delivered) = (0, 0);
-        for ep in 0..=spec.n_workers as u64 {
-            let c = net.counters(Endpoint(ep));
-            assert_eq!(c.retransmits, 0);
-            copied += c.payload_bytes_copied;
-            delivered += c.payload_bytes_delivered;
-        }
+        let reg = observer.registry().expect("obs enabled");
+        assert_eq!(reg.counter_value("transport.retransmits"), 0);
+        let delivered = reg.counter_value("transport.payload_bytes_delivered");
         assert!(delivered > 12 * 512 * 8, "the inputs alone are 48 KiB");
-        assert_eq!(copied, 2 * delivered);
+        assert_eq!(
+            reg.counter_value("transport.payload_bytes_copied"),
+            2 * delivered
+        );
     }
 }

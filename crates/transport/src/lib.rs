@@ -40,7 +40,8 @@
 //! with its retransmit entry until the ack, a decoded payload reaches
 //! [`TransportEvent::Delivered`] as the buffer the decoder filled, and
 //! the harness lends its job list to the orchestrator and moves the
-//! results out. [`TransportCounters`] charges the two wire copies, so a
+//! results out. The `transport.payload_bytes_copied` counter charges the
+//! two wire copies against `transport.payload_bytes_delivered`, so a
 //! simulated farm reads exactly 2 payload bytes copied per payload byte
 //! delivered.
 
@@ -122,24 +123,6 @@ pub trait Transport {
     fn pending(&self) -> usize;
 }
 
-/// Lifetime counters of one endpoint's channel set. The frame counts are
-/// mirrored into the shared obs registry under `transport.*` when an
-/// observer is attached; the payload byte counts are read here only.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportCounters {
-    pub frames_sent: u64,
-    pub frames_recv: u64,
-    pub retransmits: u64,
-    pub acks: u64,
-    /// Payload bytes copied by this endpoint's transport: each frame
-    /// encoded onto the wire and each frame decoded off it. Summed over a
-    /// run and divided by `payload_bytes_delivered`, it is the copies a
-    /// delivered byte costs inside the transport.
-    pub payload_bytes_copied: u64,
-    /// Payload bytes delivered to this endpoint's application.
-    pub payload_bytes_delivered: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,8 +146,11 @@ mod tests {
         refuses(&mut a);
         assert!(!net.step(), "a refused send schedules nothing");
         let mut s = socket::SocketTransport::bind_loopback(Endpoint(1)).unwrap();
+        let observer = obs::Obs::enabled();
+        s.set_obs(observer.clone());
         s.register_peer(Endpoint(2), "127.0.0.1:9".parse().unwrap());
         refuses(&mut s);
-        assert_eq!(s.counters(), TransportCounters::default());
+        let untouched = obs::Obs::enabled().snapshot_json();
+        assert_eq!(observer.snapshot_json(), untouched, "nothing was counted");
     }
 }

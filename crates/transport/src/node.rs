@@ -45,27 +45,16 @@ fn blob_advert(ep: Endpoint, module: &ModuleInfo, chunk_bytes: u64) -> Advertise
     }
 }
 
-/// The per-job and per-chunk `transport.*` counters of a node, resolved
-/// once at construction.
-struct NodeMetrics {
-    proto_errors: Counter,
-    jobs_dispatched: Counter,
-    jobs_completed: Counter,
-    chunks_requested: Counter,
-    chunks_served: Counter,
-    verify_failures: Counter,
-}
-
-impl NodeMetrics {
-    fn new(obs: &obs::Obs) -> Self {
-        NodeMetrics {
-            proto_errors: obs.counter("transport.proto_errors"),
-            jobs_dispatched: obs.counter("transport.jobs_dispatched"),
-            jobs_completed: obs.counter("transport.jobs_completed"),
-            chunks_requested: obs.counter("transport.chunks_requested"),
-            chunks_served: obs.counter("transport.chunks_served"),
-            verify_failures: obs.counter("transport.verify_failures"),
-        }
+obs::handles! {
+    /// The per-job and per-chunk `transport.*` counters of a node, resolved
+    /// once at construction.
+    struct NodeMetrics {
+        proto_errors: Counter = "transport.proto_errors",
+        jobs_dispatched: Counter = "transport.jobs_dispatched",
+        jobs_completed: Counter = "transport.jobs_completed",
+        chunks_requested: Counter = "transport.chunks_requested",
+        chunks_served: Counter = "transport.chunks_served",
+        verify_failures: Counter = "transport.verify_failures",
     }
 }
 

@@ -25,7 +25,7 @@
 //! only how frames reach peers and how they arrive.
 
 use crate::frame::{Endpoint, Frame, FrameKind, HEADER_LEN, MAX_PAYLOAD};
-use crate::{TransportCounters, TransportError, TransportEvent};
+use crate::{TransportError, TransportEvent};
 use netsim::{Duration, SimTime};
 use obs::Counter;
 use std::collections::{BTreeMap, VecDeque};
@@ -368,37 +368,27 @@ pub(crate) struct ChannelSet {
     sink: Sink,
 }
 
-/// The per-frame `transport.*` counters of a [`ChannelSet`], resolved once
-/// in [`ChannelSet::set_obs`].
-#[derive(Default)]
-struct FrameMetrics {
-    frames_sent: Counter,
-    frames_recv: Counter,
-    retransmits: Counter,
-    acks: Counter,
-    decode_errors: Counter,
-    sends_to_dead: Counter,
-    reorder_refused: Counter,
-}
-
-impl FrameMetrics {
-    fn new(obs: &obs::Obs) -> Self {
-        FrameMetrics {
-            frames_sent: obs.counter("transport.frames_sent"),
-            frames_recv: obs.counter("transport.frames_recv"),
-            retransmits: obs.counter("transport.retransmits"),
-            acks: obs.counter("transport.acks"),
-            decode_errors: obs.counter("transport.decode_errors"),
-            sends_to_dead: obs.counter("transport.sends_to_dead"),
-            reorder_refused: obs.counter("transport.reorder_refused"),
-        }
+obs::handles! {
+    /// The per-frame `transport.*` counters of a [`ChannelSet`], resolved
+    /// once in [`ChannelSet::set_obs`]. The payload byte counts charge each
+    /// frame encoded onto the wire and each frame decoded off it, against
+    /// the bytes delivered to the application.
+    struct FrameMetrics {
+        frames_sent: Counter = "transport.frames_sent",
+        frames_recv: Counter = "transport.frames_recv",
+        retransmits: Counter = "transport.retransmits",
+        acks: Counter = "transport.acks",
+        decode_errors: Counter = "transport.decode_errors",
+        sends_to_dead: Counter = "transport.sends_to_dead",
+        reorder_refused: Counter = "transport.reorder_refused",
+        payload_bytes_copied: Counter = "transport.payload_bytes_copied",
+        payload_bytes_delivered: Counter = "transport.payload_bytes_delivered",
     }
 }
 
 /// Where channel outputs land: the inbox and the counters.
 struct Sink {
     inbox: VecDeque<TransportEvent>,
-    counters: TransportCounters,
     metrics: FrameMetrics,
 }
 
@@ -409,12 +399,13 @@ impl Sink {
             match o {
                 ChanOut::Transmit(f) => self.transmit(&f, wire),
                 ChanOut::Retransmit(f) => {
-                    self.counters.retransmits += 1;
                     self.metrics.retransmits.incr();
                     self.transmit(&f, wire);
                 }
                 ChanOut::Deliver(payload) => {
-                    self.counters.payload_bytes_delivered += payload.len() as u64;
+                    self.metrics
+                        .payload_bytes_delivered
+                        .add(payload.len() as u64);
                     self.inbox.push_back(TransportEvent::Delivered {
                         from: peer,
                         payload,
@@ -428,13 +419,13 @@ impl Sink {
     }
 
     fn transmit(&mut self, frame: &Frame, wire: &mut impl Wire) {
-        self.counters.frames_sent += 1;
         self.metrics.frames_sent.incr();
         if frame.kind == FrameKind::Ack {
-            self.counters.acks += 1;
             self.metrics.acks.incr();
         }
-        self.counters.payload_bytes_copied += frame.payload.len() as u64;
+        self.metrics
+            .payload_bytes_copied
+            .add(frame.payload.len() as u64);
         wire.transmit(frame);
     }
 }
@@ -447,7 +438,6 @@ impl ChannelSet {
             channels: BTreeMap::new(),
             sink: Sink {
                 inbox: VecDeque::new(),
-                counters: TransportCounters::default(),
                 metrics: FrameMetrics::default(),
             },
         }
@@ -456,10 +446,6 @@ impl ChannelSet {
     /// Feed the `transport.*` counters to `observer`'s registry.
     pub(crate) fn set_obs(&mut self, observer: &obs::Obs) {
         self.sink.metrics = FrameMetrics::new(observer);
-    }
-
-    pub(crate) fn counters(&self) -> TransportCounters {
-        self.sink.counters
     }
 
     fn channel(&mut self, peer: Endpoint, now: SimTime) -> &mut PeerChannel {
@@ -495,7 +481,10 @@ impl ChannelSet {
     pub(crate) fn decode(&mut self, datagram: &[u8]) -> Option<Frame> {
         match Frame::decode(datagram) {
             Ok(frame) => {
-                self.sink.counters.payload_bytes_copied += frame.payload.len() as u64;
+                self.sink
+                    .metrics
+                    .payload_bytes_copied
+                    .add(frame.payload.len() as u64);
                 Some(frame)
             }
             Err(_) => {
@@ -513,7 +502,6 @@ impl ChannelSet {
         out: &mut Vec<ChanOut>,
         wire: &mut impl Wire,
     ) {
-        self.sink.counters.frames_recv += 1;
         self.sink.metrics.frames_recv.incr();
         let peer = frame.src;
         self.channel(peer, now).on_frame(now, frame, out);

@@ -13,7 +13,7 @@
 
 use crate::frame::{Endpoint, Frame};
 use crate::reliab::{ChanOut, ChannelConfig, ChannelSet, Wire};
-use crate::{Transport, TransportCounters, TransportError, TransportEvent};
+use crate::{Transport, TransportError, TransportEvent};
 use netsim::{HostId, HostSpec, Network, PayloadArena, PayloadId, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -226,16 +226,6 @@ impl SimNet {
         w.obs.add("netsim.payload_allocs", stats.allocs);
         w.obs.add("netsim.payload_reuses", stats.reuses);
     }
-
-    /// Lifetime counters for one endpoint.
-    pub fn counters(&self, ep: Endpoint) -> TransportCounters {
-        self.world
-            .borrow()
-            .eps
-            .get(&ep)
-            .map(|s| s.set.borrow().counters())
-            .unwrap_or_default()
-    }
 }
 
 /// A [`Transport`] handle onto one endpoint of a [`SimNet`].
@@ -292,6 +282,19 @@ mod tests {
         (net, a, b)
     }
 
+    /// An enabled observer attached to `net`, read back by [`count`].
+    fn observed(net: &SimNet) -> obs::Obs {
+        let observer = obs::Obs::enabled();
+        net.set_obs(observer.clone());
+        observer
+    }
+
+    /// The net-wide value of the `transport.<name>` counter.
+    fn count(observer: &obs::Obs, name: &str) -> u64 {
+        let reg = observer.registry().expect("obs enabled");
+        reg.counter_value(&format!("transport.{name}"))
+    }
+
     fn drain(net: &SimNet) {
         let mut guard = 0;
         while net.step() {
@@ -300,9 +303,13 @@ mod tests {
         }
     }
 
+    /// Each frame fact is counted once: one data frame and its ack, each
+    /// sent and received once, and the payload copied onto and off the
+    /// wire once each.
     #[test]
     fn payload_travels_and_acks_flow() {
         let (net, mut a, mut b) = world_pair();
+        let observer = observed(&net);
         a.send(Endpoint(2), b"hello grid".to_vec()).unwrap();
         drain(&net);
         let mut evs = Vec::new();
@@ -314,12 +321,12 @@ mod tests {
                 payload: b"hello grid".to_vec()
             }]
         );
-        let ca = net.counters(Endpoint(1));
-        let cb = net.counters(Endpoint(2));
-        // a sent one data frame, b acked it; nothing retransmitted.
-        assert_eq!((ca.frames_sent, ca.retransmits), (1, 0));
-        assert_eq!((cb.frames_recv, cb.acks), (1, 1));
-        assert_eq!(ca.frames_recv, 1, "a received the ack");
+        let c = |name| count(&observer, name);
+        assert_eq!(c("frames_sent"), 2, "a data frame and its ack");
+        assert_eq!(c("frames_recv"), 2);
+        assert_eq!((c("acks"), c("retransmits")), (1, 0));
+        assert_eq!(c("payload_bytes_delivered"), 10);
+        assert_eq!(c("payload_bytes_copied"), 2 * 10);
     }
 
     #[test]
@@ -344,8 +351,7 @@ mod tests {
     #[test]
     fn offline_peer_is_declared_dead_after_retries() {
         let (net, mut a, mut b) = world_pair();
-        let observer = obs::Obs::enabled();
-        net.set_obs(observer.clone());
+        let observer = observed(&net);
         net.set_online(Endpoint(2), false);
         // More than one window, so part of it is still backlogged when
         // the peer is given up on.
@@ -360,14 +366,13 @@ mod tests {
         let mut bev = Vec::new();
         b.poll(&mut bev);
         assert!(bev.is_empty());
-        assert!(net.counters(Endpoint(1)).retransmits > 0);
+        assert!(count(&observer, "retransmits") > 0);
         // A dead channel holds nothing, and drops what it is offered next.
         assert_eq!(a.pending(), 0);
         a.send(Endpoint(2), vec![9]).unwrap();
         assert_eq!(a.pending(), 0);
         assert!(!net.step(), "a dropped send schedules nothing");
-        let reg = observer.registry().expect("obs enabled");
-        assert_eq!(reg.counter_value("transport.sends_to_dead"), 1);
+        assert_eq!(count(&observer, "sends_to_dead"), 1);
     }
 
     /// The `simnet_bulk` shape at transport level: an orchestrator hands
@@ -377,6 +382,7 @@ mod tests {
     #[test]
     fn bulk_burst_over_dsl_needs_no_retransmits() {
         let net = SimNet::new(1);
+        let observer = observed(&net);
         let mut orch = net.add_endpoint(Endpoint(0), HostSpec::reference_pc());
         let mut workers: Vec<SimEndpoint> = (1..=8)
             .map(|i| net.add_endpoint(Endpoint(i), HostSpec::reference_pc()))
@@ -404,12 +410,10 @@ mod tests {
             }
         }
         assert_eq!((dispatched, results), (256, 256));
-        for ep in 0..=8 {
-            let c = net.counters(Endpoint(ep));
-            assert_eq!(c.retransmits, 0, "ep{ep} retransmitted");
-        }
-        // One data frame and one ack per payload, nothing else.
-        assert_eq!(net.counters(Endpoint(0)).frames_sent, 256 + 256);
+        // One data frame and one ack per payload each way, nothing else.
+        assert_eq!(count(&observer, "retransmits"), 0);
+        assert_eq!(count(&observer, "frames_sent"), 4 * 256);
+        assert_eq!(count(&observer, "acks"), 2 * 256);
         assert_eq!(orch.pending(), 0);
     }
 
@@ -417,13 +421,14 @@ mod tests {
     fn identical_seeds_give_identical_histories() {
         let run = || {
             let (net, mut a, mut b) = world_pair();
+            let observer = observed(&net);
             for i in 0..10u8 {
                 a.send(Endpoint(2), vec![i; (i as usize % 5) + 1]).unwrap();
             }
             drain(&net);
             let mut evs = Vec::new();
             b.poll(&mut evs);
-            (format!("{evs:?}"), net.counters(Endpoint(1)), b.now())
+            (format!("{evs:?}"), observer.snapshot_json(), b.now())
         };
         assert_eq!(run(), run());
     }

@@ -17,7 +17,7 @@
 
 use crate::frame::{Endpoint, Frame, MAX_PAYLOAD};
 use crate::reliab::{ChanOut, ChannelConfig, ChannelSet, Wire};
-use crate::{Transport, TransportCounters, TransportError, TransportEvent};
+use crate::{Transport, TransportError, TransportEvent};
 use netsim::SimTime;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -107,10 +107,6 @@ impl SocketTransport {
         self.udp.peers.insert(ep, addr);
     }
 
-    pub fn counters(&self) -> TransportCounters {
-        self.set.counters()
-    }
-
     /// Block until a datagram arrives (left for the next
     /// [`Transport::poll`]), a channel timer falls due or `limit` passes.
     /// A wait that times out ends up to [`WAIT_SLACK`] late.
@@ -198,6 +194,17 @@ mod tests {
         (a, b)
     }
 
+    /// Give `t` an observer of its own and return a reader of its
+    /// `transport.<name>` counters.
+    fn observe(t: &mut SocketTransport) -> impl Fn(&str) -> u64 {
+        let observer = obs::Obs::enabled();
+        t.set_obs(observer.clone());
+        move |name| {
+            let reg = observer.registry().expect("obs enabled");
+            reg.counter_value(&format!("transport.{name}"))
+        }
+    }
+
     /// Poll both transports until `want` deliveries reached `b` or the
     /// wall-clock budget runs out.
     fn pump_until(
@@ -227,6 +234,7 @@ mod tests {
     #[test]
     fn loopback_delivery_in_order() {
         let (mut a, mut b) = linked_pair();
+        let (a_count, b_count) = (observe(&mut a), observe(&mut b));
         for i in 0..10u8 {
             a.send(Endpoint(2), vec![i]).unwrap();
         }
@@ -239,8 +247,8 @@ mod tests {
             })
             .collect();
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
-        assert!(a.counters().frames_sent >= 10);
-        assert!(b.counters().acks >= 10);
+        assert!(a_count("frames_sent") >= 10);
+        assert!(b_count("acks") >= 10);
     }
 
     #[test]
@@ -300,6 +308,7 @@ mod tests {
     #[test]
     fn a_due_retransmit_ends_the_wait() {
         let mut a = SocketTransport::bind_loopback(Endpoint(1)).unwrap();
+        let a_count = observe(&mut a);
         // A silent peer: a bound socket nobody reads.
         let silent = SocketTransport::bind_loopback(Endpoint(2)).unwrap();
         a.register_peer(Endpoint(2), silent.local_addr().unwrap());
@@ -315,8 +324,8 @@ mod tests {
         // which is milliseconds, not the 10 s limit.
         assert!(waited >= std::time::Duration::from_millis(1), "{waited:?}");
         assert!(waited < std::time::Duration::from_millis(100), "{waited:?}");
-        assert_eq!(a.counters().retransmits, 0);
+        assert_eq!(a_count("retransmits"), 0);
         a.poll(&mut Vec::new());
-        assert_eq!(a.counters().retransmits, 1, "the retransmit follows");
+        assert_eq!(a_count("retransmits"), 1, "the retransmit follows");
     }
 }
