@@ -100,35 +100,19 @@ pub struct MembershipChange {
     pub reassigned: Vec<u64>,
 }
 
-/// The `orch.*` counters, resolved once in [`Orchestrators::set_obs`].
-#[derive(Default)]
-struct OrchMetrics {
-    deltas_broadcast: Counter,
-    delta_send_failures: Counter,
-    deltas_applied: Counter,
-    anti_entropy_repairs: Counter,
-    gossip_rounds: Counter,
-    owners_reassigned: Counter,
-    elections: Counter,
-    handoffs: Counter,
-    member_down: Counter,
-    member_up: Counter,
-}
-
-impl OrchMetrics {
-    fn new(obs: &Obs) -> Self {
-        OrchMetrics {
-            deltas_broadcast: obs.counter("orch.deltas_broadcast"),
-            delta_send_failures: obs.counter("orch.delta_send_failures"),
-            deltas_applied: obs.counter("orch.deltas_applied"),
-            anti_entropy_repairs: obs.counter("orch.anti_entropy_repairs"),
-            gossip_rounds: obs.counter("orch.gossip_rounds"),
-            owners_reassigned: obs.counter("orch.owners_reassigned"),
-            elections: obs.counter("orch.elections"),
-            handoffs: obs.counter("orch.handoffs"),
-            member_down: obs.counter("orch.member_down"),
-            member_up: obs.counter("orch.member_up"),
-        }
+obs::handles! {
+    /// The `orch.*` counters, resolved once in [`Orchestrators::set_obs`].
+    struct OrchMetrics {
+        deltas_broadcast: Counter = "orch.deltas_broadcast",
+        delta_send_failures: Counter = "orch.delta_send_failures",
+        deltas_applied: Counter = "orch.deltas_applied",
+        anti_entropy_repairs: Counter = "orch.anti_entropy_repairs",
+        gossip_rounds: Counter = "orch.gossip_rounds",
+        owners_reassigned: Counter = "orch.owners_reassigned",
+        elections: Counter = "orch.elections",
+        handoffs: Counter = "orch.handoffs",
+        member_down: Counter = "orch.member_down",
+        member_up: Counter = "orch.member_up",
     }
 }
 
@@ -149,16 +133,12 @@ pub struct Orchestrators {
     /// Salt for the deterministic per-job locality jitter.
     seed: u64,
     rounds: u64,
-    elections: u64,
-    handoffs: u64,
-    repairs: u64,
-    broadcasts: u64,
     metrics: OrchMetrics,
 }
 
 impl Orchestrators {
     /// Build the set and run the bootstrap election (not counted in
-    /// `elections()`; there is no handoff at birth).
+    /// `orch.elections`; there is no handoff at birth).
     pub fn new(specs: &[OrchestratorSpec], seed: u64, cfg: OrchConfig) -> Self {
         assert!(!specs.is_empty(), "an orchestrator set needs members");
         let members: Vec<Member> = specs
@@ -184,10 +164,6 @@ impl Orchestrators {
             authority: Replica::default(),
             seed,
             rounds: 0,
-            elections: 0,
-            handoffs: 0,
-            repairs: 0,
-            broadcasts: 0,
             metrics: OrchMetrics::default(),
         }
     }
@@ -257,32 +233,12 @@ impl Orchestrators {
         self.cfg.anti_entropy
     }
 
-    pub fn elections(&self) -> u64 {
-        self.elections
-    }
-
-    pub fn handoffs(&self) -> u64 {
-        self.handoffs
-    }
-
-    pub fn gossip_rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// The anti-entropy round budget ([`OrchConfig::max_rounds`]) is spent.
     /// Schedulers use this to stop re-arming the tick when a run cannot
     /// reach quiescence — the terminating backstop against a livelocked
     /// world ticking forever.
     pub fn tick_exhausted(&self) -> bool {
         self.rounds >= self.cfg.max_rounds
-    }
-
-    pub fn anti_entropy_repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    pub fn deltas_broadcast(&self) -> u64 {
-        self.broadcasts
     }
 
     /// The authoritative replicated state (fully-applied log).
@@ -428,7 +384,6 @@ impl Orchestrators {
             if i == self.leader || !self.members[i].up {
                 continue;
             }
-            self.broadcasts += 1;
             self.metrics.deltas_broadcast.incr();
             let msg = Message::OrchDelta {
                 seq,
@@ -449,7 +404,6 @@ impl Orchestrators {
         };
         let n = if sync {
             let n = self.replicas[idx].catch_up(&self.log, seq, count);
-            self.repairs += n;
             self.metrics.anti_entropy_repairs.add(n);
             n
         } else {
@@ -517,7 +471,6 @@ impl Orchestrators {
         }
         let from = self.replicas[self.leader].applied();
         let n = self.replicas[self.leader].catch_up(&self.log, from, behind);
-        self.repairs += n;
         self.metrics.anti_entropy_repairs.add(n);
         self.metrics.deltas_applied.add(n);
         n
@@ -565,8 +518,6 @@ impl Orchestrators {
                 self.leader = idx;
                 self.has_leader = true;
                 self.epoch += 1;
-                self.elections += 1;
-                self.handoffs += 1;
                 self.metrics.elections.incr();
                 self.metrics.handoffs.incr();
                 self.catch_up_leader();
@@ -892,6 +843,8 @@ mod tests {
     fn leader_crash_elects_next_best_and_reassigns_orphans() {
         let (mut w, specs) = world(3);
         let orch = OrchestratorHandle::new(Orchestrators::new(&specs, 1, OrchConfig::default()));
+        let observer = Obs::enabled();
+        orch.set_obs(observer.clone());
         assert_eq!(orch.inner().leader_index(), 0); // highest eligibility
         let jobs: Vec<u64> = (0..8).collect();
         for &j in &jobs {
@@ -901,7 +854,8 @@ mod tests {
         let change = orch.set_member_down(&mut w.sim, &mut w.net, &mut w.p2p, 0);
         assert!(change.was_leader);
         assert_eq!(orch.inner().leader_index(), 1);
-        assert_eq!(orch.inner().elections(), 1);
+        let reg = observer.registry().expect("obs enabled");
+        assert_eq!(reg.counter_value("orch.elections"), 1);
         // Every unit the dead member owned moved to a live owner, and any
         // stamp minted before the change is now stale for those units.
         for &j in &jobs {
@@ -917,6 +871,8 @@ mod tests {
     fn anti_entropy_repairs_a_revived_member() {
         let (mut w, specs) = world(3);
         let orch = OrchestratorHandle::new(Orchestrators::new(&specs, 1, OrchConfig::default()));
+        let observer = Obs::enabled();
+        orch.set_obs(observer.clone());
         orch.set_member_down(&mut w.sim, &mut w.net, &mut w.p2p, 2);
         w.net.set_online(specs[2].host, false);
         for job in 0..6 {
@@ -933,7 +889,8 @@ mod tests {
             rounds += 1;
         }
         assert!(orch.converged());
-        assert!(orch.inner().anti_entropy_repairs() >= 6);
+        let reg = observer.registry().expect("obs enabled");
+        assert!(reg.counter_value("orch.anti_entropy_repairs") >= 6);
     }
 
     #[test]
