@@ -273,88 +273,46 @@ pub struct FarmStats {
 /// retired-instruction stats on success, the sandbox/runtime error otherwise.
 pub type ResidentExec = Result<(Vec<Vec<f64>>, tvm::ExecStats), tvm::TvmError>;
 
-/// The scheduler's counters and latency histograms, resolved once in
-/// [`FarmScheduler::set_obs`]; events and the blacklist gauge go through
-/// the scheduler's `Obs` by name.
-#[derive(Default)]
-struct FarmMetrics {
-    dispatches: Counter,
-    retries: Counter,
-    completions: Counter,
-    module_cache_hits: Counter,
-    module_cache_misses: Counter,
-    module_bytes_sent: Counter,
-    requeues: Counter,
-    migrations: Counter,
-    worker_up: Counter,
-    worker_down: Counter,
-    local_rebuilds: Counter,
-    swarm_fetches: Counter,
-    chunk_reroutes: Counter,
-    blobs_verified: Counter,
-    verify_failures: Counter,
-    seed_adverts: Counter,
-    provider_expired: Counter,
-    fallback_no_provider: Counter,
-    providers_used: Counter,
-    bytes_from_controller: Counter,
-    bytes_from_peers: Counter,
-    votes_agreed: Counter,
-    votes_dissented: Counter,
-    speculative_dispatches: Counter,
-    speculative_wins: Counter,
-    speculative_losses: Counter,
-    speculative_cancelled: Counter,
-    speculative_wasted_us: Counter,
-    straggler_checks: Counter,
-    abandons: Counter,
-    stale_outputs_dropped: Counter,
-    output_retransfers: Counter,
-    returning_requeued: Counter,
-    job_latency_us: HistogramHandle,
-    chunk_fetch_us: HistogramHandle,
-}
-
-impl FarmMetrics {
-    fn new(obs: &Obs) -> Self {
-        let c = |name| obs.counter(name);
-        FarmMetrics {
-            dispatches: c("farm.dispatches"),
-            retries: c("farm.retries"),
-            completions: c("farm.completions"),
-            module_cache_hits: c("farm.module_cache_hits"),
-            module_cache_misses: c("farm.module_cache_misses"),
-            module_bytes_sent: c("farm.module_bytes_sent"),
-            requeues: c("farm.requeues"),
-            migrations: c("farm.migrations"),
-            worker_up: c("farm.worker_up"),
-            worker_down: c("farm.worker_down"),
-            local_rebuilds: c("store.local_rebuilds"),
-            swarm_fetches: c("store.swarm_fetches"),
-            chunk_reroutes: c("store.chunk_reroutes"),
-            blobs_verified: c("store.blobs_verified"),
-            verify_failures: c("store.verify_failures"),
-            seed_adverts: c("store.seed_adverts"),
-            provider_expired: c("store.provider_expired"),
-            fallback_no_provider: c("store.fallback_no_provider"),
-            providers_used: c("store.providers_used"),
-            bytes_from_controller: c("store.bytes_from_controller"),
-            bytes_from_peers: c("store.bytes_from_peers"),
-            votes_agreed: c("trust.votes_agreed"),
-            votes_dissented: c("trust.votes_dissented"),
-            speculative_dispatches: c("trust.speculative_dispatches"),
-            speculative_wins: c("trust.speculative_wins"),
-            speculative_losses: c("trust.speculative_losses"),
-            speculative_cancelled: c("trust.speculative_cancelled"),
-            speculative_wasted_us: c("trust.speculative_wasted_us"),
-            straggler_checks: c("trust.straggler_checks"),
-            abandons: c("trust.abandons"),
-            stale_outputs_dropped: c("orch.stale_outputs_dropped"),
-            output_retransfers: c("orch.output_retransfers"),
-            returning_requeued: c("orch.returning_requeued"),
-            job_latency_us: obs.histogram("farm.job_latency_us"),
-            chunk_fetch_us: obs.histogram("store.chunk_fetch_us"),
-        }
+obs::handles! {
+    /// The scheduler's counters and latency histograms, resolved once in
+    /// [`FarmScheduler::set_obs`]; events and the blacklist gauge go through
+    /// the scheduler's `Obs` by name.
+    struct FarmMetrics {
+        dispatches: Counter = "farm.dispatches",
+        retries: Counter = "farm.retries",
+        completions: Counter = "farm.completions",
+        module_cache_hits: Counter = "farm.module_cache_hits",
+        module_cache_misses: Counter = "farm.module_cache_misses",
+        module_bytes_sent: Counter = "farm.module_bytes_sent",
+        requeues: Counter = "farm.requeues",
+        migrations: Counter = "farm.migrations",
+        worker_up: Counter = "farm.worker_up",
+        worker_down: Counter = "farm.worker_down",
+        local_rebuilds: Counter = "store.local_rebuilds",
+        swarm_fetches: Counter = "store.swarm_fetches",
+        chunk_reroutes: Counter = "store.chunk_reroutes",
+        blobs_verified: Counter = "store.blobs_verified",
+        verify_failures: Counter = "store.verify_failures",
+        seed_adverts: Counter = "store.seed_adverts",
+        provider_expired: Counter = "store.provider_expired",
+        fallback_no_provider: Counter = "store.fallback_no_provider",
+        providers_used: Counter = "store.providers_used",
+        bytes_from_controller: Counter = "store.bytes_from_controller",
+        bytes_from_peers: Counter = "store.bytes_from_peers",
+        votes_agreed: Counter = "trust.votes_agreed",
+        votes_dissented: Counter = "trust.votes_dissented",
+        speculative_dispatches: Counter = "trust.speculative_dispatches",
+        speculative_wins: Counter = "trust.speculative_wins",
+        speculative_losses: Counter = "trust.speculative_losses",
+        speculative_cancelled: Counter = "trust.speculative_cancelled",
+        speculative_wasted_us: Counter = "trust.speculative_wasted_us",
+        straggler_checks: Counter = "trust.straggler_checks",
+        abandons: Counter = "trust.abandons",
+        stale_outputs_dropped: Counter = "orch.stale_outputs_dropped",
+        output_retransfers: Counter = "orch.output_retransfers",
+        returning_requeued: Counter = "orch.returning_requeued",
+        job_latency_us: HistogramHandle = "farm.job_latency_us",
+        chunk_fetch_us: HistogramHandle = "store.chunk_fetch_us",
     }
 }
 

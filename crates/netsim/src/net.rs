@@ -46,12 +46,13 @@ pub struct NetStats {
     pub dropped: u64,
 }
 
-/// The `net.*` counters, resolved once in [`Network::set_obs`].
-#[derive(Default)]
-struct NetMetrics {
-    transfers: obs::Counter,
-    bytes: obs::Counter,
-    dropped: obs::Counter,
+obs::handles! {
+    /// The `net.*` counters, resolved once in [`Network::set_obs`].
+    struct NetMetrics {
+        transfers: obs::Counter = "net.transfers",
+        bytes: obs::Counter = "net.bytes",
+        dropped: obs::Counter = "net.dropped",
+    }
 }
 
 /// The host table plus link-queue state.
@@ -126,11 +127,7 @@ impl Network {
     /// Attach a metrics observer; every [`Network::transfer`] then also feeds
     /// the `net.*` counters in the shared registry.
     pub fn set_obs(&mut self, observer: obs::Obs) {
-        self.metrics = NetMetrics {
-            transfers: observer.counter("net.transfers"),
-            bytes: observer.counter("net.bytes"),
-            dropped: observer.counter("net.dropped"),
-        };
+        self.metrics = NetMetrics::new(&observer);
     }
 
     pub fn add_host(&mut self, spec: HostSpec) -> HostId {
