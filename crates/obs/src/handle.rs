@@ -177,11 +177,7 @@ impl Resolve for HistogramHandle {
 ///         by_kind: [obs::Counter; 2] = |obs| ["frames.a", "frames.b"].map(|n| obs.counter(n)),
 ///     }
 /// }
-/// let observer = obs::Obs::enabled();
-/// let frames = Frames::new(&observer);
-/// frames.sent.incr();
-/// frames.by_kind[1].incr();
-/// assert_eq!(observer.registry().unwrap().counter_value("frames.b"), 1);
+/// Frames::new(&obs::Obs::enabled()).by_kind[1].incr();
 /// ```
 #[macro_export]
 macro_rules! handles {
