@@ -165,19 +165,16 @@ impl Resolve for HistogramHandle {
 /// Declare a struct of metric handles, each field written once beside its
 /// metric name. The struct derives `Default` (every handle inert) and gets
 /// `fn new(&Obs) -> Self`, which resolves every handle by its name; the
-/// fields take the struct's visibility. Fields after a `;` are not one
-/// handle per name: each is built by a `fn(&Obs) -> T`.
+/// fields take the struct's visibility.
 ///
 /// ```
 /// obs::handles! {
 ///     struct Frames {
 ///         sent: obs::Counter = "frames.sent",
 ///         size: obs::HistogramHandle = "frames.size",
-///         ;
-///         by_kind: [obs::Counter; 2] = |obs| ["frames.a", "frames.b"].map(|n| obs.counter(n)),
 ///     }
 /// }
-/// Frames::new(&obs::Obs::enabled()).by_kind[1].incr();
+/// Frames::new(&obs::Obs::enabled()).sent.incr();
 /// ```
 #[macro_export]
 macro_rules! handles {
@@ -185,14 +182,12 @@ macro_rules! handles {
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
             $($field:ident: $ty:ty = $metric:literal,)*
-            $(; $($xfield:ident: $xty:ty = $build:expr,)*)?
         }
     ) => {
         $(#[$meta])*
         #[derive(Default)]
         $vis struct $name {
             $($vis $field: $ty,)*
-            $($($vis $xfield: $xty,)*)?
         }
 
         impl $name {
@@ -200,10 +195,6 @@ macro_rules! handles {
             $vis fn new(obs: &$crate::Obs) -> Self {
                 $name {
                     $($field: <$ty as $crate::handle::Resolve>::resolve(obs, $metric),)*
-                    $($($xfield: {
-                        let build: fn(&$crate::Obs) -> $xty = $build;
-                        build(obs)
-                    },)*)?
                 }
             }
         }

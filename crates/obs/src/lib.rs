@@ -305,8 +305,6 @@ mod tests {
             first: Counter = "layer.first",
             second: Counter = "layer.second",
             latency: HistogramHandle = "layer.latency_us",
-            ;
-            by_kind: [Counter; 2] = |obs| ["layer.kind.a", "layer.kind.b"].map(|n| obs.counter(n)),
         }
     }
 
@@ -317,21 +315,12 @@ mod tests {
         declared.first.incr();
         declared.second.incr();
         declared.latency.observe(7);
-        declared.by_kind.iter().for_each(Counter::incr);
         let snap = json::parse(&obs.snapshot_json().unwrap()).unwrap();
         let names = |section: &str| -> Vec<String> {
             let map = snap.get(section).unwrap().as_object().unwrap();
             map.keys().cloned().collect()
         };
-        assert_eq!(
-            names("counters"),
-            [
-                "layer.first",
-                "layer.kind.a",
-                "layer.kind.b",
-                "layer.second"
-            ]
-        );
+        assert_eq!(names("counters"), ["layer.first", "layer.second"]);
         assert_eq!(names("histograms"), ["layer.latency_us"]);
         let reg = obs.registry().unwrap();
         assert_eq!(reg.counter_value("layer.first"), 1);
@@ -342,7 +331,6 @@ mod tests {
         inert.latency.observe(7);
         assert!(inert.first.0.is_none() && inert.second.0.is_none());
         assert!(inert.latency.0.is_none());
-        assert!(inert.by_kind.iter().all(|c| c.0.is_none()));
     }
 
     #[test]

@@ -200,9 +200,9 @@ pub enum Incoming {
 }
 
 obs::handles! {
-    /// The overlay's counters, resolved once in [`P2p::set_obs`]. Events and
-    /// once-per-run counters (bootstrap, purge, poisoning) go through `obs` by
-    /// name.
+    /// The overlay's counters, resolved once in [`P2p::set_obs`]. The
+    /// per-kind sent counters are [`P2p::sent`]; events and once-per-run
+    /// counters (bootstrap, purge, poisoning) go through [`P2p::obs`] by name.
     pub(crate) struct P2pMetrics {
         messages_sent: Counter = "p2p.messages_sent",
         bytes_sent: Counter = "p2p.bytes_sent",
@@ -230,9 +230,6 @@ obs::handles! {
         provider_records_stored: Counter = "p2p.provider_records_stored",
         reply_contacts_refused: Counter = "p2p.reply_contacts_refused",
         reply_providers_refused: Counter = "p2p.reply_providers_refused",
-        ;
-        sent: [Counter; 11] = |obs| Message::SENT_COUNTERS.map(|name| obs.counter(name)),
-        obs: Obs = Obs::clone,
     }
 }
 
@@ -245,6 +242,9 @@ pub struct P2p {
     next_query: u64,
     pub(crate) rendezvous_peers: Vec<PeerId>,
     pub(crate) metrics: P2pMetrics,
+    /// `p2p.sent.<kind>`, indexed by [`Message::kind`].
+    pub(crate) sent: [Counter; 11],
+    pub(crate) obs: Obs,
     /// Tuning for routed mode (read at bootstrap and per lookup).
     pub routed_cfg: RoutedConfig,
     /// In-progress iterative lookups, keyed by wire lookup ID.
@@ -282,6 +282,8 @@ impl P2p {
             next_query: 0,
             rendezvous_peers: Vec::new(),
             metrics: P2pMetrics::default(),
+            sent: Default::default(),
+            obs: Obs::disabled(),
             routed_cfg: RoutedConfig::default(),
             lookups: IdMap::default(),
             next_lookup: 0,
@@ -339,6 +341,8 @@ impl P2p {
     /// advert cache activity and send failures are recorded through it.
     pub fn set_obs(&mut self, obs: Obs) {
         self.metrics = P2pMetrics::new(&obs);
+        self.sent = Message::SENT_COUNTERS.map(|name| obs.counter(name));
+        self.obs = obs;
     }
 
     /// Enrol a host as a peer.
@@ -488,7 +492,7 @@ impl P2p {
                 }
                 self.metrics.messages_sent.incr();
                 self.metrics.bytes_sent.add(bytes);
-                self.metrics.sent[msg.kind()].incr();
+                self.sent[msg.kind()].incr();
                 sim.schedule(delay, P2pEvent::Delivered { to, msg }.into());
                 true
             }
@@ -546,11 +550,9 @@ impl P2p {
         let id = QueryId(self.next_query);
         self.next_query += 1;
         self.metrics.queries.incr();
-        self.metrics
-            .obs
-            .event(sim.now().as_micros(), "p2p.query", || {
-                format!("id={} origin={} ttl={ttl}", id.0, origin.0)
-            });
+        self.obs.event(sim.now().as_micros(), "p2p.query", || {
+            format!("id={} origin={} ttl={ttl}", id.0, origin.0)
+        });
         self.queries.insert(
             id,
             QueryStatus {
@@ -819,11 +821,9 @@ impl P2p {
                     q.hits.push((sim.now(), advert));
                 }
                 self.metrics.query_hits.incr();
-                self.metrics
-                    .obs
-                    .event(sim.now().as_micros(), "p2p.query_hit", || {
-                        format!("id={} provider={}", id.0, provider.0)
-                    });
+                self.obs.event(sim.now().as_micros(), "p2p.query_hit", || {
+                    format!("id={} provider={}", id.0, provider.0)
+                });
                 out.push(Incoming::QueryHit { id, provider });
             }
             Message::Publish { advert } => {
@@ -907,7 +907,7 @@ impl P2p {
             }
         }
         if dropped > 0 {
-            self.metrics.obs.add("p2p.adverts_purged", dropped as u64);
+            self.obs.add("p2p.adverts_purged", dropped as u64);
         }
         dropped
     }

@@ -273,7 +273,7 @@ impl P2p {
             }
         }
         self.routed_peers = n;
-        self.metrics.obs.incr("p2p.routed_bootstraps");
+        self.obs.incr("p2p.routed_bootstraps");
     }
 
     /// Lazy bootstrap: scenarios that construct a routed world without an
@@ -861,7 +861,7 @@ impl P2p {
                 poisoned += 1;
             }
         }
-        self.metrics.obs.add("p2p.routing_poisoned", poisoned);
+        self.obs.add("p2p.routing_poisoned", poisoned);
         poisoned
     }
 
