@@ -393,7 +393,8 @@ fn wire_stage(observer: &Obs) {
 
 /// Run the full smoke scenario into `observer` (which must be enabled for
 /// the snapshot to exist, but a disabled handle still exercises every
-/// subsystem).
+/// subsystem). The checks that read counters, such as the transport
+/// stage's retransmit, run only with an enabled observer.
 pub fn run(observer: &Obs) {
     engine_stage(observer);
     farm_stage(observer);

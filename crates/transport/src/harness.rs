@@ -285,11 +285,10 @@ mod tests {
         assert!(last_at >= end, "the last step follows the sleep");
     }
 
-    /// Every payload byte a SimNet farm delivers is copied twice inside
-    /// the transport, encoded onto the wire and decoded off it: a frame's
-    /// retransmit entry shares the sent buffer instead of copying it.
+    /// A SimNet farm sends every frame once: each one arrives, each data
+    /// frame is acked once and nothing is retransmitted.
     #[test]
-    fn a_delivered_payload_byte_is_copied_twice() {
+    fn a_sim_farm_sends_every_frame_once() {
         let (module, blob) = demo_module("copies", 1, 200);
         let spec = FarmSpec {
             chunk_bytes: 256,
@@ -308,12 +307,10 @@ mod tests {
         let outcome = run_sim(&spec, 5, observer.clone());
         assert_eq!(outcome.results.len(), 12);
         let reg = observer.registry().expect("obs enabled");
-        assert_eq!(reg.counter_value("transport.retransmits"), 0);
-        let delivered = reg.counter_value("transport.payload_bytes_delivered");
-        assert!(delivered > 12 * 512 * 8, "the inputs alone are 48 KiB");
-        assert_eq!(
-            reg.counter_value("transport.payload_bytes_copied"),
-            2 * delivered
-        );
+        let c = |name| reg.counter_value(&format!("transport.{name}"));
+        assert_eq!(c("retransmits"), 0);
+        assert!(c("frames_sent") > 2 * 12, "a dispatch and a result per job");
+        assert_eq!(c("frames_recv"), c("frames_sent"));
+        assert_eq!(2 * c("acks"), c("frames_sent"));
     }
 }

@@ -40,10 +40,9 @@
 //! with its retransmit entry until the ack, a decoded payload reaches
 //! [`TransportEvent::Delivered`] as the buffer the decoder filled, and
 //! the harness lends its job list to the orchestrator and moves the
-//! results out. The `transport.payload_bytes_copied` counter charges the
-//! two wire copies against `transport.payload_bytes_delivered`, so a
-//! simulated farm reads exactly 2 payload bytes copied per payload byte
-//! delivered.
+//! results out. The `reliab` test
+//! `a_payload_is_held_once_from_send_to_delivery` follows one payload's
+//! buffers through both wire copies by address.
 
 pub mod frame;
 pub mod harness;

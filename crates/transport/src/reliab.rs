@@ -370,9 +370,7 @@ pub(crate) struct ChannelSet {
 
 obs::handles! {
     /// The per-frame `transport.*` counters of a [`ChannelSet`], resolved
-    /// once in [`ChannelSet::set_obs`]. The payload byte counts charge each
-    /// frame encoded onto the wire and each frame decoded off it, against
-    /// the bytes delivered to the application.
+    /// once in [`ChannelSet::set_obs`].
     struct FrameMetrics {
         frames_sent: Counter = "transport.frames_sent",
         frames_recv: Counter = "transport.frames_recv",
@@ -381,8 +379,6 @@ obs::handles! {
         decode_errors: Counter = "transport.decode_errors",
         sends_to_dead: Counter = "transport.sends_to_dead",
         reorder_refused: Counter = "transport.reorder_refused",
-        payload_bytes_copied: Counter = "transport.payload_bytes_copied",
-        payload_bytes_delivered: Counter = "transport.payload_bytes_delivered",
     }
 }
 
@@ -402,15 +398,10 @@ impl Sink {
                     self.metrics.retransmits.incr();
                     self.transmit(&f, wire);
                 }
-                ChanOut::Deliver(payload) => {
-                    self.metrics
-                        .payload_bytes_delivered
-                        .add(payload.len() as u64);
-                    self.inbox.push_back(TransportEvent::Delivered {
-                        from: peer,
-                        payload,
-                    });
-                }
+                ChanOut::Deliver(payload) => self.inbox.push_back(TransportEvent::Delivered {
+                    from: peer,
+                    payload,
+                }),
                 ChanOut::Dead => self.inbox.push_back(TransportEvent::PeerDead { peer }),
                 ChanOut::Count(ChanDrop::SendToDead) => self.metrics.sends_to_dead.incr(),
                 ChanOut::Count(ChanDrop::ReorderRefused) => self.metrics.reorder_refused.incr(),
@@ -423,9 +414,6 @@ impl Sink {
         if frame.kind == FrameKind::Ack {
             self.metrics.acks.incr();
         }
-        self.metrics
-            .payload_bytes_copied
-            .add(frame.payload.len() as u64);
         wire.transmit(frame);
     }
 }
@@ -476,22 +464,14 @@ impl ChannelSet {
         Ok(())
     }
 
-    /// Decode one datagram off the wire: its payload copy is charged, a
-    /// malformed one counted as a decode error.
+    /// Decode one datagram off the wire; a malformed one is counted as a
+    /// decode error.
     pub(crate) fn decode(&mut self, datagram: &[u8]) -> Option<Frame> {
-        match Frame::decode(datagram) {
-            Ok(frame) => {
-                self.sink
-                    .metrics
-                    .payload_bytes_copied
-                    .add(frame.payload.len() as u64);
-                Some(frame)
-            }
-            Err(_) => {
-                self.sink.metrics.decode_errors.incr();
-                None
-            }
+        let frame = Frame::decode(datagram).ok();
+        if frame.is_none() {
+            self.sink.metrics.decode_errors.incr();
         }
+        frame
     }
 
     /// React to a decoded frame addressed to this endpoint.
