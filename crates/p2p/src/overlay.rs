@@ -1601,6 +1601,76 @@ mod tests {
         let _ = qid; // the query may or may not find the provider under churn
     }
 
+    /// A routed world of `n` reliable peers (every one a DHT member).
+    fn routed_world(n: usize, observer: &Obs) -> World {
+        let mut w = world(n, DiscoveryMode::Routed);
+        w.p2p.set_obs(observer.clone());
+        let mut rng = Pcg32::new(31, 1);
+        w.p2p.enable_routed(&vec![(0.9, 1.0); n], &mut rng);
+        w
+    }
+
+    #[test]
+    fn a_request_lost_after_its_send_fails_exactly_at_its_timeout() {
+        let observer = Obs::enabled();
+        let mut w = routed_world(48, &observer);
+        let origin = PeerId(0);
+        // Note the first FIND_VALUE's target, then take it offline once
+        // the request is on the wire: the request is lost at arrival and
+        // only its timeout can fail it.
+        let first = std::rc::Rc::new(std::cell::Cell::new(None));
+        let seen = first.clone();
+        w.p2p.set_send_filter(Box::new(move |_now, _from, to, msg| {
+            if matches!(msg, Message::FindValue { .. }) && seen.get().is_none() {
+                seen.set(Some(to));
+            }
+            true
+        }));
+        let sent = w.sim.now();
+        // Nobody offers this service, so the lookup cannot end early on a
+        // found record: it runs until every request is answered or failed.
+        let kind = QueryKind::ByService("nobody-offers-this".into());
+        w.p2p.query(&mut w.sim, &mut w.net, origin, kind, 0);
+        w.p2p.clear_send_filter();
+        let lost = first.get().expect("the lookup sent a request");
+        w.net.set_online(w.p2p.host_of(lost), false);
+        let r = observer.registry().unwrap();
+        let mut failed_at = None;
+        while let Some(ev) = w.sim.step() {
+            w.p2p.handle(&mut w.sim, &mut w.net, ev);
+            if failed_at.is_none() && r.counter_value("p2p.lookup_timeouts") > 0 {
+                failed_at = Some(w.sim.now());
+            }
+        }
+        let timeout = w.p2p.routed_cfg.request_timeout;
+        assert_eq!(
+            failed_at,
+            Some(sent + timeout),
+            "failed exactly one timeout after the send"
+        );
+        assert_eq!(r.counter_value("p2p.lookup_timeouts"), 1);
+        assert_eq!(r.counter_value("p2p.lookups_converged"), 1);
+        assert_eq!(r.counter_value("p2p.lookups_abandoned"), 0);
+        assert_eq!(w.p2p.active_lookups(), 0);
+    }
+
+    #[test]
+    fn an_executor_that_goes_offline_abandons_its_lookup() {
+        let observer = Obs::enabled();
+        let mut w = routed_world(48, &observer);
+        let origin = PeerId(0);
+        let kind = QueryKind::ByService("nobody-offers-this".into());
+        w.p2p.query(&mut w.sim, &mut w.net, origin, kind, 0);
+        assert_eq!(w.p2p.active_lookups(), 1);
+        // Its requests are out; every reply now arrives at an offline peer.
+        w.net.set_online(w.p2p.host_of(origin), false);
+        run(&mut w);
+        let r = observer.registry().unwrap();
+        assert_eq!(r.counter_value("p2p.lookups_abandoned"), 1);
+        assert_eq!(r.counter_value("p2p.lookups_converged"), 0);
+        assert_eq!(w.p2p.active_lookups(), 0);
+    }
+
     #[test]
     fn poisoned_routing_table_lookup_still_converges() {
         let observer = Obs::enabled();
