@@ -5,7 +5,9 @@
 //! parallel, merges the closer contacts each reply brings back, and stops
 //! when the k closest entries on the shortlist have all responded. This
 //! module holds only the decision state — who to ask next, when we are
-//! done — while the network layer owns the actual messages and timeouts.
+//! done, when an unanswered request has timed out — while the network
+//! layer owns the actual messages and the one timer that calls
+//! [`Lookup::expire`] at [`Lookup::next_deadline`].
 //!
 //! Hop accounting: every contact carries the depth at which it was
 //! learned (seeds are depth 1; a contact first reported by a depth-d
@@ -16,6 +18,7 @@
 
 use crate::bucket::Contact;
 use crate::id::NodeId;
+use netsim::SimTime;
 
 /// Tuning knobs for an iterative lookup.
 #[derive(Clone, Copy, Debug)]
@@ -44,11 +47,27 @@ enum EntryState {
     Failed,
 }
 
+/// One shortlist entry. The contact's fields are inlined so the entry
+/// packs into 24 bytes with the deadline.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    c: Contact,
+    id: NodeId,
+    /// When the request in flight to this contact fails unanswered; read
+    /// only in `InFlight`.
+    deadline: SimTime,
+    peer: u32,
+    /// Referral depth, saturating (a chain is far shorter than 2¹⁶).
+    depth: u16,
     state: EntryState,
-    depth: u32,
+}
+
+impl Entry {
+    fn contact(&self) -> Contact {
+        Contact {
+            id: self.id,
+            peer: self.peer,
+        }
+    }
 }
 
 /// One in-progress iterative lookup.
@@ -84,20 +103,22 @@ impl Lookup {
         self.target
     }
 
-    fn offer(&mut self, c: Contact, depth: u32) {
-        if self.entries.iter().any(|e| e.c.id == c.id) {
+    fn offer(&mut self, c: Contact, depth: u16) {
+        if self.entries.iter().any(|e| e.id == c.id) {
             return;
         }
         let d = c.id.distance(self.target);
         let pos = self
             .entries
-            .partition_point(|e| e.c.id.distance(self.target) < d);
+            .partition_point(|e| e.id.distance(self.target) < d);
         self.entries.insert(
             pos,
             Entry {
-                c,
-                state: EntryState::New,
+                id: c.id,
+                deadline: SimTime::ZERO,
+                peer: c.peer,
                 depth,
+                state: EntryState::New,
             },
         );
     }
@@ -105,10 +126,11 @@ impl Lookup {
     /// Contacts to query now: the closest `New` entries, up to the α
     /// in-flight budget, restricted to the candidate window (an entry
     /// farther than the k closest non-failed entries is never useful).
-    /// Marks them in flight. Call after construction and after every
-    /// `on_reply`/`on_fail`. Fills the caller's buffer (cleared first), so
-    /// a lookup step need not allocate.
-    pub fn next_batch(&mut self, out: &mut Vec<Contact>) {
+    /// Marks them in flight until `deadline`, when [`Lookup::expire`]
+    /// fails them if no reply came. Call after construction and after
+    /// every `on_reply`/`on_fail`/`expire`. Fills the caller's buffer
+    /// (cleared first), so a lookup step need not allocate.
+    pub fn next_batch(&mut self, deadline: SimTime, out: &mut Vec<Contact>) {
         out.clear();
         let window = self.window_end();
         let mut budget = self.cfg.alpha.saturating_sub(self.in_flight);
@@ -118,11 +140,36 @@ impl Lookup {
             }
             if e.state == EntryState::New {
                 e.state = EntryState::InFlight;
+                e.deadline = deadline;
                 self.in_flight += 1;
                 budget -= 1;
-                out.push(e.c);
+                out.push(e.contact());
             }
         }
+    }
+
+    /// The earliest deadline among the requests in flight, if any: when
+    /// the caller's timer must next call [`Lookup::expire`].
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.entries
+            .iter()
+            .filter(|e| e.state == EntryState::InFlight)
+            .map(|e| e.deadline)
+            .min()
+    }
+
+    /// Fail every in-flight request whose deadline is at or before `now`;
+    /// returns how many failed.
+    pub fn expire(&mut self, now: SimTime) -> usize {
+        let mut failed = 0;
+        for e in &mut self.entries {
+            if e.state == EntryState::InFlight && e.deadline <= now {
+                e.state = EntryState::Failed;
+                failed += 1;
+            }
+        }
+        self.in_flight -= failed;
+        failed
     }
 
     /// Index one past the last entry worth querying: the position of the
@@ -143,7 +190,7 @@ impl Lookup {
     /// A queried contact replied with its closer contacts.
     pub fn on_reply(&mut self, from: NodeId, closer: impl IntoIterator<Item = Contact>) {
         let mut from_depth = 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.c.id == from) {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.id == from) {
             if e.state == EntryState::InFlight {
                 self.in_flight -= 1;
             }
@@ -151,17 +198,16 @@ impl Lookup {
             from_depth = e.depth;
         }
         for c in closer {
-            self.offer(c, from_depth + 1);
+            self.offer(c, from_depth.saturating_add(1));
         }
     }
 
-    /// A queried contact failed (timeout, offline, refused). Only an
-    /// in-flight entry can fail: a timeout that races a reply that already
-    /// arrived must not clobber the responded state. Returns whether the
-    /// entry actually transitioned (callers meter real failures, not
-    /// no-op timer fires).
+    /// A queried contact failed before its deadline (offline, refused).
+    /// Only an in-flight entry can fail: a failure that races a reply that
+    /// already arrived must not clobber the responded state. Returns
+    /// whether the entry actually transitioned.
     pub fn on_fail(&mut self, from: NodeId) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.c.id == from) {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.id == from) {
             if e.state == EntryState::InFlight {
                 self.in_flight -= 1;
                 e.state = EntryState::Failed;
@@ -191,7 +237,7 @@ impl Lookup {
             .iter()
             .filter(|e| e.state == EntryState::Responded)
             .take(self.cfg.k)
-            .map(|e| e.c)
+            .map(Entry::contact)
             .collect()
     }
 
@@ -205,7 +251,7 @@ impl Lookup {
                     EntryState::InFlight | EntryState::Responded | EntryState::Failed
                 )
             })
-            .map(|e| e.depth)
+            .map(|e| u32::from(e.depth))
             .max()
             .unwrap_or(0)
     }
@@ -236,8 +282,12 @@ mod tests {
     }
 
     fn batch(l: &mut Lookup) -> Vec<Contact> {
+        batch_until(l, SimTime::ZERO)
+    }
+
+    fn batch_until(l: &mut Lookup, deadline: SimTime) -> Vec<Contact> {
         let mut out = Vec::new();
-        l.next_batch(&mut out);
+        l.next_batch(deadline, &mut out);
         out
     }
 
@@ -351,5 +401,39 @@ mod tests {
         assert_eq!(batch(&mut l).len(), 0, "alpha exhausted until replies");
         l.on_reply(NodeId(1), vec![]);
         assert_eq!(batch(&mut l).len(), 1, "one slot freed");
+    }
+
+    #[test]
+    fn expire_fails_exactly_the_requests_past_their_deadline() {
+        let seeds: Vec<Contact> = (1..=10u64).map(c).collect();
+        let mut l = Lookup::new(NodeId(0), LookupConfig { k: 8, alpha: 3 }, seeds);
+        assert_eq!(l.next_deadline(), None, "nothing in flight yet");
+        let first = batch_until(&mut l, SimTime(100));
+        assert_eq!(first.len(), 3);
+        assert_eq!(l.next_deadline(), Some(SimTime(100)));
+        // One reply frees a slot; its replacement runs to a later deadline.
+        l.on_reply(first[0].id, vec![]);
+        let second = batch_until(&mut l, SimTime(250));
+        assert_eq!(second.len(), 1);
+        assert_eq!(l.next_deadline(), Some(SimTime(100)));
+        assert_eq!(l.expire(SimTime(99)), 0, "nothing is due before 100");
+        assert_eq!(
+            l.expire(SimTime(100)),
+            2,
+            "the two unanswered of the first batch"
+        );
+        assert_eq!(l.next_deadline(), Some(SimTime(250)));
+        // The freed budget goes to new contacts; a late reply from an
+        // expired one does not revive it.
+        assert_eq!(batch_until(&mut l, SimTime(300)).len(), 2);
+        assert!(!l.on_fail(first[1].id), "already failed by expire");
+        assert_eq!(l.expire(SimTime(1_000)), 3);
+        assert_eq!(l.next_deadline(), None);
+        assert_eq!(l.queried(), 6);
+    }
+
+    #[test]
+    fn a_shortlist_entry_stays_24_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 24);
     }
 }

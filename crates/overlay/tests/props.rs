@@ -134,7 +134,7 @@ proptest! {
         let mut guard = 0;
         let mut batch = Vec::new();
         loop {
-            l.next_batch(&mut batch);
+            l.next_batch(netsim::SimTime::ZERO, &mut batch);
             if batch.is_empty() && l.is_done() {
                 break;
             }

@@ -201,15 +201,13 @@ impl Message {
 pub enum P2pEvent {
     /// A message finished arriving at `to`.
     Delivered { to: PeerId, msg: Message },
-    /// Local timer on a lookup executor: if the routed request sent to the
-    /// contact with claimed node-id `node` is still unanswered, fail it
-    /// and advance the lookup. Not a network message — never counted in
-    /// the sent/received/lost conservation identity.
-    LookupTimeout {
-        executor: PeerId,
-        lid: LookupId,
-        node: u64,
-    },
+    /// The one local timer of a live routed lookup, armed at the earliest
+    /// deadline among its requests in flight: fail every request still
+    /// unanswered at its deadline, advance the lookup and re-arm at the
+    /// next deadline (or abandon the lookup if `executor` is offline).
+    /// Not a network message — never counted in the sent/received/lost
+    /// conservation identity.
+    LookupTimeout { executor: PeerId, lid: LookupId },
 }
 
 #[cfg(test)]

@@ -110,10 +110,19 @@ pub(crate) struct PeerState {
     pub(crate) is_rendezvous: bool,
     /// Advertisement cache (rendezvous peers only).
     pub(crate) cache: Vec<Advertisement>,
-    /// Flood duplicate suppression (bounded FIFO window).
-    pub(crate) seen: SeenCache,
+    /// Flood duplicate suppression (bounded FIFO window); `None` until the
+    /// peer first processes a query, which most routed peers never do.
+    pub(crate) seen: Option<Box<SeenCache>>,
     /// Structured-overlay state (routed mode; `None` until bootstrap).
     pub(crate) routed: Option<RoutedNode>,
+}
+
+impl PeerState {
+    /// The duplicate-suppression window, created on first use.
+    fn seen(&mut self) -> &mut SeenCache {
+        self.seen
+            .get_or_insert_with(|| Box::new(SeenCache::new(SEEN_CACHE_CAP)))
+    }
 }
 
 /// Progress record of one discovery query.
@@ -355,7 +364,7 @@ impl P2p {
             rendezvous: None,
             is_rendezvous: false,
             cache: Vec::new(),
-            seen: SeenCache::new(SEEN_CACHE_CAP),
+            seen: None,
             routed: None,
         });
         id
@@ -451,7 +460,10 @@ impl P2p {
     /// Query IDs currently held in `p`'s duplicate-suppression window
     /// (bounded by [`SEEN_CACHE_CAP`]).
     pub fn seen_cache_len(&self, p: PeerId) -> usize {
-        self.peers[p.0 as usize].seen.len()
+        self.peers[p.0 as usize]
+            .seen
+            .as_ref()
+            .map_or(0, |s| s.len())
     }
 
     pub(crate) fn send<E: From<P2pEvent>>(
@@ -567,7 +579,12 @@ impl P2p {
         );
         // The origin always answers from its own adverts first (free).
         self.local_hits(sim.now(), origin, id, &kind);
-        self.peers[origin.0 as usize].seen.insert(id);
+        // A flooded query can come back to its origin; a routed one is
+        // only ever delegated to a rendezvous, so the origin needs no
+        // window entry.
+        if self.mode != DiscoveryMode::Routed {
+            self.peers[origin.0 as usize].seen().insert(id);
+        }
         if let Some(q) = self.queries.get_mut(&id) {
             q.peers_visited += 1;
         }
@@ -744,12 +761,8 @@ impl P2p {
             // A lookup timeout is a local timer, not a network message: it
             // fires even while its executor is offline (the lookup is then
             // abandoned) and is never metered as received/lost.
-            P2pEvent::LookupTimeout {
-                executor,
-                lid,
-                node,
-            } => {
-                self.routed_on_timeout(sim, net, executor, lid, node);
+            P2pEvent::LookupTimeout { executor, lid } => {
+                self.routed_on_timeout(sim, net, executor, lid);
                 return Vec::new();
             }
         };
@@ -768,7 +781,7 @@ impl P2p {
                 ttl,
                 kind,
             } => {
-                if !self.peers[to.0 as usize].seen.insert(id) {
+                if !self.peers[to.0 as usize].seen().insert(id) {
                     self.metrics.flood_duplicates.incr();
                     return out; // duplicate
                 }
@@ -902,8 +915,8 @@ impl P2p {
             p.ads.retain(|ad| !ad.is_expired(now));
             p.cache.retain(|ad| !ad.is_expired(now));
             dropped += before - p.ads.len() - p.cache.len();
-            if let Some(r) = p.routed.as_mut() {
-                dropped += r.store.purge_expired(now);
+            if let Some(store) = p.routed.as_mut().and_then(|r| r.store.as_mut()) {
+                dropped += store.purge_expired(now);
             }
         }
         if dropped > 0 {
@@ -915,8 +928,8 @@ impl P2p {
     /// Forget all seen-query state (between experiment repetitions).
     /// In-flight routed lookups are abandoned with their queries.
     pub fn reset_query_state(&mut self) {
-        for p in &mut self.peers {
-            p.seen.clear();
+        for seen in self.peers.iter_mut().filter_map(|p| p.seen.as_mut()) {
+            seen.clear();
         }
         self.queries.clear();
         self.lookups.clear();
@@ -1669,6 +1682,49 @@ mod tests {
         assert_eq!(r.counter_value("p2p.lookups_abandoned"), 1);
         assert_eq!(r.counter_value("p2p.lookups_converged"), 0);
         assert_eq!(w.p2p.active_lookups(), 0);
+    }
+
+    #[test]
+    fn each_lookup_keeps_one_timer_pending() {
+        let observer = Obs::enabled();
+        let n = 64;
+        let mut w = routed_world(n, &observer);
+        let provider = PeerId(40);
+        let ad = triana_ad(provider, SimTime::from_secs(3600));
+        w.p2p.publish(&mut w.sim, &mut w.net, provider, ad);
+        run(&mut w);
+        let r = observer.registry().unwrap();
+        let before = r.counter_value("p2p.lookups_started");
+        for origin in 0..24 {
+            let kind = QueryKind::ByService("triana".into());
+            w.p2p.query(&mut w.sim, &mut w.net, PeerId(origin), kind, 0);
+        }
+        let in_flight = |r: &obs::Registry| {
+            r.counter_value("p2p.messages_sent")
+                - r.counter_value("p2p.messages_received")
+                - r.counter_value("p2p.messages_lost")
+        };
+        let lookups = r.counter_value("p2p.lookups_started") - before;
+        assert!(lookups > 0, "some origins hold no record and ask the DHT");
+        // Right after issue every live lookup has exactly one timer armed;
+        // everything else pending is a message on the wire.
+        assert_eq!(w.p2p.active_lookups() as u64, lookups);
+        assert_eq!(w.sim.pending() as u64, in_flight(r) + lookups);
+        // A lookup that resolves leaves its timer to fire as a no-op, so
+        // the bound is one timer per lookup started, never one per request.
+        while let Some(ev) = w.sim.step() {
+            w.p2p.handle(&mut w.sim, &mut w.net, ev);
+            assert!(w.sim.pending() as u64 <= in_flight(r) + lookups);
+        }
+        assert_eq!(w.p2p.active_lookups(), 0);
+    }
+
+    #[test]
+    fn per_peer_state_stays_small() {
+        // A flood window and a provider store are boxed on first use, the
+        // node ID is derived; 10⁵ peers are 17.6 MB of these.
+        assert!(std::mem::size_of::<PeerState>() <= 176);
+        assert!(std::mem::size_of::<RoutedNode>() <= 80);
     }
 
     #[test]

@@ -26,10 +26,18 @@
 //! table owner "pings" the least-recently-seen contact by consulting the
 //! network's online state (metered as `p2p.overlay_pings`, no wire
 //! message — the real protocol's ping RTT is negligible next to lookup
-//! traffic). Request timeouts are local [`P2pEvent::LookupTimeout`]
-//! timers: they fire unconditionally, so every lookup terminates even if
-//! all its targets die; they are never metered in the
+//! traffic). Every request fails `request_timeout` after it was sent
+//! unless answered first. The deadline lives in the lookup's own
+//! shortlist entry; the network layer keeps at most one local
+//! [`P2pEvent::LookupTimeout`] timer per live lookup, armed at the
+//! earliest deadline in flight and re-armed when it fires. The timer
+//! fires unconditionally, so every lookup terminates even if all its
+//! targets (or its executor) die; it is never metered in the
 //! sent/received/lost conservation identity.
+//!
+//! Per-peer state follows the role: a cold peer's routing table stays
+//! empty, and a DHT node's provider store is created by the first record
+//! stored on it (most nodes are never among the k closest to any key).
 
 use crate::advert::{AdvertBody, Advertisement};
 use crate::message::{LookupId, Message, P2pEvent, QueryId, QueryKind};
@@ -74,14 +82,16 @@ impl Default for RoutedConfig {
     }
 }
 
-/// Per-peer structured-overlay state (absent until bootstrap).
+/// Per-peer structured-overlay state (absent until bootstrap). The node
+/// ID is not kept: it is [`NodeId::from_peer_index`] of the peer, and the
+/// table holds it as its own ID.
 pub struct RoutedNode {
-    pub id: NodeId,
     pub role: Role,
     /// K-bucket routing table (empty and unused for cold peers).
     pub table: kad::RoutingTable,
-    /// Provider records this node holds for keys it is close to.
-    pub store: kad::ProviderStore<Advertisement>,
+    /// Provider records this node holds for keys it is close to; `None`
+    /// until the first record is stored here.
+    pub store: Option<Box<kad::ProviderStore<Advertisement>>>,
 }
 
 /// Why a lookup is running; decides what happens when it resolves.
@@ -102,6 +112,9 @@ pub(crate) struct ActiveLookup {
     pub(crate) executor: PeerId,
     pub(crate) key: u64,
     pub(crate) purpose: Purpose,
+    /// Whether this lookup's one `LookupTimeout` is pending in the
+    /// simulator. Set when armed, cleared when it fires.
+    pub(crate) timer_armed: bool,
 }
 
 impl ActiveLookup {
@@ -186,7 +199,8 @@ impl P2p {
         self.peers[p.0 as usize]
             .routed
             .as_ref()
-            .map_or(0, |r| r.store.len())
+            .and_then(|r| r.store.as_ref())
+            .map_or(0, |s| s.len())
     }
 
     /// Bootstrap the structured overlay over the current peer set.
@@ -243,12 +257,8 @@ impl P2p {
                     });
                 }
             }
-            let store = match self.peers[i].routed.take() {
-                Some(old) => old.store,
-                None => kad::ProviderStore::new(self.routed_cfg.store_cap_per_key),
-            };
+            let store = self.peers[i].routed.take().and_then(|old| old.store);
             self.peers[i].routed = Some(RoutedNode {
-                id: ids[i],
                 role: roles[i],
                 table,
                 store,
@@ -263,10 +273,9 @@ impl P2p {
                 // Cold peers hold no routing state; role recorded for the
                 // delegation decision, table left empty.
                 self.peers[i].routed = Some(RoutedNode {
-                    id: ids[i],
                     role: Role::Cold,
                     table: kad::RoutingTable::new(ids[i], self.routed_cfg.k),
-                    store: kad::ProviderStore::new(1),
+                    store: None,
                 });
             } else {
                 self.peers[i].rendezvous = None;
@@ -412,8 +421,9 @@ impl P2p {
         // FIND_VALUE semantics: a local store hit resolves the query
         // without touching the network.
         let (k, mut local) = (self.routed_cfg.k, self.take_advert_buf());
-        if let Some(node) = self.peers[executor.0 as usize].routed.as_mut() {
-            answer_from_store(&mut node.store, key, kind, now, k, &mut local);
+        let node = self.peers[executor.0 as usize].routed.as_mut();
+        if let Some(store) = node.and_then(|n| n.store.as_deref_mut()) {
+            answer_from_store(store, key, kind, now, k, &mut local);
         }
         if !local.is_empty() {
             self.metrics.lookup_local_hits.incr();
@@ -488,24 +498,26 @@ impl P2p {
                 executor,
                 key,
                 purpose,
+                timer_armed: false,
             },
         );
         self.advance_lookup(sim, net, lid);
     }
 
-    /// Issue the next batch of requests for a lookup; failed sends fail
-    /// their entries immediately (freeing α budget for the next round),
-    /// successful ones arm a per-request timeout. Finishes the lookup if
-    /// it is done.
+    /// Issue the next batch of requests for a lookup, each due to fail
+    /// `request_timeout` from now; failed sends fail their entries
+    /// immediately (freeing α budget for the next round). Finishes the
+    /// lookup if it is done, else makes sure its timer is pending.
     fn advance_lookup<E: From<P2pEvent>>(
         &mut self,
         sim: &mut Sim<E>,
         net: &mut Network,
         lid: LookupId,
     ) {
+        let deadline = sim.now() + self.routed_cfg.request_timeout;
         let mut batch = std::mem::take(&mut self.contact_scratch);
         while let Some(al) = self.lookups.get_mut(&lid) {
-            al.lookup.next_batch(&mut batch);
+            al.lookup.next_batch(deadline, &mut batch);
             if batch.is_empty() {
                 break;
             }
@@ -529,17 +541,7 @@ impl P2p {
                         key,
                     },
                 };
-                if self.send(sim, net, executor, PeerId(c.peer), msg) {
-                    sim.schedule(
-                        self.routed_cfg.request_timeout,
-                        P2pEvent::LookupTimeout {
-                            executor,
-                            lid,
-                            node: c.id.0,
-                        }
-                        .into(),
-                    );
-                } else {
+                if !self.send(sim, net, executor, PeerId(c.peer), msg) {
                     failed.push(c.id);
                 }
             }
@@ -553,8 +555,20 @@ impl P2p {
             }
         }
         self.contact_scratch = batch;
-        if self.lookups.get(&lid).is_some_and(|al| al.lookup.is_done()) {
+        let Some(al) = self.lookups.get_mut(&lid) else {
+            return;
+        };
+        if al.lookup.is_done() {
             self.finish_lookup(sim, net, lid);
+        } else if !al.timer_armed {
+            // A pending timer is never later than the earliest deadline:
+            // deadlines are handed out in send order, so a new request
+            // never runs out before the ones already in flight.
+            if let Some(at) = al.lookup.next_deadline() {
+                al.timer_armed = true;
+                let executor = al.executor;
+                sim.schedule_at(at, P2pEvent::LookupTimeout { executor, lid }.into());
+            }
         }
     }
 
@@ -591,9 +605,9 @@ impl P2p {
                         .filter(|c| c.peer != from.0)
                         .map(|c| (c.id.0, PeerId(c.peer))),
                 );
-                if let Some(kind) = &kind {
+                if let (Some(kind), Some(store)) = (&kind, node.store.as_deref_mut()) {
                     let k = self.routed_cfg.k;
-                    answer_from_store(&mut node.store, key, kind, now, k, &mut providers);
+                    answer_from_store(store, key, kind, now, k, &mut providers);
                 }
             }
         }
@@ -687,8 +701,8 @@ impl P2p {
                 live.extend(providers.drain(..).filter(|ad| ad.matches(&kind, now)));
                 if !live.is_empty() {
                     // FIND_VALUE early termination: first matching records
-                    // resolve the query; in-flight requests are left to
-                    // their (no-op) timeouts.
+                    // resolve the query; replies still in flight arrive
+                    // stale and the pending timer finds the lookup gone.
                     if to == origin {
                         self.metrics.query_hits.add(live.len() as u64);
                     }
@@ -720,32 +734,30 @@ impl P2p {
         self.advance_lookup(sim, net, lid);
     }
 
-    /// A per-request timeout fired at `executor` for the contact with
-    /// claimed node-id `node`.
+    /// A lookup's timer fired at `executor`: fail every request past its
+    /// deadline, then advance the lookup, which re-arms the timer at the
+    /// next deadline still in flight.
     pub(crate) fn routed_on_timeout<E: From<P2pEvent>>(
         &mut self,
         sim: &mut Sim<E>,
         net: &mut Network,
         executor: PeerId,
         lid: LookupId,
-        node: u64,
     ) {
-        if !self.lookups.contains_key(&lid) {
+        // A lookup that resolved before its timer fired is gone.
+        let Some(al) = self.lookups.get_mut(&lid) else {
             return;
-        }
+        };
+        al.timer_armed = false;
         if !net.is_online(self.peers[executor.0 as usize].host) {
-            // The executor itself died mid-lookup: abandon. Remaining
-            // timers find the map empty and no-op.
+            // The executor itself died mid-lookup: abandon.
             self.lookups.remove(&lid);
             self.metrics.lookups_abandoned.incr();
             return;
         }
-        let timed_out = {
-            let al = self.lookups.get_mut(&lid).unwrap();
-            al.lookup.on_fail(NodeId(node))
-        };
-        if timed_out {
-            self.metrics.lookup_timeouts.incr();
+        let timed_out = al.lookup.expire(sim.now());
+        if timed_out > 0 {
+            self.metrics.lookup_timeouts.add(timed_out as u64);
         }
         self.advance_lookup(sim, net, lid);
     }
@@ -821,9 +833,13 @@ impl P2p {
         self.routed_learn(net, to, from);
         let expires = advert.expires;
         let provider = advert.peer().0;
+        let cap = self.routed_cfg.store_cap_per_key;
         if let Some(node) = self.peers[to.0 as usize].routed.as_mut() {
             if node.role != Role::Cold {
-                node.store.insert(
+                let store = node
+                    .store
+                    .get_or_insert_with(|| Box::new(kad::ProviderStore::new(cap)));
+                store.insert(
                     key,
                     kad::StoredRecord {
                         provider,
