@@ -351,7 +351,7 @@ pub struct FarmScheduler {
     /// Worker-selection policy resolved from `cfg.trust` at construction.
     policy: PolicyHandle,
     /// Module admissions already performed in this world, shared by every
-    /// worker cache so one blob is verified and translated once.
+    /// worker cache so one blob is verified, translated and hashed once.
     admissions: AdmissionMemo,
     spec_dispatches: u64,
     spec_wins: u64,
@@ -419,12 +419,6 @@ impl FarmScheduler {
         &self.profiles
     }
 
-    /// Mutable profile access for verification layers feeding vote
-    /// evidence back into the scheduler (see [`crate::grid::redundancy`]).
-    pub fn profiles_mut(&mut self) -> &mut ProfileRegistry {
-        &mut self.profiles
-    }
-
     /// Feed a verification verdict for a worker into its profile and
     /// refresh the blacklist gauge.
     pub fn record_vote(&mut self, wid: WorkerId, agreed: bool) {
@@ -435,11 +429,6 @@ impl FarmScheduler {
             self.metrics.votes_dissented.incr();
         }
         self.refresh_blacklist_gauge();
-    }
-
-    /// Name of the active worker-selection policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Is this worker currently excluded by the blacklist floor?
@@ -749,19 +738,20 @@ impl FarmScheduler {
     }
 
     fn assign(&mut self, world: &mut GridWorld, job_id: JobId, wid: WorkerId) {
-        let module_key = self.jobs[job_id.0 as usize].spec.module.clone();
+        let module = &self.jobs[job_id.0 as usize].spec.module;
         // `get` (not `contains`) so cache hit/miss statistics are metered.
-        let needs_module = match &module_key {
+        let needs_module = match module {
             Some(key) => self.workers[wid.0 as usize].cache.get(key).is_none(),
             None => false,
         };
-        if module_key.is_some() {
+        if module.is_some() {
             if needs_module {
                 self.metrics.module_cache_misses.incr();
             } else {
                 self.metrics.module_cache_hits.incr();
             }
         }
+        let module_key = module.as_ref().filter(|_| needs_module).cloned();
         self.metrics.dispatches.incr();
         self.obs
             .event(world.sim.now().as_micros(), "farm.dispatch", || {
@@ -838,7 +828,8 @@ impl FarmScheduler {
         // job, then evicted from the LRU cache): rebuild locally for free.
         let w = &mut self.workers[wid.0 as usize];
         if w.store.is_complete(id) {
-            if let Ok(rebuilt) = w.store.assemble(id) {
+            let memo = &self.admissions;
+            if let Ok(rebuilt) = w.store.assemble_known(id, |b| memo.vouches(id.0, b)) {
                 w.cache.insert(key, rebuilt);
                 self.metrics.local_rebuilds.incr();
                 return self.send_input(world, job_id, Role::Primary);
@@ -920,8 +911,9 @@ impl FarmScheduler {
     }
 
     /// All chunks arrived: reassemble, verify the content hash, and only
-    /// then admit the blob to the worker's module cache. A verification
-    /// failure discards the chunks and falls back to the controller.
+    /// then admit the blob to the worker's module cache (bytes equal to a
+    /// blob already admitted are not hashed again). A verification failure
+    /// discards the chunks and falls back to the controller.
     fn swarm_assembled(
         &mut self,
         world: &mut GridWorld,
@@ -932,7 +924,11 @@ impl FarmScheduler {
     ) {
         let now = world.sim.now();
         let w = &mut self.workers[wid.0 as usize];
-        match w.store.assemble(blob_id) {
+        let memo = &self.admissions;
+        match w
+            .store
+            .assemble_known(blob_id, |b| memo.vouches(blob_id.0, b))
+        {
             Ok(blob) => {
                 w.cache.insert(key, blob);
                 self.metrics.blobs_verified.incr();
@@ -1136,13 +1132,12 @@ impl FarmScheduler {
                     return;
                 }
                 if let Some(blob) = self.library.fetch(&key) {
-                    let blob = blob.clone();
                     let w = &mut self.workers[worker.0 as usize];
                     w.cache.insert(key, blob.clone());
                     // With the swarm on, a controller-fed worker becomes a
                     // seed: it chunks the blob and advertises itself.
                     if self.cfg.swarm.is_some() {
-                        let id = w.store.seed_blob(&blob);
+                        let id = w.store.seed_blob(blob);
                         self.advertise_provider(world, worker, id);
                     }
                 }
@@ -1436,8 +1431,7 @@ impl FarmScheduler {
         let Some((wid, _, f)) = self.jobs[job.0 as usize].swarm() else {
             return;
         };
-        let (query, blob, layout, key) =
-            (f.query, f.tracker.blob(), f.tracker.layout(), f.key.clone());
+        let (query, blob, layout) = (f.query, f.tracker.blob(), f.tracker.layout());
         let origin = self.workers[wid.0 as usize].peer;
         let sw = self.cfg.swarm.clone().expect("swarm fetch implies config");
         // Adverts whose TTL lapsed between query emission and this window
@@ -1464,6 +1458,7 @@ impl FarmScheduler {
         if providers.is_empty() {
             // Nobody (reachable) holds the blob yet: controller-direct.
             self.metrics.fallback_no_provider.incr();
+            let key = f.key.clone();
             return self.direct_fetch(world, job, key);
         }
         self.metrics.providers_used.add(providers.len() as u64);
@@ -1472,6 +1467,7 @@ impl FarmScheduler {
             .missing(blob, layout.blob_len);
         if missing.is_empty() {
             // A previous attempt already left every chunk resident.
+            let key = f.key.clone();
             return self.swarm_assembled(world, job, wid, blob, key);
         }
         for (chunk, si) in assign_round_robin(&missing, providers.len()) {
@@ -1496,11 +1492,7 @@ impl FarmScheduler {
         let Some(latency) = fetch.tracker.complete(chunk, now) else {
             return; // stale or duplicate delivery
         };
-        let (blob, layout, key) = (
-            fetch.tracker.blob(),
-            fetch.tracker.layout(),
-            fetch.key.clone(),
-        );
+        let (blob, layout) = (fetch.tracker.blob(), fetch.tracker.layout());
         let bytes = layout.size(chunk);
         self.metrics.chunk_fetch_us.observe(latency.as_micros());
         match source {
@@ -1513,7 +1505,7 @@ impl FarmScheduler {
         let piece: Option<Vec<u8>> = match source {
             ChunkSource::Controller => self
                 .library
-                .fetch(&key)
+                .fetch(&fetch.key)
                 .filter(|b| BlobId::of_blob(b) == blob)
                 .map(|b| layout.slice(&b.bytes, chunk).to_vec()),
             ChunkSource::Peer(p) => self
@@ -1528,6 +1520,7 @@ impl FarmScheduler {
                     .store
                     .insert_chunk(blob, layout.blob_len, chunk, data);
                 if self.workers[wid.0 as usize].store.is_complete(blob) {
+                    let key = fetch.key.clone();
                     self.swarm_assembled(world, job, wid, blob, key);
                 }
             }
@@ -1541,6 +1534,7 @@ impl FarmScheduler {
                 ChunkSource::Controller => {
                     // The module changed under us: abandon the swarm fetch
                     // and ship the current blob whole.
+                    let key = fetch.key.clone();
                     self.workers[wid.0 as usize].store.release(blob);
                     self.direct_fetch(world, job, key);
                 }
@@ -2551,6 +2545,109 @@ mod tests {
         // bytes ever cached on worker 1 are the controller's good copy,
         // fetched by the automatic fallback.
         assert_eq!(farm.worker_cache_stats(WorkerId(1)).bytes_fetched, blob_len);
+    }
+
+    /// Bytes the stores of every worker ran through the content hash.
+    fn world_bytes_hashed(farm: &FarmScheduler) -> u64 {
+        (0..farm.n_workers())
+            .map(|w| farm.worker_store(WorkerId(w as u32)).stats().bytes_hashed)
+            .sum()
+    }
+
+    #[test]
+    fn swarm_fetches_of_one_module_hash_its_bytes_once_per_world() {
+        let n = 5;
+        let (mut world, mut farm) = swarm_world(n);
+        let obs = Obs::enabled();
+        farm.set_obs(obs.clone());
+        let key = ModuleKey::new("Render", 1);
+        let blob = sized_blob("Render", 2_000);
+        let blob_len = blob.len() as u64;
+        farm.library.publish(key.clone(), blob.clone());
+        // Worker 0 holds the chunks without having admitted the blob, so
+        // the first copy comes over the swarm as well and nothing in the
+        // world has verified these bytes yet.
+        let blob_id = farm.worker_store_mut(WorkerId(0)).seed_blob(&blob);
+        let provider = farm.worker_peer(WorkerId(0));
+        let ad = Advertisement {
+            body: AdvertBody::Blob(BlobAdvert {
+                blob: blob_id.0,
+                size_bytes: blob_len,
+                chunks: farm.worker_store(WorkerId(0)).layout_for(blob_len).count(),
+                provider,
+            }),
+            expires: SimTime::from_secs(10_000),
+        };
+        world
+            .p2p
+            .publish(&mut world.sim, &mut world.net, provider, ad);
+        // Keep worker 0 busy; one module job on each of the others.
+        let busy = farm.submit(&mut world, job(500.0));
+        assert_eq!(farm.job_assignment(busy), Some(WorkerId(0)));
+        let spec = JobSpec {
+            module: Some(key),
+            ..job(2.0)
+        };
+        let mut placed = vec![busy];
+        for _ in 1..n {
+            placed.push(farm.submit_with_conflicts(&mut world, spec.clone(), placed.clone()));
+        }
+        run_farm(&mut world, &mut farm);
+        assert!(farm.all_done());
+        let reg = obs.registry().unwrap();
+        let fetched = n as u64 - 1;
+        assert_eq!(reg.counter_value("store.swarm_fetches"), fetched);
+        assert_eq!(reg.counter_value("store.blobs_verified"), fetched);
+        assert_eq!(reg.counter_value("store.bytes_from_controller"), 0);
+        // The first assembly hashes the bytes; the memo its admission
+        // filled vouches for the other three.
+        assert_eq!(world_bytes_hashed(&farm), blob_len);
+        let assembles: u64 = (1..n)
+            .map(|w| farm.worker_store(WorkerId(w as u32)).stats().assembles)
+            .sum();
+        assert_eq!(assembles, fetched);
+    }
+
+    #[test]
+    fn memo_never_vouches_for_other_bytes_under_an_admitted_hash() {
+        let (mut world, mut farm) = swarm_world(2);
+        let key = ModuleKey::new("Render", 1);
+        let blob = sized_blob("Render", 2_000);
+        let blob_len = blob.len() as u64;
+        let blob_id = BlobId::of_blob(&blob);
+        farm.library.publish(key.clone(), blob.clone());
+        let spec = JobSpec {
+            module: Some(key),
+            ..job(2.0)
+        };
+        // The controller ships the first copy; its admission fills the memo.
+        let a = farm.submit(&mut world, spec.clone());
+        run_farm(&mut world, &mut farm);
+        let other = WorkerId(1 - farm.job_completed_by(a).unwrap().0);
+        // Forged bytes of the same length under the admitted address.
+        let mut forged = blob.bytes.clone();
+        forged[blob.bytes.len() / 2] ^= 0xFF;
+        assert!(farm.admissions.vouches(blob_id.0, &blob.bytes));
+        assert!(!farm.admissions.vouches(blob_id.0, &forged));
+        let store = farm.worker_store_mut(other);
+        let layout = store.layout_for(blob_len);
+        for i in 0..layout.count() {
+            let piece = layout.slice(&forged, i).to_vec();
+            assert!(store.insert_chunk(blob_id, blob_len, i, piece));
+        }
+        // The job lands on `other`, whose resident chunks are complete: the
+        // local rebuild hashes them in full, refuses them and swarm-fetches
+        // the good copy, which the memo vouches for.
+        farm.submit_with_conflicts(&mut world, spec, vec![a]);
+        run_farm(&mut world, &mut farm);
+        assert!(farm.all_done());
+        let st = farm.worker_store(other).stats();
+        assert_eq!(st.verify_failures, 1);
+        assert_eq!(st.bytes_hashed, blob_len);
+        assert_eq!(st.assembles, 1);
+        let cached: Vec<_> = farm.worker_cache(other).entries().collect();
+        assert_eq!(cached.len(), 1);
+        assert_eq!(cached[0].1.bytes, blob.bytes);
     }
 
     fn trust_cfg(policy: PolicyHandle) -> Option<GridTrustConfig> {

@@ -57,14 +57,6 @@ impl ModuleLibrary {
         self.blobs.get(key)
     }
 
-    /// Latest version of a named module.
-    pub fn latest(&self, name: &str) -> Option<&ModuleKey> {
-        self.blobs
-            .keys()
-            .filter(|k| k.name == name)
-            .max_by_key(|k| k.version)
-    }
-
     pub fn len(&self) -> usize {
         self.blobs.len()
     }
@@ -103,6 +95,9 @@ pub struct CacheStats {
 /// byte, so a colliding or forged `hash` field can never hand out another
 /// blob's module. Failed admissions are not kept.
 ///
+/// Each entry passed `integrity_ok()`, so bytes equal to its bytes hash to
+/// its `hash`: that lets the memo vouch for swarm assembly too.
+///
 /// The memo belongs to the scheduler that created it — one per world, so
 /// a fresh world pays its own admissions — and never evicts: it holds one
 /// entry per distinct blob the world's library ever served.
@@ -115,18 +110,23 @@ struct Admitted {
     prepared: Arc<PreparedModule>,
 }
 
+impl Admitted {
+    /// The hash comes first, so bytes are only compared on its match.
+    fn is(&self, hash: u64, bytes: &[u8]) -> bool {
+        self.blob.hash == hash && self.blob.bytes == bytes
+    }
+}
+
 impl AdmissionMemo {
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<Admitted>> {
+        let memo = self.0.lock();
+        memo.expect("a cache panicked while admitting; the memo may be half-written")
+    }
+
     fn admit(&self, blob: &ModuleBlob) -> Result<Arc<PreparedModule>, PrepareError> {
-        let mut memo = self
-            .0
-            .lock()
-            .expect("a cache panicked while admitting; the memo may be half-written");
-        // A handful of entries, one per distinct blob of the world; the
-        // hash comes first so bytes are only compared on the match.
-        let known = memo
-            .iter()
-            .find(|a| a.blob.hash == blob.hash && a.blob.bytes == blob.bytes);
-        if let Some(a) = known {
+        let mut memo = self.entries();
+        // A handful of entries, one per distinct blob of the world.
+        if let Some(a) = memo.iter().find(|a| a.is(blob.hash, &blob.bytes)) {
             return Ok(Arc::clone(&a.prepared));
         }
         let prepared = Arc::new(PreparedModule::from_blob(blob)?);
@@ -135,6 +135,12 @@ impl AdmissionMemo {
             prepared: Arc::clone(&prepared),
         });
         Ok(prepared)
+    }
+
+    /// Whether `bytes` are, byte for byte, a blob admitted under `hash`,
+    /// and so hash to it. Equal hashes alone never vouch.
+    pub(crate) fn vouches(&self, hash: u64, bytes: &[u8]) -> bool {
+        self.entries().iter().any(|a| a.is(hash, bytes))
     }
 }
 
@@ -368,12 +374,11 @@ mod tests {
     }
 
     #[test]
-    fn library_publish_fetch_latest() {
+    fn library_publish_and_fetch() {
         let mut lib = ModuleLibrary::new();
         lib.publish(ModuleKey::new("FFT", 1), blob_of_size("FFT", 100));
         lib.publish(ModuleKey::new("FFT", 3), blob_of_size("FFT", 100));
         lib.publish(ModuleKey::new("Wave", 2), blob_of_size("Wave", 100));
-        assert_eq!(lib.latest("FFT"), Some(&ModuleKey::new("FFT", 3)));
         assert!(lib.fetch(&ModuleKey::new("FFT", 1)).is_some());
         assert!(lib.fetch(&ModuleKey::new("FFT", 2)).is_none());
         assert_eq!(lib.len(), 3);

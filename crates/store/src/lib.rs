@@ -15,7 +15,9 @@
 //!   [`FetchTracker`], and reassembles the blob with
 //!   [`ChunkStore::assemble`] — which **verifies the content hash before
 //!   the blob is allowed anywhere near a module cache**, rejecting
-//!   corrupt or poisoned transfers;
+//!   corrupt or poisoned transfers ([`ChunkStore::assemble_known`] skips
+//!   the hash only for bytes the caller has already verified byte for
+//!   byte);
 //! * once verified, the peer seeds its chunks onward.
 //!
 //! The crate is deliberately transport-agnostic: it never touches the

@@ -44,6 +44,10 @@ pub struct StoreStats {
     pub assembles: u64,
     /// Assemblies rejected at hash verification.
     pub verify_failures: u64,
+    /// Bytes run through the content hash by assembly: all of a blob
+    /// [`ChunkStore::assemble`] rebuilt, none of one that the check of
+    /// [`ChunkStore::assemble_known`] vouched for.
+    pub bytes_hashed: u64,
     pub releases: u64,
 }
 
@@ -64,7 +68,9 @@ impl BlobEntry {
 /// [`ChunkStore::seed_blob`] (the peer already holds the whole blob and
 /// offers it to others). [`ChunkStore::assemble`] re-derives the content
 /// hash from the reassembled bytes and refuses to hand out a blob whose
-/// bytes do not match its address.
+/// bytes do not match its address. [`ChunkStore::assemble_known`] lets the
+/// caller skip that hash for bytes it can show are a blob already verified
+/// under the same address; any other bytes are hashed just the same.
 pub struct ChunkStore {
     chunk_bytes: u64,
     blobs: BTreeMap<BlobId, BlobEntry>,
@@ -173,6 +179,19 @@ impl ChunkStore {
     /// verification failure is counted; the caller decides whether to
     /// discard the chunks and re-fetch.
     pub fn assemble(&mut self, id: BlobId) -> Result<ModuleBlob, StoreError> {
+        self.assemble_known(id, |_| false)
+    }
+
+    /// [`ChunkStore::assemble`], except that reassembled bytes for which
+    /// `known` returns `true` count as verified without being hashed.
+    /// `known` must return `true` only for bytes already proven to hash to
+    /// `id` — equal, byte for byte, to a blob that passed this check
+    /// before — so the result is the one `assemble` would give.
+    pub fn assemble_known(
+        &mut self,
+        id: BlobId,
+        known: impl FnOnce(&[u8]) -> bool,
+    ) -> Result<ModuleBlob, StoreError> {
         let entry = self.blobs.get(&id).ok_or(StoreError::UnknownBlob(id))?;
         if !entry.is_complete() {
             return Err(StoreError::Incomplete {
@@ -184,13 +203,16 @@ impl ChunkStore {
         for piece in entry.chunks.values() {
             bytes.extend_from_slice(piece);
         }
-        let actual = BlobId::of(&bytes);
-        if actual != id {
-            self.stats.verify_failures += 1;
-            return Err(StoreError::HashMismatch {
-                expected: id,
-                actual,
-            });
+        if !known(&bytes) {
+            self.stats.bytes_hashed += bytes.len() as u64;
+            let actual = BlobId::of(&bytes);
+            if actual != id {
+                self.stats.verify_failures += 1;
+                return Err(StoreError::HashMismatch {
+                    expected: id,
+                    actual,
+                });
+            }
         }
         self.stats.assembles += 1;
         Ok(ModuleBlob { bytes, hash: id.0 })
@@ -300,6 +322,30 @@ mod tests {
         // The poisoned blob can be dropped and refetched.
         assert!(s.release(id));
         assert!(!s.is_complete(id));
+    }
+
+    #[test]
+    fn only_vouched_bytes_skip_the_hash() {
+        let blob = test_blob(300);
+        let len = blob.bytes.len() as u64;
+        let mut s = ChunkStore::new(256);
+        let id = s.seed_blob(&blob);
+        s.assemble(id).unwrap();
+        assert_eq!(s.stats().bytes_hashed, len);
+        let good = blob.bytes.clone();
+        let out = s.assemble_known(id, |b| b == good.as_slice()).unwrap();
+        assert_eq!(out.bytes, blob.bytes);
+        assert_eq!(s.stats().bytes_hashed, len, "vouched bytes are not hashed");
+        // A corrupt chunk makes the bytes differ from the known ones: they
+        // are hashed in full and refused.
+        assert!(s.corrupt_chunk(id, 1));
+        let err = s.assemble_known(id, |b| b == good.as_slice()).unwrap_err();
+        assert!(matches!(err, StoreError::HashMismatch { .. }));
+        let st = s.stats();
+        assert_eq!(
+            (st.bytes_hashed, st.assembles, st.verify_failures),
+            (2 * len, 2, 1)
+        );
     }
 
     #[test]
