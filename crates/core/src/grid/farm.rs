@@ -2547,13 +2547,6 @@ mod tests {
         assert_eq!(farm.worker_cache_stats(WorkerId(1)).bytes_fetched, blob_len);
     }
 
-    /// Bytes the stores of every worker ran through the content hash.
-    fn world_bytes_hashed(farm: &FarmScheduler) -> u64 {
-        (0..farm.n_workers())
-            .map(|w| farm.worker_store(WorkerId(w as u32)).stats().bytes_hashed)
-            .sum()
-    }
-
     #[test]
     fn swarm_fetches_of_one_module_hash_its_bytes_once_per_world() {
         let n = 5;
@@ -2601,11 +2594,11 @@ mod tests {
         assert_eq!(reg.counter_value("store.bytes_from_controller"), 0);
         // The first assembly hashes the bytes; the memo its admission
         // filled vouches for the other three.
-        assert_eq!(world_bytes_hashed(&farm), blob_len);
-        let assembles: u64 = (1..n)
-            .map(|w| farm.worker_store(WorkerId(w as u32)).stats().assembles)
-            .sum();
-        assert_eq!(assembles, fetched);
+        let stats: Vec<_> = (0..n)
+            .map(|w| farm.worker_store(WorkerId(w as u32)).stats())
+            .collect();
+        assert_eq!(stats.iter().map(|s| s.bytes_hashed).sum::<u64>(), blob_len);
+        assert_eq!(stats.iter().map(|s| s.assembles).sum::<u64>(), fetched);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use obs::Obs;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tvm::{ModuleBlob, PrepareError, PreparedModule};
 
 /// Identity of a module: name plus version. Content hash disambiguates
@@ -118,9 +118,9 @@ impl Admitted {
 }
 
 impl AdmissionMemo {
-    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<Admitted>> {
-        let memo = self.0.lock();
-        memo.expect("a cache panicked while admitting; the memo may be half-written")
+    fn entries(&self) -> MutexGuard<'_, Vec<Admitted>> {
+        let poisoned = "a cache panicked while admitting; the memo may be half-written";
+        self.0.lock().expect(poisoned)
     }
 
     fn admit(&self, blob: &ModuleBlob) -> Result<Arc<PreparedModule>, PrepareError> {
