@@ -419,6 +419,12 @@ impl FarmScheduler {
         &self.profiles
     }
 
+    /// Mutable profile access for verification layers feeding vote
+    /// evidence back into the scheduler (see [`crate::grid::redundancy`]).
+    pub fn profiles_mut(&mut self) -> &mut ProfileRegistry {
+        &mut self.profiles
+    }
+
     /// Feed a verification verdict for a worker into its profile and
     /// refresh the blacklist gauge.
     pub fn record_vote(&mut self, wid: WorkerId, agreed: bool) {
@@ -429,6 +435,11 @@ impl FarmScheduler {
             self.metrics.votes_dissented.incr();
         }
         self.refresh_blacklist_gauge();
+    }
+
+    /// Name of the active worker-selection policy.
+    pub fn policy_name(&self) -> &'static str {
+        self.policy.name()
     }
 
     /// Is this worker currently excluded by the blacklist floor?
@@ -751,7 +762,6 @@ impl FarmScheduler {
                 self.metrics.module_cache_hits.incr();
             }
         }
-        let module_key = module.as_ref().filter(|_| needs_module).cloned();
         self.metrics.dispatches.incr();
         self.obs
             .event(world.sim.now().as_micros(), "farm.dispatch", || {
@@ -770,7 +780,8 @@ impl FarmScheduler {
             self.metrics.retries.incr();
         }
         if needs_module {
-            let key = module_key.expect("checked above");
+            let key = self.jobs[job_id.0 as usize].spec.module.clone();
+            let key = key.expect("needs_module implies a module");
             if self.cfg.swarm.is_some() {
                 self.swarm_fetch(world, job_id, key);
             } else {

@@ -57,6 +57,14 @@ impl ModuleLibrary {
         self.blobs.get(key)
     }
 
+    /// Latest version of a named module.
+    pub fn latest(&self, name: &str) -> Option<&ModuleKey> {
+        self.blobs
+            .keys()
+            .filter(|k| k.name == name)
+            .max_by_key(|k| k.version)
+    }
+
     pub fn len(&self) -> usize {
         self.blobs.len()
     }
@@ -374,11 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn library_publish_and_fetch() {
+    fn library_publish_fetch_latest() {
         let mut lib = ModuleLibrary::new();
         lib.publish(ModuleKey::new("FFT", 1), blob_of_size("FFT", 100));
         lib.publish(ModuleKey::new("FFT", 3), blob_of_size("FFT", 100));
         lib.publish(ModuleKey::new("Wave", 2), blob_of_size("Wave", 100));
+        assert_eq!(lib.latest("FFT"), Some(&ModuleKey::new("FFT", 3)));
         assert!(lib.fetch(&ModuleKey::new("FFT", 1)).is_some());
         assert!(lib.fetch(&ModuleKey::new("FFT", 2)).is_none());
         assert_eq!(lib.len(), 3);
