@@ -13,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 use netsim::avail::AvailabilityTrace;
 use netsim::{Duration, HostId, HostSpec, Sim, SimTime};
-use obs::{Counter, HistogramHandle, Obs};
+use obs::{Counter, Event, HistogramHandle, Obs};
 use orch::{Delta, OrchestratorHandle};
 use p2p::{AdvertBody, Advertisement, BlobAdvert, Incoming, PeerId, QueryId, QueryKind};
 use store::{assign_round_robin, BlobId, ChunkStore, FetchTracker};
@@ -763,10 +763,11 @@ impl FarmScheduler {
             }
         }
         self.metrics.dispatches.incr();
-        self.obs
-            .event(world.sim.now().as_micros(), "farm.dispatch", || {
-                format!("job={} worker={}", job_id.0, wid.0)
-            });
+        let event = Event::FarmDispatch {
+            job: job_id.0,
+            worker: wid.0,
+        };
+        self.obs.event(world.sim.now().as_micros(), event);
         self.record_delta(
             world,
             Delta::Dispatch {
@@ -952,9 +953,12 @@ impl FarmScheduler {
                 // fetch the authoritative copy from the controller.
                 w.store.release(blob_id);
                 self.metrics.verify_failures.incr();
-                self.obs.event(now.as_micros(), "store.verify_failure", || {
-                    format!("job={} worker={} blob={}", job.0, wid.0, blob_id)
-                });
+                let event = Event::VerifyFailure {
+                    job: job.0,
+                    worker: wid.0,
+                    blob: blob_id.0,
+                };
+                self.obs.event(now.as_micros(), event);
                 self.direct_fetch(world, job, key);
             }
         }
@@ -1113,10 +1117,8 @@ impl FarmScheduler {
                 world.net.set_online(w.host, true);
                 self.profiles.mark_up(wid.0, world.sim.now());
                 self.metrics.worker_up.incr();
-                self.obs
-                    .event(world.sim.now().as_micros(), "farm.worker_up", || {
-                        format!("worker={}", wid.0)
-                    });
+                let event = Event::FarmWorkerUp { worker: wid.0 };
+                self.obs.event(world.sim.now().as_micros(), event);
                 self.dispatch(world);
             }
             GridEvent::WorkerDown(wid) => {
@@ -1125,10 +1127,8 @@ impl FarmScheduler {
                     return;
                 }
                 self.metrics.worker_down.incr();
-                self.obs
-                    .event(world.sim.now().as_micros(), "farm.worker_down", || {
-                        format!("worker={}", wid.0)
-                    });
+                let event = Event::FarmWorkerDown { worker: wid.0 };
+                self.obs.event(world.sim.now().as_micros(), event);
                 self.worker_down(world, wid);
                 self.dispatch(world);
             }
@@ -1337,17 +1337,21 @@ impl FarmScheduler {
         j.fraction = 1.0;
         j.completed = Some(now);
         j.completed_by = Some(worker);
-        let latency = now.since(j.created);
+        let latency_us = now.since(j.created).as_micros();
         self.metrics.completions.incr();
-        self.metrics.job_latency_us.observe(latency.as_micros());
-        let (kind, by) = match role {
-            Role::Primary => ("farm.complete", None),
-            Role::Backup => ("trust.speculative_win", Some(worker.0)),
+        self.metrics.job_latency_us.observe(latency_us);
+        let event = match role {
+            Role::Primary => Event::FarmComplete {
+                job: job.0,
+                latency_us,
+            },
+            Role::Backup => Event::SpeculativeWin {
+                job: job.0,
+                worker: worker.0,
+                latency_us,
+            },
         };
-        self.obs.event(now.as_micros(), kind, || {
-            let by = by.map_or(String::new(), |w| format!(" worker={w}"));
-            format!("job={}{by} latency_us={}", job.0, latency.as_micros())
-        });
+        self.obs.event(now.as_micros(), event);
         self.record_delta(world, Delta::Complete { job: job.0 });
         // The winner's seat is empty by now: this abandons the other copy.
         let raced = self.abandon(now, job, Role::Primary) | self.abandon(now, job, Role::Backup);
@@ -1426,10 +1430,12 @@ impl FarmScheduler {
         let backup = WorkerId(cands[ci].worker);
         self.spec_dispatches += 1;
         self.metrics.speculative_dispatches.incr();
-        self.obs
-            .event(world.sim.now().as_micros(), "trust.speculate", || {
-                format!("job={} straggler={} backup={}", job.0, worker.0, backup.0)
-            });
+        let event = Event::Speculate {
+            job: job.0,
+            straggler: worker.0,
+            backup: backup.0,
+        };
+        self.obs.event(world.sim.now().as_micros(), event);
         // Unlike a primary's dispatch this replicates no `Delta::Dispatch`:
         // a takeover orchestrator re-drives the primary only.
         self.start_attempt(job, Role::Backup, backup);

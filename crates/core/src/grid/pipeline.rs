@@ -14,7 +14,7 @@
 //! stale copies still in the network are ignored on arrival.
 
 use netsim::{Duration, HostSpec, SimTime};
-use obs::Obs;
+use obs::{Event, Obs};
 use orch::{Delta, OrchestratorHandle};
 use p2p::{Incoming, PeerId, PipeId};
 
@@ -336,10 +336,8 @@ impl PipelineScheduler {
             if attempt > 0 {
                 self.obs.incr("pipeline.reemissions");
             }
-            self.obs
-                .event(world.sim.now().as_micros(), "pipeline.emit", || {
-                    format!("token={token} attempt={attempt}")
-                });
+            let event = Event::PipelineEmit { token, attempt };
+            self.obs.event(world.sim.now().as_micros(), event);
         } else {
             // Stage 0 is offline: park until it returns.
             rec.position = Position::Parked;
@@ -461,10 +459,8 @@ impl Scheduler for PipelineScheduler {
                     return;
                 }
                 self.obs.incr("pipeline.stage_down");
-                self.obs
-                    .event(world.sim.now().as_micros(), "pipeline.stage_down", || {
-                        format!("stage={s}")
-                    });
+                let event = Event::PipelineStageDown { stage: s as u32 };
+                self.obs.event(world.sim.now().as_micros(), event);
                 self.stages[s].up = false;
                 self.stages[s].busy = false;
                 self.stages[s].queue.clear();
@@ -563,9 +559,8 @@ impl Scheduler for PipelineScheduler {
                     self.obs
                         .observe("pipeline.token_latency_us", lat.as_micros());
                 }
-                self.obs.event(now.as_micros(), "pipeline.token_done", || {
-                    format!("token={token} attempt={attempt}")
-                });
+                let event = Event::PipelineTokenDone { token, attempt };
+                self.obs.event(now.as_micros(), event);
                 self.orch.record(
                     &mut world.sim,
                     &mut world.net,

@@ -1,10 +1,12 @@
 //! Grid-wide observability for the consumer-grid workspace.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * a metrics [`Registry`] — monotonic counters, gauges, power-of-two
-//!   bucketed latency [`Histogram`]s — plus a bounded structured event log
-//!   keyed on **virtual** (simulation) time;
+//!   bucketed latency [`Histogram`]s — plus a bounded log of typed
+//!   [`Event`]s keyed on **virtual** (simulation) time. An event is a
+//!   `Copy` value carrying its ids; its kind and detail text are rendered
+//!   only by a snapshot, so recording into a full log allocates nothing;
 //! * a cheap handle, [`Obs`], threaded through the engine, grid
 //!   schedulers, P2P overlay and TVM. A disabled handle is a single
 //!   `Option` branch per call site, so instrumentation costs nothing when
@@ -25,12 +27,14 @@
 //! parser in [`json`]) so every other crate can depend on it without
 //! widening the build graph.
 
+pub mod event;
 pub mod handle;
 pub mod json;
 pub mod registry;
 
+pub use event::Event;
 pub use handle::{Counter, HistogramHandle};
-pub use registry::{Event, Histogram, Registry, DEFAULT_EVENT_CAPACITY};
+pub use registry::{Histogram, Registry, DEFAULT_EVENT_CAPACITY};
 
 use std::sync::Arc;
 
@@ -118,12 +122,10 @@ impl Obs {
         }
     }
 
-    /// Append a structured event at virtual time `t_micros`. The detail
-    /// closure only runs when recording is enabled, so call sites can
-    /// format freely without paying for it when off.
-    pub fn event(&self, t_micros: u64, kind: &str, detail: impl FnOnce() -> String) {
+    /// Append a typed event at virtual time `t_micros`.
+    pub fn event(&self, t_micros: u64, event: Event) {
         if let Some(r) = &self.inner {
-            r.record_event(t_micros, kind, detail());
+            r.record_event(t_micros, event);
         }
     }
 
@@ -156,7 +158,7 @@ mod tests {
         obs.incr("x");
         obs.gauge("g", 1);
         obs.observe("h", 1);
-        obs.event(0, "k", || unreachable!("detail closure must not run"));
+        obs.event(0, Event::FarmWorkerUp { worker: 0 });
         assert!(!obs.is_enabled());
         assert!(obs.snapshot_json().is_none());
     }
@@ -175,7 +177,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.incr("engine.fires");
         obs.observe("lat", 3);
-        obs.event(1_000_000, "farm.dispatch", || "job=1".to_string());
+        obs.event(1_000_000, Event::FarmDispatch { job: 1, worker: 4 });
         let snap = obs.snapshot_json().unwrap();
         let v = json::parse(&snap).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some("triana-obs/1"));
@@ -193,6 +195,10 @@ mod tests {
         assert_eq!(
             events[0].get("kind").unwrap().as_str(),
             Some("farm.dispatch")
+        );
+        assert_eq!(
+            events[0].get("detail").unwrap().as_str(),
+            Some("job=1 worker=4")
         );
         assert_eq!(v.get("events_dropped").unwrap().as_u64(), Some(0));
     }
@@ -340,7 +346,13 @@ mod tests {
             for i in 0..10u64 {
                 obs.add("c", i);
                 obs.observe("h", i * 17);
-                obs.event(i * 5, "tick", || format!("i={i}"));
+                obs.event(
+                    i * 5,
+                    Event::PipelineEmit {
+                        token: i,
+                        attempt: 0,
+                    },
+                );
             }
             obs.snapshot_json().unwrap()
         };

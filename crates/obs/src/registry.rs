@@ -1,5 +1,5 @@
 //! The metrics registry: counters, gauges, fixed-bucket histograms and a
-//! bounded structured event log.
+//! bounded log of typed [`Event`]s.
 //!
 //! All collections are `BTreeMap`s so snapshot emission is deterministic
 //! without a sort pass. Counters and histograms map each name to the one
@@ -10,8 +10,10 @@
 
 use crate::handle::{CounterSlot, HistogramSlot};
 use crate::json;
+use crate::Event;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on retained events; older events are dropped (and counted).
@@ -60,23 +62,13 @@ impl Histogram {
     }
 }
 
-/// One structured trace event, timestamped with virtual (simulation) time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Virtual time in microseconds (netsim `SimTime::as_micros`).
-    pub t_micros: u64,
-    /// Dotted event kind, e.g. `"farm.dispatch"`.
-    pub kind: String,
-    /// Free-form detail, e.g. `"job=3 worker=1"`.
-    pub detail: String,
-}
-
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<CounterSlot>>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, Arc<HistogramSlot>>,
-    events: VecDeque<Event>,
+    /// `(virtual time in microseconds, event)`, oldest first.
+    events: VecDeque<(u64, Event)>,
     events_dropped: u64,
     /// Wall-clock / host-dependent values, excluded from the deterministic
     /// snapshot.
@@ -147,17 +139,16 @@ impl Registry {
         with_slot(&mut self.lock().histograms, name, |slot| slot.record(value));
     }
 
-    pub fn record_event(&self, t_micros: u64, kind: &str, detail: String) {
+    /// Append `event` at virtual time `t_micros`, dropping (and counting)
+    /// the oldest once the log is full. Allocates only while the log is
+    /// still growing towards its capacity.
+    pub fn record_event(&self, t_micros: u64, event: Event) {
         let mut inner = self.lock();
         if inner.events.len() >= self.event_capacity {
             inner.events.pop_front();
             inner.events_dropped += 1;
         }
-        inner.events.push_back(Event {
-            t_micros,
-            kind: kind.to_string(),
-            detail,
-        });
+        inner.events.push_back((t_micros, event));
     }
 
     pub fn set_volatile(&self, name: &str, value: f64) {
@@ -235,14 +226,17 @@ impl Registry {
             out.push_str("]}");
         }
         out.push_str("},\"events\":[");
-        for (i, e) in inner.events.iter().enumerate() {
+        let mut detail = String::new();
+        for (i, (t, e)) in inner.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"t\":{},\"kind\":", e.t_micros));
-            json::push_string(&mut out, &e.kind);
+            out.push_str(&format!("{{\"t\":{t},\"kind\":"));
+            json::push_string(&mut out, e.kind());
             out.push_str(",\"detail\":");
-            json::push_string(&mut out, &e.detail);
+            detail.clear();
+            let _ = write!(detail, "{e}");
+            json::push_string(&mut out, &detail);
             out.push('}');
         }
         out.push_str(&format!("],\"events_dropped\":{}", inner.events_dropped));
@@ -338,13 +332,18 @@ mod tests {
     fn event_ring_bounds_and_counts_drops() {
         let r = Registry::with_event_capacity(3);
         for i in 0..5u64 {
-            r.record_event(i, "k", format!("e{i}"));
+            r.record_event(
+                i,
+                Event::FarmWorkerUp {
+                    worker: 90 + i as u32,
+                },
+            );
         }
         assert_eq!(r.event_count(), 3);
         let snap = r.snapshot_json();
         assert!(snap.contains("\"events_dropped\":2"));
-        assert!(snap.contains("e4"));
-        assert!(!snap.contains("e0"));
+        assert!(snap.contains("worker=94"));
+        assert!(!snap.contains("worker=90"));
     }
 
     #[test]
@@ -354,7 +353,7 @@ mod tests {
             r.add_counter("z.last", 1);
             r.add_counter("a.first", 2);
             r.observe("lat", 7);
-            r.record_event(10, "kind", "detail \"quoted\"".to_string());
+            r.record_event(10, Event::FarmDispatch { job: 1, worker: 2 });
             r.set_volatile("wall_secs", 1.25);
             r.snapshot_json()
         };
@@ -368,6 +367,28 @@ mod tests {
         // Volatile section excluded from the deterministic snapshot.
         assert!(!a.contains("wall_secs"));
         assert!(!a.contains("volatile"));
+    }
+
+    /// The emitter escapes every string it writes; typed events render
+    /// only digits and names, so the escaping is checked on the writer.
+    #[test]
+    fn quoted_text_is_escaped() {
+        let mut out = String::new();
+        json::push_string(&mut out, "detail \"quoted\"");
+        assert_eq!(out, r#""detail \"quoted\"""#);
+    }
+
+    #[test]
+    fn events_render_at_snapshot_time() {
+        let r = Registry::default();
+        r.record_event(7, Event::P2pQueryHit { id: 3, provider: 1 });
+        let snap = r.snapshot_json();
+        assert!(
+            snap.contains(
+                "\"events\":[{\"t\":7,\"kind\":\"p2p.query_hit\",\"detail\":\"id=3 provider=1\"}]"
+            ),
+            "{snap}"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod wire;
 pub use advert::{AdvertBody, Advertisement, BlobAdvert, ModuleAdvert, PeerAdvert, PipeAdvert};
 pub use groups::{CapabilityPredicate, PeerGroup};
 pub use message::{LookupId, Message, P2pEvent, QueryId, QueryKind};
-pub use overlay::{DiscoveryMode, Incoming, P2p, PeerId, QueryStatus, SEEN_CACHE_CAP};
+pub use overlay::{DiscoveryMode, Incoming, P2p, PeerId, QueryStatus, Surfaced, SEEN_CACHE_CAP};
 pub use pipe::PipeId;
 pub use routed::{RoutedConfig, RoutedNode};
 pub use sym::Sym;

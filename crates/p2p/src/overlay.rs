@@ -20,7 +20,7 @@ use crate::message::{IdMap, LookupId, Message, P2pEvent, QueryId, QueryKind};
 use crate::pipe::{PipeError, PipeId, PipeTable};
 use crate::routed::{ActiveLookup, RoutedConfig, RoutedNode};
 use netsim::{HostId, Network, Pcg32, Sim, SimTime};
-use obs::{Counter, Obs};
+use obs::{Counter, Event, Obs};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -206,6 +206,30 @@ pub enum Incoming {
         count: u64,
         sync: bool,
     },
+}
+
+/// What one [`P2p::handle`] call surfaced, in order: the first
+/// notification inline, later ones (only a routed reply's second and
+/// further hits) in a `Vec`, so surfacing at most one allocates nothing.
+#[derive(Debug, Default)]
+pub struct Surfaced(Option<Incoming>, Vec<Incoming>);
+
+impl Surfaced {
+    pub(crate) fn push(&mut self, inc: Incoming) {
+        match self.0 {
+            None => self.0 = Some(inc),
+            Some(_) => self.1.push(inc),
+        }
+    }
+}
+
+impl IntoIterator for Surfaced {
+    type Item = Incoming;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Incoming>, std::vec::IntoIter<Incoming>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().chain(self.1)
+    }
 }
 
 obs::handles! {
@@ -562,9 +586,12 @@ impl P2p {
         let id = QueryId(self.next_query);
         self.next_query += 1;
         self.metrics.queries.incr();
-        self.obs.event(sim.now().as_micros(), "p2p.query", || {
-            format!("id={} origin={} ttl={ttl}", id.0, origin.0)
-        });
+        let event = Event::P2pQuery {
+            id: id.0,
+            origin: origin.0,
+            ttl,
+        };
+        self.obs.event(sim.now().as_micros(), event);
         self.queries.insert(
             id,
             QueryStatus {
@@ -755,7 +782,7 @@ impl P2p {
         sim: &mut Sim<E>,
         net: &mut Network,
         ev: P2pEvent,
-    ) -> Vec<Incoming> {
+    ) -> Surfaced {
         let (to, msg) = match ev {
             P2pEvent::Delivered { to, msg } => (to, msg),
             // A lookup timeout is a local timer, not a network message: it
@@ -763,10 +790,10 @@ impl P2p {
             // abandoned) and is never metered as received/lost.
             P2pEvent::LookupTimeout { executor, lid } => {
                 self.routed_on_timeout(sim, net, executor, lid);
-                return Vec::new();
+                return Surfaced::default();
             }
         };
-        let mut out = Vec::new();
+        let mut out = Surfaced::default();
         // A message arriving at an offline peer is lost.
         if !net.is_online(self.peers[to.0 as usize].host) {
             self.metrics.messages_lost.incr();
@@ -791,14 +818,12 @@ impl P2p {
                 match self.mode {
                     DiscoveryMode::Flooding => {
                         let now = sim.now();
-                        let hits: Vec<Advertisement> = self.peers[to.0 as usize]
-                            .ads
-                            .iter()
-                            .filter(|ad| ad.matches(&kind, now))
-                            .cloned()
-                            .collect();
-                        for advert in hits {
-                            self.send(sim, net, to, origin, Message::QueryHit { id, advert });
+                        for i in 0..self.peers[to.0 as usize].ads.len() {
+                            let ad = &self.peers[to.0 as usize].ads[i];
+                            if ad.matches(&kind, now) {
+                                let advert = ad.clone();
+                                self.send(sim, net, to, origin, Message::QueryHit { id, advert });
+                            }
                         }
                         if ttl > 0 {
                             for i in 0..self.peers[to.0 as usize].neighbors.len() {
@@ -834,9 +859,11 @@ impl P2p {
                     q.hits.push((sim.now(), advert));
                 }
                 self.metrics.query_hits.incr();
-                self.obs.event(sim.now().as_micros(), "p2p.query_hit", || {
-                    format!("id={} provider={}", id.0, provider.0)
-                });
+                let event = Event::P2pQueryHit {
+                    id: id.0,
+                    provider: provider.0,
+                };
+                self.obs.event(sim.now().as_micros(), event);
                 out.push(Incoming::QueryHit { id, provider });
             }
             Message::Publish { advert } => {

@@ -647,7 +647,7 @@ impl P2p {
         from: PeerId,
         mut closer: Vec<(u64, PeerId)>,
         mut providers: Vec<Advertisement>,
-        out: &mut Vec<crate::overlay::Incoming>,
+        out: &mut crate::overlay::Surfaced,
     ) {
         // Learning the responder under its *real* ID is what heals a
         // poisoned routing table: a fabricated contact that answers gets

@@ -1,7 +1,8 @@
 //! The hot loops that claim to be allocation-free in steady state, checked
 //! with a counting global allocator: the netsim pop/push churn, the TVM
 //! exec loop on the three bench-shaped kernels and on a four-deep call
-//! chain, pooled wire encoding, and `obs` handle bumps.
+//! chain, pooled wire encoding, `obs` handle bumps and typed event records,
+//! and flooded overlay deliveries through `P2p::handle` with an observer.
 //!
 //! Claims like these rot silently: one innocent `clone()` added two layers
 //! down re-introduces a per-event allocation and nothing else fails. Each
@@ -15,9 +16,12 @@
 //! measurement. Deallocations are not counted: a loop that allocates
 //! nothing has nothing to free.
 
-use consumer_grid::netsim::{EventQueue, Pcg32, SimTime};
-use consumer_grid::obs::Obs;
-use consumer_grid::p2p::{self, LookupId, Message, PeerId};
+use consumer_grid::netsim::{EventQueue, HostSpec, Network, Pcg32, Sim, SimTime};
+use consumer_grid::obs::{Event, Obs, DEFAULT_EVENT_CAPACITY};
+use consumer_grid::p2p::{
+    self, AdvertBody, Advertisement, BlobAdvert, DiscoveryMode, LookupId, Message, P2p, P2pEvent,
+    PeerId, QueryId, QueryKind,
+};
 use consumer_grid::tvm::asm::assemble;
 use consumer_grid::tvm::{ExecContext, PreparedModule, SandboxPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -188,4 +192,146 @@ fn obs_handle_bumps_allocate_nothing() {
     });
     assert_eq!(n, 0, "handle bumps allocated");
     assert_eq!(obs.registry().unwrap().counter_value("hot"), 100_000);
+}
+
+/// Typed events recorded past the log's capacity: each is stored as it is
+/// and displaces the oldest, so a full log neither allocates nor frees.
+#[test]
+fn typed_event_records_allocate_nothing() {
+    let obs = Obs::enabled();
+    let record = |n: u64| {
+        for i in 0..n {
+            let worker = (i % 96) as u32;
+            obs.event(i, Event::FarmDispatch { job: i, worker });
+            obs.event(
+                i,
+                Event::P2pQueryHit {
+                    id: i,
+                    provider: worker,
+                },
+            );
+        }
+    };
+    record(DEFAULT_EVENT_CAPACITY as u64);
+    assert_eq!(allocations(|| record(50_000)), 0, "event records allocated");
+    let registry = obs.registry().unwrap();
+    assert_eq!(registry.event_count(), DEFAULT_EVENT_CAPACITY);
+}
+
+/// A four-peer flooding overlay with an observer attached, the blob's
+/// provider holding its advert and the origin tracking one query for it.
+struct Flood {
+    sim: Sim<P2pEvent>,
+    net: Network,
+    p2p: P2p,
+    advert: Advertisement,
+    kind: QueryKind,
+    tracked: QueryId,
+    next_id: u64,
+}
+
+const ORIGIN: PeerId = PeerId(0);
+const PROVIDER: PeerId = PeerId(1);
+
+impl Flood {
+    fn new() -> Self {
+        let mut net = Network::new();
+        let mut p2p = P2p::new(DiscoveryMode::Flooding);
+        for _ in 0..4 {
+            p2p.add_peer(net.add_host(HostSpec::reference_pc()));
+        }
+        p2p.wire_random(3, &mut Pcg32::new(0x0F1D, 0x07));
+        p2p.set_obs(Obs::enabled());
+        let mut sim = Sim::new(7);
+        let advert = Advertisement {
+            body: AdvertBody::Blob(BlobAdvert {
+                blob: 0xB10B,
+                size_bytes: 16_896,
+                chunks: 17,
+                provider: PROVIDER,
+            }),
+            expires: SimTime(u64::MAX),
+        };
+        p2p.publish(&mut sim, &mut net, PROVIDER, advert.clone());
+        let kind = QueryKind::ByBlob { hash: 0xB10B };
+        let tracked = p2p.query(&mut sim, &mut net, ORIGIN, kind.clone(), 2);
+        Flood {
+            sim,
+            net,
+            p2p,
+            advert,
+            kind,
+            tracked,
+            next_id: 1_000_000,
+        }
+    }
+
+    /// Handle one event; how many notifications it surfaced.
+    fn handle(&mut self, ev: P2pEvent) -> u64 {
+        let mut n = 0;
+        for inc in self.p2p.handle(&mut self.sim, &mut self.net, ev) {
+            black_box(inc);
+            n += 1;
+        }
+        n
+    }
+
+    /// `n` rounds: a fresh flooded `Query` at the provider (surfaces
+    /// nothing; answers the origin and forwards to the other peers), the
+    /// sim drained (the hit at the origin surfaces), then a `QueryHit` for
+    /// the tracked query and an `OrchDelta` (one each). Returns the count
+    /// of notifications surfaced.
+    fn rounds(&mut self, n: u64) -> u64 {
+        let mut surfaced = 0;
+        for _ in 0..n {
+            self.next_id += 1;
+            let query = Message::Query {
+                id: QueryId(self.next_id),
+                origin: ORIGIN,
+                prev_hop: ORIGIN,
+                ttl: 1,
+                kind: self.kind.clone(),
+            };
+            surfaced += self.handle(P2pEvent::Delivered {
+                to: PROVIDER,
+                msg: query,
+            });
+            while let Some(ev) = self.sim.step() {
+                surfaced += self.handle(ev);
+            }
+            let hit = Message::QueryHit {
+                id: self.tracked,
+                advert: self.advert.clone(),
+            };
+            surfaced += self.handle(P2pEvent::Delivered {
+                to: ORIGIN,
+                msg: hit,
+            });
+            let delta = Message::OrchDelta {
+                seq: self.next_id,
+                bytes: 64,
+            };
+            surfaced += self.handle(P2pEvent::Delivered {
+                to: PeerId(2),
+                msg: delta,
+            });
+        }
+        surfaced
+    }
+}
+
+/// Steady-state flooding traffic through `P2p::handle`, observer on. The
+/// warm-up fills every seen-query window and the event log; the tracked
+/// query's hit list is that query's own record, reserved up front.
+#[test]
+fn overlay_deliveries_allocate_nothing() {
+    let mut flood = Flood::new();
+    flood.rounds(4 * p2p::SEEN_CACHE_CAP as u64);
+    const MEASURED: u64 = 2_000;
+    let tracked = flood.p2p.queries.get_mut(&flood.tracked).unwrap();
+    tracked.hits.reserve(MEASURED as usize);
+    let mut surfaced = 0;
+    let n = allocations(|| surfaced = flood.rounds(MEASURED));
+    assert_eq!(n, 0, "overlay deliveries allocated");
+    assert_eq!(surfaced, 3 * MEASURED);
 }
